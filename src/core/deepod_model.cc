@@ -1,6 +1,8 @@
 #include "core/deepod_model.h"
 
 #include <algorithm>
+#include <cmath>
+#include <optional>
 #include <stdexcept>
 
 #include "match/map_matcher.h"
@@ -48,6 +50,27 @@ double TrainTimeScale(const sim::Dataset& dataset) {
   double sum = 0.0;
   for (const auto& t : dataset.train) sum += t.travel_time;
   return sum / static_cast<double>(dataset.train.size());
+}
+
+// External-code table key of `od`: the weather type in the low 4 bits, the
+// speed-matrix snapshot index above them. nullopt when the pair does not
+// fit — a weather type the CNN rejects anyway, or a snapshot index beyond
+// ±2^58 from a provider with unclamped snapshot times — in which case the
+// code is computed and not stored.
+std::optional<uint64_t> OcodeKey(const sim::SpeedProvider& speed,
+                                 const traj::OdInput& od) {
+  static_assert(ExternalFeaturesEncoder::kNumWeatherTypes <= 16);
+  const double snapshot =
+      std::round(speed.SnapshotTime(od.departure_time) /
+                 speed.snapshot_seconds());
+  if (od.weather_type < 0 ||
+      od.weather_type >=
+          static_cast<int>(ExternalFeaturesEncoder::kNumWeatherTypes) ||
+      !(std::abs(snapshot) < 0x1p58)) {
+    return std::nullopt;
+  }
+  return static_cast<uint64_t>(static_cast<int64_t>(snapshot)) << 4 |
+         static_cast<uint64_t>(od.weather_type);
 }
 
 }  // namespace
@@ -187,40 +210,47 @@ nn::Tensor DeepOdModel::EstimateFromCode(const nn::Tensor& code) {
 }
 
 nn::Tensor DeepOdModel::EncodeExternal(const traj::OdInput& od) {
-  const bool use_other = config_.ablation != Ablation::kNoOther;
-  if (!use_other || speed_ == nullptr) {
+  // Autograd needs the forward's graph; the table stores values only.
+  if (nn::GradEnabled()) return ExternalForward(od);
+  std::vector<double> code(config_.dm6);
+  WriteExternalCode(od, code.data());
+  return nn::Tensor::FromData({config_.dm6}, std::move(code));
+}
+
+nn::Tensor DeepOdModel::ExternalForward(const traj::OdInput& od) {
+  if (config_.ablation == Ablation::kNoOther || speed_ == nullptr) {
     return nn::Tensor::Zeros({config_.dm6});
   }
-  const auto& matrices = *speed_;
-  // Memo only in serving conditions: no autograd (a memoised leaf has no
-  // graph to offer) and training off (a training-mode forward updates
-  // BatchNorm running statistics, a side effect a memo hit would skip).
-  const bool memoize =
-      !nn::GradEnabled() && !training_ && ocode_memo_capacity_ > 0;
-  uint64_t key = 0;
-  if (memoize) {
-    const auto snapshot = static_cast<int64_t>(
-        matrices.SnapshotTime(od.departure_time) / matrices.snapshot_seconds());
-    key = (static_cast<uint64_t>(static_cast<uint32_t>(od.weather_type)) << 32) ^
-          static_cast<uint64_t>(snapshot);
-    std::lock_guard<std::mutex> lock(ocode_memo_mu_);
-    auto it = ocode_memo_.find(key);
-    if (it != ocode_memo_.end()) {
-      return nn::Tensor::FromData({config_.dm6},
-                                  std::vector<double>(*it->second));
+  return external_encoder_->Forward(od.weather_type,
+                                    speed_->MatrixAt(od.departure_time),
+                                    speed_->rows(), speed_->cols());
+}
+
+void DeepOdModel::WriteExternalCode(const traj::OdInput& od, double* out) {
+  const bool serving = config_.ablation != Ablation::kNoOther &&
+                       speed_ != nullptr && !nn::GradEnabled() && !training_;
+  const std::optional<uint64_t> key =
+      serving ? OcodeKey(*speed_, od) : std::nullopt;
+  uint64_t generation = 0;
+  if (key) {
+    std::lock_guard<std::mutex> lock(ocode_mu_);
+    generation = ocode_generation_;
+    const auto it = ocode_table_.find(*key);
+    if (it != ocode_table_.end()) {
+      std::copy(it->second.begin(), it->second.end(), out);
+      return;
     }
   }
-  const auto matrix = matrices.MatrixAt(od.departure_time);
-  nn::Tensor ocode = external_encoder_->Forward(od.weather_type, matrix,
-                                                matrices.rows(),
-                                                matrices.cols());
-  if (memoize) {
-    auto entry = std::make_shared<const std::vector<double>>(ocode.data());
-    std::lock_guard<std::mutex> lock(ocode_memo_mu_);
-    if (ocode_memo_.size() >= ocode_memo_capacity_) ocode_memo_.clear();
-    ocode_memo_.emplace(key, std::move(entry));
+  const nn::Tensor code = ExternalForward(od);
+  std::copy(code.data().begin(), code.data().end(), out);
+  if (!key) return;
+  std::lock_guard<std::mutex> lock(ocode_mu_);
+  // A ClearOcodeMemo since the lookup (say a speed-field publish and its
+  // epoch bump) means the matrix this code came from may be stale.
+  if (generation == ocode_generation_ &&
+      ocode_table_.size() < kOcodeTableMaxEntries) {
+    ocode_table_.try_emplace(*key, code.data());
   }
-  return ocode;
 }
 
 double DeepOdModel::Predict(const traj::OdInput& od) {
@@ -263,9 +293,7 @@ void DeepOdModel::FillOdFeatureRow(const traj::OdInput& od, double* row) {
   }
   p += config_.dt;
 
-  const nn::Tensor ocode = EncodeExternal(od);
-  const auto& od_data = ocode.data();
-  std::copy(od_data.begin(), od_data.end(), p);
+  WriteExternalCode(od, p);
   p += config_.dm6;
 
   p[0] = od.origin_ratio;
@@ -311,15 +339,15 @@ std::vector<double> DeepOdModel::PredictBatch(
   return out;
 }
 
-void DeepOdModel::SetOcodeMemoCapacity(size_t capacity) {
-  std::lock_guard<std::mutex> lock(ocode_memo_mu_);
-  ocode_memo_capacity_ = capacity;
-  ocode_memo_.clear();
+void DeepOdModel::ClearOcodeMemo() {
+  std::lock_guard<std::mutex> lock(ocode_mu_);
+  ++ocode_generation_;
+  ocode_table_.clear();
 }
 
-void DeepOdModel::ClearOcodeMemo() {
-  std::lock_guard<std::mutex> lock(ocode_memo_mu_);
-  ocode_memo_.clear();
+size_t DeepOdModel::ocode_table_size() const {
+  std::lock_guard<std::mutex> lock(ocode_mu_);
+  return ocode_table_.size();
 }
 
 void DeepOdModel::SetSpeedProvider(const sim::SpeedProvider* speed) {
@@ -460,9 +488,8 @@ void DeepOdModel::SetTraining(bool training) {
   trajectory_encoder_->SetTraining(training);
   external_encoder_->SetTraining(training);
   // Mode flips bracket parameter updates (the trainer toggles around every
-  // validation pass), so cached ocodes may be stale — drop them.
-  std::lock_guard<std::mutex> lock(ocode_memo_mu_);
-  ocode_memo_.clear();
+  // validation pass), so stored ocodes may be stale — drop them.
+  ClearOcodeMemo();
 }
 
 }  // namespace deepod::core

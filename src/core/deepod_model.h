@@ -73,9 +73,11 @@ class DeepOdModel : public nn::Module {
 
   // External-features encoding (§4.5): ocode for the OD's departure time and
   // weather. In serving conditions (inference mode, training off) the result
-  // is memoised per (weather, speed-matrix snapshot) — the CNN is
-  // deterministic given those, so a memo hit returns bit-identical values
-  // while skipping the dominant per-query compute.
+  // is kept in the external-code table, keyed by (weather, speed-matrix
+  // snapshot index) — the CNN is deterministic given those, so a hit returns
+  // bit-identical values while skipping the dominant per-query compute.
+  // Entries fill lazily on a key's first miss and live until the table's
+  // generation ends (ClearOcodeMemo).
   nn::Tensor EncodeExternal(const traj::OdInput& od);
 
   // Online estimation (Algorithm 1, Estimation): seconds for an OD input.
@@ -92,19 +94,30 @@ class DeepOdModel : public nn::Module {
   std::vector<double> PredictBatch(std::span<const traj::OdInput> ods,
                                    util::ThreadPool* pool = nullptr);
 
-  // Capacity of the ocode memo used by EncodeExternal (entries; 0 disables).
-  // The memo is invalidated on SetTraining and Load since parameter or mode
-  // changes would make cached codes stale.
-  void SetOcodeMemoCapacity(size_t capacity);
-
-  // Drops every memoised ocode. Callers that mutate model state behind the
-  // model's back (the trainer's checkpoint restore, the artifact loader)
-  // must invalidate the memo themselves.
+  // Starts a new generation of the external-code table: later lookups see
+  // none of the codes stored so far, and a fill that read its speed matrix
+  // before the call does not store its code. SetTraining, Load and
+  // SetSpeedProvider call it; callers that change model state or speed data
+  // behind the model's back (the trainer's checkpoint restore, the artifact
+  // loader, EtaService::BumpEpoch after a speed-field publish) must call it
+  // themselves.
   void ClearOcodeMemo();
+
+  // Hard cap on the codes one generation of the external-code table stores.
+  // A frozen speed field bounds the key space itself (16 weather types ×
+  // stored snapshots, since it clamps every departure to a stored
+  // snapshot); the cap only stops a provider with unclamped snapshot times
+  // from growing a generation without end. Past it, a miss computes its code
+  // without storing it. Not configurable.
+  static constexpr size_t kOcodeTableMaxEntries = size_t{1} << 16;
+
+  // Codes stored in the current generation of the external-code table.
+  size_t ocode_table_size() const;
 
   // Swaps the external-feature speed source (e.g. a frozen
   // sim::SnapshotSpeedField from an artifact; null disables ocode). The
-  // provider must outlive the model. Clears the ocode memo.
+  // provider must outlive the model. Starts a new external-code table
+  // generation.
   void SetSpeedProvider(const sim::SpeedProvider* speed);
   const sim::SpeedProvider* speed_provider() const { return speed_; }
 
@@ -157,9 +170,19 @@ class DeepOdModel : public nn::Module {
 
  private:
   // Writes the z9 feature vector of `od` (Eq. 19 input) into row[0..z9_dim):
-  // the exact doubles EncodeOd's ConcatVec would produce. Callers must hold
-  // an inference guard when the ocode memo should engage.
+  // the exact doubles EncodeOd's ConcatVec would produce.
   void FillOdFeatureRow(const traj::OdInput& od, double* row);
+
+  // The external-features forward proper (zeros when disabled), building an
+  // autograd graph unless in inference mode.
+  nn::Tensor ExternalForward(const traj::OdInput& od);
+
+  // Writes ocode(od) to out[0..dm6). In serving conditions — inference mode
+  // (a stored code is a leaf with no graph) and training off (a
+  // training-mode forward updates BatchNorm running statistics, a side
+  // effect a hit would skip) — through the external-code table.
+  void WriteExternalCode(const traj::OdInput& od, double* out);
+
   size_t z9_dim() const {
     return config_.ds * 2 + config_.dt + config_.dm6 + 3;
   }
@@ -174,11 +197,13 @@ class DeepOdModel : public nn::Module {
   temporal::TimeSlotter slotter_;
   double time_scale_ = 1.0;
 
-  // ocode memo (see EncodeExternal).
-  size_t ocode_memo_capacity_ = 64;
-  std::mutex ocode_memo_mu_;
-  std::unordered_map<uint64_t, std::shared_ptr<const std::vector<double>>>
-      ocode_memo_;
+  // External-code table (see EncodeExternal): packed (weather, snapshot
+  // index) key -> ocode, for the current generation. ClearOcodeMemo bumps
+  // the generation; a fill stores its code only if the generation it read
+  // before its MatrixAt is still current. The CNN runs outside the mutex.
+  mutable std::mutex ocode_mu_;
+  uint64_t ocode_generation_ = 0;
+  std::unordered_map<uint64_t, std::vector<double>> ocode_table_;
 
   std::unique_ptr<nn::Embedding> road_embedding_;       // Ws
   std::unique_ptr<nn::Embedding> time_slot_embedding_;  // Wt

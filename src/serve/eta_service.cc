@@ -95,8 +95,8 @@ uint64_t EtaService::BumpEpoch() {
   std::lock_guard<std::mutex> lock(state_mu_);
   auto fresh = std::make_shared<ServingState>(*state_);
   fresh->epoch = ++last_epoch_;
-  // The speed data the model reads changed under it: memoised external
-  // codes (keyed by weather/snapshot, not by matrix content) are stale.
+  // The speed data the model reads changed under it: stored external codes
+  // (keyed by weather/snapshot, not by matrix content) are stale.
   fresh->model->ClearOcodeMemo();
   state_ = std::move(fresh);
   epoch_gauge_.Set(static_cast<double>(state_->epoch));

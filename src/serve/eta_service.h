@@ -130,8 +130,8 @@ struct EtaServiceStats {
 // drives — answers in-flight requests from the epoch they started on and
 // new requests from the fresh one, with the epoch number keying the cache
 // so stale answers are unreachable. BumpEpoch() invalidates the cache and
-// the model's ocode memo without changing the model — the flip a
-// RollingSpeedField publish needs.
+// starts a new generation of the model's external-code table without
+// changing the model — the flip a RollingSpeedField publish needs.
 //
 // Observability: every stat lives in a private obs::Registry under the
 // "serve/" prefix — counters for requests/hits/misses/batches/swaps, a
@@ -210,10 +210,12 @@ class EtaService {
   uint64_t SwapState(std::shared_ptr<ServingState> fresh);
 
   // Bumps the cache generation without changing the model: republishes the
-  // current state under a fresh epoch and drops the model's ocode memo.
-  // Call after mutating the data a model reads through its speed provider
-  // (RollingSpeedField::Publish) — cached ETAs and memoised external codes
-  // are stale the moment the matrices change. Returns the new epoch.
+  // current state under a fresh epoch and starts a new generation of the
+  // model's external-code table. Call after mutating the data a model reads
+  // through its speed provider (RollingSpeedField::Publish) — cached ETAs
+  // and stored external codes are stale the moment the matrices change. A
+  // request still in flight across the bump stores none of the codes it
+  // computed before it. Returns the new epoch.
   uint64_t BumpEpoch();
 
   // --- Stats --------------------------------------------------------------

@@ -19,6 +19,7 @@
 #include "serve/drift_monitor.h"
 #include "serve/fleet_router.h"
 #include "serve/model_reloader.h"
+#include "serve/serving_state.h"
 #include "serve/stats.h"
 #include "sim/rolling_speed_field.h"
 
@@ -176,12 +177,13 @@ void DeepOdServer::AcceptLoop() {
         conn->open.store(false);
         ::close(conn->fd);
       }
-      {
-        std::lock_guard<std::mutex> lock(conns_mu_);
-        connections_.erase(id);
-        --live_connections_;
-        connections_gauge_.Set(static_cast<double>(live_connections_));
-      }
+      // Notify under the lock: once it is released Shutdown may see zero
+      // live connections and destroy the server, condition variable
+      // included, so this thread must not touch `this` afterwards.
+      std::lock_guard<std::mutex> lock(conns_mu_);
+      connections_.erase(id);
+      --live_connections_;
+      connections_gauge_.Set(static_cast<double>(live_connections_));
       conns_done_.notify_all();
     }).detach();
   }
@@ -311,7 +313,7 @@ void DeepOdServer::ConnectionLoop(std::shared_ptr<Connection> conn) {
         (od.origin_segment < num_segments && od.dest_segment < num_segments);
     const bool fields_ok =
         std::isfinite(od.origin_ratio) && std::isfinite(od.dest_ratio) &&
-        std::isfinite(od.departure_time) && od.weather_type >= 0 &&
+        serve::ServableDeparture(od.departure_time) && od.weather_type >= 0 &&
         od.weather_type <
             static_cast<int>(core::ExternalFeaturesEncoder::kNumWeatherTypes);
     if (!segments_ok || !fields_ok) {
@@ -411,7 +413,7 @@ void DeepOdServer::HandleObserve(const std::shared_ptr<Connection>& conn,
       (od.origin_segment < num_segments && od.dest_segment < num_segments);
   const bool fields_ok =
       std::isfinite(od.origin_ratio) && std::isfinite(od.dest_ratio) &&
-      std::isfinite(od.departure_time) &&
+      serve::ServableDeparture(od.departure_time) &&
       std::isfinite(frame.actual_seconds) && frame.actual_seconds >= 0.0 &&
       od.weather_type >= 0 &&
       od.weather_type <

@@ -11,7 +11,7 @@ std::shared_ptr<ServingState> LoadServingState(
   state->source = artifact_path;
   state->model = bundle->model.get();
   state->slotter =
-      temporal::TimeSlotter(0.0, bundle->config.slot_seconds);
+      temporal::TimeSlotter(kServingClockBase, bundle->config.slot_seconds);
   state->quant = bundle->quant;
   state->bundle = std::move(bundle);
   return state;
@@ -20,7 +20,8 @@ std::shared_ptr<ServingState> LoadServingState(
 std::shared_ptr<ServingState> BorrowServingState(core::DeepOdModel& model) {
   auto state = std::make_shared<ServingState>();
   state->model = &model;
-  state->slotter = temporal::TimeSlotter(0.0, model.config().slot_seconds);
+  state->slotter =
+      temporal::TimeSlotter(kServingClockBase, model.config().slot_seconds);
   return state;
 }
 

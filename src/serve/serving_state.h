@@ -12,6 +12,17 @@
 
 namespace deepod::serve {
 
+// t0 of every serving state's cache-key slotter: departures are seconds on
+// the same clock as the training data, which starts at 0.
+constexpr temporal::Timestamp kServingClockBase = 0.0;
+
+// Whether a departure time can be served: within [kServingClockBase,
+// temporal::kMaxTimestamp] (false for NaN and infinities). Earlier times
+// make TimeSlotter::Slot throw; later ones overflow the int64 slot casts.
+inline bool ServableDeparture(temporal::Timestamp t) {
+  return t >= kServingClockBase && t <= temporal::kMaxTimestamp;
+}
+
 // One immutable serving epoch: everything a request needs to be answered
 // consistently — the model, the speed provider it points at (owned through
 // the artifact bundle), the cache-key slotter and the cache generation.
@@ -49,7 +60,7 @@ struct ServingState {
 
   // Cache-key time slotter, built from the state's own config so two
   // artifacts with different slot_seconds never alias cache keys.
-  temporal::TimeSlotter slotter{0.0, 300.0};
+  temporal::TimeSlotter slotter{kServingClockBase, 300.0};
 
   // Effective weight quantisation of `model` (stats/provenance only).
   nn::QuantMode quant = nn::QuantMode::kNone;

@@ -51,10 +51,11 @@ struct TripObservation {
 //    falls through to the baseline (or a flat 0.5 matrix without one).
 //
 // IMPORTANT for serving integration: Publish() changes the matrices served
-// for snapshot times that may already be memoised inside a model (the ocode
-// memo keys on snapshot time, not matrix content) and cached in an
-// EtaService. Always follow a Publish with EtaService::BumpEpoch(), which
-// drops both in one step. Thread-safe throughout.
+// for snapshot times that may already be stored inside a model (the
+// external-code table keys on snapshot index, not matrix content) and
+// cached in an EtaService. Always follow a Publish with
+// EtaService::BumpEpoch(), which drops both in one step. Thread-safe
+// throughout.
 struct RollingSpeedFieldOptions {
   // Snapshots older than `window_seconds` behind the newest observed
   // snapshot are dropped at Publish — the "rolling" in the name. 0 keeps

@@ -16,6 +16,12 @@ constexpr double kSecondsPerHour = 3600.0;
 constexpr double kSecondsPerDay = 86400.0;
 constexpr double kSecondsPerWeek = 7.0 * kSecondsPerDay;
 
+// Largest timestamp the serving path accepts (about 31,700 years). It keeps
+// ⌊t/Δt⌋ well inside int64_t for any slot or snapshot length of a
+// microsecond or more, so the casts in TimeSlotter::Slot and the speed
+// fields' snapshot lookups stay defined.
+constexpr Timestamp kMaxTimestamp = 1e12;
+
 // Discretisation of time into fixed-size slots (Def. 4). A timestamp t is
 // represented as the pair <slot, remainder> (Eq. 2-3): slot = ⌊(t-t0)/Δt⌋,
 // remainder = t - t0 - slot·Δt. Slots further project onto a weekly cycle

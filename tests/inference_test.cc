@@ -4,6 +4,10 @@
 //    forward in every kernel tier, and PredictBatch equals a per-query
 //    Predict loop regardless of batching or thread fan-out;
 //  - inference-mode op results are graph-free leaves;
+//  - the external-code table serves every (weather, snapshot) key
+//    bit-identically, runs the CNN once per key per generation, stays
+//    within the speed field's key space (and a fixed ceiling for unclamped
+//    providers), and drops a fill that straddles a generation change;
 //  - AffineRows (the batched-MLP building block) matches per-row Affine
 //    bit-for-bit and passes gradient checks;
 //  - the sharded LRU cache evicts in LRU order, keys exactly, and keeps
@@ -13,9 +17,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <future>
+#include <stdexcept>
 #include <vector>
 
 #include "core/deepod_model.h"
@@ -25,6 +32,7 @@
 #include "road/routing.h"
 #include "serve/eta_service.h"
 #include "sim/dataset.h"
+#include "sim/snapshot_speed_field.h"
 #include "util/lru_cache.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -152,6 +160,213 @@ TEST(InferenceModeTest, OpsUnderGuardProduceGraphFreeLeaves) {
     EXPECT_FALSE(nn::GradEnabled());
   }
   EXPECT_TRUE(nn::GradEnabled());
+}
+
+// --- External-code table -----------------------------------------------------
+
+// Delegates to a SnapshotSpeedField and counts MatrixAt calls: the model
+// reads a matrix only to run the M_E CNN, so the count is the number of CNN
+// forwards. With `alternate` set, reads switch to it after the first read
+// and `on_first_read` runs — a rolling-field publish plus
+// EtaService::BumpEpoch landing between a fill's MatrixAt and its insert.
+class CountingField : public sim::SpeedProvider {
+ public:
+  explicit CountingField(const sim::SnapshotSpeedField& field)
+      : field_(field) {}
+
+  size_t rows() const override { return field_.rows(); }
+  size_t cols() const override { return field_.cols(); }
+  double snapshot_seconds() const override {
+    return field_.snapshot_seconds();
+  }
+  std::vector<double> MatrixAt(temporal::Timestamp t) const override {
+    reads_.fetch_add(1);
+    std::vector<double> matrix =
+        (switched_ ? *alternate : field_).MatrixAt(t);
+    if (alternate != nullptr && !switched_) {
+      switched_ = true;
+      if (on_first_read) on_first_read();
+    }
+    return matrix;
+  }
+  temporal::Timestamp SnapshotTime(temporal::Timestamp t) const override {
+    return field_.SnapshotTime(t);
+  }
+
+  size_t reads() const { return reads_.load(); }
+
+  const sim::SnapshotSpeedField* alternate = nullptr;
+  std::function<void()> on_first_read;
+
+ private:
+  const sim::SnapshotSpeedField& field_;
+  mutable std::atomic<size_t> reads_{0};
+  mutable bool switched_ = false;
+};
+
+// A constant matrix whose snapshot times are never clamped, like
+// SpeedMatrixBuilder's: every distinct snapshot is a new table key.
+class UnclampedField : public sim::SpeedProvider {
+ public:
+  size_t rows() const override { return 4; }
+  size_t cols() const override { return 4; }
+  double snapshot_seconds() const override { return 300.0; }
+  std::vector<double> MatrixAt(temporal::Timestamp) const override {
+    reads_.fetch_add(1);
+    return std::vector<double>(16, 0.5);
+  }
+  temporal::Timestamp SnapshotTime(temporal::Timestamp t) const override {
+    return std::floor(t / 300.0) * 300.0;
+  }
+
+  size_t reads() const { return reads_.load(); }
+
+ private:
+  mutable std::atomic<size_t> reads_{0};
+};
+
+// One serving-mode model shared by the table tests (each points it at its
+// own speed provider first, which starts a fresh table generation).
+core::DeepOdModel& TableTestModel(const sim::SpeedProvider* speed) {
+  static core::DeepOdModel* model = [] {
+    auto* m = new core::DeepOdModel(TinyConfig(), TinyDataset());
+    m->SetTraining(false);
+    return m;
+  }();
+  model->SetSpeedProvider(speed);
+  return *model;
+}
+
+// `count` consecutive snapshots of the tiny dataset, from day 10 on.
+sim::SnapshotSpeedField TinyFrozenField(size_t count) {
+  const sim::SpeedProvider& source = *TinyDataset().speed_matrices;
+  const double begin = 10.0 * temporal::kSecondsPerDay;
+  return sim::SnapshotSpeedField::Capture(
+      source, begin,
+      begin + static_cast<double>(count - 1) * source.snapshot_seconds());
+}
+
+TEST(OcodeTableTest, ServesEveryKeyBitIdenticallyAndComputesEachOnce) {
+  // 240 snapshots × a few weather types: far more keys than the old
+  // 64-entry memo held, so a thrashing memo would re-run the CNN.
+  const sim::SnapshotSpeedField field = TinyFrozenField(240);
+  CountingField counting(field);
+  core::DeepOdModel& model = TableTestModel(&counting);
+  const auto& test = TinyDataset().test;
+  std::vector<traj::OdInput> ods;
+  for (const auto& snap : field.snapshots()) {
+    traj::OdInput od = test[ods.size() % test.size()].od;
+    od.departure_time = static_cast<double>(snap.index) *
+                            field.snapshot_seconds() +
+                        17.0;
+    od.weather_type = static_cast<int>(ods.size() % 3);
+    ods.push_back(od);
+  }
+  // Reference with the table bypassed: grad enabled runs the CNN each time.
+  std::vector<double> reference;
+  for (const auto& od : ods) {
+    reference.push_back(TrainingModePredict(model, od));
+  }
+  EXPECT_EQ(model.ocode_table_size(), 0u);
+
+  size_t reads = counting.reads();
+  EXPECT_EQ(model.PredictBatch(ods), reference);
+  EXPECT_EQ(counting.reads() - reads, ods.size());
+  EXPECT_EQ(model.ocode_table_size(), ods.size());
+
+  util::ThreadPool pool(4);
+  reads = counting.reads();
+  EXPECT_EQ(model.PredictBatch(ods, &pool), reference);
+  EXPECT_EQ(counting.reads(), reads) << "a warm pass ran the CNN";
+
+  // Cold again, filled concurrently by the pool's workers.
+  model.ClearOcodeMemo();
+  EXPECT_EQ(model.ocode_table_size(), 0u);
+  EXPECT_EQ(model.PredictBatch(ods, &pool), reference);
+  EXPECT_EQ(model.ocode_table_size(), ods.size());
+}
+
+TEST(OcodeTableTest, HostileKeysStayWithinTheFieldsKeySpace) {
+  const sim::SnapshotSpeedField field = TinyFrozenField(3);
+  core::DeepOdModel& model = TableTestModel(&field);
+  const nn::InferenceGuard guard;
+  traj::OdInput od = TinyDataset().test.front().od;
+  const double first = field.first_snapshot_time();
+  const double ss = field.snapshot_seconds();
+  const int weathers =
+      static_cast<int>(core::ExternalFeaturesEncoder::kNumWeatherTypes);
+  for (int weather = 0; weather < weathers; ++weather) {
+    od.weather_type = weather;
+    for (const double t : {-1e300, -1e9, -1.0, first - ss, first, first + ss,
+                           first + 2.5 * ss, first + 1e6, 1e12, 1e300}) {
+      od.departure_time = t;
+      model.EncodeExternal(od);
+    }
+  }
+  EXPECT_EQ(model.ocode_table_size(),
+            core::ExternalFeaturesEncoder::kNumWeatherTypes *
+                field.snapshots().size());
+  const size_t stored = model.ocode_table_size();
+  for (const int weather : {-1, 16, 1 << 20}) {
+    od.weather_type = weather;
+    EXPECT_THROW(model.EncodeExternal(od), std::out_of_range);
+  }
+  EXPECT_EQ(model.ocode_table_size(), stored);
+}
+
+TEST(OcodeTableTest, UnclampedProviderStopsStoringAtTheCeiling) {
+  UnclampedField field;
+  core::DeepOdModel& model = TableTestModel(&field);
+  const nn::InferenceGuard guard;
+  traj::OdInput od = TinyDataset().test.front().od;
+  const size_t ceiling = core::DeepOdModel::kOcodeTableMaxEntries;
+  for (size_t i = 0; i < ceiling + 10; ++i) {
+    od.departure_time = static_cast<double>(i) * field.snapshot_seconds();
+    model.EncodeExternal(od);
+  }
+  EXPECT_EQ(model.ocode_table_size(), ceiling);
+  // A stored key is served without a CNN forward; a key past the ceiling
+  // is computed every time and still not stored.
+  size_t reads = field.reads();
+  od.departure_time = 0.0;
+  const nn::Tensor stored = model.EncodeExternal(od);
+  EXPECT_EQ(field.reads(), reads);
+  od.departure_time = static_cast<double>(ceiling + 5) *
+                      field.snapshot_seconds();
+  const nn::Tensor unstored = model.EncodeExternal(od);
+  EXPECT_EQ(field.reads(), reads + 1);
+  EXPECT_EQ(unstored.data(), stored.data());  // constant matrix
+  EXPECT_EQ(model.ocode_table_size(), ceiling);
+}
+
+TEST(OcodeTableTest, FillRacingAGenerationChangeIsDropped) {
+  const sim::SnapshotSpeedField before = TinyFrozenField(4);
+  std::vector<sim::SnapshotSpeedField::Snapshot> halved = before.snapshots();
+  for (auto& snap : halved) {
+    for (double& v : snap.matrix) v *= 0.5;
+  }
+  const sim::SnapshotSpeedField after(before.rows(), before.cols(),
+                                      before.snapshot_seconds(), halved);
+  core::DeepOdModel& model = TableTestModel(&after);
+  traj::OdInput od = TinyDataset().test.front().od;
+  od.departure_time = before.first_snapshot_time() + 1.0;
+  const std::vector<double> fresh = model.EncodeExternal(od).data();
+
+  CountingField counting(before);
+  counting.alternate = &after;
+  // The publish and the epoch bump land after the fill read the old matrix
+  // and before it stores the old code.
+  counting.on_first_read = [&model] { model.ClearOcodeMemo(); };
+  model.SetSpeedProvider(&counting);
+  const nn::InferenceGuard guard;
+  const std::vector<double> stale = model.EncodeExternal(od).data();
+  EXPECT_NE(stale, fresh);
+  EXPECT_EQ(counting.reads(), 1u);
+  EXPECT_EQ(model.ocode_table_size(), 0u) << "stale code outlived the bump";
+  EXPECT_EQ(model.EncodeExternal(od).data(), fresh);
+  EXPECT_EQ(counting.reads(), 2u);
+  EXPECT_EQ(model.EncodeExternal(od).data(), fresh);
+  EXPECT_EQ(counting.reads(), 2u);
 }
 
 // --- AffineRows: the batched-MLP building block ------------------------------

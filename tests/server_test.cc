@@ -11,7 +11,8 @@
 //    numbers, answers every protocol error with a typed frame while
 //    keeping the connection usable, sheds over the wire with retry-after
 //    hints, serves its obs registry through a stats frame, and answers
-//    every in-flight request across a graceful shutdown.
+//    every in-flight request across a graceful shutdown; departure times
+//    the serving clock cannot slot are invalid requests, not a crash.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -437,6 +438,34 @@ TEST_F(ServerTest, OutOfRangeSegmentIsInvalid) {
   ASSERT_TRUE(client_.ReadResponse(&response));
   EXPECT_EQ(response.status, Status::kInvalidRequest);
   ExpectOkRoundTrip(9);
+}
+
+TEST_F(ServerTest, UnservableDepartureTimeIsInvalid) {
+  // Before the serving clock's t0 the slotter throws; past kMaxTimestamp
+  // the slot casts overflow. Either used to abort the executor thread.
+  StartServer();
+  uint64_t id = 100;
+  for (const double departure : {-1.0, 1e300}) {
+    RequestFrame request = SampleRequest();
+    request.request_id = ++id;
+    request.od = SampleOds(1)[0];
+    request.od.departure_time = departure;
+    ASSERT_TRUE(client_.Send(request));
+    ResponseFrame response;
+    ASSERT_TRUE(client_.ReadResponse(&response));
+    EXPECT_EQ(response.request_id, id);
+    EXPECT_EQ(response.status, Status::kInvalidRequest) << departure;
+
+    ObserveFrame observe;
+    observe.request_id = ++id;
+    observe.od = request.od;
+    observe.actual_seconds = 600.0;
+    SendRaw(EncodeObserveFrame(observe));
+    ASSERT_TRUE(client_.ReadResponse(&response));
+    EXPECT_EQ(response.request_id, id);
+    EXPECT_EQ(response.status, Status::kInvalidRequest) << departure;
+  }
+  ExpectOkRoundTrip(++id);
 }
 
 TEST_F(ServerTest, UnknownTenantIsRejected) {
