@@ -173,8 +173,8 @@ class FleetShard {
 // manifest row, resolves requests by wire network_id, and runs the
 // cold-shard activation watcher. The network server (serve/server) holds a
 // FleetRouter instead of a single EtaService in fleet mode; the admission
-// queue stays shared across cities (one PopBatch scheduler, per-tenant
-// quotas unchanged) and the executor groups each drained batch by shard.
+// queue stays shared across cities (one scheduler, per-tenant quotas
+// unchanged) and the server groups each batch by shard.
 //
 // Loading at construction: every network.csv is read eagerly (a missing
 // network is a hard error — routing is impossible without it); every

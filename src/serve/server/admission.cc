@@ -52,14 +52,18 @@ double TokenBucket::tokens(double now_seconds) const {
   return copy.tokens_;
 }
 
-AdmissionQueue::AdmissionQueue(const AdmissionOptions& options)
+AdmissionQueue::AdmissionQueue(const AdmissionOptions& options,
+                               size_t runner_slots)
     : options_(options),
+      runner_slots_(std::max<size_t>(1, runner_slots)),
       queues_(kNumPriorities),
       epoch_(std::chrono::steady_clock::now()) {
   tenants_.reserve(options_.num_tenants);
   for (size_t i = 0; i < options_.num_tenants; ++i) {
     tenants_.emplace_back(options_.tenant_rate, options_.tenant_burst);
   }
+  // Highest index on top, so the first claim takes slot 0.
+  for (size_t i = runner_slots_; i-- > 0;) free_slots_.push_back(i);
 }
 
 double AdmissionQueue::EstimatedWaitSeconds(size_t depth) const {
@@ -67,7 +71,8 @@ double AdmissionQueue::EstimatedWaitSeconds(size_t depth) const {
          ewma_service_seconds_.load(std::memory_order_relaxed);
 }
 
-AdmitDecision AdmissionQueue::Offer(AdmittedRequest&& request) {
+AdmitDecision AdmissionQueue::Offer(AdmittedRequest&& request,
+                                    bool claim_slot) {
   const auto now = std::chrono::steady_clock::now();
   std::lock_guard<std::mutex> lock(mu_);
   if (draining_) return {Status::kShuttingDown, 0};
@@ -100,14 +105,20 @@ AdmitDecision AdmissionQueue::Offer(AdmittedRequest&& request) {
       std::min<uint8_t>(request.frame.priority, kNumPriorities - 1);
   queues_[priority].push_back(std::move(request));
   ++depth_;
-  not_empty_.notify_one();
-  return {Status::kOk, 0};
+  AdmitDecision decision;
+  if (claim_slot && !free_slots_.empty()) {
+    decision.runner_slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else if (free_slots_.size() == runner_slots_) {
+    // Nobody is running a batch, so nobody would come back for this one.
+    work_.notify_one();
+  }
+  return decision;
 }
 
 bool AdmissionQueue::PopBatch(size_t max_n, std::vector<AdmittedRequest>* out) {
-  std::unique_lock<std::mutex> lock(mu_);
-  not_empty_.wait(lock, [this] { return draining_ || depth_ > 0; });
-  if (depth_ == 0) return false;  // draining and fully drained
+  std::lock_guard<std::mutex> lock(mu_);
+  if (depth_ == 0) return false;
   size_t taken = 0;
   for (auto& queue : queues_) {
     while (taken < max_n && !queue.empty()) {
@@ -118,7 +129,44 @@ bool AdmissionQueue::PopBatch(size_t max_n, std::vector<AdmittedRequest>* out) {
     }
     if (taken == max_n) break;
   }
+  NotifyLocked();
   return true;
+}
+
+void AdmissionQueue::ReleaseSlot(size_t slot) {
+  std::lock_guard<std::mutex> lock(mu_);
+  free_slots_.push_back(slot);
+  NotifyLocked();
+}
+
+void AdmissionQueue::NotifyLocked() {
+  if (depth_ > 0) {
+    // Work is left and a slot is free: one waiter can run it in parallel.
+    if (!free_slots_.empty()) work_.notify_one();
+    return;
+  }
+  if (draining_) {
+    work_.notify_all();  // the backlog threads can exit
+    if (free_slots_.size() == runner_slots_) drained_.notify_all();
+  }
+}
+
+std::optional<size_t> AdmissionQueue::AwaitSlot() {
+  std::unique_lock<std::mutex> lock(mu_);
+  work_.wait(lock, [this] {
+    return (depth_ > 0 && !free_slots_.empty()) || (draining_ && depth_ == 0);
+  });
+  if (depth_ == 0) return std::nullopt;  // draining and fully drained
+  const size_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  return slot;
+}
+
+void AdmissionQueue::AwaitDrained() {
+  std::unique_lock<std::mutex> lock(mu_);
+  drained_.wait(lock, [this] {
+    return draining_ && depth_ == 0 && free_slots_.size() == runner_slots_;
+  });
 }
 
 void AdmissionQueue::RecordServiceTime(double seconds_per_request) {
@@ -143,11 +191,9 @@ size_t AdmissionQueue::Depth() const {
 }
 
 void AdmissionQueue::SetDraining() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    draining_ = true;
-  }
-  not_empty_.notify_all();
+  std::lock_guard<std::mutex> lock(mu_);
+  draining_ = true;
+  NotifyLocked();
 }
 
 bool AdmissionQueue::draining() const {

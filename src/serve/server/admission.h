@@ -7,8 +7,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "serve/server/frame.h"
@@ -64,9 +65,12 @@ struct AdmissionOptions {
   bool deadline_shedding = true;
 };
 
-// One admitted unit of work. `respond` is the completion channel the
-// executor invokes exactly once (the server binds it to the originating
-// connection; tests bind it to a promise).
+// The connection a request arrived on. Opaque to the queue: the server
+// defines it and writes the answer back to it.
+struct Connection;
+
+// One admitted unit of work. Whoever runs its batch answers it exactly
+// once on `conn`.
 struct AdmittedRequest {
   RequestFrame frame;
   std::chrono::steady_clock::time_point arrival{};
@@ -74,41 +78,65 @@ struct AdmittedRequest {
   // deadline. Checked again at dequeue: expiry while queued is a
   // deadline-miss, not a shed.
   std::chrono::steady_clock::time_point deadline{};
-  std::function<void(const ResponseFrame&)> respond;
+  std::shared_ptr<Connection> conn;
 };
 
 struct AdmitDecision {
   Status status = Status::kOk;
   uint32_t retry_after_ms = 0;  // backoff hint for shed statuses
+  // kOk with a claim only: the runner slot the caller now holds. It must
+  // run one batch (PopBatch) and then ReleaseSlot() it.
+  std::optional<size_t> runner_slot = std::nullopt;
 };
 
 // The admission/scheduler layer between the connection threads and the
-// continuous-batching executor: strict-priority bounded queues with
-// per-tenant token buckets and deadline-aware load shedding. Producers
-// never block — a request is either admitted or shed with a typed status
-// and a retry-after hint, so worst-case enqueue latency is one mutex
+// batch runners: strict-priority bounded queues with per-tenant token
+// buckets and deadline-aware load shedding. Producers never block — a
+// request is either admitted or shed with a typed status and a
+// retry-after hint, so worst-case enqueue latency is one mutex
 // acquisition. Thread-safe.
 //
+// Runner slots. At most `runner_slots` batches run at once; the queue
+// counts the slots under its one mutex. A producer that admits with a
+// claim and finds a slot free holds it on return and runs the batch on
+// its own thread, so an idle server answers without waking anybody.
+// Backlog threads wait in AwaitSlot() and only run when work is queued,
+// a slot is free and nobody else is running it. Invariant: while the
+// queue is non-empty, a slot holder is running or a waiter has been
+// notified — Offer() notifies when no slot is held, PopBatch() when work
+// is left and a slot is free, ReleaseSlot() when work is left.
+//
 // Lifecycle: running -> draining -> closed. SetDraining() makes every new
-// Offer() answer kShuttingDown while PopBatch() keeps handing out the
-// already-admitted backlog; once the queue is empty poppers get `false`
-// and the graceful shutdown can join the executors knowing every admitted
-// request was answered.
+// Offer() answer kShuttingDown while slot holders keep taking the
+// already-admitted backlog; AwaitSlot() returns nullopt once the queue is
+// empty, and AwaitDrained() returns once every slot is back too, so a
+// graceful shutdown knows every admitted request was answered.
 class AdmissionQueue {
  public:
-  explicit AdmissionQueue(const AdmissionOptions& options);
+  explicit AdmissionQueue(const AdmissionOptions& options,
+                          size_t runner_slots = 1);
 
   // Admit or shed `request` (decided under one lock; never blocks).
-  // On kOk the request was moved into the queue.
-  AdmitDecision Offer(AdmittedRequest&& request);
+  // On kOk the request was moved into the queue; with `claim_slot` it also
+  // takes a free runner slot if there is one (AdmitDecision::runner_slot).
+  AdmitDecision Offer(AdmittedRequest&& request, bool claim_slot = false);
 
-  // Blocks until work is available or the queue is draining+empty. Appends
-  // up to `max_n` requests to *out, highest priority class first (classes
-  // may mix within one batch — the executor batches across them). Returns
-  // false only when draining with nothing left.
+  // Never waits. Appends up to `max_n` requests to *out, highest priority
+  // class first (classes may mix within one batch — the runner batches
+  // across them). Returns false when the queue is empty.
   bool PopBatch(size_t max_n, std::vector<AdmittedRequest>* out);
 
-  // Executor feedback: per-request service time (batch wall / batch size),
+  // Hands `slot` back; wakes a waiter when work is left.
+  void ReleaseSlot(size_t slot);
+
+  // Backlog path: blocks until work is queued and a slot is free, then
+  // claims it. nullopt once draining and the queue is empty.
+  std::optional<size_t> AwaitSlot();
+
+  // Blocks until draining, the queue is empty and every slot is back.
+  void AwaitDrained();
+
+  // Runner feedback: per-request service time (batch wall / batch size),
   // folded into the EWMA behind deadline shedding and retry-after hints.
   void RecordServiceTime(double seconds_per_request);
   double EwmaServiceSeconds() const;
@@ -120,12 +148,18 @@ class AdmissionQueue {
 
  private:
   double EstimatedWaitSeconds(size_t depth) const;
+  // Under mu_: wakes the backlog threads / drain waiter a state change
+  // concerns.
+  void NotifyLocked();
 
   AdmissionOptions options_;
+  size_t runner_slots_;
   mutable std::mutex mu_;
-  std::condition_variable not_empty_;
+  std::condition_variable work_;     // AwaitSlot waiters
+  std::condition_variable drained_;  // AwaitDrained waiter
   std::vector<std::deque<AdmittedRequest>> queues_;  // one per priority
   std::vector<TokenBucket> tenants_;
+  std::vector<size_t> free_slots_;
   size_t depth_ = 0;
   bool draining_ = false;
   std::chrono::steady_clock::time_point epoch_;

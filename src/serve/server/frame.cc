@@ -101,16 +101,22 @@ std::vector<uint8_t> EncodeRequestFrame(const RequestFrame& frame) {
   return WithLengthPrefix(std::move(payload));
 }
 
+void AppendResponseFrame(const ResponseFrame& frame,
+                         std::vector<uint8_t>* out) {
+  AppendU32(out, static_cast<uint32_t>(kResponsePayloadBytes));
+  AppendU32(out, kResponseMagic);
+  AppendU64(out, frame.request_id);
+  out->push_back(static_cast<uint8_t>(frame.status));
+  out->push_back(static_cast<uint8_t>(frame.estimator));
+  AppendU32(out, frame.retry_after_ms);
+  AppendF64(out, frame.eta_seconds);
+}
+
 std::vector<uint8_t> EncodeResponseFrame(const ResponseFrame& frame) {
-  std::vector<uint8_t> payload;
-  payload.reserve(kResponsePayloadBytes);
-  AppendU32(&payload, kResponseMagic);
-  AppendU64(&payload, frame.request_id);
-  payload.push_back(static_cast<uint8_t>(frame.status));
-  payload.push_back(static_cast<uint8_t>(frame.estimator));
-  AppendU32(&payload, frame.retry_after_ms);
-  AppendF64(&payload, frame.eta_seconds);
-  return WithLengthPrefix(std::move(payload));
+  std::vector<uint8_t> wire;
+  wire.reserve(4 + kResponsePayloadBytes);
+  AppendResponseFrame(frame, &wire);
+  return wire;
 }
 
 std::vector<uint8_t> EncodeStatsRequestFrame() {
@@ -321,6 +327,51 @@ ReadFrameResult ReadFrame(int fd, std::vector<uint8_t>* payload,
     return ReadFrameResult::kError;
   }
   return ReadFrameResult::kOk;
+}
+
+FrameReader::FrameReader() : buf_(new uint8_t[kReadBufferBytes]) {}
+
+bool FrameReader::Fill(int fd) {
+  // Move the unconsumed tail (at most one partial frame) to the front so
+  // the free space is always one contiguous run.
+  if (begin_ == end_) {
+    begin_ = end_ = 0;
+  } else if (begin_ > 0) {
+    std::memmove(buf_.get(), buf_.get() + begin_, end_ - begin_);
+    end_ -= begin_;
+    begin_ = 0;
+  }
+  for (;;) {
+    const ssize_t got =
+        ::recv(fd, buf_.get() + end_, kReadBufferBytes - end_, 0);
+    if (got > 0) {
+      end_ += static_cast<size_t>(got);
+      return true;
+    }
+    if (got < 0 && errno == EINTR) continue;
+    return false;  // EOF (a partial frame is dropped with the stream) or error
+  }
+}
+
+FrameReader::Item FrameReader::Next(const uint8_t** payload, size_t* size) {
+  if (skip_ == 0) {
+    if (end_ - begin_ < 4) return Item::kNone;
+    const uint32_t length = ReadU32(buf_.get() + begin_);
+    if (length <= kMaxInboundFrameBytes) {
+      if (end_ - begin_ < 4 + size_t(length)) return Item::kNone;
+      *payload = buf_.get() + begin_ + 4;
+      *size = length;
+      begin_ += 4 + size_t(length);
+      return Item::kFrame;
+    }
+    begin_ += 4;
+    skip_ = length;  // > kMaxInboundFrameBytes, so never 0 here
+  }
+  const size_t n = static_cast<size_t>(
+      std::min<uint64_t>(skip_, static_cast<uint64_t>(end_ - begin_)));
+  begin_ += n;
+  skip_ -= n;
+  return skip_ == 0 ? Item::kOversize : Item::kNone;
 }
 
 }  // namespace deepod::serve::net

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -155,6 +156,10 @@ inline constexpr size_t kMaxObservationsPerFrame =
 // Encoders emit the full wire frame (length prefix included).
 std::vector<uint8_t> EncodeRequestFrame(const RequestFrame& frame);
 std::vector<uint8_t> EncodeResponseFrame(const ResponseFrame& frame);
+// Appends the same bytes EncodeResponseFrame returns (several responses
+// to one connection coalesce into one buffer and one send).
+void AppendResponseFrame(const ResponseFrame& frame,
+                         std::vector<uint8_t>* out);
 std::vector<uint8_t> EncodeStatsRequestFrame();
 std::vector<uint8_t> EncodeStatsResponseFrame(std::string_view json);
 // Throws std::invalid_argument past kMaxObservationsPerFrame.
@@ -196,6 +201,38 @@ enum class ReadFrameResult {
 // chunks so the stream stays in sync.
 ReadFrameResult ReadFrame(int fd, std::vector<uint8_t>* payload,
                           uint32_t max_bytes);
+
+// Server-side buffered frame reader for one connection. Fill() is one
+// recv() that takes every byte the socket has ready (up to the buffer's
+// free space), so a pipelined burst arrives with one syscall; Next() then
+// hands out each complete frame in the buffer. Oversized frames are
+// skipped in place, as ReadFrame drains them, and reported once their
+// declared bytes are consumed. Not thread-safe: one reader per connection.
+class FrameReader {
+ public:
+  static constexpr size_t kReadBufferBytes = 64 * 1024;
+  static_assert(kReadBufferBytes >= 4 + kMaxInboundFrameBytes,
+                "the buffer must hold one whole frame");
+
+  FrameReader();
+
+  // Blocks until bytes arrive, then appends what is ready. false on EOF
+  // or a socket error (the caller closes the connection).
+  bool Fill(int fd);
+
+  enum class Item {
+    kFrame,     // *payload / *size hold one payload, valid until Fill()
+    kOversize,  // declared length > kMaxInboundFrameBytes; now skipped
+    kNone,      // no complete frame buffered: Fill() again
+  };
+  Item Next(const uint8_t** payload, size_t* size);
+
+ private:
+  std::unique_ptr<uint8_t[]> buf_;
+  size_t begin_ = 0;   // first unconsumed byte
+  size_t end_ = 0;     // one past the last received byte
+  uint64_t skip_ = 0;  // oversized-payload bytes still to discard
+};
 
 }  // namespace deepod::serve::net
 

@@ -2,18 +2,20 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <fcntl.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <optional>
 #include <stdexcept>
-
-#include <map>
 
 #include "core/encoders.h"
 #include "serve/drift_monitor.h"
@@ -26,12 +28,42 @@
 namespace deepod::serve::net {
 namespace {
 
+// How long one send() may wait for a peer to drain its receive window.
+// A client that reads nothing for this long is disconnected, so it can
+// hold a batch runner (and other clients' answers) for at most this long.
+constexpr int kSendTimeoutSeconds = 1;
+
 double SecondsSince(std::chrono::steady_clock::time_point start,
                     std::chrono::steady_clock::time_point end) {
   return std::chrono::duration<double>(end - start).count();
 }
 
 }  // namespace
+
+// Per-thread buffers for RunBatch, reused across batches.
+struct DeepOdServer::BatchScratch {
+  std::vector<AdmittedRequest> batch;
+  std::vector<traj::OdInput> ods;
+  std::vector<size_t> live;  // batch index per od; SIZE_MAX once answered
+  std::vector<Estimator> estimators;
+  std::vector<Outbox> outboxes;  // [0, used): one per connection in batch
+  size_t used = 0;
+
+  Outbox& For(Connection* conn) {
+    for (size_t i = 0; i < used; ++i) {
+      if (outboxes[i].conn == conn) return outboxes[i];
+    }
+    if (used == outboxes.size()) outboxes.emplace_back();
+    Outbox& out = outboxes[used++];
+    out.conn = conn;
+    return out;
+  }
+};
+
+void DeepOdServer::Outbox::Add(const ResponseFrame& response) {
+  AppendResponseFrame(response, &bytes);
+  ++frames;
+}
 
 DeepOdServer::DeepOdServer(EtaService& service, const ServerOptions& options)
     : DeepOdServer(&service, nullptr, options) {}
@@ -44,7 +76,7 @@ DeepOdServer::DeepOdServer(EtaService* service, FleetRouter* fleet,
     : service_(service),
       fleet_(fleet),
       options_(options),
-      admission_(options.admission),
+      admission_(options.admission, std::max<size_t>(1, options.executors)),
       accepted_(registry_.counter("server/accepted_connections")),
       rejected_conns_(registry_.counter("server/rejected_connections")),
       requests_(registry_.counter("server/requests")),
@@ -59,7 +91,9 @@ DeepOdServer::DeepOdServer(EtaService* service, FleetRouter* fleet,
       shed_quota_(registry_.counter("server/shed/quota")),
       shed_deadline_(registry_.counter("server/shed/deadline")),
       deadline_missed_(registry_.counter("server/deadline_missed")),
+      expired_on_arrival_(registry_.counter("server/expired_on_arrival")),
       completed_(registry_.counter("server/completed")),
+      dropped_responses_(registry_.counter("server/dropped_responses")),
       observes_(registry_.counter("server/observes")),
       observations_(registry_.counter("server/observations")),
       connections_gauge_(registry_.gauge("server/connections")),
@@ -101,6 +135,12 @@ void DeepOdServer::Start() {
   socklen_t len = sizeof(addr);
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
   port_ = ntohs(addr.sin_port);
+  ::fcntl(listen_fd_, F_SETFL, ::fcntl(listen_fd_, F_GETFL) | O_NONBLOCK);
+  if (::pipe(wake_fds_) != 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+    throw std::runtime_error("pipe() failed");
+  }
 
   if (options_.batch_threads > 1) {
     for (size_t i = 0; i < options_.executors; ++i) {
@@ -109,7 +149,7 @@ void DeepOdServer::Start() {
     }
   }
   for (size_t i = 0; i < options_.executors; ++i) {
-    executor_threads_.emplace_back([this, i] { ExecutorLoop(i); });
+    executor_threads_.emplace_back([this] { ExecutorLoop(); });
   }
   acceptor_ = std::thread([this] { AcceptLoop(); });
   started_.store(true);
@@ -121,21 +161,31 @@ void DeepOdServer::Shutdown() {
     if (!started_.load() || stopping_.load()) return;
     stopping_.store(true);
   }
-  // 1. Stop accepting. shutdown() unblocks the acceptor's accept().
-  ::shutdown(listen_fd_, SHUT_RDWR);
+  // 1. Stop accepting: the woken acceptor takes the connections already
+  //    queued and exits.
+  const char stop = 1;
+  [[maybe_unused]] const ssize_t woke = ::write(wake_fds_[1], &stop, 1);
   if (acceptor_.joinable()) acceptor_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
+  ::close(wake_fds_[0]);
+  ::close(wake_fds_[1]);
   // 2. Shed new offers; connection readers keep answering kShuttingDown.
   admission_.SetDraining();
-  // 3. Drain: executors exit once every admitted request is answered.
+  // 3. Drain: executors exit once the queue is empty, and connection
+  //    threads still running a batch hand their slots back.
   for (auto& t : executor_threads_) {
     if (t.joinable()) t.join();
   }
-  // 4. Unblock and reap the connection readers.
+  admission_.AwaitDrained();
+  // 4. Stop reading the connections: each reader answers what it already
+  //    received (kShuttingDown), sees EOF and closes its socket.
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto& [id, conn] : connections_) ::shutdown(conn->fd, SHUT_RDWR);
+    for (auto& [id, conn] : connections_) {
+      std::lock_guard<std::mutex> write_lock(conn->write_mu);
+      if (conn->open.load()) ::shutdown(conn->fd, SHUT_RD);
+    }
   }
   std::unique_lock<std::mutex> lock(conns_mu_);
   conns_done_.wait(lock, [this] { return live_connections_ == 0; });
@@ -143,17 +193,29 @@ void DeepOdServer::Shutdown() {
 
 void DeepOdServer::AcceptLoop() {
   for (;;) {
+    pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_fds_[0], POLLIN, 0}};
+    if (::poll(fds, 2, -1) < 0 && errno != EINTR) return;
+    // Take every queued connection, also when stopping: a client the
+    // kernel already connected gets answers (kShuttingDown at worst)
+    // instead of a reset when the listening socket closes.
+    if (!AcceptQueued()) return;
+    if (fds[1].revents != 0) return;  // Shutdown()
+  }
+}
+
+bool DeepOdServer::AcceptQueued() {
+  for (;;) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listen socket shut down
-    }
-    if (stopping_.load()) {
-      ::close(fd);
-      return;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      return false;
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    const timeval send_timeout{kSendTimeoutSeconds, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
+                 sizeof(send_timeout));
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
     uint64_t id;
@@ -189,17 +251,26 @@ void DeepOdServer::AcceptLoop() {
   }
 }
 
-void DeepOdServer::WriteResponse(const std::shared_ptr<Connection>& conn,
-                                 const ResponseFrame& response) {
-  const std::vector<uint8_t> wire = EncodeResponseFrame(response);
-  std::lock_guard<std::mutex> lock(conn->write_mu);
-  if (!conn->open.load()) return;
-  WriteAll(conn->fd, wire.data(), wire.size());
+void DeepOdServer::Send(Outbox* out) {
+  if (out->frames == 0) return;
+  Connection& conn = *out->conn;
+  {
+    std::lock_guard<std::mutex> lock(conn.write_mu);
+    if (conn.open.load() &&
+        !WriteAll(conn.fd, out->bytes.data(), out->bytes.size())) {
+      // The peer stopped reading (send timed out) or went away: close it
+      // so no later writer waits on it. Its reader sees EOF and exits.
+      conn.open.store(false);
+      ::shutdown(conn.fd, SHUT_RDWR);
+    }
+    if (!conn.open.load()) dropped_responses_.Add(out->frames);
+  }
+  out->bytes.clear();
+  out->frames = 0;
 }
 
-void DeepOdServer::RespondError(const std::shared_ptr<Connection>& conn,
-                                uint64_t request_id, Status status,
-                                uint32_t retry_after_ms) {
+void DeepOdServer::RespondError(Outbox* out, uint64_t request_id,
+                                Status status, uint32_t retry_after_ms) {
   switch (status) {
     case Status::kBadFrame:
     case Status::kBadMagic:
@@ -219,7 +290,9 @@ void DeepOdServer::RespondError(const std::shared_ptr<Connection>& conn,
       shard_cold_.Add();
       break;
     case Status::kDeadlineExpired:
-      deadline_missed_.Add();
+      // Only arrivals are answered here; queued expiry is counted by the
+      // batch as deadline_missed.
+      expired_on_arrival_.Add();
       break;
     case Status::kShedQueueFull:
       shed_.Add();
@@ -241,12 +314,12 @@ void DeepOdServer::RespondError(const std::shared_ptr<Connection>& conn,
   response.request_id = request_id;
   response.status = status;
   response.retry_after_ms = retry_after_ms;
-  WriteResponse(conn, response);
+  out->Add(response);
 }
 
 void DeepOdServer::RespondFallback(
-    const std::shared_ptr<Connection>& conn, uint64_t request_id, double eta,
-    Estimator estimator, std::chrono::steady_clock::time_point arrival) {
+    Outbox* out, uint64_t request_id, double eta, Estimator estimator,
+    std::chrono::steady_clock::time_point arrival) {
   ResponseFrame response;
   response.request_id = request_id;
   response.status = Status::kOk;
@@ -254,155 +327,175 @@ void DeepOdServer::RespondFallback(
   response.eta_seconds = eta;
   latency_.Observe(SecondsSince(arrival, std::chrono::steady_clock::now()));
   completed_.Add();
-  WriteResponse(conn, response);
+  out->Add(response);
 }
 
-void DeepOdServer::ConnectionLoop(std::shared_ptr<Connection> conn) {
-  std::vector<uint8_t> payload;
-  for (;;) {
-    switch (ReadFrame(conn->fd, &payload, kMaxInboundFrameBytes)) {
-      case ReadFrameResult::kEof:
-      case ReadFrameResult::kError:
-        return;
-      case ReadFrameResult::kOversize:
-        RespondError(conn, 0, Status::kFrameTooLarge, 0);
-        continue;
-      case ReadFrameResult::kOk:
-        break;
-    }
-    const uint32_t magic = PeekMagic(payload.data(), payload.size());
-    if (magic == kStatsRequestMagic && payload.size() == 4) {
-      const std::vector<uint8_t> wire =
-          EncodeStatsResponseFrame(ExportStatsJson());
-      std::lock_guard<std::mutex> lock(conn->write_mu);
-      if (conn->open.load()) WriteAll(conn->fd, wire.data(), wire.size());
-      continue;
-    }
-    if (magic == kObserveMagic) {
-      ObserveFrame observe;
-      const Status observe_status =
-          DecodeObservePayload(payload.data(), payload.size(), &observe);
-      if (observe_status != Status::kOk) {
-        RespondError(conn, observe.request_id, observe_status, 0);
-        continue;
-      }
-      HandleObserve(conn, observe);
-      continue;
-    }
-    RequestFrame request;
-    const Status decode_status =
-        DecodeRequestPayload(payload.data(), payload.size(), &request);
-    if (decode_status != Status::kOk) {
-      RespondError(conn, request.request_id, decode_status, 0);
-      continue;
-    }
-    requests_.Add();
-    FleetShard* shard = nullptr;
-    size_t num_segments = options_.num_segments;
-    if (fleet_ != nullptr) {
-      shard = fleet_->Resolve(request.network_id);
-      if (shard == nullptr) {
-        RespondError(conn, request.request_id, Status::kUnknownNetwork, 0);
-        continue;
-      }
-      num_segments = shard->num_segments();
-    }
-    const traj::OdInput& od = request.od;
-    const bool segments_ok =
-        num_segments == 0 ||
-        (od.origin_segment < num_segments && od.dest_segment < num_segments);
-    const bool fields_ok =
-        std::isfinite(od.origin_ratio) && std::isfinite(od.dest_ratio) &&
-        serve::ServableDeparture(od.departure_time) && od.weather_type >= 0 &&
-        od.weather_type <
-            static_cast<int>(core::ExternalFeaturesEncoder::kNumWeatherTypes);
-    if (!segments_ok || !fields_ok) {
-      RespondError(conn, request.request_id, Status::kInvalidRequest, 0);
-      continue;
-    }
-    const auto arrival = std::chrono::steady_clock::now();
-    if (request.deadline_ms < 0) {
-      // Expired before it even reached the scheduler.
-      RespondError(conn, request.request_id, Status::kDeadlineExpired, 0);
-      continue;
-    }
-    if (shard != nullptr) {
-      const FallbackPolicy policy = shard->policy();
-      if (!shard->InDistribution(od)) {
-        // The city's oracle has never seen this OD cell pair.
-        if (policy == FallbackPolicy::kReject) {
-          shard->CountRejected();
-          RespondError(conn, request.request_id, Status::kInvalidRequest, 0);
-          continue;
-        }
-        if (policy == FallbackPolicy::kOracle) {
-          if (const auto fallback = shard->FallbackEstimate(od)) {
-            shard->CountOodToOracle();
-            shard->CountFallbackAnswer();
-            RespondFallback(conn, request.request_id, fallback->eta,
-                            fallback->estimator, arrival);
-            continue;
-          }
-        }
-        // kModel (or no fallback tier loaded): let the model extrapolate.
-      }
-      if (!shard->warm()) {
-        if (policy == FallbackPolicy::kOracle) {
-          if (const auto fallback = shard->FallbackEstimate(od)) {
-            shard->CountFallbackAnswer();
-            RespondFallback(conn, request.request_id, fallback->eta,
-                            fallback->estimator, arrival);
-            continue;
-          }
-        }
-        shard->CountRejected();
-        RespondError(conn, request.request_id, Status::kShardCold,
-                     /*retry_after_ms=*/1000);
-        continue;
-      }
-    }
-    AdmittedRequest admitted;
-    admitted.frame = request;
-    admitted.arrival = arrival;
-    admitted.deadline =
-        request.deadline_ms > 0
-            ? arrival + std::chrono::milliseconds(request.deadline_ms)
-            : std::chrono::steady_clock::time_point::max();
-    admitted.respond = [this, conn](const ResponseFrame& response) {
-      WriteResponse(conn, response);
-    };
-    const AdmitDecision decision = admission_.Offer(std::move(admitted));
-    if (decision.status == Status::kOk) {
-      admitted_.Add();
-      queue_depth_.Set(static_cast<double>(admission_.Depth()));
-    } else if (shard != nullptr &&
-               shard->policy() == FallbackPolicy::kOracle &&
-               IsShed(decision.status)) {
-      // Admission shed, but this city keeps a fallback tier: degrade to the
-      // oracle instead of bouncing the request back to the client.
-      if (const auto fallback = shard->FallbackEstimate(od)) {
-        shard->CountShedToOracle();
-        shard->CountFallbackAnswer();
-        RespondFallback(conn, request.request_id, fallback->eta,
-                        fallback->estimator, arrival);
+void DeepOdServer::ConnectionLoop(const std::shared_ptr<Connection>& conn) {
+  FrameReader reader;
+  Outbox out;
+  out.conn = conn.get();
+  BatchScratch scratch;
+  std::optional<size_t> slot;
+  while (reader.Fill(conn->fd)) {
+    // Admit the whole burst first, so a pipelined burst is one batch.
+    const uint8_t* payload = nullptr;
+    size_t size = 0;
+    for (;;) {
+      const FrameReader::Item item = reader.Next(&payload, &size);
+      if (item == FrameReader::Item::kNone) break;
+      if (item == FrameReader::Item::kOversize) {
+        RespondError(&out, 0, Status::kFrameTooLarge, 0);
       } else {
-        RespondError(conn, request.request_id, decision.status,
-                     decision.retry_after_ms);
+        HandleFrame(conn, payload, size, &out, &slot);
       }
-    } else {
-      RespondError(conn, request.request_id, decision.status,
-                   decision.retry_after_ms);
     }
+    Send(&out);
+    if (slot) {
+      // One batch per claim: under saturation this socket goes unread for
+      // at most one batch; leftover work wakes an executor.
+      RunBatch(*slot, &scratch);
+      admission_.ReleaseSlot(*slot);
+      slot.reset();
+    }
+    // A write to this peer failed or timed out: stop reading it, so the
+    // close resets the peer instead of draining whatever it still sends.
+    if (!conn->open.load()) return;
   }
 }
 
-void DeepOdServer::HandleObserve(const std::shared_ptr<Connection>& conn,
-                                 const ObserveFrame& frame) {
+void DeepOdServer::HandleFrame(const std::shared_ptr<Connection>& conn,
+                               const uint8_t* payload, size_t size,
+                               Outbox* out, std::optional<size_t>* slot) {
+  const uint32_t magic = PeekMagic(payload, size);
+  if (magic == kStatsRequestMagic && size == 4) {
+    const std::vector<uint8_t> wire =
+        EncodeStatsResponseFrame(ExportStatsJson());
+    out->bytes.insert(out->bytes.end(), wire.begin(), wire.end());
+    ++out->frames;
+    return;
+  }
+  if (magic == kObserveMagic) {
+    ObserveFrame observe;
+    const Status observe_status = DecodeObservePayload(payload, size, &observe);
+    if (observe_status != Status::kOk) {
+      RespondError(out, observe.request_id, observe_status, 0);
+      return;
+    }
+    HandleObserve(observe, out);
+    return;
+  }
+  RequestFrame request;
+  const Status decode_status = DecodeRequestPayload(payload, size, &request);
+  if (decode_status != Status::kOk) {
+    RespondError(out, request.request_id, decode_status, 0);
+    return;
+  }
+  requests_.Add();
+  FleetShard* shard = nullptr;
+  size_t num_segments = options_.num_segments;
+  if (fleet_ != nullptr) {
+    shard = fleet_->Resolve(request.network_id);
+    if (shard == nullptr) {
+      RespondError(out, request.request_id, Status::kUnknownNetwork, 0);
+      return;
+    }
+    num_segments = shard->num_segments();
+  }
+  const traj::OdInput& od = request.od;
+  const bool segments_ok =
+      num_segments == 0 ||
+      (od.origin_segment < num_segments && od.dest_segment < num_segments);
+  const bool fields_ok =
+      std::isfinite(od.origin_ratio) && std::isfinite(od.dest_ratio) &&
+      serve::ServableDeparture(od.departure_time) && od.weather_type >= 0 &&
+      od.weather_type <
+          static_cast<int>(core::ExternalFeaturesEncoder::kNumWeatherTypes);
+  if (!segments_ok || !fields_ok) {
+    RespondError(out, request.request_id, Status::kInvalidRequest, 0);
+    return;
+  }
+  const auto arrival = std::chrono::steady_clock::now();
+  if (request.deadline_ms < 0) {
+    // Expired before it even reached the scheduler.
+    RespondError(out, request.request_id, Status::kDeadlineExpired, 0);
+    return;
+  }
+  if (shard != nullptr) {
+    const FallbackPolicy policy = shard->policy();
+    if (!shard->InDistribution(od)) {
+      // The city's oracle has never seen this OD cell pair.
+      if (policy == FallbackPolicy::kReject) {
+        shard->CountRejected();
+        RespondError(out, request.request_id, Status::kInvalidRequest, 0);
+        return;
+      }
+      if (policy == FallbackPolicy::kOracle) {
+        if (const auto fallback = shard->FallbackEstimate(od)) {
+          shard->CountOodToOracle();
+          shard->CountFallbackAnswer();
+          RespondFallback(out, request.request_id, fallback->eta,
+                          fallback->estimator, arrival);
+          return;
+        }
+      }
+      // kModel (or no fallback tier loaded): let the model extrapolate.
+    }
+    if (!shard->warm()) {
+      if (policy == FallbackPolicy::kOracle) {
+        if (const auto fallback = shard->FallbackEstimate(od)) {
+          shard->CountFallbackAnswer();
+          RespondFallback(out, request.request_id, fallback->eta,
+                          fallback->estimator, arrival);
+          return;
+        }
+      }
+      shard->CountRejected();
+      RespondError(out, request.request_id, Status::kShardCold,
+                   /*retry_after_ms=*/1000);
+      return;
+    }
+  }
+  AdmittedRequest admitted;
+  admitted.frame = request;
+  admitted.arrival = arrival;
+  admitted.deadline =
+      request.deadline_ms > 0
+          ? arrival + std::chrono::milliseconds(request.deadline_ms)
+          : std::chrono::steady_clock::time_point::max();
+  admitted.conn = conn;
+  // A thread already holding a slot does not claim a second one: it runs
+  // this request in the batch it is about to pop.
+  const AdmitDecision decision =
+      admission_.Offer(std::move(admitted), /*claim_slot=*/!slot->has_value());
+  if (decision.status == Status::kOk) {
+    admitted_.Add();
+    queue_depth_.Set(static_cast<double>(admission_.Depth()));
+    if (decision.runner_slot) *slot = decision.runner_slot;
+  } else if (shard != nullptr && shard->policy() == FallbackPolicy::kOracle &&
+             IsShed(decision.status)) {
+    // Admission shed, but this city keeps a fallback tier: degrade to the
+    // oracle instead of bouncing the request back to the client.
+    if (const auto fallback = shard->FallbackEstimate(od)) {
+      shard->CountShedToOracle();
+      shard->CountFallbackAnswer();
+      RespondFallback(out, request.request_id, fallback->eta,
+                      fallback->estimator, arrival);
+    } else {
+      RespondError(out, request.request_id, decision.status,
+                   decision.retry_after_ms);
+    }
+  } else {
+    RespondError(out, request.request_id, decision.status,
+                 decision.retry_after_ms);
+  }
+}
+
+void DeepOdServer::HandleObserve(const ObserveFrame& frame, Outbox* out) {
   size_t num_segments = options_.num_segments;
   if (fleet_ != nullptr) {
     const FleetShard* shard = fleet_->Resolve(frame.network_id);
     if (shard == nullptr) {
-      RespondError(conn, frame.request_id, Status::kUnknownNetwork, 0);
+      RespondError(out, frame.request_id, Status::kUnknownNetwork, 0);
       return;
     }
     num_segments = shard->num_segments();
@@ -419,7 +512,7 @@ void DeepOdServer::HandleObserve(const std::shared_ptr<Connection>& conn,
       od.weather_type <
           static_cast<int>(core::ExternalFeaturesEncoder::kNumWeatherTypes);
   if (!segments_ok || !fields_ok) {
-    RespondError(conn, frame.request_id, Status::kInvalidRequest, 0);
+    RespondError(out, frame.request_id, Status::kInvalidRequest, 0);
     return;
   }
   observes_.Add();
@@ -443,107 +536,117 @@ void DeepOdServer::HandleObserve(const std::shared_ptr<Connection>& conn,
       response.eta_seconds = predicted;
     }
   }
-  WriteResponse(conn, response);
+  out->Add(response);
 }
 
-void DeepOdServer::ExecutorLoop(size_t slot) {
-  util::ThreadPool* pool =
-      executor_pools_.empty() ? nullptr : executor_pools_[slot].get();
-  std::vector<AdmittedRequest> batch;
-  std::vector<traj::OdInput> ods;
-  std::vector<size_t> live;
-  for (;;) {
-    batch.clear();
-    if (!admission_.PopBatch(options_.max_batch, &batch)) return;
-    queue_depth_.Set(static_cast<double>(admission_.Depth()));
-    const auto start = std::chrono::steady_clock::now();
-    ods.clear();
-    live.clear();
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (batch[i].deadline < start) {
-        // Expired while queued: a deadline miss, answered without spending
-        // a model forward on it.
-        deadline_missed_.Add();
-        ResponseFrame response;
-        response.request_id = batch[i].frame.request_id;
-        response.status = Status::kDeadlineExpired;
-        batch[i].respond(response);
-      } else {
-        live.push_back(i);
-        ods.push_back(batch[i].frame.od);
-      }
-    }
-    if (ods.empty()) continue;
-    batch_fill_.Observe(static_cast<double>(ods.size()));
-    std::vector<double> etas;
-    std::vector<Estimator> estimators(ods.size(), Estimator::kModel);
-    if (fleet_ == nullptr) {
-      etas = service_->EstimateBatch(ods, pool);
+void DeepOdServer::ExecutorLoop() {
+  BatchScratch scratch;
+  while (const std::optional<size_t> slot = admission_.AwaitSlot()) {
+    RunBatch(*slot, &scratch);
+    admission_.ReleaseSlot(*slot);
+  }
+}
+
+void DeepOdServer::RunBatch(size_t slot, BatchScratch* s) {
+  s->batch.clear();
+  if (!admission_.PopBatch(options_.max_batch, &s->batch)) return;
+  queue_depth_.Set(static_cast<double>(admission_.Depth()));
+  const auto start = std::chrono::steady_clock::now();
+  s->ods.clear();
+  s->live.clear();
+  for (size_t i = 0; i < s->batch.size(); ++i) {
+    const AdmittedRequest& request = s->batch[i];
+    if (request.deadline < start) {
+      // Expired while queued: a deadline miss, answered without spending
+      // a model forward on it.
+      deadline_missed_.Add();
+      ResponseFrame response;
+      response.request_id = request.frame.request_id;
+      response.status = Status::kDeadlineExpired;
+      s->For(request.conn.get()).Add(response);
     } else {
-      // Split the drained batch by city: each group goes through its own
-      // shard's EstimateBatch (one state snapshot per shard per dispatch).
-      // Only warm-shard requests are admitted and activation is one-way,
-      // so the service is expected live; a defensive oracle answer covers
-      // the unexpected.
-      etas.assign(ods.size(), 0.0);
-      std::map<uint32_t, std::vector<size_t>> groups;
-      for (size_t m = 0; m < live.size(); ++m) {
-        groups[batch[live[m]].frame.network_id].push_back(m);
-      }
-      std::vector<traj::OdInput> group_ods;
-      for (const auto& [network_id, members] : groups) {
-        FleetShard* shard = fleet_->Resolve(network_id);
-        std::shared_ptr<EtaService> shard_service =
-            shard != nullptr ? shard->service() : nullptr;
-        if (shard_service != nullptr) {
-          group_ods.clear();
-          for (const size_t m : members) group_ods.push_back(ods[m]);
-          const std::vector<double> group_etas =
-              shard_service->EstimateBatch(group_ods, pool);
-          for (size_t j = 0; j < members.size(); ++j) {
-            etas[members[j]] = group_etas[j];
-            shard->CountModelAnswer();
-          }
-        } else {
-          for (const size_t m : members) {
-            const std::optional<FleetShard::Fallback> fallback =
-                shard != nullptr ? shard->FallbackEstimate(ods[m])
-                                 : std::nullopt;
-            if (fallback) {
-              etas[m] = fallback->eta;
-              estimators[m] = fallback->estimator;
-              shard->CountFallbackAnswer();
-            } else {
-              etas[m] = 0.0;
-              estimators[m] = Estimator::kModel;
-              ResponseFrame response;
-              response.request_id = batch[live[m]].frame.request_id;
-              response.status = Status::kShardCold;
-              response.retry_after_ms = 1000;
-              shard_cold_.Add();
-              batch[live[m]].respond(response);
-              live[m] = SIZE_MAX;  // answered; skip in the Ok loop below
-            }
-          }
-        }
-      }
+      s->live.push_back(i);
+      s->ods.push_back(request.frame.od);
     }
+  }
+  if (!s->ods.empty()) {
+    batch_fill_.Observe(static_cast<double>(s->ods.size()));
+    util::ThreadPool* pool =
+        executor_pools_.empty() ? nullptr : executor_pools_[slot].get();
+    s->estimators.assign(s->ods.size(), Estimator::kModel);
+    const std::vector<double> etas =
+        fleet_ == nullptr ? service_->EstimateBatch(s->ods, pool)
+                          : EstimateFleetBatch(s, pool);
     const auto end = std::chrono::steady_clock::now();
     admission_.RecordServiceTime(SecondsSince(start, end) /
-                                 static_cast<double>(ods.size()));
-    for (size_t m = 0; m < live.size(); ++m) {
-      if (live[m] == SIZE_MAX) continue;
-      AdmittedRequest& request = batch[live[m]];
+                                 static_cast<double>(s->ods.size()));
+    for (size_t m = 0; m < s->live.size(); ++m) {
+      if (s->live[m] == SIZE_MAX) continue;
+      const AdmittedRequest& request = s->batch[s->live[m]];
       ResponseFrame response;
       response.request_id = request.frame.request_id;
       response.status = Status::kOk;
-      response.estimator = estimators[m];
+      response.estimator = s->estimators[m];
       response.eta_seconds = etas[m];
       latency_.Observe(SecondsSince(request.arrival, end));
       completed_.Add();
-      request.respond(response);
+      s->For(request.conn.get()).Add(response);
     }
   }
+  for (size_t i = 0; i < s->used; ++i) Send(&s->outboxes[i]);
+  s->used = 0;
+  s->batch.clear();  // drops the batch's connection references
+}
+
+std::vector<double> DeepOdServer::EstimateFleetBatch(BatchScratch* s,
+                                                     util::ThreadPool* pool) {
+  // Split the batch by city: each group goes through its own shard's
+  // EstimateBatch (one state snapshot per shard per batch). Only
+  // warm-shard requests are admitted and activation is one-way, so the
+  // service is expected live; a defensive oracle answer covers the
+  // unexpected.
+  std::vector<double> etas(s->ods.size(), 0.0);
+  std::map<uint32_t, std::vector<size_t>> groups;
+  for (size_t m = 0; m < s->live.size(); ++m) {
+    groups[s->batch[s->live[m]].frame.network_id].push_back(m);
+  }
+  std::vector<traj::OdInput> group_ods;
+  for (const auto& [network_id, members] : groups) {
+    FleetShard* shard = fleet_->Resolve(network_id);
+    std::shared_ptr<EtaService> shard_service =
+        shard != nullptr ? shard->service() : nullptr;
+    if (shard_service != nullptr) {
+      group_ods.clear();
+      for (const size_t m : members) group_ods.push_back(s->ods[m]);
+      const std::vector<double> group_etas =
+          shard_service->EstimateBatch(group_ods, pool);
+      for (size_t j = 0; j < members.size(); ++j) {
+        etas[members[j]] = group_etas[j];
+        shard->CountModelAnswer();
+      }
+      continue;
+    }
+    for (const size_t m : members) {
+      const std::optional<FleetShard::Fallback> fallback =
+          shard != nullptr ? shard->FallbackEstimate(s->ods[m])
+                           : std::nullopt;
+      if (fallback) {
+        etas[m] = fallback->eta;
+        s->estimators[m] = fallback->estimator;
+        shard->CountFallbackAnswer();
+        continue;
+      }
+      const AdmittedRequest& request = s->batch[s->live[m]];
+      ResponseFrame response;
+      response.request_id = request.frame.request_id;
+      response.status = Status::kShardCold;
+      response.retry_after_ms = 1000;
+      shard_cold_.Add();
+      s->For(request.conn.get()).Add(response);
+      s->live[m] = SIZE_MAX;  // answered; skipped in the Ok loop
+    }
+  }
+  return etas;
 }
 
 std::string DeepOdServer::ExportStatsJson() const {

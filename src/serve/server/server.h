@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -53,12 +54,15 @@ struct ServerOptions {
   // accept (the client sees EOF) instead of spawning unbounded readers.
   size_t max_connections = 256;
 
-  // Continuous-batching executor: `executors` slots each drain up to
-  // `max_batch` admitted requests per dispatch — whatever is queued right
-  // now, never waiting for a batch to fill — and push them through
-  // EtaService::EstimateBatch. `batch_threads` > 1 gives every slot its
-  // own ThreadPool for the PredictBatch fan-out (pools are per-slot
-  // because util::ThreadPool does not support concurrent ParallelFor).
+  // Continuous batching: at most `executors` batches run at once (the
+  // admission queue's runner slots). Each batch takes up to `max_batch`
+  // admitted requests — whatever is queued right now, from any connection,
+  // never waiting for a batch to fill — through EtaService::EstimateBatch.
+  // The connection thread that admits a request runs the batch itself
+  // when a slot is free; `executors` backlog threads take the slots only
+  // while work is left over. `batch_threads` > 1 gives every slot its own
+  // ThreadPool for the PredictBatch fan-out (pools are per-slot because
+  // util::ThreadPool does not support concurrent ParallelFor).
   size_t max_batch = 32;
   size_t executors = 1;
   size_t batch_threads = 1;
@@ -73,28 +77,50 @@ struct ServerOptions {
   LiveServingHooks live;
 };
 
+// One accepted TCP connection (the AdmittedRequest::conn a response goes
+// back to). Writers serialise on write_mu; a write that fails or times out
+// closes it, and later responses to it are dropped.
+struct Connection {
+  int fd = -1;
+  std::mutex write_mu;
+  std::atomic<bool> open{true};  // written under write_mu
+};
+
 // The network front end: a length-prefixed-TCP server around EtaService,
 // structured as three layers (DESIGN.md "Network serving"):
-//   acceptor/connections -> admission/scheduler -> batching executor.
-// Connection threads decode and validate frames and offer them to the
+//   connections -> admission/scheduler -> batch runner.
+// Connection threads read through a per-connection buffer (one recv per
+// burst), decode and validate every buffered frame and offer it to the
 // AdmissionQueue (never blocking on a full queue — requests are admitted
-// or shed with a typed status + retry-after). Executor slots drain the
-// admitted backlog into EstimateBatch as they free up, re-checking
-// deadlines at dequeue so a request that expired while queued costs a
-// response frame, not a model forward.
+// or shed with a typed status + retry-after). The thread whose offer finds
+// a runner slot free then runs one batch itself: no hand-off, no wake-up
+// while the server keeps up. Executor threads are the backlog path: they
+// take a slot only when a batch left work queued. Either way the batch
+// re-checks deadlines at dequeue, so a request that expired while queued
+// costs a response frame, not a model forward, and a batch's responses to
+// one connection leave in one send.
+//
+// Slow peers: accepted sockets carry a fixed send timeout. A client that
+// stops reading its responses is disconnected once a write to it times
+// out, and later responses for it are dropped (server/dropped_responses)
+// instead of stalling every other client's batches behind its write_mu.
 //
 // Observability: a private obs::Registry under "server/" — accepted /
-// admitted / completed / per-reason shed / deadline-missed / observe
+// admitted / completed / per-reason shed / deadline-missed (admitted, then
+// expired in the queue) / expired-on-arrival / dropped-response / observe
 // counters, a queue-depth gauge, a batch-fill histogram (requests per
-// executor dispatch) and an arrival→response latency histogram.
+// batch) and an arrival→response latency histogram. At quiescence a
+// single-city server satisfies admitted == completed + deadline_missed.
 // ExportStatsJson() delegates to serve::ExportStatsJson over every stat
 // source the deployment has (this registry, the service's "serve/", the
 // reloader's "reload/", the drift monitor's "drift/"), so the wire stats
 // frame and `--stats-json` render the identical document.
 //
-// Shutdown() is graceful: stop accepting, shed new offers with
-// kShuttingDown, drain and answer every admitted request, then close
-// connections. The destructor calls it.
+// Shutdown() is graceful: stop accepting (connections the kernel already
+// queued are still accepted), shed new offers with kShuttingDown, drain
+// and answer every admitted request, wait for every runner slot to come
+// back, then stop reading the connections, so each reader answers what it
+// already received and closes. The destructor calls it.
 //
 // Fleet mode: constructed over a FleetRouter instead of a single
 // EtaService, the server routes each request by its wire network_id
@@ -104,12 +130,11 @@ struct ServerOptions {
 // out-of-distribution — are answered inline on the connection thread from
 // the shard's fallback tier (OD-histogram oracle, else link means) when
 // its policy allows, tagged with the estimator that produced the ETA.
-// One AdmissionQueue is shared across cities (a single PopBatch scheduler,
-// per-tenant quotas spanning the fleet); the executor groups each drained
-// batch by network_id and pushes each group through its own shard's
-// EstimateBatch. Live-serving hooks are single-city plumbing and are not
-// consulted in fleet mode (observe frames are validated per shard and
-// acknowledged).
+// One AdmissionQueue is shared across cities (a single scheduler,
+// per-tenant quotas spanning the fleet); each batch is grouped by
+// network_id and each group goes through its own shard's EstimateBatch.
+// Live-serving hooks are single-city plumbing and are not consulted in
+// fleet mode (observe frames are validated per shard and acknowledged).
 class DeepOdServer {
  public:
   DeepOdServer(EtaService& service, const ServerOptions& options);
@@ -134,33 +159,52 @@ class DeepOdServer {
   std::string ExportStatsJson() const;
 
  private:
-  struct Connection {
-    int fd = -1;
-    std::mutex write_mu;
-    std::atomic<bool> open{true};
+  // Responses bound for one connection, written with one send().
+  struct Outbox {
+    Connection* conn = nullptr;
+    std::vector<uint8_t> bytes;
+    size_t frames = 0;
+    void Add(const ResponseFrame& response);
   };
+  struct BatchScratch;  // per-thread batch buffers (server.cc)
 
   // Exactly one of `service` / `fleet` is non-null.
   DeepOdServer(EtaService* service, FleetRouter* fleet,
                const ServerOptions& options);
 
   void AcceptLoop();
-  void ConnectionLoop(std::shared_ptr<Connection> conn);
+  // Accepts until the backlog is empty, starting a reader per connection.
+  // false on an accept() error other than an empty backlog.
+  bool AcceptQueued();
+  void ConnectionLoop(const std::shared_ptr<Connection>& conn);
+  // Decodes, validates and answers or offers one inbound frame. Immediate
+  // answers go to *out; an offer that claims a runner slot sets *slot.
+  void HandleFrame(const std::shared_ptr<Connection>& conn,
+                   const uint8_t* payload, size_t size, Outbox* out,
+                   std::optional<size_t>* slot);
   // ObserveTrip ingest: validates, feeds the live hooks, answers with the
   // prediction used for drift scoring.
-  void HandleObserve(const std::shared_ptr<Connection>& conn,
-                     const ObserveFrame& frame);
-  void ExecutorLoop(size_t slot);
-  void WriteResponse(const std::shared_ptr<Connection>& conn,
-                     const ResponseFrame& response);
-  // Counts the shed/error and answers it on `conn`.
-  void RespondError(const std::shared_ptr<Connection>& conn,
-                    uint64_t request_id, Status status,
+  void HandleObserve(const ObserveFrame& frame, Outbox* out);
+  // Backlog path: runs one batch per claimed slot until the drain ends.
+  void ExecutorLoop();
+  // Pops one batch (if any is queued) and answers it: the one batch
+  // routine behind both the inline and the executor path.
+  void RunBatch(size_t slot, BatchScratch* scratch);
+  // Fleet mode: the batch's ETAs, each city group through its own shard.
+  // Requests no tier can answer get kShardCold in their outbox and are
+  // marked SIZE_MAX in scratch->live.
+  std::vector<double> EstimateFleetBatch(BatchScratch* scratch,
+                                         util::ThreadPool* pool);
+  // Writes and clears *out; a failed or timed-out write closes the
+  // connection.
+  void Send(Outbox* out);
+  // Counts the shed/error and queues its answer on *out.
+  void RespondError(Outbox* out, uint64_t request_id, Status status,
                     uint32_t retry_after_ms);
   // Answers a request from a shard's fallback tier (kOk, estimator-tagged)
   // on the connection thread, observing latency and the completed counter.
-  void RespondFallback(const std::shared_ptr<Connection>& conn,
-                       uint64_t request_id, double eta, Estimator estimator,
+  void RespondFallback(Outbox* out, uint64_t request_id, double eta,
+                       Estimator estimator,
                        std::chrono::steady_clock::time_point arrival);
 
   EtaService* service_ = nullptr;  // single mode
@@ -168,7 +212,8 @@ class DeepOdServer {
   ServerOptions options_;
   AdmissionQueue admission_;
 
-  int listen_fd_ = -1;
+  int listen_fd_ = -1;  // non-blocking; the acceptor polls it
+  int wake_fds_[2] = {-1, -1};  // pipe: Shutdown() wakes the acceptor
   uint16_t port_ = 0;
   std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};
@@ -197,13 +242,15 @@ class DeepOdServer {
   obs::Counter& shed_queue_full_;
   obs::Counter& shed_quota_;
   obs::Counter& shed_deadline_;
-  obs::Counter& deadline_missed_;
+  obs::Counter& deadline_missed_;     // admitted, expired while queued
+  obs::Counter& expired_on_arrival_;  // deadline_ms < 0, never admitted
   obs::Counter& completed_;
+  obs::Counter& dropped_responses_;   // for a closed connection
   obs::Counter& observes_;       // observe frames accepted
   obs::Counter& observations_;   // per-segment observations ingested
   obs::Gauge& connections_gauge_;
   obs::Gauge& queue_depth_;
-  obs::Histogram& batch_fill_;  // requests per executor dispatch
+  obs::Histogram& batch_fill_;  // requests per batch
   obs::Histogram& latency_;     // arrival -> response (seconds), Ok only
 };
 

@@ -3,8 +3,9 @@
 //    malformed payloads into typed statuses (with the request id recovered
 //    whenever the truncated payload still carries it);
 //  - TokenBucket and AdmissionQueue are deterministic: quotas, queue
-//    capacity, strict priority order, deadline-infeasible shedding and the
-//    draining handshake all behave exactly as specified;
+//    capacity, strict priority order, deadline-infeasible shedding, runner
+//    slots (claimed only when free, backlog wakes a waiter, PopBatch never
+//    waits) and the draining handshake all behave exactly as specified;
 //  - EtaService::TrySubmit bounds the producer wait (the Submit fix) and
 //    EstimateBatch matches Estimate;
 //  - a live DeepOdServer answers valid requests with the service's exact
@@ -12,9 +13,17 @@
 //    keeping the connection usable, sheds over the wire with retry-after
 //    hints, serves its obs registry through a stats frame, and answers
 //    every in-flight request across a graceful shutdown; departure times
-//    the serving clock cannot slot are invalid requests, not a crash.
+//    the serving clock cannot slot are invalid requests, not a crash;
+//  - a pipelined burst is one batch, concurrent pipelining clients each
+//    get exactly their own answers, a client that stops reading is
+//    disconnected without stalling the others, and at quiescence
+//    admitted == completed + deadline_missed.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 
+#include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <future>
@@ -173,7 +182,6 @@ AdmittedRequest MakeAdmitted(uint8_t priority, int32_t deadline_ms = 0,
       deadline_ms > 0
           ? request.arrival + std::chrono::milliseconds(deadline_ms)
           : std::chrono::steady_clock::time_point::max();
-  request.respond = [](const ResponseFrame&) {};
   return request;
 }
 
@@ -249,6 +257,99 @@ TEST(AdmissionQueue, EwmaSmoothsServiceTimes) {
   queue.RecordServiceTime(1.0);
   queue.RecordServiceTime(2.0);  // 0.8 * 1.0 + 0.2 * 2.0
   EXPECT_NEAR(queue.EwmaServiceSeconds(), 1.2, 1e-12);
+}
+
+TEST(AdmissionQueue, OfferClaimsARunnerSlotOnlyWhenOneIsFree) {
+  AdmissionQueue queue(AdmissionOptions{}, /*runner_slots=*/2);
+  const AdmitDecision first = queue.Offer(MakeAdmitted(1), true);
+  const AdmitDecision second = queue.Offer(MakeAdmitted(1), true);
+  ASSERT_TRUE(first.runner_slot.has_value());
+  ASSERT_TRUE(second.runner_slot.has_value());
+  EXPECT_NE(*first.runner_slot, *second.runner_slot);
+  // Both slots held: still admitted, but nothing to claim.
+  const AdmitDecision third = queue.Offer(MakeAdmitted(1), true);
+  EXPECT_EQ(third.status, Status::kOk);
+  EXPECT_FALSE(third.runner_slot.has_value());
+  queue.ReleaseSlot(*first.runner_slot);
+  // Without a claim a free slot stays free; with one it is handed out.
+  EXPECT_FALSE(queue.Offer(MakeAdmitted(1)).runner_slot.has_value());
+  const AdmitDecision fifth = queue.Offer(MakeAdmitted(1), true);
+  ASSERT_TRUE(fifth.runner_slot.has_value());
+  EXPECT_EQ(*fifth.runner_slot, *first.runner_slot);
+  // A shed offer never takes a slot.
+  AdmissionOptions full;
+  full.queue_capacity = 0;
+  AdmissionQueue shedding(full);
+  const AdmitDecision shed = shedding.Offer(MakeAdmitted(1), true);
+  EXPECT_EQ(shed.status, Status::kShedQueueFull);
+  EXPECT_FALSE(shed.runner_slot.has_value());
+}
+
+TEST(AdmissionQueue, PopBatchOnAnEmptyQueueReturnsAtOnce) {
+  AdmissionQueue queue(AdmissionOptions{});
+  auto popped = std::async(std::launch::async, [&queue] {
+    std::vector<AdmittedRequest> batch;
+    return queue.PopBatch(8, &batch);
+  });
+  ASSERT_EQ(popped.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  EXPECT_FALSE(popped.get());
+}
+
+TEST(AdmissionQueue, ReturningASlotWithBacklogWakesAWaiter) {
+  AdmissionQueue queue(AdmissionOptions{}, /*runner_slots=*/1);
+  const AdmitDecision held = queue.Offer(MakeAdmitted(1), true);
+  ASSERT_TRUE(held.runner_slot.has_value());
+  EXPECT_EQ(queue.Offer(MakeAdmitted(1), true).status, Status::kOk);
+  auto waiter =
+      std::async(std::launch::async, [&queue] { return queue.AwaitSlot(); });
+  // Work is queued but the only slot is held: the waiter keeps sleeping.
+  EXPECT_EQ(waiter.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout);
+  std::vector<AdmittedRequest> batch;
+  ASSERT_TRUE(queue.PopBatch(1, &batch));  // one batch per claim
+  EXPECT_EQ(queue.Depth(), 1u);
+  queue.ReleaseSlot(*held.runner_slot);  // backlog left: wakes the waiter
+  if (waiter.wait_for(std::chrono::seconds(10)) !=
+      std::future_status::ready) {
+    // Release the stranded waiter so the test fails instead of hanging.
+    queue.SetDraining();
+    queue.PopBatch(8, &batch);
+    FAIL() << "returning the slot with backlog left woke nobody";
+  }
+  const std::optional<size_t> slot = waiter.get();
+  ASSERT_TRUE(slot.has_value());
+  EXPECT_EQ(*slot, *held.runner_slot);
+  ASSERT_TRUE(queue.PopBatch(1, &batch));
+  EXPECT_EQ(batch.size(), 2u);
+  queue.ReleaseSlot(*slot);
+}
+
+TEST(AdmissionQueue, DrainWaitsForHeldSlots) {
+  AdmissionQueue queue(AdmissionOptions{}, /*runner_slots=*/1);
+  const AdmitDecision held = queue.Offer(MakeAdmitted(1), true);
+  ASSERT_TRUE(held.runner_slot.has_value());
+  EXPECT_EQ(queue.Offer(MakeAdmitted(1), true).status, Status::kOk);
+  queue.SetDraining();
+  auto drained =
+      std::async(std::launch::async, [&queue] { queue.AwaitDrained(); });
+  auto backlog =
+      std::async(std::launch::async, [&queue] { return queue.AwaitSlot(); });
+  EXPECT_EQ(drained.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout);  // backlog left
+  std::vector<AdmittedRequest> batch;
+  ASSERT_TRUE(queue.PopBatch(8, &batch));
+  EXPECT_EQ(batch.size(), 2u);
+  // Queue empty while draining: the backlog thread is released...
+  ASSERT_EQ(backlog.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  EXPECT_FALSE(backlog.get().has_value());
+  // ...but the drain still waits for the holder's batch to finish.
+  EXPECT_EQ(drained.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout);
+  queue.ReleaseSlot(*held.runner_slot);
+  ASSERT_EQ(drained.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
 }
 
 // --- EtaService: TrySubmit + EstimateBatch ----------------------------------
@@ -361,6 +462,25 @@ class ServerTest : public ::testing::Test {
     ASSERT_TRUE(WriteAll(client_.fd(), wire.data(), wire.size()));
   }
 
+  // A server/ counter (or a histogram's count) from the registry.
+  uint64_t Count(const std::string& name) const {
+    for (const obs::Record& record : server_->registry().Export(name)) {
+      if (record.name == name) {
+        return static_cast<uint64_t>(record.count.value_or(0.0));
+      }
+    }
+    return 0;
+  }
+
+  // The single-city stats identity, checked at quiescence: after a
+  // graceful shutdown every admitted request was answered and every
+  // connection thread is gone, so admitted = completed + deadline_missed.
+  void ExpectAdmittedReconciles() {
+    server_->Shutdown();
+    EXPECT_EQ(Count("server/admitted"),
+              Count("server/completed") + Count("server/deadline_missed"));
+  }
+
   std::unique_ptr<serve::EtaService> service_;
   std::unique_ptr<DeepOdServer> server_;
   Client client_;
@@ -402,6 +522,44 @@ TEST_F(ServerTest, OversizedFrameGetsTypedErrorAndConnectionSurvives) {
   ExpectOkRoundTrip(4);
 }
 
+TEST_F(ServerTest, FramesSplitAcrossReadsAreReassembled) {
+  StartServer();
+  timeval patience{10, 0};  // a lost piece fails the test, not hangs it
+  ASSERT_EQ(::setsockopt(client_.fd(), SOL_SOCKET, SO_RCVTIMEO, &patience,
+                         sizeof(patience)),
+            0);
+  const auto ods = SampleOds(2);
+  RequestFrame request;
+  request.request_id = 21;
+  request.od = ods[0];
+  std::vector<uint8_t> wire = EncodeRequestFrame(request);
+  // An oversized frame arriving in pieces, then a request split inside
+  // its length prefix and again inside its payload.
+  const uint32_t declared = kMaxInboundFrameBytes + 1000;
+  std::vector<uint8_t> oversized(4 + declared, 0xab);
+  for (int i = 0; i < 4; ++i) {
+    oversized[i] = static_cast<uint8_t>((declared >> (8 * i)) & 0xff);
+  }
+  std::vector<uint8_t> stream = oversized;
+  stream.insert(stream.end(), wire.begin(), wire.end());
+  size_t sent = 0;
+  for (const size_t cut : {size_t{3}, size_t{2000}, oversized.size() + 2,
+                           oversized.size() + 30, stream.size()}) {
+    // Pauses so each piece reaches the server's reader as its own recv.
+    SendRaw(std::vector<uint8_t>(stream.begin() + sent, stream.begin() + cut));
+    sent = cut;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  ResponseFrame response;
+  ASSERT_TRUE(client_.ReadResponse(&response));
+  EXPECT_EQ(response.status, Status::kFrameTooLarge);
+  ASSERT_TRUE(client_.ReadResponse(&response));
+  EXPECT_EQ(response.request_id, 21u);
+  EXPECT_EQ(response.status, Status::kOk);
+  EXPECT_EQ(response.eta_seconds, service_->Estimate(ods[0]));
+  ExpectOkRoundTrip(22);
+}
+
 TEST_F(ServerTest, BadMagicGetsTypedErrorAndConnectionSurvives) {
   StartServer();
   std::vector<uint8_t> wire = EncodeRequestFrame(SampleRequest());
@@ -425,6 +583,9 @@ TEST_F(ServerTest, ExpiredDeadlineIsAnsweredWithoutQueueing) {
   EXPECT_EQ(response.request_id, 6u);
   EXPECT_EQ(response.status, Status::kDeadlineExpired);
   ExpectOkRoundTrip(7);
+  ExpectAdmittedReconciles();
+  EXPECT_EQ(Count("server/expired_on_arrival"), 1u);
+  EXPECT_EQ(Count("server/admitted"), 1u);
 }
 
 TEST_F(ServerTest, OutOfRangeSegmentIsInvalid) {
@@ -562,6 +723,186 @@ TEST_F(ServerTest, LoadgenDrivesTheServerWithoutLosses) {
   EXPECT_EQ(report.ok + report.shed + report.deadline_expired, report.sent);
   EXPECT_NE(report.server_stats_json.find("server/completed"),
             std::string::npos);
+  ExpectAdmittedReconciles();
+}
+
+TEST_F(ServerTest, PipelinedBurstIsAnsweredAsOneBatch) {
+  StartServer();
+  constexpr size_t kBurst = 32;  // = the default max_batch
+  const auto ods = SampleOds(kBurst);
+  std::vector<uint8_t> burst;
+  for (size_t i = 0; i < kBurst; ++i) {
+    RequestFrame request;
+    request.request_id = i + 1;
+    request.od = ods[i];
+    const std::vector<uint8_t> wire = EncodeRequestFrame(request);
+    burst.insert(burst.end(), wire.begin(), wire.end());
+  }
+  SendRaw(burst);  // one write: the server reads it with one recv
+  std::vector<double> served(kBurst, -1.0);
+  for (size_t n = 0; n < kBurst; ++n) {
+    ResponseFrame response;
+    ASSERT_TRUE(client_.ReadResponse(&response));
+    ASSERT_EQ(response.status, Status::kOk);
+    ASSERT_GE(response.request_id, 1u);
+    ASSERT_LE(response.request_id, kBurst);
+    served[response.request_id - 1] = response.eta_seconds;
+  }
+  for (size_t i = 0; i < kBurst; ++i) {
+    EXPECT_EQ(served[i], service_->Estimate(ods[i])) << "request " << i;
+  }
+  const std::vector<obs::Record> fill =
+      server_->registry().Export("server/batch_fill");
+  ASSERT_EQ(fill.size(), 1u);
+  EXPECT_EQ(fill[0].count.value_or(0.0), 1.0);
+  EXPECT_EQ(fill[0].wall_seconds, static_cast<double>(kBurst));
+  ExpectAdmittedReconciles();
+}
+
+// 8 clients pipeline 200 distinct requests each in one write; every answer
+// comes back Ok, on the right connection, with the service's exact ETA.
+void ExpectConcurrentPipelinedClientsServed(
+    uint16_t port, serve::EtaService& service) {
+  constexpr size_t kClients = 8;
+  constexpr size_t kPerClient = 200;
+  const auto ods = SampleOds(kClients * kPerClient);
+  std::vector<std::vector<double>> served(
+      kClients, std::vector<double>(kPerClient, -1.0));
+  std::atomic<size_t> failures{0};
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      Client client;
+      if (!client.Connect("127.0.0.1", port)) {
+        ++failures;
+        return;
+      }
+      std::vector<uint8_t> wire;
+      for (size_t i = 0; i < kPerClient; ++i) {
+        RequestFrame request;
+        request.request_id = c * kPerClient + i + 1;
+        request.od = ods[c * kPerClient + i];
+        const std::vector<uint8_t> frame = EncodeRequestFrame(request);
+        wire.insert(wire.end(), frame.begin(), frame.end());
+      }
+      if (!WriteAll(client.fd(), wire.data(), wire.size())) {
+        ++failures;
+        return;
+      }
+      for (size_t n = 0; n < kPerClient; ++n) {
+        ResponseFrame response;
+        if (!client.ReadResponse(&response) ||
+            response.status != Status::kOk ||
+            (response.request_id - 1) / kPerClient != c) {
+          ++failures;
+          return;
+        }
+        served[c][(response.request_id - 1) % kPerClient] =
+            response.eta_seconds;
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(failures.load(), 0u);
+  for (size_t c = 0; c < kClients; ++c) {
+    for (size_t i = 0; i < kPerClient; ++i) {
+      EXPECT_EQ(served[c][i], service.Estimate(ods[c * kPerClient + i]))
+          << "client " << c << " request " << i;
+    }
+  }
+}
+
+TEST_F(ServerTest, ConcurrentPipelinedClientsOneExecutor) {
+  StartServer(+[](ServerOptions* options) {
+    options->executors = 1;
+    options->admission.queue_capacity = 4096;
+  });
+  ExpectConcurrentPipelinedClientsServed(server_->port(), *service_);
+  ExpectAdmittedReconciles();
+  EXPECT_EQ(Count("server/completed"), 1600u);
+}
+
+TEST_F(ServerTest, ConcurrentPipelinedClientsTwoExecutors) {
+  StartServer(+[](ServerOptions* options) {
+    options->executors = 2;
+    options->admission.queue_capacity = 4096;
+  });
+  ExpectConcurrentPipelinedClientsServed(server_->port(), *service_);
+  ExpectAdmittedReconciles();
+  EXPECT_EQ(Count("server/completed"), 1600u);
+}
+
+TEST_F(ServerTest, ClientThatStopsReadingIsDisconnectedWithoutStallingOthers) {
+  StartServer();
+  const auto ods = SampleOds(1);
+  // Client A pipelines cache hits in large writes and never reads, until
+  // its responses fill both socket buffers and the server's writes to it
+  // block.
+  Client stalled;
+  ASSERT_TRUE(stalled.Connect("127.0.0.1", server_->port()));
+  timeval tick{};
+  tick.tv_usec = 100 * 1000;  // so the writer can notice the test's end
+  ASSERT_EQ(::setsockopt(stalled.fd(), SOL_SOCKET, SO_SNDTIMEO, &tick,
+                         sizeof(tick)),
+            0);
+  std::vector<uint8_t> chunk;
+  for (uint64_t i = 0; i < 1024; ++i) {
+    RequestFrame request;
+    request.request_id = i + 1;
+    request.od = ods[0];
+    const std::vector<uint8_t> frame = EncodeRequestFrame(request);
+    chunk.insert(chunk.end(), frame.begin(), frame.end());
+  }
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  std::atomic<bool> blocked{false};
+  auto writer = std::async(std::launch::async, [&] {
+    size_t offset = 0;  // whole frames per chunk, so wrapping stays aligned
+    while (std::chrono::steady_clock::now() < give_up) {
+      const ssize_t sent = ::send(stalled.fd(), chunk.data() + offset,
+                                  chunk.size() - offset, MSG_NOSIGNAL);
+      if (sent > 0) {
+        offset = (offset + static_cast<size_t>(sent)) % chunk.size();
+      } else if (sent < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        blocked.store(true);  // the server has stopped reading A
+      } else if (!(sent < 0 && errno == EINTR)) {
+        return true;  // reset by the server
+      }
+    }
+    return false;
+  });
+  // Stalled: A's writes block, or the server already cut A off (which it
+  // only does after a write to A timed out).
+  const auto stalled_or_cut = [&] {
+    return blocked.load() ||
+           writer.wait_for(std::chrono::seconds(0)) ==
+               std::future_status::ready;
+  };
+  while (!stalled_or_cut() && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(stalled_or_cut());
+  // Client B asks while A is stalled: shed at first maybe, but answered by
+  // the model once the server gives up on A.
+  ResponseFrame answer;
+  uint64_t id = 1u << 20;
+  while (std::chrono::steady_clock::now() < give_up) {
+    RequestFrame request;
+    request.request_id = ++id;
+    request.od = ods[0];
+    ASSERT_TRUE(client_.Send(request));
+    ASSERT_TRUE(client_.ReadResponse(&answer));
+    ASSERT_EQ(answer.request_id, id);
+    if (answer.status == Status::kOk) break;
+    EXPECT_TRUE(IsShed(answer.status)) << StatusName(answer.status);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(answer.status, Status::kOk);
+  EXPECT_EQ(answer.estimator, Estimator::kModel);
+  EXPECT_EQ(answer.eta_seconds, service_->Estimate(ods[0]));
+  EXPECT_TRUE(writer.get()) << "the stalled client was never disconnected";
+  ExpectAdmittedReconciles();
+  EXPECT_GT(Count("server/dropped_responses"), 0u);
 }
 
 }  // namespace

@@ -15,6 +15,13 @@
 //                 [--drift-window N] [--drift-trigger X]
 //   deepod_server --fleet fleet.csv [shared flags as above]
 //
+// Batching: --executors N caps how many batches run at once (default 1)
+// and --max-batch N how many requests one batch takes. The connection
+// thread that admits a request runs the batch itself when one of the N
+// slots is free; the N executor threads only take over work left queued.
+// A client that stops reading its responses is disconnected after a
+// fixed send timeout instead of stalling other clients.
+//
 // Fleet mode (--fleet, mutually exclusive with --artifact/--network) serves
 // every city in the manifest from one process: requests route by their wire
 // network_id, each warm shard runs its own EtaService + (with --watch) its

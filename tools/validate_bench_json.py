@@ -27,6 +27,7 @@ Usage:
         [--require NAME ...]          # record names that must be present
         [--require-prefix PREFIX ...] # at least one record per prefix
         [--allow-empty]               # permit an empty records list
+        [--identity 'A=B+C' ...]      # count(A) == count(B) + count(C)
 
 Exits non-zero with a message naming the offending file/record on the
 first violation. Shared by the serving-smoke and bench-regression CI jobs.
@@ -87,6 +88,27 @@ def validate_record(record, where):
     return name
 
 
+def check_identity(path, identity, counts):
+    """Checks a stats identity 'A=B+C+...' over the records' counts."""
+    lhs, sep, rhs = identity.partition("=")
+    terms = rhs.split("+")
+    if not sep or not lhs or not all(terms):
+        raise ValidationError(f"--identity {identity!r}: expected 'A=B+C'")
+    values = {}
+    for name in [lhs, *terms]:
+        if not is_number(counts.get(name)):
+            raise ValidationError(
+                f"{path}: identity {identity!r} needs a counted record "
+                f"{name!r}")
+        values[name] = counts[name]
+    total = sum(values[t] for t in terms)
+    if values[lhs] != total:
+        detail = " + ".join(f"{t} {values[t]:g}" for t in terms)
+        raise ValidationError(
+            f"{path}: identity {identity!r} broken: {lhs} {values[lhs]:g} "
+            f"!= {detail}")
+
+
 def validate_file(path, args):
     with open(path) as f:
         try:
@@ -119,6 +141,9 @@ def validate_file(path, args):
         if not any(n.startswith(prefix) for n in names):
             raise ValidationError(
                 f"{path}: no record with required prefix {prefix!r}")
+    counts = {r["name"]: r.get("count") for r in records}
+    for identity in args.identity:
+        check_identity(path, identity, counts)
     print(f"{path}: OK ({len(records)} records)")
 
 
@@ -129,6 +154,8 @@ def main():
     parser.add_argument("--require-prefix", nargs="*", default=[],
                         metavar="PREFIX")
     parser.add_argument("--allow-empty", action="store_true")
+    parser.add_argument("--identity", nargs="*", default=[],
+                        metavar="A=B+C")
     args = parser.parse_args()
     try:
         for path in args.files:
