@@ -10,9 +10,9 @@
 //   - serving/kernel/<tier>/qps: PredictBatch throughput per kernel tier
 //     (blocked, vector, simd — simd falls back to the vector path on hosts
 //     without AVX2, see nn/simd.h).
-//   - serving/cache/capacity=C/{qps,hit_rate}: EtaService cache sweep over a
-//     skewed stream; hit_rate records carry the hit fraction in
-//     wall_seconds (it is a ratio, not a time).
+//   - serving/plan/{tensor_path,plan}/qps: one graph-free query through the
+//     Tensor ops vs. Predict's packed serving plan (bit-identical answers,
+//     checked); `speedup` carries the ratio in samples_per_sec.
 //   - serving/microbatch/qps: TrySubmit through the bounded queue and the
 //     dispatcher's micro-batching (bounded-wait retries on backpressure).
 //   - serving/quant/<mode>/{qps,mae}: EtaService::FromArtifact with fp64,
@@ -24,6 +24,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <future>
 #include <optional>
@@ -80,7 +81,7 @@ std::vector<traj::OdInput> MakeQueryStream(const sim::Dataset& dataset,
 int main(int argc, char** argv) {
   const size_t num_queries =
       argc > 1 ? static_cast<size_t>(std::atoll(argv[1])) : 2000;
-  bench::PrintBanner("Serving path — graph-free inference, batching, cache");
+  bench::PrintBanner("Serving path — graph-free inference, plan, batching");
 
   const sim::Dataset dataset =
       sim::BuildDataset(bench::MiniConfig(bench::City::kXian));
@@ -161,7 +162,9 @@ int main(int argc, char** argv) {
   // PredictBatch at the service's default micro-batch size under each
   // predict-side kernel tier. kSimd runs the packed AVX2 GEMV kernels when
   // the host supports them (backend printed below) and the kVector path
-  // otherwise, so the record exists on every host.
+  // otherwise, so the record exists on every host. Each tier keeps its own
+  // external codes, so an untimed pass fills them first: the records time
+  // the steady state, as the earlier sections do for kBlocked.
   {
     struct Tier {
       const char* name;
@@ -174,6 +177,7 @@ int main(int argc, char** argv) {
                 nn::SimdBackendName());
     for (const Tier& tier : tiers) {
       const nn::KernelModeScope scope(tier.mode);
+      sink += model.PredictBatch(stream)[0];
       sw.Reset();
       for (size_t pos = 0; pos < stream.size(); pos += 32) {
         const size_t m = std::min(size_t{32}, stream.size() - pos);
@@ -187,28 +191,54 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Cache hit-rate sweep --------------------------------------------------
-  for (const size_t capacity : {size_t{0}, size_t{64}, size_t{1024}}) {
-    serve::EtaServiceOptions options;
-    options.cache_capacity = capacity;
-    serve::EtaService service(model, options);
+  // --- Serving plan vs. the Tensor forward ----------------------------------
+  // One graph-free query two ways: the Tensor ops (EncodeOd +
+  // EstimateFromCode under an InferenceGuard) and Predict, which runs the
+  // packed serving plan. Both read
+  // the same warm external-code table, so this times the dense M_O/M_E path
+  // and the Tensor scaffolding the plan removes. The answers must match bit
+  // for bit; the bench fails otherwise.
+  {
+    std::vector<double> tensor_answers, plan_answers;
+    tensor_answers.reserve(stream.size());
+    plan_answers.reserve(stream.size());
     sw.Reset();
-    for (const auto& od : stream) sink += service.Estimate(od);
-    const double secs = sw.ElapsedSeconds();
-    const auto stats = service.StatsSnapshot();
-    const double hit_rate =
-        stats.cache_hits + stats.cache_misses == 0
-            ? 0.0
-            : static_cast<double>(stats.cache_hits) /
-                  static_cast<double>(stats.cache_hits + stats.cache_misses);
+    {
+      const nn::InferenceGuard guard;
+      for (const auto& od : stream) {
+        tensor_answers.push_back(
+            model.EstimateFromCode(model.EncodeOd(od)).item() *
+            model.time_scale());
+      }
+    }
+    const double tensor_secs = sw.ElapsedSeconds();
+    sw.Reset();
+    for (const auto& od : stream) plan_answers.push_back(model.Predict(od));
+    const double plan_secs = sw.ElapsedSeconds();
+    size_t mismatches = 0;
+    for (size_t i = 0; i < stream.size(); ++i) {
+      if (std::memcmp(&tensor_answers[i], &plan_answers[i],
+                      sizeof(double)) != 0) {
+        ++mismatches;
+      }
+    }
+    const double plan_speedup =
+        plan_secs > 0.0 ? tensor_secs / plan_secs : 0.0;
     std::printf(
-        "EtaService capacity=%-5zu: %8.0f queries/s  hit rate %.1f%%  "
-        "p50 %.3f ms  p99 %.3f ms\n",
-        capacity, n / secs, 100.0 * hit_rate, stats.p50_ms, stats.p99_ms);
-    const std::string prefix =
-        "serving/cache/capacity=" + std::to_string(capacity);
-    records.push_back({prefix + "/qps", secs, 1, n / secs});
-    records.push_back({prefix + "/hit_rate", hit_rate, 1, 0.0});
+        "Serving plan vs. Tensor forward (%zu queries):\n"
+        "  tensor path: %.3f us/query\n"
+        "  plan:        %.3f us/query\n"
+        "  speedup: %.2fx, %zu mismatches\n",
+        stream.size(), 1e6 * tensor_secs / n, 1e6 * plan_secs / n,
+        plan_speedup, mismatches);
+    if (mismatches != 0) {
+      std::fprintf(stderr, "serving plan diverged from the Tensor forward\n");
+      return 1;
+    }
+    records.push_back(
+        {"serving/plan/tensor_path/qps", tensor_secs, 1, n / tensor_secs});
+    records.push_back({"serving/plan/plan/qps", plan_secs, 1, n / plan_secs});
+    records.push_back({"serving/plan/speedup", 0.0, 1, plan_speedup});
   }
 
   // --- Micro-batched TrySubmit -----------------------------------------------
@@ -246,9 +276,9 @@ int main(int argc, char** argv) {
 
   // --- Quantised serving -----------------------------------------------------
   // Round-trips the model through an artifact and stands one service up per
-  // weight tier (fp64 / fp16 / int8) on the kSimd kernel path with the
-  // cache off, so qps measures the model forward and mae the quantisation
-  // error alone. The fp64 service's answers are the golden values.
+  // weight tier (fp64 / fp16 / int8) on the kSimd kernel path, so qps
+  // measures the model forward and mae the quantisation error alone. The
+  // fp64 service's answers are the golden values.
   {
     const double window_begin = 10.0 * 86400.0 + 8.0 * 3600.0;
     const sim::SnapshotSpeedField snap = sim::SnapshotSpeedField::Capture(
@@ -264,10 +294,9 @@ int main(int argc, char** argv) {
                                {"fp16", nn::QuantMode::kFp16},
                                {"int8", nn::QuantMode::kInt8}};
     std::vector<double> golden;
-    std::printf("Quantised serving (kSimd, cache off):\n");
+    std::printf("Quantised serving (kSimd):\n");
     for (const QuantTier& tier : tiers) {
       serve::EtaServiceOptions options;
-      options.cache_capacity = 0;
       options.kernel_mode = nn::KernelMode::kSimd;
       options.quant = tier.mode;
       const auto service =
@@ -292,8 +321,8 @@ int main(int argc, char** argv) {
                   mae);
       const std::string prefix = std::string("serving/quant/") + tier.name;
       records.push_back({prefix + "/qps", secs, 1, n / secs});
-      // MAE in seconds vs. the fp64 answers, carried in wall_seconds like
-      // the hit_rate records (a value, not a time; 0 for the fp64 tier).
+      // MAE in seconds vs. the fp64 answers, carried in wall_seconds (a
+      // value, not a time; 0 for the fp64 tier).
       records.push_back({prefix + "/mae", mae, 1, 0.0});
     }
     std::remove(artifact_path.c_str());

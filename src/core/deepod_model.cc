@@ -52,24 +52,28 @@ double TrainTimeScale(const sim::Dataset& dataset) {
   return sum / static_cast<double>(dataset.train.size());
 }
 
-// External-code table key of `od`: the weather type in the low 4 bits, the
-// speed-matrix snapshot index above them. nullopt when the pair does not
-// fit — a weather type the CNN rejects anyway, or a snapshot index beyond
-// ±2^58 from a provider with unclamped snapshot times — in which case the
-// code is computed and not stored.
+// External-code table key of `od` in the calling thread's kernel tier: the
+// weather type in the low 4 bits, the KernelMode in the next 2 (tiers round
+// differently, so each keeps its own codes), the speed-matrix snapshot index
+// above them. nullopt when the pair does not fit — a weather type the CNN
+// rejects anyway, or a snapshot index beyond ±2^56 from a provider with
+// unclamped snapshot times — in which case the code is computed and not
+// stored.
 std::optional<uint64_t> OcodeKey(const sim::SpeedProvider& speed,
                                  const traj::OdInput& od) {
   static_assert(ExternalFeaturesEncoder::kNumWeatherTypes <= 16);
+  static_assert(static_cast<int>(nn::KernelMode::kSimd) < 4);
   const double snapshot =
       std::round(speed.SnapshotTime(od.departure_time) /
                  speed.snapshot_seconds());
   if (od.weather_type < 0 ||
       od.weather_type >=
           static_cast<int>(ExternalFeaturesEncoder::kNumWeatherTypes) ||
-      !(std::abs(snapshot) < 0x1p58)) {
+      !(std::abs(snapshot) < 0x1p56)) {
     return std::nullopt;
   }
-  return static_cast<uint64_t>(static_cast<int64_t>(snapshot)) << 4 |
+  return static_cast<uint64_t>(static_cast<int64_t>(snapshot)) << 6 |
+         static_cast<uint64_t>(nn::GetKernelMode()) << 4 |
          static_cast<uint64_t>(od.weather_type);
 }
 
@@ -213,7 +217,7 @@ nn::Tensor DeepOdModel::EncodeExternal(const traj::OdInput& od) {
   // Autograd needs the forward's graph; the table stores values only.
   if (nn::GradEnabled()) return ExternalForward(od);
   std::vector<double> code(config_.dm6);
-  WriteExternalCode(od, code.data());
+  WriteExternalCode(Plan(), od, code.data());
   return nn::Tensor::FromData({config_.dm6}, std::move(code));
 }
 
@@ -226,11 +230,18 @@ nn::Tensor DeepOdModel::ExternalForward(const traj::OdInput& od) {
                                     speed_->rows(), speed_->cols());
 }
 
-void DeepOdModel::WriteExternalCode(const traj::OdInput& od, double* out) {
-  const bool serving = config_.ablation != Ablation::kNoOther &&
-                       speed_ != nullptr && !nn::GradEnabled() && !training_;
-  const std::optional<uint64_t> key =
-      serving ? OcodeKey(*speed_, od) : std::nullopt;
+void DeepOdModel::WriteExternalCode(const ServingPlan& plan,
+                                    const traj::OdInput& od, double* out) {
+  if (config_.ablation == Ablation::kNoOther || speed_ == nullptr) {
+    std::fill_n(out, config_.dm6, 0.0);
+    return;
+  }
+  if (nn::GradEnabled() || training_) {
+    const nn::Tensor code = ExternalForward(od);
+    std::copy(code.data().begin(), code.data().end(), out);
+    return;
+  }
+  const std::optional<uint64_t> key = OcodeKey(*speed_, od);
   uint64_t generation = 0;
   if (key) {
     std::lock_guard<std::mutex> lock(ocode_mu_);
@@ -241,32 +252,49 @@ void DeepOdModel::WriteExternalCode(const traj::OdInput& od, double* out) {
       return;
     }
   }
-  const nn::Tensor code = ExternalForward(od);
-  std::copy(code.data().begin(), code.data().end(), out);
+  plan.ExternalCode(od.weather_type, speed_->MatrixAt(od.departure_time),
+                    speed_->rows(), speed_->cols(), out);
   if (!key) return;
   std::lock_guard<std::mutex> lock(ocode_mu_);
   // A ClearOcodeMemo since the lookup (say a speed-field publish and its
   // epoch bump) means the matrix this code came from may be stale.
   if (generation == ocode_generation_ &&
       ocode_table_.size() < kOcodeTableMaxEntries) {
-    ocode_table_.try_emplace(*key, code.data());
+    ocode_table_.try_emplace(*key, out, out + config_.dm6);
   }
 }
 
-double DeepOdModel::Predict(const traj::OdInput& od) {
-  const nn::InferenceGuard guard;
-  const nn::Tensor code = EncodeOd(od);
-  const nn::Tensor y = EstimateFromCode(code);
-  return y.item() * time_scale_;
+const ServingPlan& DeepOdModel::Plan() {
+  const uint64_t epoch = nn::ParamEpoch();
+  if (plan_epoch_.load(std::memory_order_acquire) != epoch) {
+    std::lock_guard<std::mutex> lock(plan_mu_);
+    if (plan_epoch_.load(std::memory_order_relaxed) != epoch) {
+      ServingPlan fresh(*mlp1_, *mlp2_, *external_encoder_);
+      if (!fresh.SameWeights(plan_)) plan_ = std::move(fresh);
+      plan_epoch_.store(epoch, std::memory_order_release);
+    }
+  }
+  return plan_;
 }
 
-void DeepOdModel::FillOdFeatureRow(const traj::OdInput& od, double* row) {
+double DeepOdModel::Predict(const traj::OdInput& od) {
+  double eta = 0.0;
+  PredictInto(Plan(), std::span<const traj::OdInput>(&od, 1), &eta);
+  return eta;
+}
+
+void DeepOdModel::FillOdFeatureRow(const ServingPlan& plan,
+                                   const traj::OdInput& od, double* row) {
   const bool use_sp = config_.ablation != Ablation::kNoSp;
   const bool use_tp = config_.ablation != Ablation::kNoTp;
   double* p = row;
 
   const auto& road_table = road_embedding_->table().data();
   if (use_sp) {
+    if (od.origin_segment >= road_embedding_->num_entries() ||
+        od.dest_segment >= road_embedding_->num_entries()) {
+      throw std::out_of_range("Embedding: id out of range");
+    }
     std::copy_n(&road_table[od.origin_segment * config_.ds], config_.ds, p);
     std::copy_n(&road_table[od.dest_segment * config_.ds], config_.ds,
                 p + config_.ds);
@@ -293,7 +321,7 @@ void DeepOdModel::FillOdFeatureRow(const traj::OdInput& od, double* row) {
   }
   p += config_.dt;
 
-  WriteExternalCode(od, p);
+  WriteExternalCode(plan, od, p);
   p += config_.dm6;
 
   p[0] = od.origin_ratio;
@@ -301,40 +329,37 @@ void DeepOdModel::FillOdFeatureRow(const traj::OdInput& od, double* row) {
   p[2] = tr_norm;
 }
 
+void DeepOdModel::PredictInto(const ServingPlan& plan,
+                              std::span<const traj::OdInput> ods,
+                              double* out) {
+  const nn::InferenceGuard guard;
+  thread_local std::vector<double> row;
+  if (row.size() < z9_dim()) row.resize(z9_dim());
+  for (size_t i = 0; i < ods.size(); ++i) {
+    FillOdFeatureRow(plan, ods[i], row.data());
+    out[i] = plan.Estimate(row.data()) * time_scale_;
+  }
+}
+
 std::vector<double> DeepOdModel::PredictBatch(
     std::span<const traj::OdInput> ods, util::ThreadPool* pool) {
   std::vector<double> out(ods.size());
   if (ods.empty()) return out;
+  const ServingPlan& plan = Plan();
   const size_t n = ods.size();
-  const size_t z9 = z9_dim();
-  const auto run_chunk = [&](size_t begin, size_t end) {
-    const nn::InferenceGuard guard;
-    const size_t m = end - begin;
-    auto rows = nn::AcquireBuffer(m * z9);
-    for (size_t i = begin; i < end; ++i) {
-      FillOdFeatureRow(ods[i], &rows[(i - begin) * z9]);
-    }
-    const nn::Tensor x = nn::Tensor::FromData({m, z9}, std::move(rows));
-    const nn::Tensor codes = mlp1_->ForwardBatch(x);   // Eq. 19, batched
-    const nn::Tensor ys = mlp2_->ForwardBatch(codes);  // Eq. 20, batched
-    const auto& yd = ys.data();
-    for (size_t i = begin; i < end; ++i) {
-      out[i] = yd[i - begin] * time_scale_;
-    }
-  };
   const size_t tasks =
       pool != nullptr ? std::min(pool->num_threads(), n) : size_t{1};
   if (tasks <= 1) {
-    run_chunk(0, n);
+    PredictInto(plan, ods, out.data());
     return out;
   }
-  // Workers inherit the caller's kernel mode; rows are independent in every
-  // stage, so the chunk boundaries cannot change any result.
+  // Workers inherit the caller's kernel mode; rows are independent, so the
+  // chunk boundaries cannot change any result.
   const nn::KernelMode mode = nn::GetKernelMode();
   pool->ParallelFor(tasks, [&](size_t w) {
     const nn::KernelModeScope mode_scope(mode);
     const auto [begin, end] = util::ThreadPool::ChunkRange(n, tasks, w);
-    run_chunk(begin, end);
+    PredictInto(plan, ods.subspan(begin, end - begin), out.data() + begin);
   });
   return out;
 }
@@ -488,8 +513,11 @@ void DeepOdModel::SetTraining(bool training) {
   trajectory_encoder_->SetTraining(training);
   external_encoder_->SetTraining(training);
   // Mode flips bracket parameter updates (the trainer toggles around every
-  // validation pass), so stored ocodes may be stale — drop them.
+  // validation pass), so stored ocodes may be stale — drop them. Training
+  // forwards also move BatchNorm running statistics without a parameter
+  // epoch bump, so the serving plan rebuilds too.
   ClearOcodeMemo();
+  plan_epoch_.store(0, std::memory_order_release);
 }
 
 }  // namespace deepod::core

@@ -1,6 +1,7 @@
 #ifndef DEEPOD_CORE_DEEPOD_MODEL_H_
 #define DEEPOD_CORE_DEEPOD_MODEL_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -10,6 +11,7 @@
 
 #include "core/deepod_config.h"
 #include "core/encoders.h"
+#include "core/serving_plan.h"
 #include "nn/module.h"
 #include "sim/dataset.h"
 #include "temporal/time_slot.h"
@@ -74,23 +76,23 @@ class DeepOdModel : public nn::Module {
   // External-features encoding (§4.5): ocode for the OD's departure time and
   // weather. In serving conditions (inference mode, training off) the result
   // is kept in the external-code table, keyed by (weather, speed-matrix
-  // snapshot index) — the CNN is deterministic given those, so a hit returns
-  // bit-identical values while skipping the dominant per-query compute.
-  // Entries fill lazily on a key's first miss and live until the table's
-  // generation ends (ClearOcodeMemo).
+  // snapshot index, kernel tier) — the CNN is deterministic given those, so
+  // a hit returns bit-identical values while skipping the dominant
+  // per-query compute.
+  // Entries fill lazily on a key's first miss, through the serving plan's
+  // CNN, and live until the table's generation ends (ClearOcodeMemo).
   nn::Tensor EncodeExternal(const traj::OdInput& od);
 
   // Online estimation (Algorithm 1, Estimation): seconds for an OD input.
-  // Runs graph-free (nn::InferenceGuard): identical values to the training
-  // forward, no autograd allocations.
+  // Runs through the serving plan (see serving_plan.h): the same values as
+  // the Tensor forward EstimateFromCode(EncodeOd(od)) with gradients off,
+  // bit for bit in every kernel mode, without building a Tensor.
   double Predict(const traj::OdInput& od);
 
-  // Batched estimation: one travel time per OD input, bit-identical to
-  // calling Predict in a loop in every kernel mode (the batched MLP uses
-  // AffineRows, which preserves Affine's per-row floating-point order —
-  // including kSimd, where both ops run the same packed GEMV per row).
-  // When `pool` is given the batch is split into contiguous chunks fanned
-  // out over the pool's workers; chunking never changes results.
+  // Batched estimation: one travel time per OD input, each bit-identical to
+  // Predict of that input (every row runs the same plan forward). When
+  // `pool` is given the batch is split into contiguous chunks fanned out
+  // over the pool's workers; chunking never changes results.
   std::vector<double> PredictBatch(std::span<const traj::OdInput> ods,
                                    util::ThreadPool* pool = nullptr);
 
@@ -105,10 +107,10 @@ class DeepOdModel : public nn::Module {
 
   // Hard cap on the codes one generation of the external-code table stores.
   // A frozen speed field bounds the key space itself (16 weather types ×
-  // stored snapshots, since it clamps every departure to a stored
-  // snapshot); the cap only stops a provider with unclamped snapshot times
-  // from growing a generation without end. Past it, a miss computes its code
-  // without storing it. Not configurable.
+  // stored snapshots × kernel tiers in use, since it clamps every
+  // departure to a stored snapshot); the cap only stops a provider with
+  // unclamped snapshot times from growing a generation without end. Past
+  // it, a miss computes its code without storing it. Not configurable.
   static constexpr size_t kOcodeTableMaxEntries = size_t{1} << 16;
 
   // Codes stored in the current generation of the external-code table.
@@ -171,7 +173,12 @@ class DeepOdModel : public nn::Module {
  private:
   // Writes the z9 feature vector of `od` (Eq. 19 input) into row[0..z9_dim):
   // the exact doubles EncodeOd's ConcatVec would produce.
-  void FillOdFeatureRow(const traj::OdInput& od, double* row);
+  void FillOdFeatureRow(const ServingPlan& plan, const traj::OdInput& od,
+                        double* row);
+
+  // Predict for every ods[i] into out[i].
+  void PredictInto(const ServingPlan& plan,
+                   std::span<const traj::OdInput> ods, double* out);
 
   // The external-features forward proper (zeros when disabled), building an
   // autograd graph unless in inference mode.
@@ -180,8 +187,19 @@ class DeepOdModel : public nn::Module {
   // Writes ocode(od) to out[0..dm6). In serving conditions — inference mode
   // (a stored code is a leaf with no graph) and training off (a
   // training-mode forward updates BatchNorm running statistics, a side
-  // effect a hit would skip) — through the external-code table.
-  void WriteExternalCode(const traj::OdInput& od, double* out);
+  // effect a hit would skip) — through the external-code table, whose
+  // misses run `plan`'s CNN; otherwise through the Tensor forward.
+  void WriteExternalCode(const ServingPlan& plan, const traj::OdInput& od,
+                         double* out);
+
+  // The serving plan for the current parameter values, rebuilt first when
+  // nn::ParamEpoch() moved or the training mode flipped since it was built.
+  // Concurrent callers are safe: a rebuild that finds the same weights (an
+  // epoch bump from another model's load) keeps the current plan in place,
+  // so threads still reading it see no write. A rebuild with new weights
+  // only follows a parameter update of this model, which must not overlap
+  // its queries anyway.
+  const ServingPlan& Plan();
 
   size_t z9_dim() const {
     return config_.ds * 2 + config_.dt + config_.dm6 + 3;
@@ -197,13 +215,21 @@ class DeepOdModel : public nn::Module {
   temporal::TimeSlotter slotter_;
   double time_scale_ = 1.0;
 
-  // External-code table (see EncodeExternal): packed (weather, snapshot
-  // index) key -> ocode, for the current generation. ClearOcodeMemo bumps
-  // the generation; a fill stores its code only if the generation it read
-  // before its MatrixAt is still current. The CNN runs outside the mutex.
+  // External-code table (see EncodeExternal): packed (weather, kernel tier,
+  // snapshot index) key -> ocode, for the current generation.
+  // ClearOcodeMemo bumps the generation; a fill stores its code only if the
+  // generation it read before its MatrixAt is still current. The CNN runs
+  // outside the mutex.
   mutable std::mutex ocode_mu_;
   uint64_t ocode_generation_ = 0;
   std::unordered_map<uint64_t, std::vector<double>> ocode_table_;
+
+  // Serving plan (see Plan()). plan_epoch_ is the ParamEpoch plan_ matches,
+  // 0 when it must be rebuilt; it is stored (release) only after plan_ is
+  // complete. plan_mu_ serialises rebuilds.
+  std::mutex plan_mu_;
+  std::atomic<uint64_t> plan_epoch_{0};
+  ServingPlan plan_;
 
   std::unique_ptr<nn::Embedding> road_embedding_;       // Ws
   std::unique_ptr<nn::Embedding> time_slot_embedding_;  // Wt

@@ -193,25 +193,38 @@ std::vector<double> PoolMatrix(const std::vector<double>& matrix, size_t rows,
                                size_t cols, size_t max_dim, size_t* out_rows,
                                size_t* out_cols) {
   if (max_dim == 0) throw std::invalid_argument("PoolMatrix: max_dim 0");
+  const size_t cells = std::min(rows, max_dim) * std::min(cols, max_dim);
+  std::vector<double> pooled(cells), counts(cells);
+  PoolMatrixInto(matrix.data(), rows, cols, max_dim, pooled.data(),
+                 counts.data(), out_rows, out_cols);
+  return pooled;
+}
+
+void PoolMatrixInto(const double* matrix, size_t rows, size_t cols,
+                    size_t max_dim, double* out, double* counts,
+                    size_t* out_rows, size_t* out_cols) {
+  if (max_dim == 0) throw std::invalid_argument("PoolMatrix: max_dim 0");
   const size_t pr = std::min(rows, max_dim);
   const size_t pc = std::min(cols, max_dim);
   *out_rows = pr;
   *out_cols = pc;
-  if (pr == rows && pc == cols) return matrix;
-  std::vector<double> pooled(pr * pc, 0.0);
-  std::vector<size_t> counts(pr * pc, 0);
+  if (pr == rows && pc == cols) {
+    std::copy(matrix, matrix + rows * cols, out);
+    return;
+  }
+  std::fill(out, out + pr * pc, 0.0);
+  std::fill(counts, counts + pr * pc, 0.0);
   for (size_t r = 0; r < rows; ++r) {
     const size_t tr = r * pr / rows;
     for (size_t c = 0; c < cols; ++c) {
       const size_t tc = c * pc / cols;
-      pooled[tr * pc + tc] += matrix[r * cols + c];
-      counts[tr * pc + tc]++;
+      out[tr * pc + tc] += matrix[r * cols + c];
+      counts[tr * pc + tc] += 1.0;
     }
   }
-  for (size_t i = 0; i < pooled.size(); ++i) {
-    if (counts[i] > 0) pooled[i] /= static_cast<double>(counts[i]);
+  for (size_t i = 0; i < pr * pc; ++i) {
+    if (counts[i] > 0.0) out[i] /= counts[i];
   }
-  return pooled;
 }
 
 }  // namespace deepod::core

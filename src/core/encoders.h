@@ -87,6 +87,9 @@ class ExternalFeaturesEncoder : public nn::Module {
   void SetTraining(bool training) override;
 
   size_t out_dim() const;
+  size_t max_dim() const { return max_dim_; }
+  const nn::TrafficCnn& cnn() const { return cnn_; }
+  const nn::Mlp2& mlp() const { return mlp_; }
 
  private:
   size_t max_dim_;
@@ -99,6 +102,13 @@ class ExternalFeaturesEncoder : public nn::Module {
 std::vector<double> PoolMatrix(const std::vector<double>& matrix, size_t rows,
                                size_t cols, size_t max_dim, size_t* out_rows,
                                size_t* out_cols);
+
+// PoolMatrix into caller storage: `out` and `counts` each hold
+// min(rows, max_dim) * min(cols, max_dim) doubles (`counts` is scratch).
+// Writes the same values PoolMatrix returns.
+void PoolMatrixInto(const double* matrix, size_t rows, size_t cols,
+                    size_t max_dim, double* out, double* counts,
+                    size_t* out_rows, size_t* out_cols);
 
 }  // namespace deepod::core
 

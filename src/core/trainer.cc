@@ -33,6 +33,7 @@ void UnflattenState(const std::vector<double>& flat, const nn::StateDict& state)
     std::copy_n(flat.data() + offset, e.size, e.data);
     offset += e.size;
   }
+  nn::BumpParamEpoch();  // parameter storage changed in place
 }
 
 }  // namespace
@@ -296,8 +297,12 @@ void DeepOdTrainer::SaveCheckpoint(const std::string& path) {
   EnsureBestState();
   ckpt.AddScalarBuffer("trainer.step", &step_value);
   ckpt.AddScalarBuffer("trainer.epoch", &epoch_value);
-  ckpt.AddScalarBuffer("trainer.best_val", &best_val_);
-  ckpt.AddBuffer("trainer.rng", {rng_bits.size()}, rng_bits.data());
+  // best_val is +inf before the first validation; the RNG words are raw
+  // bits. Neither is model state, so neither is held to the finite check.
+  ckpt.AddScalarBuffer("trainer.best_val", &best_val_,
+                       nn::StateDict::Values::kAny);
+  ckpt.AddBuffer("trainer.rng", {rng_bits.size()}, rng_bits.data(),
+                 nn::StateDict::Values::kAny);
   ckpt.AddBuffer("trainer.order", {order_values.size()}, order_values.data());
   ckpt.AddBuffer("trainer.best_state", {best_state_.size()},
                  best_state_.data());
@@ -314,8 +319,12 @@ void DeepOdTrainer::LoadCheckpoint(const std::string& path) {
   EnsureBestState();
   ckpt.AddScalarBuffer("trainer.step", &step_value);
   ckpt.AddScalarBuffer("trainer.epoch", &epoch_value);
-  ckpt.AddScalarBuffer("trainer.best_val", &best_val_);
-  ckpt.AddBuffer("trainer.rng", {rng_bits.size()}, rng_bits.data());
+  // best_val is +inf before the first validation; the RNG words are raw
+  // bits. Neither is model state, so neither is held to the finite check.
+  ckpt.AddScalarBuffer("trainer.best_val", &best_val_,
+                       nn::StateDict::Values::kAny);
+  ckpt.AddBuffer("trainer.rng", {rng_bits.size()}, rng_bits.data(),
+                 nn::StateDict::Values::kAny);
   ckpt.AddBuffer("trainer.order", {order_values.size()}, order_values.data());
   ckpt.AddBuffer("trainer.best_state", {best_state_.size()},
                  best_state_.data());

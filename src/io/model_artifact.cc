@@ -308,6 +308,9 @@ ServingModel LoadModelArtifact(const std::string& path,
   out.quant = options.quant != nn::QuantMode::kNone ? options.quant : stored;
   if (options.quant != nn::QuantMode::kNone) {
     nn::FakeQuantizeStateDict(dict, options.quant);
+    // fp16 overflows past 65504 to infinity: the snapped weights must
+    // still be servable.
+    nn::ThrowIfError(nn::CheckFinite(dict));
   }
 
   out.model->ClearOcodeMemo();

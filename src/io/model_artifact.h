@@ -95,11 +95,12 @@ void WriteModelArtifact(const std::string& path, core::DeepOdModel& model,
 // Reads an artifact and stands up a predict-only model against `network`
 // (which must be the network the model was trained on — the embedding table
 // size is validated against it). Throws nn::SerializeError with a typed
-// status on a truncated/corrupt file, an unsupported artifact version or a
-// config/shape mismatch; a failed load never returns a half-written model.
-// Quantised (v3) artifacts dequantise into fp64 storage on load, so every
-// kernel tier serves them unchanged; options.quant additionally
-// fake-quantises fp64 weights at load time.
+// status on a truncated/corrupt file, an unsupported artifact version, a
+// config/shape mismatch or a NaN/infinite value in any tensor (kNonFinite,
+// checked again after load-time quantisation); a failed load never returns
+// a half-written model. Quantised (v3) artifacts dequantise into fp64
+// storage on load, so every kernel tier serves them unchanged;
+// options.quant additionally fake-quantises fp64 weights at load time.
 ServingModel LoadModelArtifact(const std::string& path,
                                const road::RoadNetwork& network);
 ServingModel LoadModelArtifact(const std::string& path,

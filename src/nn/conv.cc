@@ -239,6 +239,16 @@ Tensor TrafficCnn::Forward(const Tensor& input) {
   return proj_.Forward(GlobalAvgPool(z));
 }
 
+const Conv2dLayer& TrafficCnn::conv(size_t block) const {
+  const Conv2dLayer* convs[kBlocks] = {&conv1_, &conv2_, &conv3_};
+  return *convs[block];
+}
+
+const BatchNorm2d& TrafficCnn::bn(size_t block) const {
+  const BatchNorm2d* bns[kBlocks] = {&bn1_, &bn2_, &bn3_};
+  return *bns[block];
+}
+
 std::vector<Tensor> TrafficCnn::Parameters() {
   std::vector<Tensor> params;
   for (Module* m : std::vector<Module*>{&conv1_, &conv2_, &conv3_, &bn1_, &bn2_,

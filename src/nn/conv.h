@@ -23,6 +23,10 @@ class Conv2dLayer : public Module {
   void AppendState(const std::string& prefix, StateDict& out) override;
 
   size_t out_channels() const { return out_channels_; }
+  size_t pad_h() const { return pad_h_; }
+  size_t pad_w() const { return pad_w_; }
+  const Tensor& kernel() const { return kernel_; }
+  const Tensor& bias() const { return bias_; }
 
  private:
   size_t out_channels_;
@@ -54,6 +58,9 @@ class BatchNorm2d : public Module {
 
   const std::vector<double>& running_mean() const { return running_mean_; }
   const std::vector<double>& running_var() const { return running_var_; }
+  const Tensor& gamma() const { return gamma_; }
+  const Tensor& beta() const { return beta_; }
+  double eps() const { return eps_; }
 
   // Applies one exponential-moving-average step to the running statistics.
   // Training forwards do this inline, except while a BnCaptureScope is
@@ -134,6 +141,12 @@ class TrafficCnn : public Module {
   void SetTraining(bool training) override;
 
   size_t out_dim() const { return proj_.out_dim(); }
+
+  // The Conv→BN→ReLU blocks in forward order, and the projection.
+  static constexpr size_t kBlocks = 3;
+  const Conv2dLayer& conv(size_t block) const;
+  const BatchNorm2d& bn(size_t block) const;
+  const Linear& proj() const { return proj_; }
 
  private:
   Conv2dLayer conv1_, conv2_, conv3_;

@@ -19,18 +19,20 @@ void StateDict::AddParameter(const std::string& name, const Tensor& parameter) {
 }
 
 void StateDict::AddBuffer(const std::string& name, std::vector<size_t> shape,
-                          double* data) {
+                          double* data, Values values) {
   Entry e;
   e.name = name;
   e.size = nn::NumElements(shape);
   e.shape = std::move(shape);
   e.data = data;
   e.is_buffer = true;
+  e.values = values;
   entries_.push_back(std::move(e));
 }
 
-void StateDict::AddScalarBuffer(const std::string& name, double* value) {
-  AddBuffer(name, {}, value);
+void StateDict::AddScalarBuffer(const std::string& name, double* value,
+                                Values values) {
+  AddBuffer(name, {}, value, values);
 }
 
 const StateDict::Entry* StateDict::Find(const std::string& name) const {

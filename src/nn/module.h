@@ -23,12 +23,18 @@ namespace deepod::nn {
 // Tensor handle so the shared storage cannot be recycled under the view.
 class StateDict {
  public:
+  // What an entry may hold. Model state is kFinite: the loaders reject a
+  // NaN or infinity in it (see CheckFinite in serialize.h). kAny is for
+  // bookkeeping that stores sentinels or raw bit patterns in doubles.
+  enum class Values { kFinite, kAny };
+
   struct Entry {
     std::string name;
     std::vector<size_t> shape;  // empty = scalar
     double* data = nullptr;     // borrowed, `size` elements
     size_t size = 0;
     bool is_buffer = false;  // true for non-trainable state
+    Values values = Values::kFinite;
     Tensor keepalive;        // defined only for parameter entries
   };
 
@@ -37,9 +43,10 @@ class StateDict {
   // Registers a non-trainable buffer over caller-owned storage; `data` must
   // hold NumElements(shape) doubles and outlive the dict.
   void AddBuffer(const std::string& name, std::vector<size_t> shape,
-                 double* data);
+                 double* data, Values values = Values::kFinite);
   // Scalar buffer convenience (shape {}).
-  void AddScalarBuffer(const std::string& name, double* value);
+  void AddScalarBuffer(const std::string& name, double* value,
+                       Values values = Values::kFinite);
 
   const std::vector<Entry>& entries() const { return entries_; }
   bool empty() const { return entries_.empty(); }
@@ -140,6 +147,8 @@ class Mlp2 : public Module {
   void AppendState(const std::string& prefix, StateDict& out) override;
 
   size_t out_dim() const { return layer2_.out_dim(); }
+  const Linear& layer1() const { return layer1_; }
+  const Linear& layer2() const { return layer2_; }
 
  private:
   Linear layer1_;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "nn/kernels.h"
 #include "nn/simd.h"
 #include "obs/metrics.h"
 
@@ -38,15 +39,6 @@ void CheckSameShape(const Tensor& a, const Tensor& b, const char* op) {
 // ever constructed, so the query path builds no graph to destruct.
 bool Inference() { return !GradEnabled(); }
 
-// True when the current op should run the explicit AVX2 kernels: the thread
-// selected kSimd AND the runtime dispatch (compiled + cpuid + DEEPOD_SIMD)
-// allows it. When this is false a kSimd thread takes the kVector code path
-// of each op, which makes the fallback bit-identical to kVector by
-// construction.
-bool SimdActive() {
-  return GetKernelMode() == KernelMode::kSimd && Avx2Active();
-}
-
 // Elementwise unary op helper: forward f(x), backward df(x, y) where y is
 // the forward output value.
 template <typename F, typename DF>
@@ -63,23 +55,6 @@ Tensor UnaryOp(const Tensor& a, F f, DF df) {
           ga[i] += self.grad[i] * df(pa->data[i], self.data[i]);
         }
       });
-}
-
-// Reassociated dot product: four independent accumulators let the
-// compiler vectorise. Only used in KernelMode::kVector (the changed
-// summation order perturbs last-bit rounding).
-double DotUnrolled(const double* a, const double* b, size_t n) {
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    s0 += a[i] * b[i];
-    s1 += a[i + 1] * b[i + 1];
-    s2 += a[i + 2] * b[i + 2];
-    s3 += a[i + 3] * b[i + 3];
-  }
-  double s = (s0 + s1) + (s2 + s3);
-  for (; i < n; ++i) s += a[i] * b[i];
-  return s;
 }
 
 // --- MatMul kernels ---------------------------------------------------------
@@ -135,143 +110,12 @@ void MatMulForwardBlocked(const double* xa, const double* bt, double* out,
   }
 }
 
-// --- Conv2d kernels ---------------------------------------------------------
+// --- Conv2d backward kernels ------------------------------------------------
 //
-// The blocked kernel hoists the zero-padding bounds out of the inner loops
+// The blocked backward hoists the zero-padding bounds out of the inner loops
 // (the naive kernel re-checks them per multiply) and walks kx over
-// contiguous input/kernel runs; the (ic, ky, kx) accumulation order of each
-// output entry is unchanged, so results are bit-identical to the naive
-// kernel.
-
-struct ConvGeom {
-  size_t cin, h, w, cout, kh, kw, oh, ow, pad_h, pad_w;
-};
-
-void ConvForwardNaive(const ConvGeom& g, const double* xin, const double* xk,
-                      double* out) {
-  std::fill(out, out + g.cout * g.oh * g.ow, 0.0);
-  for (size_t oc = 0; oc < g.cout; ++oc) {
-    for (size_t oy = 0; oy < g.oh; ++oy) {
-      for (size_t ox = 0; ox < g.ow; ++ox) {
-        double s = 0.0;
-        for (size_t ic = 0; ic < g.cin; ++ic) {
-          for (size_t ky = 0; ky < g.kh; ++ky) {
-            const long iy = static_cast<long>(oy + ky) - static_cast<long>(g.pad_h);
-            if (iy < 0 || iy >= static_cast<long>(g.h)) continue;
-            for (size_t kx = 0; kx < g.kw; ++kx) {
-              const long ix = static_cast<long>(ox + kx) - static_cast<long>(g.pad_w);
-              if (ix < 0 || ix >= static_cast<long>(g.w)) continue;
-              s += xin[(ic * g.h + iy) * g.w + ix] *
-                   xk[((oc * g.cin + ic) * g.kh + ky) * g.kw + kx];
-            }
-          }
-        }
-        out[(oc * g.oh + oy) * g.ow + ox] = s;
-      }
-    }
-  }
-}
-
-void ConvForwardBlocked(const ConvGeom& g, const double* xin, const double* xk,
-                        double* out) {
-  for (size_t oc = 0; oc < g.cout; ++oc) {
-    const double* koc = xk + oc * g.cin * g.kh * g.kw;
-    for (size_t oy = 0; oy < g.oh; ++oy) {
-      const size_t ky_lo = g.pad_h > oy ? g.pad_h - oy : 0;
-      const size_t ky_hi = std::min(g.kh, g.h + g.pad_h - oy);
-      for (size_t ox = 0; ox < g.ow; ++ox) {
-        const size_t kx_lo = g.pad_w > ox ? g.pad_w - ox : 0;
-        const size_t kx_hi = std::min(g.kw, g.w + g.pad_w - ox);
-        const long xoff = static_cast<long>(ox) - static_cast<long>(g.pad_w);
-        double s = 0.0;
-        for (size_t ic = 0; ic < g.cin; ++ic) {
-          for (size_t ky = ky_lo; ky < ky_hi; ++ky) {
-            const size_t iy = oy + ky - g.pad_h;
-            const double* in_row = xin + (ic * g.h + iy) * g.w;
-            const double* k_row = koc + (ic * g.kh + ky) * g.kw;
-            for (size_t kx = kx_lo; kx < kx_hi; ++kx) {
-              s += in_row[xoff + static_cast<long>(kx)] * k_row[kx];
-            }
-          }
-        }
-        out[(oc * g.oh + oy) * g.ow + ox] = s;
-      }
-    }
-  }
-}
-
-// Planar kernel for KernelMode::kVector: accumulates whole shifted rows
-// per (oc, ic, ky, kx) tap, which turns the innermost loop into a
-// vectorisable contiguous axpy. Sums each output entry in (ic, ky, kx,
-// then tap-major) order — deterministic but not bit-identical to the
-// per-point kernels.
-void ConvForwardVector(const ConvGeom& g, const double* xin, const double* xk,
-                       double* out) {
-  std::fill(out, out + g.cout * g.oh * g.ow, 0.0);
-  for (size_t oc = 0; oc < g.cout; ++oc) {
-    const double* koc = xk + oc * g.cin * g.kh * g.kw;
-    double* out_plane = out + oc * g.oh * g.ow;
-    for (size_t ic = 0; ic < g.cin; ++ic) {
-      const double* in_plane = xin + ic * g.h * g.w;
-      for (size_t ky = 0; ky < g.kh; ++ky) {
-        const size_t oy_lo = g.pad_h > ky ? g.pad_h - ky : 0;
-        const size_t oy_hi = std::min(g.oh, g.h + g.pad_h - ky);
-        for (size_t kx = 0; kx < g.kw; ++kx) {
-          const double kval = koc[(ic * g.kh + ky) * g.kw + kx];
-          if (kval == 0.0) continue;
-          const size_t ox_lo = g.pad_w > kx ? g.pad_w - kx : 0;
-          const size_t ox_hi = std::min(g.ow, g.w + g.pad_w - kx);
-          if (ox_hi <= ox_lo) continue;
-          const size_t len = ox_hi - ox_lo;
-          const size_t ix_lo = ox_lo + kx - g.pad_w;
-          for (size_t oy = oy_lo; oy < oy_hi; ++oy) {
-            const size_t iy = oy + ky - g.pad_h;
-            const double* in_row = in_plane + iy * g.w + ix_lo;
-            double* o_row = out_plane + oy * g.ow + ox_lo;
-            for (size_t i = 0; i < len; ++i) o_row[i] += kval * in_row[i];
-          }
-        }
-      }
-    }
-  }
-}
-
-// KernelMode::kSimd forward: ConvForwardVector with the contiguous axpy
-// replaced by the AVX2 axpy. The element order is identical to the scalar
-// loop — elementwise ops have no summation order to reassociate — but
-// AxpyAvx2 fuses each multiply-add into one FMA (one rounding per tap where
-// the scalar loop has two), so the result matches ConvForwardVector under
-// the kSimd value-tolerance contract, not bit-for-bit. Only called when
-// Avx2Active().
-void ConvForwardSimd(const ConvGeom& g, const double* xin, const double* xk,
-                     double* out) {
-  std::fill(out, out + g.cout * g.oh * g.ow, 0.0);
-  for (size_t oc = 0; oc < g.cout; ++oc) {
-    const double* koc = xk + oc * g.cin * g.kh * g.kw;
-    double* out_plane = out + oc * g.oh * g.ow;
-    for (size_t ic = 0; ic < g.cin; ++ic) {
-      const double* in_plane = xin + ic * g.h * g.w;
-      for (size_t ky = 0; ky < g.kh; ++ky) {
-        const size_t oy_lo = g.pad_h > ky ? g.pad_h - ky : 0;
-        const size_t oy_hi = std::min(g.oh, g.h + g.pad_h - ky);
-        for (size_t kx = 0; kx < g.kw; ++kx) {
-          const double kval = koc[(ic * g.kh + ky) * g.kw + kx];
-          if (kval == 0.0) continue;
-          const size_t ox_lo = g.pad_w > kx ? g.pad_w - kx : 0;
-          const size_t ox_hi = std::min(g.ow, g.w + g.pad_w - kx);
-          if (ox_hi <= ox_lo) continue;
-          const size_t len = ox_hi - ox_lo;
-          const size_t ix_lo = ox_lo + kx - g.pad_w;
-          for (size_t oy = oy_lo; oy < oy_hi; ++oy) {
-            const size_t iy = oy + ky - g.pad_h;
-            AxpyAvx2(kval, in_plane + iy * g.w + ix_lo,
-                     out_plane + oy * g.ow + ox_lo, len);
-          }
-        }
-      }
-    }
-  }
-}
+// contiguous input/kernel runs; each gradient entry accumulates in the naive
+// kernel's order, so results are bit-identical to it.
 
 void ConvBackwardVector(const ConvGeom& g, const double* grad_out,
                         const double* xin, const double* xk, double* gin,
@@ -593,24 +437,12 @@ Tensor Affine(const Tensor& w, const Tensor& x, const Tensor& b) {
   const auto& xx = x.data();
   const auto& xb = b.data();
   auto out = AcquireBuffer(o);
-  const KernelMode mode = GetKernelMode();
-  if (SimdActive()) {
-    // Same packed kernel AffineRows uses per row, so Predict stays
-    // bit-identical to PredictBatch in kSimd too.
-    const auto packed = PackedFor(w.impl());
-    GemvBiasPacked(*packed, xx.data(), xb.data(), out.data());
-  } else if (mode == KernelMode::kVector || mode == KernelMode::kSimd) {
-    for (size_t i = 0; i < o; ++i) {
-      out[i] = xb[i] + DotUnrolled(&xw[i * in], xx.data(), in);
-    }
-  } else {
-    for (size_t i = 0; i < o; ++i) {
-      double s = xb[i];
-      const double* wrow = &xw[i * in];
-      for (size_t j = 0; j < in; ++j) s += wrow[j] * xx[j];
-      out[i] = s;
-    }
-  }
+  // Same kernel AffineRows runs per row, so Predict stays bit-identical to
+  // PredictBatch in every tier (kSimd included: one packed GEMV).
+  std::shared_ptr<const PackedGemv> packed;
+  if (SimdActive()) packed = PackedFor(w.impl());
+  const PackedGemvView view = packed ? packed->view() : PackedGemvView{};
+  AffineForward(xw.data(), &view, xx.data(), xb.data(), out.data(), o, in);
   if (Inference()) return Tensor::FromData({o}, std::move(out));
   auto pw = w.impl(), px = x.impl(), pb = b.impl();
   return Tensor::MakeOpResult(
@@ -645,35 +477,15 @@ Tensor AffineRows(const Tensor& x, const Tensor& w, const Tensor& b) {
   const auto& xw = w.data();
   const auto& xb = b.data();
   auto out = AcquireBuffer(n * o);
-  // Row r is computed exactly like Affine(w, x[r], b): bias-first, then the
-  // dot product in the active kernel tier's summation order (in kSimd, the
-  // identical packed GEMV kernel). That keeps PredictBatch bit-identical to
-  // a per-query Predict loop in every mode.
-  const KernelMode mode = GetKernelMode();
-  if (SimdActive()) {
-    const auto packed = PackedFor(w.impl());
-    for (size_t r = 0; r < n; ++r) {
-      GemvBiasPacked(*packed, &xx[r * in], xb.data(), &out[r * o]);
-    }
-  } else if (mode == KernelMode::kVector || mode == KernelMode::kSimd) {
-    for (size_t r = 0; r < n; ++r) {
-      const double* xrow = &xx[r * in];
-      double* orow = &out[r * o];
-      for (size_t i = 0; i < o; ++i) {
-        orow[i] = xb[i] + DotUnrolled(&xw[i * in], xrow, in);
-      }
-    }
-  } else {
-    for (size_t r = 0; r < n; ++r) {
-      const double* xrow = &xx[r * in];
-      double* orow = &out[r * o];
-      for (size_t i = 0; i < o; ++i) {
-        double s = xb[i];
-        const double* wrow = &xw[i * in];
-        for (size_t j = 0; j < in; ++j) s += wrow[j] * xrow[j];
-        orow[i] = s;
-      }
-    }
+  // Row r is computed exactly like Affine(w, x[r], b) — the same
+  // AffineForward kernel — which keeps PredictBatch bit-identical to a
+  // per-query Predict loop in every mode.
+  std::shared_ptr<const PackedGemv> packed;
+  if (SimdActive()) packed = PackedFor(w.impl());
+  const PackedGemvView view = packed ? packed->view() : PackedGemvView{};
+  for (size_t r = 0; r < n; ++r) {
+    AffineForward(xw.data(), &view, &xx[r * in], xb.data(), &out[r * o], o,
+                  in);
   }
   if (Inference()) return Tensor::FromData({n, o}, std::move(out));
   auto px = x.impl(), pw = w.impl(), pb = b.impl();
@@ -883,24 +695,11 @@ Tensor Conv2d(const Tensor& input, const Tensor& kernel, size_t pad_h,
   const auto& xin = input.data();
   const auto& xk = kernel.data();
   auto out = AcquireBuffer(cout * oh * ow);
-  switch (GetKernelMode()) {
-    case KernelMode::kLegacy:
-      ConvForwardNaive(geom, xin.data(), xk.data(), out.data());
-      break;
-    case KernelMode::kBlocked:
-      ConvForwardBlocked(geom, xin.data(), xk.data(), out.data());
-      break;
-    case KernelMode::kVector:
-      ConvForwardVector(geom, xin.data(), xk.data(), out.data());
-      break;
-    case KernelMode::kSimd:
-      if (SimdActive()) {
-        ConvForwardSimd(geom, xin.data(), xk.data(), out.data());
-      } else {
-        ConvForwardVector(geom, xin.data(), xk.data(), out.data());
-      }
-      break;
+  thread_local std::vector<double> scratch;
+  if (scratch.size() < ConvScratchSize(geom)) {
+    scratch.resize(ConvScratchSize(geom));
   }
+  ConvForward(geom, xin.data(), xk.data(), out.data(), scratch.data());
   if (Inference()) return Tensor::FromData({cout, oh, ow}, std::move(out));
   auto pin = input.impl(), pk = kernel.impl();
   return Tensor::MakeOpResult(

@@ -1,5 +1,6 @@
 #include "nn/serialize.h"
 
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -100,6 +101,7 @@ const char* LoadErrorKindName(LoadErrorKind kind) {
     case LoadErrorKind::kShapeMismatch: return "shape_mismatch";
     case LoadErrorKind::kTrailingBytes: return "trailing_bytes";
     case LoadErrorKind::kCountMismatch: return "count_mismatch";
+    case LoadErrorKind::kNonFinite: return "non_finite";
   }
   return "unknown";
 }
@@ -336,6 +338,55 @@ void DecodeRecordInto(const std::vector<uint8_t>& buffer,
   }
 }
 
+// Index of the first element of `record` that decodes (as DecodeRecordInto
+// would) to NaN or an infinity, or SIZE_MAX. Reads the payload in place, so
+// validating a load needs no staging copy of the state.
+size_t FirstNonFinite(const std::vector<uint8_t>& buffer,
+                      const TensorRecord& record) {
+  const uint8_t* payload = buffer.data() + record.payload_offset;
+  switch (record.dtype) {
+    case kDtypeF16: {
+      for (size_t i = 0; i < record.num_elements; ++i) {
+        uint16_t half;
+        std::memcpy(&half, payload + sizeof(uint16_t) * i, sizeof(half));
+        if (!std::isfinite(HalfToDouble(half))) return i;
+      }
+      return SIZE_MAX;
+    }
+    case kDtypeI8: {
+      const size_t rows = RecordRows(record.shape);
+      const size_t cols = record.num_elements / rows;
+      const auto* q =
+          reinterpret_cast<const int8_t*>(payload + sizeof(double) * rows);
+      for (size_t r = 0; r < rows; ++r) {
+        double scale;
+        std::memcpy(&scale, payload + sizeof(double) * r, sizeof(scale));
+        for (size_t j = 0; j < cols; ++j) {
+          if (!std::isfinite(static_cast<double>(q[r * cols + j]) * scale)) {
+            return r * cols + j;
+          }
+        }
+      }
+      return SIZE_MAX;
+    }
+    default:
+      for (size_t i = 0; i < record.num_elements; ++i) {
+        double value;
+        std::memcpy(&value, payload + sizeof(double) * i, sizeof(value));
+        if (!std::isfinite(value)) return i;
+      }
+      return SIZE_MAX;
+  }
+}
+
+LoadStatus NonFiniteError(const std::string& tensor, size_t index) {
+  return LoadStatus::Error(LoadErrorKind::kNonFinite,
+                           "tensor '" + tensor +
+                               "' holds a NaN or an infinity at element " +
+                               std::to_string(index),
+                           tensor);
+}
+
 }  // namespace
 
 std::vector<double> ReadRecordPayload(const std::vector<uint8_t>& buffer,
@@ -402,11 +453,28 @@ LoadStatus DeserializeStateDict(const std::vector<uint8_t>& buffer,
     }
   }
   for (size_t i = 0; i < entries.size(); ++i) {
+    if (entries[i].values == StateDict::Values::kAny) continue;
+    if (const size_t bad = FirstNonFinite(buffer, *sources[i]);
+        bad != SIZE_MAX) {
+      return NonFiniteError(entries[i].name, bad);
+    }
+  }
+  for (size_t i = 0; i < entries.size(); ++i) {
     DecodeRecordInto(buffer, *sources[i], entries[i].data);
   }
   // Parameter storage changed in place: derived caches (the kSimd packed
   // weights) must rebuild.
   BumpParamEpoch();
+  return LoadStatus::Ok();
+}
+
+LoadStatus CheckFinite(const StateDict& state) {
+  for (const auto& e : state.entries()) {
+    if (e.values == StateDict::Values::kAny) continue;
+    for (size_t i = 0; i < e.size; ++i) {
+      if (!std::isfinite(e.data[i])) return NonFiniteError(e.name, i);
+    }
+  }
   return LoadStatus::Ok();
 }
 

@@ -62,12 +62,13 @@ enum class LoadErrorKind {
   kShapeMismatch,     // name matched but shapes differ (config mismatch)
   kTrailingBytes,     // well-formed records followed by garbage
   kCountMismatch,     // legacy blob: positional parameter count differs
+  kNonFinite,         // a NaN or infinity in a finite-valued tensor
 };
 
 // Outcome of a load/save operation. `tensor` names the first offending
 // record for per-tensor failures (kMissingTensor / kUnexpectedTensor /
-// kShapeMismatch); `message` is a human-readable one-liner that includes
-// expected-vs-found shapes where applicable.
+// kShapeMismatch / kNonFinite); `message` is a human-readable one-liner
+// that includes expected-vs-found shapes where applicable.
 struct LoadStatus {
   LoadErrorKind kind = LoadErrorKind::kNone;
   std::string tensor;
@@ -125,11 +126,18 @@ size_t SerializedStateSize(const StateDict& state);
 // records into the fp64 entry storage. Strict by-name matching: every dict
 // entry must appear in the buffer with an identical shape and every buffer
 // record must be expected by the dict — the first violation is reported
-// with its tensor name and both shapes. No entry is modified unless the
-// whole buffer validates (checksum included), so a failed load never leaves
-// a model half-written. Bumps the parameter epoch on success.
+// with its tensor name and both shapes. Decoded values must pass
+// CheckFinite. No entry is modified unless the whole buffer validates
+// (checksum included), so a failed load never leaves a model half-written.
+// Bumps the parameter epoch on success.
 LoadStatus DeserializeStateDict(const std::vector<uint8_t>& buffer,
                                 StateDict& state);
+
+// kNonFinite naming the first entry (not marked StateDict::Values::kAny)
+// that holds a NaN or an infinity; Ok otherwise. Served weights must be
+// finite: a NaN weight serves NaN, and the padded conv kernel of kBlocked
+// is bit-identical to kLegacy only for finite weights (nn/kernels.h).
+LoadStatus CheckFinite(const StateDict& state);
 
 // One record of a serialised state dict, without its payload.
 struct TensorRecord {

@@ -1,5 +1,6 @@
 #include "nn/simd.h"
 
+#include <algorithm>
 #include <mutex>
 #include <shared_mutex>
 #include <unordered_map>
@@ -50,28 +51,35 @@ bool Avx2Active() {
 
 const char* SimdBackendName() { return Avx2Active() ? "avx2" : "scalar"; }
 
-PackedGemv PackGemv(const double* w, size_t rows, size_t cols) {
-  PackedGemv packed;
-  packed.rows = rows;
-  packed.cols = cols;
-  packed.full_panels = rows / kGemvPanel;
-  packed.panels.resize(packed.full_panels * cols * kGemvPanel);
-  for (size_t p = 0; p < packed.full_panels; ++p) {
-    double* panel = packed.panels.data() + p * cols * kGemvPanel;
+PackedGemvView PackGemvInto(const double* w, size_t rows, size_t cols,
+                            double* dst) {
+  const size_t full_panels = rows / kGemvPanel;
+  for (size_t p = 0; p < full_panels; ++p) {
+    double* panel = dst + p * cols * kGemvPanel;
     for (size_t j = 0; j < cols; ++j) {
       for (size_t lane = 0; lane < kGemvPanel; ++lane) {
         panel[j * kGemvPanel + lane] = w[(p * kGemvPanel + lane) * cols + j];
       }
     }
   }
-  const size_t tail_rows = rows - packed.full_panels * kGemvPanel;
-  packed.tail.assign(w + packed.full_panels * kGemvPanel * cols,
-                     w + packed.full_panels * kGemvPanel * cols +
-                         tail_rows * cols);
+  const size_t packed_rows = full_panels * kGemvPanel;
+  std::copy(w + packed_rows * cols, w + rows * cols, dst + packed_rows * cols);
+  return {rows, cols, full_panels, dst, dst + packed_rows * cols};
+}
+
+PackedGemv PackGemv(const double* w, size_t rows, size_t cols) {
+  std::vector<double> flat(rows * cols);
+  const PackedGemvView view = PackGemvInto(w, rows, cols, flat.data());
+  PackedGemv packed;
+  packed.rows = rows;
+  packed.cols = cols;
+  packed.full_panels = view.full_panels;
+  packed.panels.assign(view.panels, view.tail);
+  packed.tail.assign(view.tail, view.panels + flat.size());
   return packed;
 }
 
-void GemvBiasPacked(const PackedGemv& packed, const double* x,
+void GemvBiasPacked(const PackedGemvView& packed, const double* x,
                     const double* bias, double* y) {
   avx2::GemvBiasPacked(packed, x, bias, y);
 }

@@ -51,6 +51,15 @@ const char* SimdBackendName();
 // doubles, so a panel lets one broadcast of x[j] feed 4 row accumulators.
 inline constexpr size_t kGemvPanel = 4;
 
+// Non-owning form of a packed matrix — what the GEMV kernel reads.
+struct PackedGemvView {
+  size_t rows = 0;
+  size_t cols = 0;
+  size_t full_panels = 0;
+  const double* panels = nullptr;
+  const double* tail = nullptr;
+};
+
 // A [rows, cols] row-major weight matrix repacked for the AVX2 GEMV:
 //  - `panels` holds full_panels panels of kGemvPanel rows each, laid out
 //    column-interleaved: panels[(p*cols + j)*kGemvPanel + lane] is
@@ -64,15 +73,24 @@ struct PackedGemv {
   size_t full_panels = 0;
   std::vector<double> panels;  // full_panels * cols * kGemvPanel
   std::vector<double> tail;    // (rows % kGemvPanel) * cols
+
+  PackedGemvView view() const {
+    return {rows, cols, full_panels, panels.data(), tail.data()};
+  }
 };
 
 // Packs `rows * cols` row-major weights (w points at W[0][0]).
 PackedGemv PackGemv(const double* w, size_t rows, size_t cols);
 
+// The same packing into one caller-owned buffer of rows * cols doubles
+// (panels first, then the tail rows); returns the view over `dst`.
+PackedGemvView PackGemvInto(const double* w, size_t rows, size_t cols,
+                            double* dst);
+
 // y[r] = bias[r] + sum_j W[r][j] * x[j] for every packed row, via broadcast
 // x[j] + FMA into 4-row accumulators (tail rows scalar-FMA). `bias` may be
 // nullptr (treated as zeros). Requires Avx2Active().
-void GemvBiasPacked(const PackedGemv& packed, const double* x,
+void GemvBiasPacked(const PackedGemvView& packed, const double* x,
                     const double* bias, double* y);
 
 // Two-source variant for the fused LSTM cell: the packed matrix has

@@ -19,10 +19,10 @@ const bool kAvx2Compiled = true;
 // packed panels inherit that. Unaligned AVX2 loads cost nothing extra on
 // any CPU this targets and keep UBSan quiet.
 
-void GemvBiasPacked(const PackedGemv& packed, const double* x,
+void GemvBiasPacked(const PackedGemvView& packed, const double* x,
                     const double* bias, double* y) {
   const size_t cols = packed.cols;
-  const double* panel = packed.panels.data();
+  const double* panel = packed.panels;
   for (size_t p = 0; p < packed.full_panels; ++p) {
     __m256d acc = bias != nullptr
                       ? _mm256_loadu_pd(bias + p * kGemvPanel)
@@ -36,7 +36,7 @@ void GemvBiasPacked(const PackedGemv& packed, const double* x,
   }
   // Tail rows: one scalar accumulator per row, fused like the vector lanes.
   const size_t tail_rows = packed.rows - packed.full_panels * kGemvPanel;
-  const double* tail = packed.tail.data();
+  const double* tail = packed.tail;
   for (size_t t = 0; t < tail_rows; ++t) {
     const size_t r = packed.full_panels * kGemvPanel + t;
     double acc = bias != nullptr ? bias[r] : 0.0;
@@ -291,7 +291,8 @@ namespace {
 }
 }  // namespace
 
-void GemvBiasPacked(const PackedGemv&, const double*, const double*, double*) {
+void GemvBiasPacked(const PackedGemvView&, const double*, const double*,
+                    double*) {
   Unreachable();
 }
 void GemvBiasPacked2(const PackedGemv&, const double*, size_t, const double*,

@@ -17,7 +17,7 @@ namespace deepod::nn::avx2 {
 // Constant-initialised flag (no AVX2 instruction executes to read it).
 extern const bool kAvx2Compiled;
 
-void GemvBiasPacked(const PackedGemv& packed, const double* x,
+void GemvBiasPacked(const PackedGemvView& packed, const double* x,
                     const double* bias, double* y);
 void GemvBiasPacked2(const PackedGemv& packed, const double* x1, size_t n1,
                      const double* x2, const double* bias, double* y);

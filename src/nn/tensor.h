@@ -213,9 +213,10 @@ class InferenceGuard {
 //  - kLegacy:  the seed implementation's naive loops and plain allocation.
 //    Kept so the perf benches can measure an honest before/after in one
 //    binary and tests can pin down bit-identity with the original code.
-//  - kBlocked: cache-blocked, B-transposed kernels plus the thread-local
-//    buffer pool. Same floating-point summation order as kLegacy, so
-//    results are bit-identical — this is the default.
+//  - kBlocked: cache-blocked, B-transposed kernels, a padded conv and the
+//    thread-local buffer pool. Same floating-point summation order as
+//    kLegacy, so results are bit-identical (the conv for finite weights,
+//    see nn/kernels.h) — this is the default.
 //  - kVector:  reassociated (multi-accumulator / planar-axpy) kernels that
 //    the compiler can vectorise. Fastest scalar tier, but the changed
 //    summation order perturbs last-bit rounding, so results are

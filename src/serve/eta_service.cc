@@ -1,7 +1,6 @@
 #include "serve/eta_service.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -16,6 +15,15 @@ double SecondsSince(std::chrono::steady_clock::time_point start,
   return std::chrono::duration<double>(end - start).count();
 }
 
+// Runs `fn` in `mode` when set, else in the thread's ambient kernel mode
+// (PredictBatch pool workers inherit the caller's mode).
+template <typename Fn>
+auto InMode(const std::optional<nn::KernelMode>& mode, Fn&& fn) {
+  if (!mode.has_value()) return fn();
+  const nn::KernelModeScope scope(*mode);
+  return fn();
+}
+
 }  // namespace
 
 EtaService::EtaService(core::DeepOdModel& model,
@@ -25,10 +33,7 @@ EtaService::EtaService(core::DeepOdModel& model,
 EtaService::EtaService(std::shared_ptr<ServingState> initial,
                        const EtaServiceOptions& options)
     : options_(options),
-      cache_(options.cache_capacity, options.cache_shards),
       requests_(registry_.counter(options.registry_prefix + "requests")),
-      hits_(registry_.counter(options.registry_prefix + "cache_hits")),
-      misses_(registry_.counter(options.registry_prefix + "cache_misses")),
       batches_(registry_.counter(options.registry_prefix + "batches")),
       batched_requests_(
           registry_.counter(options.registry_prefix + "batched_requests")),
@@ -45,7 +50,6 @@ EtaService::EtaService(std::shared_ptr<ServingState> initial,
   }
   if (options_.max_batch == 0) options_.max_batch = 1;
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
-  if (options_.ratio_bucket <= 0.0) options_.ratio_bucket = 0.05;
   initial->epoch = last_epoch_;  // construction epoch 0
   state_ = std::move(initial);
   epoch_gauge_.Set(0.0);
@@ -96,36 +100,12 @@ uint64_t EtaService::BumpEpoch() {
   auto fresh = std::make_shared<ServingState>(*state_);
   fresh->epoch = ++last_epoch_;
   // The speed data the model reads changed under it: stored external codes
-  // (keyed by weather/snapshot, not by matrix content) are stale.
+  // (keyed by weather/snapshot, not by matrix content) are stale. Nothing
+  // else is derived from the speed data, so this is the whole refresh.
   fresh->model->ClearOcodeMemo();
   state_ = std::move(fresh);
   epoch_gauge_.Set(static_cast<double>(state_->epoch));
   return state_->epoch;
-}
-
-OdCacheKey EtaService::MakeKeyForState(const traj::OdInput& od,
-                                       const ServingState& state) const {
-  OdCacheKey key;
-  key.segments = (static_cast<uint64_t>(od.origin_segment) << 32) |
-                 static_cast<uint64_t>(od.dest_segment & 0xffffffffull);
-  const int64_t slot = state.slotter.Slot(od.departure_time);
-  const uint64_t node =
-      static_cast<uint64_t>(state.slotter.WeeklyNode(slot)) & 0xffffffffull;
-  const auto bucket = [this](double ratio) -> uint64_t {
-    const double clamped = std::clamp(ratio, 0.0, 1.0);
-    return static_cast<uint64_t>(clamped / options_.ratio_bucket) & 0xffull;
-  };
-  key.context = (node << 32) |
-                (static_cast<uint64_t>(static_cast<uint32_t>(od.weather_type) &
-                                       0xffffu)
-                 << 16) |
-                (bucket(od.origin_ratio) << 8) | bucket(od.dest_ratio);
-  key.epoch = state.epoch;
-  return key;
-}
-
-OdCacheKey EtaService::MakeKey(const traj::OdInput& od) const {
-  return MakeKeyForState(od, *state());
 }
 
 void EtaService::RecordCompletion(
@@ -137,21 +117,8 @@ void EtaService::RecordCompletion(
 double EtaService::Estimate(const traj::OdInput& od) {
   const auto start = std::chrono::steady_clock::now();
   const std::shared_ptr<const ServingState> state = this->state();
-  const OdCacheKey key = MakeKeyForState(od, *state);
-  if (auto cached = cache_.Get(key)) {
-    hits_.Add();
-    RecordCompletion(start);
-    return *cached;
-  }
-  misses_.Add();
-  double eta;
-  if (options_.kernel_mode.has_value()) {
-    const nn::KernelModeScope scope(*options_.kernel_mode);
-    eta = state->model->Predict(od);
-  } else {
-    eta = state->model->Predict(od);
-  }
-  cache_.Put(key, eta);
+  const double eta =
+      InMode(options_.kernel_mode, [&] { return state->model->Predict(od); });
   RecordCompletion(start);
   return eta;
 }
@@ -185,39 +152,11 @@ std::vector<double> EtaService::EstimateBatch(
   if (ods.empty()) return {};
   const auto start = std::chrono::steady_clock::now();
   // One state snapshot answers the whole batch: a concurrent SwapState
-  // never splits it across models or cache generations.
+  // never splits it across models.
   const std::shared_ptr<const ServingState> state = this->state();
-  std::vector<double> out(ods.size(), 0.0);
-  std::vector<size_t> miss_index;
-  std::vector<traj::OdInput> miss_ods;
-  std::vector<OdCacheKey> miss_keys;
-  for (size_t i = 0; i < ods.size(); ++i) {
-    const OdCacheKey key = MakeKeyForState(ods[i], *state);
-    if (auto cached = cache_.Get(key)) {
-      hits_.Add();
-      out[i] = *cached;
-    } else {
-      misses_.Add();
-      miss_index.push_back(i);
-      miss_ods.push_back(ods[i]);
-      miss_keys.push_back(key);
-    }
-  }
-  batch_assembly_.Observe(
-      SecondsSince(start, std::chrono::steady_clock::now()));
-  if (!miss_ods.empty()) {
-    std::vector<double> etas;
-    if (options_.kernel_mode.has_value()) {
-      const nn::KernelModeScope scope(*options_.kernel_mode);
-      etas = state->model->PredictBatch(miss_ods, pool);
-    } else {
-      etas = state->model->PredictBatch(miss_ods, pool);
-    }
-    for (size_t m = 0; m < miss_index.size(); ++m) {
-      cache_.Put(miss_keys[m], etas[m]);
-      out[miss_index[m]] = etas[m];
-    }
-  }
+  std::vector<double> out = InMode(options_.kernel_mode, [&] {
+    return state->model->PredictBatch(ods, pool);
+  });
   // Per-request latency is the whole batch's wall time — that is what a
   // caller of the batch actually waited.
   for (size_t i = 0; i < ods.size(); ++i) RecordCompletion(start);
@@ -254,32 +193,19 @@ void EtaService::DispatchLoop() {
     }
     queue_not_full_.notify_all();
 
-    // One state snapshot per drained batch: everything below — cache keys,
-    // the forward, the answers cached back — is consistent with the epoch
-    // current at dequeue time, even while a reloader flips the pointer.
+    // One state snapshot per drained batch: the forward and its answers
+    // are consistent with the epoch current at dequeue time, even while a
+    // reloader flips the pointer.
     const std::shared_ptr<const ServingState> state = this->state();
 
-    // Batch assembly: resolve cache hits and collect the miss list; the
-    // queue-wait histogram records how long each request sat in the queue.
+    // Batch assembly: the OD list; the queue-wait histogram records how
+    // long each request sat in the queue.
     const auto assembly_start = std::chrono::steady_clock::now();
-    std::vector<size_t> miss_index;
-    std::vector<traj::OdInput> miss_ods;
-    std::vector<OdCacheKey> miss_keys;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      queue_wait_.Observe(SecondsSince(batch[i].enqueued, assembly_start));
-      const OdCacheKey key = MakeKeyForState(batch[i].od, *state);
-      if (auto cached = cache_.Get(key)) {
-        hits_.Add();
-        // Record before set_value: a caller unblocked by the future may
-        // read StatsSnapshot immediately and must see this request counted.
-        RecordCompletion(batch[i].enqueued);
-        batch[i].promise.set_value(*cached);
-      } else {
-        misses_.Add();
-        miss_index.push_back(i);
-        miss_ods.push_back(batch[i].od);
-        miss_keys.push_back(key);
-      }
+    std::vector<traj::OdInput> ods;
+    ods.reserve(batch.size());
+    for (const Pending& pending : batch) {
+      queue_wait_.Observe(SecondsSince(pending.enqueued, assembly_start));
+      ods.push_back(pending.od);
     }
     const auto assembly_end = std::chrono::steady_clock::now();
     batch_assembly_.Observe(SecondsSince(assembly_start, assembly_end));
@@ -287,24 +213,18 @@ void EtaService::DispatchLoop() {
       obs::AppendTraceEvent("serve/batch_assembly", assembly_start,
                             assembly_end);
     }
-    if (!miss_ods.empty()) {
-      std::vector<double> etas;
-      if (options_.kernel_mode.has_value()) {
-        // PredictBatch pool workers inherit the dispatcher's mode.
-        const nn::KernelModeScope scope(*options_.kernel_mode);
-        etas = state->model->PredictBatch(miss_ods, pool_.get());
-      } else {
-        etas = state->model->PredictBatch(miss_ods, pool_.get());
-      }
-      for (size_t m = 0; m < miss_index.size(); ++m) {
-        cache_.Put(miss_keys[m], etas[m]);
-        RecordCompletion(batch[miss_index[m]].enqueued);
-        batch[miss_index[m]].promise.set_value(etas[m]);
-      }
-      if (obs::TraceEnabled()) {
-        obs::AppendTraceEvent("serve/batch_predict", assembly_end,
-                              std::chrono::steady_clock::now());
-      }
+    const std::vector<double> etas = InMode(options_.kernel_mode, [&] {
+      return state->model->PredictBatch(ods, pool_.get());
+    });
+    for (size_t i = 0; i < batch.size(); ++i) {
+      // Record before set_value: a caller unblocked by the future may read
+      // StatsSnapshot immediately and must see this request counted.
+      RecordCompletion(batch[i].enqueued);
+      batch[i].promise.set_value(etas[i]);
+    }
+    if (obs::TraceEnabled()) {
+      obs::AppendTraceEvent("serve/batch_predict", assembly_end,
+                            std::chrono::steady_clock::now());
     }
     batches_.Add();
     batched_requests_.Add(batch.size());
@@ -314,8 +234,6 @@ void EtaService::DispatchLoop() {
 EtaServiceStats EtaService::StatsSnapshot() const {
   EtaServiceStats stats;
   stats.requests = requests_.Value();
-  stats.cache_hits = hits_.Value();
-  stats.cache_misses = misses_.Value();
   stats.batches = batches_.Value();
   const uint64_t batched = batched_requests_.Value();
   stats.avg_batch_size =

@@ -22,47 +22,11 @@
 #include "serve/serving_state.h"
 #include "temporal/time_slot.h"
 #include "traj/trajectory.h"
-#include "util/lru_cache.h"
 #include "util/thread_pool.h"
 
 namespace deepod::serve {
 
-// Cache key of one OD query. Exact (not a hash digest): two packed 64-bit
-// words hold the origin/destination segment ids, the weekly time-slot node,
-// the weather category and the quantised position ratios, so two queries
-// share a key only when every keyed field matches — no collision aliasing.
-// `epoch` is the serving-state generation the answer was computed under:
-// a model swap or speed-field publish bumps the epoch, which makes every
-// older entry unreachable without touching the cache itself.
-struct OdCacheKey {
-  uint64_t segments = 0;  // origin << 32 | dest
-  uint64_t context = 0;   // slot << 32 | weather << 16 | r1_bucket << 8 | rn_bucket
-  uint64_t epoch = 0;     // ServingState::epoch the entry belongs to
-
-  bool operator==(const OdCacheKey& other) const {
-    return segments == other.segments && context == other.context &&
-           epoch == other.epoch;
-  }
-};
-
-struct OdCacheKeyHash {
-  size_t operator()(const OdCacheKey& k) const {
-    uint64_t h = k.segments * 0x9e3779b97f4a7c15ull;
-    h ^= k.context + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    h ^= k.epoch + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    return static_cast<size_t>(h);
-  }
-};
-
 struct EtaServiceOptions {
-  // LRU cache over answered queries.
-  size_t cache_capacity = 4096;
-  size_t cache_shards = 8;
-  // Position ratios are quantised into buckets of this width for keying
-  // (two queries whose ratios fall in the same bucket share the cached
-  // answer; 0.05 keeps the induced error well under the model's own).
-  double ratio_bucket = 0.05;
-
   // Micro-batching: TrySubmit() enqueues into a bounded queue; a dispatcher
   // thread drains up to `max_batch` requests at a time into one
   // PredictBatch call. When the queue holds `queue_capacity` requests the
@@ -101,12 +65,10 @@ struct EtaServiceOptions {
 // (≤12.5% relative error; see obs::Histogram); counters are exact.
 struct EtaServiceStats {
   uint64_t requests = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
   uint64_t batches = 0;          // micro-batches dispatched
   double avg_batch_size = 0.0;   // requests per dispatched batch
   uint64_t swaps = 0;            // serving-state flips (SwapState)
-  uint64_t epoch = 0;            // current cache generation
+  uint64_t epoch = 0;            // current serving epoch
   double p50_ms = 0.0;
   double p95_ms = 0.0;
   double p99_ms = 0.0;
@@ -114,27 +76,25 @@ struct EtaServiceStats {
 };
 
 // The online estimation front-end (Algorithm 1, Estimation, as a service):
-// answers OD travel-time queries from a sharded LRU cache, falling through
-// to the model's graph-free forward on a miss. Two entry points:
-//  - Estimate(): synchronous, caller-thread inference. Bit-identical to
-//    DeepOdModel::Predict for the first query of each key; later queries of
-//    the key return the cached answer.
+// answers every OD travel-time query through the model's serving plan, so
+// each answer equals DeepOdModel::Predict of that exact query, bit for bit.
+// Two entry points:
+//  - Estimate(): synchronous, caller-thread inference (Predict).
 //  - TrySubmit(): asynchronous with bounded-wait admission; requests are
 //    micro-batched by a dispatcher thread into PredictBatch calls
-//    (amortising per-query overhead) and resolved through the same cache.
+//    (amortising per-query overhead).
 //
-// Live serving: the service holds its model, speed field and cache
-// generation as one immutable ServingState epoch (serving_state.h). Every
-// request path acquires one state snapshot for its whole unit of work, so
-// SwapState() — the zero-downtime hot-swap entry point the ModelReloader
-// drives — answers in-flight requests from the epoch they started on and
-// new requests from the fresh one, with the epoch number keying the cache
-// so stale answers are unreachable. BumpEpoch() invalidates the cache and
-// starts a new generation of the model's external-code table without
-// changing the model — the flip a RollingSpeedField publish needs.
+// Live serving: the service holds its model and speed field as one
+// immutable ServingState epoch (serving_state.h). Every request path
+// acquires one state snapshot for its whole unit of work, so SwapState() —
+// the zero-downtime hot-swap entry point the ModelReloader drives — answers
+// in-flight requests from the epoch they started on and new requests from
+// the fresh one. BumpEpoch() starts a new generation of the model's
+// external-code table without changing the model — the flip a
+// RollingSpeedField publish needs.
 //
 // Observability: every stat lives in a private obs::Registry under the
-// "serve/" prefix — counters for requests/hits/misses/batches/swaps, a
+// "serve/" prefix — counters for requests/batches/swaps, a
 // latency histogram, queue-wait and batch-assembly histograms, queue-depth
 // and epoch gauges. The registry is per-instance (stats never bleed
 // between services) and always on. StatsSnapshot() is served from the
@@ -181,11 +141,11 @@ class EtaService {
                                                std::chrono::nanoseconds timeout);
 
   // Synchronous batched estimate on the calling thread, through the same
-  // cache and metrics as Estimate(): resolves hits, runs one PredictBatch
-  // over the misses (fanned over `pool` when given), fills the cache and
-  // returns one ETA per input, in order. This is the continuous-batching
-  // executor's entry point (serve/server): the caller owns batch assembly
-  // and scheduling; the service owns cache + model + stats. Safe to call
+  // metrics as Estimate(): one PredictBatch over the batch (fanned over
+  // `pool` when given), one ETA per input, in order. This is the
+  // continuous-batching executor's entry point (serve/server): the caller
+  // owns batch assembly and scheduling; the service owns model + stats.
+  // Safe to call
   // from several executor threads concurrently as long as each passes its
   // own pool (or none) — util::ThreadPool does not support concurrent
   // ParallelFor calls on one pool. The whole batch is answered from one
@@ -202,20 +162,20 @@ class EtaService {
   std::shared_ptr<const ServingState> state() const;
 
   // Atomically flips the serving state to `fresh` (un-adopted; epoch is
-  // assigned here) — the RCU hot-swap: new requests see the new model and
-  // a new cache generation immediately, in-flight requests finish on the
+  // assigned here) — the RCU hot-swap: new requests see the new model
+  // immediately, in-flight requests finish on the
   // state they acquired, the old bundle is freed when its last reference
   // drops. Returns the adopted epoch. Throws std::invalid_argument on a
   // null state/model.
   uint64_t SwapState(std::shared_ptr<ServingState> fresh);
 
-  // Bumps the cache generation without changing the model: republishes the
-  // current state under a fresh epoch and starts a new generation of the
-  // model's external-code table. Call after mutating the data a model reads
-  // through its speed provider (RollingSpeedField::Publish) — cached ETAs
-  // and stored external codes are stale the moment the matrices change. A
-  // request still in flight across the bump stores none of the codes it
-  // computed before it. Returns the new epoch.
+  // Republishes the current state under a fresh epoch and starts a new
+  // generation of the model's external-code table, without changing the
+  // model. Call after mutating the data a model reads through its speed
+  // provider (RollingSpeedField::Publish) — stored external codes are stale
+  // the moment the matrices change. A request still in flight across the
+  // bump stores none of the codes it computed before it. Returns the new
+  // epoch.
   uint64_t BumpEpoch();
 
   // --- Stats --------------------------------------------------------------
@@ -227,10 +187,6 @@ class EtaService {
   // Prometheus text exposition of the serve/* metrics.
   std::string ExportPrometheus() const;
   const obs::Registry& registry() const { return registry_; }
-
-  // Cache key of `od` under the current epoch (acquires the state; the
-  // request paths key against the state they already hold).
-  OdCacheKey MakeKey(const traj::OdInput& od) const;
 
   // Test-only: parks the dispatcher so tests can fill the bounded queue
   // deterministically (TrySubmit timeout coverage). Unpausing resumes the
@@ -244,13 +200,10 @@ class EtaService {
     std::chrono::steady_clock::time_point enqueued;
   };
 
-  OdCacheKey MakeKeyForState(const traj::OdInput& od,
-                             const ServingState& state) const;
   void DispatchLoop();
   void RecordCompletion(std::chrono::steady_clock::time_point start);
 
   EtaServiceOptions options_;
-  util::ShardedLruCache<OdCacheKey, double, OdCacheKeyHash> cache_;
   std::unique_ptr<util::ThreadPool> pool_;  // batched-forward workers
 
   // The published serving epoch (see state()/SwapState). A plain mutex
@@ -263,8 +216,6 @@ class EtaService {
   // Metrics (registry_ must precede the instrument references).
   obs::Registry registry_;
   obs::Counter& requests_;
-  obs::Counter& hits_;
-  obs::Counter& misses_;
   obs::Counter& batches_;
   obs::Counter& batched_requests_;
   obs::Counter& swaps_;
@@ -272,7 +223,7 @@ class EtaService {
   obs::Gauge& epoch_gauge_;
   obs::Histogram& latency_;         // request completion latency (seconds)
   obs::Histogram& queue_wait_;      // TrySubmit enqueue -> dispatcher dequeue
-  obs::Histogram& batch_assembly_;  // cache resolution + miss-batch build
+  obs::Histogram& batch_assembly_;  // dispatcher: dequeued batch -> OD list
 
   // Bounded request queue (TrySubmit side).
   mutable std::mutex queue_mu_;

@@ -84,7 +84,7 @@ struct FleetRouterOptions {
 };
 
 // One city of the fleet: its road network, its fallback estimators and —
-// once an artifact loads — its EtaService shard (own ServingState, cache
+// once an artifact loads — its EtaService shard (own ServingState, serving
 // epoch, obs registry and, in watch mode, ModelReloader). Created cold when
 // the artifact is missing or unreadable at startup; the router's activation
 // watcher brings it warm the moment a loadable artifact appears. A shard

@@ -39,9 +39,8 @@ struct ModelReloaderOptions {
 // watcher thread (never a request thread), then atomically flips it into
 // the running EtaService via SwapState — the RCU epoch publish. In-flight
 // requests finish on the epoch they started on; the old bundle is freed
-// when its last reference drops; the epoch-keyed cache makes stale answers
-// unreachable. No request is ever dropped or answered from a half-loaded
-// model.
+// when its last reference drops. No request is ever dropped or answered
+// from a half-loaded model.
 //
 // Rollback: a failed load (nn::SerializeError — truncated file, magic or
 // checksum mismatch, wrong network) leaves the service untouched on its

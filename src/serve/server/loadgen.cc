@@ -138,7 +138,7 @@ LoadgenReport RunLoadgen(const LoadgenOptions& options) {
   const size_t num_conns = std::max<size_t>(1, options.connections);
 
   // One shared hot set so the skew concentrates on the same keys across
-  // connections (that is what exercises the server-side cache).
+  // connections (repeated external-code keys on the server side).
   std::mt19937_64 hot_rng(options.seed * 0x9e3779b97f4a7c15ull + 1);
   std::vector<traj::OdInput> hot_set(std::max<size_t>(1, options.hot_set_size));
   const auto random_od = [&options](std::mt19937_64& rng) {

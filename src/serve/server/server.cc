@@ -85,6 +85,7 @@ DeepOdServer::DeepOdServer(EtaService* service, FleetRouter* fleet,
       unknown_tenants_(registry_.counter("server/unknown_tenant")),
       unknown_networks_(registry_.counter("server/unknown_network")),
       shard_cold_(registry_.counter("server/shard_cold")),
+      shard_cold_in_batch_(registry_.counter("server/shard_cold_in_batch")),
       admitted_(registry_.counter("server/admitted")),
       shed_(registry_.counter("server/shed")),
       shed_queue_full_(registry_.counter("server/shed/queue_full")),
@@ -93,6 +94,8 @@ DeepOdServer::DeepOdServer(EtaService* service, FleetRouter* fleet,
       deadline_missed_(registry_.counter("server/deadline_missed")),
       expired_on_arrival_(registry_.counter("server/expired_on_arrival")),
       completed_(registry_.counter("server/completed")),
+      completed_batch_(registry_.counter("server/completed_batch")),
+      completed_inline_(registry_.counter("server/completed_inline")),
       dropped_responses_(registry_.counter("server/dropped_responses")),
       observes_(registry_.counter("server/observes")),
       observations_(registry_.counter("server/observations")),
@@ -327,6 +330,7 @@ void DeepOdServer::RespondFallback(
   response.eta_seconds = eta;
   latency_.Observe(SecondsSince(arrival, std::chrono::steady_clock::now()));
   completed_.Add();
+  completed_inline_.Add();
   out->Add(response);
 }
 
@@ -590,6 +594,7 @@ void DeepOdServer::RunBatch(size_t slot, BatchScratch* s) {
       response.eta_seconds = etas[m];
       latency_.Observe(SecondsSince(request.arrival, end));
       completed_.Add();
+      completed_batch_.Add();
       s->For(request.conn.get()).Add(response);
     }
   }
@@ -642,6 +647,7 @@ std::vector<double> DeepOdServer::EstimateFleetBatch(BatchScratch* s,
       response.status = Status::kShardCold;
       response.retry_after_ms = 1000;
       shard_cold_.Add();
+      shard_cold_in_batch_.Add();
       s->For(request.conn.get()).Add(response);
       s->live[m] = SIZE_MAX;  // answered; skipped in the Ok loop
     }

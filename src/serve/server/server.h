@@ -237,6 +237,7 @@ class DeepOdServer {
   obs::Counter& unknown_tenants_;
   obs::Counter& unknown_networks_;  // fleet: unresolvable network_id
   obs::Counter& shard_cold_;        // fleet: cold shard, no fallback tier
+  obs::Counter& shard_cold_in_batch_;  // the part of shard_cold_ admitted
   obs::Counter& admitted_;
   obs::Counter& shed_;
   obs::Counter& shed_queue_full_;
@@ -244,7 +245,14 @@ class DeepOdServer {
   obs::Counter& shed_deadline_;
   obs::Counter& deadline_missed_;     // admitted, expired while queued
   obs::Counter& expired_on_arrival_;  // deadline_ms < 0, never admitted
+  // Ok answers: completed_ = completed_batch_ + completed_inline_. At
+  // quiescence admitted_ = completed_batch_ + deadline_missed_ +
+  // shard_cold_in_batch_, since only admitted requests reach a batch;
+  // inline answers are fleet fallback-tier answers that were never
+  // admitted.
   obs::Counter& completed_;
+  obs::Counter& completed_batch_;
+  obs::Counter& completed_inline_;
   obs::Counter& dropped_responses_;   // for a closed connection
   obs::Counter& observes_;       // observe frames accepted
   obs::Counter& observations_;   // per-segment observations ingested

@@ -10,8 +10,6 @@ std::shared_ptr<ServingState> LoadServingState(
   auto state = std::make_shared<ServingState>();
   state->source = artifact_path;
   state->model = bundle->model.get();
-  state->slotter =
-      temporal::TimeSlotter(kServingClockBase, bundle->config.slot_seconds);
   state->quant = bundle->quant;
   state->bundle = std::move(bundle);
   return state;
@@ -20,8 +18,6 @@ std::shared_ptr<ServingState> LoadServingState(
 std::shared_ptr<ServingState> BorrowServingState(core::DeepOdModel& model) {
   auto state = std::make_shared<ServingState>();
   state->model = &model;
-  state->slotter =
-      temporal::TimeSlotter(kServingClockBase, model.config().slot_seconds);
   return state;
 }
 

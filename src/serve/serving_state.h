@@ -12,8 +12,8 @@
 
 namespace deepod::serve {
 
-// t0 of every serving state's cache-key slotter: departures are seconds on
-// the same clock as the training data, which starts at 0.
+// t0 of the serving clock: departures are seconds on the same clock as the
+// training data, which starts at 0.
 constexpr temporal::Timestamp kServingClockBase = 0.0;
 
 // Whether a departure time can be served: within [kServingClockBase,
@@ -24,8 +24,8 @@ inline bool ServableDeparture(temporal::Timestamp t) {
 }
 
 // One immutable serving epoch: everything a request needs to be answered
-// consistently — the model, the speed provider it points at (owned through
-// the artifact bundle), the cache-key slotter and the cache generation.
+// consistently — the model and the speed provider it points at (owned
+// through the artifact bundle) — plus its epoch number.
 //
 // EtaService publishes the current epoch as a shared_ptr<const ServingState>
 // and every request path (Estimate, EstimateBatch, the dispatcher) acquires
@@ -34,14 +34,11 @@ inline bool ServableDeparture(temporal::Timestamp t) {
 // started on, and the old state is destroyed when its last in-flight
 // reference drops. Nothing is ever answered from a half-swapped state.
 //
-// `epoch` doubles as the cache generation: it is packed into every
-// OdCacheKey, so the answers an old model wrote into the LRU cache are
-// unreachable the moment a new epoch is current — swap, cache invalidation
-// and stats attribution are the same mechanism. Epoch numbers are assigned
-// by the service (monotone, starting at 0 for the construction state);
-// states built by LoadServingState carry epoch 0 until adopted.
+// `epoch` identifies the state for stats and reload status. Epoch numbers
+// are assigned by the service (monotone, starting at 0 for the construction
+// state); states built by LoadServingState carry epoch 0 until adopted.
 struct ServingState {
-  // Cache generation / swap counter. Assigned by EtaService on adopt.
+  // Swap / speed-publish counter. Assigned by EtaService on adopt.
   uint64_t epoch = 0;
 
   // Provenance for stats and logs: the artifact path this state was loaded
@@ -57,10 +54,6 @@ struct ServingState {
   // thread-safe inference entry points are used) but the type stays
   // non-const because Predict touches internal memos.
   core::DeepOdModel* model = nullptr;
-
-  // Cache-key time slotter, built from the state's own config so two
-  // artifacts with different slot_seconds never alias cache keys.
-  temporal::TimeSlotter slotter{kServingClockBase, 300.0};
 
   // Effective weight quantisation of `model` (stats/provenance only).
   nn::QuantMode quant = nn::QuantMode::kNone;

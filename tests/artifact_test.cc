@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -293,6 +294,81 @@ TEST(ArtifactTest, MissingArtifactThrowsTypedError) {
   } catch (const nn::SerializeError& e) {
     EXPECT_EQ(e.status().kind, nn::LoadErrorKind::kIoError);
   }
+}
+
+// Sets element 3 of the named state entry of `model` to `value`.
+void PoisonWeight(core::DeepOdModel& model, const std::string& name,
+                  double value) {
+  const nn::StateDict state = model.State();
+  const nn::StateDict::Entry* entry = state.Find(name);
+  ASSERT_NE(entry, nullptr) << name;
+  ASSERT_GT(entry->size, 3u);
+  entry->data[3] = value;
+}
+
+void ExpectNonFinite(const std::function<void()>& load,
+                     const std::string& tensor) {
+  try {
+    load();
+    FAIL() << "expected SerializeError";
+  } catch (const nn::SerializeError& e) {
+    EXPECT_EQ(e.status().kind, nn::LoadErrorKind::kNonFinite) << e.what();
+    EXPECT_EQ(e.status().tensor, tensor);
+  }
+}
+
+// TinyConfig without graph-embedding pre-training: these tests only need
+// some finite model to poison.
+core::DeepOdConfig RandomInitConfig() {
+  core::DeepOdConfig config = TinyConfig();
+  config.road_init = core::RoadInit::kOneHot;
+  config.time_init = core::TimeInit::kOneHot;
+  return config;
+}
+
+TEST(ArtifactTest, NonFiniteWeightsAreRejectedByName) {
+  const std::string weight = "external_encoder.cnn.conv2.kernel";
+  core::DeepOdModel target(RandomInitConfig(), TinyDataset());
+  target.SetTraining(false);
+  for (const double bad : {std::nan(""), HUGE_VAL}) {
+    core::DeepOdModel source(RandomInitConfig(), TinyDataset());
+    source.SetTraining(false);
+    PoisonWeight(source, weight, bad);
+    const std::string artifact = TempPath("artifact_test_nonfinite.artifact");
+    const std::string state = TempPath("artifact_test_nonfinite.state");
+    io::WriteModelArtifact(artifact, source, nullptr);
+    source.Save(state);
+
+    ExpectNonFinite(
+        [&] { io::LoadModelArtifact(artifact, TinyDataset().network); },
+        "model." + weight);
+    // The state-dict loader rejects it too, before writing anything.
+    const auto ods = TestOds(1);
+    const double before = target.Predict(ods[0]);
+    ExpectNonFinite([&] { target.Load(state); }, weight);
+    const double after = target.Predict(ods[0]);
+    EXPECT_EQ(std::memcmp(&before, &after, sizeof(double)), 0);
+    std::remove(artifact.c_str());
+    std::remove(state.c_str());
+  }
+}
+
+TEST(ArtifactTest, Fp16OverflowAtLoadIsRejected) {
+  // 1e6 is a finite fp64 weight, but past fp16's largest value (65504):
+  // quantising it at load time yields an infinity the loader must catch.
+  const std::string weight = "mlp1.layer1.weight";
+  core::DeepOdModel source(RandomInitConfig(), TinyDataset());
+  source.SetTraining(false);
+  PoisonWeight(source, weight, 1e6);
+  const std::string artifact = TempPath("artifact_test_overflow.artifact");
+  io::WriteModelArtifact(artifact, source, nullptr);
+  EXPECT_NO_THROW(io::LoadModelArtifact(artifact, TinyDataset().network));
+  io::ArtifactOptions fp16;
+  fp16.quant = nn::QuantMode::kFp16;
+  ExpectNonFinite(
+      [&] { io::LoadModelArtifact(artifact, TinyDataset().network, fp16); },
+      "model." + weight);
+  std::remove(artifact.c_str());
 }
 
 TEST(CheckpointTest, ResumeMatchesUninterruptedRunBitExactly) {

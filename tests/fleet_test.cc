@@ -28,6 +28,7 @@
 #include "core/deepod_model.h"
 #include "io/model_artifact.h"
 #include "io/trip_io.h"
+#include "obs/metrics.h"
 #include "serve/eta_service.h"
 #include "serve/fleet_router.h"
 #include "serve/server/frame.h"
@@ -410,6 +411,23 @@ TEST_F(FleetTest, ServerServesThreeCitiesFromOneProcess) {
   client.Close();
   server.Shutdown();
   router.Stop();
+
+  // The fleet stats identities at quiescence. City c's oracle answers
+  // complete inline without ever being admitted; every admitted request was
+  // answered in a batch, missed its deadline in the queue or met a cold
+  // shard there.
+  const auto count = [&server](const std::string& name) {
+    for (const obs::Record& record : server.registry().Export(name)) {
+      if (record.name == name) return record.count.value_or(0.0);
+    }
+    return -1.0;
+  };
+  EXPECT_GE(count("server/completed_inline"), 1.0);
+  EXPECT_EQ(count("server/completed"),
+            count("server/completed_batch") + count("server/completed_inline"));
+  EXPECT_EQ(count("server/admitted"),
+            count("server/completed_batch") + count("server/deadline_missed") +
+                count("server/shard_cold_in_batch"));
 
   // The merged stats export carries the per-city accounting.
   EXPECT_GE(CounterValue(router, "fleet/a/model_answers"), 1.0);

@@ -8,18 +8,21 @@
 //    bit-identically, runs the CNN once per key per generation, stays
 //    within the speed field's key space (and a fixed ceiling for unclamped
 //    providers), and drops a fill that straddles a generation change;
+//  - the serving plan behind Predict, PredictBatch and the external-code
+//    fill equals the grad-enabled Tensor forward bit for bit in every
+//    kernel tier, weight quantisation and ablation, and rebuilds after an
+//    optimizer step;
 //  - AffineRows (the batched-MLP building block) matches per-row Affine
 //    bit-for-bit and passes gradient checks;
-//  - the sharded LRU cache evicts in LRU order, keys exactly, and keeps
-//    consistent hit/miss counts under concurrency;
-//  - EtaService serves Predict's numbers through cache, Estimate and the
-//    micro-batched TrySubmit path.
+//  - EtaService answers every exact query with Predict's number through
+//    Estimate, EstimateBatch and the micro-batched TrySubmit path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <future>
 #include <stdexcept>
@@ -28,12 +31,14 @@
 #include "core/deepod_model.h"
 #include "nn/gradcheck.h"
 #include "nn/ops.h"
+#include "nn/optimizer.h"
+#include "nn/quant.h"
+#include "nn/serialize.h"
 #include "nn/tensor.h"
 #include "road/routing.h"
 #include "serve/eta_service.h"
 #include "sim/dataset.h"
 #include "sim/snapshot_speed_field.h"
-#include "util/lru_cache.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -106,6 +111,89 @@ TEST(InferenceModeTest, PredictBatchEqualsPerQueryLoop) {
     const auto head = model.PredictBatch({ods.data(), 5});
     EXPECT_TRUE(std::equal(head.begin(), head.end(), loop.begin()));
     EXPECT_EQ(model.PredictBatch(ods, &pool), loop);
+  }
+}
+
+// --- Serving plan ------------------------------------------------------------
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+bool SameBits(const nn::Tensor& a, const nn::Tensor& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(double)) == 0;
+}
+
+// Every serving entry point against the grad-enabled Tensor forward (no
+// plan, no external-code table), query by query, in the current mode.
+void ExpectPlanMatchesTensorForward(core::DeepOdModel& model,
+                                    const std::vector<traj::OdInput>& ods,
+                                    util::ThreadPool& pool,
+                                    const std::string& where) {
+  std::vector<double> want;
+  std::vector<nn::Tensor> want_codes;
+  for (const auto& od : ods) {
+    want.push_back(TrainingModePredict(model, od));
+    want_codes.push_back(model.EncodeExternal(od));
+  }
+  const std::vector<double> serial = model.PredictBatch(ods);
+  const std::vector<double> pooled = model.PredictBatch(ods, &pool);
+  for (size_t i = 0; i < ods.size(); ++i) {
+    EXPECT_TRUE(SameBits(model.Predict(ods[i]), want[i])) << where << " #" << i;
+    EXPECT_TRUE(SameBits(serial[i], want[i])) << where << " #" << i;
+    EXPECT_TRUE(SameBits(pooled[i], want[i])) << where << " #" << i;
+    const nn::InferenceGuard guard;
+    EXPECT_TRUE(SameBits(model.EncodeExternal(ods[i]), want_codes[i]))
+        << where << " #" << i;
+  }
+}
+
+TEST(ServingPlanTest, MatchesTensorForwardAcrossModesQuantAndAblations) {
+  std::vector<traj::OdInput> ods;
+  for (size_t i = 0; i < std::min<size_t>(8, TinyDataset().test.size()); ++i) {
+    ods.push_back(TinyDataset().test[i].od);
+  }
+  util::ThreadPool pool(4);
+  for (const core::Ablation ablation :
+       {core::Ablation::kFull, core::Ablation::kNoOther,
+        core::Ablation::kNoSp}) {
+    core::DeepOdConfig config = TinyConfig();
+    config.ablation = ablation;
+    core::DeepOdModel model(config, TinyDataset());
+    // Training forwards move the BatchNorm running statistics off their
+    // initial values, so the plan's precomputed inverse std is exercised.
+    for (size_t i = 0; i < 4; ++i) model.SampleLoss(TinyDataset().train[i]);
+    model.SetTraining(false);
+    const std::vector<uint8_t> trained = nn::SerializeStateDict(model.State());
+    for (const nn::QuantMode quant :
+         {nn::QuantMode::kNone, nn::QuantMode::kFp16, nn::QuantMode::kInt8}) {
+      nn::StateDict state = model.State();
+      ASSERT_TRUE(nn::DeserializeStateDict(trained, state).ok());
+      nn::FakeQuantizeStateDict(state, quant);
+      model.ClearOcodeMemo();
+      for (const nn::KernelMode mode :
+           {nn::KernelMode::kLegacy, nn::KernelMode::kBlocked,
+            nn::KernelMode::kVector, nn::KernelMode::kSimd}) {
+        const nn::KernelModeScope scope(mode);
+        ExpectPlanMatchesTensorForward(
+            model, ods, pool,
+            "ablation " + std::to_string(static_cast<int>(ablation)) +
+                " quant " + nn::QuantModeName(quant) + " mode " +
+                std::to_string(static_cast<int>(mode)));
+      }
+    }
+    // One optimizer step in serving mode changes the weights in place: the
+    // plan must rebuild (the external-code table is cleared by the caller,
+    // as DeepOdModel documents for any out-of-band parameter change).
+    const double before = model.Predict(ods[0]);
+    nn::Adam adam(model.Parameters(), 0.05);
+    model.SampleLoss(TinyDataset().train[0]).Backward();
+    adam.Step();
+    model.ClearOcodeMemo();
+    EXPECT_FALSE(SameBits(model.Predict(ods[0]), before));
+    ExpectPlanMatchesTensorForward(model, ods, pool, "after Adam::Step");
   }
 }
 
@@ -401,102 +489,31 @@ TEST(AffineRowsTest, PassesGradCheck) {
   EXPECT_TRUE(r.ok) << "AffineRows max_abs_err=" << r.max_abs_error;
 }
 
-// --- Sharded LRU cache -------------------------------------------------------
-
-TEST(LruCacheTest, EvictsLeastRecentlyUsedFirst) {
-  // One shard makes global order == shard order, so eviction is exact LRU.
-  util::ShardedLruCache<int, int> cache(3, /*num_shards=*/1);
-  cache.Put(1, 10);
-  cache.Put(2, 20);
-  cache.Put(3, 30);
-  EXPECT_EQ(cache.Get(1).value(), 10);  // promote 1; LRU order now 2,3,1
-  cache.Put(4, 40);                     // evicts 2
-  EXPECT_FALSE(cache.Get(2).has_value());
-  EXPECT_EQ(cache.Get(1).value(), 10);
-  EXPECT_EQ(cache.Get(3).value(), 30);
-  EXPECT_EQ(cache.Get(4).value(), 40);
-  EXPECT_EQ(cache.size(), 3u);
-}
-
-TEST(LruCacheTest, PutRefreshesExistingKey) {
-  util::ShardedLruCache<int, int> cache(2, 1);
-  cache.Put(1, 10);
-  cache.Put(2, 20);
-  cache.Put(1, 11);  // refresh, not insert: 2 stays resident
-  cache.Put(3, 30);  // evicts 2 (least recent), not 1
-  EXPECT_EQ(cache.Get(1).value(), 11);
-  EXPECT_FALSE(cache.Get(2).has_value());
-  EXPECT_EQ(cache.Get(3).value(), 30);
-}
-
-TEST(LruCacheTest, CountsAreConsistentUnderConcurrency) {
-  util::ShardedLruCache<int, int> cache(64, 8);
-  util::ThreadPool pool(4);
-  constexpr size_t kOpsPerTask = 2000;
-  constexpr size_t kTasks = 4;
-  pool.ParallelFor(kTasks, [&](size_t w) {
-    util::Rng rng(100 + w);
-    for (size_t i = 0; i < kOpsPerTask; ++i) {
-      const int key = static_cast<int>(rng.UniformInt(uint64_t{128}));
-      if (auto hit = cache.Get(key)) {
-        EXPECT_EQ(*hit, key * 7);  // values never mix between keys
-      } else {
-        cache.Put(key, key * 7);
-      }
-    }
-  });
-  EXPECT_EQ(cache.hits() + cache.misses(), kTasks * kOpsPerTask);
-  EXPECT_GT(cache.hits(), 0u);
-  EXPECT_GT(cache.misses(), 0u);
-  EXPECT_LE(cache.size(), 64u + 8u);  // per-shard rounding slack
-}
-
 // --- EtaService --------------------------------------------------------------
 
-TEST(EtaServiceTest, KeyDistinguishesEveryKeyedField) {
-  core::DeepOdModel model(TinyConfig(), TinyDataset());
-  serve::EtaServiceOptions options;
-  serve::EtaService service(model, options);
-  traj::OdInput od = TinyDataset().test[0].od;
-  const auto base = service.MakeKey(od);
-  auto differs = [&](const traj::OdInput& other) {
-    const auto k = service.MakeKey(other);
-    return !(k == base);
-  };
-  traj::OdInput v = od;
-  v.origin_segment += 1;
-  EXPECT_TRUE(differs(v));
-  v = od;
-  v.dest_segment += 1;
-  EXPECT_TRUE(differs(v));
-  v = od;
-  v.departure_time += 2.0 * model.config().slot_seconds;  // different slot
-  EXPECT_TRUE(differs(v));
-  v = od;
-  v.weather_type += 1;
-  EXPECT_TRUE(differs(v));
-  v = od;
-  v.origin_ratio = od.origin_ratio < 0.5 ? 0.9 : 0.1;  // different bucket
-  EXPECT_TRUE(differs(v));
-  // Same slot + same ratio bucket shares the key.
-  v = od;
-  v.departure_time += 1e-3;
-  EXPECT_FALSE(differs(v));
-}
-
-TEST(EtaServiceTest, EstimateServesPredictValuesAndCaches) {
+TEST(EtaServiceTest, EveryExactQueryGetsItsOwnPredictAnswer) {
+  // No answer is shared between queries: two queries in the same time slot
+  // with position ratios a hair apart each get Predict of their own input,
+  // however often and in whatever order they are asked.
   core::DeepOdModel model(TinyConfig(), TinyDataset());
   model.SetTraining(false);
-  serve::EtaServiceOptions options;
-  serve::EtaService service(model, options);
-  const auto& od = TinyDataset().test[0].od;
-  const double expected = model.Predict(od);
-  EXPECT_EQ(service.Estimate(od), expected);   // miss -> model
-  EXPECT_EQ(service.Estimate(od), expected);   // hit -> cache
-  const auto stats = service.StatsSnapshot();
-  EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_EQ(stats.cache_misses, 1u);
-  EXPECT_EQ(stats.requests, 2u);
+  serve::EtaService service(model, serve::EtaServiceOptions{});
+  traj::OdInput a = TinyDataset().test[0].od;
+  a.origin_ratio = 0.41;
+  traj::OdInput b = a;
+  b.origin_ratio = 0.42;
+  b.departure_time += 1e-3;
+  const double expect_a = model.Predict(a);
+  const double expect_b = model.Predict(b);
+  ASSERT_NE(expect_a, expect_b);
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(service.Estimate(a), expect_a);
+    EXPECT_EQ(service.Estimate(b), expect_b);
+    const std::vector<traj::OdInput> batch = {b, a, b};
+    EXPECT_EQ(service.EstimateBatch(batch),
+              (std::vector<double>{expect_b, expect_a, expect_b}));
+  }
+  EXPECT_EQ(service.StatsSnapshot().requests, 10u);
 }
 
 TEST(EtaServiceTest, TrySubmitMicroBatchesAndMatchesEstimate) {
@@ -541,7 +558,6 @@ TEST(EtaServiceTest, ExportsRegistryBackedStats) {
   const std::string json = service.ExportJson();
   EXPECT_NE(json.find("\"hardware_concurrency\""), std::string::npos);
   EXPECT_NE(json.find("\"serve/requests\""), std::string::npos);
-  EXPECT_NE(json.find("\"serve/cache_hits\""), std::string::npos);
   EXPECT_NE(json.find("\"serve/latency\""), std::string::npos);
   EXPECT_NE(json.find("\"serve/queue_wait\""), std::string::npos);
 

@@ -3,9 +3,10 @@
 //  - RollingSpeedField replicates SpeedMatrixBuilder geometry, serves
 //    ingested means with baseline fall-through, rejects junk observations
 //    and rolls its window;
-//  - the epoch-keyed cache: BumpEpoch makes cached answers unreachable,
-//    SwapState answers new requests from the new model bit-identically to a
-//    fresh process while in-flight work finishes on the old epoch;
+//  - the serving epoch: after BumpEpoch a repeated query answers from the
+//    new speed field, and SwapState answers new requests from the new model
+//    bit-identically to a fresh process while in-flight work finishes on
+//    the old epoch;
 //  - ModelReloader hot-swaps a rewritten artifact, rolls back (keeps
 //    serving) on a corrupt one, and recovers on the next good write;
 //  - swap under sustained load: concurrent Estimate/TrySubmit traffic
@@ -258,34 +259,53 @@ TEST(RollingSpeedField, RejectsJunkAndRollsItsWindow) {
   EXPECT_EQ(rolling.accepted(), 2u);
 }
 
-// --- Epoch-keyed cache ------------------------------------------------------
+// --- Serving epoch ---------------------------------------------------------
 
-TEST(EtaServiceEpoch, BumpEpochInvalidatesCachedAnswers) {
+// A speed provider whose matrices can be rescaled in place — the data behind
+// the model changing the way a RollingSpeedField publish changes it.
+class ScaledSpeed : public sim::SpeedProvider {
+ public:
+  explicit ScaledSpeed(const sim::SpeedProvider& base) : base_(base) {}
+  size_t rows() const override { return base_.rows(); }
+  size_t cols() const override { return base_.cols(); }
+  double snapshot_seconds() const override {
+    return base_.snapshot_seconds();
+  }
+  std::vector<double> MatrixAt(temporal::Timestamp t) const override {
+    std::vector<double> m = base_.MatrixAt(t);
+    for (double& v : m) v *= scale;
+    return m;
+  }
+  temporal::Timestamp SnapshotTime(temporal::Timestamp t) const override {
+    return base_.SnapshotTime(t);
+  }
+  double scale = 1.0;
+
+ private:
+  const sim::SpeedProvider& base_;
+};
+
+TEST(EtaServiceEpoch, RepeatedQueryAfterBumpEpochSeesNewSpeedField) {
+  ScaledSpeed speed(*TinyDataset().speed_matrices);
   core::DeepOdModel model(TinyConfig(), TinyDataset());
+  model.SetSpeedProvider(&speed);
   model.SetTraining(false);
   serve::EtaService service(model, serve::EtaServiceOptions{});
-  const auto ods = TestOds(1);
+  const traj::OdInput od = TestOds(1)[0];
   EXPECT_EQ(service.state()->epoch, 0u);
-  const serve::OdCacheKey before = service.MakeKey(ods[0]);
+  const double first = service.Estimate(od);
+  EXPECT_EQ(service.Estimate(od), first);  // stored external code reused
 
-  const double first = service.Estimate(ods[0]);
-  const double second = service.Estimate(ods[0]);
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(service.StatsSnapshot().cache_hits, 1u);
-
-  EXPECT_EQ(service.BumpEpoch(), 1u);
-  const serve::OdCacheKey after = service.MakeKey(ods[0]);
-  EXPECT_EQ(before.segments, after.segments);
-  EXPECT_EQ(before.context, after.context);
-  EXPECT_NE(before.epoch, after.epoch);
-
-  // Same query, fresh epoch: the old entry is unreachable, so this is a
-  // miss recomputed by the (unchanged) model — same number, new entry.
-  const double third = service.Estimate(ods[0]);
-  EXPECT_EQ(third, first);
-  const auto stats = service.StatsSnapshot();
-  EXPECT_EQ(stats.cache_misses, 2u);
-  EXPECT_EQ(stats.epoch, 1u);
+  speed.scale = 0.5;  // the field changes behind the model...
+  EXPECT_EQ(service.BumpEpoch(), 1u);  // ...and the publish bumps the epoch
+  const double after = service.Estimate(od);
+  EXPECT_NE(after, first);
+  // The repeated query answers from the new field exactly: the
+  // grad-enabled Tensor forward (no external-code table) agrees.
+  const double tensor =
+      model.EstimateFromCode(model.EncodeOd(od)).item() * model.time_scale();
+  EXPECT_EQ(std::memcmp(&after, &tensor, sizeof(double)), 0);
+  EXPECT_EQ(service.StatsSnapshot().epoch, 1u);
 }
 
 TEST(EtaServiceEpoch, SwapStateMatchesFreshProcessBitForBit) {

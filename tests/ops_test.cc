@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "nn/ops.h"
 #include "nn/tensor.h"
+#include "util/rng.h"
 
 namespace deepod::nn {
 namespace {
@@ -172,6 +176,83 @@ TEST(OpsTest, Conv2dShapeChecks) {
   EXPECT_THROW(
       Conv2d(Tensor::Zeros({1, 2, 2}), Tensor::Zeros({1, 1, 5, 1}), 0, 0),
       std::invalid_argument);
+}
+
+// Forward value and both gradients of one Conv2d under `mode`.
+struct ConvRun {
+  std::vector<double> out, grad_in, grad_kernel;
+};
+
+ConvRun RunConv(KernelMode mode, const std::vector<double>& in,
+                const std::vector<double>& kernel,
+                const std::vector<size_t>& in_shape,
+                const std::vector<size_t>& kernel_shape, size_t pad_h,
+                size_t pad_w, const std::vector<double>& grad_out) {
+  const KernelModeScope scope(mode);
+  Tensor x = Tensor::FromData(in_shape, in);
+  Tensor k = Tensor::FromData(kernel_shape, kernel);
+  x.set_requires_grad(true);
+  k.set_requires_grad(true);
+  Tensor y = Conv2d(x, k, pad_h, pad_w);
+  // d(sum(y * g))/dy = g: a seeded upstream gradient.
+  Sum(Mul(y, Tensor::FromData(y.shape(), grad_out))).Backward();
+  return {y.data(), x.grad(), k.grad()};
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// The blocked tier's padded four-accumulator forward (and its backward)
+// must reproduce the naive kLegacy bits for finite weights, over random
+// geometries: every kernel shape the models use (1x1, the 3x1 of the
+// ResNet time block, the 3x3 of the traffic CNN) plus 5x5, padding from 0
+// up to the kernel size (so pad >= kernel and maps smaller than the kernel
+// occur), and inputs and weights seeded with +0.0 and -0.0.
+TEST(OpsTest, Conv2dBlockedMatchesLegacyBitForBit) {
+  util::Rng rng(20261017);
+  const size_t kernels[][2] = {{1, 1}, {3, 1}, {3, 3}, {5, 5}};
+  size_t cases = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const auto [kh, kw] = kernels[trial % 4];
+    const size_t cin = 1 + rng.UniformInt(uint64_t{9});
+    const size_t cout = 1 + rng.UniformInt(uint64_t{9});
+    const size_t h = 1 + rng.UniformInt(uint64_t{17});
+    const size_t w = 1 + rng.UniformInt(uint64_t{17});
+    const size_t pad_h = rng.UniformInt(uint64_t{kh + 1});
+    const size_t pad_w = rng.UniformInt(uint64_t{kw + 1});
+    if (h + 2 * pad_h < kh || w + 2 * pad_w < kw) continue;  // Conv2d throws
+    const auto values = [&rng](size_t n) {
+      std::vector<double> v(n);
+      for (double& x : v) {
+        const uint64_t pick = rng.UniformInt(uint64_t{8});
+        x = pick == 0 ? 0.0 : pick == 1 ? -0.0 : rng.Uniform(-2.0, 2.0);
+      }
+      return v;
+    };
+    const std::vector<double> in = values(cin * h * w);
+    const std::vector<double> kernel = values(cout * cin * kh * kw);
+    const size_t oh = h + 2 * pad_h - kh + 1, ow = w + 2 * pad_w - kw + 1;
+    const std::vector<double> grad_out = values(cout * oh * ow);
+    const std::vector<size_t> in_shape = {cin, h, w};
+    const std::vector<size_t> kernel_shape = {cout, cin, kh, kw};
+    const ConvRun legacy = RunConv(KernelMode::kLegacy, in, kernel, in_shape,
+                                   kernel_shape, pad_h, pad_w, grad_out);
+    const ConvRun blocked = RunConv(KernelMode::kBlocked, in, kernel,
+                                    in_shape, kernel_shape, pad_h, pad_w,
+                                    grad_out);
+    const std::string where =
+        "cin " + std::to_string(cin) + " cout " + std::to_string(cout) +
+        " map " + std::to_string(h) + "x" + std::to_string(w) + " kernel " +
+        std::to_string(kh) + "x" + std::to_string(kw) + " pad " +
+        std::to_string(pad_h) + "," + std::to_string(pad_w);
+    ASSERT_TRUE(SameBits(legacy.out, blocked.out)) << where;
+    ASSERT_TRUE(SameBits(legacy.grad_in, blocked.grad_in)) << where;
+    ASSERT_TRUE(SameBits(legacy.grad_kernel, blocked.grad_kernel)) << where;
+    ++cases;
+  }
+  EXPECT_GT(cases, 300u);
 }
 
 TEST(OpsTest, AddChannelBiasAndGlobalAvgPool) {

@@ -27,6 +27,7 @@
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -419,7 +420,7 @@ TEST(EtaServiceEstimateBatch, MatchesEstimate) {
   for (size_t i = 0; i < ods.size(); ++i) {
     EXPECT_EQ(answers[i], single.Estimate(ods[i])) << "query " << i;
   }
-  // Second pass answers from the cache with the same numbers.
+  // A second pass reuses the stored external codes: same numbers.
   const std::vector<double> again =
       batched.EstimateBatch({ods.data(), ods.size()});
   EXPECT_EQ(again, answers);
@@ -489,7 +490,7 @@ class ServerTest : public ::testing::Test {
 TEST_F(ServerTest, AnswersWithTheServiceNumbers) {
   StartServer();
   ExpectOkRoundTrip(1);
-  ExpectOkRoundTrip(2);  // cache-hit path, same contract
+  ExpectOkRoundTrip(2);  // stored external codes, same contract
 }
 
 TEST_F(ServerTest, TruncatedFrameGetsTypedErrorAndConnectionSurvives) {
@@ -835,9 +836,9 @@ TEST_F(ServerTest, ConcurrentPipelinedClientsTwoExecutors) {
 TEST_F(ServerTest, ClientThatStopsReadingIsDisconnectedWithoutStallingOthers) {
   StartServer();
   const auto ods = SampleOds(1);
-  // Client A pipelines cache hits in large writes and never reads, until
-  // its responses fill both socket buffers and the server's writes to it
-  // block.
+  // Client A pipelines repeated queries in large writes and never reads,
+  // until its responses fill both socket buffers and the server's writes to
+  // it block.
   Client stalled;
   ASSERT_TRUE(stalled.Connect("127.0.0.1", server_->port()));
   timeval tick{};
@@ -903,6 +904,60 @@ TEST_F(ServerTest, ClientThatStopsReadingIsDisconnectedWithoutStallingOthers) {
   EXPECT_TRUE(writer.get()) << "the stalled client was never disconnected";
   ExpectAdmittedReconciles();
   EXPECT_GT(Count("server/dropped_responses"), 0u);
+}
+
+TEST_F(ServerTest, ConnectionFloodPastTheCapIsRejectedWhileOthersServe) {
+  StartServer([](ServerOptions* o) { o->max_connections = 3; });
+  // Fill the cap: client_ plus two more, each served once so the server
+  // has certainly accepted it before the flood arrives.
+  Client second, third;
+  ASSERT_TRUE(second.Connect("127.0.0.1", server_->port()));
+  ASSERT_TRUE(third.Connect("127.0.0.1", server_->port()));
+  const auto ods = SampleOds(1);
+  const double want = service_->Estimate(ods[0]);
+  uint64_t next_id = 1;
+  const auto expect_served = [&](Client& client) {
+    RequestFrame request;
+    request.request_id = next_id++;
+    request.od = ods[0];
+    ASSERT_TRUE(client.Send(request));
+    ResponseFrame response;
+    ASSERT_TRUE(client.ReadResponse(&response));
+    EXPECT_EQ(response.request_id, request.request_id);
+    EXPECT_EQ(response.status, Status::kOk);
+    EXPECT_EQ(response.eta_seconds, want);
+  };
+  expect_served(client_);
+  expect_served(second);
+  expect_served(third);
+
+  // The flood: the kernel completes each handshake, the server closes
+  // every connection past the cap at accept and counts it.
+  constexpr size_t kExcess = 5;
+  std::vector<std::unique_ptr<Client>> flood;
+  for (size_t i = 0; i < kExcess; ++i) {
+    flood.push_back(std::make_unique<Client>());
+    ASSERT_TRUE(flood.back()->Connect("127.0.0.1", server_->port()));
+  }
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (Count("server/rejected_connections") < kExcess &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(Count("server/rejected_connections"), kExcess);
+  EXPECT_EQ(Count("server/accepted_connections"), 3u);
+  for (auto& rejected : flood) {
+    ResponseFrame response;
+    EXPECT_FALSE(rejected->ReadResponse(&response));  // closed, never served
+  }
+
+  // The connected clients never noticed.
+  expect_served(client_);
+  expect_served(second);
+  expect_served(third);
+  ExpectAdmittedReconciles();
+  EXPECT_EQ(Count("server/completed"), 6u);
 }
 
 }  // namespace

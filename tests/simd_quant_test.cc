@@ -633,13 +633,10 @@ TEST(QuantArtifactTest, StoredQuantArtifactRoundTrips) {
 
 TEST(QuantArtifactTest, EtaServiceServesQuantisedOnSimdTier) {
   const auto ods = QuantOds(12);
-  serve::EtaServiceOptions fp64_options;
-  fp64_options.cache_capacity = 0;
   const auto fp64 = serve::EtaService::FromArtifact(
-      QuantArtifactPath(), QuantDataset().network, fp64_options);
+      QuantArtifactPath(), QuantDataset().network, serve::EtaServiceOptions{});
 
   serve::EtaServiceOptions options;
-  options.cache_capacity = 0;
   options.quant = QuantMode::kInt8;
   options.kernel_mode = KernelMode::kSimd;
   const auto service = serve::EtaService::FromArtifact(

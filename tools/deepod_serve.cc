@@ -7,8 +7,10 @@
 //                [--kernel MODE] [--stats]
 //
 // --check replays every query of a deepod_train --golden file through
-// EtaService::Estimate twice (miss then cache hit) and compares both
-// answers against the recorded prediction; any mismatch fails the run.
+// EtaService::Estimate twice — the first call runs the traffic CNN and
+// stores the query's external code, the second reads that code back — and
+// compares both answers against the recorded prediction; any mismatch
+// fails the run.
 // This is the cross-process round-trip gate CI runs. Without --tolerance
 // the comparison is bit-for-bit — the right gate for an fp64 artifact
 // served on the tier the goldens were recorded with. --tolerance X accepts
@@ -102,8 +104,8 @@ int main(int argc, char** argv) {
     };
     size_t mismatches = 0;
     for (const auto& q : golden) {
-      const double first = service->Estimate(q.od);   // cache miss path
-      const double second = service->Estimate(q.od);  // cache hit path
+      const double first = service->Estimate(q.od);   // fills the code
+      const double second = service->Estimate(q.od);  // reuses it
       if (!matches(first, q.prediction) || !matches(second, q.prediction)) {
         if (++mismatches <= 5) {
           std::fprintf(stderr,

@@ -8,7 +8,7 @@
 //                 [--batch-threads N] [--queue-capacity N]
 //                 [--tenants N] [--tenant-rate R] [--tenant-burst B]
 //                 [--no-deadline-shed] [--quant MODE] [--kernel MODE]
-//                 [--cache-capacity N] [--stats-json PATH]
+//                 [--stats-json PATH]
 //                 [--watch] [--poll-ms N]
 //                 [--live-speed] [--publish-ms N] [--speed-grid-m X]
 //                 [--speed-window-s X]
@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
         "  [--queue-capacity N] [--tenants N] [--tenant-rate R]\n"
         "  [--tenant-burst B] [--no-deadline-shed]\n"
         "  [%s] [%s]\n"
-        "  [--cache-capacity N] [--stats-json PATH]\n"
+        "  [--stats-json PATH]\n"
         "  [--watch] [--poll-ms N]\n"
         "  [--live-speed] [--publish-ms N] [--speed-grid-m X]\n"
         "  [--speed-window-s X] [--drift-window N] [--drift-trigger X]\n",
@@ -145,8 +145,6 @@ int main(int argc, char** argv) {
       if (!flags.QuantValue(&service_options.quant)) return 2;
     } else if (flag == "--kernel") {
       if (!flags.KernelValue(&service_options.kernel_mode)) return 2;
-    } else if (flag == "--cache-capacity") {
-      if (!flags.SizeValue(&service_options.cache_capacity)) return 2;
     } else if (flag == "--stats-json") {
       if (!flags.StringValue(&stats_json_path)) return 2;
     } else if (flag == "--watch") {
@@ -255,8 +253,8 @@ int main(int argc, char** argv) {
         network, speed_grid_m, snapshot_seconds, baseline, rolling_options);
     // Point the serving model at the live field (its empty table falls back
     // to the artifact's frozen matrices, so behaviour is unchanged until
-    // the first publish) and invalidate what was cached under the frozen
-    // provider.
+    // the first publish) and drop the external codes stored under the
+    // frozen provider.
     initial_state->model->SetSpeedProvider(rolling.get());
     service->BumpEpoch();
     std::printf("live speed field: %zux%zu grid, %.0fs snapshots, %.0fs "
@@ -332,7 +330,8 @@ int main(int argc, char** argv) {
   std::fflush(stdout);
 
   // Publish ticker: fold ingested observations into served matrices and
-  // bump the cache generation whenever anything new arrived.
+  // bump the serving epoch (a fresh external-code table) whenever anything
+  // new arrived.
   std::thread publisher;
   std::mutex publish_mu;
   std::condition_variable publish_cv;
