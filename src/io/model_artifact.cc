@@ -1,12 +1,15 @@
 #include "io/model_artifact.h"
 
+#include <cfloat>
+#include <climits>
 #include <cmath>
 #include <cstdint>
-#include <functional>
+#include <cstdio>
 #include <utility>
 #include <vector>
 
 #include "nn/serialize.h"
+#include "temporal/time_slot.h"
 
 namespace deepod::io {
 namespace {
@@ -56,71 +59,291 @@ std::vector<std::pair<const char*, double>> ConfigFields(
   };
 }
 
-core::DeepOdConfig ConfigFromScalars(
-    const std::function<double(const char*)>& get) {
-  const auto sz = [&get](const char* name) {
-    return static_cast<size_t>(std::llround(get(name)));
+// Stated bounds of the artifact scalars that size an allocation or reach a
+// constructor. Each is checked before its first use, so a checksum-valid
+// file with a hostile scalar is a typed error, never an abort.
+// Every layer width (config.ds ... config.dtraf): 4x the paper's widest
+// layer (128, §6.2).
+constexpr double kMaxLayerWidth = 512.0;
+constexpr double kMaxNumThreads = 4096.0;
+// The CNN pools the grid down to at most this many rows/cols; it sizes
+// nothing itself, so the bound only keeps it a positive int.
+constexpr double kMaxSpeedMatrixDim = 0x1p31;
+// Speed snapshot period, seconds: a millisecond to a week.
+constexpr double kMinSnapshotSeconds = 1e-3;
+constexpr double kMaxSnapshotSeconds = temporal::kSecondsPerWeek;
+
+[[noreturn]] void ThrowMissing(const std::string& name) {
+  throw nn::SerializeError(nn::LoadStatus::Error(
+      nn::LoadErrorKind::kMissingTensor,
+      "artifact is missing required entry '" + name + "'", name));
+}
+
+[[noreturn]] void ThrowBadValue(const std::string& name,
+                                const std::string& what) {
+  throw nn::SerializeError(nn::LoadStatus::Error(
+      nn::LoadErrorKind::kBadValue, name + " " + what, name));
+}
+
+[[noreturn]] void ThrowShape(const nn::TensorRecord& record,
+                             const std::string& expected) {
+  throw nn::SerializeError(nn::LoadStatus::Error(
+      nn::LoadErrorKind::kShapeMismatch,
+      "tensor '" + record.name + "': expected shape " + expected +
+          ", file has " + nn::ShapeToString(record.shape),
+      record.name));
+}
+
+std::string Num(double value) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  return buf;
+}
+
+// The indexed record table of one artifact buffer, with validating reads of
+// its scalars. Every failed read throws a typed nn::SerializeError naming
+// the record.
+class ArtifactRecords {
+ public:
+  ArtifactRecords(const std::vector<uint8_t>& buffer,
+                  const std::vector<nn::TensorRecord>& records)
+      : buffer_(buffer), records_(records) {}
+
+  const nn::TensorRecord* Find(const std::string& name) const {
+    for (const auto& r : records_) {
+      if (r.name == name) return &r;
+    }
+    return nullptr;
+  }
+
+  const nn::TensorRecord& Require(const std::string& name) const {
+    const nn::TensorRecord* r = Find(name);
+    if (r == nullptr) ThrowMissing(name);
+    return *r;
+  }
+
+  // The value of a one-element record, unchecked.
+  double Raw(const std::string& name) const {
+    const nn::TensorRecord& r = Require(name);
+    if (r.num_elements != 1) ThrowMissing(name);
+    return nn::ReadRecordPayload(buffer_, r)[0];
+  }
+
+  // A finite value in [lo, hi].
+  double Real(const std::string& name, double lo, double hi) const {
+    const double v = Raw(name);
+    if (!std::isfinite(v)) {
+      throw nn::SerializeError(nn::LoadStatus::Error(
+          nn::LoadErrorKind::kNonFinite,
+          "tensor '" + name + "' holds a NaN or an infinity", name));
+    }
+    if (v < lo || v > hi) {
+      ThrowBadValue(name, "= " + Num(v) + " is outside [" + Num(lo) + ", " +
+                              Num(hi) + "]");
+    }
+    return v;
+  }
+
+  // An integral finite value in [lo, hi].
+  double Integer(const std::string& name, double lo, double hi) const {
+    const double v = Real(name, lo, hi);
+    if (v != std::floor(v)) {
+      ThrowBadValue(name, "= " + Num(v) + " is not an integer");
+    }
+    return v;
+  }
+
+ private:
+  const std::vector<uint8_t>& buffer_;
+  const std::vector<nn::TensorRecord>& records_;
+};
+
+// Checks artifact.version against [min_version, kArtifactVersion] and
+// returns artifact.network_id (0 when absent).
+uint32_t ReadHeader(const ArtifactRecords& in, double min_version) {
+  const double version = in.Raw("artifact.version");
+  if (!(version >= min_version && version <= kArtifactVersion) ||
+      version != std::floor(version)) {
+    throw nn::SerializeError(nn::LoadStatus::Error(
+        nn::LoadErrorKind::kBadVersion,
+        "unsupported artifact version " + Num(version), "artifact.version"));
+  }
+  if (in.Find("artifact.network_id") == nullptr) return 0;
+  return static_cast<uint32_t>(
+      in.Integer("artifact.network_id", 0.0, 4294967295.0));
+}
+
+// The config snapshot, each field validated against its stated bound. The
+// two tables that grow with the network and the slot count are also
+// cross-checked against their records — the road table must be
+// [network segments, ds] and the time-slot table [slots, dt] — so neither
+// is sized past what the file holds.
+core::DeepOdConfig ReadConfig(const ArtifactRecords& in,
+                              const road::RoadNetwork& network) {
+  const auto field = [](const char* name) {
+    return std::string("config.") + name;
+  };
+  const auto integer = [&](const char* name, double lo, double hi) {
+    return in.Integer(field(name), lo, hi);
+  };
+  const auto width = [&](const char* name) {
+    return static_cast<size_t>(integer(name, 1.0, kMaxLayerWidth));
+  };
+  const auto finite = [&](const char* name) {
+    return in.Real(field(name), -DBL_MAX, DBL_MAX);
+  };
+  const auto enumerator = [&](const char* name, auto last) {
+    return static_cast<decltype(last)>(
+        integer(name, 0.0, static_cast<double>(static_cast<int>(last))));
   };
   core::DeepOdConfig c;
-  c.ds = sz("ds");
-  c.dt = sz("dt");
-  c.dm1 = sz("dm1");
-  c.dm2 = sz("dm2");
-  c.dm3 = sz("dm3");
-  c.dm4 = sz("dm4");
-  c.dm5 = sz("dm5");
-  c.dm6 = sz("dm6");
-  c.dm7 = sz("dm7");
-  c.dm8 = sz("dm8");
-  c.dm9 = sz("dm9");
-  c.dh = sz("dh");
-  c.dtraf = sz("dtraf");
-  c.slot_seconds = get("slot_seconds");
-  c.loss_weight_w = get("loss_weight_w");
-  c.supervise_stcode = get("supervise_stcode") != 0.0;
-  c.learning_rate = get("learning_rate");
-  c.lr_decay_epochs = static_cast<int>(std::llround(get("lr_decay_epochs")));
-  c.lr_decay_factor = get("lr_decay_factor");
-  c.batch_size = sz("batch_size");
-  c.epochs = static_cast<int>(std::llround(get("epochs")));
-  c.grad_clip = get("grad_clip");
-  c.max_speed_matrix_dim = sz("max_speed_matrix_dim");
-  c.ablation =
-      static_cast<core::Ablation>(std::llround(get("ablation")));
-  c.time_init =
-      static_cast<core::TimeInit>(std::llround(get("time_init")));
-  c.road_init =
-      static_cast<core::RoadInit>(std::llround(get("road_init")));
-  c.embed_method =
-      static_cast<embed::EmbedMethod>(std::llround(get("embed_method")));
-  c.seed = static_cast<uint64_t>(std::llround(get("seed")));
-  c.num_threads = sz("num_threads");
+  c.ds = width("ds");
+  c.dt = width("dt");
+  c.dm1 = width("dm1");
+  c.dm2 = width("dm2");
+  c.dm3 = width("dm3");
+  c.dm4 = width("dm4");
+  c.dm5 = width("dm5");
+  c.dm6 = width("dm6");
+  c.dm7 = width("dm7");
+  c.dm8 = width("dm8");
+  c.dm9 = width("dm9");
+  c.dh = width("dh");
+  c.dtraf = width("dtraf");
+  // TimeSlotter's precondition: a positive slot that divides the day.
+  c.slot_seconds =
+      in.Real(field("slot_seconds"), 1.0, temporal::kSecondsPerDay);
+  const double per_day = temporal::kSecondsPerDay / c.slot_seconds;
+  if (std::fabs(per_day - std::round(per_day)) > 1e-9) {
+    ThrowBadValue(field("slot_seconds"),
+                  "= " + Num(c.slot_seconds) + " does not divide a day");
+  }
+  c.loss_weight_w = finite("loss_weight_w");
+  c.supervise_stcode = integer("supervise_stcode", 0.0, 1.0) != 0.0;
+  c.learning_rate = finite("learning_rate");
+  c.lr_decay_epochs =
+      static_cast<int>(integer("lr_decay_epochs", INT_MIN, INT_MAX));
+  c.lr_decay_factor = finite("lr_decay_factor");
+  c.batch_size = static_cast<size_t>(integer("batch_size", 0.0, 0x1p53));
+  c.epochs = static_cast<int>(integer("epochs", INT_MIN, INT_MAX));
+  c.grad_clip = finite("grad_clip");
+  c.max_speed_matrix_dim = static_cast<size_t>(
+      integer("max_speed_matrix_dim", 1.0, kMaxSpeedMatrixDim));
+  c.ablation = enumerator("ablation", core::Ablation::kNoOther);
+  c.time_init = enumerator("time_init", core::TimeInit::kTimestamp);
+  c.road_init = enumerator("road_init", core::RoadInit::kOneHot);
+  c.embed_method = enumerator("embed_method", embed::EmbedMethod::kRandom);
+  // Any uint64 seed: the largest double below 2^64 is its bound.
+  c.seed = static_cast<uint64_t>(integer("seed", 0.0, 0x1.fffffffffffffp63));
+  c.num_threads =
+      static_cast<size_t>(integer("num_threads", 0.0, kMaxNumThreads));
+  if (c.dm4 != c.dm8) {
+    ThrowBadValue(field("dm8"), "= " + std::to_string(c.dm8) +
+                                    " must equal config.dm4 = " +
+                                    std::to_string(c.dm4) + " (§4.6)");
+  }
+
+  const temporal::TimeSlotter slotter(0.0, c.slot_seconds);
+  const auto slots = static_cast<size_t>(
+      c.time_init == core::TimeInit::kDailyGraph ? slotter.slots_per_day()
+                                                 : slotter.slots_per_week());
+  const std::pair<const char*, std::vector<size_t>> tables[] = {
+      {"model.road_embedding.table", {network.num_segments(), c.ds}},
+      {"model.time_slot_embedding.table", {slots, c.dt}},
+  };
+  for (const auto& [name, shape] : tables) {
+    const nn::TensorRecord& r = in.Require(name);
+    if (r.shape != shape) ThrowShape(r, nn::ShapeToString(shape));
+  }
   return c;
 }
 
-// Flat staging buffers for the speed.* entries of one artifact dict. The
-// dict borrows this storage, so it must outlive the (de)serialisation call.
-struct SpeedStaging {
+// The speed.* entries of one artifact dict over caller-owned storage: the
+// geometry scalars, the snapshot indices (doubles, as stored on disk) and
+// the matrix arena [indices.size(), cells]. The dict borrows all of it, so
+// it must outlive the (de)serialisation call.
+struct SpeedEntries {
   double rows = 0.0, cols = 0.0, snapshot_seconds = 0.0;
   std::vector<double> indices;
-  std::vector<double> matrices;  // [n, rows*cols]
+  double* matrices = nullptr;
+  size_t cells = 0;
+
+  void AppendTo(nn::StateDict& dict) {
+    dict.AddScalarBuffer("speed.rows", &rows);
+    dict.AddScalarBuffer("speed.cols", &cols);
+    dict.AddScalarBuffer("speed.snapshot_seconds", &snapshot_seconds);
+    dict.AddBuffer("speed.indices", {indices.size()}, indices.data());
+    dict.AddBuffer("speed.matrices", {indices.size(), cells}, matrices);
+  }
 };
 
-void AppendSpeedEntries(SpeedStaging& staging, nn::StateDict& dict) {
-  dict.AddScalarBuffer("speed.rows", &staging.rows);
-  dict.AddScalarBuffer("speed.cols", &staging.cols);
-  dict.AddScalarBuffer("speed.snapshot_seconds", &staging.snapshot_seconds);
-  dict.AddBuffer("speed.indices", {staging.indices.size()},
-                 staging.indices.data());
-  const size_t n = staging.indices.size();
-  dict.AddBuffer("speed.matrices", {n, n > 0 ? staging.matrices.size() / n : 0},
-                 staging.matrices.data());
+// Validates the speed.* geometry: integral rows and cols whose product
+// (overflow-checked) is the row length of a non-empty [n, cells]
+// speed.matrices record, a [n] speed.indices record and a bounded snapshot
+// period. Sizes `entries` from the record shapes, never from the scalars;
+// `arena` receives the n * cells matrix storage.
+void ReadSpeedGeometry(const ArtifactRecords& in, SpeedEntries& entries,
+                       std::vector<double>& arena) {
+  entries.rows = in.Integer("speed.rows", 1.0, 0x1p53);
+  entries.cols = in.Integer("speed.cols", 1.0, 0x1p53);
+  entries.snapshot_seconds = in.Real(
+      "speed.snapshot_seconds", kMinSnapshotSeconds, kMaxSnapshotSeconds);
+  const nn::TensorRecord& matrices = in.Require("speed.matrices");
+  const nn::TensorRecord& indices = in.Require("speed.indices");
+  size_t cells = 0;
+  if (__builtin_mul_overflow(static_cast<size_t>(entries.rows),
+                             static_cast<size_t>(entries.cols), &cells) ||
+      matrices.shape.size() != 2 || matrices.shape[0] == 0 ||
+      matrices.shape[1] != cells) {
+    ThrowShape(matrices, "[n >= 1, speed.rows x speed.cols = " +
+                             Num(entries.rows) + " x " + Num(entries.cols) +
+                             "]");
+  }
+  const size_t n = matrices.shape[0];
+  if (indices.shape != std::vector<size_t>{n}) {
+    ThrowShape(indices, nn::ShapeToString({n}));
+  }
+  entries.cells = cells;
+  entries.indices.resize(n);
+  arena.resize(matrices.num_elements);
+  entries.matrices = arena.data();
 }
 
-[[noreturn]] void ThrowMissing(const char* name) {
-  throw nn::SerializeError(nn::LoadStatus::Error(
-      nn::LoadErrorKind::kMissingTensor,
-      std::string("artifact is missing required entry '") + name + "'", name));
+// The decoded snapshot indices as int64: each integral, strictly ascending,
+// and a timestamp within ±temporal::kMaxTimestamp.
+std::vector<int64_t> SnapshotIndices(const SpeedEntries& entries) {
+  const double bound = temporal::kMaxTimestamp / entries.snapshot_seconds;
+  std::vector<int64_t> out;
+  out.reserve(entries.indices.size());
+  for (const double v : entries.indices) {
+    if (v != std::floor(v) || std::fabs(v) > bound) {
+      ThrowBadValue("speed.indices",
+                    "holds " + Num(v) + ", not an integer in [-" + Num(bound) +
+                        ", " + Num(bound) + "]");
+    }
+    if (!out.empty() && static_cast<int64_t>(v) <= out.back()) {
+      ThrowBadValue("speed.indices", "are not strictly ascending at " + Num(v));
+    }
+    out.push_back(static_cast<int64_t>(v));
+  }
+  return out;
+}
+
+// Stands up the optional fallback estimators the records carry, sized from
+// the indexed record shapes so the strict pass deserialises straight into
+// them.
+void PrepareFallbacks(
+    const ArtifactRecords& in, std::unique_ptr<baselines::OdOracle>& oracle,
+    std::unique_ptr<baselines::LinkMeanEstimator>& link_mean) {
+  if (const nn::TensorRecord* keys = in.Find("oracle.keys")) {
+    oracle = std::make_unique<baselines::OdOracle>();
+    oracle->PrepareLoad(keys->num_elements,
+                        in.Require("oracle.pair_keys").num_elements);
+  }
+  if (const nn::TensorRecord* means = in.Find("linkmean.means")) {
+    link_mean = std::make_unique<baselines::LinkMeanEstimator>();
+    link_mean->PrepareLoad(means->num_elements);
+  }
 }
 
 }  // namespace
@@ -151,21 +374,17 @@ void WriteModelArtifact(const std::string& path, core::DeepOdModel& model,
     options.link_mean->AppendState("linkmean.", dict);
   }
 
-  SpeedStaging staging;
+  SpeedEntries speed_entries;
   if (speed != nullptr) {
-    staging.rows = static_cast<double>(speed->rows());
-    staging.cols = static_cast<double>(speed->cols());
-    staging.snapshot_seconds = speed->snapshot_seconds();
-    const auto& snapshots = speed->snapshots();
-    const size_t cell_count = speed->rows() * speed->cols();
-    staging.indices.reserve(snapshots.size());
-    staging.matrices.reserve(snapshots.size() * cell_count);
-    for (const auto& snap : snapshots) {
-      staging.indices.push_back(static_cast<double>(snap.index));
-      staging.matrices.insert(staging.matrices.end(), snap.matrix.begin(),
-                              snap.matrix.end());
-    }
-    AppendSpeedEntries(staging, dict);
+    speed_entries.rows = static_cast<double>(speed->rows());
+    speed_entries.cols = static_cast<double>(speed->cols());
+    speed_entries.snapshot_seconds = speed->snapshot_seconds();
+    speed_entries.indices.assign(speed->indices().begin(),
+                                 speed->indices().end());
+    // The arena is registered in place: SaveStateDict only reads entries.
+    speed_entries.matrices = const_cast<double*>(speed->matrices().data());
+    speed_entries.cells = speed->rows() * speed->cols();
+    speed_entries.AppendTo(dict);
   }
 
   // Only model.* weight entries are quantisation-eligible (trainable,
@@ -181,103 +400,40 @@ ServingModel LoadModelArtifact(const std::string& path,
 ServingModel LoadModelArtifact(const std::string& path,
                                const road::RoadNetwork& network,
                                const ArtifactOptions& options) {
+  // One read, one checksum pass (the index), one decode (the strict pass
+  // below, straight into the model, the fallback estimators and the speed
+  // arena).
   std::vector<uint8_t> buffer;
   nn::ThrowIfError(nn::ReadFileBytes(path, &buffer));
   std::vector<nn::TensorRecord> records;
   nn::ThrowIfError(nn::IndexStateDict(buffer, &records));
+  const ArtifactRecords in(buffer, records);
 
-  const auto find = [&records](const char* name) -> const nn::TensorRecord* {
-    for (const auto& r : records) {
-      if (r.name == name) return &r;
-    }
-    return nullptr;
-  };
-  const auto scalar = [&](const char* name) {
-    const nn::TensorRecord* r = find(name);
-    if (r == nullptr || r->num_elements != 1) ThrowMissing(name);
-    return nn::ReadRecordPayload(buffer, *r)[0];
-  };
-
-  const double version = scalar("artifact.version");
-  if (version < kMinArtifactVersion || version > kArtifactVersion) {
-    throw nn::SerializeError(nn::LoadStatus::Error(
-        nn::LoadErrorKind::kBadVersion,
-        "unsupported artifact version " + std::to_string(version),
-        "artifact.version"));
-  }
-
+  // Every scalar that sizes an allocation or reaches a constructor is
+  // validated here, before the model, the arena or an estimator exists.
   ServingModel out;
-  if (find("artifact.network_id") != nullptr) {
-    out.network_id =
-        static_cast<uint32_t>(std::llround(scalar("artifact.network_id")));
-  }
-  out.config = ConfigFromScalars([&](const char* name) {
-    return scalar((std::string("config.") + name).c_str());
-  });
+  out.network_id = ReadHeader(in, kMinArtifactVersion);
+  out.config = ReadConfig(in, network);
+  const bool has_speed = in.Find("speed.rows") != nullptr;
+  SpeedEntries speed_entries;
+  std::vector<double> arena;
+  if (has_speed) ReadSpeedGeometry(in, speed_entries, arena);
+  out.model =
+      std::make_unique<core::DeepOdModel>(out.config, network, nullptr);
+  PrepareFallbacks(in, out.oracle, out.link_mean);
 
-  // The frozen speed field, when the artifact carries one. Built up front
-  // from the indexed records so the predict-only model can be constructed
-  // pointing at it; the strict full-dict pass below still re-validates the
-  // same bytes by name and shape.
-  if (find("speed.rows") != nullptr) {
-    const auto rows = static_cast<size_t>(std::llround(scalar("speed.rows")));
-    const auto cols = static_cast<size_t>(std::llround(scalar("speed.cols")));
-    const double snapshot_seconds = scalar("speed.snapshot_seconds");
-    const nn::TensorRecord* indices = find("speed.indices");
-    const nn::TensorRecord* matrices = find("speed.matrices");
-    if (indices == nullptr) ThrowMissing("speed.indices");
-    if (matrices == nullptr) ThrowMissing("speed.matrices");
-    const std::vector<double> index_values =
-        nn::ReadRecordPayload(buffer, *indices);
-    const std::vector<double> matrix_values =
-        nn::ReadRecordPayload(buffer, *matrices);
-    if (matrix_values.size() != index_values.size() * rows * cols) {
-      throw nn::SerializeError(nn::LoadStatus::Error(
-          nn::LoadErrorKind::kShapeMismatch,
-          "speed.matrices size does not match speed.indices x rows x cols",
-          "speed.matrices"));
-    }
-    std::vector<sim::SnapshotSpeedField::Snapshot> snapshots(
-        index_values.size());
-    const size_t cell_count = rows * cols;
-    for (size_t i = 0; i < snapshots.size(); ++i) {
-      snapshots[i].index = static_cast<int64_t>(std::llround(index_values[i]));
-      snapshots[i].matrix.assign(
-          matrix_values.begin() + static_cast<ptrdiff_t>(i * cell_count),
-          matrix_values.begin() + static_cast<ptrdiff_t>((i + 1) * cell_count));
-    }
-    out.speed = std::make_unique<sim::SnapshotSpeedField>(
-        rows, cols, snapshot_seconds, std::move(snapshots));
-  }
-
-  out.model = std::make_unique<core::DeepOdModel>(out.config, network,
-                                                  out.speed.get());
-
-  // Strict validated pass over the whole file: every artifact entry must
-  // match an expected entry by name and shape (checksum already verified by
-  // the index). This is what actually writes the model parameters — and
-  // catches truncated tables, unexpected tensors and table-size mismatches
-  // (e.g. an artifact from a different road network) with a typed error
-  // before any value lands in the model.
-  // The optional fallback-estimator blocks, sized from the indexed record
-  // shapes so the strict pass below can deserialise straight into them.
-  if (find("oracle.keys") != nullptr) {
-    const nn::TensorRecord* pair_keys = find("oracle.pair_keys");
-    if (pair_keys == nullptr) ThrowMissing("oracle.pair_keys");
-    out.oracle = std::make_unique<baselines::OdOracle>();
-    out.oracle->PrepareLoad(find("oracle.keys")->num_elements,
-                            pair_keys->num_elements);
-  }
-  if (find("linkmean.means") != nullptr) {
-    out.link_mean = std::make_unique<baselines::LinkMeanEstimator>();
-    out.link_mean->PrepareLoad(find("linkmean.means")->num_elements);
-  }
-
+  // Strict validated pass over the whole file (checksum already verified by
+  // the index above): every artifact entry must match an expected entry by
+  // name and shape, then every value must be finite. This is what actually
+  // writes the model parameters, the estimators and the speed arena — and
+  // catches unexpected tensors and table-size mismatches (e.g. an artifact
+  // from a different road network) with a typed error before any value
+  // lands.
   nn::StateDict dict;
   double version_staging = 0.0;
   dict.AddScalarBuffer("artifact.version", &version_staging);
   double network_id_staging = 0.0;
-  if (find("artifact.network_id") != nullptr) {
+  if (in.Find("artifact.network_id") != nullptr) {
     dict.AddScalarBuffer("artifact.network_id", &network_id_staging);
   }
   auto config_fields = ConfigFields(out.config);
@@ -285,16 +441,10 @@ ServingModel LoadModelArtifact(const std::string& path,
     dict.AddScalarBuffer(std::string("config.") + name, &value);
   }
   out.model->AppendState("model.", dict);
-  SpeedStaging staging;
-  if (out.speed != nullptr) {
-    staging.indices.resize(out.speed->snapshots().size());
-    staging.matrices.resize(staging.indices.size() * out.speed->rows() *
-                            out.speed->cols());
-    AppendSpeedEntries(staging, dict);
-  }
+  if (has_speed) speed_entries.AppendTo(dict);
   if (out.oracle != nullptr) out.oracle->AppendState("oracle.", dict);
   if (out.link_mean != nullptr) out.link_mean->AppendState("linkmean.", dict);
-  nn::ThrowIfError(nn::DeserializeStateDict(buffer, dict));
+  nn::ThrowIfError(nn::DeserializeStateDict(buffer, records, dict));
 
   // Effective quantisation: a load-time request wins; otherwise whatever
   // the records were stored as (the deserialise above already produced the
@@ -313,6 +463,15 @@ ServingModel LoadModelArtifact(const std::string& path,
     nn::ThrowIfError(nn::CheckFinite(dict));
   }
 
+  // The frozen speed field takes the decoded arena as its storage.
+  if (has_speed) {
+    out.speed = std::make_unique<sim::SnapshotSpeedField>(
+        static_cast<size_t>(speed_entries.rows),
+        static_cast<size_t>(speed_entries.cols),
+        speed_entries.snapshot_seconds, SnapshotIndices(speed_entries),
+        std::move(arena));
+    out.model->SetSpeedProvider(out.speed.get());
+  }
   out.model->ClearOcodeMemo();
   out.model->SetTraining(false);
   return out;
@@ -336,41 +495,11 @@ OracleBundle LoadOracleArtifact(const std::string& path) {
   nn::ThrowIfError(nn::ReadFileBytes(path, &buffer));
   std::vector<nn::TensorRecord> records;
   nn::ThrowIfError(nn::IndexStateDict(buffer, &records));
-
-  const auto find = [&records](const char* name) -> const nn::TensorRecord* {
-    for (const auto& r : records) {
-      if (r.name == name) return &r;
-    }
-    return nullptr;
-  };
-  const auto scalar = [&](const char* name) {
-    const nn::TensorRecord* r = find(name);
-    if (r == nullptr || r->num_elements != 1) ThrowMissing(name);
-    return nn::ReadRecordPayload(buffer, *r)[0];
-  };
-
-  const double version = scalar("artifact.version");
-  if (version < 2.0 || version > kArtifactVersion) {
-    throw nn::SerializeError(nn::LoadStatus::Error(
-        nn::LoadErrorKind::kBadVersion,
-        "unsupported oracle artifact version " + std::to_string(version),
-        "artifact.version"));
-  }
+  const ArtifactRecords in(buffer, records);
 
   OracleBundle out;
-  out.network_id =
-      static_cast<uint32_t>(std::llround(scalar("artifact.network_id")));
-  if (find("oracle.keys") != nullptr) {
-    const nn::TensorRecord* pair_keys = find("oracle.pair_keys");
-    if (pair_keys == nullptr) ThrowMissing("oracle.pair_keys");
-    out.oracle = std::make_unique<baselines::OdOracle>();
-    out.oracle->PrepareLoad(find("oracle.keys")->num_elements,
-                            pair_keys->num_elements);
-  }
-  if (find("linkmean.means") != nullptr) {
-    out.link_mean = std::make_unique<baselines::LinkMeanEstimator>();
-    out.link_mean->PrepareLoad(find("linkmean.means")->num_elements);
-  }
+  out.network_id = ReadHeader(in, 2.0);
+  PrepareFallbacks(in, out.oracle, out.link_mean);
 
   nn::StateDict dict;
   double version_staging = 0.0;
@@ -379,7 +508,7 @@ OracleBundle LoadOracleArtifact(const std::string& path) {
   dict.AddScalarBuffer("artifact.network_id", &network_id_staging);
   if (out.oracle != nullptr) out.oracle->AppendState("oracle.", dict);
   if (out.link_mean != nullptr) out.link_mean->AppendState("linkmean.", dict);
-  nn::ThrowIfError(nn::DeserializeStateDict(buffer, dict));
+  nn::ThrowIfError(nn::DeserializeStateDict(buffer, records, dict));
   return out;
 }
 

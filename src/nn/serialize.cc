@@ -25,6 +25,22 @@ size_t RecordRows(const std::vector<size_t>& shape) {
   return shape.empty() || shape[0] == 0 ? 1 : shape[0];
 }
 
+// Whether `record`'s payload fits in `available` bytes. Compares quotients,
+// so a hostile element count cannot wrap a byte product past the check.
+bool PayloadFits(const TensorRecord& record, size_t available) {
+  switch (record.dtype) {
+    case kDtypeF16:
+      return record.num_elements <= available / sizeof(uint16_t);
+    case kDtypeI8: {
+      const size_t rows = RecordRows(record.shape);
+      return rows <= available / sizeof(double) &&
+             record.num_elements <= available - rows * sizeof(double);
+    }
+    default:
+      return record.num_elements <= available / sizeof(double);
+  }
+}
+
 template <typename T>
 void AppendPod(std::vector<uint8_t>& buf, const T& value) {
   const auto* bytes = reinterpret_cast<const uint8_t*>(&value);
@@ -60,17 +76,6 @@ uint64_t Fnv1a64(const uint8_t* data, size_t size) {
   return h;
 }
 
-std::string ShapeToString(const std::vector<size_t>& shape) {
-  std::ostringstream out;
-  out << '[';
-  for (size_t i = 0; i < shape.size(); ++i) {
-    if (i > 0) out << ", ";
-    out << shape[i];
-  }
-  out << ']';
-  return out.str();
-}
-
 LoadStatus Truncated(const std::string& where) {
   return LoadStatus::Error(LoadErrorKind::kTruncated,
                            "state dict truncated in " + where);
@@ -102,6 +107,7 @@ const char* LoadErrorKindName(LoadErrorKind kind) {
     case LoadErrorKind::kTrailingBytes: return "trailing_bytes";
     case LoadErrorKind::kCountMismatch: return "count_mismatch";
     case LoadErrorKind::kNonFinite: return "non_finite";
+    case LoadErrorKind::kBadValue: return "bad_value";
   }
   return "unknown";
 }
@@ -127,6 +133,17 @@ size_t SerializedStateSize(const StateDict& state) {
     bytes += sizeof(double) * e.size;                        // payload
   }
   return bytes + sizeof(uint64_t);  // checksum
+}
+
+std::string ShapeToString(const std::vector<size_t>& shape) {
+  std::ostringstream out;
+  out << '[';
+  for (size_t i = 0; i < shape.size(); ++i) {
+    if (i > 0) out << ", ";
+    out << shape[i];
+  }
+  out << ']';
+  return out.str();
 }
 
 const char* RecordDtypeName(uint8_t dtype) {
@@ -272,14 +289,18 @@ LoadStatus IndexStateDict(const std::vector<uint8_t>& buffer,
         return Truncated("record " + rec.name);
       }
       rec.shape.push_back(static_cast<size_t>(dim));
-      rec.num_elements *= static_cast<size_t>(dim);
+      // An element count past size_t cannot fit in any buffer.
+      if (__builtin_mul_overflow(rec.num_elements, static_cast<size_t>(dim),
+                                 &rec.num_elements)) {
+        return Truncated("payload of " + rec.name);
+      }
     }
     rec.payload_offset = offset;
-    const size_t payload_bytes = RecordPayloadBytes(rec);
-    if (offset + payload_bytes > checksum_offset) {
+    if (offset > checksum_offset ||
+        !PayloadFits(rec, checksum_offset - offset)) {
       return Truncated("payload of " + rec.name);
     }
-    offset += payload_bytes;
+    offset += RecordPayloadBytes(rec);
     out->push_back(std::move(rec));
   }
   if (offset != checksum_offset) {
@@ -412,6 +433,12 @@ LoadStatus DeserializeStateDict(const std::vector<uint8_t>& buffer,
   if (LoadStatus status = IndexStateDict(buffer, &records); !status.ok()) {
     return status;
   }
+  return DeserializeStateDict(buffer, records, state);
+}
+
+LoadStatus DeserializeStateDict(const std::vector<uint8_t>& buffer,
+                                const std::vector<TensorRecord>& records,
+                                StateDict& state) {
   // Validate everything before writing anything: a failed load must not
   // leave the model half-restored.
   std::vector<const TensorRecord*> sources(state.size(), nullptr);

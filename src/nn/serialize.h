@@ -63,12 +63,14 @@ enum class LoadErrorKind {
   kTrailingBytes,     // well-formed records followed by garbage
   kCountMismatch,     // legacy blob: positional parameter count differs
   kNonFinite,         // a NaN or infinity in a finite-valued tensor
+  kBadValue,          // a finite scalar outside its stated domain (e.g. an
+                      // artifact config width past its bound)
 };
 
 // Outcome of a load/save operation. `tensor` names the first offending
 // record for per-tensor failures (kMissingTensor / kUnexpectedTensor /
-// kShapeMismatch / kNonFinite); `message` is a human-readable one-liner
-// that includes expected-vs-found shapes where applicable.
+// kShapeMismatch / kNonFinite / kBadValue); `message` is a human-readable
+// one-liner that includes expected-vs-found shapes where applicable.
 struct LoadStatus {
   LoadErrorKind kind = LoadErrorKind::kNone;
   std::string tensor;
@@ -107,6 +109,9 @@ inline constexpr uint8_t kDtypeI8 = 3;
 // "f64" / "f16" / "int8" (or "unknown").
 const char* RecordDtypeName(uint8_t dtype);
 
+// "[2, 3]"-style rendering of a tensor shape, as load errors print it.
+std::string ShapeToString(const std::vector<size_t>& shape);
+
 // Serialises every entry of `state` (names, shapes, payloads, checksum).
 // All-f64, written as version 2 (byte-identical to the pre-quantisation
 // writer).
@@ -122,23 +127,6 @@ std::vector<uint8_t> SerializeStateDict(const StateDict& state,
 // Byte size the all-f64 SerializeStateDict(state) call would produce.
 size_t SerializedStateSize(const StateDict& state);
 
-// Restores `state` in place from a v2/v3 buffer, dequantising f16/int8
-// records into the fp64 entry storage. Strict by-name matching: every dict
-// entry must appear in the buffer with an identical shape and every buffer
-// record must be expected by the dict — the first violation is reported
-// with its tensor name and both shapes. Decoded values must pass
-// CheckFinite. No entry is modified unless the whole buffer validates
-// (checksum included), so a failed load never leaves a model half-written.
-// Bumps the parameter epoch on success.
-LoadStatus DeserializeStateDict(const std::vector<uint8_t>& buffer,
-                                StateDict& state);
-
-// kNonFinite naming the first entry (not marked StateDict::Values::kAny)
-// that holds a NaN or an infinity; Ok otherwise. Served weights must be
-// finite: a NaN weight serves NaN, and the padded conv kernel of kBlocked
-// is bit-identical to kLegacy only for finite weights (nn/kernels.h).
-LoadStatus CheckFinite(const StateDict& state);
-
 // One record of a serialised state dict, without its payload.
 struct TensorRecord {
   std::string name;
@@ -148,10 +136,43 @@ struct TensorRecord {
   size_t payload_offset = 0;  // byte offset of the payload in the buffer
 };
 
+// Restores `state` in place from a v2/v3 buffer, dequantising f16/int8
+// records into the fp64 entry storage. Strict by-name matching: every dict
+// entry must appear in the buffer with an identical shape and every buffer
+// record must be expected by the dict — the first violation is reported
+// with its tensor name and both shapes. Decoded values must pass
+// CheckFinite. No entry is modified unless the whole buffer validates
+// (checksum included), so a failed load never leaves a model half-written.
+// Bumps the parameter epoch on success. Indexes `buffer` (framing and
+// checksum) and then runs the pre-indexed overload below.
+LoadStatus DeserializeStateDict(const std::vector<uint8_t>& buffer,
+                                StateDict& state);
+
+// The same restore over a record table the caller already built with
+// IndexStateDict(buffer, &records) and found Ok — framing and the
+// whole-file checksum verified — so a loader that reads the table itself
+// (io/model_artifact) checks each byte once. Runs the identical checks in
+// the identical order (by-name/shape matching, then the finite scan, then
+// the decode) and returns the identical status the two-argument form
+// returns for that buffer. Passing records indexed from another buffer, or
+// a table whose IndexStateDict failed, breaks the contract.
+LoadStatus DeserializeStateDict(const std::vector<uint8_t>& buffer,
+                                const std::vector<TensorRecord>& records,
+                                StateDict& state);
+
+// kNonFinite naming the first entry (not marked StateDict::Values::kAny)
+// that holds a NaN or an infinity; Ok otherwise. Served weights must be
+// finite: a NaN weight serves NaN, and the padded conv kernel of kBlocked
+// is bit-identical to kLegacy only for finite weights (nn/kernels.h).
+LoadStatus CheckFinite(const StateDict& state);
+
 // Parses the record table of a v2/v3 buffer (used by DeserializeStateDict,
-// the artifact loader and the inspector CLI). Validates framing and —
-// unless `verify_checksum` is false — the trailing checksum. Quantised
-// dtypes are accepted only in version-3 buffers.
+// the artifact loaders and the inspector CLI). Validates framing and —
+// unless `verify_checksum` is false — the trailing checksum, in one pass
+// over the bytes. Every record's element count and payload size are
+// overflow-checked against the bytes that remain, so a table that indexes
+// Ok never describes more payload than the buffer holds. Quantised dtypes
+// are accepted only in version-3 buffers.
 LoadStatus IndexStateDict(const std::vector<uint8_t>& buffer,
                           std::vector<TensorRecord>* out,
                           bool verify_checksum = true);

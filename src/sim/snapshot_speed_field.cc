@@ -8,23 +8,28 @@ namespace deepod::sim {
 
 SnapshotSpeedField::SnapshotSpeedField(size_t rows, size_t cols,
                                        double snapshot_seconds,
-                                       std::vector<Snapshot> snapshots)
+                                       std::vector<int64_t> indices,
+                                       std::vector<double> matrices)
     : rows_(rows),
       cols_(cols),
       snapshot_seconds_(snapshot_seconds),
-      snapshots_(std::move(snapshots)) {
-  if (rows_ == 0 || cols_ == 0 || snapshot_seconds_ <= 0.0) {
+      indices_(std::move(indices)),
+      matrices_(std::move(matrices)) {
+  if (rows_ == 0 || cols_ == 0 || !(snapshot_seconds_ > 0.0)) {
     throw std::invalid_argument("SnapshotSpeedField: bad dimensions");
   }
-  if (snapshots_.empty()) {
+  if (indices_.empty()) {
     throw std::invalid_argument("SnapshotSpeedField: no snapshots");
   }
-  for (size_t i = 0; i < snapshots_.size(); ++i) {
-    if (snapshots_[i].matrix.size() != rows_ * cols_) {
-      throw std::invalid_argument(
-          "SnapshotSpeedField: snapshot matrix size mismatch");
-    }
-    if (i > 0 && snapshots_[i].index <= snapshots_[i - 1].index) {
+  // Division-only, so no rows * cols product can overflow.
+  const size_t cells = matrices_.size() / indices_.size();
+  if (cells * indices_.size() != matrices_.size() || cells % rows_ != 0 ||
+      cells / rows_ != cols_) {
+    throw std::invalid_argument(
+        "SnapshotSpeedField: snapshot matrix size mismatch");
+  }
+  for (size_t i = 1; i < indices_.size(); ++i) {
+    if (indices_[i] <= indices_[i - 1]) {
       throw std::invalid_argument(
           "SnapshotSpeedField: snapshots must be strictly ascending");
     }
@@ -42,44 +47,49 @@ SnapshotSpeedField SnapshotSpeedField::Capture(const SpeedProvider& source,
       static_cast<int64_t>(std::llround(source.SnapshotTime(begin) / ss));
   const auto last =
       static_cast<int64_t>(std::llround(source.SnapshotTime(end) / ss));
-  std::vector<Snapshot> snapshots;
-  snapshots.reserve(static_cast<size_t>(last - first + 1));
+  const auto count = static_cast<size_t>(last - first + 1);
+  std::vector<int64_t> indices;
+  std::vector<double> matrices;
+  indices.reserve(count);
+  matrices.reserve(count * source.rows() * source.cols());
   for (int64_t idx = first; idx <= last; ++idx) {
-    Snapshot snap;
-    snap.index = idx;
-    snap.matrix = source.MatrixAt(static_cast<double>(idx) * ss);
-    snapshots.push_back(std::move(snap));
+    const std::vector<double> matrix =
+        source.MatrixAt(static_cast<double>(idx) * ss);
+    indices.push_back(idx);
+    matrices.insert(matrices.end(), matrix.begin(), matrix.end());
   }
   return SnapshotSpeedField(source.rows(), source.cols(), ss,
-                            std::move(snapshots));
+                            std::move(indices), std::move(matrices));
 }
 
 size_t SnapshotSpeedField::SlotFor(temporal::Timestamp t) const {
-  const auto idx =
-      static_cast<int64_t>(std::floor(t / snapshot_seconds_));
-  // Last stored snapshot with index <= idx (clamped to the window).
-  auto it = std::upper_bound(
-      snapshots_.begin(), snapshots_.end(), idx,
-      [](int64_t value, const Snapshot& s) { return value < s.index; });
-  if (it == snapshots_.begin()) return 0;
-  return static_cast<size_t>(std::distance(snapshots_.begin(), it)) - 1;
+  // Clamped to the window in double space, so any t — huge, infinite or
+  // NaN — is defined; inside the window the quotient fits an int64.
+  const double idx = std::floor(t / snapshot_seconds_);
+  if (!(idx > static_cast<double>(indices_.front()))) return 0;
+  if (idx >= static_cast<double>(indices_.back())) return indices_.size() - 1;
+  // Last stored snapshot with index <= idx.
+  const auto it = std::upper_bound(indices_.begin(), indices_.end(),
+                                   static_cast<int64_t>(idx));
+  return static_cast<size_t>(it - indices_.begin()) - 1;
 }
 
 std::vector<double> SnapshotSpeedField::MatrixAt(temporal::Timestamp t) const {
-  return snapshots_[SlotFor(t)].matrix;
+  const std::span<const double> m = matrix(SlotFor(t));
+  return {m.begin(), m.end()};
 }
 
 temporal::Timestamp SnapshotSpeedField::SnapshotTime(
     temporal::Timestamp t) const {
-  return static_cast<double>(snapshots_[SlotFor(t)].index) * snapshot_seconds_;
+  return static_cast<double>(indices_[SlotFor(t)]) * snapshot_seconds_;
 }
 
 temporal::Timestamp SnapshotSpeedField::first_snapshot_time() const {
-  return static_cast<double>(snapshots_.front().index) * snapshot_seconds_;
+  return static_cast<double>(indices_.front()) * snapshot_seconds_;
 }
 
 temporal::Timestamp SnapshotSpeedField::last_snapshot_time() const {
-  return static_cast<double>(snapshots_.back().index) * snapshot_seconds_;
+  return static_cast<double>(indices_.back()) * snapshot_seconds_;
 }
 
 }  // namespace deepod::sim

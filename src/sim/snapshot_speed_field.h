@@ -2,6 +2,7 @@
 #define DEEPOD_SIM_SNAPSHOT_SPEED_FIELD_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sim/speed_matrix.h"
@@ -16,19 +17,19 @@ namespace deepod::sim {
 // pipeline) in memory. Queries outside the captured window clamp to the
 // nearest stored snapshot, which keeps serving total (a stale matrix beats
 // a crash) — capture a window covering the serving horizon to avoid it.
+//
+// Storage is two flat arrays: the snapshot indices (snapshot timestamp /
+// snapshot_seconds) and one contiguous arena holding every matrix back to
+// back, row-major, in index order — the layout of the artifact's
+// speed.matrices record, so the artifact loader decodes straight into it.
 class SnapshotSpeedField : public SpeedProvider {
  public:
-  // One stored snapshot: `index` = snapshot timestamp / snapshot_seconds.
-  struct Snapshot {
-    int64_t index = 0;
-    std::vector<double> matrix;  // row-major rows x cols
-  };
-
-  // `snapshots` must be sorted by ascending index, hold at least one entry,
-  // and every matrix must be rows*cols; throws std::invalid_argument
-  // otherwise.
+  // `indices` must be strictly ascending and non-empty, and `matrices` must
+  // hold indices.size() * rows * cols values (matrix i starts at
+  // i * rows * cols); throws std::invalid_argument otherwise.
   SnapshotSpeedField(size_t rows, size_t cols, double snapshot_seconds,
-                     std::vector<Snapshot> snapshots);
+                     std::vector<int64_t> indices,
+                     std::vector<double> matrices);
 
   // Captures every snapshot of `source` with a snapshot time in
   // [begin, end] (inclusive of the quantised begin; at least one snapshot).
@@ -41,11 +42,20 @@ class SnapshotSpeedField : public SpeedProvider {
   double snapshot_seconds() const override { return snapshot_seconds_; }
 
   // The stored matrix whose snapshot index is closest at or before t;
-  // clamps to the first/last stored snapshot outside the captured window.
+  // clamps to the first/last stored snapshot outside the captured window
+  // (a NaN t clamps to the first).
   std::vector<double> MatrixAt(temporal::Timestamp t) const override;
   temporal::Timestamp SnapshotTime(temporal::Timestamp t) const override;
 
-  const std::vector<Snapshot>& snapshots() const { return snapshots_; }
+  // Number of stored snapshots, their indices, the whole matrix arena and
+  // the rows x cols matrix of snapshot i.
+  size_t size() const { return indices_.size(); }
+  const std::vector<int64_t>& indices() const { return indices_; }
+  const std::vector<double>& matrices() const { return matrices_; }
+  std::span<const double> matrix(size_t i) const {
+    return {matrices_.data() + i * rows_ * cols_, rows_ * cols_};
+  }
+
   // Captured window as snapshot timestamps.
   temporal::Timestamp first_snapshot_time() const;
   temporal::Timestamp last_snapshot_time() const;
@@ -56,7 +66,8 @@ class SnapshotSpeedField : public SpeedProvider {
 
   size_t rows_, cols_;
   double snapshot_seconds_;
-  std::vector<Snapshot> snapshots_;
+  std::vector<int64_t> indices_;
+  std::vector<double> matrices_;  // size() matrices of rows_ * cols_
 };
 
 }  // namespace deepod::sim

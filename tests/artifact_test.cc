@@ -10,9 +10,15 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <memory>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "baselines/od_oracle.h"
+#include "baselines/path_tte.h"
 
 #include "core/deepod_config.h"
 #include "core/deepod_model.h"
@@ -224,7 +230,8 @@ TEST(ArtifactTest, RoundTripBitIdenticalAcrossKernelModesAndThreads) {
   io::ServingModel bundle = io::LoadModelArtifact(path, dataset.network);
   ASSERT_NE(bundle.model, nullptr);
   ASSERT_NE(bundle.speed, nullptr);
-  EXPECT_EQ(bundle.speed->snapshots().size(), frozen.snapshots().size());
+  EXPECT_EQ(bundle.speed->indices(), frozen.indices());
+  EXPECT_EQ(bundle.speed->matrices(), frozen.matrices());
   EXPECT_EQ(bundle.config.ds, trained.config().ds);
 
   // Point the training-side model at the same frozen field so both sides
@@ -369,6 +376,433 @@ TEST(ArtifactTest, Fp16OverflowAtLoadIsRejected) {
       [&] { io::LoadModelArtifact(artifact, TinyDataset().network, fp16); },
       "model." + weight);
   std::remove(artifact.c_str());
+}
+
+// --- Hostile and corrupt artifacts -------------------------------------------
+
+std::vector<uint8_t> ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+// The format's trailing FNV-1a 64 checksum, recomputed independently of
+// nn/serialize so a patched file passes the integrity check and reaches
+// the value checks behind it.
+void Rechecksum(std::vector<uint8_t>& bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  const size_t body = bytes.size() - sizeof(uint64_t);
+  for (size_t i = 0; i < body; ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001b3ull;
+  }
+  std::memcpy(bytes.data() + body, &h, sizeof(h));
+}
+
+std::vector<nn::TensorRecord> Index(const std::vector<uint8_t>& bytes) {
+  std::vector<nn::TensorRecord> records;
+  nn::ThrowIfError(nn::IndexStateDict(bytes, &records));
+  return records;
+}
+
+nn::TensorRecord RecordNamed(const std::vector<nn::TensorRecord>& records,
+                             const std::string& name) {
+  for (const auto& r : records) {
+    if (r.name == name) return r;
+  }
+  throw std::invalid_argument("no record " + name);
+}
+
+// `bytes` with element `element` of f64 record `name` set to `value` and
+// the checksum recomputed.
+std::vector<uint8_t> PatchScalar(std::vector<uint8_t> bytes,
+                                 const std::string& name, size_t element,
+                                 double value) {
+  const nn::TensorRecord r = RecordNamed(Index(bytes), name);
+  std::memcpy(bytes.data() + r.payload_offset + element * sizeof(double),
+              &value, sizeof(value));
+  Rechecksum(bytes);
+  return bytes;
+}
+
+double ScalarAt(const std::vector<uint8_t>& bytes, const std::string& name,
+                size_t element) {
+  return nn::ReadRecordPayload(bytes, RecordNamed(Index(bytes), name))[element];
+}
+
+// A small model artifact carrying every block — config, model, a frozen
+// six-snapshot speed field, oracle and link-mean — plus the matching
+// standalone oracle artifact, written once.
+struct SweepFiles {
+  std::string model_path = TempPath("artifact_test_sweep.artifact");
+  std::string oracle_path = TempPath("artifact_test_sweep.oracle");
+  std::vector<uint8_t> model;
+  std::vector<uint8_t> oracle;
+};
+
+const SweepFiles& Sweep() {
+  static const SweepFiles* files = [] {
+    auto* f = new SweepFiles;
+    const sim::Dataset& dataset = TinyDataset();
+    core::DeepOdModel source(RandomInitConfig(), dataset);
+    source.SetTraining(false);
+    baselines::OdOracle oracle(dataset.network, baselines::OdOracle::Options{});
+    baselines::LinkMeanEstimator links;
+    for (const auto& trip : dataset.train) {
+      oracle.Add(dataset.network, trip.od, trip.travel_time);
+      links.Add(trip.trajectory);
+    }
+    oracle.Finalize();
+    links.Finalize(dataset.network.num_segments());
+    const double begin = dataset.test.front().od.departure_time;
+    const sim::SnapshotSpeedField frozen = sim::SnapshotSpeedField::Capture(
+        *dataset.speed_matrices, begin,
+        begin + 5.0 * dataset.speed_matrices->snapshot_seconds());
+    io::ArtifactOptions options;
+    options.network_id = 7;
+    options.oracle = &oracle;
+    options.link_mean = &links;
+    io::WriteModelArtifact(f->model_path, source, &frozen, options);
+    io::WriteOracleArtifact(f->oracle_path, 7, &oracle, &links);
+    f->model = ReadBytes(f->model_path);
+    f->oracle = ReadBytes(f->oracle_path);
+    return f;
+  }();
+  return *files;
+}
+
+// Writes `bytes` to a file and runs `load` on it; returns the typed status
+// it failed with (kNone when it loaded). Any exception other than
+// SerializeError fails the test.
+nn::LoadStatus LoadStatusOf(
+    const std::vector<uint8_t>& bytes,
+    const std::function<void(const std::string&)>& load) {
+  const std::string path = TempPath("artifact_test_case.artifact");
+  WriteBytes(path, bytes);
+  try {
+    load(path);
+    return nn::LoadStatus::Ok();
+  } catch (const nn::SerializeError& e) {
+    return e.status();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "untyped exception: " << e.what();
+  } catch (...) {
+    ADD_FAILURE() << "non-exception throw";
+  }
+  return nn::LoadStatus::Error(nn::LoadErrorKind::kIoError, "untyped");
+}
+
+nn::LoadStatus LoadModelBytes(const std::vector<uint8_t>& bytes) {
+  return LoadStatusOf(bytes, [](const std::string& path) {
+    io::LoadModelArtifact(path, TinyDataset().network);
+  });
+}
+
+nn::LoadStatus LoadOracleBytes(const std::vector<uint8_t>& bytes) {
+  return LoadStatusOf(
+      bytes, [](const std::string& path) { io::LoadOracleArtifact(path); });
+}
+
+TEST(ArtifactTest, HostileScalarsAreTypedErrorsNamingTheField) {
+  const std::vector<uint8_t>& intact = Sweep().model;
+  ASSERT_TRUE(LoadModelBytes(intact).ok());
+  const double index0 = ScalarAt(intact, "speed.indices", 0);
+  const double dm4 = ScalarAt(intact, "config.dm4", 0);
+  const double rows = ScalarAt(intact, "speed.rows", 0);
+  struct Case {
+    std::string record;
+    size_t element;
+    double value;
+    nn::LoadErrorKind kind;
+    std::string tensor;
+  };
+  using K = nn::LoadErrorKind;
+  const Case cases[] = {
+      // Each of these aborted the server before the scalars were checked:
+      // bad_alloc from the model or arena allocation, invalid_argument
+      // from SnapshotSpeedField / TimeSlotter, or a NaN width rounding to
+      // a zero-element shape.
+      {"config.ds", 0, 1e12, K::kBadValue, "config.ds"},
+      {"config.dm6", 0, 1e9, K::kBadValue, "config.dm6"},
+      {"speed.indices", 0, 1e12, K::kBadValue, "speed.indices"},
+      {"speed.snapshot_seconds", 0, 0.0, K::kBadValue,
+       "speed.snapshot_seconds"},
+      {"config.slot_seconds", 0, 0.0, K::kBadValue, "config.slot_seconds"},
+      {"config.ds", 0, std::nan(""), K::kNonFinite, "config.ds"},
+      // Integral where integral, inside the bound, consistent with the
+      // records it sizes.
+      {"config.ds", 0, 3.5, K::kBadValue, "config.ds"},
+      {"config.ds", 0, 5.0, K::kShapeMismatch, "model.road_embedding.table"},
+      {"config.slot_seconds", 0, 7.0, K::kBadValue, "config.slot_seconds"},
+      {"config.slot_seconds", 0, 1.0, K::kShapeMismatch,
+       "model.time_slot_embedding.table"},
+      {"config.dm8", 0, dm4 + 1.0, K::kBadValue, "config.dm8"},
+      {"config.ablation", 0, 9.0, K::kBadValue, "config.ablation"},
+      {"config.num_threads", 0, 1e9, K::kBadValue, "config.num_threads"},
+      {"config.seed", 0, -1.0, K::kBadValue, "config.seed"},
+      {"config.max_speed_matrix_dim", 0, 0.0, K::kBadValue,
+       "config.max_speed_matrix_dim"},
+      {"config.learning_rate", 0, HUGE_VAL, K::kNonFinite,
+       "config.learning_rate"},
+      {"speed.rows", 0, rows + 1.0, K::kShapeMismatch, "speed.matrices"},
+      {"speed.cols", 0, -1.0, K::kBadValue, "speed.cols"},
+      {"speed.snapshot_seconds", 0, 1e300, K::kBadValue,
+       "speed.snapshot_seconds"},
+      {"speed.indices", 1, index0, K::kBadValue, "speed.indices"},
+      {"speed.indices", 0, index0 + 0.5, K::kBadValue, "speed.indices"},
+      {"artifact.version", 0, std::nan(""), K::kBadVersion,
+       "artifact.version"},
+      {"artifact.version", 0, 1.5, K::kBadVersion, "artifact.version"},
+      {"artifact.network_id", 0, -1.0, K::kBadValue, "artifact.network_id"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.record + "[" + std::to_string(c.element) +
+                 "] = " + std::to_string(c.value));
+    const nn::LoadStatus status =
+        LoadModelBytes(PatchScalar(intact, c.record, c.element, c.value));
+    EXPECT_EQ(status.kind, c.kind) << status.message;
+    EXPECT_EQ(status.tensor, c.tensor) << status.message;
+  }
+  // rows x cols that wraps to exactly the record's row length (100 cells):
+  // only the overflow check stands between it and a SnapshotSpeedField
+  // whose rows x cols is not its matrix size.
+  ASSERT_EQ(RecordNamed(Index(intact), "speed.matrices").shape[1], 100u);
+  const nn::LoadStatus wrapped = LoadModelBytes(
+      PatchScalar(PatchScalar(intact, "speed.rows", 0, 1099511635537.0),
+                  "speed.cols", 0, 448664779599140.0));
+  EXPECT_EQ(wrapped.kind, K::kShapeMismatch) << wrapped.message;
+  EXPECT_EQ(wrapped.tensor, "speed.matrices");
+  // The standalone oracle artifact checks its header scalars the same way.
+  EXPECT_EQ(LoadOracleBytes(PatchScalar(Sweep().oracle, "artifact.network_id",
+                                        0, 0.5))
+                .kind,
+            K::kBadValue);
+}
+
+// `bytes` with the last dimension of record `name` set to `dim` and the
+// checksum recomputed.
+std::vector<uint8_t> PatchLastDim(std::vector<uint8_t> bytes,
+                                  const std::string& name, uint64_t dim) {
+  const nn::TensorRecord r = RecordNamed(Index(bytes), name);
+  std::memcpy(bytes.data() + r.payload_offset - sizeof(dim), &dim,
+              sizeof(dim));
+  Rechecksum(bytes);
+  return bytes;
+}
+
+TEST(ArtifactTest, RecordWhoseByteSizeWrapsIsTruncated) {
+  // 2^61 + n elements of 8 bytes wrap to exactly the n * 8 payload bytes
+  // the record holds, so a size check done in wrapped arithmetic passes
+  // and the loader sizes the link-mean table from 2^61 + n.
+  for (const auto* bytes : {&Sweep().model, &Sweep().oracle}) {
+    const size_t n = RecordNamed(Index(*bytes), "linkmean.means").num_elements;
+    const std::vector<uint8_t> wrapped = PatchLastDim(
+        *bytes, "linkmean.means", (uint64_t{1} << 61) + n);
+    std::vector<nn::TensorRecord> records;
+    EXPECT_EQ(nn::IndexStateDict(wrapped, &records).kind,
+              nn::LoadErrorKind::kTruncated);
+    const nn::LoadStatus status = bytes == &Sweep().model
+                                      ? LoadModelBytes(wrapped)
+                                      : LoadOracleBytes(wrapped);
+    EXPECT_EQ(status.kind, nn::LoadErrorKind::kTruncated) << status.message;
+  }
+}
+
+// Byte ranges [begin, end) of every record (header included) of `bytes`.
+std::vector<std::pair<size_t, size_t>> RecordSpans(
+    const std::vector<nn::TensorRecord>& records) {
+  std::vector<std::pair<size_t, size_t>> spans;
+  size_t begin = 16;  // magic, version, entry count
+  for (const auto& r : records) {
+    const size_t end = r.payload_offset + nn::RecordPayloadBytes(r);
+    spans.emplace_back(begin, end);
+    begin = end;
+  }
+  return spans;
+}
+
+// The byte range covered by every record whose name starts with `prefix`.
+std::pair<size_t, size_t> PrefixSpan(const std::vector<uint8_t>& bytes,
+                                     const std::string& prefix) {
+  const auto records = Index(bytes);
+  const auto spans = RecordSpans(records);
+  size_t begin = bytes.size(), end = 0;
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (records[i].name.rfind(prefix, 0) != 0) continue;
+    begin = std::min(begin, spans[i].first);
+    end = std::max(end, spans[i].second);
+  }
+  return {begin, end};
+}
+
+// Seeded single-byte flips across the named regions of `bytes`.
+std::vector<std::vector<uint8_t>> FlipCases(
+    const std::vector<uint8_t>& bytes,
+    const std::vector<std::pair<size_t, size_t>>& regions, size_t per_region,
+    uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::vector<uint8_t>> out;
+  for (const auto& [begin, end] : regions) {
+    EXPECT_LT(begin, end);
+    for (size_t i = 0; i < per_region; ++i) {
+      std::vector<uint8_t> flipped = bytes;
+      const size_t pos = begin + rng() % (end - begin);
+      flipped[pos] ^= static_cast<uint8_t>(1 + rng() % 255);
+      out.push_back(std::move(flipped));
+    }
+  }
+  return out;
+}
+
+// `bytes` cut at every record boundary and one byte either side.
+std::vector<std::vector<uint8_t>> TruncationCases(
+    const std::vector<uint8_t>& bytes) {
+  std::vector<size_t> cuts = {0, 1, 15, 16, 17, bytes.size() - 1};
+  for (const auto& [begin, end] : RecordSpans(Index(bytes))) {
+    for (const size_t cut : {end - 1, end, end + 1}) cuts.push_back(cut);
+  }
+  std::vector<std::vector<uint8_t>> out;
+  for (const size_t cut : cuts) {
+    if (cut >= bytes.size()) continue;
+    out.emplace_back(bytes.begin(),
+                     bytes.begin() + static_cast<ptrdiff_t>(cut));
+  }
+  return out;
+}
+
+std::vector<std::vector<uint8_t>> ModelSweepCases() {
+  const std::vector<uint8_t>& bytes = Sweep().model;
+  const auto speed = RecordNamed(Index(bytes), "speed.matrices");
+  const std::vector<std::pair<size_t, size_t>> regions = {
+      {0, 16},
+      PrefixSpan(bytes, "config."),
+      PrefixSpan(bytes, "model."),
+      {speed.payload_offset,
+       speed.payload_offset + nn::RecordPayloadBytes(speed)},
+      PrefixSpan(bytes, "oracle."),
+  };
+  std::vector<std::vector<uint8_t>> cases = FlipCases(bytes, regions, 48, 2024);
+  for (auto& c : TruncationCases(bytes)) cases.push_back(std::move(c));
+  return cases;
+}
+
+std::vector<std::vector<uint8_t>> OracleSweepCases() {
+  const std::vector<uint8_t>& bytes = Sweep().oracle;
+  const std::vector<std::pair<size_t, size_t>> regions = {
+      {0, 16},
+      PrefixSpan(bytes, "artifact."),
+      PrefixSpan(bytes, "oracle."),
+      PrefixSpan(bytes, "linkmean."),
+  };
+  std::vector<std::vector<uint8_t>> cases = FlipCases(bytes, regions, 52, 2025);
+  for (auto& c : TruncationCases(bytes)) cases.push_back(std::move(c));
+  return cases;
+}
+
+TEST(ArtifactTest, CorruptionSweepOnlyEverThrowsSerializeError) {
+  const auto model_cases = ModelSweepCases();
+  const auto oracle_cases = OracleSweepCases();
+  EXPECT_GE(model_cases.size(), 200u + 3u * Index(Sweep().model).size());
+  EXPECT_GE(oracle_cases.size(), 200u);
+  // Stale checksum or cut framing: every case must fail, typed.
+  for (size_t i = 0; i < model_cases.size(); ++i) {
+    EXPECT_FALSE(LoadModelBytes(model_cases[i]).ok()) << "model case " << i;
+  }
+  for (size_t i = 0; i < oracle_cases.size(); ++i) {
+    EXPECT_FALSE(LoadOracleBytes(oracle_cases[i]).ok()) << "oracle case " << i;
+  }
+  // The same flips with the checksum recomputed reach the value checks:
+  // each either loads or fails typed (LoadModelBytes flags anything else).
+  size_t loaded = 0, rejected = 0;
+  for (auto bytes : model_cases) {
+    if (bytes.size() != Sweep().model.size()) continue;
+    Rechecksum(bytes);
+    (LoadModelBytes(bytes).ok() ? loaded : rejected)++;
+  }
+  for (auto bytes : oracle_cases) {
+    if (bytes.size() != Sweep().oracle.size()) continue;
+    Rechecksum(bytes);
+    (LoadOracleBytes(bytes).ok() ? loaded : rejected)++;
+  }
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(loaded, 0u);
+}
+
+// A StateDict over zeroed storage shaped like every record of `bytes`.
+struct ShapedDict {
+  std::vector<std::vector<double>> storage;
+  nn::StateDict dict;
+  explicit ShapedDict(const std::vector<uint8_t>& bytes) {
+    const auto records = Index(bytes);
+    storage.reserve(records.size());
+    for (const auto& r : records) {
+      storage.emplace_back(r.num_elements);
+      dict.AddBuffer(r.name, r.shape, storage.back().data());
+    }
+  }
+};
+
+void ExpectSameStatus(const nn::LoadStatus& a, const nn::LoadStatus& b) {
+  EXPECT_EQ(a.kind, b.kind);
+  EXPECT_EQ(a.tensor, b.tensor);
+  EXPECT_EQ(a.message, b.message);
+}
+
+TEST(ArtifactTest, PreIndexedDeserializeMatchesTwoArgumentForm) {
+  const std::pair<const std::vector<uint8_t>*,
+                  std::vector<std::vector<uint8_t>>>
+      sweeps[] = {{&Sweep().model, ModelSweepCases()},
+                  {&Sweep().oracle, OracleSweepCases()}};
+  size_t indexed = 0;
+  for (const auto& [intact, cases] : sweeps) {
+    ShapedDict shaped(*intact);
+    std::vector<std::vector<uint8_t>> inputs = cases;
+    for (auto bytes : cases) {  // and every re-checksummed flip
+      if (bytes.size() != intact->size()) continue;
+      Rechecksum(bytes);
+      inputs.push_back(std::move(bytes));
+    }
+    inputs.push_back(*intact);
+    for (const auto& bytes : inputs) {
+      const nn::LoadStatus two = nn::DeserializeStateDict(bytes, shaped.dict);
+      std::vector<nn::TensorRecord> records;
+      const nn::LoadStatus index = nn::IndexStateDict(bytes, &records);
+      if (!index.ok()) {
+        ExpectSameStatus(two, index);
+        continue;
+      }
+      ++indexed;
+      ExpectSameStatus(
+          two, nn::DeserializeStateDict(bytes, records, shaped.dict));
+    }
+  }
+  EXPECT_GT(indexed, 100u);
+}
+
+TEST(ArtifactTest, WriteLoadWriteIsByteIdentical) {
+  const SweepFiles& files = Sweep();
+  io::ServingModel bundle =
+      io::LoadModelArtifact(files.model_path, TinyDataset().network);
+  ASSERT_NE(bundle.speed, nullptr);
+  ASSERT_EQ(bundle.model->speed_provider(), bundle.speed.get());
+  io::ArtifactOptions options;
+  options.network_id = bundle.network_id;
+  options.oracle = bundle.oracle.get();
+  options.link_mean = bundle.link_mean.get();
+  const std::string path = TempPath("artifact_test_rewrite.artifact");
+  io::WriteModelArtifact(path, *bundle.model, bundle.speed.get(), options);
+  EXPECT_TRUE(ReadBytes(path) == files.model) << "model artifact changed";
+
+  io::OracleBundle oracle = io::LoadOracleArtifact(files.oracle_path);
+  io::WriteOracleArtifact(path, oracle.network_id, oracle.oracle.get(),
+                          oracle.link_mean.get());
+  EXPECT_TRUE(ReadBytes(path) == files.oracle) << "oracle artifact changed";
+  std::remove(path.c_str());
 }
 
 TEST(CheckpointTest, ResumeMatchesUninterruptedRunBitExactly) {

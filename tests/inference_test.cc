@@ -342,9 +342,9 @@ TEST(OcodeTableTest, ServesEveryKeyBitIdenticallyAndComputesEachOnce) {
   core::DeepOdModel& model = TableTestModel(&counting);
   const auto& test = TinyDataset().test;
   std::vector<traj::OdInput> ods;
-  for (const auto& snap : field.snapshots()) {
+  for (const int64_t index : field.indices()) {
     traj::OdInput od = test[ods.size() % test.size()].od;
-    od.departure_time = static_cast<double>(snap.index) *
+    od.departure_time = static_cast<double>(index) *
                             field.snapshot_seconds() +
                         17.0;
     od.weather_type = static_cast<int>(ods.size() % 3);
@@ -393,7 +393,7 @@ TEST(OcodeTableTest, HostileKeysStayWithinTheFieldsKeySpace) {
   }
   EXPECT_EQ(model.ocode_table_size(),
             core::ExternalFeaturesEncoder::kNumWeatherTypes *
-                field.snapshots().size());
+                field.size());
   const size_t stored = model.ocode_table_size();
   for (const int weather : {-1, 16, 1 << 20}) {
     od.weather_type = weather;
@@ -429,12 +429,11 @@ TEST(OcodeTableTest, UnclampedProviderStopsStoringAtTheCeiling) {
 
 TEST(OcodeTableTest, FillRacingAGenerationChangeIsDropped) {
   const sim::SnapshotSpeedField before = TinyFrozenField(4);
-  std::vector<sim::SnapshotSpeedField::Snapshot> halved = before.snapshots();
-  for (auto& snap : halved) {
-    for (double& v : snap.matrix) v *= 0.5;
-  }
+  std::vector<double> halved = before.matrices();
+  for (double& v : halved) v *= 0.5;
   const sim::SnapshotSpeedField after(before.rows(), before.cols(),
-                                      before.snapshot_seconds(), halved);
+                                      before.snapshot_seconds(),
+                                      before.indices(), halved);
   core::DeepOdModel& model = TableTestModel(&after);
   traj::OdInput od = TinyDataset().test.front().od;
   od.departure_time = before.first_snapshot_time() + 1.0;

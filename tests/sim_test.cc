@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 #include "road/city_generator.h"
 #include "sim/dataset.h"
+#include "sim/snapshot_speed_field.h"
 #include "sim/speed_matrix.h"
 #include "sim/traffic_model.h"
 #include "sim/trip_simulator.h"
@@ -257,6 +263,133 @@ TEST(SpeedMatrixTest, RushHourMatrixSlower) {
     night_sum += night[i];
   }
   EXPECT_LT(rush_sum, night_sum);
+}
+
+// --- SnapshotSpeedField: one contiguous arena -------------------------------
+
+// The field as it was stored before the arena: one matrix vector per
+// snapshot, looked up by an int64 floor of t / snapshot_seconds. The
+// equivalence test below holds the arena to exactly these semantics.
+struct PerSnapshotField {
+  struct Snapshot {
+    int64_t index;
+    std::vector<double> matrix;
+  };
+  double snapshot_seconds;
+  std::vector<Snapshot> snapshots;
+
+  size_t SlotFor(double t) const {
+    const auto idx = static_cast<int64_t>(std::floor(t / snapshot_seconds));
+    auto it = std::upper_bound(
+        snapshots.begin(), snapshots.end(), idx,
+        [](int64_t value, const Snapshot& s) { return value < s.index; });
+    if (it == snapshots.begin()) return 0;
+    return static_cast<size_t>(std::distance(snapshots.begin(), it)) - 1;
+  }
+  std::vector<double> MatrixAt(double t) const {
+    return snapshots[SlotFor(t)].matrix;
+  }
+  double SnapshotTime(double t) const {
+    return static_cast<double>(snapshots[SlotFor(t)].index) *
+           snapshot_seconds;
+  }
+};
+
+// A provider whose matrix at snapshot k is {k, k + 0.5, ...}: every
+// snapshot distinct, snapshot times unclamped.
+class RampProvider : public SpeedProvider {
+ public:
+  size_t rows() const override { return 2; }
+  size_t cols() const override { return 3; }
+  double snapshot_seconds() const override { return 300.0; }
+  std::vector<double> MatrixAt(temporal::Timestamp t) const override {
+    const double k = std::floor(t / 300.0);
+    std::vector<double> m(6);
+    for (size_t i = 0; i < m.size(); ++i) {
+      m[i] = k + 0.5 * static_cast<double>(i);
+    }
+    return m;
+  }
+  temporal::Timestamp SnapshotTime(temporal::Timestamp t) const override {
+    return std::floor(t / 300.0) * 300.0;
+  }
+};
+
+TEST(SnapshotSpeedFieldTest, ArenaMatchesPerSnapshotSemantics) {
+  // Gaps between stored indices exercise the clamped search inside the
+  // window as well as at its ends.
+  const std::vector<int64_t> indices = {3, 4, 7, 10, 11};
+  const double ss = 300.0;
+  const RampProvider ramp;
+  PerSnapshotField old{ss, {}};
+  std::vector<double> arena;
+  for (const int64_t index : indices) {
+    const std::vector<double> m =
+        ramp.MatrixAt(static_cast<double>(index) * ss);
+    old.snapshots.push_back({index, m});
+    arena.insert(arena.end(), m.begin(), m.end());
+  }
+  const SnapshotSpeedField field(2, 3, ss, indices, arena);
+  ASSERT_EQ(field.size(), indices.size());
+  EXPECT_EQ(field.first_snapshot_time(), 3 * ss);
+  EXPECT_EQ(field.last_snapshot_time(), 11 * ss);
+  for (size_t i = 0; i < indices.size(); ++i) {
+    const std::span<const double> m = field.matrix(i);
+    EXPECT_EQ(std::vector<double>(m.begin(), m.end()), old.snapshots[i].matrix);
+  }
+
+  std::vector<double> times = {-1e12, -1e9, -1.0, 0.0, 2.0 * ss,
+                               12.0 * ss, 1e6, 1e9, 1e12};
+  const double eps = 1e-6;
+  for (int64_t k = 2; k <= 12; ++k) {
+    const double boundary = static_cast<double>(k) * ss;
+    for (const double t : {boundary - eps, boundary, boundary + eps,
+                           std::nextafter(boundary, 0.0),
+                           boundary + 0.5 * ss}) {
+      times.push_back(t);
+    }
+  }
+  for (const double t : times) {
+    EXPECT_EQ(field.MatrixAt(t), old.MatrixAt(t)) << "t = " << t;
+    EXPECT_EQ(field.SnapshotTime(t), old.SnapshotTime(t)) << "t = " << t;
+  }
+  // Past the int64 range the old cast was undefined; the arena clamps.
+  EXPECT_EQ(field.SnapshotTime(1e300), 11 * ss);
+  EXPECT_EQ(field.SnapshotTime(-1e300), 3 * ss);
+  EXPECT_EQ(field.SnapshotTime(std::numeric_limits<double>::infinity()),
+            11 * ss);
+  EXPECT_EQ(field.SnapshotTime(std::nan("")), 3 * ss);
+}
+
+TEST(SnapshotSpeedFieldTest, CaptureStoresEverySnapshotInOrder) {
+  const RampProvider ramp;
+  const SnapshotSpeedField field =
+      SnapshotSpeedField::Capture(ramp, 5.0 * 300.0 + 17.0, 9.0 * 300.0);
+  EXPECT_EQ(field.indices(), (std::vector<int64_t>{5, 6, 7, 8, 9}));
+  ASSERT_EQ(field.matrices().size(), 5u * 6u);
+  for (size_t i = 0; i < field.size(); ++i) {
+    const double t = static_cast<double>(field.indices()[i]) * 300.0;
+    const std::span<const double> m = field.matrix(i);
+    EXPECT_EQ(std::vector<double>(m.begin(), m.end()), ramp.MatrixAt(t));
+    EXPECT_EQ(field.MatrixAt(t + 1.0), ramp.MatrixAt(t));
+  }
+}
+
+TEST(SnapshotSpeedFieldTest, RejectsMalformedTables) {
+  const std::vector<double> one(6, 0.5);
+  EXPECT_THROW(SnapshotSpeedField(2, 3, 300.0, {}, {}), std::invalid_argument);
+  EXPECT_THROW(SnapshotSpeedField(2, 3, 300.0, {1}, {0.5}),
+               std::invalid_argument);
+  EXPECT_THROW(SnapshotSpeedField(2, 3, 300.0, {1, 2}, one),
+               std::invalid_argument);
+  std::vector<double> two(12, 0.5);
+  EXPECT_THROW(SnapshotSpeedField(2, 3, 300.0, {2, 2}, two),
+               std::invalid_argument);
+  EXPECT_THROW(SnapshotSpeedField(2, 3, 300.0, {3, 2}, two),
+               std::invalid_argument);
+  EXPECT_THROW(SnapshotSpeedField(0, 3, 300.0, {1}, {}), std::invalid_argument);
+  EXPECT_THROW(SnapshotSpeedField(2, 3, 0.0, {1}, one), std::invalid_argument);
+  EXPECT_NO_THROW(SnapshotSpeedField(2, 3, 300.0, {1, 2}, two));
 }
 
 TEST(DatasetTest, SplitIsChronologicalAndComplete) {

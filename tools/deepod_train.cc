@@ -359,7 +359,7 @@ int main(int argc, char** argv) {
     speed = std::make_unique<sim::SnapshotSpeedField>(
         sim::SnapshotSpeedField::Capture(*dataset.speed_matrices, begin, end));
     std::printf("speed field: %zu snapshots of %zux%zu\n",
-                speed->snapshots().size(), speed->rows(), speed->cols());
+                speed->size(), speed->rows(), speed->cols());
   }
 
   const std::string artifact_path = args.out + "/model.artifact";
