@@ -284,7 +284,7 @@ int main(int argc, char** argv) {
             << policy << "\n";  // model artifact deliberately absent: cold
       }
       serve::FleetRouterOptions router_options;
-      router_options.activation_poll = std::chrono::milliseconds(600000);
+      router_options.poll_interval = std::chrono::milliseconds(600000);
       serve::FleetRouter router(serve::ReadFleetManifest(manifest.string()),
                                 router_options);
       serve::net::ServerOptions server_options;

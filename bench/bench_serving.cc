@@ -13,12 +13,11 @@
 //   - serving/plan/{tensor_path,plan}/qps: one graph-free query through the
 //     Tensor ops vs. Predict's packed serving plan (bit-identical answers,
 //     checked); `speedup` carries the ratio in samples_per_sec.
-//   - serving/microbatch/qps: TrySubmit through the bounded queue and the
-//     dispatcher's micro-batching (bounded-wait retries on backpressure).
 //   - serving/quant/<mode>/{qps,mae}: EtaService::FromArtifact with fp64,
 //     fp16 and int8 weights on the kSimd tier; mae records carry the mean
 //     absolute ETA error in seconds vs. the fp64 answers in wall_seconds
 //     (it is an error, not a time — bench_compare skips *mae* records).
+//     The fp64 service's obs stats go to BENCH_serving_stats.json.
 // Usage: bench_serving [num_queries]  (default 2000; CI smoke passes 200).
 #include <chrono>
 #include <cmath>
@@ -26,8 +25,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <future>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -159,12 +156,12 @@ int main(int argc, char** argv) {
   }
 
   // --- Kernel-tier sweep -----------------------------------------------------
-  // PredictBatch at the service's default micro-batch size under each
-  // predict-side kernel tier. kSimd runs the packed AVX2 GEMV kernels when
-  // the host supports them (backend printed below) and the kVector path
-  // otherwise, so the record exists on every host. Each tier keeps its own
-  // external codes, so an untimed pass fills them first: the records time
-  // the steady state, as the earlier sections do for kBlocked.
+  // PredictBatch at the server's default batch size (--max-batch 32) under
+  // each predict-side kernel tier. kSimd runs the packed AVX2 GEMV kernels
+  // when the host supports them (backend printed below) and the kVector
+  // path otherwise, so the record exists on every host. Each tier keeps its
+  // own external codes, so an untimed pass fills them first: the records
+  // time the steady state, as the earlier sections do for kBlocked.
   {
     struct Tier {
       const char* name;
@@ -241,39 +238,6 @@ int main(int argc, char** argv) {
     records.push_back({"serving/plan/speedup", 0.0, 1, plan_speedup});
   }
 
-  // --- Micro-batched TrySubmit -----------------------------------------------
-  {
-    serve::EtaServiceOptions options;
-    options.batch_threads = auto_threads;
-    serve::EtaService service(model, options);
-    std::vector<std::future<double>> futures;
-    futures.reserve(stream.size());
-    sw.Reset();
-    for (const auto& od : stream) {
-      // The primary bounded-wait API; a full queue is backpressure, not an
-      // error — keep retrying like a producer that cannot shed.
-      std::optional<std::future<double>> f;
-      while (!(f = service.TrySubmit(od, std::chrono::milliseconds(100)))) {
-      }
-      futures.push_back(std::move(*f));
-    }
-    for (auto& f : futures) sink += f.get();
-    const double secs = sw.ElapsedSeconds();
-    const auto stats = service.StatsSnapshot();
-    std::printf(
-        "TrySubmit micro-batching:  %8.0f queries/s  avg batch %.1f  "
-        "p50 %.3f ms  p99 %.3f ms\n",
-        n / secs, stats.avg_batch_size, stats.p50_ms, stats.p99_ms);
-    records.push_back(
-        {"serving/microbatch/qps", secs, auto_threads, n / secs});
-
-    // The obs-exported serving stats share the BENCH-json schema, so the
-    // same validator covers them (tools/validate_bench_json.py).
-    std::ofstream stats_out("BENCH_serving_stats.json");
-    stats_out << service.ExportJson();
-    std::fprintf(stderr, "[bench] wrote BENCH_serving_stats.json\n");
-  }
-
   // --- Quantised serving -----------------------------------------------------
   // Round-trips the model through an artifact and stands one service up per
   // weight tier (fp64 / fp16 / int8) on the kSimd kernel path, so qps
@@ -319,6 +283,13 @@ int main(int argc, char** argv) {
       sink += answers[0];
       std::printf("  %-5s %8.0f queries/s  mae %.4f s\n", tier.name, n / secs,
                   mae);
+      if (tier.mode == nn::QuantMode::kNone) {
+        // The obs-exported serving stats share the BENCH-json schema, so
+        // the same validator covers them (tools/validate_bench_json.py).
+        std::ofstream stats_out("BENCH_serving_stats.json");
+        stats_out << service->ExportJson();
+        std::fprintf(stderr, "[bench] wrote BENCH_serving_stats.json\n");
+      }
       const std::string prefix = std::string("serving/quant/") + tier.name;
       records.push_back({prefix + "/qps", secs, 1, n / secs});
       // MAE in seconds vs. the fp64 answers, carried in wall_seconds (a

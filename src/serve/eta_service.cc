@@ -1,10 +1,8 @@
 #include "serve/eta_service.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
-#include "obs/trace.h"
 #include "serve/stats.h"
 
 namespace deepod::serve {
@@ -38,25 +36,15 @@ EtaService::EtaService(std::shared_ptr<ServingState> initial,
       batched_requests_(
           registry_.counter(options.registry_prefix + "batched_requests")),
       swaps_(registry_.counter(options.registry_prefix + "swaps")),
-      queue_depth_(registry_.gauge(options.registry_prefix + "queue_depth")),
       epoch_gauge_(registry_.gauge(options.registry_prefix + "epoch")),
       latency_(registry_.histogram(options.registry_prefix + "latency")),
-      queue_wait_(registry_.histogram(options.registry_prefix + "queue_wait")),
-      batch_assembly_(
-          registry_.histogram(options.registry_prefix + "batch_assembly")),
       start_time_(std::chrono::steady_clock::now()) {
   if (!initial || initial->model == nullptr) {
     throw std::invalid_argument("EtaService: null serving state");
   }
-  if (options_.max_batch == 0) options_.max_batch = 1;
-  if (options_.queue_capacity == 0) options_.queue_capacity = 1;
   initial->epoch = last_epoch_;  // construction epoch 0
   state_ = std::move(initial);
   epoch_gauge_.Set(0.0);
-  if (options_.batch_threads > 1) {
-    pool_ = std::make_unique<util::ThreadPool>(options_.batch_threads);
-  }
-  dispatcher_ = std::thread([this] { DispatchLoop(); });
 }
 
 std::unique_ptr<EtaService> EtaService::FromArtifact(
@@ -66,16 +54,6 @@ std::unique_ptr<EtaService> EtaService::FromArtifact(
   artifact_options.quant = options.quant;
   return std::make_unique<EtaService>(
       LoadServingState(artifact_path, network, artifact_options), options);
-}
-
-EtaService::~EtaService() {
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    stopping_ = true;
-  }
-  queue_not_empty_.notify_all();
-  queue_not_full_.notify_all();
-  if (dispatcher_.joinable()) dispatcher_.join();
 }
 
 std::shared_ptr<const ServingState> EtaService::state() const {
@@ -123,30 +101,6 @@ double EtaService::Estimate(const traj::OdInput& od) {
   return eta;
 }
 
-std::optional<std::future<double>> EtaService::TrySubmit(
-    const traj::OdInput& od, std::chrono::nanoseconds timeout) {
-  Pending pending;
-  pending.od = od;
-  pending.enqueued = std::chrono::steady_clock::now();
-  std::future<double> future = pending.promise.get_future();
-  {
-    std::unique_lock<std::mutex> lock(queue_mu_);
-    const bool room = queue_not_full_.wait_for(lock, timeout, [this] {
-      return stopping_ || queue_.size() < options_.queue_capacity;
-    });
-    if (!room) return std::nullopt;  // still full after `timeout`: shed
-    if (stopping_) {
-      pending.promise.set_exception(std::make_exception_ptr(
-          std::runtime_error("EtaService: shutting down")));
-      return future;
-    }
-    queue_.push_back(std::move(pending));
-    queue_depth_.Set(static_cast<double>(queue_.size()));
-  }
-  queue_not_empty_.notify_one();
-  return future;
-}
-
 std::vector<double> EtaService::EstimateBatch(
     std::span<const traj::OdInput> ods, util::ThreadPool* pool) {
   if (ods.empty()) return {};
@@ -163,72 +117,6 @@ std::vector<double> EtaService::EstimateBatch(
   batches_.Add();
   batched_requests_.Add(ods.size());
   return out;
-}
-
-void EtaService::PauseDispatcherForTest(bool paused) {
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    paused_for_test_ = paused;
-  }
-  queue_not_empty_.notify_all();
-}
-
-void EtaService::DispatchLoop() {
-  std::vector<Pending> batch;
-  batch.reserve(options_.max_batch);
-  for (;;) {
-    batch.clear();
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_not_empty_.wait(lock, [this] {
-        return stopping_ || (!paused_for_test_ && !queue_.empty());
-      });
-      if (queue_.empty()) return;  // stopping, queue drained
-      const size_t take = std::min(options_.max_batch, queue_.size());
-      for (size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      queue_depth_.Set(static_cast<double>(queue_.size()));
-    }
-    queue_not_full_.notify_all();
-
-    // One state snapshot per drained batch: the forward and its answers
-    // are consistent with the epoch current at dequeue time, even while a
-    // reloader flips the pointer.
-    const std::shared_ptr<const ServingState> state = this->state();
-
-    // Batch assembly: the OD list; the queue-wait histogram records how
-    // long each request sat in the queue.
-    const auto assembly_start = std::chrono::steady_clock::now();
-    std::vector<traj::OdInput> ods;
-    ods.reserve(batch.size());
-    for (const Pending& pending : batch) {
-      queue_wait_.Observe(SecondsSince(pending.enqueued, assembly_start));
-      ods.push_back(pending.od);
-    }
-    const auto assembly_end = std::chrono::steady_clock::now();
-    batch_assembly_.Observe(SecondsSince(assembly_start, assembly_end));
-    if (obs::TraceEnabled()) {
-      obs::AppendTraceEvent("serve/batch_assembly", assembly_start,
-                            assembly_end);
-    }
-    const std::vector<double> etas = InMode(options_.kernel_mode, [&] {
-      return state->model->PredictBatch(ods, pool_.get());
-    });
-    for (size_t i = 0; i < batch.size(); ++i) {
-      // Record before set_value: a caller unblocked by the future may read
-      // StatsSnapshot immediately and must see this request counted.
-      RecordCompletion(batch[i].enqueued);
-      batch[i].promise.set_value(etas[i]);
-    }
-    if (obs::TraceEnabled()) {
-      obs::AppendTraceEvent("serve/batch_predict", assembly_end,
-                            std::chrono::steady_clock::now());
-    }
-    batches_.Add();
-    batched_requests_.Add(batch.size());
-  }
 }
 
 EtaServiceStats EtaService::StatsSnapshot() const {

@@ -2,16 +2,12 @@
 #define DEEPOD_SERVE_ETA_SERVICE_H_
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/deepod_model.h"
@@ -27,18 +23,7 @@
 namespace deepod::serve {
 
 struct EtaServiceOptions {
-  // Micro-batching: TrySubmit() enqueues into a bounded queue; a dispatcher
-  // thread drains up to `max_batch` requests at a time into one
-  // PredictBatch call. When the queue holds `queue_capacity` requests the
-  // enqueue waits out its timeout, then sheds (back-pressure, no unbounded
-  // growth).
-  size_t max_batch = 32;
-  size_t queue_capacity = 1024;
-  // Worker threads for the batched forward (1 = run inline on the
-  // dispatcher thread).
-  size_t batch_threads = 1;
-
-  // Kernel tier used for inference (Estimate and the batched dispatcher;
+  // Kernel tier used for inference (Estimate and EstimateBatch;
   // PredictBatch workers inherit it). Unset = leave the thread's mode alone
   // — the historical behaviour, which keeps the service bit-identical to
   // direct DeepOdModel::Predict calls in the ambient mode. kSimd is always
@@ -46,11 +31,11 @@ struct EtaServiceOptions {
   std::optional<nn::KernelMode> kernel_mode;
 
   // Weight quantisation applied when the service is stood up FromArtifact
-  // (forwarded as io::ArtifactOptions::quant). Ignored by the plain
-  // constructor, which serves the caller's model as-is. Quantised serving
-  // answers match fp64 within an MAE budget — not bit-identically — so
-  // golden replay against a quantised service needs a tolerance
-  // (deepod_serve --check --tolerance).
+  // (forwarded as io::ArtifactOptions::quant), and by every ModelReloader
+  // swap into it. Ignored by the plain constructor, which serves the
+  // caller's model as-is. Quantised serving answers match fp64 within an
+  // MAE budget — not bit-identically — so golden replay against a quantised
+  // service needs a tolerance (deepod_serve --check --tolerance).
   nn::QuantMode quant = nn::QuantMode::kNone;
 
   // Prefix of every metric name in the service's registry. A fleet gives
@@ -65,8 +50,8 @@ struct EtaServiceOptions {
 // (≤12.5% relative error; see obs::Histogram); counters are exact.
 struct EtaServiceStats {
   uint64_t requests = 0;
-  uint64_t batches = 0;          // micro-batches dispatched
-  double avg_batch_size = 0.0;   // requests per dispatched batch
+  uint64_t batches = 0;          // EstimateBatch calls
+  double avg_batch_size = 0.0;   // requests per EstimateBatch call
   uint64_t swaps = 0;            // serving-state flips (SwapState)
   uint64_t epoch = 0;            // current serving epoch
   double p50_ms = 0.0;
@@ -78,26 +63,25 @@ struct EtaServiceStats {
 // The online estimation front-end (Algorithm 1, Estimation, as a service):
 // answers every OD travel-time query through the model's serving plan, so
 // each answer equals DeepOdModel::Predict of that exact query, bit for bit.
-// Two entry points:
-//  - Estimate(): synchronous, caller-thread inference (Predict).
-//  - TrySubmit(): asynchronous with bounded-wait admission; requests are
-//    micro-batched by a dispatcher thread into PredictBatch calls
-//    (amortising per-query overhead).
+// The service is the serving state plus two synchronous entry points, both
+// run on the caller's thread; it owns no queue and no thread:
+//  - Estimate(): one query (Predict).
+//  - EstimateBatch(): one batch (PredictBatch) — the network server's batch
+//    runner calls it; batch assembly and scheduling are the caller's.
 //
 // Live serving: the service holds its model and speed field as one
 // immutable ServingState epoch (serving_state.h). Every request path
 // acquires one state snapshot for its whole unit of work, so SwapState() —
-// the zero-downtime hot-swap entry point the ModelReloader drives — answers
-// in-flight requests from the epoch they started on and new requests from
-// the fresh one. BumpEpoch() starts a new generation of the model's
-// external-code table without changing the model — the flip a
+// the zero-downtime hot-swap entry point the ModelReloader and FleetRouter
+// drive — answers in-flight requests from the epoch they started on and
+// new requests from the fresh one. BumpEpoch() starts a new generation of
+// the model's external-code table without changing the model — the flip a
 // RollingSpeedField publish needs.
 //
 // Observability: every stat lives in a private obs::Registry under the
-// "serve/" prefix — counters for requests/batches/swaps, a
-// latency histogram, queue-wait and batch-assembly histograms, queue-depth
-// and epoch gauges. The registry is per-instance (stats never bleed
-// between services) and always on. StatsSnapshot() is served from the
+// "serve/" prefix — counters for requests/batches/swaps, a latency
+// histogram and an epoch gauge. The registry is per-instance (stats never
+// bleed between services) and always on. StatsSnapshot() is served from the
 // registry; ExportJson() emits the shared BENCH-json schema through
 // serve::ExportStatsJson (stats.h) — the same entry point the network
 // server's stats frame and --stats-json use — and ExportPrometheus() the
@@ -112,7 +96,6 @@ class EtaService {
   // state/model.
   EtaService(std::shared_ptr<ServingState> initial,
              const EtaServiceOptions& options);
-  ~EtaService();
 
   // Stands a service up from a model artifact + road network alone: loads
   // the artifact (io::LoadModelArtifact), reconstructs a predict-only model
@@ -130,24 +113,13 @@ class EtaService {
   // Synchronous estimate in seconds.
   double Estimate(const traj::OdInput& od);
 
-  // PRIMARY async entry point: submit with a bounded enqueue wait. When the
-  // bounded queue stays full past `timeout`, returns nullopt instead of
-  // blocking the producer indefinitely — a nullopt is a signal to shed the
-  // request with a retry-after, so producer-side worst-case latency is
-  // `timeout`, not "until the dispatcher catches up". timeout 0 is a pure
-  // try-enqueue. This is the API back-pressure-aware callers (the network
-  // server's admission layer, load generators) build on.
-  std::optional<std::future<double>> TrySubmit(const traj::OdInput& od,
-                                               std::chrono::nanoseconds timeout);
-
   // Synchronous batched estimate on the calling thread, through the same
   // metrics as Estimate(): one PredictBatch over the batch (fanned over
   // `pool` when given), one ETA per input, in order. This is the
   // continuous-batching executor's entry point (serve/server): the caller
   // owns batch assembly and scheduling; the service owns model + stats.
-  // Safe to call
-  // from several executor threads concurrently as long as each passes its
-  // own pool (or none) — util::ThreadPool does not support concurrent
+  // Safe to call from several threads concurrently as long as each passes
+  // its own pool (or none) — util::ThreadPool does not support concurrent
   // ParallelFor calls on one pool. The whole batch is answered from one
   // acquired ServingState, so a concurrent swap never splits a batch
   // across models.
@@ -187,24 +159,12 @@ class EtaService {
   // Prometheus text exposition of the serve/* metrics.
   std::string ExportPrometheus() const;
   const obs::Registry& registry() const { return registry_; }
-
-  // Test-only: parks the dispatcher so tests can fill the bounded queue
-  // deterministically (TrySubmit timeout coverage). Unpausing resumes the
-  // normal drain; pending futures then resolve as usual.
-  void PauseDispatcherForTest(bool paused);
+  const EtaServiceOptions& options() const { return options_; }
 
  private:
-  struct Pending {
-    traj::OdInput od;
-    std::promise<double> promise;
-    std::chrono::steady_clock::time_point enqueued;
-  };
-
-  void DispatchLoop();
   void RecordCompletion(std::chrono::steady_clock::time_point start);
 
   EtaServiceOptions options_;
-  std::unique_ptr<util::ThreadPool> pool_;  // batched-forward workers
 
   // The published serving epoch (see state()/SwapState). A plain mutex
   // guards the pointer flip; readers pay one uncontended lock per unit of
@@ -219,20 +179,8 @@ class EtaService {
   obs::Counter& batches_;
   obs::Counter& batched_requests_;
   obs::Counter& swaps_;
-  obs::Gauge& queue_depth_;
   obs::Gauge& epoch_gauge_;
-  obs::Histogram& latency_;         // request completion latency (seconds)
-  obs::Histogram& queue_wait_;      // TrySubmit enqueue -> dispatcher dequeue
-  obs::Histogram& batch_assembly_;  // dispatcher: dequeued batch -> OD list
-
-  // Bounded request queue (TrySubmit side).
-  mutable std::mutex queue_mu_;
-  std::condition_variable queue_not_empty_;
-  std::condition_variable queue_not_full_;
-  std::deque<Pending> queue_;
-  bool stopping_ = false;
-  bool paused_for_test_ = false;
-  std::thread dispatcher_;
+  obs::Histogram& latency_;  // request completion latency (seconds)
 
   std::chrono::steady_clock::time_point start_time_;
 };

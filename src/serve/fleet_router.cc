@@ -1,7 +1,5 @@
 #include "serve/fleet_router.h"
 
-#include <sys/stat.h>
-
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -14,18 +12,10 @@
 namespace deepod::serve {
 namespace {
 
-// Stat signature of an artifact path (mirrors the ModelReloader's watcher:
-// any field change marks a new candidate, ENOENT folds into exists=false).
-FleetShard::FileSig StatPath(const std::string& path) {
-  FleetShard::FileSig sig;
-  struct stat st{};
-  if (::stat(path.c_str(), &st) != 0) return sig;
-  sig.exists = true;
-  sig.size = static_cast<uint64_t>(st.st_size);
-  sig.mtime_ns =
-      static_cast<int64_t>(st.st_mtim.tv_sec) * 1'000'000'000 +
-      static_cast<int64_t>(st.st_mtim.tv_nsec);
-  return sig;
+std::vector<std::string> ArtifactPaths(const std::vector<FleetEntry>& entries) {
+  std::vector<std::string> paths;
+  for (const FleetEntry& entry : entries) paths.push_back(entry.artifact_path);
+  return paths;
 }
 
 std::string DirName(const std::string& path) {
@@ -144,6 +134,8 @@ FleetShard::FleetShard(FleetEntry entry, obs::Registry& fleet_registry)
       rejected_(fleet_registry.counter("fleet/" + entry_.name + "/rejected")),
       activation_failures_(fleet_registry.counter(
           "fleet/" + entry_.name + "/activation_failures")),
+      reload_failures_(fleet_registry.counter("fleet/" + entry_.name +
+                                              "/reload_failures")),
       cold_(fleet_registry.gauge("fleet/" + entry_.name + "/cold")) {
   cold_.Set(1.0);
 }
@@ -191,11 +183,9 @@ void FleetShard::AdoptEstimators(
   }
 }
 
-void FleetShard::Publish(std::shared_ptr<EtaService> service,
-                         std::unique_ptr<ModelReloader> reloader) {
+void FleetShard::Publish(std::shared_ptr<EtaService> service) {
   std::lock_guard<std::mutex> lock(mu_);
   service_ = std::move(service);
-  reloader_ = std::move(reloader);
   cold_.Set(0.0);
 }
 
@@ -203,7 +193,9 @@ void FleetShard::Publish(std::shared_ptr<EtaService> service,
 
 FleetRouter::FleetRouter(std::vector<FleetEntry> entries,
                          const FleetRouterOptions& options)
-    : options_(options) {
+    : options_(options),
+      watcher_(ArtifactPaths(entries), options.poll_interval,
+               [this](size_t index) { return Load(index); }) {
   if (entries.empty()) {
     throw std::invalid_argument("FleetRouter: empty fleet");
   }
@@ -213,7 +205,8 @@ FleetRouter::FleetRouter(std::vector<FleetEntry> entries,
         std::make_unique<FleetShard>(std::move(entry), registry_));
   }
 
-  for (auto& shard : shards_) {
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    FleetShard* shard = shards_[i].get();
     // The standalone oracle artifact, when the manifest names one: this is
     // what lets a cold shard answer before any model was ever trained.
     if (!shard->entry_.oracle_path.empty()) {
@@ -235,28 +228,14 @@ FleetRouter::FleetRouter(std::vector<FleetEntry> entries,
     }
     // Eager model load; failure (missing file, corrupt artifact) leaves
     // the shard cold and the fleet serving.
-    const FleetShard::FileSig sig = StatPath(shard->entry_.artifact_path);
-    if (sig.exists) TryActivate(*shard, sig);
+    watcher_.LoadNow(i);
   }
-
-  watcher_ = std::thread([this] { ActivationLoop(); });
+  watcher_.Start();
 }
 
 FleetRouter::~FleetRouter() { Stop(); }
 
-void FleetRouter::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(stop_mu_);
-    if (stopping_) return;
-    stopping_ = true;
-  }
-  stop_cv_.notify_all();
-  if (watcher_.joinable()) watcher_.join();
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu_);
-    if (shard->reloader_ != nullptr) shard->reloader_->Stop();
-  }
-}
+void FleetRouter::Stop() { watcher_.Stop(); }
 
 FleetShard* FleetRouter::Resolve(uint32_t network_id) {
   for (auto& shard : shards_) {
@@ -272,93 +251,44 @@ size_t FleetRouter::WarmCount() const {
 }
 
 size_t FleetRouter::ActivateNow() {
-  size_t activated = 0;
-  for (auto& shard : shards_) {
-    if (shard->warm()) continue;
-    const FleetShard::FileSig sig = StatPath(shard->entry_.artifact_path);
-    if (!sig.exists) continue;
-    shard->attempted_sig_.reset();  // bypass the corrupt-file memory
-    if (TryActivate(*shard, sig)) ++activated;
+  size_t adopted = 0;
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    adopted += watcher_.LoadNow(i) == ArtifactWatcher::Result::kLoaded;
   }
-  return activated;
+  return adopted;
 }
 
-bool FleetRouter::TryActivate(FleetShard& shard,
-                              const FleetShard::FileSig& sig) {
-  std::lock_guard<std::mutex> activation_lock(activation_mu_);
-  if (shard.warm()) return false;
-  shard.attempted_sig_ = sig;
+bool FleetRouter::Load(size_t index) {
+  FleetShard& shard = *shards_[index];
+  const std::shared_ptr<EtaService> service = shard.service();
+  if (service != nullptr && !options_.watch) return false;
   std::shared_ptr<ServingState> state;
   try {
     io::ArtifactOptions artifact_options;
     artifact_options.quant = options_.service.quant;
-    state = LoadServingState(shard.entry_.artifact_path, shard.network_,
-                             artifact_options);
-    // A manifest/artifact mismatch (artifact trained for another city) is a
-    // load failure, not a serving state: the oracle keeps answering.
-    const uint32_t artifact_id =
-        state->bundle != nullptr ? state->bundle->network_id : 0;
-    if (artifact_id != 0 && artifact_id != shard.network_id()) {
-      throw std::runtime_error("artifact network_id " +
-                               std::to_string(artifact_id) + " != shard " +
-                               std::to_string(shard.network_id()));
-    }
+    state = LoadServingState(shard.artifact_path(), shard.network_,
+                             artifact_options, shard.network_id());
   } catch (const std::exception&) {
-    shard.activation_failures_.Add();
+    // Cold, the oracle keeps answering; warm, the current epoch does.
+    (service == nullptr ? shard.activation_failures_ : shard.reload_failures_)
+        .Add();
     return false;
+  }
+  if (service != nullptr) {
+    service->SwapState(std::move(state));
+    return true;
   }
 
   // The artifact's embedded fallback estimators back-fill a shard that had
   // no standalone oracle artifact.
-  if (state->bundle != nullptr) {
-    shard.AdoptEstimators(std::move(state->bundle->oracle),
-                          std::move(state->bundle->link_mean));
-  }
-
+  shard.AdoptEstimators(std::move(state->bundle->oracle),
+                        std::move(state->bundle->link_mean));
   EtaServiceOptions service_options = options_.service;
   service_options.registry_prefix = "serve/" + shard.name() + "/";
-  auto service =
-      std::make_shared<EtaService>(std::move(state), service_options);
-
-  std::unique_ptr<ModelReloader> reloader;
-  if (options_.watch) {
-    ModelReloaderOptions reloader_options = options_.reloader;
-    reloader_options.artifact.quant = options_.service.quant;
-    reloader = std::make_unique<ModelReloader>(
-        *service, shard.entry_.artifact_path, shard.network_,
-        reloader_options);
-  }
-  shard.Publish(std::move(service), std::move(reloader));
+  shard.Publish(
+      std::make_shared<EtaService>(std::move(state), service_options));
   if (options_.on_activate) options_.on_activate(shard);
   return true;
-}
-
-void FleetRouter::ActivationLoop() {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(stop_mu_);
-      if (stop_cv_.wait_for(lock, options_.activation_poll,
-                            [this] { return stopping_; })) {
-        return;
-      }
-    }
-    for (auto& shard : shards_) {
-      if (shard->warm()) continue;
-      const FleetShard::FileSig sig = StatPath(shard->entry_.artifact_path);
-      if (!sig.exists) {
-        shard->pending_sig_.reset();
-        continue;
-      }
-      if (shard->attempted_sig_ == sig) continue;  // corrupt-file memory
-      // One stability poll (two equal consecutive stats) guards against
-      // loading a file mid-copy; rename(2) publishes never wait extra.
-      if (shard->pending_sig_ == sig) {
-        TryActivate(*shard, sig);
-      } else {
-        shard->pending_sig_ = sig;
-      }
-    }
-  }
 }
 
 void FleetRouter::AppendStatsSources(StatsSources* sources) const {
@@ -368,10 +298,6 @@ void FleetRouter::AppendStatsSources(StatsSources* sources) const {
     if (shard->service_ != nullptr) {
       sources->extra.push_back(&shard->service_->registry());
     }
-    // Shard reloader registries are deliberately skipped: their "reload/*"
-    // names are not per-city and would collide across shards in the merged
-    // name-sorted export. Per-city reload health shows up as epoch bumps in
-    // "serve/<city>/swaps".
   }
 }
 

@@ -2,22 +2,20 @@
 #define DEEPOD_SERVE_FLEET_ROUTER_H_
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "baselines/od_oracle.h"
 #include "baselines/path_tte.h"
 #include "obs/metrics.h"
 #include "road/road_network.h"
+#include "serve/artifact_watcher.h"
 #include "serve/eta_service.h"
-#include "serve/model_reloader.h"
 #include "serve/server/frame.h"
 #include "serve/stats.h"
 #include "traj/trajectory.h"
@@ -71,13 +69,14 @@ class FleetShard;
 struct FleetRouterOptions {
   // Per-shard EtaService options. registry_prefix is overridden per city
   // ("serve/<name>/") so the merged stats export stays collision-free.
+  // Its quant also applies to every activation and hot swap.
   EtaServiceOptions service;
-  // Watch each warm shard's artifact path and hot swap on change
-  // (per-city ModelReloader — swaps stay independent across cities).
+  // Hot swap a warm shard whose artifact changes. Cold shards are watched
+  // for activation either way.
   bool watch = false;
-  ModelReloaderOptions reloader;
-  // Cold-shard activation poll cadence (artifact appearing after startup).
-  std::chrono::milliseconds activation_poll{200};
+  // Poll cadence of the fleet's one ArtifactWatcher (activation and, with
+  // `watch`, hot swap).
+  std::chrono::milliseconds poll_interval{200};
   // Invoked on the activating thread each time a cold shard goes warm
   // (deepod_server prints its operator-visible activation line here).
   std::function<void(const FleetShard&)> on_activate;
@@ -85,23 +84,13 @@ struct FleetRouterOptions {
 
 // One city of the fleet: its road network, its fallback estimators and —
 // once an artifact loads — its EtaService shard (own ServingState, serving
-// epoch, obs registry and, in watch mode, ModelReloader). Created cold when
-// the artifact is missing or unreadable at startup; the router's activation
-// watcher brings it warm the moment a loadable artifact appears. A shard
-// never goes warm → cold: activation is one-way, and later artifact changes
-// are the per-shard reloader's job.
+// epoch and obs registry). Created cold when the artifact is missing or
+// unreadable at startup; the router's watcher brings it warm the moment a
+// loadable artifact appears and, in watch mode, hot swaps it thereafter. A
+// shard never goes warm → cold: activation is one-way.
 class FleetShard {
  public:
   FleetShard(FleetEntry entry, obs::Registry& fleet_registry);
-
-  // Identity of an artifact file as far as stat can see (activation
-  // watcher; mirrors the ModelReloader's signature).
-  struct FileSig {
-    bool exists = false;
-    uint64_t size = 0;
-    int64_t mtime_ns = 0;
-    bool operator==(const FileSig&) const = default;
-  };
 
   uint32_t network_id() const { return entry_.network_id; }
   const std::string& name() const { return entry_.name; }
@@ -134,8 +123,6 @@ class FleetShard {
   void CountOodToOracle() { ood_to_oracle_.Add(); }
   void CountRejected() { rejected_.Add(); }
 
-  const ModelReloader* reloader() const { return reloader_.get(); }
-
  private:
   friend class FleetRouter;
 
@@ -144,15 +131,13 @@ class FleetShard {
   void AdoptEstimators(std::unique_ptr<baselines::OdOracle> oracle,
                        std::unique_ptr<baselines::LinkMeanEstimator> links);
   // Publishes the service built from a freshly loaded state (cold → warm).
-  void Publish(std::shared_ptr<EtaService> service,
-               std::unique_ptr<ModelReloader> reloader);
+  void Publish(std::shared_ptr<EtaService> service);
 
   FleetEntry entry_;
   road::RoadNetwork network_;
 
   mutable std::mutex mu_;
-  std::shared_ptr<EtaService> service_;        // null while cold
-  std::unique_ptr<ModelReloader> reloader_;    // watch mode, after warm
+  std::shared_ptr<EtaService> service_;  // null while cold
   std::shared_ptr<const baselines::OdOracle> oracle_;
   std::shared_ptr<const baselines::LinkMeanEstimator> link_mean_;
 
@@ -161,20 +146,18 @@ class FleetShard {
   obs::Counter& shed_to_oracle_;
   obs::Counter& ood_to_oracle_;
   obs::Counter& rejected_;
-  obs::Counter& activation_failures_;
+  obs::Counter& activation_failures_;  // failed loads while cold
+  obs::Counter& reload_failures_;      // failed hot swaps while warm
   obs::Gauge& cold_;
-
-  // Activation bookkeeping (router's watcher thread only).
-  std::optional<FileSig> pending_sig_;
-  std::optional<FileSig> attempted_sig_;
 };
 
 // The multi-city front of the serving stack: owns one FleetShard per
-// manifest row, resolves requests by wire network_id, and runs the
-// cold-shard activation watcher. The network server (serve/server) holds a
-// FleetRouter instead of a single EtaService in fleet mode; the admission
-// queue stays shared across cities (one scheduler, per-tenant quotas
-// unchanged) and the server groups each batch by shard.
+// manifest row, resolves requests by wire network_id, and runs one
+// ArtifactWatcher over every shard's artifact path. The network server
+// (serve/server) holds a FleetRouter instead of a single EtaService in
+// fleet mode; the admission queue stays shared across cities (one
+// scheduler, per-tenant quotas unchanged) and the server groups each batch
+// by shard.
 //
 // Loading at construction: every network.csv is read eagerly (a missing
 // network is a hard error — routing is impossible without it); every
@@ -183,6 +166,12 @@ class FleetShard {
 // shard cold (counted in "fleet/<name>/activation_failures", gauge
 // "fleet/<name>/cold" = 1) and the rest of the fleet serving, which is the
 // partial-failure behaviour the oracle tier exists for.
+//
+// Cold → warm and warm → swapped run through one load function
+// (LoadServingState with the shard's network_id, so an artifact stamped for
+// another city is refused either way). A refused hot swap is counted in
+// "fleet/<name>/reload_failures" and the shard keeps serving its current
+// epoch.
 class FleetRouter {
  public:
   FleetRouter(std::vector<FleetEntry> entries,
@@ -200,37 +189,34 @@ class FleetRouter {
   }
   size_t WarmCount() const;
 
-  // One synchronous activation sweep over the cold shards, bypassing the
-  // poll cadence and stability guard (tests, CI). Returns the number of
-  // shards that went warm.
+  // One synchronous sweep over every shard's artifact, bypassing the poll
+  // cadence and stability guard (tests, CI): a cold shard activates and,
+  // in watch mode, a warm shard hot swaps a changed artifact. A file
+  // unchanged since its last attempt is skipped. Returns the number of
+  // shards that adopted a new artifact.
   size_t ActivateNow();
 
-  // Stops the activation watcher and every shard reloader (idempotent).
+  // Stops the watcher (idempotent).
   void Stop();
 
-  // Adds the router's registry and every warm shard's service/reloader
-  // registries to `sources->extra` for the merged stats export.
+  // Adds the router's registry and every warm shard's service registry to
+  // `sources->extra` for the merged stats export.
   void AppendStatsSources(StatsSources* sources) const;
 
   const obs::Registry& registry() const { return registry_; }
 
  private:
-  void ActivationLoop();
-  // Attempts to load `shard`'s artifact and publish its service. `sig` is
-  // remembered as attempted so a corrupt file is not re-tried every poll.
-  bool TryActivate(FleetShard& shard, const FleetShard::FileSig& sig);
+  // The watcher's load callback for shards_[index]: loads and validates the
+  // artifact, then publishes a service (cold) or swaps it in (warm, watch
+  // mode). Returns true when the artifact was adopted.
+  bool Load(size_t index);
 
   FleetRouterOptions options_;
   std::vector<std::unique_ptr<FleetShard>> shards_;
 
   obs::Registry registry_;
 
-  std::mutex activation_mu_;  // serialises TryActivate sweeps
-
-  std::mutex stop_mu_;
-  std::condition_variable stop_cv_;
-  bool stopping_ = false;
-  std::thread watcher_;
+  ArtifactWatcher watcher_;  // last: stopped before the shards it loads
 };
 
 }  // namespace deepod::serve

@@ -2,53 +2,43 @@
 #define DEEPOD_SERVE_MODEL_RELOADER_H_
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <string>
-#include <thread>
 
-#include "io/model_artifact.h"
 #include "obs/metrics.h"
 #include "road/road_network.h"
+#include "serve/artifact_watcher.h"
 #include "serve/eta_service.h"
 #include "serve/serving_state.h"
 
 namespace deepod::serve {
 
 struct ModelReloaderOptions {
-  // Artifact-path poll cadence. Polling (stat mtime/size/inode) rather than
-  // inotify keeps the watcher portable and dependency-free; at serving poll
-  // rates the stat cost is unmeasurable.
+  // Artifact-path poll cadence (ArtifactWatcher). Weight quantisation is
+  // not an option here: every reload uses the quant of the service it
+  // swaps into (EtaServiceOptions::quant).
   std::chrono::milliseconds poll_interval{200};
-
-  // A changed stat signature must hold steady for this many consecutive
-  // polls before the load is attempted — a guard against catching a writer
-  // mid-copy. Publishers should still prefer an atomic rename(2) into
-  // place, which this guard then never delays past one extra poll.
-  int stability_polls = 2;
-
-  // Load options (weight quantisation) applied to every reload.
-  io::ArtifactOptions artifact;
 };
 
-// The ArtifactWatcher half of zero-downtime serving: polls an artifact path
-// and, when the file changes, loads + validates the new artifact on the
-// watcher thread (never a request thread), then atomically flips it into
-// the running EtaService via SwapState — the RCU epoch publish. In-flight
-// requests finish on the epoch they started on; the old bundle is freed
-// when its last reference drops. No request is ever dropped or answered
-// from a half-loaded model.
+// Zero-downtime hot swap for one EtaService: an ArtifactWatcher polls the
+// artifact path and, when the file changes, the new artifact is loaded and
+// validated on the watcher thread (never a request thread) through
+// LoadServingState — the same load check a fleet shard's activation uses
+// — and atomically flipped into the running service via SwapState, the RCU
+// epoch publish. In-flight requests finish on the epoch they started on;
+// the old bundle is freed when its last reference drops. No request is
+// ever dropped or answered from a half-loaded model.
 //
 // Rollback: a failed load (nn::SerializeError — truncated file, magic or
-// checksum mismatch, wrong network) leaves the service untouched on its
-// current state. The failing signature is remembered so a corrupt artifact
-// is not re-tried every poll; the next *different* file content gets a
-// fresh attempt. Failures are counted ("reload/failures"), the last error
-// string is kept for Status, and the "reload/healthy" gauge drops to 0
-// until a subsequent load succeeds.
+// checksum mismatch, wrong network, or an artifact stamped with another
+// network_id than the one served at construction) leaves the service
+// untouched on its current state. The watcher remembers the failing
+// signature, so a corrupt artifact is not re-tried every poll; the next
+// *different* file content gets a fresh attempt. Failures are counted
+// ("reload/failures"), the last error string is kept for Status, and the
+// "reload/healthy" gauge drops to 0 until a subsequent load succeeds.
 //
 // `prepare` (optional) runs on the watcher thread against the freshly
 // loaded, not-yet-published state — the hook a live deployment uses to
@@ -101,33 +91,18 @@ class ModelReloader {
   const obs::Registry& registry() const { return registry_; }
 
  private:
-  // Identity of the file contents as far as stat can see: a change in any
-  // field marks a new candidate. `exists` folds ENOENT in as "no file".
-  struct FileSig {
-    bool exists = false;
-    uint64_t size = 0;
-    uint64_t inode = 0;
-    int64_t mtime_ns = 0;
-
-    bool operator==(const FileSig&) const = default;
-  };
-
-  FileSig StatArtifact() const;
-  void WatchLoop();
-  // Loads + validates + swaps. `sig` is the signature the attempt is for;
-  // it is remembered as attempted (success or failure) so the same bytes
-  // are not re-tried. Returns true on an adopted swap.
-  bool TryReload(const FileSig& sig);
+  // Loads + validates + swaps (the watcher's load callback). Returns true
+  // on an adopted swap.
+  bool TryReload();
+  void SetLastError(std::string error);
 
   EtaService& service_;
   const std::string artifact_path_;
   const road::RoadNetwork& network_;
-  ModelReloaderOptions options_;
+  // The network_id stamp every reload must carry: the one of the artifact
+  // served at construction (0 = unstamped, accept any).
+  const uint32_t network_id_;
   PrepareFn prepare_;
-
-  // Serialises TryReload between the watcher thread and ReloadNow callers.
-  std::mutex reload_mu_;
-  std::optional<FileSig> attempted_sig_;  // last signature we tried to load
 
   mutable std::mutex status_mu_;
   std::string last_error_;
@@ -139,10 +114,7 @@ class ModelReloader {
   obs::Gauge& healthy_;
   obs::Histogram& load_seconds_;
 
-  std::mutex stop_mu_;
-  std::condition_variable stop_cv_;
-  bool stopping_ = false;
-  std::thread watcher_;
+  ArtifactWatcher watcher_;  // last: stopped before the members it reads
 };
 
 }  // namespace deepod::serve

@@ -38,6 +38,20 @@ double SecondsSince(std::chrono::steady_clock::time_point start,
   return std::chrono::duration<double>(end - start).count();
 }
 
+// Whether `od` can be served: segments within `num_segments` (0 skips the
+// bound), finite position ratios, a departure the serving clock can slot
+// and a known weather type. Request and observe frames share it.
+bool ServableOd(const traj::OdInput& od, size_t num_segments) {
+  const bool segments_ok =
+      num_segments == 0 ||
+      (od.origin_segment < num_segments && od.dest_segment < num_segments);
+  return segments_ok && std::isfinite(od.origin_ratio) &&
+         std::isfinite(od.dest_ratio) &&
+         serve::ServableDeparture(od.departure_time) && od.weather_type >= 0 &&
+         od.weather_type <
+             static_cast<int>(core::ExternalFeaturesEncoder::kNumWeatherTypes);
+}
+
 }  // namespace
 
 // Per-thread buffers for RunBatch, reused across batches.
@@ -406,15 +420,7 @@ void DeepOdServer::HandleFrame(const std::shared_ptr<Connection>& conn,
     num_segments = shard->num_segments();
   }
   const traj::OdInput& od = request.od;
-  const bool segments_ok =
-      num_segments == 0 ||
-      (od.origin_segment < num_segments && od.dest_segment < num_segments);
-  const bool fields_ok =
-      std::isfinite(od.origin_ratio) && std::isfinite(od.dest_ratio) &&
-      serve::ServableDeparture(od.departure_time) && od.weather_type >= 0 &&
-      od.weather_type <
-          static_cast<int>(core::ExternalFeaturesEncoder::kNumWeatherTypes);
-  if (!segments_ok || !fields_ok) {
+  if (!ServableOd(od, num_segments)) {
     RespondError(out, request.request_id, Status::kInvalidRequest, 0);
     return;
   }
@@ -505,17 +511,8 @@ void DeepOdServer::HandleObserve(const ObserveFrame& frame, Outbox* out) {
     num_segments = shard->num_segments();
   }
   const traj::OdInput& od = frame.od;
-  const bool segments_ok =
-      num_segments == 0 ||
-      (od.origin_segment < num_segments && od.dest_segment < num_segments);
-  const bool fields_ok =
-      std::isfinite(od.origin_ratio) && std::isfinite(od.dest_ratio) &&
-      serve::ServableDeparture(od.departure_time) &&
-      std::isfinite(frame.actual_seconds) && frame.actual_seconds >= 0.0 &&
-      od.weather_type >= 0 &&
-      od.weather_type <
-          static_cast<int>(core::ExternalFeaturesEncoder::kNumWeatherTypes);
-  if (!segments_ok || !fields_ok) {
+  if (!ServableOd(od, num_segments) || !std::isfinite(frame.actual_seconds) ||
+      frame.actual_seconds < 0.0) {
     RespondError(out, frame.request_id, Status::kInvalidRequest, 0);
     return;
   }

@@ -28,7 +28,7 @@ inline bool ServableDeparture(temporal::Timestamp t) {
 // through the artifact bundle) — plus its epoch number.
 //
 // EtaService publishes the current epoch as a shared_ptr<const ServingState>
-// and every request path (Estimate, EstimateBatch, the dispatcher) acquires
+// and every request path (Estimate, EstimateBatch) acquires
 // one snapshot for its whole unit of work, RCU-style: a model swap flips
 // the pointer atomically, in-flight requests finish against the epoch they
 // started on, and the old state is destroyed when its last in-flight
@@ -60,12 +60,16 @@ struct ServingState {
 };
 
 // Loads `artifact_path` against `network` and wraps the bundle into an
-// un-adopted ServingState (epoch 0). Throws nn::SerializeError on a
-// corrupt, truncated or mismatched artifact — the typed error the reloader
-// turns into a rollback. `options.quant` requests load-time quantisation.
+// un-adopted ServingState (epoch 0): the one load-and-validate step behind
+// EtaService::FromArtifact, ModelReloader hot swaps and FleetRouter shard
+// activation and swaps. Throws nn::SerializeError on a corrupt, truncated
+// or mismatched artifact — the typed error a reload turns into a rollback.
+// A non-zero `network_id` also refuses an artifact stamped for another
+// city (stamp non-zero and different: kBadValue on "artifact.network_id").
+// `options.quant` requests load-time quantisation.
 std::shared_ptr<ServingState> LoadServingState(
     const std::string& artifact_path, const road::RoadNetwork& network,
-    const io::ArtifactOptions& options);
+    const io::ArtifactOptions& options, uint32_t network_id = 0);
 
 // Wraps a caller-owned model (no bundle) into an un-adopted state.
 std::shared_ptr<ServingState> BorrowServingState(core::DeepOdModel& model);

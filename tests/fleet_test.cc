@@ -10,6 +10,10 @@
 //    unchanged;
 //  - ActivateNow() brings a cold shard warm the moment a loadable artifact
 //    appears, exactly once, firing on_activate;
+//  - a warm shard's hot swap goes through the activation's load check: an
+//    artifact stamped with another city's network_id is refused, counted
+//    in fleet/<name>/reload_failures, and the shard keeps answering
+//    bit-identically from its old epoch;
 //  - a DeepOdServer in fleet mode serves three cities from one process:
 //    model answers for the warm shards, oracle answers (tagged in the
 //    estimator byte) for the model-less city, typed kUnknownNetwork for
@@ -17,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -122,11 +127,11 @@ class FleetTest : public ::testing::Test {
     return od;
   }
 
-  // Options that keep the activation watcher out of the tests' way (poll
+  // Options that keep the artifact watcher out of the tests' way (poll
   // far slower than any test runs; ActivateNow() drives activation).
   static serve::FleetRouterOptions QuietOptions() {
     serve::FleetRouterOptions options;
-    options.activation_poll = std::chrono::milliseconds(600000);
+    options.poll_interval = std::chrono::milliseconds(600000);
     return options;
   }
 
@@ -332,6 +337,66 @@ TEST_F(FleetTest, ActivateNowBringsAColdShardWarmExactlyOnce) {
   const auto standalone = serve::EtaService::FromArtifact(
       city_a_->artifact_path, a->network(), serve::EtaServiceOptions{});
   EXPECT_EQ(a->service()->Estimate(od), standalone->Estimate(od));
+  router.Stop();
+}
+
+// --- Hot swap ----------------------------------------------------------------
+
+TEST_F(FleetTest, HotSwapRefusesAnArtifactStampedForAnotherCity) {
+  // City a serves from a path the test republishes with an atomic rename,
+  // the way a deployment publishes artifacts.
+  const std::string watched = *root_ + "/swap.model.artifact";
+  const auto publish = [&watched](const std::string& src) {
+    const std::string tmp = watched + ".tmp";
+    std::filesystem::copy_file(
+        src, tmp, std::filesystem::copy_options::overwrite_existing);
+    std::filesystem::rename(tmp, watched);
+  };
+  publish(city_a_->artifact_path);
+  // City a's network with other weights, stamped for city b.
+  const std::string foreign = *root_ + "/a.foreign.model.artifact";
+  {
+    core::DeepOdConfig model_config = core::DeepOdConfig().Scaled(16);
+    model_config.epochs = 1;
+    model_config.batch_size = 8;
+    model_config.seed = 99;
+    core::DeepOdModel model(model_config, city_a_->dataset);
+    model.SetTraining(false);
+    io::ArtifactOptions options;
+    options.network_id = 2;
+    io::WriteModelArtifact(foreign, model, nullptr, options);
+  }
+  const std::string path = WriteManifest(
+      "manifest_swap.csv",
+      {"1,a,a.network.csv,swap.model.artifact,a.oracle.artifact,oracle"});
+  serve::FleetRouterOptions options = QuietOptions();
+  options.watch = true;
+  serve::FleetRouter router(serve::ReadFleetManifest(path), options);
+  serve::FleetShard* a = router.Resolve(1);
+  ASSERT_NE(a, nullptr);
+  ASSERT_TRUE(a->warm());
+  const std::shared_ptr<serve::EtaService> service = a->service();
+  const uint64_t epoch = service->state()->epoch;
+  const auto standalone = serve::EtaService::FromArtifact(
+      city_a_->artifact_path, a->network(), serve::EtaServiceOptions{});
+
+  publish(foreign);
+  EXPECT_EQ(router.ActivateNow(), 0u);  // refused
+  EXPECT_EQ(CounterValue(router, "fleet/a/reload_failures"), 1.0);
+  EXPECT_EQ(service->state()->epoch, epoch);
+  for (size_t i = 0; i < 8; ++i) {
+    const traj::OdInput od = SampleOd(*city_a_, i);
+    const double served = a->service()->Estimate(od);
+    const double expected = standalone->Estimate(od);
+    EXPECT_EQ(std::memcmp(&served, &expected, sizeof(double)), 0) << i;
+  }
+
+  // The refused bytes are not re-tried; a correctly stamped artifact swaps.
+  EXPECT_EQ(router.ActivateNow(), 0u);
+  EXPECT_EQ(CounterValue(router, "fleet/a/reload_failures"), 1.0);
+  publish(city_a_->artifact_path);
+  EXPECT_EQ(router.ActivateNow(), 1u);
+  EXPECT_EQ(service->state()->epoch, epoch + 1);
   router.Stop();
 }
 

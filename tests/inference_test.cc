@@ -15,16 +15,14 @@
 //  - AffineRows (the batched-MLP building block) matches per-row Affine
 //    bit-for-bit and passes gradient checks;
 //  - EtaService answers every exact query with Predict's number through
-//    Estimate, EstimateBatch and the micro-batched TrySubmit path.
+//    Estimate and EstimateBatch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <functional>
-#include <future>
 #include <stdexcept>
 #include <vector>
 
@@ -515,36 +513,6 @@ TEST(EtaServiceTest, EveryExactQueryGetsItsOwnPredictAnswer) {
   EXPECT_EQ(service.StatsSnapshot().requests, 10u);
 }
 
-TEST(EtaServiceTest, TrySubmitMicroBatchesAndMatchesEstimate) {
-  core::DeepOdModel model(TinyConfig(), TinyDataset());
-  model.SetTraining(false);
-  serve::EtaServiceOptions options;
-  options.max_batch = 4;
-  options.queue_capacity = 16;
-  serve::EtaService service(model, options);
-  std::vector<traj::OdInput> ods;
-  for (size_t i = 0; i < std::min<size_t>(12, TinyDataset().test.size()); ++i) {
-    ods.push_back(TinyDataset().test[i].od);
-  }
-  std::vector<double> expected;
-  for (const auto& od : ods) expected.push_back(model.Predict(od));
-  std::vector<std::future<double>> futures;
-  for (const auto& od : ods) {
-    // TrySubmit is the primary enqueue API; capacity 16 > 12 queries, so a
-    // bounded wait always finds room here.
-    auto future = service.TrySubmit(od, std::chrono::seconds(5));
-    ASSERT_TRUE(future.has_value());
-    futures.push_back(std::move(*future));
-  }
-  for (size_t i = 0; i < futures.size(); ++i) {
-    EXPECT_EQ(futures[i].get(), expected[i]);
-  }
-  const auto stats = service.StatsSnapshot();
-  EXPECT_EQ(stats.requests, ods.size());
-  EXPECT_GE(stats.batches, 1u);
-  EXPECT_GT(stats.avg_batch_size, 0.0);
-}
-
 TEST(EtaServiceTest, ExportsRegistryBackedStats) {
   core::DeepOdModel model(TinyConfig(), TinyDataset());
   model.SetTraining(false);
@@ -558,7 +526,7 @@ TEST(EtaServiceTest, ExportsRegistryBackedStats) {
   EXPECT_NE(json.find("\"hardware_concurrency\""), std::string::npos);
   EXPECT_NE(json.find("\"serve/requests\""), std::string::npos);
   EXPECT_NE(json.find("\"serve/latency\""), std::string::npos);
-  EXPECT_NE(json.find("\"serve/queue_wait\""), std::string::npos);
+  EXPECT_NE(json.find("\"serve/epoch\""), std::string::npos);
 
   const std::string prom = service.ExportPrometheus();
   EXPECT_NE(prom.find("deepod_serve_requests 2"), std::string::npos);

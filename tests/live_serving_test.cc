@@ -9,14 +9,17 @@
 //    the old epoch;
 //  - ModelReloader hot-swaps a rewritten artifact, rolls back (keeps
 //    serving) on a corrupt one, and recovers on the next good write;
-//  - swap under sustained load: concurrent Estimate/TrySubmit traffic
-//    across repeated swaps, zero failures, post-swap answers bit-identical
-//    to a fresh process on the final artifact;
+//  - swap under sustained load: concurrent Estimate/EstimateBatch traffic
+//    across repeated swaps, zero failures, every batch answered wholly by
+//    one artifact generation, post-swap answers bit-identical to a fresh
+//    process on the final artifact;
 //  - DriftMonitor: rolling MAE rises under a shock, the retrain trigger
 //    edge-fires once, and ingesting fresh observations through the rolling
 //    field brings the MAE back down;
 //  - the ObserveTrip frame codec round-trips and the server ingests observe
-//    frames into the hooked rolling field + drift monitor;
+//    frames into the hooked rolling field + drift monitor, while request
+//    and observe frames with an unservable OD (or actual) are refused
+//    alike without touching the hooks;
 //  - serve::CollectStats merges every source's registry into one
 //    name-sorted record set (the unified stats schema).
 
@@ -27,7 +30,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -35,6 +38,7 @@
 
 #include "core/deepod_config.h"
 #include "core/deepod_model.h"
+#include "core/encoders.h"
 #include "core/trainer.h"
 #include "io/model_artifact.h"
 #include "nn/serialize.h"
@@ -411,7 +415,6 @@ TEST(ModelReloader, WatcherPicksUpRenamedArtifact) {
       serve::EtaService::FromArtifact(watched, network, service_options);
   serve::ModelReloaderOptions reloader_options;
   reloader_options.poll_interval = std::chrono::milliseconds(20);
-  reloader_options.stability_polls = 1;
   serve::ModelReloader reloader(*service, watched, network, reloader_options);
 
   PublishArtifact(ArtifactV2(), watched);
@@ -451,6 +454,7 @@ TEST(ModelReloader, SwapUnderLoadDropsNothingAndStaysBitIdentical) {
     expected_v1.push_back(fresh_v1->Estimate(od));
     expected_v2.push_back(fresh_v2->Estimate(od));
   }
+  ASSERT_NE(expected_v1, expected_v2);  // the generations are told apart
   const auto valid = [&](size_t query, double eta) {
     return std::memcmp(&eta, &expected_v1[query], sizeof(double)) == 0 ||
            std::memcmp(&eta, &expected_v2[query], sizeof(double)) == 0;
@@ -459,9 +463,10 @@ TEST(ModelReloader, SwapUnderLoadDropsNothingAndStaysBitIdentical) {
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> answered{0};
   std::atomic<uint64_t> failures{0};
-  // Two synchronous estimators + one TrySubmit producer, hammering across
-  // every flip. Every future must resolve — a dropped or half-swapped
-  // request shows up here.
+  std::atomic<uint64_t> torn_batches{0};
+  // Two synchronous estimators + one EstimateBatch producer (the server's
+  // batch-runner path), hammering across every flip. A dropped or
+  // half-swapped request shows up here.
   std::vector<std::thread> traffic;
   for (int worker = 0; worker < 2; ++worker) {
     traffic.emplace_back([&, worker] {
@@ -475,17 +480,27 @@ TEST(ModelReloader, SwapUnderLoadDropsNothingAndStaysBitIdentical) {
     });
   }
   traffic.emplace_back([&] {
+    std::vector<traj::OdInput> batch(ods.size());
     size_t i = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      const size_t query = i % ods.size();
-      auto future = service->TrySubmit(ods[query],
-                                       std::chrono::milliseconds(100));
-      if (!future.has_value()) {
-        ++failures;  // queue is never full here: a shed is a bug
-      } else {
-        if (!valid(query, future->get())) ++failures;
-        ++answered;
+      // Every query, rotated so batches start at different queries.
+      for (size_t k = 0; k < batch.size(); ++k) {
+        batch[k] = ods[(i + k) % ods.size()];
       }
+      const std::vector<double> etas = service->EstimateBatch(batch);
+      // One batch, one generation: the answers are all v1's or all v2's.
+      bool all_v1 = etas.size() == batch.size();
+      bool all_v2 = all_v1;
+      for (size_t k = 0; k < etas.size(); ++k) {
+        const size_t query = (i + k) % ods.size();
+        if (!valid(query, etas[k])) ++failures;
+        all_v1 &= std::memcmp(&etas[k], &expected_v1[query],
+                              sizeof(double)) == 0;
+        all_v2 &= std::memcmp(&etas[k], &expected_v2[query],
+                              sizeof(double)) == 0;
+      }
+      if (!all_v1 && !all_v2) ++torn_batches;
+      answered += etas.size();
       ++i;
     }
   });
@@ -500,6 +515,7 @@ TEST(ModelReloader, SwapUnderLoadDropsNothingAndStaysBitIdentical) {
   for (auto& t : traffic) t.join();
 
   EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(torn_batches.load(), 0u);
   EXPECT_GT(answered.load(), 0u);
   EXPECT_EQ(service->StatsSnapshot().swaps, static_cast<uint64_t>(kSwaps));
 
@@ -724,6 +740,96 @@ TEST(ServerObserve, IngestsIntoHooksAndAnswersWithThePrediction) {
 
   client.Close();
   server.Shutdown();
+}
+
+// One validation for both frame kinds: every unservable OD is refused as
+// kInvalidRequest in a request and in an observe frame, a bad actual in an
+// observe frame, and nothing refused reaches the live hooks.
+TEST(ServerObserve, UnservableOdIsInvalidForRequestAndObserveAlike) {
+  using namespace serve::net;
+  const auto& dataset = TinyDataset();
+  const auto& baseline = FrozenField();
+  core::DeepOdModel model(TinyConfig(), TinyDataset());
+  model.SetTraining(false);
+  serve::EtaService service(model, serve::EtaServiceOptions{});
+  sim::RollingSpeedField rolling(dataset.network, 200.0,
+                                 baseline.snapshot_seconds(), &baseline);
+  serve::DriftMonitor drift(serve::DriftMonitorOptions{});
+
+  ServerOptions options;
+  options.num_segments = dataset.network.num_segments();
+  options.live.rolling_field = &rolling;
+  options.live.drift = &drift;
+  DeepOdServer server(service, options);
+  server.Start();
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
+
+  const traj::OdInput good = TestOds(1)[0];
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    const char* name;
+    traj::OdInput od;
+    double actual_seconds;
+  };
+  std::vector<Case> cases(6, Case{"", good, 600.0});
+  cases[0].name = "segment out of range";
+  cases[0].od.dest_segment = 1u << 30;
+  cases[1].name = "NaN ratio";
+  cases[1].od.origin_ratio = nan;
+  cases[2].name = "unservable departure";
+  cases[2].od.departure_time = -1.0;
+  cases[3].name = "weather out of range";
+  cases[3].od.weather_type =
+      static_cast<int>(core::ExternalFeaturesEncoder::kNumWeatherTypes);
+  cases[4].name = "negative actual";
+  cases[4].actual_seconds = -1.0;
+  cases[5].name = "NaN actual";
+  cases[5].actual_seconds = nan;
+
+  const auto observe = [&](uint64_t id, const Case& c) {
+    ObserveFrame frame;
+    frame.request_id = id;
+    frame.od = c.od;
+    frame.actual_seconds = c.actual_seconds;
+    frame.observations = {{good.origin_segment, good.departure_time, 4.0}};
+    const std::vector<uint8_t> wire = EncodeObserveFrame(frame);
+    EXPECT_TRUE(WriteAll(client.fd(), wire.data(), wire.size()));
+    ResponseFrame response;
+    EXPECT_TRUE(client.ReadResponse(&response));
+    EXPECT_EQ(response.request_id, id) << c.name;
+    return response.status;
+  };
+
+  uint64_t id = 0;
+  for (const Case& c : cases) {
+    EXPECT_EQ(observe(++id, c), Status::kInvalidRequest) << c.name;
+    if (c.actual_seconds != 600.0) continue;  // the request frame is fine
+    RequestFrame request;
+    request.request_id = ++id;
+    request.od = c.od;
+    ASSERT_TRUE(client.Send(request));
+    ResponseFrame response;
+    ASSERT_TRUE(client.ReadResponse(&response));
+    EXPECT_EQ(response.request_id, id);
+    EXPECT_EQ(response.status, Status::kInvalidRequest) << c.name;
+  }
+  EXPECT_EQ(rolling.pending(), 0u);
+  EXPECT_EQ(drift.Observations(), 0u);
+
+  // The hooks are live: a valid observe frame reaches both.
+  EXPECT_EQ(observe(++id, Case{"valid", good, 600.0}), Status::kOk);
+  EXPECT_EQ(rolling.pending(), 1u);
+  EXPECT_EQ(drift.Observations(), 1u);
+
+  client.Close();
+  server.Shutdown();
+  uint64_t invalid = 0;
+  for (const obs::Record& record :
+       server.registry().Export("server/invalid_requests")) {
+    invalid = static_cast<uint64_t>(record.count.value_or(0.0));
+  }
+  EXPECT_EQ(invalid, 10u);  // six observe frames, four request frames
 }
 
 // --- Unified stats ----------------------------------------------------------

@@ -6,8 +6,7 @@
 //    capacity, strict priority order, deadline-infeasible shedding, runner
 //    slots (claimed only when free, backlog wakes a waiter, PopBatch never
 //    waits) and the draining handshake all behave exactly as specified;
-//  - EtaService::TrySubmit bounds the producer wait (the Submit fix) and
-//    EstimateBatch matches Estimate;
+//  - EtaService::EstimateBatch matches Estimate;
 //  - a live DeepOdServer answers valid requests with the service's exact
 //    numbers, answers every protocol error with a typed frame while
 //    keeping the connection usable, sheds over the wire with retry-after
@@ -353,7 +352,7 @@ TEST(AdmissionQueue, DrainWaitsForHeldSlots) {
             std::future_status::ready);
 }
 
-// --- EtaService: TrySubmit + EstimateBatch ----------------------------------
+// --- EtaService: EstimateBatch ----------------------------------------------
 
 const sim::Dataset& TinyDataset() {
   static const sim::Dataset* dataset = [] {
@@ -391,23 +390,6 @@ std::vector<traj::OdInput> SampleOds(size_t n) {
     ods.push_back(od);
   }
   return ods;
-}
-
-TEST(EtaServiceTrySubmit, TimesOutInsteadOfBlockingForever) {
-  serve::EtaServiceOptions options;
-  options.queue_capacity = 1;
-  serve::EtaService service(TinyInferenceModel(), options);
-  service.PauseDispatcherForTest(true);
-  const auto ods = SampleOds(2);
-  auto first = service.TrySubmit(ods[0], std::chrono::milliseconds(50));
-  ASSERT_TRUE(first.has_value());  // fills the queue
-  const auto t0 = std::chrono::steady_clock::now();
-  auto second = service.TrySubmit(ods[1], std::chrono::milliseconds(50));
-  EXPECT_FALSE(second.has_value());  // bounded wait, not a deadlock
-  EXPECT_GE(std::chrono::steady_clock::now() - t0,
-            std::chrono::milliseconds(40));
-  service.PauseDispatcherForTest(false);
-  EXPECT_EQ(first->get(), service.Estimate(ods[0]));
 }
 
 TEST(EtaServiceEstimateBatch, MatchesEstimate) {

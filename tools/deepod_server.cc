@@ -24,12 +24,13 @@
 //
 // Fleet mode (--fleet, mutually exclusive with --artifact/--network) serves
 // every city in the manifest from one process: requests route by their wire
-// network_id, each warm shard runs its own EtaService + (with --watch) its
-// own per-city hot-swap reloader, and a shard whose artifact is missing or
-// corrupt serves from its OD-oracle fallback tier until a loadable artifact
-// appears ("fleet: activated CITY" is printed on each cold->warm
-// transition). --live-speed and --drift-trigger are single-city plumbing
-// and are rejected with --fleet.
+// network_id, each warm shard runs its own EtaService, one artifact watcher
+// activates cold shards and (with --watch) hot swaps warm ones, and a shard
+// whose artifact is missing or corrupt serves from its OD-oracle fallback
+// tier until a loadable artifact appears ("fleet: activated CITY" is
+// printed on each cold->warm transition). --poll-ms sets the watcher's
+// cadence in both modes. --live-speed and --drift-trigger are single-city
+// plumbing and are rejected with --fleet.
 //
 // Prints "listening on HOST:PORT" once the socket is bound (port 0 binds
 // an ephemeral port; scripts parse the line to discover it). SIGTERM and
@@ -195,9 +196,7 @@ int main(int argc, char** argv) {
       serve::FleetRouterOptions fleet_options;
       fleet_options.service = service_options;
       fleet_options.watch = watch;
-      fleet_options.reloader.poll_interval =
-          std::chrono::milliseconds(poll_ms);
-      fleet_options.activation_poll = std::chrono::milliseconds(poll_ms);
+      fleet_options.poll_interval = std::chrono::milliseconds(poll_ms);
       fleet_options.on_activate = [](const serve::FleetShard& shard) {
         std::printf("fleet: activated %s (network_id %u)\n",
                     shard.name().c_str(),
@@ -275,7 +274,6 @@ int main(int argc, char** argv) {
   if (watch && !fleet_mode) {
     serve::ModelReloaderOptions reloader_options;
     reloader_options.poll_interval = std::chrono::milliseconds(poll_ms);
-    reloader_options.artifact.quant = service_options.quant;
     sim::RollingSpeedField* rolling_ptr = rolling.get();
     const std::string log_path = artifact_path;
     reloader = std::make_unique<serve::ModelReloader>(
