@@ -21,20 +21,18 @@ namespace {
 using namespace deepod;
 
 // The kernel tier is passed as the last benchmark argument so each op is
-// measured in the legacy (pre-optimisation), blocked (default), vector
-// (parallel-trainer) and simd (AVX2 serving) tiers. Mode 3 silently
-// measures the kVector fallback on hosts without AVX2 — compare tiers on
-// an AVX2 host (see SimdBackendName in nn/simd.h).
+// measured in the blocked (1, default), vector (2, parallel-trainer) and
+// simd (3, AVX2 serving) tiers. Mode 3 silently measures the kVector
+// fallback on hosts without AVX2 — compare tiers on an AVX2 host (see
+// SimdBackendName in nn/simd.h).
 nn::KernelMode ModeArg(const benchmark::State& state, int index) {
   switch (state.range(index)) {
-    case 1:
-      return nn::KernelMode::kBlocked;
     case 2:
       return nn::KernelMode::kVector;
     case 3:
       return nn::KernelMode::kSimd;
     default:
-      return nn::KernelMode::kLegacy;
+      return nn::KernelMode::kBlocked;
   }
 }
 
@@ -49,11 +47,9 @@ void BM_MatMul(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MatMul)
-    ->Args({16, 0})
     ->Args({16, 1})
     ->Args({16, 2})
     ->Args({16, 3})
-    ->Args({64, 0})
     ->Args({64, 1})
     ->Args({64, 2})
     ->Args({64, 3});
@@ -115,7 +111,7 @@ void BM_LstmForwardBackward(benchmark::State& state) {
 }
 // Modes 2 and 3 exercise the fused single-node LSTM cell (mode 3 packs
 // weights once per optimizer step, so this also measures repack overhead).
-BENCHMARK(BM_LstmForwardBackward)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_LstmForwardBackward)->Arg(1)->Arg(2)->Arg(3);
 
 void BM_ResNetTimeBlock(benchmark::State& state) {
   const size_t delta_d = static_cast<size_t>(state.range(0));

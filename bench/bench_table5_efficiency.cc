@@ -1,8 +1,8 @@
 // Table 5: efficiency — model size (bytes), offline training time and
 // online estimation latency (seconds per 1,000 queries) for every method
-// on the three cities. Also measures the training-throughput effect of the
-// data-parallel trainer (serial legacy kernels vs. pool + fast kernels) and
-// writes every timing to BENCH_table5.json for tooling.
+// on the three cities. Also measures the training throughput of the shipped
+// trainer configuration and writes every timing to BENCH_table5.json for
+// tooling.
 #include <cstdio>
 
 #include "bench/common.h"
@@ -15,26 +15,6 @@
 #include "util/thread_pool.h"
 
 using namespace deepod;
-
-namespace {
-
-// Trains the bench DeepOD model on `dataset` and returns the wall seconds
-// of Train() alone. `sps` gets trained-samples (train size * epochs) / sec.
-double TimeTraining(const sim::Dataset& dataset, size_t num_threads,
-                    double* sps) {
-  core::DeepOdConfig config = bench::BenchModelConfig();
-  config.epochs = 6;
-  config.num_threads = num_threads;
-  core::DeepOdModel model(config, dataset);
-  core::DeepOdTrainer trainer(model, dataset);
-  util::Stopwatch sw;
-  trainer.Train(nullptr, 1u << 30, 50);
-  const double secs = sw.ElapsedSeconds();
-  *sps = static_cast<double>(dataset.train.size() * config.epochs) / secs;
-  return secs;
-}
-
-}  // namespace
 
 int main() {
   bench::PrintBanner("Table 5 — model size / training time / estimation time");
@@ -69,41 +49,37 @@ int main() {
   std::printf(
       "\nPaper shape check: TEMP's model (the stored trip corpus) dwarfs the\n"
       "parametric models and has by far the slowest online estimation; LR\n"
-      "and STNN have city-independent sizes; DeepOD trains faster than\n"
-      "MURAT-scale models while costing more at estimation than LR/GBM.\n");
+      "and STNN have city-independent sizes; DeepOD costs more at estimation\n"
+      "than LR/GBM.\n");
 
-  // --- Training throughput: before (pre-threading serial) vs. after --------
-  // "Before" pins one thread and the legacy kernels — the exact pre-PR
-  // serial configuration. "After" is the shipped configuration: auto thread
-  // count, fast kernels (the parallel trainer's workers opt into the
-  // vectorised tier themselves; with one hardware thread the gain is the
-  // kernel tier alone).
+  // --- Training throughput of the shipped configuration ---------------------
+  // Auto thread count and the kVector tier (the parallel trainer's workers
+  // opt into it themselves; with one hardware thread it is the serial
+  // trainer on the vectorised kernels).
   const sim::Dataset mini =
       sim::BuildDataset(bench::MiniConfig(bench::City::kChengdu));
-  double before_sps = 0.0, after_sps = 0.0;
-  double before_secs = 0.0, after_secs = 0.0;
-  {
-    nn::KernelModeScope mode(nn::KernelMode::kLegacy);
-    before_secs = TimeTraining(mini, 1, &before_sps);
-  }
+  core::DeepOdConfig config = bench::BenchModelConfig();
+  config.epochs = 6;
+  config.num_threads = 0;
+  double secs = 0.0;
   {
     nn::KernelModeScope mode(nn::KernelMode::kVector);
-    after_secs = TimeTraining(mini, 0, &after_sps);
+    core::DeepOdModel model(config, mini);
+    core::DeepOdTrainer trainer(model, mini);
+    util::Stopwatch sw;
+    trainer.Train(nullptr, 1u << 30, 50);
+    secs = sw.ElapsedSeconds();
   }
-  const double speedup = before_secs / after_secs;
+  const double sps =
+      static_cast<double>(mini.train.size() * config.epochs) / secs;
   std::printf(
-      "\nTraining throughput (mini %s, %zu train samples x 6 epochs):\n"
-      "  before (serial, legacy kernels, 1 thread): %.2f s  (%.0f samples/s)\n"
-      "  after  (pool, fast kernels, %zu thread%s):  %.2f s  (%.0f samples/s)\n"
-      "  speedup: %.2fx\n",
-      "chengdu-sim", mini.train.size(), before_secs, before_sps, auto_threads,
-      auto_threads == 1 ? "" : "s", after_secs, after_sps, speedup);
+      "\nTraining throughput (mini %s, %zu train samples x 6 epochs, %zu "
+      "thread%s): %.2f s  (%.0f samples/s)\n",
+      "chengdu-sim", mini.train.size(), auto_threads,
+      auto_threads == 1 ? "" : "s", secs, sps);
 
   records.push_back(
-      {"deepod_train/before_serial_legacy", before_secs, 1, before_sps});
-  records.push_back(
-      {"deepod_train/after_parallel_fast", after_secs, auto_threads, after_sps});
-  records.push_back({"deepod_train/speedup", 0.0, auto_threads, speedup});
+      {"deepod_train/after_parallel_fast", secs, auto_threads, sps});
   // Merge rather than overwrite: bench_datagen owns the datagen/* records
   // of this file and a baseline refresh must not clobber them.
   bench::MergeBenchJson("BENCH_table5.json", {"table5/", "deepod_train/"},

@@ -241,7 +241,7 @@ MethodResult RunDeepOdVariant(const sim::Dataset& dataset,
   result.predictions = trainer.PredictAll(dataset.test);
   result.estimate_seconds_per_k = sw.ElapsedSeconds() * 1000.0 /
                                   static_cast<double>(dataset.test.size());
-  result.model_bytes = nn::SerializedSize(model.Parameters());
+  result.model_bytes = nn::SerializedStateSize(model.State());
   return result;
 }
 

@@ -80,6 +80,10 @@ class OdOracle {
   double slot_seconds() const { return slot_seconds_; }
   size_t num_buckets() const { return keys_.size(); }
   size_t num_pairs() const { return pair_keys_.size(); }
+  // Bucket and pair keys; Predict's binary searches need each strictly
+  // ascending (Finalize builds them so; the artifact loader checks it).
+  const std::vector<double>& keys() const { return keys_; }
+  const std::vector<double>& pair_keys() const { return pair_keys_; }
   double global_mean() const { return global_mean_; }
   uint64_t trips_seen() const { return static_cast<uint64_t>(global_count_); }
 

@@ -463,21 +463,8 @@ void DeepOdModel::Save(const std::string& path) {
 }
 
 void DeepOdModel::Load(const std::string& path) {
-  std::vector<uint8_t> buffer;
-  nn::ThrowIfError(nn::ReadFileBytes(path, &buffer));
-  if (nn::IsLegacyParameterBuffer(buffer)) {
-    // Legacy positional blob: parameters + a trailing time-scale scalar.
-    // BatchNorm buffers keep their current values — the old format never
-    // stored them (the gap the state-dict format closes).
-    auto params = Parameters();
-    nn::Tensor scale = nn::Tensor::Scalar(0.0);
-    params.push_back(scale);
-    nn::DeserializeParameters(buffer, params);
-    time_scale_ = scale.item();
-  } else {
-    nn::StateDict state = State();
-    nn::ThrowIfError(nn::DeserializeStateDict(buffer, state));
-  }
+  nn::StateDict state = State();
+  nn::ThrowIfError(nn::LoadStateDict(path, state));
   ClearOcodeMemo();
 }
 

@@ -152,13 +152,11 @@ class DeepOdModel : public nn::Module {
 
   // Checkpointing. Save writes the tagged state-dict format (v2): every
   // parameter, every BatchNorm running-statistic buffer and the time scale,
-  // each under its hierarchical name. Load sniffs the file magic: v2 files
-  // restore by name (strict — throws nn::SerializeError naming the first
-  // mismatching tensor on truncation, corruption or a config mismatch);
-  // legacy positional blobs still load for backward compatibility, with
-  // BatchNorm buffers keeping their current values (the old format never
-  // stored them). The model must be constructed with the same config and
-  // network shape (same embedding table sizes) before Load.
+  // each under its hierarchical name. Load restores by name (strict —
+  // throws nn::SerializeError naming the first mismatching tensor on
+  // truncation, corruption or a config mismatch). The model must be
+  // constructed with the same config and network shape (same embedding
+  // table sizes) before Load.
   void Save(const std::string& path);
   void Load(const std::string& path);
 

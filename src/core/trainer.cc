@@ -14,10 +14,9 @@ namespace deepod::core {
 namespace {
 
 // Copies every state-dict entry's values into one flat vector (and back).
-// Used for the in-memory best-epoch snapshot: unlike the old
-// SerializeParameters round-trip this covers buffers (BatchNorm running
-// statistics, the time scale) too, so restoring the best epoch no longer
-// silently reverts the running statistics to their last-epoch values.
+// Used for the in-memory best-epoch snapshot: it covers buffers (BatchNorm
+// running statistics, the time scale) as well as parameters, so restoring
+// the best epoch also restores the running statistics of that epoch.
 void FlattenState(const nn::StateDict& state, std::vector<double>& out) {
   out.resize(state.NumElements());
   size_t offset = 0;

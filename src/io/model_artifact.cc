@@ -1,5 +1,6 @@
 #include "io/model_artifact.h"
 
+#include <algorithm>
 #include <cfloat>
 #include <climits>
 #include <cmath>
@@ -329,6 +330,43 @@ std::vector<int64_t> SnapshotIndices(const SpeedEntries& entries) {
   return out;
 }
 
+// The oracle geometry OdOracle's constructor guarantees: a slot in
+// (0, 1 day], the slot count it derives from that slot, and an integral
+// grid of at least one cell per axis. Outside these bounds Locate and
+// CellOf clamp with hi < lo.
+void CheckOracleGeometry(const ArtifactRecords& in) {
+  const double slot_seconds =
+      in.Real("oracle.slot_seconds", 0.0, temporal::kSecondsPerDay);
+  if (slot_seconds == 0.0) {
+    ThrowBadValue("oracle.slot_seconds", "= 0 is not positive");
+  }
+  const double per_day =
+      std::max(1.0, std::ceil(temporal::kSecondsPerDay / slot_seconds));
+  const double slots = in.Real("oracle.slots_per_day", 1.0, per_day);
+  if (slots != per_day) {
+    ThrowBadValue("oracle.slots_per_day",
+                  "= " + Num(slots) +
+                      " must be max(1, ceil(86400 / oracle.slot_seconds)) = " +
+                      Num(per_day));
+  }
+  in.Integer("oracle.grid_cells", 1.0, 0x1p53);
+}
+
+// Predict's binary searches need strictly ascending key tables.
+void CheckOracleKeys(const baselines::OdOracle* oracle) {
+  if (oracle == nullptr) return;
+  const std::pair<const char*, const std::vector<double>*> tables[] = {
+      {"oracle.keys", &oracle->keys()},
+      {"oracle.pair_keys", &oracle->pair_keys()}};
+  for (const auto& [name, keys] : tables) {
+    for (size_t i = 1; i < keys->size(); ++i) {
+      if (!((*keys)[i - 1] < (*keys)[i])) {
+        ThrowBadValue(name, "are not strictly ascending at " + Num((*keys)[i]));
+      }
+    }
+  }
+}
+
 // Stands up the optional fallback estimators the records carry, sized from
 // the indexed record shapes so the strict pass deserialises straight into
 // them.
@@ -336,6 +374,7 @@ void PrepareFallbacks(
     const ArtifactRecords& in, std::unique_ptr<baselines::OdOracle>& oracle,
     std::unique_ptr<baselines::LinkMeanEstimator>& link_mean) {
   if (const nn::TensorRecord* keys = in.Find("oracle.keys")) {
+    CheckOracleGeometry(in);
     oracle = std::make_unique<baselines::OdOracle>();
     oracle->PrepareLoad(keys->num_elements,
                         in.Require("oracle.pair_keys").num_elements);
@@ -445,6 +484,7 @@ ServingModel LoadModelArtifact(const std::string& path,
   if (out.oracle != nullptr) out.oracle->AppendState("oracle.", dict);
   if (out.link_mean != nullptr) out.link_mean->AppendState("linkmean.", dict);
   nn::ThrowIfError(nn::DeserializeStateDict(buffer, records, dict));
+  CheckOracleKeys(out.oracle.get());
 
   // Effective quantisation: a load-time request wins; otherwise whatever
   // the records were stored as (the deserialise above already produced the
@@ -509,6 +549,7 @@ OracleBundle LoadOracleArtifact(const std::string& path) {
   if (out.oracle != nullptr) out.oracle->AppendState("oracle.", dict);
   if (out.link_mean != nullptr) out.link_mean->AppendState("linkmean.", dict);
   nn::ThrowIfError(nn::DeserializeStateDict(buffer, records, dict));
+  CheckOracleKeys(out.oracle.get());
   return out;
 }
 

@@ -2,7 +2,6 @@
 
 #include <charconv>
 #include <fstream>
-#include <memory>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -117,6 +116,10 @@ std::ofstream OpenOut(const std::string& path) {
   return out;
 }
 
+constexpr char kTripsHeader[] =
+    "depart,origin_x,origin_y,dest_x,dest_y,weather,travel_time,"
+    "origin_seg,origin_ratio,dest_seg,dest_ratio,route";
+
 std::ifstream OpenIn(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("trip_io: cannot open " + path);
@@ -183,8 +186,7 @@ road::RoadNetwork ReadNetworkCsv(const std::string& path) {
 
 void WriteTripsCsv(const std::vector<traj::TripRecord>& trips,
                    std::ostream& out) {
-  out << "depart,origin_x,origin_y,dest_x,dest_y,weather,travel_time,"
-         "origin_seg,origin_ratio,dest_seg,dest_ratio,route\n";
+  out << kTripsHeader << '\n';
   std::string row;
   for (const auto& trip : trips) {
     row.clear();
@@ -231,21 +233,18 @@ void WriteTripsCsv(const std::vector<traj::TripRecord>& trips,
 }
 
 std::vector<traj::TripRecord> ReadTripsCsv(const road::RoadNetwork& net,
-                                           std::istream& in,
-                                           const road::SpatialIndex* index) {
+                                           std::istream& in) {
   std::vector<traj::TripRecord> trips;
   std::string line;
-  std::getline(in, line);  // header
-  // The header row tells the generations apart: the current format carries
-  // the matched OD columns, the legacy one re-derives them per row.
-  const bool has_matched = line.find("origin_seg") != std::string::npos;
-  // Built on demand for legacy rows when the caller shared no index.
-  std::unique_ptr<road::SpatialIndex> lazy_index;
-  const size_t num_fields = has_matched ? 12 : 8;
-  std::string_view fields[12];
+  if (!std::getline(in, line) || line != kTripsHeader) {
+    throw std::runtime_error(std::string("trip_io: expected trip header '") +
+                             kTripsHeader + "'");
+  }
+  constexpr size_t kNumFields = 12;
+  std::string_view fields[kNumFields];
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    if (SplitView(line, ',', fields, num_fields) != num_fields) {
+    if (SplitView(line, ',', fields, kNumFields) != kNumFields) {
       throw std::runtime_error("trip_io: bad trip row");
     }
     traj::TripRecord trip;
@@ -257,7 +256,7 @@ std::vector<traj::TripRecord> ReadTripsCsv(const road::RoadNetwork& net,
     trip.od.weather_type = static_cast<int>(FastInt(fields[5], "weather"));
     trip.travel_time = FastDouble(fields[6], "travel_time");
     // Route, if present.
-    const std::string_view route = fields[num_fields - 1];
+    const std::string_view route = fields[kNumFields - 1];
     if (!route.empty()) {
       size_t start = 0;
       while (start <= route.size()) {
@@ -282,41 +281,21 @@ std::vector<traj::TripRecord> ReadTripsCsv(const road::RoadNetwork& net,
         start = bar + 1;
       }
     }
-    if (has_matched) {
-      trip.od.origin_segment = SegFromCsv(fields[7], net, "origin_seg");
-      trip.od.origin_ratio = FastDouble(fields[8], "origin_ratio");
-      trip.od.dest_segment = SegFromCsv(fields[9], net, "dest_seg");
-      trip.od.dest_ratio = FastDouble(fields[10], "dest_ratio");
-      trip.trajectory.origin_ratio = trip.od.origin_ratio;
-      trip.trajectory.dest_ratio = trip.od.dest_ratio;
-    } else {
-      // Legacy row: re-derive the matched representation by projecting the
-      // raw points onto the network's grid index.
-      if (index == nullptr) {
-        if (lazy_index == nullptr) {
-          lazy_index = std::make_unique<road::SpatialIndex>(net);
-        }
-        index = lazy_index.get();
-      }
-      const auto origin_proj = index->Nearest(trip.od.origin);
-      const auto dest_proj = index->Nearest(trip.od.destination);
-      trip.od.origin_segment = origin_proj.segment_id;
-      trip.od.origin_ratio = origin_proj.ratio;
-      trip.od.dest_segment = dest_proj.segment_id;
-      trip.od.dest_ratio = dest_proj.ratio;
-      trip.trajectory.origin_ratio = origin_proj.ratio;
-      trip.trajectory.dest_ratio = dest_proj.ratio;
-    }
+    trip.od.origin_segment = SegFromCsv(fields[7], net, "origin_seg");
+    trip.od.origin_ratio = FastDouble(fields[8], "origin_ratio");
+    trip.od.dest_segment = SegFromCsv(fields[9], net, "dest_seg");
+    trip.od.dest_ratio = FastDouble(fields[10], "dest_ratio");
+    trip.trajectory.origin_ratio = trip.od.origin_ratio;
+    trip.trajectory.dest_ratio = trip.od.dest_ratio;
     trips.push_back(std::move(trip));
   }
   return trips;
 }
 
 std::vector<traj::TripRecord> ReadTripsCsv(const road::RoadNetwork& net,
-                                           const std::string& path,
-                                           const road::SpatialIndex* index) {
+                                           const std::string& path) {
   auto in = OpenIn(path);
-  return ReadTripsCsv(net, in, index);
+  return ReadTripsCsv(net, in);
 }
 
 }  // namespace deepod::io

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "road/road_network.h"
-#include "road/spatial_index.h"
 #include "traj/trajectory.h"
 
 namespace deepod::io {
@@ -15,7 +14,7 @@ namespace deepod::io {
 // driven by external data (the paper's pipeline starts from taxi-order
 // files). Formats are line-oriented with a header row:
 //
-// Trips (current, 12 fields):
+// Trips (12 fields):
 //           depart,origin_x,origin_y,dest_x,dest_y,weather,travel_time,
 //           origin_seg,origin_ratio,dest_seg,dest_ratio,route
 //           — the matched OD representation is persisted at write time
@@ -24,9 +23,6 @@ namespace deepod::io {
 //           |-separated list of segment:enter:exit triplets (empty for
 //           OD-only records). Doubles are written in shortest
 //           round-trip form (std::to_chars), so write→read is value-exact.
-// Trips (legacy, 8 fields — still read): the same without the four matched
-//           columns; the matched representation is re-derived from the
-//           points against the network's grid spatial index.
 // Network:  two sections — "vertices" (id,x,y) then "segments"
 //           (id,from,to,length,speed,class).
 
@@ -46,17 +42,13 @@ void WriteTripsCsv(const std::vector<traj::TripRecord>& trips,
 void WriteTripsCsv(const std::vector<traj::TripRecord>& trips,
                    const std::string& path);
 
-// Parses trips written by WriteTripsCsv (either header generation). For
-// legacy 8-field rows the OD matched representation is re-derived against
-// `index` when given, else against a grid index built lazily on the first
-// row that needs one — callers ingesting many files against one network
-// should pass a shared index.
-std::vector<traj::TripRecord> ReadTripsCsv(
-    const road::RoadNetwork& net, std::istream& in,
-    const road::SpatialIndex* index = nullptr);
-std::vector<traj::TripRecord> ReadTripsCsv(
-    const road::RoadNetwork& net, const std::string& path,
-    const road::SpatialIndex* index = nullptr);
+// Parses trips written by WriteTripsCsv. Throws std::runtime_error naming
+// the expected header when the first line is not the 12-column header, and
+// on any malformed row or out-of-range segment id.
+std::vector<traj::TripRecord> ReadTripsCsv(const road::RoadNetwork& net,
+                                           std::istream& in);
+std::vector<traj::TripRecord> ReadTripsCsv(const road::RoadNetwork& net,
+                                           const std::string& path);
 
 }  // namespace deepod::io
 

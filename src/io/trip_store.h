@@ -12,10 +12,8 @@
 namespace deepod::io {
 
 // Compact columnar binary format for trip records — the on-disk shape the
-// million-trip data plane trains from. Unlike the CSV interchange format
-// (trip_io.h), which stores points and re-derives the matched OD
-// representation on every load, the store persists the matched
-// segments/ratios once at generation time and lays every field out as a
+// million-trip data plane trains from. Unlike the row-oriented CSV
+// interchange format (trip_io.h), the store lays every field out as a
 // contiguous column so a reader can mmap the file and serve zero-copy
 // column scans and O(1) random record access.
 //

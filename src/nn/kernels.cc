@@ -7,31 +7,6 @@ namespace {
 
 // --- Conv2d forward kernels --------------------------------------------------
 
-void ConvForwardNaive(const ConvGeom& g, const double* xin, const double* xk,
-                      double* out) {
-  std::fill(out, out + g.cout * g.oh * g.ow, 0.0);
-  for (size_t oc = 0; oc < g.cout; ++oc) {
-    for (size_t oy = 0; oy < g.oh; ++oy) {
-      for (size_t ox = 0; ox < g.ow; ++ox) {
-        double s = 0.0;
-        for (size_t ic = 0; ic < g.cin; ++ic) {
-          for (size_t ky = 0; ky < g.kh; ++ky) {
-            const long iy = static_cast<long>(oy + ky) - static_cast<long>(g.pad_h);
-            if (iy < 0 || iy >= static_cast<long>(g.h)) continue;
-            for (size_t kx = 0; kx < g.kw; ++kx) {
-              const long ix = static_cast<long>(ox + kx) - static_cast<long>(g.pad_w);
-              if (ix < 0 || ix >= static_cast<long>(g.w)) continue;
-              s += xin[(ic * g.h + iy) * g.w + ix] *
-                   xk[((oc * g.cin + ic) * g.kh + ky) * g.kw + kx];
-            }
-          }
-        }
-        out[(oc * g.oh + oy) * g.ow + ox] = s;
-      }
-    }
-  }
-}
-
 // Per-point (ic, ky, kx) order over a zero-padded copy of the input, four
 // outputs of a row at a time: the four sums are independent, so they fill
 // the FP pipeline where one serial add chain per output left it idle.
@@ -178,9 +153,6 @@ size_t ConvScratchSize(const ConvGeom& g) {
 void ConvForward(const ConvGeom& g, const double* in, const double* kernel,
                  double* out, double* scratch) {
   switch (GetKernelMode()) {
-    case KernelMode::kLegacy:
-      ConvForwardNaive(g, in, kernel, out);
-      break;
     case KernelMode::kBlocked:
       ConvForwardBlocked(g, in, kernel, out, scratch);
       break;

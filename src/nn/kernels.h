@@ -24,10 +24,10 @@ bool SimdActive();
 double DotUnrolled(const double* a, const double* b, size_t n);
 
 // y[i] = b[i] + W[i,:] x for a row-major W [out, in] — the one kernel Affine
-// and every row of AffineRows run: bias-first ascending sums in
-// kLegacy/kBlocked, b[i] + DotUnrolled in kVector, the packed AVX2 GEMV when
-// SimdActive(). `packed` (W packed by PackGemv/PackGemvInto) is read only
-// when SimdActive() and must then be non-null.
+// and every row of AffineRows run: bias-first ascending sums in kBlocked,
+// b[i] + DotUnrolled in kVector, the packed AVX2 GEMV when SimdActive().
+// `packed` (W packed by PackGemv/PackGemvInto) is read only when
+// SimdActive() and must then be non-null.
 void AffineForward(const double* w, const PackedGemvView* packed,
                    const double* x, const double* b, double* y, size_t out,
                    size_t in);
@@ -46,13 +46,14 @@ size_t ConvScratchSize(const ConvGeom& g);
 
 // out [cout, oh, ow] = conv(in, kernel). `scratch` holds ConvScratchSize(g)
 // doubles. Per tier:
-//  - kLegacy: the naive per-point loop, skipping out-of-range taps.
 //  - kBlocked: zero-pads the input once into `scratch`, then accumulates
 //    four outputs of a row side by side, each in the naive per-point (ic,
 //    ky, kx) order. The padding taps add ±0.0 to a sum that is never -0.0,
-//    so the result is bit-identical to kLegacy — provided every kernel
-//    weight is finite (0 * inf would be NaN). The artifact loader rejects
-//    non-finite weights, which enforces this for served models.
+//    so the result is bit-identical to the naive loop that skips
+//    out-of-range taps (the test oracle in tests/reference_kernels.h) —
+//    provided every kernel weight is finite (0 * inf would be NaN). The
+//    artifact loader rejects non-finite weights, which enforces this for
+//    served models.
 //  - kVector: planar shifted-row axpys (a different, deterministic order).
 //  - kSimd: the kVector order with fused multiply-adds when SimdActive(),
 //    else the kVector kernel itself.

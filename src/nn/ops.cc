@@ -59,27 +59,14 @@ Tensor UnaryOp(const Tensor& a, F f, DF df) {
 
 // --- MatMul kernels ---------------------------------------------------------
 //
-// The naive and blocked kernels accumulate each output entry over k in
-// ascending order, so the blocked (packed/B-transposed) kernel is
-// bit-identical to the naive one; it only changes memory access patterns,
-// never the floating-point summation order. The j-block size keeps a B^T
-// tile plus an A row resident in L1 while streaming over rows of A. The
-// vector kernel additionally reassociates the dots.
+// The blocked kernel accumulates each output entry over k in ascending
+// order, so the packed/B-transposed kernel is bit-identical to the naive
+// triple loop (the test oracle in tests/reference_kernels.h); it only
+// changes memory access patterns, never the floating-point summation
+// order. The j-block size keeps a B^T tile plus an A row resident in L1
+// while streaming over rows of A. The vector kernel additionally
+// reassociates the dots.
 constexpr size_t kMatMulJBlock = 48;
-
-void MatMulForwardNaive(const double* xa, const double* xb, double* out,
-                        size_t n, size_t k, size_t m) {
-  std::fill(out, out + n * m, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t p = 0; p < k; ++p) {
-      const double av = xa[i * k + p];
-      if (av == 0.0) continue;
-      const double* brow = &xb[p * m];
-      double* orow = &out[i * m];
-      for (size_t j = 0; j < m; ++j) orow[j] += av * brow[j];
-    }
-  }
-}
 
 // Packs B^T (bt[j*k+p] = b[p*m+j]) into `bt`, which must hold k*m doubles.
 void PackBTransposed(const double* xb, double* bt, size_t k, size_t m) {
@@ -113,9 +100,10 @@ void MatMulForwardBlocked(const double* xa, const double* bt, double* out,
 // --- Conv2d backward kernels ------------------------------------------------
 //
 // The blocked backward hoists the zero-padding bounds out of the inner loops
-// (the naive kernel re-checks them per multiply) and walks kx over
-// contiguous input/kernel runs; each gradient entry accumulates in the naive
-// kernel's order, so results are bit-identical to it.
+// (the naive reference kernel in tests/reference_kernels.h re-checks them
+// per multiply) and walks kx over contiguous input/kernel runs; each
+// gradient entry accumulates in the naive kernel's order, so results are
+// bit-identical to it.
 
 void ConvBackwardVector(const ConvGeom& g, const double* grad_out,
                         const double* xin, const double* xk, double* gin,
@@ -148,33 +136,6 @@ void ConvBackwardVector(const ConvGeom& g, const double* grad_out,
             acc += DotUnrolled(go_row, in_row, len);
           }
           gkoc[k_idx] += acc;
-        }
-      }
-    }
-  }
-}
-
-void ConvBackwardNaive(const ConvGeom& g, const double* grad_out,
-                       const double* xin, const double* xk, double* gin,
-                       double* gk) {
-  for (size_t oc = 0; oc < g.cout; ++oc) {
-    for (size_t oy = 0; oy < g.oh; ++oy) {
-      for (size_t ox = 0; ox < g.ow; ++ox) {
-        const double go = grad_out[(oc * g.oh + oy) * g.ow + ox];
-        if (go == 0.0) continue;
-        for (size_t ic = 0; ic < g.cin; ++ic) {
-          for (size_t ky = 0; ky < g.kh; ++ky) {
-            const long iy = static_cast<long>(oy + ky) - static_cast<long>(g.pad_h);
-            if (iy < 0 || iy >= static_cast<long>(g.h)) continue;
-            for (size_t kx = 0; kx < g.kw; ++kx) {
-              const long ix = static_cast<long>(ox + kx) - static_cast<long>(g.pad_w);
-              if (ix < 0 || ix >= static_cast<long>(g.w)) continue;
-              const size_t in_idx = (ic * g.h + iy) * g.w + ix;
-              const size_t k_idx = ((oc * g.cin + ic) * g.kh + ky) * g.kw + kx;
-              gin[in_idx] += go * xk[k_idx];
-              gk[k_idx] += go * xin[in_idx];
-            }
-          }
         }
       }
     }
@@ -340,14 +301,11 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
     // W^T fresh), so MatMul skips the pack cache and uses the broadcast-A
     // AVX2 kernel directly over row-major B.
     MatMulAvx2(xa.data(), xb.data(), out.data(), n, k, m);
-  } else if (mode != KernelMode::kLegacy) {
+  } else {
     auto bt = AcquireBuffer(k * m);
     PackBTransposed(xb.data(), bt.data(), k, m);
     MatMulForwardBlocked(xa.data(), bt.data(), out.data(), n, k, m,
-                         mode == KernelMode::kVector ||
-                             mode == KernelMode::kSimd);
-  } else {
-    MatMulForwardNaive(xa.data(), xb.data(), out.data(), n, k, m);
+                         mode != KernelMode::kBlocked);
   }
   if (Inference()) return Tensor::FromData({n, m}, std::move(out));
   auto pa = a.impl(), pb = b.impl();
@@ -357,19 +315,6 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
         // naive triple loop (j ascending for dA, i ascending for dB).
         double* ga = pa->grad_sink();
         double* gb = pb->grad_sink();
-        if (GetKernelMode() == KernelMode::kLegacy) {
-          for (size_t i = 0; i < n; ++i) {
-            for (size_t j = 0; j < m; ++j) {
-              const double g = self.grad[i * m + j];
-              if (g == 0.0) continue;
-              for (size_t p = 0; p < k; ++p) {
-                ga[i * k + p] += g * pb->data[p * m + j];
-                gb[p * m + j] += g * pa->data[i * k + p];
-              }
-            }
-          }
-          return;
-        }
         auto bt = AcquireBuffer(k * m);
         PackBTransposed(pb->data.data(), bt.data(), k, m);
         for (size_t i = 0; i < n; ++i) {
@@ -707,10 +652,6 @@ Tensor Conv2d(const Tensor& input, const Tensor& kernel, size_t pad_h,
         double* gin = pin->grad_sink();
         double* gk = pk->grad_sink();
         switch (GetKernelMode()) {
-          case KernelMode::kLegacy:
-            ConvBackwardNaive(geom, self.grad.data(), pin->data.data(),
-                              pk->data.data(), gin, gk);
-            break;
           case KernelMode::kBlocked:
             ConvBackwardBlocked(geom, self.grad.data(), pin->data.data(),
                                 pk->data.data(), gin, gk);

@@ -12,7 +12,7 @@
 //
 // The quantised tiers are *fake-quant*: weights are rounded to the target
 // dtype's representable values and immediately dequantised back into the
-// regular fp64 parameter storage. Every kernel tier (kLegacy … kSimd) then
+// regular fp64 parameter storage. Every kernel tier (kBlocked … kSimd) then
 // runs unchanged on the snapped values, so quantisation composes with any
 // kernel mode and needs no int8/f16 compute kernels. The accuracy contract
 // is a value tolerance against the fp64 goldens (an explicit MAE budget,

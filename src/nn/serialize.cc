@@ -8,7 +8,6 @@
 namespace deepod::nn {
 namespace {
 
-constexpr uint32_t kLegacyMagic = 0xd33b0d01;  // "deepod" format v1
 constexpr uint32_t kMagic = 0xd33b0d02;        // "deepod" format v2+
 constexpr uint32_t kVersion = 2;       // all-f64 records
 constexpr uint32_t kVersionQuant = 3;  // may carry f16/int8 records
@@ -56,17 +55,6 @@ bool TryReadPod(const std::vector<uint8_t>& buf, size_t& offset, T* value) {
   return true;
 }
 
-// Throwing variant for the legacy decoder.
-template <typename T>
-T ReadPod(const std::vector<uint8_t>& buf, size_t& offset) {
-  T value;
-  if (!TryReadPod(buf, offset, &value)) {
-    throw SerializeError(LoadStatus::Error(
-        LoadErrorKind::kTruncated, "DeserializeParameters: truncated buffer"));
-  }
-  return value;
-}
-
 uint64_t Fnv1a64(const uint8_t* data, size_t size) {
   uint64_t h = 0xcbf29ce484222325ull;
   for (size_t i = 0; i < size; ++i) {
@@ -105,7 +93,6 @@ const char* LoadErrorKindName(LoadErrorKind kind) {
     case LoadErrorKind::kUnexpectedTensor: return "unexpected_tensor";
     case LoadErrorKind::kShapeMismatch: return "shape_mismatch";
     case LoadErrorKind::kTrailingBytes: return "trailing_bytes";
-    case LoadErrorKind::kCountMismatch: return "count_mismatch";
     case LoadErrorKind::kNonFinite: return "non_finite";
     case LoadErrorKind::kBadValue: return "bad_value";
   }
@@ -232,10 +219,6 @@ LoadStatus IndexStateDict(const std::vector<uint8_t>& buffer,
   uint32_t magic = 0;
   if (!TryReadPod(buffer, offset, &magic)) return Truncated("header");
   if (magic != kMagic) {
-    if (magic == kLegacyMagic) {
-      return LoadStatus::Error(LoadErrorKind::kBadMagic,
-                               "legacy positional blob, not a state dict");
-    }
     return LoadStatus::Error(LoadErrorKind::kBadMagic,
                              "not a deepod state dict");
   }
@@ -505,18 +488,6 @@ LoadStatus CheckFinite(const StateDict& state) {
   return LoadStatus::Ok();
 }
 
-bool IsStateDictBuffer(const std::vector<uint8_t>& buffer) {
-  uint32_t magic = 0;
-  size_t offset = 0;
-  return TryReadPod(buffer, offset, &magic) && magic == kMagic;
-}
-
-bool IsLegacyParameterBuffer(const std::vector<uint8_t>& buffer) {
-  uint32_t magic = 0;
-  size_t offset = 0;
-  return TryReadPod(buffer, offset, &magic) && magic == kLegacyMagic;
-}
-
 LoadStatus ReadFileBytes(const std::string& path, std::vector<uint8_t>* out) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) {
@@ -558,88 +529,6 @@ LoadStatus LoadStateDict(const std::string& path, StateDict& state) {
     return status;
   }
   return DeserializeStateDict(buf, state);
-}
-
-// --- Legacy positional blob (v1) --------------------------------------------
-
-std::vector<uint8_t> SerializeParameters(const std::vector<Tensor>& params) {
-  std::vector<uint8_t> buf;
-  buf.reserve(SerializedSize(params));
-  AppendPod(buf, kLegacyMagic);
-  AppendPod(buf, static_cast<uint64_t>(params.size()));
-  for (const auto& p : params) {
-    AppendPod(buf, static_cast<uint64_t>(p.ndim()));
-    for (size_t d : p.shape()) AppendPod(buf, static_cast<uint64_t>(d));
-    for (double x : p.data()) AppendPod(buf, x);
-  }
-  return buf;
-}
-
-void DeserializeParameters(const std::vector<uint8_t>& buffer,
-                           std::vector<Tensor>& params) {
-  size_t offset = 0;
-  if (ReadPod<uint32_t>(buffer, offset) != kLegacyMagic) {
-    throw SerializeError(LoadStatus::Error(
-        LoadErrorKind::kBadMagic, "DeserializeParameters: bad magic"));
-  }
-  const uint64_t count = ReadPod<uint64_t>(buffer, offset);
-  if (count != params.size()) {
-    throw SerializeError(LoadStatus::Error(
-        LoadErrorKind::kCountMismatch,
-        "DeserializeParameters: file has " + std::to_string(count) +
-            " parameters, model expects " + std::to_string(params.size())));
-  }
-  for (size_t i = 0; i < params.size(); ++i) {
-    auto& p = params[i];
-    const std::string pos = "parameter #" + std::to_string(i);
-    const uint64_t ndim = ReadPod<uint64_t>(buffer, offset);
-    if (ndim != p.ndim()) {
-      throw SerializeError(LoadStatus::Error(
-          LoadErrorKind::kShapeMismatch,
-          "DeserializeParameters: " + pos + " rank mismatch", pos));
-    }
-    for (size_t d = 0; d < ndim; ++d) {
-      if (ReadPod<uint64_t>(buffer, offset) != p.dim(d)) {
-        throw SerializeError(LoadStatus::Error(
-            LoadErrorKind::kShapeMismatch,
-            "DeserializeParameters: " + pos + " shape mismatch", pos));
-      }
-    }
-    for (double& x : p.data()) x = ReadPod<double>(buffer, offset);
-  }
-  if (offset != buffer.size()) {
-    throw SerializeError(LoadStatus::Error(
-        LoadErrorKind::kTrailingBytes,
-        "DeserializeParameters: trailing bytes"));
-  }
-  BumpParamEpoch();
-}
-
-size_t SerializedSize(const std::vector<Tensor>& params) {
-  size_t bytes = sizeof(uint32_t) + sizeof(uint64_t);
-  for (const auto& p : params) {
-    bytes += sizeof(uint64_t) * (1 + p.ndim());
-    bytes += sizeof(double) * p.size();
-  }
-  return bytes;
-}
-
-void SaveParameters(const std::string& path, const std::vector<Tensor>& params) {
-  const auto buf = SerializeParameters(params);
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    throw SerializeError(LoadStatus::Error(LoadErrorKind::kIoError,
-                                           "SaveParameters: cannot open " +
-                                               path));
-  }
-  out.write(reinterpret_cast<const char*>(buf.data()),
-            static_cast<std::streamsize>(buf.size()));
-}
-
-void LoadParameters(const std::string& path, std::vector<Tensor>& params) {
-  std::vector<uint8_t> buf;
-  ThrowIfError(ReadFileBytes(path, &buf));
-  DeserializeParameters(buf, params);
 }
 
 }  // namespace deepod::nn

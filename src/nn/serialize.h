@@ -8,22 +8,18 @@
 
 #include "nn/module.h"
 #include "nn/quant.h"
-#include "nn/tensor.h"
 
 namespace deepod::nn {
 
-// (De)serialisation of model state. Two formats coexist:
-//
-//  * The tagged state-dict format (v2/v3) — the current on-disk contract.
-//    Self-describing: a magic/version header, one record per tensor holding
-//    its *name*, dtype, shape and payload, and a trailing checksum over the
-//    whole stream. Tensors are matched by name on load, so file layout is
-//    decoupled from module traversal order, config mismatches are detected
-//    (and reported) per tensor, and corruption is caught before any value is
-//    written into a model. See DESIGN.md, "Model lifecycle".
-//
-//  * The legacy positional blob (v1) — the original unnamed format kept for
-//    reading old checkpoints. New files are never written in it.
+// (De)serialisation of model state in the tagged state-dict format (v2/v3),
+// the one on-disk contract. Self-describing: a magic/version header, one
+// record per tensor holding its *name*, dtype, shape and payload, and a
+// trailing checksum over the whole stream. Tensors are matched by name on
+// load, so file layout is decoupled from module traversal order, config
+// mismatches are detected (and reported) per tensor, and corruption is
+// caught before any value is written into a model. A file in the retired
+// positional format (v1, magic 0xd33b0d01) is rejected as kBadMagic like
+// any other foreign stream. See DESIGN.md, "Model lifecycle".
 //
 // Byte layout of v2/v3 (all integers little-endian):
 //   u32  magic      0xd33b0d02 ("deepod" format, generation 2)
@@ -52,7 +48,7 @@ namespace deepod::nn {
 enum class LoadErrorKind {
   kNone = 0,
   kIoError,           // file cannot be opened / read / written
-  kBadMagic,          // not a state-dict (or legacy) stream
+  kBadMagic,          // not a state-dict stream
   kBadVersion,        // recognised magic, unsupported format version
   kTruncated,         // stream ends inside a record
   kBadChecksum,       // payload bytes do not match the trailing checksum
@@ -61,7 +57,6 @@ enum class LoadErrorKind {
   kUnexpectedTensor,  // the file holds a tensor the model does not expect
   kShapeMismatch,     // name matched but shapes differ (config mismatch)
   kTrailingBytes,     // well-formed records followed by garbage
-  kCountMismatch,     // legacy blob: positional parameter count differs
   kNonFinite,         // a NaN or infinity in a finite-valued tensor
   kBadValue,          // a finite scalar outside its stated domain (e.g. an
                       // artifact config width past its bound)
@@ -163,7 +158,8 @@ LoadStatus DeserializeStateDict(const std::vector<uint8_t>& buffer,
 // kNonFinite naming the first entry (not marked StateDict::Values::kAny)
 // that holds a NaN or an infinity; Ok otherwise. Served weights must be
 // finite: a NaN weight serves NaN, and the padded conv kernel of kBlocked
-// is bit-identical to kLegacy only for finite weights (nn/kernels.h).
+// is bit-identical to the naive loop only for finite weights
+// (nn/kernels.h).
 LoadStatus CheckFinite(const StateDict& state);
 
 // Parses the record table of a v2/v3 buffer (used by DeserializeStateDict,
@@ -191,11 +187,6 @@ std::vector<double> ReadRecordPayload(const std::vector<uint8_t>& buffer,
 std::vector<double> ReadRecordScales(const std::vector<uint8_t>& buffer,
                                      const TensorRecord& record);
 
-// True when the buffer starts with the v2 state-dict magic.
-bool IsStateDictBuffer(const std::vector<uint8_t>& buffer);
-// True when the buffer starts with the legacy positional-blob magic.
-bool IsLegacyParameterBuffer(const std::vector<uint8_t>& buffer);
-
 // File helpers (v2/v3). The QuantMode overload routes through the
 // quantising writer.
 LoadStatus SaveStateDict(const std::string& path, const StateDict& state);
@@ -203,30 +194,8 @@ LoadStatus SaveStateDict(const std::string& path, const StateDict& state,
                          QuantMode quant);
 LoadStatus LoadStateDict(const std::string& path, StateDict& state);
 
-// Reads a whole file into bytes (shared by the state-dict and legacy
-// readers; the caller sniffs the magic to pick a decoder).
+// Reads a whole file into bytes.
 LoadStatus ReadFileBytes(const std::string& path, std::vector<uint8_t>* out);
-
-// --- Legacy positional blob (v1) --------------------------------------------
-
-// Serialises shapes + data of every parameter, identified by position only.
-// Legacy format — kept so pre-state-dict checkpoints and the property tests
-// that compare raw parameter bytes keep working; new code writes state
-// dicts.
-std::vector<uint8_t> SerializeParameters(const std::vector<Tensor>& params);
-
-// Restores parameter values in place; count and shapes must match the
-// buffer. Throws SerializeError (with a typed status) on any mismatch.
-void DeserializeParameters(const std::vector<uint8_t>& buffer,
-                           std::vector<Tensor>& params);
-
-// Byte size a SerializeParameters call would produce (without building it).
-size_t SerializedSize(const std::vector<Tensor>& params);
-
-// Legacy file helpers. LoadParameters throws SerializeError on open/decode
-// failure.
-void SaveParameters(const std::string& path, const std::vector<Tensor>& params);
-void LoadParameters(const std::string& path, std::vector<Tensor>& params);
 
 }  // namespace deepod::nn
 

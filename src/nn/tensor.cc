@@ -52,7 +52,7 @@ thread_local KernelMode tls_kernel_mode = KernelMode::kBlocked;
 thread_local bool tls_grad_enabled = true;
 
 void RecycleBuffer(std::vector<double>&& v) {
-  if (tls_kernel_mode == KernelMode::kLegacy || v.capacity() == 0) return;
+  if (v.capacity() == 0) return;
   BufferPool* pool = GetPool();
   if (pool == nullptr || pool->buffers.size() >= kMaxPooledBuffers ||
       pool->doubles + v.capacity() > kMaxPooledDoubles) {
@@ -104,14 +104,12 @@ KernelModeScope::KernelModeScope(KernelMode mode) : prev_(tls_kernel_mode) {
 KernelModeScope::~KernelModeScope() { tls_kernel_mode = prev_; }
 
 std::vector<double> AcquireBuffer(size_t size) {
-  if (tls_kernel_mode != KernelMode::kLegacy) {
-    if (BufferPool* pool = GetPool(); pool && !pool->buffers.empty()) {
-      std::vector<double> v = std::move(pool->buffers.back());
-      pool->buffers.pop_back();
-      pool->doubles -= v.capacity();
-      v.resize(size);
-      return v;
-    }
+  if (BufferPool* pool = GetPool(); pool && !pool->buffers.empty()) {
+    std::vector<double> v = std::move(pool->buffers.back());
+    pool->buffers.pop_back();
+    pool->doubles -= v.capacity();
+    v.resize(size);
+    return v;
   }
   return std::vector<double>(size);
 }

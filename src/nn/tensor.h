@@ -210,18 +210,17 @@ class InferenceGuard {
 
 // Per-thread selection of the compute kernels used by the hot ops
 // (MatMul / Affine / Conv2d):
-//  - kLegacy:  the seed implementation's naive loops and plain allocation.
-//    Kept so the perf benches can measure an honest before/after in one
-//    binary and tests can pin down bit-identity with the original code.
 //  - kBlocked: cache-blocked, B-transposed kernels, a padded conv and the
-//    thread-local buffer pool. Same floating-point summation order as
-//    kLegacy, so results are bit-identical (the conv for finite weights,
-//    see nn/kernels.h) — this is the default.
+//    thread-local buffer pool. Same floating-point summation order as the
+//    naive per-element loops (kept as test oracles in
+//    tests/reference_kernels.h), so results are bit-identical to them (the
+//    conv for finite weights, see nn/kernels.h) — this is the default.
 //  - kVector:  reassociated (multi-accumulator / planar-axpy) kernels that
 //    the compiler can vectorise. Fastest scalar tier, but the changed
 //    summation order perturbs last-bit rounding, so results are
-//    deterministic yet not bit-identical to kLegacy. Used by the
-//    data-parallel trainer (num_threads > 1) and opt-in benches.
+//    deterministic yet not bit-identical to kBlocked. It is the
+//    data-parallel trainer's tier (num_threads > 1), so it fixes the bits
+//    of every threaded training run, and kSimd's scalar fallback.
 //  - kSimd:    explicit AVX2+FMA kernels over panel-major packed weights
 //    (see nn/simd.h), dispatched at runtime: when the binary carries the
 //    AVX2 translation unit, the CPU supports AVX2+FMA and DEEPOD_SIMD is
@@ -232,7 +231,7 @@ class InferenceGuard {
 //    kVector's per-element multiply-then-add order and stays bit-identical
 //    to kVector. When AVX2 is unavailable every kSimd op falls back to the
 //    kVector code path exactly, so kSimd is always safe to select.
-enum class KernelMode { kLegacy, kBlocked, kVector, kSimd };
+enum class KernelMode { kBlocked, kVector, kSimd };
 
 void SetKernelMode(KernelMode mode);
 KernelMode GetKernelMode();
@@ -252,8 +251,8 @@ class KernelModeScope {
 // --- Parameter epoch --------------------------------------------------------
 
 // Process-wide generation counter over *parameter values*. Every code path
-// that mutates parameter storage in place (optimizer Step, state-dict /
-// legacy deserialisation, Embedding::LoadPretrained, weight quantisation)
+// that mutates parameter storage in place (optimizer Step, state-dict
+// deserialisation, Embedding::LoadPretrained, weight quantisation)
 // bumps it; derived per-parameter caches (the packed-weights cache behind
 // KernelMode::kSimd, see nn/simd.h) record the epoch they were built at and
 // rebuild on mismatch. Serving never steps an optimizer, so packs amortise
@@ -263,9 +262,9 @@ uint64_t ParamEpoch();
 void BumpParamEpoch();
 
 // Acquires a buffer of `size` doubles with unspecified contents, reusing
-// the calling thread's recycled tensor storage (disabled in kLegacy mode
-// so the legacy baseline keeps its original allocation behaviour).
-// Callers must overwrite every element (or use AcquireZeroBuffer).
+// the calling thread's recycled tensor storage. Callers must overwrite
+// every element (or use AcquireZeroBuffer); a pooled buffer still holds
+// whatever the thread's earlier work left in it.
 std::vector<double> AcquireBuffer(size_t size);
 std::vector<double> AcquireZeroBuffer(size_t size);
 

@@ -345,8 +345,7 @@ void Registry::ResetForTest() {
 // --- KernelOpCounters --------------------------------------------------------
 
 KernelOpCounters::KernelOpCounters(const char* op) {
-  static const char* kModeNames[kNumModes] = {"legacy", "blocked", "vector",
-                                              "simd"};
+  static const char* kModeNames[kNumModes] = {"blocked", "vector", "simd"};
   for (size_t m = 0; m < kNumModes; ++m) {
     by_mode_[m] = &Registry::Global().counter(std::string("nn/") + op + "/" +
                                               kModeNames[m]);

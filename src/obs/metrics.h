@@ -201,12 +201,12 @@ class Registry {
 // --- Kernel op counters ------------------------------------------------------
 
 // Per-KernelMode invocation counters for one nn op, resolved once per call
-// site ("nn/<op>/{legacy,blocked,vector,simd}" in the global registry).
+// site ("nn/<op>/{blocked,vector,simd}" in the global registry).
 // Only compiled into the kernels when the DEEPOD_OBS_KERNEL_COUNTS CMake
 // option is ON — the default build carries zero cost, not even a branch.
 class KernelOpCounters {
  public:
-  static constexpr size_t kNumModes = 4;
+  static constexpr size_t kNumModes = 3;
 
   explicit KernelOpCounters(const char* op);
   void Bump(size_t mode_index) {

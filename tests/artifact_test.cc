@@ -1,6 +1,6 @@
 // End-to-end tests for the model lifecycle added with the named state-dict
-// refactor: Save/Load round trips (including BatchNorm running statistics
-// and legacy blobs), the self-contained serving artifact, serving from an
+// refactor: Save/Load round trips (including BatchNorm running
+// statistics), the self-contained serving artifact, serving from an
 // artifact through EtaService, and resumable trainer checkpoints.
 
 #include <gtest/gtest.h>
@@ -144,27 +144,6 @@ TEST(ModelStateTest, TrainingUpdatesAndCheckpointKeepsBatchNormStats) {
   EXPECT_GT(moved, 0u);
 }
 
-TEST(ModelStateTest, LegacyPositionalBlobStillLoads) {
-  core::DeepOdModel& trained = TrainedModel();
-  // Emulate a pre-state-dict checkpoint: positional parameters plus a
-  // trailing time-scale scalar.
-  auto params = trained.Parameters();
-  params.push_back(nn::Tensor::Scalar(trained.time_scale()));
-  const std::string path = TempPath("artifact_test_legacy.bin");
-  nn::SaveParameters(path, params);
-
-  core::DeepOdModel loaded(TinyConfig(), TinyDataset());
-  loaded.Load(path);
-  EXPECT_EQ(loaded.time_scale(), trained.time_scale());
-  const auto loaded_params = loaded.Parameters();
-  const auto trained_params = trained.Parameters();
-  ASSERT_EQ(loaded_params.size(), trained_params.size());
-  for (size_t i = 0; i < loaded_params.size(); ++i) {
-    EXPECT_EQ(loaded_params[i].data(), trained_params[i].data());
-  }
-  std::remove(path.c_str());
-}
-
 TEST(ModelStateTest, LoadWithWrongConfigNamesFirstMismatchingTensor) {
   const std::string path = TempPath("artifact_test_scale16.bin");
   TrainedModel().Save(path);
@@ -241,8 +220,7 @@ TEST(ArtifactTest, RoundTripBitIdenticalAcrossKernelModesAndThreads) {
   const auto ods = TestOds(8);
   util::ThreadPool pool(4);
   for (const nn::KernelMode mode :
-       {nn::KernelMode::kLegacy, nn::KernelMode::kBlocked,
-        nn::KernelMode::kVector}) {
+       {nn::KernelMode::kBlocked, nn::KernelMode::kVector}) {
     nn::KernelModeScope scope(mode);
     for (const auto& od : ods) {
       const double want = trained.Predict(od);
@@ -582,6 +560,48 @@ TEST(ArtifactTest, HostileScalarsAreTypedErrorsNamingTheField) {
                                         0, 0.5))
                 .kind,
             K::kBadValue);
+}
+
+// The oracle.* geometry and key tables of a checksum-valid artifact: each
+// out-of-bounds value reached std::clamp with hi < lo (or a binary search
+// over unsorted keys) on the first fallback query. Both loaders reject it.
+TEST(ArtifactTest, HostileOracleScalarsAreTypedErrorsNamingTheField) {
+  ASSERT_GE(RecordNamed(Index(Sweep().oracle), "oracle.keys").num_elements, 2u);
+  ASSERT_GE(
+      RecordNamed(Index(Sweep().oracle), "oracle.pair_keys").num_elements, 2u);
+  const double key0 = ScalarAt(Sweep().oracle, "oracle.keys", 0);
+  const double pair_key0 = ScalarAt(Sweep().oracle, "oracle.pair_keys", 0);
+  const double slots = ScalarAt(Sweep().oracle, "oracle.slots_per_day", 0);
+  struct Case {
+    std::string record;
+    size_t element;
+    double value;
+  };
+  const Case cases[] = {
+      {"oracle.slots_per_day", 0, 0.0},
+      {"oracle.slots_per_day", 0, slots - 1.0},
+      {"oracle.slots_per_day", 0, slots + 0.5},
+      {"oracle.grid_cells", 0, 0.0},
+      {"oracle.grid_cells", 0, 0.5},
+      {"oracle.grid_cells", 0, 2.5},
+      {"oracle.slot_seconds", 0, 0.0},
+      {"oracle.slot_seconds", 0, -3600.0},
+      {"oracle.slot_seconds", 0, 86401.0},
+      {"oracle.keys", 1, key0},
+      {"oracle.pair_keys", 1, pair_key0 - 1.0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.record + "[" + std::to_string(c.element) +
+                 "] = " + std::to_string(c.value));
+    for (const auto& [bytes, load] :
+         {std::pair{&Sweep().model, &LoadModelBytes},
+          std::pair{&Sweep().oracle, &LoadOracleBytes}}) {
+      const nn::LoadStatus status =
+          load(PatchScalar(*bytes, c.record, c.element, c.value));
+      EXPECT_EQ(status.kind, nn::LoadErrorKind::kBadValue) << status.message;
+      EXPECT_EQ(status.tensor, c.record) << status.message;
+    }
+  }
 }
 
 // `bytes` with the last dimension of record `name` set to `dim` and the

@@ -78,8 +78,7 @@ TEST(InferenceModeTest, PredictMatchesTrainingForwardBitForBit) {
   core::DeepOdModel model(TinyConfig(), TinyDataset());
   model.SetTraining(false);
   for (const nn::KernelMode mode :
-       {nn::KernelMode::kLegacy, nn::KernelMode::kBlocked,
-        nn::KernelMode::kVector}) {
+       {nn::KernelMode::kBlocked, nn::KernelMode::kVector}) {
     nn::KernelModeScope scope(mode);
     for (size_t i = 0; i < std::min<size_t>(10, TinyDataset().test.size());
          ++i) {
@@ -98,8 +97,7 @@ TEST(InferenceModeTest, PredictBatchEqualsPerQueryLoop) {
   }
   util::ThreadPool pool(4);
   for (const nn::KernelMode mode :
-       {nn::KernelMode::kLegacy, nn::KernelMode::kBlocked,
-        nn::KernelMode::kVector}) {
+       {nn::KernelMode::kBlocked, nn::KernelMode::kVector}) {
     nn::KernelModeScope scope(mode);
     std::vector<double> loop;
     for (const auto& od : ods) loop.push_back(model.Predict(od));
@@ -172,8 +170,8 @@ TEST(ServingPlanTest, MatchesTensorForwardAcrossModesQuantAndAblations) {
       nn::FakeQuantizeStateDict(state, quant);
       model.ClearOcodeMemo();
       for (const nn::KernelMode mode :
-           {nn::KernelMode::kLegacy, nn::KernelMode::kBlocked,
-            nn::KernelMode::kVector, nn::KernelMode::kSimd}) {
+           {nn::KernelMode::kBlocked, nn::KernelMode::kVector,
+            nn::KernelMode::kSimd}) {
         const nn::KernelModeScope scope(mode);
         ExpectPlanMatchesTensorForward(
             model, ods, pool,
@@ -462,8 +460,7 @@ TEST(AffineRowsTest, MatchesPerRowAffineInEveryKernelMode) {
   const nn::Tensor w = nn::Tensor::Randn({3, 7}, rng);
   const nn::Tensor b = nn::Tensor::Randn({3}, rng);
   for (const nn::KernelMode mode :
-       {nn::KernelMode::kLegacy, nn::KernelMode::kBlocked,
-        nn::KernelMode::kVector}) {
+       {nn::KernelMode::kBlocked, nn::KernelMode::kVector}) {
     nn::KernelModeScope scope(mode);
     const nn::Tensor batched = nn::AffineRows(x, w, b);
     for (size_t i = 0; i < 5; ++i) {

@@ -130,18 +130,18 @@ TEST(IntegrationTest, TrainedModelSurvivesSerializationRoundTrip) {
   core::DeepOdTrainer trainer(model, ds);
   trainer.Train(nullptr, 1000000, 20);
 
-  auto params = model.Parameters();
-  const auto buffer = nn::SerializeParameters(params);
+  nn::StateDict state = model.State();
+  const auto buffer = nn::SerializeStateDict(state);
 
   model.SetTraining(false);
   const double before = model.Predict(ds.test[0].od);
   // Perturb all parameters, restore, and check the prediction returns.
-  for (auto& p : params) {
+  for (auto& p : model.Parameters()) {
     for (double& v : p.data()) v += 0.5;
   }
   const double perturbed = model.Predict(ds.test[0].od);
   EXPECT_NE(before, perturbed);
-  nn::DeserializeParameters(buffer, params);
+  ASSERT_TRUE(nn::DeserializeStateDict(buffer, state).ok());
   EXPECT_DOUBLE_EQ(model.Predict(ds.test[0].od), before);
 }
 

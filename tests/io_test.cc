@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "io/trip_io.h"
 #include "road/city_generator.h"
@@ -45,6 +46,8 @@ TEST(NetworkCsvTest, RejectsMalformedInput) {
   EXPECT_THROW(ReadNetworkCsv(bad2), std::runtime_error);
 }
 
+// The format persists the matched OD representation and writes doubles in
+// shortest round-trip form, so every field reads back exactly.
 TEST(TripsCsvTest, RoundTripPreservesTripsAndRoutes) {
   sim::DatasetConfig config;
   config.city = road::XianSimConfig();
@@ -61,25 +64,25 @@ TEST(TripsCsvTest, RoundTripPreservesTripsAndRoutes) {
   for (size_t i = 0; i < restored.size(); ++i) {
     const auto& a = ds.train[i];
     const auto& b = restored[i];
-    EXPECT_NEAR(a.od.departure_time, b.od.departure_time, 1e-6);
-    EXPECT_NEAR(a.travel_time, b.travel_time, 1e-6);
+    EXPECT_EQ(a.od.departure_time, b.od.departure_time);
+    EXPECT_EQ(a.od.origin.x, b.od.origin.x);
+    EXPECT_EQ(a.od.origin.y, b.od.origin.y);
+    EXPECT_EQ(a.od.destination.x, b.od.destination.x);
+    EXPECT_EQ(a.od.destination.y, b.od.destination.y);
     EXPECT_EQ(a.od.weather_type, b.od.weather_type);
+    EXPECT_EQ(a.travel_time, b.travel_time);
+    EXPECT_EQ(a.od.origin_segment, b.od.origin_segment);
+    EXPECT_EQ(a.od.origin_ratio, b.od.origin_ratio);
+    EXPECT_EQ(a.od.dest_segment, b.od.dest_segment);
+    EXPECT_EQ(a.od.dest_ratio, b.od.dest_ratio);
+    EXPECT_EQ(a.trajectory.origin_ratio, b.trajectory.origin_ratio);
+    EXPECT_EQ(a.trajectory.dest_ratio, b.trajectory.dest_ratio);
     ASSERT_EQ(a.trajectory.path.size(), b.trajectory.path.size());
     for (size_t e = 0; e < a.trajectory.path.size(); ++e) {
       EXPECT_EQ(a.trajectory.path[e].segment_id,
                 b.trajectory.path[e].segment_id);
-      EXPECT_NEAR(a.trajectory.path[e].enter, b.trajectory.path[e].enter, 1e-6);
-    }
-    // The re-derived matched OD representation agrees with the original up
-    // to carriageway direction: a bare point projects identically onto both
-    // directions of a two-way street, so Nearest may pick the reverse
-    // segment with the complementary ratio.
-    if (a.od.origin_segment == b.od.origin_segment) {
-      EXPECT_NEAR(a.od.origin_ratio, b.od.origin_ratio, 1e-6);
-    } else {
-      EXPECT_EQ(ds.network.ReverseSegment(a.od.origin_segment),
-                b.od.origin_segment);
-      EXPECT_NEAR(a.od.origin_ratio, 1.0 - b.od.origin_ratio, 1e-3);
+      EXPECT_EQ(a.trajectory.path[e].enter, b.trajectory.path[e].enter);
+      EXPECT_EQ(a.trajectory.path[e].exit, b.trajectory.path[e].exit);
     }
   }
 }
@@ -103,15 +106,43 @@ TEST(TripsCsvTest, OdOnlyRecordsHaveEmptyRoutes) {
   }
 }
 
+constexpr char kHeader[] =
+    "depart,origin_x,origin_y,dest_x,dest_y,weather,travel_time,"
+    "origin_seg,origin_ratio,dest_seg,dest_ratio,route\n";
+
 TEST(TripsCsvTest, RejectsBadRows) {
   const road::RoadNetwork net = SmallNet();
-  std::stringstream bad1("header\n1,2,3\n");
-  EXPECT_THROW(ReadTripsCsv(net, bad1), std::runtime_error);
-  std::stringstream bad2(
-      "header\n0,0,0,100,100,0,60,999999:0:10\n");  // segment out of range
-  EXPECT_THROW(ReadTripsCsv(net, bad2), std::runtime_error);
-  std::stringstream bad3("header\n0,0,abc,100,100,0,60,\n");
-  EXPECT_THROW(ReadTripsCsv(net, bad3), std::runtime_error);
+  const auto read = [&net](const std::string& row) {
+    std::stringstream in(kHeader + row);
+    return ReadTripsCsv(net, in);
+  };
+  // A well-formed row parses, so each case below fails for its own defect.
+  EXPECT_EQ(read("0,0,0,100,100,0,60,0,0.5,1,0.25,0:0:10\n").size(), 1u);
+  EXPECT_THROW(read("1,2,3\n"), std::runtime_error);
+  EXPECT_THROW(read("0,0,0,100,100,0,60,0,0.5,1,0.25,999999:0:10\n"),
+               std::runtime_error);  // route segment out of range
+  EXPECT_THROW(read("0,0,abc,100,100,0,60,0,0.5,1,0.25,\n"),
+               std::runtime_error);
+  EXPECT_THROW(read("0,0,0,100,100,0,60,999999,0.5,1,0.25,\n"),
+               std::runtime_error);  // origin_seg out of range
+}
+
+// The 8-column header of the retired format (no matched OD columns) is
+// rejected, with the expected header named in the error.
+TEST(TripsCsvTest, RejectsEightFieldHeader) {
+  const road::RoadNetwork net = SmallNet();
+  std::stringstream in(
+      "depart,origin_x,origin_y,dest_x,dest_y,weather,travel_time,route\n"
+      "0,0,0,100,100,0,60,0:0:10\n");
+  try {
+    ReadTripsCsv(net, in);
+    FAIL() << "8-field header accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "origin_seg,origin_ratio,dest_seg,dest_ratio,route"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -1,14 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 
 #include "nn/conv.h"
 #include "nn/lstm.h"
 #include "nn/module.h"
 #include "nn/ops.h"
 #include "nn/optimizer.h"
-#include "nn/serialize.h"
 #include "util/rng.h"
 
 namespace deepod::nn {
@@ -228,43 +226,6 @@ TEST(OptimizerTest, StepDecaySchedule) {
   EXPECT_DOUBLE_EQ(schedule.LearningRateForEpoch(1), 0.01);
   EXPECT_DOUBLE_EQ(schedule.LearningRateForEpoch(2), 0.002);
   EXPECT_NEAR(schedule.LearningRateForEpoch(4), 0.0004, 1e-12);
-}
-
-TEST(SerializeTest, RoundTrip) {
-  util::Rng rng(13);
-  std::vector<Tensor> params = {Tensor::Randn({3, 4}, rng, 1.0),
-                                Tensor::Randn({5}, rng, 1.0)};
-  const auto saved = params[0].data();
-  const auto buf = SerializeParameters(params);
-  EXPECT_EQ(buf.size(), SerializedSize(params));
-  // Perturb then restore.
-  params[0].data()[0] += 100.0;
-  DeserializeParameters(buf, params);
-  EXPECT_EQ(params[0].data(), saved);
-}
-
-TEST(SerializeTest, DetectsCorruption) {
-  util::Rng rng(14);
-  std::vector<Tensor> params = {Tensor::Randn({2, 2}, rng, 1.0)};
-  auto buf = SerializeParameters(params);
-  buf[0] ^= 0xff;  // clobber magic
-  EXPECT_THROW(DeserializeParameters(buf, params), std::runtime_error);
-
-  auto buf2 = SerializeParameters(params);
-  std::vector<Tensor> wrong_shape = {Tensor::Zeros({4, 1})};
-  EXPECT_THROW(DeserializeParameters(buf2, wrong_shape), std::runtime_error);
-}
-
-TEST(SerializeTest, FileRoundTrip) {
-  util::Rng rng(15);
-  std::vector<Tensor> params = {Tensor::Randn({6}, rng, 1.0)};
-  const auto original = params[0].data();
-  const std::string path = ::testing::TempDir() + "/deepod_params.bin";
-  SaveParameters(path, params);
-  params[0].data().assign(6, 0.0);
-  LoadParameters(path, params);
-  EXPECT_EQ(params[0].data(), original);
-  std::remove(path.c_str());
 }
 
 }  // namespace

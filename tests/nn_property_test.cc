@@ -182,7 +182,7 @@ TEST(DeterminismTest, ModulesIdenticalAcrossConstructionsWithSameSeed) {
   auto build = [] {
     util::Rng rng(77);
     Mlp2 mlp(4, 6, 2, rng);
-    return SerializeParameters(mlp.Parameters());
+    return SerializeStateDict(mlp.State());
   };
   EXPECT_EQ(build(), build());
 }
@@ -200,7 +200,7 @@ TEST(DeterminismTest, TrainingStepReproducible) {
       loss.Backward();
       adam.Step();
     }
-    return SerializeParameters(layer.Parameters());
+    return SerializeStateDict(layer.State());
   };
   EXPECT_EQ(run(), run());
 }

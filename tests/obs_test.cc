@@ -267,14 +267,14 @@ TEST(ObsBitIdentityTest, MetricsModeDoesNotPerturbTraining) {
     core::DeepOdModel model(TinyConfig(), TinyDataset());
     core::DeepOdTrainer trainer(model, TinyDataset());
     val_off = trainer.Train(nullptr, 1u << 30, 40);
-    params_off = nn::SerializeParameters(model.Parameters());
+    params_off = nn::SerializeStateDict(model.State());
   }
   {
     ModeOverride metrics(obs::Mode::kMetrics);
     core::DeepOdModel model(TinyConfig(), TinyDataset());
     core::DeepOdTrainer trainer(model, TinyDataset());
     val_metrics = trainer.Train(nullptr, 1u << 30, 40);
-    params_metrics = nn::SerializeParameters(model.Parameters());
+    params_metrics = nn::SerializeStateDict(model.State());
     // The wired-in trainer spans recorded into the global registry.
     EXPECT_GE(obs::Registry::Global().histogram("trainer/epoch").Count(), 1u);
     EXPECT_GE(

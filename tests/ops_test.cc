@@ -7,6 +7,7 @@
 
 #include "nn/ops.h"
 #include "nn/tensor.h"
+#include "reference_kernels.h"
 #include "util/rng.h"
 
 namespace deepod::nn {
@@ -178,17 +179,18 @@ TEST(OpsTest, Conv2dShapeChecks) {
       std::invalid_argument);
 }
 
-// Forward value and both gradients of one Conv2d under `mode`.
-struct ConvRun {
-  std::vector<double> out, grad_in, grad_kernel;
+// Forward value and both gradients of one op.
+struct OpRun {
+  std::vector<double> out, grad_a, grad_b;
 };
 
-ConvRun RunConv(KernelMode mode, const std::vector<double>& in,
-                const std::vector<double>& kernel,
-                const std::vector<size_t>& in_shape,
-                const std::vector<size_t>& kernel_shape, size_t pad_h,
-                size_t pad_w, const std::vector<double>& grad_out) {
-  const KernelModeScope scope(mode);
+// Conv2d of (in, kernel) in the blocked tier, backwarded from `grad_out`.
+OpRun RunBlockedConv(const std::vector<double>& in,
+                     const std::vector<double>& kernel,
+                     const std::vector<size_t>& in_shape,
+                     const std::vector<size_t>& kernel_shape, size_t pad_h,
+                     size_t pad_w, const std::vector<double>& grad_out) {
+  const KernelModeScope scope(KernelMode::kBlocked);
   Tensor x = Tensor::FromData(in_shape, in);
   Tensor k = Tensor::FromData(kernel_shape, kernel);
   x.set_requires_grad(true);
@@ -199,18 +201,43 @@ ConvRun RunConv(KernelMode mode, const std::vector<double>& in,
   return {y.data(), x.grad(), k.grad()};
 }
 
+// MatMul of a [n, k] and b [k, m] in the blocked tier, backwarded from
+// `grad_out`.
+OpRun RunBlockedMatMul(const std::vector<double>& a,
+                       const std::vector<double>& b, size_t n, size_t k,
+                       size_t m, const std::vector<double>& grad_out) {
+  const KernelModeScope scope(KernelMode::kBlocked);
+  Tensor ta = Tensor::FromData({n, k}, a);
+  Tensor tb = Tensor::FromData({k, m}, b);
+  ta.set_requires_grad(true);
+  tb.set_requires_grad(true);
+  Tensor y = MatMul(ta, tb);
+  Sum(Mul(y, Tensor::FromData(y.shape(), grad_out))).Backward();
+  return {y.data(), ta.grad(), tb.grad()};
+}
+
 bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() &&
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
+// n values in [-2, 2), a quarter of them +0.0 or -0.0.
+std::vector<double> SignedZeroValues(util::Rng& rng, size_t n) {
+  std::vector<double> v(n);
+  for (double& x : v) {
+    const uint64_t pick = rng.UniformInt(uint64_t{8});
+    x = pick == 0 ? 0.0 : pick == 1 ? -0.0 : rng.Uniform(-2.0, 2.0);
+  }
+  return v;
+}
+
 // The blocked tier's padded four-accumulator forward (and its backward)
-// must reproduce the naive kLegacy bits for finite weights, over random
-// geometries: every kernel shape the models use (1x1, the 3x1 of the
-// ResNet time block, the 3x3 of the traffic CNN) plus 5x5, padding from 0
-// up to the kernel size (so pad >= kernel and maps smaller than the kernel
-// occur), and inputs and weights seeded with +0.0 and -0.0.
-TEST(OpsTest, Conv2dBlockedMatchesLegacyBitForBit) {
+// must reproduce the naive reference loops' bits for finite weights, over
+// random geometries: every kernel shape the models use (1x1, the 3x1 of
+// the ResNet time block, the 3x3 of the traffic CNN) plus 5x5, padding
+// from 0 up to the kernel size (so pad >= kernel and maps smaller than the
+// kernel occur), and inputs and weights seeded with +0.0 and -0.0.
+TEST(OpsTest, Conv2dBlockedMatchesNaiveBitForBit) {
   util::Rng rng(20261017);
   const size_t kernels[][2] = {{1, 1}, {3, 1}, {3, 3}, {5, 5}};
   size_t cases = 0;
@@ -223,36 +250,67 @@ TEST(OpsTest, Conv2dBlockedMatchesLegacyBitForBit) {
     const size_t pad_h = rng.UniformInt(uint64_t{kh + 1});
     const size_t pad_w = rng.UniformInt(uint64_t{kw + 1});
     if (h + 2 * pad_h < kh || w + 2 * pad_w < kw) continue;  // Conv2d throws
-    const auto values = [&rng](size_t n) {
-      std::vector<double> v(n);
-      for (double& x : v) {
-        const uint64_t pick = rng.UniformInt(uint64_t{8});
-        x = pick == 0 ? 0.0 : pick == 1 ? -0.0 : rng.Uniform(-2.0, 2.0);
-      }
-      return v;
-    };
-    const std::vector<double> in = values(cin * h * w);
-    const std::vector<double> kernel = values(cout * cin * kh * kw);
+    const std::vector<double> in = SignedZeroValues(rng, cin * h * w);
+    const std::vector<double> kernel =
+        SignedZeroValues(rng, cout * cin * kh * kw);
     const size_t oh = h + 2 * pad_h - kh + 1, ow = w + 2 * pad_w - kw + 1;
-    const std::vector<double> grad_out = values(cout * oh * ow);
-    const std::vector<size_t> in_shape = {cin, h, w};
-    const std::vector<size_t> kernel_shape = {cout, cin, kh, kw};
-    const ConvRun legacy = RunConv(KernelMode::kLegacy, in, kernel, in_shape,
-                                   kernel_shape, pad_h, pad_w, grad_out);
-    const ConvRun blocked = RunConv(KernelMode::kBlocked, in, kernel,
-                                    in_shape, kernel_shape, pad_h, pad_w,
-                                    grad_out);
+    const std::vector<double> grad_out = SignedZeroValues(rng, cout * oh * ow);
+    const ConvGeom geom{cin, h, w, cout, kh, kw, oh, ow, pad_h, pad_w};
+    OpRun naive{std::vector<double>(cout * oh * ow),
+                std::vector<double>(in.size(), 0.0),
+                std::vector<double>(kernel.size(), 0.0)};
+    reference::ConvForwardNaive(geom, in.data(), kernel.data(),
+                                naive.out.data());
+    reference::ConvBackwardNaive(geom, grad_out.data(), in.data(),
+                                 kernel.data(), naive.grad_a.data(),
+                                 naive.grad_b.data());
+    const OpRun blocked = RunBlockedConv(in, kernel, {cin, h, w},
+                                         {cout, cin, kh, kw}, pad_h, pad_w,
+                                         grad_out);
     const std::string where =
         "cin " + std::to_string(cin) + " cout " + std::to_string(cout) +
         " map " + std::to_string(h) + "x" + std::to_string(w) + " kernel " +
         std::to_string(kh) + "x" + std::to_string(kw) + " pad " +
         std::to_string(pad_h) + "," + std::to_string(pad_w);
-    ASSERT_TRUE(SameBits(legacy.out, blocked.out)) << where;
-    ASSERT_TRUE(SameBits(legacy.grad_in, blocked.grad_in)) << where;
-    ASSERT_TRUE(SameBits(legacy.grad_kernel, blocked.grad_kernel)) << where;
+    ASSERT_TRUE(SameBits(naive.out, blocked.out)) << where;
+    ASSERT_TRUE(SameBits(naive.grad_a, blocked.grad_a)) << where;
+    ASSERT_TRUE(SameBits(naive.grad_b, blocked.grad_b)) << where;
     ++cases;
   }
   EXPECT_GT(cases, 300u);
+}
+
+// The blocked MatMul (packed B^T, j-blocks of 48 columns) and its backward
+// must reproduce the naive reference loops' bits: forward, dA and dB over
+// random shapes with +0.0/-0.0 entries, with m up to 120 so the partial
+// last j-block runs.
+TEST(OpsTest, MatMulBlockedMatchesNaiveBitForBit) {
+  util::Rng rng(20261018);
+  size_t wide = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t n = 1 + rng.UniformInt(uint64_t{9});
+    const size_t k = 1 + rng.UniformInt(uint64_t{40});
+    const size_t m = 1 + rng.UniformInt(uint64_t{120});
+    const std::vector<double> a = SignedZeroValues(rng, n * k);
+    const std::vector<double> b = SignedZeroValues(rng, k * m);
+    const std::vector<double> grad_out = SignedZeroValues(rng, n * m);
+    OpRun naive{std::vector<double>(n * m), std::vector<double>(n * k, 0.0),
+                std::vector<double>(k * m, 0.0)};
+    reference::MatMulForwardNaive(a.data(), b.data(), naive.out.data(), n, k,
+                                  m);
+    reference::MatMulBackwardNaive(grad_out.data(), a.data(), b.data(),
+                                   naive.grad_a.data(), naive.grad_b.data(),
+                                   n, k, m);
+    const OpRun blocked = RunBlockedMatMul(a, b, n, k, m, grad_out);
+    const std::string where = std::to_string(n) + "x" + std::to_string(k) +
+                              " * " + std::to_string(k) + "x" +
+                              std::to_string(m);
+    ASSERT_TRUE(SameBits(naive.out, blocked.out)) << where;
+    ASSERT_TRUE(SameBits(naive.grad_a, blocked.grad_a)) << where;
+    ASSERT_TRUE(SameBits(naive.grad_b, blocked.grad_b)) << where;
+    if (m > 48) ++wide;
+  }
+  EXPECT_GT(wide, 50u);
 }
 
 TEST(OpsTest, AddChannelBiasAndGlobalAvgPool) {

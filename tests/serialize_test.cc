@@ -1,7 +1,7 @@
 // Tests for the tagged state-dict format (nn/serialize.h, v2) and the
 // named-state plumbing it rides on: round-trip bit-identity, strict
 // validate-before-write semantics, typed errors naming the first offending
-// tensor, and compatibility with the legacy positional blob (v1).
+// tensor, and rejection of the retired positional format (v1).
 
 #include <gtest/gtest.h>
 
@@ -39,8 +39,6 @@ TEST(StateDictTest, RoundTripIsBitExact) {
   DictFixture src;
   const std::vector<uint8_t> bytes = SerializeStateDict(src.Dict());
   EXPECT_EQ(bytes.size(), SerializedStateSize(src.Dict()));
-  EXPECT_TRUE(IsStateDictBuffer(bytes));
-  EXPECT_FALSE(IsLegacyParameterBuffer(bytes));
 
   DictFixture dst;
   dst.weight.data().assign(6, 0.0);
@@ -140,14 +138,12 @@ TEST(StateDictTest, BadMagicReported) {
   EXPECT_EQ(IndexStateDict(bytes, &records).kind, LoadErrorKind::kBadMagic);
 }
 
-TEST(StateDictTest, LegacyMagicReportedAsBadMagicWithHint) {
-  DictFixture src;
-  const std::vector<uint8_t> legacy = SerializeParameters({src.weight});
-  EXPECT_TRUE(IsLegacyParameterBuffer(legacy));
+// The retired v1 positional format (magic 0xd33b0d01, little-endian) is
+// just another foreign stream.
+TEST(StateDictTest, V1MagicReportedAsBadMagic) {
+  const std::vector<uint8_t> v1 = {0x01, 0x0d, 0x3b, 0xd3};
   std::vector<TensorRecord> records;
-  const LoadStatus status = IndexStateDict(legacy, &records);
-  EXPECT_EQ(status.kind, LoadErrorKind::kBadMagic);
-  EXPECT_NE(status.message.find("legacy"), std::string::npos);
+  EXPECT_EQ(IndexStateDict(v1, &records).kind, LoadErrorKind::kBadMagic);
 }
 
 TEST(StateDictTest, BadVersionReported) {
@@ -258,29 +254,6 @@ TEST(StateDictTest, FileHelpersAndIoError) {
   StateDict dict2 = dst.Dict();
   EXPECT_EQ(LoadStateDict(path + ".does-not-exist", dict2).kind,
             LoadErrorKind::kIoError);
-}
-
-TEST(StateDictTest, LegacyPositionalRoundTripStillWorks) {
-  Tensor a = Tensor::FromData({2}, {1.0, 2.0});
-  Tensor b = Tensor::FromData({1, 2}, {3.0, 4.0});
-  const std::vector<uint8_t> bytes = SerializeParameters({a, b});
-  EXPECT_EQ(bytes.size(), SerializedSize({a, b}));
-
-  Tensor a2 = Tensor::Zeros({2});
-  Tensor b2 = Tensor::Zeros({1, 2});
-  std::vector<Tensor> dst = {a2, b2};
-  DeserializeParameters(bytes, dst);
-  EXPECT_EQ(a2.data(), a.data());
-  EXPECT_EQ(b2.data(), b.data());
-
-  // Positional count mismatch is a typed error.
-  std::vector<Tensor> wrong = {Tensor::Zeros({2})};
-  try {
-    DeserializeParameters(bytes, wrong);
-    FAIL() << "expected SerializeError";
-  } catch (const SerializeError& e) {
-    EXPECT_EQ(e.status().kind, LoadErrorKind::kCountMismatch);
-  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Determinism and correctness contract of the data-parallel trainer
 // (DESIGN.md "Threading model"):
-//  - num_threads == 1 must stay bit-identical to the pre-threading serial
-//    trainer (which the kLegacy kernel tier preserves exactly);
+//  - a serial run must not depend on what the thread's buffer pool held
+//    before it (AcquireBuffer callers overwrite every element);
 //  - a fixed num_threads > 1 must be deterministic run-to-run;
 //  - the blocked / vectorised kernel tiers must pass finite-difference
 //    gradient checks (odd sizes so the unrolled tails are exercised).
@@ -9,7 +9,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/deepod_config.h"
@@ -58,21 +60,44 @@ TrainOutcome TrainOnce(size_t num_threads) {
   core::DeepOdTrainer trainer(model, TinyDataset());
   TrainOutcome out;
   out.final_val = trainer.Train(nullptr, 1u << 30, 40);
-  out.params = nn::SerializeParameters(model.Parameters());
+  out.params = nn::SerializeStateDict(model.State());
   return out;
 }
 
-// --- num_threads == 1 keeps the pre-threading bits --------------------------
+// --- a pooled buffer's old contents never leak into a result ---------------
 
-TEST(TrainerParallelTest, SingleThreadMatchesLegacySerialBitForBit) {
-  // The default (blocked) kernel tier promises the exact floating-point
-  // operation order of the seed implementation; training under it and under
-  // the untouched legacy tier must therefore agree bit-for-bit.
-  const TrainOutcome blocked = TrainOnce(1);
-  nn::KernelModeScope legacy(nn::KernelMode::kLegacy);
-  const TrainOutcome serial = TrainOnce(1);
-  EXPECT_EQ(serial.final_val, blocked.final_val);
-  EXPECT_EQ(serial.params, blocked.params);
+// Runs a serial TrainOnce on a new thread (so on a new, empty buffer pool),
+// after `prefill` has run on that thread.
+template <typename Prefill>
+TrainOutcome TrainOnFreshThread(Prefill prefill) {
+  TrainOutcome out;
+  std::thread worker([&] {
+    prefill();
+    out = TrainOnce(1);
+  });
+  worker.join();
+  return out;
+}
+
+TEST(TrainerParallelTest, SerialRunIgnoresStalePooledBuffers) {
+  const TrainOutcome fresh = TrainOnFreshThread([] {});
+  const TrainOutcome stale = TrainOnFreshThread([] {
+    // Unrelated tensors whose storage is recycled into this thread's pool
+    // holding NaNs and large finite values. An op that reads an element of
+    // an AcquireBuffer result before writing it turns these into a
+    // different loss or different weights.
+    constexpr size_t kJunkSize = 1024;
+    for (int i = 0; i < 100; ++i) {
+      std::vector<double> junk(kJunkSize);
+      for (size_t j = 0; j < kJunkSize; ++j) {
+        junk[j] = j % 2 == 0 ? std::numeric_limits<double>::quiet_NaN()
+                             : 1e6 + static_cast<double>(j);
+      }
+      nn::Tensor::FromData({kJunkSize}, std::move(junk));
+    }
+  });
+  EXPECT_EQ(stale.final_val, fresh.final_val);
+  EXPECT_EQ(stale.params, fresh.params);
 }
 
 // --- fixed thread count > 1 is deterministic --------------------------------

@@ -109,9 +109,7 @@ bool FlagCursor::KernelValue(nn::KernelMode* out) {
   const char* v = TakeRaw();
   if (v == nullptr) return false;
   const std::string name = v;
-  if (name == "legacy") {
-    *out = nn::KernelMode::kLegacy;
-  } else if (name == "blocked") {
+  if (name == "blocked") {
     *out = nn::KernelMode::kBlocked;
   } else if (name == "vector") {
     *out = nn::KernelMode::kVector;
@@ -119,8 +117,7 @@ bool FlagCursor::KernelValue(nn::KernelMode* out) {
     *out = nn::KernelMode::kSimd;
   } else {
     std::fprintf(stderr,
-                 "unknown %s mode '%s' (expected "
-                 "legacy|blocked|vector|simd)\n",
+                 "unknown %s mode '%s' (expected blocked|vector|simd)\n",
                  flag_.c_str(), v);
     return false;
   }
@@ -159,7 +156,7 @@ bool FlagCursor::DataDirValue(std::string* out) {
 const char* FlagCursor::QuantHelp() { return "--quant none|fp16|int8"; }
 
 const char* FlagCursor::KernelHelp() {
-  return "--kernel legacy|blocked|vector|simd";
+  return "--kernel blocked|vector|simd";
 }
 
 const char* FlagCursor::ToleranceHelp() { return "--tolerance X"; }

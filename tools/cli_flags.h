@@ -49,7 +49,7 @@ class FlagCursor {
   // Domain-typed takes shared across tools.
   // --quant none|fp16|int8 (nn::ParseQuantMode under the hood).
   bool QuantValue(nn::QuantMode* out);
-  // --kernel legacy|blocked|vector|simd.
+  // --kernel blocked|vector|simd.
   bool KernelValue(nn::KernelMode* out);
   bool KernelValue(std::optional<nn::KernelMode>* out);
   // --tolerance X with the X >= 0 contract every replay gate shares.
@@ -61,7 +61,7 @@ class FlagCursor {
   // Canonical usage fragments, so every tool's --help names the shared
   // flags the same way.
   static const char* QuantHelp();      // "--quant none|fp16|int8"
-  static const char* KernelHelp();     // "--kernel legacy|blocked|vector|simd"
+  static const char* KernelHelp();     // "--kernel blocked|vector|simd"
   static const char* ToleranceHelp();  // "--tolerance X"
 
  private:

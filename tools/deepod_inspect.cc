@@ -2,12 +2,11 @@
 // model artifact, a DeepOdModel::Save checkpoint or a trainer checkpoint):
 // per-tensor name, storage dtype, shape, element count, on-disk payload
 // size and the kSimd packed-layout tag, plus the per-row scale range of
-// int8 records — after verifying framing and the trailing checksum. Legacy
-// positional blobs are identified as such. For serving artifacts (records
-// under "artifact.") a metadata block follows the table: artifact version,
-// network id, the frozen speed grid's shape, and the OD-oracle fallback
-// tier's grid/slot/bucket geometry when embedded. Exit codes: 0 readable,
-// 1 corrupt/unreadable, 2 usage.
+// int8 records — after verifying framing and the trailing checksum. For
+// serving artifacts (records under "artifact.") a metadata block follows
+// the table: artifact version, network id, the frozen speed grid's shape,
+// and the OD-oracle fallback tier's grid/slot/bucket geometry when
+// embedded. Exit codes: 0 readable, 1 corrupt/unreadable, 2 usage.
 
 #include <algorithm>
 #include <cstdio>
@@ -64,12 +63,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s: [%s] %s\n", path.c_str(),
                  nn::LoadErrorKindName(read.kind), read.message.c_str());
     return 1;
-  }
-  if (nn::IsLegacyParameterBuffer(buffer)) {
-    std::printf("%s: legacy positional parameter blob (v1), %zu bytes\n",
-                path.c_str(), buffer.size());
-    std::printf("records are unnamed; load it through DeepOdModel::Load\n");
-    return 0;
   }
   std::vector<nn::TensorRecord> records;
   const nn::LoadStatus status = nn::IndexStateDict(buffer, &records);

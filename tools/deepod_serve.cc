@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
                  "usage: %s --artifact PATH --network PATH "
                  "[--check golden.csv] [--tolerance X] "
                  "[--quant none|fp16|int8] "
-                 "[--kernel legacy|blocked|vector|simd] [--stats]\n",
+                 "[--kernel blocked|vector|simd] [--stats]\n",
                  argv[0]);
     return 2;
   };
