@@ -1,16 +1,7 @@
-// Network-serving bench: stands a DeepOdServer up in-process on an
-// ephemeral port and drives it with the open-loop load generator, writing
-// BENCH_server.json (obs::Record schema — the percentile-bearing superset
-// of the BenchJsonRecord lines; tools/validate_bench_json.py covers both):
-//   - server/steady/{throughput,goodput,shed_rate,latency}: ~200 qps
-//     against a generously provisioned server — the sustained-load
-//     contract. throughput carries achieved qps in samples_per_sec;
-//     latency carries client-observed p50/p95/p99.
-//   - server/overload/{offered,goodput,shed_rate,latency}: ~20x the steady
-//     rate against a deliberately small queue + per-tenant quotas. The
-//     point is the shedding contract: most of the load is rejected with
-//     typed statuses, while the latency of what IS admitted stays bounded
-//     (no queueing collapse). shed_rate here is expected to be large.
+// Serving-policy bench: compares the estimator tiers a fleet shard can
+// answer from, writing BENCH_server.json (obs::Record schema — the
+// percentile-bearing superset of the BenchJsonRecord lines;
+// tools/validate_bench_json.py covers both):
 //   - server/policy/{model,oracle,linkmean}/{mae,latency}: the serving-time
 //     estimator tiers compared offline on the held-out test trips — what a
 //     fleet operator trades away when a city answers from a fallback tier
@@ -19,9 +10,14 @@
 //     over the wire under both fallback policies. The oracle policy keeps
 //     availability at 1.0 (every answer from the oracle tier); the model
 //     policy rejects everything with kShardCold.
-// goodput/shed_rate/mae/availability are value records; bench_compare.py
-// skips those names (load- and data-dependent values, not regressions).
-// Usage: bench_server [steady_qps] (default 200; CI smoke passes less).
+// The cold-shard scenario stands a DeepOdServer up in-process on an
+// ephemeral port and drives it with the open-loop load generator. mae and
+// availability are value records; bench_compare.py skips those names
+// (data-dependent values, not regressions). Serving cost and the
+// steady/overload shedding contracts are gated against the real
+// deepod_server binary instead: perfbench's serve_* workloads and CI's
+// server-smoke loadgen steps.
+// Usage: bench_server [qps] (default 200; CI smoke passes less).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -41,7 +37,6 @@
 #include "io/model_artifact.h"
 #include "io/trip_io.h"
 #include "obs/metrics.h"
-#include "serve/eta_service.h"
 #include "serve/fleet_router.h"
 #include "serve/server/loadgen.h"
 #include "serve/server/server.h"
@@ -50,58 +45,6 @@
 using namespace deepod;
 
 namespace {
-
-void AppendScenarioRecords(const std::string& prefix,
-                           const serve::net::LoadgenReport& report,
-                           size_t connections,
-                           std::vector<obs::Record>* records) {
-  obs::Record throughput;
-  throughput.name = prefix + "/throughput";
-  throughput.wall_seconds = report.elapsed_seconds;
-  throughput.threads = connections;
-  if (report.achieved_qps > 0.0) {
-    throughput.samples_per_sec = report.achieved_qps;
-  }
-  throughput.count = static_cast<double>(report.ok);
-  records->push_back(throughput);
-
-  obs::Record latency;
-  latency.name = prefix + "/latency";
-  latency.wall_seconds = report.elapsed_seconds;
-  latency.threads = connections;
-  latency.count = static_cast<double>(report.ok);
-  latency.p50_ms = report.p50_ms;
-  latency.p95_ms = report.p95_ms;
-  latency.p99_ms = report.p99_ms;
-  records->push_back(latency);
-
-  obs::Record goodput;
-  goodput.name = prefix + "/goodput";
-  goodput.wall_seconds = report.elapsed_seconds;
-  goodput.threads = connections;
-  goodput.value = report.goodput_qps;
-  records->push_back(goodput);
-
-  obs::Record shed;
-  shed.name = prefix + "/shed_rate";
-  shed.wall_seconds = report.elapsed_seconds;
-  shed.threads = connections;
-  shed.value = report.shed_rate;
-  shed.count = static_cast<double>(report.shed);
-  records->push_back(shed);
-}
-
-void PrintScenario(const char* label,
-                   const serve::net::LoadgenReport& report) {
-  std::printf(
-      "%s: offered %.0f qps -> ok %llu shed %llu (rate %.3f) lost %llu\n"
-      "  latency ms: p50 %.3f p95 %.3f p99 %.3f | goodput %.0f qps\n",
-      label, report.offered_qps,
-      static_cast<unsigned long long>(report.ok),
-      static_cast<unsigned long long>(report.shed), report.shed_rate,
-      static_cast<unsigned long long>(report.lost), report.p50_ms,
-      report.p95_ms, report.p99_ms, report.goodput_qps);
-}
 
 double PercentileMs(std::vector<double> sorted_ms, double q) {
   if (sorted_ms.empty()) return 0.0;
@@ -113,14 +56,12 @@ double PercentileMs(std::vector<double> sorted_ms, double q) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double steady_qps = argc > 1 ? std::atof(argv[1]) : 200.0;
-  bench::PrintBanner("Network serving — admission control, shedding");
+  const double qps = argc > 1 ? std::atof(argv[1]) : 200.0;
+  bench::PrintBanner("Serving policies — model vs fallback tiers");
 
   const sim::Dataset dataset =
       sim::BuildDataset(bench::MiniConfig(bench::City::kXian));
-  // A few epochs are enough to make the policy comparison below honest
-  // (the serving scenarios only care about inference cost, which training
-  // does not change).
+  // A few epochs are enough to make the policy comparison below honest.
   core::DeepOdConfig model_config = bench::BenchModelConfig();
   model_config.epochs = 4;
   core::DeepOdModel model(model_config, dataset);
@@ -131,69 +72,6 @@ int main(int argc, char** argv) {
   model.SetTraining(false);
 
   std::vector<obs::Record> records;
-
-  // --- Steady state: under capacity, nothing should shed --------------------
-  {
-    serve::EtaService service(model, serve::EtaServiceOptions{});
-    serve::net::ServerOptions server_options;
-    server_options.num_segments = dataset.network.num_segments();
-    server_options.executors = 2;
-    serve::net::DeepOdServer server(service, server_options);
-    server.Start();
-
-    serve::net::LoadgenOptions load;
-    load.port = server.port();
-    load.qps = steady_qps;
-    load.duration_seconds = 2.5;
-    load.connections = 4;
-    load.num_segments = dataset.network.num_segments();
-    load.slo_ms = 250.0;
-    load.fetch_server_stats = false;
-    const auto report = serve::net::RunLoadgen(load);
-    server.Shutdown();
-    PrintScenario("steady", report);
-    AppendScenarioRecords("server/steady", report, load.connections, &records);
-  }
-
-  // --- Overload: 20x offered, small queue + tenant quotas --------------------
-  // The server must shed (quota + queue-full) rather than queue to death;
-  // the admitted slice keeps a bounded p99 because the backlog can never
-  // exceed queue_capacity.
-  {
-    serve::EtaService service(model, serve::EtaServiceOptions{});
-    serve::net::ServerOptions server_options;
-    server_options.num_segments = dataset.network.num_segments();
-    server_options.executors = 1;
-    server_options.admission.queue_capacity = 64;
-    server_options.admission.num_tenants = 4;
-    server_options.admission.tenant_rate = 100.0;
-    server_options.admission.tenant_burst = 50.0;
-    serve::net::DeepOdServer server(service, server_options);
-    server.Start();
-
-    serve::net::LoadgenOptions load;
-    load.port = server.port();
-    load.qps = steady_qps * 20.0;
-    load.duration_seconds = 2.0;
-    load.connections = 8;
-    load.num_segments = dataset.network.num_segments();
-    load.num_tenants = 4;
-    load.slo_ms = 250.0;
-    load.fetch_server_stats = false;
-    const auto report = serve::net::RunLoadgen(load);
-    server.Shutdown();
-    PrintScenario("overload", report);
-
-    obs::Record offered;
-    offered.name = "server/overload/offered";
-    offered.wall_seconds = report.elapsed_seconds;
-    offered.threads = load.connections;
-    if (report.offered_qps > 0.0) offered.samples_per_sec = report.offered_qps;
-    offered.count = static_cast<double>(report.sent);
-    records.push_back(offered);
-    AppendScenarioRecords("server/overload", report, load.connections,
-                          &records);
-  }
 
   // --- Serving-policy comparison: model vs oracle vs link-mean ---------------
   // What a fleet trades away when a city answers from a fallback tier: the
@@ -294,7 +172,7 @@ int main(int argc, char** argv) {
 
       serve::net::LoadgenOptions load;
       load.port = server.port();
-      load.qps = steady_qps;
+      load.qps = qps;
       load.duration_seconds = 1.5;
       load.connections = 4;
       load.num_segments = dataset.network.num_segments();

@@ -16,9 +16,9 @@
 
 namespace deepod::serve {
 
-// The one artifact-path watcher of the serving stack: a ModelReloader hot
-// swaps through it, and a FleetRouter runs one over every shard's path for
-// both cold-shard activation and hot swap.
+// The one artifact-path watcher of the serving stack: a FleetRouter runs one
+// over every shard's path for both cold-shard activation and hot swap (a
+// single-city server is a fleet of one, so its hot swap runs here too).
 //
 // One thread polls each path's stat signature (size/inode/mtime; portable,
 // no inotify dependency) every `poll_interval`. A changed signature must

@@ -31,17 +31,18 @@ struct EtaServiceOptions {
   std::optional<nn::KernelMode> kernel_mode;
 
   // Weight quantisation applied when the service is stood up FromArtifact
-  // (forwarded as io::ArtifactOptions::quant), and by every ModelReloader
-  // swap into it. Ignored by the plain constructor, which serves the
-  // caller's model as-is. Quantised serving answers match fp64 within an
-  // MAE budget — not bit-identically — so golden replay against a quantised
-  // service needs a tolerance (deepod_serve --check --tolerance).
+  // (forwarded as io::ArtifactOptions::quant); a FleetRouter also loads
+  // every activation and hot swap with it. Ignored by the plain
+  // constructor, which serves the caller's model as-is. Quantised serving
+  // answers match fp64 within an MAE budget — not bit-identically — so
+  // golden replay against a quantised service needs a tolerance
+  // (deepod_serve --check --tolerance).
   nn::QuantMode quant = nn::QuantMode::kNone;
 
   // Prefix of every metric name in the service's registry. A fleet gives
   // each city shard its own prefix ("serve/<city>/") so the merged stats
-  // export stays collision-free; the default keeps the historical
-  // single-service names.
+  // export stays collision-free; the default is the single-city name a
+  // fleet of one keeps.
   std::string registry_prefix = "serve/";
 };
 
@@ -72,9 +73,9 @@ struct EtaServiceStats {
 // Live serving: the service holds its model and speed field as one
 // immutable ServingState epoch (serving_state.h). Every request path
 // acquires one state snapshot for its whole unit of work, so SwapState() —
-// the zero-downtime hot-swap entry point the ModelReloader and FleetRouter
-// drive — answers in-flight requests from the epoch they started on and
-// new requests from the fresh one. BumpEpoch() starts a new generation of
+// the zero-downtime hot-swap entry point the FleetRouter's watcher drives —
+// answers in-flight requests from the epoch they started on and new
+// requests from the fresh one. BumpEpoch() starts a new generation of
 // the model's external-code table without changing the model — the flip a
 // RollingSpeedField publish needs.
 //

@@ -18,6 +18,13 @@ std::vector<std::string> ArtifactPaths(const std::vector<FleetEntry>& entries) {
   return paths;
 }
 
+// "<base><city>/<stat>", or "<base><stat>" for the unnamed shard of a fleet
+// of one, which keeps the single-city names.
+std::string StatsName(const std::string& base, const std::string& city,
+                      const std::string& stat) {
+  return city.empty() ? base + stat : base + city + "/" + stat;
+}
+
 std::string DirName(const std::string& path) {
   const size_t slash = path.find_last_of('/');
   return slash == std::string::npos ? std::string() : path.substr(0, slash + 1);
@@ -120,23 +127,26 @@ std::vector<FleetEntry> ReadFleetManifest(const std::string& path) {
 
 // --- FleetShard -------------------------------------------------------------
 
-FleetShard::FleetShard(FleetEntry entry, obs::Registry& fleet_registry)
+FleetShard::FleetShard(FleetEntry entry,
+                       std::shared_ptr<const road::RoadNetwork> network,
+                       obs::Registry& fleet_registry)
     : entry_(std::move(entry)),
-      network_(io::ReadNetworkCsv(entry_.network_path)),
-      model_answers_(
-          fleet_registry.counter("fleet/" + entry_.name + "/model_answers")),
-      oracle_answers_(
-          fleet_registry.counter("fleet/" + entry_.name + "/oracle_answers")),
-      shed_to_oracle_(
-          fleet_registry.counter("fleet/" + entry_.name + "/shed_to_oracle")),
-      ood_to_oracle_(
-          fleet_registry.counter("fleet/" + entry_.name + "/ood_to_oracle")),
-      rejected_(fleet_registry.counter("fleet/" + entry_.name + "/rejected")),
+      network_(std::move(network)),
+      model_answers_(fleet_registry.counter(
+          StatsName("fleet/", entry_.name, "model_answers"))),
+      oracle_answers_(fleet_registry.counter(
+          StatsName("fleet/", entry_.name, "oracle_answers"))),
+      shed_to_oracle_(fleet_registry.counter(
+          StatsName("fleet/", entry_.name, "shed_to_oracle"))),
+      ood_to_oracle_(fleet_registry.counter(
+          StatsName("fleet/", entry_.name, "ood_to_oracle"))),
+      rejected_(
+          fleet_registry.counter(StatsName("fleet/", entry_.name, "rejected"))),
       activation_failures_(fleet_registry.counter(
-          "fleet/" + entry_.name + "/activation_failures")),
-      reload_failures_(fleet_registry.counter("fleet/" + entry_.name +
-                                              "/reload_failures")),
-      cold_(fleet_registry.gauge("fleet/" + entry_.name + "/cold")) {
+          StatsName("fleet/", entry_.name, "activation_failures"))),
+      reload_failures_(fleet_registry.counter(
+          StatsName("fleet/", entry_.name, "reload_failures"))),
+      cold_(fleet_registry.gauge(StatsName("fleet/", entry_.name, "cold"))) {
   cold_.Set(1.0);
 }
 
@@ -155,10 +165,10 @@ std::optional<FleetShard::Fallback> FleetShard::FallbackEstimate(
     links = link_mean_;
   }
   if (oracle != nullptr) {
-    return Fallback{oracle->Predict(network_, od), net::Estimator::kOracle};
+    return Fallback{oracle->Predict(*network_, od), net::Estimator::kOracle};
   }
   if (links != nullptr) {
-    return Fallback{links->Predict(network_, od), net::Estimator::kLinkMean};
+    return Fallback{links->Predict(*network_, od), net::Estimator::kLinkMean};
   }
   return std::nullopt;
 }
@@ -170,7 +180,7 @@ bool FleetShard::InDistribution(const traj::OdInput& od) const {
     oracle = oracle_;
   }
   // Without an oracle there is nothing to judge against: in-distribution.
-  return oracle == nullptr || oracle->InDistribution(network_, od);
+  return oracle == nullptr || oracle->InDistribution(*network_, od);
 }
 
 void FleetShard::AdoptEstimators(
@@ -186,6 +196,7 @@ void FleetShard::AdoptEstimators(
 void FleetShard::Publish(std::shared_ptr<EtaService> service) {
   std::lock_guard<std::mutex> lock(mu_);
   service_ = std::move(service);
+  warm_.store(true);
   cold_.Set(0.0);
 }
 
@@ -195,14 +206,17 @@ FleetRouter::FleetRouter(std::vector<FleetEntry> entries,
                          const FleetRouterOptions& options)
     : options_(options),
       watcher_(ArtifactPaths(entries), options.poll_interval,
-               [this](size_t index) { return Load(index); }) {
+               [this](size_t index) { return Load(index); },
+               &registry_.counter("fleet/polls")) {
   if (entries.empty()) {
     throw std::invalid_argument("FleetRouter: empty fleet");
   }
   shards_.reserve(entries.size());
   for (FleetEntry& entry : entries) {
-    shards_.push_back(
-        std::make_unique<FleetShard>(std::move(entry), registry_));
+    auto network = std::make_shared<const road::RoadNetwork>(
+        io::ReadNetworkCsv(entry.network_path));
+    shards_.push_back(std::make_unique<FleetShard>(
+        std::move(entry), std::move(network), registry_));
   }
 
   for (size_t i = 0; i < shards_.size(); ++i) {
@@ -230,19 +244,38 @@ FleetRouter::FleetRouter(std::vector<FleetEntry> entries,
     // the shard cold and the fleet serving.
     watcher_.LoadNow(i);
   }
-  watcher_.Start();
+  // An all-warm fleet without hot swap has nothing to poll for.
+  if (options_.watch || WarmCount() < shards_.size()) watcher_.Start();
+}
+
+FleetRouter::FleetRouter(std::shared_ptr<ServingState> state,
+                         std::shared_ptr<const road::RoadNetwork> network,
+                         const FleetRouterOptions& options)
+    : options_(options),
+      any_network_id_(true),
+      watcher_({state != nullptr ? state->source : std::string()},
+               options.poll_interval,
+               [this](size_t index) { return Load(index); },
+               &registry_.counter("fleet/polls")) {
+  if (state == nullptr || state->model == nullptr || network == nullptr) {
+    throw std::invalid_argument("FleetRouter: null serving state or network");
+  }
+  FleetEntry entry;
+  entry.network_id = state->bundle != nullptr ? state->bundle->network_id : 0;
+  entry.artifact_path = state->source;
+  entry.policy = FallbackPolicy::kModel;
+  shards_.push_back(std::make_unique<FleetShard>(
+      std::move(entry), std::move(network), registry_));
+  Publish(*shards_.front(), std::move(state));
+  if (options_.watch && !shards_.front()->artifact_path().empty()) {
+    watcher_.MarkAttempted(0);  // already served: no reload at startup
+    watcher_.Start();
+  }
 }
 
 FleetRouter::~FleetRouter() { Stop(); }
 
 void FleetRouter::Stop() { watcher_.Stop(); }
-
-FleetShard* FleetRouter::Resolve(uint32_t network_id) {
-  for (auto& shard : shards_) {
-    if (shard->network_id() == network_id) return shard.get();
-  }
-  return nullptr;
-}
 
 size_t FleetRouter::WarmCount() const {
   size_t warm = 0;
@@ -266,8 +299,9 @@ bool FleetRouter::Load(size_t index) {
   try {
     io::ArtifactOptions artifact_options;
     artifact_options.quant = options_.service.quant;
-    state = LoadServingState(shard.artifact_path(), shard.network_,
+    state = LoadServingState(shard.artifact_path(), shard.network(),
                              artifact_options, shard.network_id());
+    if (options_.prepare) options_.prepare(*state);
   } catch (const std::exception&) {
     // Cold, the oracle keeps answering; warm, the current epoch does.
     (service == nullptr ? shard.activation_failures_ : shard.reload_failures_)
@@ -276,19 +310,25 @@ bool FleetRouter::Load(size_t index) {
   }
   if (service != nullptr) {
     service->SwapState(std::move(state));
-    return true;
+  } else {
+    Publish(shard, std::move(state));
   }
+  if (options_.on_adopt) options_.on_adopt(shard, service != nullptr);
+  return true;
+}
 
+void FleetRouter::Publish(FleetShard& shard,
+                          std::shared_ptr<ServingState> state) {
   // The artifact's embedded fallback estimators back-fill a shard that had
   // no standalone oracle artifact.
-  shard.AdoptEstimators(std::move(state->bundle->oracle),
-                        std::move(state->bundle->link_mean));
+  if (state->bundle != nullptr) {
+    shard.AdoptEstimators(std::move(state->bundle->oracle),
+                          std::move(state->bundle->link_mean));
+  }
   EtaServiceOptions service_options = options_.service;
-  service_options.registry_prefix = "serve/" + shard.name() + "/";
+  service_options.registry_prefix = StatsName("serve/", shard.name(), "");
   shard.Publish(
       std::make_shared<EtaService>(std::move(state), service_options));
-  if (options_.on_activate) options_.on_activate(shard);
-  return true;
 }
 
 void FleetRouter::AppendStatsSources(StatsSources* sources) const {

@@ -1,6 +1,7 @@
 #ifndef DEEPOD_SERVE_FLEET_ROUTER_H_
 #define DEEPOD_SERVE_FLEET_ROUTER_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -16,6 +17,7 @@
 #include "road/road_network.h"
 #include "serve/artifact_watcher.h"
 #include "serve/eta_service.h"
+#include "serve/serving_state.h"
 #include "serve/server/frame.h"
 #include "serve/stats.h"
 #include "traj/trajectory.h"
@@ -28,8 +30,8 @@ namespace deepod::serve {
 // city's training data.
 enum class FallbackPolicy : uint8_t {
   // No fallback tier: cold requests get a typed kShardCold rejection, shed
-  // requests their shed status, OOD requests the model's extrapolation —
-  // the historical single-city behaviour.
+  // requests their shed status, OOD requests the model's extrapolation.
+  // The policy of a fleet of one.
   kModel = 0,
   // The oracle tier (OD histogram, else link-mean) answers on all three
   // triggers, tagged with the estimator that produced the ETA. Default.
@@ -68,8 +70,9 @@ class FleetShard;
 
 struct FleetRouterOptions {
   // Per-shard EtaService options. registry_prefix is overridden per city
-  // ("serve/<name>/") so the merged stats export stays collision-free.
-  // Its quant also applies to every activation and hot swap.
+  // ("serve/<name>/"; "serve/" for a fleet of one) so the merged stats
+  // export stays collision-free. Its quant also applies to every activation
+  // and hot swap.
   EtaServiceOptions service;
   // Hot swap a warm shard whose artifact changes. Cold shards are watched
   // for activation either way.
@@ -77,9 +80,17 @@ struct FleetRouterOptions {
   // Poll cadence of the fleet's one ArtifactWatcher (activation and, with
   // `watch`, hot swap).
   std::chrono::milliseconds poll_interval{200};
-  // Invoked on the activating thread each time a cold shard goes warm
-  // (deepod_server prints its operator-visible activation line here).
-  std::function<void(const FleetShard&)> on_activate;
+  // Runs on the loading thread against every state the router loads, after
+  // its load check and before the shard publishes or swaps it in; a throw
+  // counts as a failed load. deepod_server points the new model at its
+  // live RollingSpeedField here, so a swapped-in model serves live speeds
+  // from its first request.
+  std::function<void(ServingState&)> prepare;
+  // Runs on the loading thread after a shard adopted an artifact: once the
+  // cold shard is published (hot_swap false) or the swap flipped the
+  // serving epoch (hot_swap true). deepod_server prints its operator-visible
+  // "fleet: activated" / "reloaded" lines here.
+  std::function<void(const FleetShard&, bool hot_swap)> on_adopt;
 };
 
 // One city of the fleet: its road network, its fallback estimators and —
@@ -90,19 +101,23 @@ struct FleetRouterOptions {
 // shard never goes warm → cold: activation is one-way.
 class FleetShard {
  public:
-  FleetShard(FleetEntry entry, obs::Registry& fleet_registry);
+  // Stats names are "fleet/<name>/..." ("fleet/..." for the unnamed shard
+  // of a fleet of one).
+  FleetShard(FleetEntry entry, std::shared_ptr<const road::RoadNetwork> network,
+             obs::Registry& fleet_registry);
 
   uint32_t network_id() const { return entry_.network_id; }
   const std::string& name() const { return entry_.name; }
   const std::string& artifact_path() const { return entry_.artifact_path; }
   FallbackPolicy policy() const { return entry_.policy; }
-  const road::RoadNetwork& network() const { return network_; }
-  size_t num_segments() const { return network_.num_segments(); }
+  const road::RoadNetwork& network() const { return *network_; }
+  size_t num_segments() const { return network_->num_segments(); }
 
   // The live service, or null while cold. The pointee stays valid for the
   // life of the router once published.
   std::shared_ptr<EtaService> service() const;
-  bool warm() const { return service() != nullptr; }
+  // Lock-free: the request path asks this on every request.
+  bool warm() const { return warm_.load(); }
 
   // Answer from the fallback tier: the OD-histogram oracle when present,
   // else the link-mean estimator; nullopt when the shard has neither (the
@@ -117,7 +132,7 @@ class FleetShard {
   bool InDistribution(const traj::OdInput& od) const;
 
   // Per-city response accounting (names "fleet/<name>/...").
-  void CountModelAnswer() { model_answers_.Add(); }
+  void CountModelAnswers(uint64_t n) { model_answers_.Add(n); }
   void CountFallbackAnswer() { oracle_answers_.Add(); }
   void CountShedToOracle() { shed_to_oracle_.Add(); }
   void CountOodToOracle() { ood_to_oracle_.Add(); }
@@ -134,10 +149,13 @@ class FleetShard {
   void Publish(std::shared_ptr<EtaService> service);
 
   FleetEntry entry_;
-  road::RoadNetwork network_;
+  // Shared: a fleet of one serves a model its caller loaded against this
+  // network, and the model keeps referring to it.
+  std::shared_ptr<const road::RoadNetwork> network_;
 
   mutable std::mutex mu_;
   std::shared_ptr<EtaService> service_;  // null while cold
+  std::atomic<bool> warm_{false};        // set once, after service_
   std::shared_ptr<const baselines::OdOracle> oracle_;
   std::shared_ptr<const baselines::LinkMeanEstimator> link_mean_;
 
@@ -151,38 +169,60 @@ class FleetShard {
   obs::Gauge& cold_;
 };
 
-// The multi-city front of the serving stack: owns one FleetShard per
-// manifest row, resolves requests by wire network_id, and runs one
-// ArtifactWatcher over every shard's artifact path. The network server
-// (serve/server) holds a FleetRouter instead of a single EtaService in
-// fleet mode; the admission queue stays shared across cities (one
+// The one serving front of the stack: owns one FleetShard per city,
+// resolves requests by wire network_id, and runs one ArtifactWatcher over
+// every shard's artifact path. The network server (serve/server) serves a
+// FleetRouter; the admission queue stays shared across cities (one
 // scheduler, per-tenant quotas unchanged) and the server groups each batch
 // by shard.
 //
-// Loading at construction: every network.csv is read eagerly (a missing
-// network is a hard error — routing is impossible without it); every
-// oracle artifact given in the manifest is loaded eagerly; every model
-// artifact is *attempted* — a missing or corrupt artifact leaves that
-// shard cold (counted in "fleet/<name>/activation_failures", gauge
-// "fleet/<name>/cold" = 1) and the rest of the fleet serving, which is the
-// partial-failure behaviour the oracle tier exists for.
+// Two ways to build one:
+//  - From a manifest. Every network.csv is read eagerly (a missing network
+//    is a hard error — routing is impossible without it); every oracle
+//    artifact given in the manifest is loaded eagerly; every model artifact
+//    is *attempted* — a missing or corrupt artifact leaves that shard cold
+//    (counted in "fleet/<name>/activation_failures", gauge
+//    "fleet/<name>/cold" = 1) and the rest of the fleet serving, which is
+//    the partial-failure behaviour the oracle tier exists for. Requests
+//    route by exact network_id; an unknown id resolves to null.
+//  - A fleet of one, around a state the caller already loaded (a
+//    single-city deployment). Its one shard is unnamed (stats "serve/*" and
+//    "fleet/*"), has policy kModel and no standalone oracle, and answers
+//    every wire network_id. Its stamp check uses the startup artifact's
+//    network_id (0 = unstamped = accept any).
 //
 // Cold → warm and warm → swapped run through one load function
 // (LoadServingState with the shard's network_id, so an artifact stamped for
 // another city is refused either way). A refused hot swap is counted in
 // "fleet/<name>/reload_failures" and the shard keeps serving its current
-// epoch.
+// epoch. The watcher thread runs only while there is work for it: some
+// shard is cold, or `watch` is on ("fleet/polls" counts its rounds).
 class FleetRouter {
  public:
   FleetRouter(std::vector<FleetEntry> entries,
+              const FleetRouterOptions& options);
+  // A fleet of one serving `state` (un-adopted, from LoadServingState or
+  // BorrowServingState) against `network`, the network it was loaded
+  // against. With `watch` and a non-empty state->source, hot swaps that
+  // path; the bytes already served count as attempted. Throws
+  // std::invalid_argument on a null state, model or network.
+  FleetRouter(std::shared_ptr<ServingState> state,
+              std::shared_ptr<const road::RoadNetwork> network,
               const FleetRouterOptions& options);
   ~FleetRouter();
 
   FleetRouter(const FleetRouter&) = delete;
   FleetRouter& operator=(const FleetRouter&) = delete;
 
-  // Shard for a wire network_id; null = unknown id (typed rejection).
-  FleetShard* Resolve(uint32_t network_id);
+  // Shard for a wire network_id; null = unknown id (typed rejection). A
+  // fleet of one returns its shard for every id.
+  FleetShard* Resolve(uint32_t network_id) {
+    if (any_network_id_) return shards_.front().get();
+    for (auto& shard : shards_) {
+      if (shard->network_id() == network_id) return shard.get();
+    }
+    return nullptr;
+  }
 
   const std::vector<std::unique_ptr<FleetShard>>& shards() const {
     return shards_;
@@ -210,9 +250,13 @@ class FleetRouter {
   // artifact, then publishes a service (cold) or swaps it in (warm, watch
   // mode). Returns true when the artifact was adopted.
   bool Load(size_t index);
+  // Cold → warm: the state's embedded fallback estimators back-fill the
+  // shard, then its service is published.
+  void Publish(FleetShard& shard, std::shared_ptr<ServingState> state);
 
   FleetRouterOptions options_;
   std::vector<std::unique_ptr<FleetShard>> shards_;
+  bool any_network_id_ = false;  // a fleet of one
 
   obs::Registry registry_;
 

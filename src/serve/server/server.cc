@@ -9,18 +9,18 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <map>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 
 #include "core/encoders.h"
 #include "serve/drift_monitor.h"
 #include "serve/fleet_router.h"
-#include "serve/model_reloader.h"
 #include "serve/serving_state.h"
 #include "serve/stats.h"
 #include "sim/rolling_speed_field.h"
@@ -38,14 +38,12 @@ double SecondsSince(std::chrono::steady_clock::time_point start,
   return std::chrono::duration<double>(end - start).count();
 }
 
-// Whether `od` can be served: segments within `num_segments` (0 skips the
-// bound), finite position ratios, a departure the serving clock can slot
-// and a known weather type. Request and observe frames share it.
+// Whether `od` can be served: segments within `num_segments`, finite
+// position ratios, a departure the serving clock can slot and a known
+// weather type. Request and observe frames share it.
 bool ServableOd(const traj::OdInput& od, size_t num_segments) {
-  const bool segments_ok =
-      num_segments == 0 ||
-      (od.origin_segment < num_segments && od.dest_segment < num_segments);
-  return segments_ok && std::isfinite(od.origin_ratio) &&
+  return od.origin_segment < num_segments && od.dest_segment < num_segments &&
+         std::isfinite(od.origin_ratio) &&
          std::isfinite(od.dest_ratio) &&
          serve::ServableDeparture(od.departure_time) && od.weather_type >= 0 &&
          od.weather_type <
@@ -54,12 +52,21 @@ bool ServableOd(const traj::OdInput& od, size_t num_segments) {
 
 }  // namespace
 
-// Per-thread buffers for RunBatch, reused across batches.
+// Per-thread buffers for RunBatch, reused across batches, so a batch
+// allocates nothing of its own once they have grown.
 struct DeepOdServer::BatchScratch {
   std::vector<AdmittedRequest> batch;
   std::vector<traj::OdInput> ods;
   std::vector<size_t> live;  // batch index per od; SIZE_MAX once answered
   std::vector<Estimator> estimators;
+  std::vector<double> etas;  // per od
+  // Each od's shard, sorted by shard when the batch spans several.
+  struct Route {
+    FleetShard* shard;
+    size_t od;  // index into ods
+  };
+  std::vector<Route> routes;
+  std::vector<traj::OdInput> group_ods;  // one shard's ods, when split
   std::vector<Outbox> outboxes;  // [0, used): one per connection in batch
   size_t used = 0;
 
@@ -79,16 +86,10 @@ void DeepOdServer::Outbox::Add(const ResponseFrame& response) {
   ++frames;
 }
 
-DeepOdServer::DeepOdServer(EtaService& service, const ServerOptions& options)
-    : DeepOdServer(&service, nullptr, options) {}
+Connection::~Connection() { ::close(fd); }
 
 DeepOdServer::DeepOdServer(FleetRouter& fleet, const ServerOptions& options)
-    : DeepOdServer(nullptr, &fleet, options) {}
-
-DeepOdServer::DeepOdServer(EtaService* service, FleetRouter* fleet,
-                           const ServerOptions& options)
-    : service_(service),
-      fleet_(fleet),
+    : fleet_(fleet),
       options_(options),
       admission_(options.admission, std::max<size_t>(1, options.executors)),
       accepted_(registry_.counter("server/accepted_connections")),
@@ -117,6 +118,13 @@ DeepOdServer::DeepOdServer(EtaService* service, FleetRouter* fleet,
       queue_depth_(registry_.gauge("server/queue_depth")),
       batch_fill_(registry_.histogram("server/batch_fill")),
       latency_(registry_.histogram("server/latency")) {
+  const bool hooked = options_.live.rolling_field != nullptr ||
+                      options_.live.drift != nullptr;
+  if (hooked && fleet_.shards().size() != 1) {
+    throw std::invalid_argument(
+        "DeepOdServer: live-serving hooks bind to a fleet's only shard; this "
+        "router has " + std::to_string(fleet_.shards().size()));
+  }
   if (options_.max_batch == 0) options_.max_batch = 1;
   if (options_.executors == 0) options_.executors = 1;
 }
@@ -233,8 +241,7 @@ bool DeepOdServer::AcceptQueued() {
     const timeval send_timeout{kSendTimeoutSeconds, 0};
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
                  sizeof(send_timeout));
-    auto conn = std::make_shared<Connection>();
-    conn->fd = fd;
+    std::shared_ptr<Connection> conn;
     uint64_t id;
     {
       std::lock_guard<std::mutex> lock(conns_mu_);
@@ -243,6 +250,7 @@ bool DeepOdServer::AcceptQueued() {
         ::close(fd);
         continue;
       }
+      conn = std::make_shared<Connection>(fd);
       id = next_conn_id_++;
       connections_[id] = conn;
       ++live_connections_;
@@ -250,12 +258,9 @@ bool DeepOdServer::AcceptQueued() {
     }
     accepted_.Add();
     std::thread([this, conn, id] {
+      // At EOF the socket stays open: requests this peer already had
+      // admitted still answer on it, and the last of them closes it.
       ConnectionLoop(conn);
-      {
-        std::lock_guard<std::mutex> write_lock(conn->write_mu);
-        conn->open.store(false);
-        ::close(conn->fd);
-      }
       // Notify under the lock: once it is released Shutdown may see zero
       // live connections and destroy the server, condition variable
       // included, so this thread must not touch `this` afterwards.
@@ -275,8 +280,8 @@ void DeepOdServer::Send(Outbox* out) {
     std::lock_guard<std::mutex> lock(conn.write_mu);
     if (conn.open.load() &&
         !WriteAll(conn.fd, out->bytes.data(), out->bytes.size())) {
-      // The peer stopped reading (send timed out) or went away: close it
-      // so no later writer waits on it. Its reader sees EOF and exits.
+      // The peer stopped reading (send timed out) or went away: shut it
+      // down so no later writer waits on it. Its reader sees EOF and exits.
       conn.open.store(false);
       ::shutdown(conn.fd, SHUT_RDWR);
     }
@@ -376,7 +381,8 @@ void DeepOdServer::ConnectionLoop(const std::shared_ptr<Connection>& conn) {
       slot.reset();
     }
     // A write to this peer failed or timed out: stop reading it, so the
-    // close resets the peer instead of draining whatever it still sends.
+    // close (once its queued requests are answered) resets the peer
+    // instead of draining whatever it still sends.
     if (!conn->open.load()) return;
   }
 }
@@ -409,18 +415,13 @@ void DeepOdServer::HandleFrame(const std::shared_ptr<Connection>& conn,
     return;
   }
   requests_.Add();
-  FleetShard* shard = nullptr;
-  size_t num_segments = options_.num_segments;
-  if (fleet_ != nullptr) {
-    shard = fleet_->Resolve(request.network_id);
-    if (shard == nullptr) {
-      RespondError(out, request.request_id, Status::kUnknownNetwork, 0);
-      return;
-    }
-    num_segments = shard->num_segments();
+  FleetShard* shard = fleet_.Resolve(request.network_id);
+  if (shard == nullptr) {
+    RespondError(out, request.request_id, Status::kUnknownNetwork, 0);
+    return;
   }
   const traj::OdInput& od = request.od;
-  if (!ServableOd(od, num_segments)) {
+  if (!ServableOd(od, shard->num_segments())) {
     RespondError(out, request.request_id, Status::kInvalidRequest, 0);
     return;
   }
@@ -430,40 +431,38 @@ void DeepOdServer::HandleFrame(const std::shared_ptr<Connection>& conn,
     RespondError(out, request.request_id, Status::kDeadlineExpired, 0);
     return;
   }
-  if (shard != nullptr) {
-    const FallbackPolicy policy = shard->policy();
-    if (!shard->InDistribution(od)) {
-      // The city's oracle has never seen this OD cell pair.
-      if (policy == FallbackPolicy::kReject) {
-        shard->CountRejected();
-        RespondError(out, request.request_id, Status::kInvalidRequest, 0);
-        return;
-      }
-      if (policy == FallbackPolicy::kOracle) {
-        if (const auto fallback = shard->FallbackEstimate(od)) {
-          shard->CountOodToOracle();
-          shard->CountFallbackAnswer();
-          RespondFallback(out, request.request_id, fallback->eta,
-                          fallback->estimator, arrival);
-          return;
-        }
-      }
-      // kModel (or no fallback tier loaded): let the model extrapolate.
-    }
-    if (!shard->warm()) {
-      if (policy == FallbackPolicy::kOracle) {
-        if (const auto fallback = shard->FallbackEstimate(od)) {
-          shard->CountFallbackAnswer();
-          RespondFallback(out, request.request_id, fallback->eta,
-                          fallback->estimator, arrival);
-          return;
-        }
-      }
+  const FallbackPolicy policy = shard->policy();
+  // The policy first: kModel extrapolates out-of-distribution ODs anyway,
+  // so it never pays for the oracle lookup.
+  if (policy != FallbackPolicy::kModel && !shard->InDistribution(od)) {
+    // The city's oracle has never seen this OD cell pair.
+    if (policy == FallbackPolicy::kReject) {
       shard->CountRejected();
-      RespondError(out, request.request_id, Status::kShardCold,
-                   /*retry_after_ms=*/1000);
+      RespondError(out, request.request_id, Status::kInvalidRequest, 0);
       return;
     }
+    if (const auto fallback = shard->FallbackEstimate(od)) {
+      shard->CountOodToOracle();
+      shard->CountFallbackAnswer();
+      RespondFallback(out, request.request_id, fallback->eta,
+                      fallback->estimator, arrival);
+      return;
+    }
+    // No fallback tier loaded: let the model extrapolate.
+  }
+  if (!shard->warm()) {
+    if (policy == FallbackPolicy::kOracle) {
+      if (const auto fallback = shard->FallbackEstimate(od)) {
+        shard->CountFallbackAnswer();
+        RespondFallback(out, request.request_id, fallback->eta,
+                        fallback->estimator, arrival);
+        return;
+      }
+    }
+    shard->CountRejected();
+    RespondError(out, request.request_id, Status::kShardCold,
+                 /*retry_after_ms=*/1000);
+    return;
   }
   AdmittedRequest admitted;
   admitted.frame = request;
@@ -481,8 +480,7 @@ void DeepOdServer::HandleFrame(const std::shared_ptr<Connection>& conn,
     admitted_.Add();
     queue_depth_.Set(static_cast<double>(admission_.Depth()));
     if (decision.runner_slot) *slot = decision.runner_slot;
-  } else if (shard != nullptr && shard->policy() == FallbackPolicy::kOracle &&
-             IsShed(decision.status)) {
+  } else if (policy == FallbackPolicy::kOracle && IsShed(decision.status)) {
     // Admission shed, but this city keeps a fallback tier: degrade to the
     // oracle instead of bouncing the request back to the client.
     if (const auto fallback = shard->FallbackEstimate(od)) {
@@ -501,18 +499,14 @@ void DeepOdServer::HandleFrame(const std::shared_ptr<Connection>& conn,
 }
 
 void DeepOdServer::HandleObserve(const ObserveFrame& frame, Outbox* out) {
-  size_t num_segments = options_.num_segments;
-  if (fleet_ != nullptr) {
-    const FleetShard* shard = fleet_->Resolve(frame.network_id);
-    if (shard == nullptr) {
-      RespondError(out, frame.request_id, Status::kUnknownNetwork, 0);
-      return;
-    }
-    num_segments = shard->num_segments();
+  const FleetShard* shard = fleet_.Resolve(frame.network_id);
+  if (shard == nullptr) {
+    RespondError(out, frame.request_id, Status::kUnknownNetwork, 0);
+    return;
   }
   const traj::OdInput& od = frame.od;
-  if (!ServableOd(od, num_segments) || !std::isfinite(frame.actual_seconds) ||
-      frame.actual_seconds < 0.0) {
+  if (!ServableOd(od, shard->num_segments()) ||
+      !std::isfinite(frame.actual_seconds) || frame.actual_seconds < 0.0) {
     RespondError(out, frame.request_id, Status::kInvalidRequest, 0);
     return;
   }
@@ -520,22 +514,19 @@ void DeepOdServer::HandleObserve(const ObserveFrame& frame, Outbox* out) {
   ResponseFrame response;
   response.request_id = frame.request_id;
   response.status = Status::kOk;
-  // Live hooks are single-city plumbing (one speed field, one drift gauge
-  // against one model); fleet mode validates and acknowledges only.
-  if (fleet_ == nullptr) {
-    if (options_.live.rolling_field != nullptr &&
-        !frame.observations.empty()) {
-      observations_.Add(
-          options_.live.rolling_field->Ingest(frame.observations));
-    }
-    if (options_.live.drift != nullptr) {
-      // Re-score the finished trip against the model serving RIGHT NOW (one
-      // synchronous forward on the connection thread — ingest traffic is
-      // orders of magnitude rarer than queries) and feed the drift gauge.
-      const double predicted = service_->Estimate(od);
-      options_.live.drift->Observe(predicted, frame.actual_seconds);
-      response.eta_seconds = predicted;
-    }
+  // The hooks bind to the fleet's only shard (checked at construction).
+  if (options_.live.rolling_field != nullptr && !frame.observations.empty()) {
+    observations_.Add(options_.live.rolling_field->Ingest(frame.observations));
+  }
+  const std::shared_ptr<EtaService> service =
+      options_.live.drift != nullptr ? shard->service() : nullptr;
+  if (service != nullptr) {
+    // Re-score the finished trip against the model serving RIGHT NOW (one
+    // synchronous forward on the connection thread — ingest traffic is
+    // orders of magnitude rarer than queries) and feed the drift gauge.
+    const double predicted = service->Estimate(od);
+    options_.live.drift->Observe(predicted, frame.actual_seconds);
+    response.eta_seconds = predicted;
   }
   out->Add(response);
 }
@@ -575,9 +566,7 @@ void DeepOdServer::RunBatch(size_t slot, BatchScratch* s) {
     util::ThreadPool* pool =
         executor_pools_.empty() ? nullptr : executor_pools_[slot].get();
     s->estimators.assign(s->ods.size(), Estimator::kModel);
-    const std::vector<double> etas =
-        fleet_ == nullptr ? service_->EstimateBatch(s->ods, pool)
-                          : EstimateFleetBatch(s, pool);
+    EstimateByShard(s, pool);
     const auto end = std::chrono::steady_clock::now();
     admission_.RecordServiceTime(SecondsSince(start, end) /
                                  static_cast<double>(s->ods.size()));
@@ -588,7 +577,7 @@ void DeepOdServer::RunBatch(size_t slot, BatchScratch* s) {
       response.request_id = request.frame.request_id;
       response.status = Status::kOk;
       response.estimator = s->estimators[m];
-      response.eta_seconds = etas[m];
+      response.eta_seconds = s->etas[m];
       latency_.Observe(SecondsSince(request.arrival, end));
       completed_.Add();
       completed_batch_.Add();
@@ -600,68 +589,85 @@ void DeepOdServer::RunBatch(size_t slot, BatchScratch* s) {
   s->batch.clear();  // drops the batch's connection references
 }
 
-std::vector<double> DeepOdServer::EstimateFleetBatch(BatchScratch* s,
-                                                     util::ThreadPool* pool) {
-  // Split the batch by city: each group goes through its own shard's
-  // EstimateBatch (one state snapshot per shard per batch). Only
-  // warm-shard requests are admitted and activation is one-way, so the
-  // service is expected live; a defensive oracle answer covers the
-  // unexpected.
-  std::vector<double> etas(s->ods.size(), 0.0);
-  std::map<uint32_t, std::vector<size_t>> groups;
-  for (size_t m = 0; m < s->live.size(); ++m) {
-    groups[s->batch[s->live[m]].frame.network_id].push_back(m);
+void DeepOdServer::EstimateByShard(BatchScratch* s, util::ThreadPool* pool) {
+  // Each shard's group goes through its own EstimateBatch (one state
+  // snapshot per shard per batch). A batch for one shard — every batch of
+  // a fleet of one — stays in arrival order and is passed through whole.
+  const size_t n = s->ods.size();
+  s->etas.resize(n);
+  s->routes.clear();
+  for (size_t m = 0; m < n; ++m) {
+    s->routes.push_back(
+        {fleet_.Resolve(s->batch[s->live[m]].frame.network_id), m});
   }
-  std::vector<traj::OdInput> group_ods;
-  for (const auto& [network_id, members] : groups) {
-    FleetShard* shard = fleet_->Resolve(network_id);
-    std::shared_ptr<EtaService> shard_service =
-        shard != nullptr ? shard->service() : nullptr;
-    if (shard_service != nullptr) {
-      group_ods.clear();
-      for (const size_t m : members) group_ods.push_back(s->ods[m]);
-      const std::vector<double> group_etas =
-          shard_service->EstimateBatch(group_ods, pool);
-      for (size_t j = 0; j < members.size(); ++j) {
-        etas[members[j]] = group_etas[j];
-        shard->CountModelAnswer();
+  const auto by_shard = [](const BatchScratch::Route& a,
+                           const BatchScratch::Route& b) {
+    if (a.shard != b.shard) {
+      return std::less<const FleetShard*>()(a.shard, b.shard);
+    }
+    return a.od < b.od;
+  };
+  if (!std::is_sorted(s->routes.begin(), s->routes.end(), by_shard)) {
+    std::sort(s->routes.begin(), s->routes.end(), by_shard);
+  }
+  for (size_t begin = 0; begin < n;) {
+    size_t end = begin + 1;
+    while (end < n && s->routes[end].shard == s->routes[begin].shard) ++end;
+    EstimateGroup(s->routes[begin].shard, begin, end, s, pool);
+    begin = end;
+  }
+}
+
+void DeepOdServer::EstimateGroup(FleetShard* shard, size_t begin, size_t end,
+                                 BatchScratch* s, util::ThreadPool* pool) {
+  // Only warm-shard requests are admitted and activation is one-way, so
+  // the service is expected live; a defensive fallback answer covers the
+  // unexpected.
+  const std::shared_ptr<EtaService> service =
+      shard != nullptr ? shard->service() : nullptr;
+  if (service != nullptr) {
+    std::span<const traj::OdInput> ods = s->ods;
+    if (end - begin < s->ods.size()) {
+      s->group_ods.clear();
+      for (size_t r = begin; r < end; ++r) {
+        s->group_ods.push_back(s->ods[s->routes[r].od]);
       }
+      ods = s->group_ods;
+    }
+    const std::vector<double> etas = service->EstimateBatch(ods, pool);
+    for (size_t r = begin; r < end; ++r) {
+      s->etas[s->routes[r].od] = etas[r - begin];
+    }
+    shard->CountModelAnswers(end - begin);
+    return;
+  }
+  for (size_t r = begin; r < end; ++r) {
+    const size_t m = s->routes[r].od;
+    const std::optional<FleetShard::Fallback> fallback =
+        shard != nullptr ? shard->FallbackEstimate(s->ods[m]) : std::nullopt;
+    if (fallback) {
+      s->etas[m] = fallback->eta;
+      s->estimators[m] = fallback->estimator;
+      shard->CountFallbackAnswer();
       continue;
     }
-    for (const size_t m : members) {
-      const std::optional<FleetShard::Fallback> fallback =
-          shard != nullptr ? shard->FallbackEstimate(s->ods[m])
-                           : std::nullopt;
-      if (fallback) {
-        etas[m] = fallback->eta;
-        s->estimators[m] = fallback->estimator;
-        shard->CountFallbackAnswer();
-        continue;
-      }
-      const AdmittedRequest& request = s->batch[s->live[m]];
-      ResponseFrame response;
-      response.request_id = request.frame.request_id;
-      response.status = Status::kShardCold;
-      response.retry_after_ms = 1000;
-      shard_cold_.Add();
-      shard_cold_in_batch_.Add();
-      s->For(request.conn.get()).Add(response);
-      s->live[m] = SIZE_MAX;  // answered; skipped in the Ok loop
-    }
+    const AdmittedRequest& request = s->batch[s->live[m]];
+    ResponseFrame response;
+    response.request_id = request.frame.request_id;
+    response.status = Status::kShardCold;
+    response.retry_after_ms = 1000;
+    shard_cold_.Add();
+    shard_cold_in_batch_.Add();
+    s->For(request.conn.get()).Add(response);
+    s->live[m] = SIZE_MAX;  // answered; skipped in the Ok loop
   }
-  return etas;
 }
 
 std::string DeepOdServer::ExportStatsJson() const {
   StatsSources sources;
   sources.server = &registry_;
-  if (fleet_ != nullptr) {
-    fleet_->AppendStatsSources(&sources);
-  } else {
-    sources.service = service_;
-    sources.reloader = options_.live.reloader;
-    sources.drift = options_.live.drift;
-  }
+  sources.drift = options_.live.drift;
+  fleet_.AppendStatsSources(&sources);
   return serve::ExportStatsJson(sources);
 }
 

@@ -23,26 +23,25 @@ namespace deepod::serve {
 class DriftMonitor;
 class FleetRouter;
 class FleetShard;
-class ModelReloader;
 }  // namespace deepod::serve
 
 namespace deepod::serve::net {
 
 // Live-serving hooks, all optional and borrowed (must outlive the server):
-// the sinks the ObserveTrip ingest endpoint feeds and the extra stat
-// sources the unified stats surface reports. A server without hooks still
-// accepts observe frames (they are acknowledged and dropped) so clients
-// need not know the deployment shape.
+// the sinks the ObserveTrip ingest endpoint feeds. They bind to the fleet's
+// only shard, so a server over a router with more than one shard refuses
+// them. A server without hooks still accepts observe frames (validated
+// against the shard's network, acknowledged and dropped) so clients need
+// not know the deployment shape.
 struct LiveServingHooks {
   // Streamed per-segment speed observations land here. NOTE: ingest only —
   // somebody must call Publish() + EtaService::BumpEpoch() to make them
   // servable (deepod_server's publish ticker, or a test directly).
   sim::RollingSpeedField* rolling_field = nullptr;
-  // Each observed trip is re-scored against the current model and the
-  // prediction/actual pair recorded here (the drift gauge).
+  // Each observed trip is re-scored against the shard's current model and
+  // the prediction/actual pair recorded here (the drift gauge). Also
+  // folded into the stats frame / --stats-json document.
   DriftMonitor* drift = nullptr;
-  // Stats-only: folded into the stats frame / --stats-json document.
-  const ModelReloader* reloader = nullptr;
 };
 
 struct ServerOptions {
@@ -57,7 +56,7 @@ struct ServerOptions {
   // Continuous batching: at most `executors` batches run at once (the
   // admission queue's runner slots). Each batch takes up to `max_batch`
   // admitted requests — whatever is queued right now, from any connection,
-  // never waiting for a batch to fill — through EtaService::EstimateBatch.
+  // never waiting for a batch to fill — through its shards' EstimateBatch.
   // The connection thread that admits a request runs the batch itself
   // when a slot is free; `executors` backlog threads take the slots only
   // while work is left over. `batch_threads` > 1 gives every slot its own
@@ -67,11 +66,6 @@ struct ServerOptions {
   size_t executors = 1;
   size_t batch_threads = 1;
 
-  // Segment-id bound for request validation (kInvalidRequest). 0 skips
-  // segment validation — only safe when every client is trusted. Ignored
-  // in fleet mode, where each shard validates against its own network.
-  size_t num_segments = 0;
-
   AdmissionOptions admission;
 
   LiveServingHooks live;
@@ -79,15 +73,22 @@ struct ServerOptions {
 
 // One accepted TCP connection (the AdmittedRequest::conn a response goes
 // back to). Writers serialise on write_mu; a write that fails or times out
-// closes it, and later responses to it are dropped.
+// shuts it down, and later responses to it are dropped. The socket closes
+// with the last reference — the reader's or a still-queued request's — so
+// a peer that half-closes after pipelining still gets every answer.
 struct Connection {
-  int fd = -1;
+  explicit Connection(int socket) : fd(socket) {}
+  ~Connection();
+  Connection(const Connection&) = delete;
+  Connection& operator=(const Connection&) = delete;
+
+  const int fd;
   std::mutex write_mu;
   std::atomic<bool> open{true};  // written under write_mu
 };
 
-// The network front end: a length-prefixed-TCP server around EtaService,
-// structured as three layers (DESIGN.md "Network serving"):
+// The network front end: a length-prefixed-TCP server around a
+// FleetRouter, structured as three layers (DESIGN.md "Network serving"):
 //   connections -> admission/scheduler -> batch runner.
 // Connection threads read through a per-connection buffer (one recv per
 // burst), decode and validate every buffered frame and offer it to the
@@ -100,6 +101,18 @@ struct Connection {
 // costs a response frame, not a model forward, and a batch's responses to
 // one connection leave in one send.
 //
+// Routing: each request resolves to a shard by its wire network_id (a
+// fleet of one answers every id; a manifest fleet rejects an unknown id
+// with kUnknownNetwork) and is validated against that shard's network.
+// Requests a shard's model cannot answer — the shard is cold, the
+// admission queue sheds, or the OD pair is out-of-distribution — are
+// answered inline on the connection thread from the shard's fallback tier
+// (OD-histogram oracle, else link means) when its policy allows, tagged
+// with the estimator that produced the ETA. One AdmissionQueue is shared
+// across shards (a single scheduler, per-tenant quotas spanning the
+// fleet); each batch is grouped by shard and each group goes through its
+// own shard's EstimateBatch (a one-shard batch is passed through as is).
+//
 // Slow peers: accepted sockets carry a fixed send timeout. A client that
 // stops reading its responses is disconnected once a write to it times
 // out, and later responses for it are dropped (server/dropped_responses)
@@ -110,36 +123,23 @@ struct Connection {
 // expired in the queue) / expired-on-arrival / dropped-response / observe
 // counters, a queue-depth gauge, a batch-fill histogram (requests per
 // batch) and an arrival→response latency histogram. At quiescence a
-// single-city server satisfies admitted == completed + deadline_missed.
-// ExportStatsJson() delegates to serve::ExportStatsJson over every stat
-// source the deployment has (this registry, the service's "serve/", the
-// reloader's "reload/", the drift monitor's "drift/"), so the wire stats
-// frame and `--stats-json` render the identical document.
+// server without fallback answers (every fleet of one) satisfies
+// admitted == completed + deadline_missed. ExportStatsJson() delegates to
+// serve::ExportStatsJson over every stat source the deployment has (this
+// registry, the router's "fleet/" and its shards' "serve/", the drift
+// monitor's "drift/"), so the wire stats frame and `--stats-json` render
+// the identical document.
 //
 // Shutdown() is graceful: stop accepting (connections the kernel already
 // queued are still accepted), shed new offers with kShuttingDown, drain
 // and answer every admitted request, wait for every runner slot to come
 // back, then stop reading the connections, so each reader answers what it
 // already received and closes. The destructor calls it.
-//
-// Fleet mode: constructed over a FleetRouter instead of a single
-// EtaService, the server routes each request by its wire network_id
-// (unknown id -> typed kUnknownNetwork rejection) and validates segments
-// against that city's network. Requests a shard's model cannot answer —
-// the shard is cold, the admission queue sheds, or the OD pair is
-// out-of-distribution — are answered inline on the connection thread from
-// the shard's fallback tier (OD-histogram oracle, else link means) when
-// its policy allows, tagged with the estimator that produced the ETA.
-// One AdmissionQueue is shared across cities (a single scheduler,
-// per-tenant quotas spanning the fleet); each batch is grouped by
-// network_id and each group goes through its own shard's EstimateBatch.
-// Live-serving hooks are single-city plumbing and are not consulted in
-// fleet mode (observe frames are validated per shard and acknowledged).
 class DeepOdServer {
  public:
-  DeepOdServer(EtaService& service, const ServerOptions& options);
-  // Fleet mode: route by network_id across the router's shards. The
-  // router is borrowed and must outlive the server.
+  // The router is borrowed and must outlive the server. Throws
+  // std::invalid_argument when `options.live` sets a hook and the router
+  // has more than one shard.
   DeepOdServer(FleetRouter& fleet, const ServerOptions& options);
   ~DeepOdServer();
 
@@ -168,10 +168,6 @@ class DeepOdServer {
   };
   struct BatchScratch;  // per-thread batch buffers (server.cc)
 
-  // Exactly one of `service` / `fleet` is non-null.
-  DeepOdServer(EtaService* service, FleetRouter* fleet,
-               const ServerOptions& options);
-
   void AcceptLoop();
   // Accepts until the backlog is empty, starting a reader per connection.
   // false on an accept() error other than an empty backlog.
@@ -190,13 +186,15 @@ class DeepOdServer {
   // Pops one batch (if any is queued) and answers it: the one batch
   // routine behind both the inline and the executor path.
   void RunBatch(size_t slot, BatchScratch* scratch);
-  // Fleet mode: the batch's ETAs, each city group through its own shard.
+  // Fills scratch->etas, each shard's group through its own EstimateBatch.
+  void EstimateByShard(BatchScratch* scratch, util::ThreadPool* pool);
+  // Answers scratch->routes[begin, end), which all resolved to `shard`.
   // Requests no tier can answer get kShardCold in their outbox and are
   // marked SIZE_MAX in scratch->live.
-  std::vector<double> EstimateFleetBatch(BatchScratch* scratch,
-                                         util::ThreadPool* pool);
-  // Writes and clears *out; a failed or timed-out write closes the
-  // connection.
+  void EstimateGroup(FleetShard* shard, size_t begin, size_t end,
+                     BatchScratch* scratch, util::ThreadPool* pool);
+  // Writes and clears *out; a failed or timed-out write shuts the
+  // connection down.
   void Send(Outbox* out);
   // Counts the shed/error and queues its answer on *out.
   void RespondError(Outbox* out, uint64_t request_id, Status status,
@@ -207,8 +205,7 @@ class DeepOdServer {
                        Estimator estimator,
                        std::chrono::steady_clock::time_point arrival);
 
-  EtaService* service_ = nullptr;  // single mode
-  FleetRouter* fleet_ = nullptr;   // fleet mode
+  FleetRouter& fleet_;
   ServerOptions options_;
   AdmissionQueue admission_;
 
@@ -235,8 +232,8 @@ class DeepOdServer {
   obs::Counter& bad_frames_;
   obs::Counter& invalid_requests_;
   obs::Counter& unknown_tenants_;
-  obs::Counter& unknown_networks_;  // fleet: unresolvable network_id
-  obs::Counter& shard_cold_;        // fleet: cold shard, no fallback tier
+  obs::Counter& unknown_networks_;  // unresolvable network_id
+  obs::Counter& shard_cold_;        // cold shard, no fallback tier
   obs::Counter& shard_cold_in_batch_;  // the part of shard_cold_ admitted
   obs::Counter& admitted_;
   obs::Counter& shed_;
@@ -248,8 +245,7 @@ class DeepOdServer {
   // Ok answers: completed_ = completed_batch_ + completed_inline_. At
   // quiescence admitted_ = completed_batch_ + deadline_missed_ +
   // shard_cold_in_batch_, since only admitted requests reach a batch;
-  // inline answers are fleet fallback-tier answers that were never
-  // admitted.
+  // inline answers are fallback-tier answers that were never admitted.
   obs::Counter& completed_;
   obs::Counter& completed_batch_;
   obs::Counter& completed_inline_;

@@ -41,9 +41,9 @@ struct ServingState {
   // Swap / speed-publish counter. Assigned by EtaService on adopt.
   uint64_t epoch = 0;
 
-  // Provenance for stats and logs: the artifact path this state was loaded
-  // from, or "<caller-model>" for a service wrapped around a borrowed model.
-  std::string source = "<caller-model>";
+  // Provenance for stats, logs and hot swap: the artifact path this state
+  // was loaded from; empty for a borrowed model.
+  std::string source;
 
   // The owning bundle (model + frozen speed field + config) when the state
   // was loaded from an artifact; null when the model is borrowed.
@@ -61,9 +61,10 @@ struct ServingState {
 
 // Loads `artifact_path` against `network` and wraps the bundle into an
 // un-adopted ServingState (epoch 0): the one load-and-validate step behind
-// EtaService::FromArtifact, ModelReloader hot swaps and FleetRouter shard
-// activation and swaps. Throws nn::SerializeError on a corrupt, truncated
-// or mismatched artifact — the typed error a reload turns into a rollback.
+// EtaService::FromArtifact, deepod_server's startup load and every
+// FleetRouter activation and hot swap. Throws nn::SerializeError on a
+// corrupt, truncated or mismatched artifact — the typed error a hot swap
+// turns into a rollback.
 // A non-zero `network_id` also refuses an artifact stamped for another
 // city (stamp non-zero and different: kBadValue on "artifact.network_id").
 // `options.quant` requests load-time quantisation.

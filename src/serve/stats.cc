@@ -4,7 +4,6 @@
 
 #include "serve/drift_monitor.h"
 #include "serve/eta_service.h"
-#include "serve/model_reloader.h"
 
 namespace deepod::serve {
 namespace {
@@ -23,8 +22,6 @@ std::vector<obs::Record> CollectStats(const StatsSources& sources) {
   std::vector<obs::Record> out;
   AppendRegistry(sources.server, out);
   AppendRegistry(sources.service ? &sources.service->registry() : nullptr,
-                 out);
-  AppendRegistry(sources.reloader ? &sources.reloader->registry() : nullptr,
                  out);
   AppendRegistry(sources.drift ? &sources.drift->registry() : nullptr, out);
   for (const obs::Registry* registry : sources.extra) {
@@ -48,9 +45,6 @@ std::string ExportStatsPrometheus(const StatsSources& sources) {
   std::string out;
   if (sources.server) out += sources.server->ExportPrometheus("");
   if (sources.service) out += sources.service->registry().ExportPrometheus("");
-  if (sources.reloader) {
-    out += sources.reloader->registry().ExportPrometheus("");
-  }
   if (sources.drift) out += sources.drift->registry().ExportPrometheus("");
   for (const obs::Registry* registry : sources.extra) {
     if (registry != nullptr) out += registry->ExportPrometheus("");

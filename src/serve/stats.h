@@ -10,22 +10,21 @@ namespace deepod::serve {
 
 class DriftMonitor;
 class EtaService;
-class ModelReloader;
 
 // The serving stack's stat sources, each optional. One serving process has
-// up to four registries — the server front end's ("server/*" instruments),
-// the EtaService's ("serve/*"), the ModelReloader's ("reload/*") and the
-// DriftMonitor's ("drift/*") — and before this entry point existed each
-// surface concatenated its own subset, so `--stats-json`, the wire stats
-// frame and EtaService::ExportJson could disagree on schema and coverage.
+// the server front end's registry ("server/*" instruments), the fleet
+// router's ("fleet/*"), one EtaService registry per warm shard ("serve/*"
+// for a fleet of one, "serve/<city>/*" per manifest city) and the
+// DriftMonitor's ("drift/*"). Before this entry point existed each surface
+// concatenated its own subset, so `--stats-json`, the wire stats frame and
+// EtaService::ExportJson could disagree on schema and coverage.
 struct StatsSources {
   const obs::Registry* server = nullptr;
   const EtaService* service = nullptr;
-  const ModelReloader* reloader = nullptr;
   const DriftMonitor* drift = nullptr;
   // Additional registries merged into the same export — the fleet router
-  // appends its own registry ("fleet/*") plus every warm shard's service
-  // registry ("serve/<city>/*") here. Borrowed; must outlive the call.
+  // appends its own registry plus every warm shard's service registry
+  // here. Borrowed; must outlive the call.
   std::vector<const obs::Registry*> extra;
 };
 

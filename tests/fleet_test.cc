@@ -9,15 +9,17 @@
 //    answering from the OD-oracle tier while the healthy cities serve
 //    unchanged;
 //  - ActivateNow() brings a cold shard warm the moment a loadable artifact
-//    appears, exactly once, firing on_activate;
+//    appears, exactly once, firing on_adopt;
 //  - a warm shard's hot swap goes through the activation's load check: an
 //    artifact stamped with another city's network_id is refused, counted
 //    in fleet/<name>/reload_failures, and the shard keeps answering
-//    bit-identically from its old epoch;
-//  - a DeepOdServer in fleet mode serves three cities from one process:
-//    model answers for the warm shards, oracle answers (tagged in the
-//    estimator byte) for the model-less city, typed kUnknownNetwork for
-//    unmapped ids and per-shard segment validation.
+//    bit-identically from its old epoch — for a manifest city and for a
+//    fleet of one, whose stamp is its startup artifact's;
+//  - a DeepOdServer serves three cities from one process: model answers
+//    for the warm shards, oracle answers (tagged in the estimator byte) for
+//    the model-less city, typed kUnknownNetwork for unmapped ids and
+//    per-shard segment validation; live-serving hooks over more than one
+//    shard are refused.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -38,7 +40,9 @@
 #include "serve/fleet_router.h"
 #include "serve/server/frame.h"
 #include "serve/server/loadgen.h"
+#include "serve/drift_monitor.h"
 #include "serve/server/server.h"
+#include "serve/serving_state.h"
 #include "sim/dataset.h"
 
 namespace deepod {
@@ -316,7 +320,10 @@ TEST_F(FleetTest, ActivateNowBringsAColdShardWarmExactlyOnce) {
 
   serve::FleetRouterOptions options = QuietOptions();
   std::vector<std::string> activated;
-  options.on_activate = [&activated](const serve::FleetShard& shard) {
+  options.on_adopt = [&activated](const serve::FleetShard& shard,
+                                  bool hot_swap) {
+    EXPECT_FALSE(hot_swap);
+    EXPECT_TRUE(shard.warm());
     activated.push_back(shard.name());
   };
   serve::FleetRouter router(serve::ReadFleetManifest(path), options);
@@ -400,7 +407,89 @@ TEST_F(FleetTest, HotSwapRefusesAnArtifactStampedForAnotherCity) {
   router.Stop();
 }
 
+TEST_F(FleetTest, FleetOfOneRefusesAHotSwapStampedForAnotherCity) {
+  // A single-city deployment of city a: its startup artifact carries
+  // network_id 1, so a later artifact must carry 1 (or none) as well.
+  const std::string watched = *root_ + "/one.model.artifact";
+  const auto publish = [&watched](const std::string& src) {
+    const std::string tmp = watched + ".tmp";
+    std::filesystem::copy_file(
+        src, tmp, std::filesystem::copy_options::overwrite_existing);
+    std::filesystem::rename(tmp, watched);
+  };
+  publish(city_a_->artifact_path);
+  // City a's network, stamped for city b.
+  const std::string foreign = *root_ + "/one.foreign.model.artifact";
+  {
+    core::DeepOdConfig model_config = core::DeepOdConfig().Scaled(16);
+    model_config.epochs = 1;
+    model_config.batch_size = 8;
+    model_config.seed = 99;
+    core::DeepOdModel model(model_config, city_a_->dataset);
+    model.SetTraining(false);
+    io::ArtifactOptions options;
+    options.network_id = 2;
+    io::WriteModelArtifact(foreign, model, nullptr, options);
+  }
+  auto network = std::make_shared<const road::RoadNetwork>(
+      io::ReadNetworkCsv(city_a_->network_path));
+  std::shared_ptr<serve::ServingState> state =
+      serve::LoadServingState(watched, *network, io::ArtifactOptions{});
+  serve::FleetRouterOptions options = QuietOptions();
+  options.watch = true;
+  std::vector<uint64_t> adopted_epochs;
+  options.on_adopt = [&adopted_epochs](const serve::FleetShard& shard,
+                                       bool hot_swap) {
+    EXPECT_TRUE(hot_swap);
+    // Runs after the flip: the new epoch already serves.
+    adopted_epochs.push_back(shard.service()->state()->epoch);
+  };
+  serve::FleetRouter router(state, std::move(network), options);
+  ASSERT_EQ(router.shards().size(), 1u);
+  serve::FleetShard* shard = router.Resolve(42);  // any id
+  ASSERT_NE(shard, nullptr);
+  EXPECT_EQ(shard, router.Resolve(0));
+  EXPECT_EQ(shard->network_id(), 1u);
+  EXPECT_EQ(shard->policy(), serve::FallbackPolicy::kModel);
+  const std::shared_ptr<serve::EtaService> service = shard->service();
+  const auto standalone = serve::EtaService::FromArtifact(
+      city_a_->artifact_path, shard->network(), serve::EtaServiceOptions{});
+
+  publish(foreign);
+  EXPECT_EQ(router.ActivateNow(), 0u);  // refused
+  EXPECT_EQ(CounterValue(router, "fleet/reload_failures"), 1.0);
+  EXPECT_EQ(service->state()->epoch, 0u);
+  EXPECT_TRUE(adopted_epochs.empty());
+  for (size_t i = 0; i < 8; ++i) {
+    const traj::OdInput od = SampleOd(*city_a_, i);
+    const double served = service->Estimate(od);
+    const double expected = standalone->Estimate(od);
+    EXPECT_EQ(std::memcmp(&served, &expected, sizeof(double)), 0) << i;
+  }
+
+  publish(city_a_->artifact_path);
+  EXPECT_EQ(router.ActivateNow(), 1u);
+  EXPECT_EQ(service->state()->epoch, 1u);
+  EXPECT_EQ(adopted_epochs, std::vector<uint64_t>{1});
+  router.Stop();
+}
+
 // --- Fleet server over a real socket -----------------------------------------
+
+TEST_F(FleetTest, LiveHooksOverTwoShardsAreRefused) {
+  const std::string path = WriteManifest(
+      "manifest_hooks.csv",
+      {"1,a,a.network.csv,a.model.artifact,a.oracle.artifact,oracle",
+       "2,b,b.network.csv,b.model.artifact,b.oracle.artifact,oracle"});
+  serve::FleetRouter router(serve::ReadFleetManifest(path), QuietOptions());
+  serve::DriftMonitor drift(serve::DriftMonitorOptions{});
+  ServerOptions options;
+  options.live.drift = &drift;
+  EXPECT_THROW(DeepOdServer(router, options), std::invalid_argument);
+  options.live.drift = nullptr;
+  EXPECT_NO_THROW(DeepOdServer(router, options));
+  router.Stop();
+}
 
 TEST_F(FleetTest, ServerServesThreeCitiesFromOneProcess) {
   // a and b serve their models; c has no model artifact on disk and serves
@@ -413,8 +502,7 @@ TEST_F(FleetTest, ServerServesThreeCitiesFromOneProcess) {
   serve::FleetRouter router(serve::ReadFleetManifest(path), QuietOptions());
   EXPECT_EQ(router.WarmCount(), 2u);
 
-  ServerOptions server_options;  // num_segments stays 0: per-shard validation
-  DeepOdServer server(router, server_options);
+  DeepOdServer server(router, ServerOptions{});
   server.Start();
   Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));

@@ -7,7 +7,7 @@
 //    new speed field, and SwapState answers new requests from the new model
 //    bit-identically to a fresh process while in-flight work finishes on
 //    the old epoch;
-//  - ModelReloader hot-swaps a rewritten artifact, rolls back (keeps
+//  - a fleet of one hot-swaps a rewritten artifact, rolls back (keeps
 //    serving) on a corrupt one, and recovers on the next good write;
 //  - swap under sustained load: concurrent Estimate/EstimateBatch traffic
 //    across repeated swaps, zero failures, every batch answered wholly by
@@ -17,9 +17,9 @@
 //    edge-fires once, and ingesting fresh observations through the rolling
 //    field brings the MAE back down;
 //  - the ObserveTrip frame codec round-trips and the server ingests observe
-//    frames into the hooked rolling field + drift monitor, while request
-//    and observe frames with an unservable OD (or actual) are refused
-//    alike without touching the hooks;
+//    frames into the rolling field + drift monitor hooked to its fleet of
+//    one, while request and observe frames with an unservable OD (or
+//    actual) are refused alike without touching the hooks;
 //  - serve::CollectStats merges every source's registry into one
 //    name-sorted record set (the unified stats schema).
 
@@ -45,7 +45,7 @@
 #include "obs/metrics.h"
 #include "serve/drift_monitor.h"
 #include "serve/eta_service.h"
-#include "serve/model_reloader.h"
+#include "serve/fleet_router.h"
 #include "serve/server/frame.h"
 #include "serve/server/loadgen.h"
 #include "serve/server/server.h"
@@ -135,6 +135,29 @@ const std::string& ArtifactV2() {
     return p;
   }();
   return *path;
+}
+
+// A fleet of one serving `state` over the tiny dataset's network. The
+// network is not owned: the static dataset outlives every router.
+std::unique_ptr<serve::FleetRouter> FleetOfOne(
+    std::shared_ptr<serve::ServingState> state,
+    const serve::FleetRouterOptions& options = {}) {
+  return std::make_unique<serve::FleetRouter>(
+      std::move(state),
+      std::shared_ptr<const road::RoadNetwork>(
+          std::shared_ptr<const road::RoadNetwork>(), &TinyDataset().network),
+      options);
+}
+
+// A counter of the router's "fleet/" registry.
+uint64_t RouterCount(const serve::FleetRouter& router,
+                     const std::string& name) {
+  for (const obs::Record& record : router.registry().Export(name)) {
+    if (record.name == name) {
+      return static_cast<uint64_t>(record.count.value_or(0.0));
+    }
+  }
+  return 0;
 }
 
 // Copies `src` over `dst` with an atomic rename — the publish discipline
@@ -346,100 +369,113 @@ TEST(EtaServiceEpoch, SwapStateMatchesFreshProcessBitForBit) {
   EXPECT_EQ(held->model->Predict(ods[0]), fresh_v1->Estimate(ods[0]));
 }
 
-// --- ModelReloader ----------------------------------------------------------
+// --- Hot swap of a fleet of one ---------------------------------------------
 
-TEST(ModelReloader, SwapsOnChangeRollsBackOnCorruptionRecovers) {
+// Options that hot swap on ActivateNow only: the poll thread runs, but far
+// slower than any test.
+serve::FleetRouterOptions WatchOnDemand() {
+  serve::FleetRouterOptions options;
+  options.watch = true;
+  options.poll_interval = std::chrono::hours(1);
+  return options;
+}
+
+TEST(FleetOfOneHotSwap, SwapsOnChangeRollsBackOnCorruptionRecovers) {
   const auto& network = TinyDataset().network;
   const std::string watched = TempPath("live_serving_watched.artifact");
   PublishArtifact(ArtifactV1(), watched);
 
   serve::EtaServiceOptions service_options;
-  auto service =
-      serve::EtaService::FromArtifact(watched, network, service_options);
   auto fresh_v1 = serve::EtaService::FromArtifact(ArtifactV1(), network,
                                                   service_options);
   auto fresh_v2 = serve::EtaService::FromArtifact(ArtifactV2(), network,
                                                   service_options);
-  serve::ModelReloaderOptions reloader_options;
-  reloader_options.poll_interval = std::chrono::hours(1);  // ReloadNow only
-  serve::ModelReloader reloader(*service, watched, network, reloader_options);
+  serve::FleetRouterOptions options = WatchOnDemand();
+  int prepared = 0;
+  options.prepare = [&prepared](serve::ServingState&) { ++prepared; };
+  auto router = FleetOfOne(
+      serve::LoadServingState(watched, network, io::ArtifactOptions{}),
+      options);
+  serve::EtaService& service = *router->shards().front()->service();
+  const auto swaps = [&service] { return service.StatsSnapshot().swaps; };
 
-  // Construction adopted the served file as baseline: nothing to do.
-  EXPECT_FALSE(reloader.ReloadNow());
-  EXPECT_EQ(reloader.StatusSnapshot().reloads, 0u);
-  EXPECT_TRUE(reloader.StatusSnapshot().healthy);
+  // Construction marked the served file as attempted: nothing to do.
+  EXPECT_EQ(router->ActivateNow(), 0u);
+  EXPECT_EQ(swaps(), 0u);
 
   const auto ods = TestOds(4);
   PublishArtifact(ArtifactV2(), watched);
-  EXPECT_TRUE(reloader.ReloadNow());
-  EXPECT_EQ(reloader.StatusSnapshot().reloads, 1u);
-  EXPECT_EQ(service->state()->source, watched);
+  EXPECT_EQ(router->ActivateNow(), 1u);
+  EXPECT_EQ(swaps(), 1u);
+  EXPECT_EQ(service.state()->source, watched);
   for (const auto& od : ods) {
-    EXPECT_EQ(service->Estimate(od), fresh_v2->Estimate(od));
+    EXPECT_EQ(service.Estimate(od), fresh_v2->Estimate(od));
   }
 
-  // Corrupt artifact: typed load failure, service keeps serving v2.
+  // Corrupt artifact: typed load failure, the shard keeps serving v2.
   {
     std::FILE* f = std::fopen(watched.c_str(), "wb");
     ASSERT_NE(f, nullptr);
     std::fputs("not an artifact", f);
     std::fclose(f);
   }
-  EXPECT_FALSE(reloader.ReloadNow());
-  const auto status = reloader.StatusSnapshot();
-  EXPECT_EQ(status.failures, 1u);
-  EXPECT_FALSE(status.healthy);
-  EXPECT_FALSE(status.last_error.empty());
+  EXPECT_EQ(router->ActivateNow(), 0u);
+  EXPECT_EQ(RouterCount(*router, "fleet/reload_failures"), 1u);
+  EXPECT_EQ(swaps(), 1u);
   for (const auto& od : ods) {
-    EXPECT_EQ(service->Estimate(od), fresh_v2->Estimate(od));
+    EXPECT_EQ(service.Estimate(od), fresh_v2->Estimate(od));
   }
   // The corrupt bytes are remembered: no retry until the content changes.
-  EXPECT_FALSE(reloader.ReloadNow());
-  EXPECT_EQ(reloader.StatusSnapshot().failures, 1u);
+  EXPECT_EQ(router->ActivateNow(), 0u);
+  EXPECT_EQ(RouterCount(*router, "fleet/reload_failures"), 1u);
 
   // A good write recovers.
   PublishArtifact(ArtifactV1(), watched);
-  EXPECT_TRUE(reloader.ReloadNow());
-  EXPECT_TRUE(reloader.StatusSnapshot().healthy);
+  EXPECT_EQ(router->ActivateNow(), 1u);
+  EXPECT_EQ(swaps(), 2u);
   for (const auto& od : ods) {
-    EXPECT_EQ(service->Estimate(od), fresh_v1->Estimate(od));
+    EXPECT_EQ(service.Estimate(od), fresh_v1->Estimate(od));
   }
+  // prepare saw each adopted state, never the corrupt file's.
+  EXPECT_EQ(prepared, 2);
 }
 
-TEST(ModelReloader, WatcherPicksUpRenamedArtifact) {
+TEST(FleetOfOneHotSwap, WatcherPicksUpRenamedArtifact) {
   const auto& network = TinyDataset().network;
   const std::string watched = TempPath("live_serving_polled.artifact");
   PublishArtifact(ArtifactV1(), watched);
-  serve::EtaServiceOptions service_options;
-  auto service =
-      serve::EtaService::FromArtifact(watched, network, service_options);
-  serve::ModelReloaderOptions reloader_options;
-  reloader_options.poll_interval = std::chrono::milliseconds(20);
-  serve::ModelReloader reloader(*service, watched, network, reloader_options);
+  serve::FleetRouterOptions options;
+  options.watch = true;
+  options.poll_interval = std::chrono::milliseconds(20);
+  auto router = FleetOfOne(
+      serve::LoadServingState(watched, network, io::ArtifactOptions{}),
+      options);
+  serve::EtaService& service = *router->shards().front()->service();
 
   PublishArtifact(ArtifactV2(), watched);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (reloader.StatusSnapshot().reloads == 0 &&
+  while (service.StatsSnapshot().swaps == 0 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_EQ(reloader.StatusSnapshot().reloads, 1u);
-  EXPECT_EQ(service->state()->epoch, 1u);
+  EXPECT_EQ(service.StatsSnapshot().swaps, 1u);
+  EXPECT_EQ(service.state()->epoch, 1u);
+  EXPECT_GT(RouterCount(*router, "fleet/polls"), 0u);
 }
 
 // --- Swap under sustained load ----------------------------------------------
 
-TEST(ModelReloader, SwapUnderLoadDropsNothingAndStaysBitIdentical) {
+TEST(FleetOfOneHotSwap, SwapUnderLoadDropsNothingAndStaysBitIdentical) {
   const auto& network = TinyDataset().network;
   const std::string watched = TempPath("live_serving_underload.artifact");
   PublishArtifact(ArtifactV1(), watched);
   serve::EtaServiceOptions service_options;
-  auto service =
-      serve::EtaService::FromArtifact(watched, network, service_options);
-  serve::ModelReloaderOptions reloader_options;
-  reloader_options.poll_interval = std::chrono::hours(1);
-  serve::ModelReloader reloader(*service, watched, network, reloader_options);
+  auto router = FleetOfOne(
+      serve::LoadServingState(watched, network, io::ArtifactOptions{}),
+      WatchOnDemand());
+  const std::shared_ptr<serve::EtaService> service =
+      router->shards().front()->service();
 
   const auto ods = TestOds(16);
   // Every answer a concurrent client ever sees must be bit-identical to
@@ -509,7 +545,7 @@ TEST(ModelReloader, SwapUnderLoadDropsNothingAndStaysBitIdentical) {
   const int kSwaps = 6;
   for (int swap = 0; swap < kSwaps; ++swap) {
     PublishArtifact(swap % 2 == 0 ? ArtifactV2() : ArtifactV1(), watched);
-    ASSERT_TRUE(reloader.ReloadNow()) << "swap " << swap;
+    ASSERT_EQ(router->ActivateNow(), 1u) << "swap " << swap;
   }
   stop.store(true);
   for (auto& t : traffic) t.join();
@@ -693,16 +729,16 @@ TEST(ServerObserve, IngestsIntoHooksAndAnswersWithThePrediction) {
   const auto& baseline = FrozenField();
   core::DeepOdModel model(TinyConfig(), TinyDataset());
   model.SetTraining(false);
-  serve::EtaService service(model, serve::EtaServiceOptions{});
+  auto router = FleetOfOne(serve::BorrowServingState(model));
+  serve::EtaService& service = *router->shards().front()->service();
   sim::RollingSpeedField rolling(dataset.network, 200.0,
                                  baseline.snapshot_seconds(), &baseline);
   serve::DriftMonitor drift(serve::DriftMonitorOptions{});
 
   ServerOptions options;
-  options.num_segments = dataset.network.num_segments();
   options.live.rolling_field = &rolling;
   options.live.drift = &drift;
-  DeepOdServer server(service, options);
+  DeepOdServer server(*router, options);
   server.Start();
   Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
@@ -751,16 +787,15 @@ TEST(ServerObserve, UnservableOdIsInvalidForRequestAndObserveAlike) {
   const auto& baseline = FrozenField();
   core::DeepOdModel model(TinyConfig(), TinyDataset());
   model.SetTraining(false);
-  serve::EtaService service(model, serve::EtaServiceOptions{});
+  auto router = FleetOfOne(serve::BorrowServingState(model));
   sim::RollingSpeedField rolling(dataset.network, 200.0,
                                  baseline.snapshot_seconds(), &baseline);
   serve::DriftMonitor drift(serve::DriftMonitorOptions{});
 
   ServerOptions options;
-  options.num_segments = dataset.network.num_segments();
   options.live.rolling_field = &rolling;
   options.live.drift = &drift;
-  DeepOdServer server(service, options);
+  DeepOdServer server(*router, options);
   server.Start();
   Client client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));

@@ -7,15 +7,18 @@
 //    slots (claimed only when free, backlog wakes a waiter, PopBatch never
 //    waits) and the draining handshake all behave exactly as specified;
 //  - EtaService::EstimateBatch matches Estimate;
-//  - a live DeepOdServer answers valid requests with the service's exact
-//    numbers, answers every protocol error with a typed frame while
-//    keeping the connection usable, sheds over the wire with retry-after
-//    hints, serves its obs registry through a stats frame, and answers
-//    every in-flight request across a graceful shutdown; departure times
-//    the serving clock cannot slot are invalid requests, not a crash;
+//  - a live DeepOdServer over a fleet of one answers valid requests with
+//    the service's exact numbers under every wire network_id, answers
+//    every protocol error with a typed frame while keeping the connection
+//    usable, sheds over the wire with retry-after hints, serves its obs
+//    registry (under the single-city stats names) through a stats frame,
+//    and answers every in-flight request across a graceful shutdown;
+//    departure times the serving clock cannot slot are invalid requests,
+//    not a crash;
 //  - a pipelined burst is one batch, concurrent pipelining clients each
 //    get exactly their own answers, a client that stops reading is
-//    disconnected without stalling the others, and at quiescence
+//    disconnected without stalling the others, a client that half-closes
+//    after pipelining still gets every answer, and at quiescence
 //    admitted == completed + deadline_missed.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
@@ -33,6 +36,7 @@
 
 #include "core/deepod_model.h"
 #include "serve/eta_service.h"
+#include "serve/fleet_router.h"
 #include "serve/server/admission.h"
 #include "serve/server/frame.h"
 #include "serve/server/loadgen.h"
@@ -49,7 +53,7 @@ using namespace serve::net;
 RequestFrame SampleRequest() {
   RequestFrame frame;
   frame.request_id = 0x0123456789abcdefull;
-  frame.network_id = 5;  // ignored by single-city servers, routed by fleets
+  frame.network_id = 5;  // any id reaches a fleet of one
   frame.tenant_id = 42;
   frame.priority = 2;
   frame.deadline_ms = 1500;
@@ -415,13 +419,18 @@ class ServerTest : public ::testing::Test {
   // Starts a server with `mutate` applied to the default options and
   // connects a client to it.
   void StartServer(void (*mutate)(ServerOptions*) = nullptr) {
-    serve::EtaServiceOptions service_options;
-    service_ = std::make_unique<serve::EtaService>(TinyInferenceModel(),
-                                                   service_options);
+    // A fleet of one around the borrowed model. The network is not owned:
+    // the static dataset outlives every router.
+    router_ = std::make_unique<serve::FleetRouter>(
+        serve::BorrowServingState(TinyInferenceModel()),
+        std::shared_ptr<const road::RoadNetwork>(
+            std::shared_ptr<const road::RoadNetwork>(),
+            &TinyDataset().network),
+        serve::FleetRouterOptions{});
+    service_ = router_->shards().front()->service();
     ServerOptions options;
-    options.num_segments = TinyDataset().network.num_segments();
     if (mutate != nullptr) mutate(&options);
-    server_ = std::make_unique<DeepOdServer>(*service_, options);
+    server_ = std::make_unique<DeepOdServer>(*router_, options);
     server_->Start();
     ASSERT_TRUE(client_.Connect("127.0.0.1", server_->port()));
   }
@@ -464,7 +473,8 @@ class ServerTest : public ::testing::Test {
               Count("server/completed") + Count("server/deadline_missed"));
   }
 
-  std::unique_ptr<serve::EtaService> service_;
+  std::unique_ptr<serve::FleetRouter> router_;
+  std::shared_ptr<serve::EtaService> service_;  // the shard's
   std::unique_ptr<DeepOdServer> server_;
   Client client_;
 };
@@ -685,9 +695,34 @@ TEST_F(ServerTest, StatsFrameServesTheObsRegistry) {
   ExpectOkRoundTrip(12);
   const std::string json = client_.FetchStatsJson();
   EXPECT_NE(json.find("server/requests"), std::string::npos);
-  EXPECT_NE(json.find("server/admitted"), std::string::npos);
-  // The wrapped service's registry rides along.
-  EXPECT_NE(json.find("serve/"), std::string::npos);
+  // A fleet of one keeps the single-city names: the shard's service
+  // exports "serve/*" and its counters "fleet/*", with no city segment.
+  for (const char* name : {"\"server/admitted\"", "\"serve/epoch\"",
+                           "\"serve/requests\"", "\"fleet/model_answers\""}) {
+    EXPECT_NE(json.find(name), std::string::npos) << name;
+  }
+}
+
+TEST_F(ServerTest, FleetOfOneAnswersEveryWireIdWithTheSameBits) {
+  StartServer();
+  const traj::OdInput od = SampleOds(1)[0];
+  const double expected = service_->Estimate(od);
+  uint64_t id = 0;
+  for (const uint32_t network_id : {0u, 1u, 7u}) {
+    RequestFrame request;
+    request.request_id = ++id;
+    request.network_id = network_id;
+    request.od = od;
+    ASSERT_TRUE(client_.Send(request));
+    ResponseFrame response;
+    ASSERT_TRUE(client_.ReadResponse(&response));
+    EXPECT_EQ(response.request_id, id);
+    ASSERT_EQ(response.status, Status::kOk) << "network_id " << network_id;
+    EXPECT_EQ(response.estimator, Estimator::kModel);
+    EXPECT_EQ(std::memcmp(&response.eta_seconds, &expected, sizeof(double)),
+              0)
+        << "network_id " << network_id;
+  }
 }
 
 TEST_F(ServerTest, LoadgenDrivesTheServerWithoutLosses) {
@@ -740,6 +775,43 @@ TEST_F(ServerTest, PipelinedBurstIsAnsweredAsOneBatch) {
   EXPECT_EQ(fill[0].count.value_or(0.0), 1.0);
   EXPECT_EQ(fill[0].wall_seconds, static_cast<double>(kBurst));
   ExpectAdmittedReconciles();
+}
+
+// A client pipelines a burst far larger than one batch in one write and
+// half-closes its side at once. The reader sees EOF while most of the
+// burst is still queued; those answers must still reach the client.
+TEST_F(ServerTest, HalfClosedPeerGetsEveryAnswer) {
+  StartServer();
+  constexpr size_t kBurst = 500;  // ~16 batches of the default 32
+  const auto ods = SampleOds(kBurst);
+  std::vector<uint8_t> burst;
+  for (size_t i = 0; i < kBurst; ++i) {
+    RequestFrame request;
+    request.request_id = i + 1;
+    request.od = ods[i];
+    const std::vector<uint8_t> wire = EncodeRequestFrame(request);
+    burst.insert(burst.end(), wire.begin(), wire.end());
+  }
+  SendRaw(burst);
+  ASSERT_EQ(::shutdown(client_.fd(), SHUT_WR), 0);
+  timeval patience{10, 0};  // a lost answer fails the test, not hangs it
+  ASSERT_EQ(::setsockopt(client_.fd(), SOL_SOCKET, SO_RCVTIMEO, &patience,
+                         sizeof(patience)),
+            0);
+  std::vector<bool> answered(kBurst, false);
+  size_t ok = 0;
+  ResponseFrame response;
+  while (client_.ReadResponse(&response)) {
+    ASSERT_GE(response.request_id, 1u);
+    ASSERT_LE(response.request_id, kBurst);
+    EXPECT_FALSE(answered[response.request_id - 1]);
+    answered[response.request_id - 1] = true;
+    ok += response.status == Status::kOk;
+  }
+  EXPECT_EQ(ok, kBurst);
+  ExpectAdmittedReconciles();
+  EXPECT_EQ(Count("server/completed"), kBurst);
+  EXPECT_EQ(Count("server/dropped_responses"), 0u);
 }
 
 // 8 clients pipeline 200 distinct requests each in one write; every answer

@@ -33,17 +33,16 @@ import fnmatch
 import json
 import sys
 
-# speedup/hit_rate/mae are ratio/error values; shed_rate/goodput are
-# load-policy outcomes (how much an overload run was rejected) and
-# availability is a fallback-policy outcome (how much of a cold shard's
-# load the oracle tier answered) — none of them are machine-performance
-# numbers a regression gate should compare. server/policy/* as a whole is
-# the estimator comparison table (model vs oracle vs link-mean): its
-# latency loops finish in microseconds (the oracle tier answers 400
-# queries in ~150us), so wall-clock ratios there are timer noise; the
-# steady/overload records already gate serving performance.
-DEFAULT_IGNORES = ["*speedup*", "*hit_rate*", "*mae*", "*shed_rate*",
-                   "*goodput*", "*availability*", "server/policy/*"]
+# speedup/hit_rate/mae are ratio/error values and availability is a
+# fallback-policy outcome (how much of a cold shard's load the oracle tier
+# answered) — none of them are machine-performance numbers a regression
+# gate should compare. server/policy/* as a whole is the estimator
+# comparison table (model vs oracle vs link-mean): its latency loops finish
+# in microseconds (the oracle tier answers 400 queries in ~150us), so
+# wall-clock ratios there are timer noise; perfbench's serve_* workloads
+# gate serving performance.
+DEFAULT_IGNORES = ["*speedup*", "*hit_rate*", "*mae*", "*availability*",
+                   "server/policy/*"]
 
 
 def load_records(path):

@@ -1,7 +1,8 @@
 // deepod_server: the network front end. Loads a model artifact + road
-// network into an EtaService (predict-only, same loading path as
-// deepod_serve) and serves it over length-prefixed TCP with admission
-// control and continuous batching (DESIGN.md "Network serving").
+// network (predict-only, same loading path as deepod_serve) as a fleet of
+// one, or every city of a fleet manifest, and serves it over
+// length-prefixed TCP with admission control and continuous batching
+// (DESIGN.md "Network serving").
 //
 //   deepod_server --artifact model.artifact --network network.csv
 //                 [--host H] [--port P] [--max-batch N] [--executors N]
@@ -22,15 +23,19 @@
 // A client that stops reading its responses is disconnected after a
 // fixed send timeout instead of stalling other clients.
 //
-// Fleet mode (--fleet, mutually exclusive with --artifact/--network) serves
-// every city in the manifest from one process: requests route by their wire
-// network_id, each warm shard runs its own EtaService, one artifact watcher
-// activates cold shards and (with --watch) hot swaps warm ones, and a shard
-// whose artifact is missing or corrupt serves from its OD-oracle fallback
-// tier until a loadable artifact appears ("fleet: activated CITY" is
-// printed on each cold->warm transition). --poll-ms sets the watcher's
-// cadence in both modes. --live-speed and --drift-trigger are single-city
-// plumbing and are rejected with --fleet.
+// Either way the server serves a FleetRouter. --artifact/--network make a
+// fleet of one: it answers every wire network_id and its hot swap refuses
+// an artifact stamped for another city than the startup artifact. --fleet
+// (mutually exclusive with --artifact/--network) serves every city in the
+// manifest from one process: requests route by their exact wire
+// network_id, each warm shard runs its own EtaService, and a shard whose
+// artifact is missing or corrupt serves from its OD-oracle fallback tier
+// until a loadable artifact appears ("fleet: activated CITY" is printed on
+// each cold->warm transition). One artifact watcher activates cold shards
+// and, with --watch, hot swaps warm ones ("reloaded PATH" is printed once
+// the new epoch serves); --poll-ms sets its cadence. --live-speed and
+// --drift-trigger bind to the only shard of a fleet of one and are
+// rejected with --fleet.
 //
 // Prints "listening on HOST:PORT" once the socket is bound (port 0 binds
 // an ephemeral port; scripts parse the line to discover it). SIGTERM and
@@ -42,7 +47,7 @@
 //
 // Live serving (DESIGN.md "Live serving"):
 //   --watch        polls the artifact path and hot-swaps a rewritten
-//                  artifact into the running service with zero downtime
+//                  artifact into the running shard with zero downtime
 //                  (publish new artifacts with an atomic rename into place;
 //                  a corrupt artifact is rejected and the old model keeps
 //                  serving).
@@ -72,8 +77,8 @@
 #include "serve/drift_monitor.h"
 #include "serve/eta_service.h"
 #include "serve/fleet_router.h"
-#include "serve/model_reloader.h"
 #include "serve/server/server.h"
+#include "serve/serving_state.h"
 #include "sim/rolling_speed_field.h"
 
 namespace {
@@ -185,26 +190,53 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // Block SIGTERM/SIGINT before the router and the server spawn their threads so every
+  // thread inherits the blocked mask and delivery can only happen inside
+  // the main thread's sigsuspend window below (no lost-wakeup race).
+  sigset_t stop_set, old_mask;
+  sigemptyset(&stop_set);
+  sigaddset(&stop_set, SIGTERM);
+  sigaddset(&stop_set, SIGINT);
+  sigprocmask(SIG_BLOCK, &stop_set, &old_mask);
+  struct sigaction sa{};
+  sa.sa_handler = HandleStop;
+  sigaction(SIGTERM, &sa, nullptr);
+  sigaction(SIGINT, &sa, nullptr);
+
+  serve::FleetRouterOptions fleet_options;
+  fleet_options.service = service_options;
+  fleet_options.watch = watch;
+  fleet_options.poll_interval = std::chrono::milliseconds(poll_ms);
+  fleet_options.on_adopt = [](const serve::FleetShard& shard, bool hot_swap) {
+    // Runs once the new artifact serves — the operator-visible (and
+    // CI-greppable) record that it went live.
+    if (hot_swap) {
+      std::printf("reloaded %s\n", shard.artifact_path().c_str());
+    } else {
+      std::printf("fleet: activated %s (network_id %u)\n",
+                  shard.name().c_str(),
+                  static_cast<unsigned>(shard.network_id()));
+    }
+    std::fflush(stdout);
+  };
+
   std::unique_ptr<serve::FleetRouter> fleet;
-  road::RoadNetwork network;  // single mode only
-  std::unique_ptr<serve::EtaService> service;
-  std::shared_ptr<const serve::ServingState> initial_state;
+  // A single city's startup state, pinned for the process lifetime: the
+  // rolling field's baseline points into this bundle's frozen speed field,
+  // so the bundle must survive hot swaps that would otherwise free it.
+  std::shared_ptr<serve::ServingState> state;
+  std::unique_ptr<sim::RollingSpeedField> rolling;
+  serve::DriftMonitorOptions drift_options;
+  drift_options.window = drift_window;
+  drift_options.trigger_mae = drift_trigger;
+  serve::DriftMonitor drift(drift_options, [](double mae) {
+    std::printf("drift: retrain trigger fired (rolling MAE %.3f s)\n", mae);
+    std::fflush(stdout);
+  });
   if (fleet_mode) {
     try {
-      std::vector<serve::FleetEntry> entries =
-          serve::ReadFleetManifest(fleet_path);
-      serve::FleetRouterOptions fleet_options;
-      fleet_options.service = service_options;
-      fleet_options.watch = watch;
-      fleet_options.poll_interval = std::chrono::milliseconds(poll_ms);
-      fleet_options.on_activate = [](const serve::FleetShard& shard) {
-        std::printf("fleet: activated %s (network_id %u)\n",
-                    shard.name().c_str(),
-                    static_cast<unsigned>(shard.network_id()));
-        std::fflush(stdout);
-      };
-      fleet = std::make_unique<serve::FleetRouter>(std::move(entries),
-                                                   fleet_options);
+      fleet = std::make_unique<serve::FleetRouter>(
+          serve::ReadFleetManifest(fleet_path), fleet_options);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "fleet load failed: %s\n", e.what());
       return 1;
@@ -218,105 +250,55 @@ int main(int argc, char** argv) {
                   shard->warm() ? "warm" : "cold",
                   serve::FallbackPolicyName(shard->policy()));
     }
-    // Per-shard segment validation; the global bound stays off.
-    server_options.num_segments = 0;
   } else {
-    network = io::ReadNetworkCsv(network_path);
+    auto network = std::make_shared<const road::RoadNetwork>(
+        io::ReadNetworkCsv(network_path));
     try {
-      service = serve::EtaService::FromArtifact(artifact_path, network,
-                                                service_options);
+      io::ArtifactOptions artifact_options;
+      artifact_options.quant = service_options.quant;
+      state = serve::LoadServingState(artifact_path, *network,
+                                      artifact_options);
     } catch (const nn::SerializeError& e) {
       std::fprintf(stderr, "artifact load failed [%s]: %s\n",
                    nn::LoadErrorKindName(e.status().kind), e.what());
       return 1;
     }
-    server_options.num_segments = network.num_segments();
-
-    // The construction epoch, pinned for the process lifetime: the rolling
-    // field's baseline points into this bundle's frozen speed field, so the
-    // bundle must survive hot swaps that would otherwise free it.
-    initial_state = service->state();
+    if (live_speed) {
+      const sim::SpeedProvider* baseline = state->bundle->speed.get();
+      const double snapshot_seconds =
+          baseline != nullptr ? baseline->snapshot_seconds()
+                              : state->bundle->config.slot_seconds;
+      sim::RollingSpeedField::Options rolling_options;
+      rolling_options.window_seconds = speed_window_s;
+      rolling = std::make_unique<sim::RollingSpeedField>(
+          *network, speed_grid_m, snapshot_seconds, baseline,
+          rolling_options);
+      // Point the serving model at the live field before it serves (its
+      // empty table falls back to the artifact's frozen matrices, so
+      // behaviour is unchanged until the first publish), and every
+      // swapped-in model too, so it serves live speeds from its first
+      // request.
+      state->model->SetSpeedProvider(rolling.get());
+      fleet_options.prepare = [field = rolling.get()](serve::ServingState& s) {
+        s.model->SetSpeedProvider(field);
+      };
+      std::printf("live speed field: %zux%zu grid, %.0fs snapshots, %.0fs "
+                  "window\n",
+                  rolling->rows(), rolling->cols(), snapshot_seconds,
+                  speed_window_s);
+    }
+    fleet = std::make_unique<serve::FleetRouter>(state, std::move(network),
+                                                 fleet_options);
+    if (watch) {
+      std::printf("watching %s (poll %zums)\n", artifact_path.c_str(),
+                  poll_ms);
+    }
+    server_options.live.rolling_field = rolling.get();
+    server_options.live.drift = &drift;
   }
 
-  std::unique_ptr<sim::RollingSpeedField> rolling;
-  if (live_speed) {
-    const sim::SpeedProvider* baseline =
-        initial_state->bundle != nullptr ? initial_state->bundle->speed.get()
-                                         : nullptr;
-    const double snapshot_seconds =
-        baseline != nullptr ? baseline->snapshot_seconds()
-                            : initial_state->bundle->config.slot_seconds;
-    sim::RollingSpeedField::Options rolling_options;
-    rolling_options.window_seconds = speed_window_s;
-    rolling = std::make_unique<sim::RollingSpeedField>(
-        network, speed_grid_m, snapshot_seconds, baseline, rolling_options);
-    // Point the serving model at the live field (its empty table falls back
-    // to the artifact's frozen matrices, so behaviour is unchanged until
-    // the first publish) and drop the external codes stored under the
-    // frozen provider.
-    initial_state->model->SetSpeedProvider(rolling.get());
-    service->BumpEpoch();
-    std::printf("live speed field: %zux%zu grid, %.0fs snapshots, %.0fs "
-                "window\n",
-                rolling->rows(), rolling->cols(), snapshot_seconds,
-                speed_window_s);
-  }
-
-  serve::DriftMonitorOptions drift_options;
-  drift_options.window = drift_window;
-  drift_options.trigger_mae = drift_trigger;
-  serve::DriftMonitor drift(drift_options, [](double mae) {
-    std::printf("drift: retrain trigger fired (rolling MAE %.3f s)\n", mae);
-    std::fflush(stdout);
-  });
-
-  std::unique_ptr<serve::ModelReloader> reloader;
-  if (watch && !fleet_mode) {
-    serve::ModelReloaderOptions reloader_options;
-    reloader_options.poll_interval = std::chrono::milliseconds(poll_ms);
-    sim::RollingSpeedField* rolling_ptr = rolling.get();
-    const std::string log_path = artifact_path;
-    reloader = std::make_unique<serve::ModelReloader>(
-        *service, artifact_path, network, reloader_options,
-        [rolling_ptr, log_path](serve::ServingState& state) {
-          // Swapped-in models serve live speeds from their first request.
-          if (rolling_ptr != nullptr) {
-            state.model->SetSpeedProvider(rolling_ptr);
-          }
-          // Runs on the watcher thread after a successful load+validate,
-          // immediately before the epoch flip — the operator-visible (and
-          // CI-greppable) record that a new artifact went live.
-          std::printf("reloaded %s\n", log_path.c_str());
-          std::fflush(stdout);
-        });
-    std::printf("watching %s (poll %zums)\n", artifact_path.c_str(), poll_ms);
-  }
-
-  server_options.live.rolling_field = rolling.get();
-  server_options.live.drift = &drift;
-  server_options.live.reloader = reloader.get();
-
-  // Block SIGTERM/SIGINT before the server spawns its threads so every
-  // thread inherits the blocked mask and delivery can only happen inside
-  // the main thread's sigsuspend window below (no lost-wakeup race).
-  sigset_t stop_set, old_mask;
-  sigemptyset(&stop_set);
-  sigaddset(&stop_set, SIGTERM);
-  sigaddset(&stop_set, SIGINT);
-  sigprocmask(SIG_BLOCK, &stop_set, &old_mask);
-  struct sigaction sa{};
-  sa.sa_handler = HandleStop;
-  sigaction(SIGTERM, &sa, nullptr);
-  sigaction(SIGINT, &sa, nullptr);
-
-  std::unique_ptr<serve::net::DeepOdServer> server;
-  if (fleet_mode) {
-    server = std::make_unique<serve::net::DeepOdServer>(*fleet,
-                                                        server_options);
-  } else {
-    server = std::make_unique<serve::net::DeepOdServer>(*service,
-                                                        server_options);
-  }
+  auto server =
+      std::make_unique<serve::net::DeepOdServer>(*fleet, server_options);
   try {
     server->Start();
   } catch (const std::exception& e) {
@@ -335,6 +317,7 @@ int main(int argc, char** argv) {
   std::condition_variable publish_cv;
   bool publish_stop = false;
   if (rolling != nullptr) {
+    serve::EtaService& service = *fleet->shards().front()->service();
     publisher = std::thread([&] {
       for (;;) {
         {
@@ -343,7 +326,7 @@ int main(int argc, char** argv) {
                               [&] { return publish_stop; });
           if (publish_stop) return;
         }
-        if (rolling->Publish() > 0) service->BumpEpoch();
+        if (rolling->Publish() > 0) service.BumpEpoch();
       }
     });
   }
@@ -363,8 +346,7 @@ int main(int argc, char** argv) {
     publish_cv.notify_all();
     publisher.join();
   }
-  if (reloader != nullptr) reloader->Stop();
-  if (fleet != nullptr) fleet->Stop();
+  fleet->Stop();
   server->Shutdown();
   if (!stats_json_path.empty()) {
     std::FILE* f = std::fopen(stats_json_path.c_str(), "w");
