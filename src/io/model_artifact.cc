@@ -101,14 +101,16 @@ std::string Num(double value) {
   return buf;
 }
 
-// The indexed record table of one artifact buffer, with validating reads of
-// its scalars. Every failed read throws a typed nn::SerializeError naming
-// the record.
+// The records of one artifact file, read, framed and checksummed in one
+// pass (nn::ReadStateDict), with validating reads of its scalars. Every
+// failed read throws a typed nn::SerializeError naming the record.
 class ArtifactRecords {
  public:
-  ArtifactRecords(const std::vector<uint8_t>& buffer,
-                  const std::vector<nn::TensorRecord>& records)
-      : buffer_(buffer), records_(records) {}
+  explicit ArtifactRecords(const std::string& path) {
+    nn::ThrowIfError(nn::ReadStateDict(path, &records_));
+  }
+
+  const std::vector<nn::TensorRecord>& records() const { return records_; }
 
   const nn::TensorRecord* Find(const std::string& name) const {
     for (const auto& r : records_) {
@@ -122,12 +124,16 @@ class ArtifactRecords {
     if (r == nullptr) ThrowMissing(name);
     return *r;
   }
+  // For a record whose payload storage the caller adopts.
+  nn::TensorRecord& Require(const std::string& name) {
+    return const_cast<nn::TensorRecord&>(std::as_const(*this).Require(name));
+  }
 
   // The value of a one-element record, unchecked.
   double Raw(const std::string& name) const {
     const nn::TensorRecord& r = Require(name);
     if (r.num_elements != 1) ThrowMissing(name);
-    return nn::ReadRecordPayload(buffer_, r)[0];
+    return nn::ReadRecordPayload(r)[0];
   }
 
   // A finite value in [lo, hi].
@@ -155,8 +161,7 @@ class ArtifactRecords {
   }
 
  private:
-  const std::vector<uint8_t>& buffer_;
-  const std::vector<nn::TensorRecord>& records_;
+  std::vector<nn::TensorRecord> records_;
 };
 
 // Checks artifact.version against [min_version, kArtifactVersion] and
@@ -281,15 +286,20 @@ struct SpeedEntries {
 // Validates the speed.* geometry: integral rows and cols whose product
 // (overflow-checked) is the row length of a non-empty [n, cells]
 // speed.matrices record, a [n] speed.indices record and a bounded snapshot
-// period. Sizes `entries` from the record shapes, never from the scalars;
-// `arena` receives the n * cells matrix storage.
-void ReadSpeedGeometry(const ArtifactRecords& in, SpeedEntries& entries,
-                       std::vector<double>& arena) {
+// period. Sizes `entries` from the record shapes, never from the scalars,
+// and returns the storage of the n * cells matrix arena: the f64
+// speed.matrices record's own payload, which the strict pass checks in
+// place and does not copy, or — for a quantised record, which only a
+// hand-made v3 file holds — `decoded`, sized for the strict pass to
+// dequantise into.
+std::vector<double>& ReadSpeedGeometry(ArtifactRecords& in,
+                                       SpeedEntries& entries,
+                                       std::vector<double>& decoded) {
   entries.rows = in.Integer("speed.rows", 1.0, 0x1p53);
   entries.cols = in.Integer("speed.cols", 1.0, 0x1p53);
   entries.snapshot_seconds = in.Real(
       "speed.snapshot_seconds", kMinSnapshotSeconds, kMaxSnapshotSeconds);
-  const nn::TensorRecord& matrices = in.Require("speed.matrices");
+  nn::TensorRecord& matrices = in.Require("speed.matrices");
   const nn::TensorRecord& indices = in.Require("speed.indices");
   size_t cells = 0;
   if (__builtin_mul_overflow(static_cast<size_t>(entries.rows),
@@ -306,8 +316,12 @@ void ReadSpeedGeometry(const ArtifactRecords& in, SpeedEntries& entries,
   }
   entries.cells = cells;
   entries.indices.resize(n);
+  std::vector<double>& arena = matrices.dtype == nn::kDtypeF64
+                                   ? matrices.payload
+                                   : decoded;
   arena.resize(matrices.num_elements);
   entries.matrices = arena.data();
+  return arena;
 }
 
 // The decoded snapshot indices as int64: each integral, strictly ascending,
@@ -439,14 +453,11 @@ ServingModel LoadModelArtifact(const std::string& path,
 ServingModel LoadModelArtifact(const std::string& path,
                                const road::RoadNetwork& network,
                                const ArtifactOptions& options) {
-  // One read, one checksum pass (the index), one decode (the strict pass
-  // below, straight into the model, the fallback estimators and the speed
-  // arena).
-  std::vector<uint8_t> buffer;
-  nn::ThrowIfError(nn::ReadFileBytes(path, &buffer));
-  std::vector<nn::TensorRecord> records;
-  nn::ThrowIfError(nn::IndexStateDict(buffer, &records));
-  const ArtifactRecords in(buffer, records);
+  // One sequential pass frames and checksums the file and lands every
+  // payload in its record; the strict pass below copies the model and
+  // estimator tensors out, and the speed arena is the speed.matrices
+  // record's storage, moved into the field without a copy.
+  ArtifactRecords in(path);
 
   // Every scalar that sizes an allocation or reaches a constructor is
   // validated here, before the model, the arena or an estimator exists.
@@ -455,19 +466,19 @@ ServingModel LoadModelArtifact(const std::string& path,
   out.config = ReadConfig(in, network);
   const bool has_speed = in.Find("speed.rows") != nullptr;
   SpeedEntries speed_entries;
-  std::vector<double> arena;
-  if (has_speed) ReadSpeedGeometry(in, speed_entries, arena);
+  std::vector<double> decoded;
+  std::vector<double>* arena =
+      has_speed ? &ReadSpeedGeometry(in, speed_entries, decoded) : nullptr;
   out.model =
       std::make_unique<core::DeepOdModel>(out.config, network, nullptr);
   PrepareFallbacks(in, out.oracle, out.link_mean);
 
-  // Strict validated pass over the whole file (checksum already verified by
-  // the index above): every artifact entry must match an expected entry by
+  // Strict validated pass over every record (checksum already verified by
+  // the read above): every artifact entry must match an expected entry by
   // name and shape, then every value must be finite. This is what actually
-  // writes the model parameters, the estimators and the speed arena — and
-  // catches unexpected tensors and table-size mismatches (e.g. an artifact
-  // from a different road network) with a typed error before any value
-  // lands.
+  // writes the model parameters and the estimators — and catches unexpected
+  // tensors and table-size mismatches (e.g. an artifact from a different
+  // road network) with a typed error before any value lands.
   nn::StateDict dict;
   double version_staging = 0.0;
   dict.AddScalarBuffer("artifact.version", &version_staging);
@@ -483,7 +494,7 @@ ServingModel LoadModelArtifact(const std::string& path,
   if (has_speed) speed_entries.AppendTo(dict);
   if (out.oracle != nullptr) out.oracle->AppendState("oracle.", dict);
   if (out.link_mean != nullptr) out.link_mean->AppendState("linkmean.", dict);
-  nn::ThrowIfError(nn::DeserializeStateDict(buffer, records, dict));
+  nn::ThrowIfError(nn::DeserializeStateDict(in.records(), dict));
   CheckOracleKeys(out.oracle.get());
 
   // Effective quantisation: a load-time request wins; otherwise whatever
@@ -491,7 +502,7 @@ ServingModel LoadModelArtifact(const std::string& path,
   // dequantised — i.e. snapped — fp64 values for a quantised artifact, so
   // no further pass is needed in that case).
   nn::QuantMode stored = nn::QuantMode::kNone;
-  for (const auto& r : records) {
+  for (const auto& r : in.records()) {
     if (r.dtype == nn::kDtypeF16) stored = nn::QuantMode::kFp16;
     if (r.dtype == nn::kDtypeI8) stored = nn::QuantMode::kInt8;
   }
@@ -503,13 +514,13 @@ ServingModel LoadModelArtifact(const std::string& path,
     nn::ThrowIfError(nn::CheckFinite(dict));
   }
 
-  // The frozen speed field takes the decoded arena as its storage.
+  // The frozen speed field takes the arena as its storage, by move.
   if (has_speed) {
     out.speed = std::make_unique<sim::SnapshotSpeedField>(
         static_cast<size_t>(speed_entries.rows),
         static_cast<size_t>(speed_entries.cols),
         speed_entries.snapshot_seconds, SnapshotIndices(speed_entries),
-        std::move(arena));
+        std::move(*arena));
     out.model->SetSpeedProvider(out.speed.get());
   }
   out.model->ClearOcodeMemo();
@@ -531,11 +542,7 @@ void WriteOracleArtifact(const std::string& path, uint32_t network_id,
 }
 
 OracleBundle LoadOracleArtifact(const std::string& path) {
-  std::vector<uint8_t> buffer;
-  nn::ThrowIfError(nn::ReadFileBytes(path, &buffer));
-  std::vector<nn::TensorRecord> records;
-  nn::ThrowIfError(nn::IndexStateDict(buffer, &records));
-  const ArtifactRecords in(buffer, records);
+  const ArtifactRecords in(path);
 
   OracleBundle out;
   out.network_id = ReadHeader(in, 2.0);
@@ -548,7 +555,7 @@ OracleBundle LoadOracleArtifact(const std::string& path) {
   dict.AddScalarBuffer("artifact.network_id", &network_id_staging);
   if (out.oracle != nullptr) out.oracle->AppendState("oracle.", dict);
   if (out.link_mean != nullptr) out.link_mean->AppendState("linkmean.", dict);
-  nn::ThrowIfError(nn::DeserializeStateDict(buffer, records, dict));
+  nn::ThrowIfError(nn::DeserializeStateDict(in.records(), dict));
   CheckOracleKeys(out.oracle.get());
   return out;
 }

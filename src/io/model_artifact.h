@@ -94,17 +94,18 @@ void WriteModelArtifact(const std::string& path, core::DeepOdModel& model,
 
 // Reads an artifact and stands up a predict-only model against `network`
 // (which must be the network the model was trained on — the embedding table
-// size is validated against it). One read, one checksum pass, one decode:
-// the record table is indexed (framing + whole-file checksum) once, and the
-// strict pass decodes every record straight into its final storage — the
-// model, the fallback estimators and the speed field's contiguous matrix
-// arena. Throws nn::SerializeError with a typed status on a
-// truncated/corrupt file, an unsupported artifact version, a config or
-// speed scalar outside its stated bound (kBadValue, or kNonFinite for a
-// NaN/infinity — checked before the scalar sizes anything), a config/shape
-// mismatch or a NaN/infinite value in any tensor (kNonFinite, checked
-// again after load-time quantisation); no other exception type escapes a
-// corrupt file, and a failed load never returns a half-written model.
+// size is validated against it). One sequential pass over the file
+// (nn::ReadStateDict) frames and checksums it and lands every payload in
+// its record, with no whole-file buffer; the strict pass then copies the
+// model and estimator tensors out, and the speed.matrices record's storage
+// becomes the speed field's contiguous matrix arena by move. Throws
+// nn::SerializeError with a typed status on a truncated/corrupt file, an
+// unsupported artifact version, a config or speed scalar outside its
+// stated bound (kBadValue, or kNonFinite for a NaN/infinity — checked
+// before the scalar sizes anything), a config/shape mismatch or a
+// NaN/infinite value in any tensor (kNonFinite, checked again after
+// load-time quantisation); no other exception type escapes a corrupt file,
+// and a failed load never returns a half-written model.
 // Quantised (v3) artifacts dequantise into fp64 storage on load, so every
 // kernel tier serves them unchanged; options.quant additionally
 // fake-quantises fp64 weights at load time.
@@ -117,7 +118,7 @@ ServingModel LoadModelArtifact(const std::string& path,
 // Writes / reads a standalone oracle artifact (version + network_id +
 // oracle.* + linkmean.* records, no model). Either estimator may be null on
 // write; absent records load as null. Throws nn::SerializeError like the
-// model-artifact functions; the load, too, checksums the file once.
+// model-artifact functions; the load, too, reads the file in one pass.
 void WriteOracleArtifact(const std::string& path, uint32_t network_id,
                          baselines::OdOracle* oracle,
                          baselines::LinkMeanEstimator* link_mean);

@@ -1,8 +1,15 @@
 #include "nn/serialize.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 
 namespace deepod::nn {
@@ -46,20 +53,13 @@ void AppendPod(std::vector<uint8_t>& buf, const T& value) {
   buf.insert(buf.end(), bytes, bytes + sizeof(T));
 }
 
-// Bounds-checked POD read; returns false instead of reading past the end.
-template <typename T>
-bool TryReadPod(const std::vector<uint8_t>& buf, size_t& offset, T* value) {
-  if (offset + sizeof(T) > buf.size()) return false;
-  std::memcpy(value, buf.data() + offset, sizeof(T));
-  offset += sizeof(T);
-  return true;
-}
+constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+constexpr uint64_t kFnvPrime = 0x100000001b3ull;
 
-uint64_t Fnv1a64(const uint8_t* data, size_t size) {
-  uint64_t h = 0xcbf29ce484222325ull;
+uint64_t Fnv1a64(uint64_t h, const uint8_t* data, size_t size) {
   for (size_t i = 0; i < size; ++i) {
     h ^= data[i];
-    h *= 0x100000001b3ull;
+    h *= kFnvPrime;
   }
   return h;
 }
@@ -196,7 +196,7 @@ std::vector<uint8_t> SerializeStateDict(const StateDict& state,
       }
     }
   }
-  AppendPod(buf, Fnv1a64(buf.data(), buf.size()));
+  AppendPod(buf, Fnv1a64(kFnvOffset, buf.data(), buf.size()));
   return buf;
 }
 
@@ -211,19 +211,110 @@ size_t RecordPayloadBytes(const TensorRecord& record) {
   }
 }
 
-LoadStatus IndexStateDict(const std::vector<uint8_t>& buffer,
-                          std::vector<TensorRecord>* out,
-                          bool verify_checksum) {
+namespace {
+
+// A state-dict stream consumed front to back through a window: an
+// in-memory buffer is one window holding the whole stream; a file is read
+// with read(2) into an owned kReadWindowBytes window, except that a read of
+// at least a window's worth takes what the window still holds and lands
+// the rest straight in its destination. Each Read puts the bytes in the
+// caller's destination and only then folds them into the running FNV-1a
+// hash, so the checksum covers exactly the bytes handed out: a file
+// rewritten under a load fails the checksum (or the framing) instead of
+// passing a torn mix of old and new bytes to the decode. Reads never go
+// past size(), the stream size taken when the source was opened.
+class ByteSource {
+ public:
+  explicit ByteSource(const std::vector<uint8_t>& buffer)
+      : size_(buffer.size()),
+        window_(buffer.data()),
+        window_end_(buffer.size()) {}
+  ByteSource(int fd, size_t size)
+      : size_(size),
+        fd_(fd),
+        owned_(new uint8_t[kReadWindowBytes]),
+        window_(owned_.get()) {}
+
+  size_t size() const { return size_; }
+  size_t offset() const { return offset_; }
+  uint64_t hash() const { return hash_; }
+  bool io_error() const { return io_error_; }
+
+  bool Read(void* dst, size_t n) {
+    if (n > size_ - offset_) return false;
+    auto* d = static_cast<uint8_t*>(dst);
+    const bool direct = n >= kReadWindowBytes;
+    while (n > 0) {
+      size_t got;
+      if (window_pos_ < window_end_) {
+        got = std::min(n, window_end_ - window_pos_);
+        std::memcpy(d, window_ + window_pos_, got);
+        window_pos_ += got;
+      } else if (direct) {
+        got = ReadSome(d, n);
+        if (got == 0) return false;  // the file shrank under the read
+      } else {
+        window_pos_ = 0;
+        window_end_ = ReadSome(owned_.get(), kReadWindowBytes);
+        if (window_end_ == 0) return false;
+        continue;
+      }
+      hash_ = Fnv1a64(hash_, d, got);
+      offset_ += got;
+      d += got;
+      n -= got;
+    }
+    return true;
+  }
+
+  // True when nothing follows the bytes read so far — not even bytes a
+  // file gained after it was sized.
+  bool AtEnd() {
+    uint8_t probe;
+    return window_pos_ == window_end_ && ReadSome(&probe, 1) == 0;
+  }
+
+ private:
+  // One read(2), retried on EINTR; 0 at end of file, on an error and for
+  // an in-memory buffer.
+  size_t ReadSome(uint8_t* dst, size_t n) {
+    if (fd_ < 0) return 0;
+    ssize_t got;
+    do {
+      got = ::read(fd_, dst, n);
+    } while (got < 0 && errno == EINTR);
+    if (got < 0) io_error_ = true;
+    return got < 0 ? 0 : static_cast<size_t>(got);
+  }
+
+  size_t size_;
+  size_t offset_ = 0;
+  uint64_t hash_ = kFnvOffset;
+  int fd_ = -1;
+  std::unique_ptr<uint8_t[]> owned_;
+  const uint8_t* window_;
+  size_t window_pos_ = 0;
+  size_t window_end_ = 0;
+  bool io_error_ = false;
+};
+
+template <typename T>
+bool ReadPod(ByteSource& in, T* value) {
+  return in.Read(value, sizeof(T));
+}
+
+// The framing parser (see IndexStateDict).
+LoadStatus ParseStateDict(ByteSource& in, std::vector<TensorRecord>* out,
+                          uint32_t* version_out) {
   out->clear();
-  size_t offset = 0;
   uint32_t magic = 0;
-  if (!TryReadPod(buffer, offset, &magic)) return Truncated("header");
+  if (!ReadPod(in, &magic)) return Truncated("header");
   if (magic != kMagic) {
     return LoadStatus::Error(LoadErrorKind::kBadMagic,
                              "not a deepod state dict");
   }
   uint32_t version = 0;
-  if (!TryReadPod(buffer, offset, &version)) return Truncated("header");
+  if (!ReadPod(in, &version)) return Truncated("header");
   if (version != kVersion && version != kVersionQuant) {
     return LoadStatus::Error(
         LoadErrorKind::kBadVersion,
@@ -231,21 +322,21 @@ LoadStatus IndexStateDict(const std::vector<uint8_t>& buffer,
             " (reader supports " + std::to_string(kVersion) + " and " +
             std::to_string(kVersionQuant) + ")");
   }
+  if (version_out != nullptr) *version_out = version;
   uint64_t count = 0;
-  if (!TryReadPod(buffer, offset, &count)) return Truncated("header");
-  if (buffer.size() < offset + sizeof(uint64_t)) return Truncated("checksum");
-  const size_t checksum_offset = buffer.size() - sizeof(uint64_t);
+  if (!ReadPod(in, &count)) return Truncated("header");
+  if (in.size() < in.offset() + sizeof(uint64_t)) return Truncated("checksum");
+  const size_t checksum_offset = in.size() - sizeof(uint64_t);
   for (uint64_t i = 0; i < count; ++i) {
     TensorRecord rec;
     uint32_t name_len = 0;
-    if (!TryReadPod(buffer, offset, &name_len)) return Truncated("record name");
-    if (offset + name_len > checksum_offset) return Truncated("record name");
-    rec.name.assign(reinterpret_cast<const char*>(buffer.data() + offset),
-                    name_len);
-    offset += name_len;
-    if (!TryReadPod(buffer, offset, &rec.dtype)) {
-      return Truncated("record " + rec.name);
+    if (!ReadPod(in, &name_len) || in.offset() > checksum_offset ||
+        name_len > checksum_offset - in.offset()) {
+      return Truncated("record name");
     }
+    rec.name.resize(name_len);
+    if (!in.Read(rec.name.data(), name_len)) return Truncated("record name");
+    if (!ReadPod(in, &rec.dtype)) return Truncated("record " + rec.name);
     // Quantised dtypes are only legal past the version bump that introduced
     // them — a v2 file carrying one was written by a broken producer.
     const bool dtype_ok =
@@ -261,46 +352,80 @@ LoadStatus IndexStateDict(const std::vector<uint8_t>& buffer,
           rec.name);
     }
     uint32_t ndim = 0;
-    if (!TryReadPod(buffer, offset, &ndim)) {
-      return Truncated("record " + rec.name);
-    }
+    if (!ReadPod(in, &ndim)) return Truncated("record " + rec.name);
     rec.num_elements = 1;
-    rec.shape.reserve(ndim);
+    rec.shape.reserve(std::min<size_t>(
+        ndim, (in.size() - in.offset()) / sizeof(uint64_t)));
     for (uint32_t d = 0; d < ndim; ++d) {
       uint64_t dim = 0;
-      if (!TryReadPod(buffer, offset, &dim)) {
-        return Truncated("record " + rec.name);
-      }
+      if (!ReadPod(in, &dim)) return Truncated("record " + rec.name);
       rec.shape.push_back(static_cast<size_t>(dim));
-      // An element count past size_t cannot fit in any buffer.
+      // An element count past size_t cannot fit in any stream.
       if (__builtin_mul_overflow(rec.num_elements, static_cast<size_t>(dim),
                                  &rec.num_elements)) {
         return Truncated("payload of " + rec.name);
       }
     }
-    rec.payload_offset = offset;
-    if (offset > checksum_offset ||
-        !PayloadFits(rec, checksum_offset - offset)) {
+    rec.payload_offset = in.offset();
+    if (in.offset() > checksum_offset ||
+        !PayloadFits(rec, checksum_offset - in.offset())) {
       return Truncated("payload of " + rec.name);
     }
-    offset += RecordPayloadBytes(rec);
+    const size_t bytes = RecordPayloadBytes(rec);
+    rec.payload.resize((bytes + sizeof(double) - 1) / sizeof(double));
+    if (!in.Read(rec.payload.data(), bytes)) {
+      return Truncated("payload of " + rec.name);
+    }
     out->push_back(std::move(rec));
   }
-  if (offset != checksum_offset) {
+  if (in.offset() != checksum_offset) {
     return LoadStatus::Error(LoadErrorKind::kTrailingBytes,
                              "state dict holds bytes past the last record");
   }
-  if (verify_checksum) {
-    uint64_t stored = 0;
-    size_t co = checksum_offset;
-    TryReadPod(buffer, co, &stored);
-    const uint64_t computed = Fnv1a64(buffer.data(), checksum_offset);
-    if (stored != computed) {
-      return LoadStatus::Error(LoadErrorKind::kBadChecksum,
-                               "state-dict checksum mismatch");
-    }
+  const uint64_t computed = in.hash();
+  uint64_t stored = 0;
+  if (!ReadPod(in, &stored)) return Truncated("checksum");
+  if (!in.AtEnd()) {
+    return LoadStatus::Error(LoadErrorKind::kTrailingBytes,
+                             "state dict grew past its checksum while read");
+  }
+  if (stored != computed) {
+    return LoadStatus::Error(LoadErrorKind::kBadChecksum,
+                             "state-dict checksum mismatch");
   }
   return LoadStatus::Ok();
+}
+
+}  // namespace
+
+LoadStatus IndexStateDict(const std::vector<uint8_t>& buffer,
+                          std::vector<TensorRecord>* out) {
+  ByteSource in(buffer);
+  return ParseStateDict(in, out, nullptr);
+}
+
+LoadStatus ReadStateDict(const std::string& path,
+                         std::vector<TensorRecord>* out, uint32_t* version) {
+  // Closes the file on every return path.
+  struct File {
+    explicit File(int fd) : fd(fd) {}
+    File(const File&) = delete;
+    File& operator=(const File&) = delete;
+    ~File() {
+      if (fd >= 0) ::close(fd);
+    }
+    const int fd;
+  } file(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+  struct stat st{};
+  if (file.fd < 0 || ::fstat(file.fd, &st) != 0) {
+    return LoadStatus::Error(LoadErrorKind::kIoError, "cannot open " + path);
+  }
+  ByteSource in(file.fd, static_cast<size_t>(st.st_size));
+  const LoadStatus status = ParseStateDict(in, out, version);
+  if (in.io_error()) {
+    return LoadStatus::Error(LoadErrorKind::kIoError, "cannot read " + path);
+  }
+  return status;
 }
 
 namespace {
@@ -309,9 +434,9 @@ namespace {
 // dequantising f16/int8 records. Dequantisation reproduces exactly the
 // fake-quant values (nn/quant.h): q * scale for int8, the half round-trip
 // for f16.
-void DecodeRecordInto(const std::vector<uint8_t>& buffer,
-                      const TensorRecord& record, double* dst) {
-  const uint8_t* payload = buffer.data() + record.payload_offset;
+void DecodeRecordInto(const TensorRecord& record, double* dst) {
+  const auto* payload =
+      reinterpret_cast<const uint8_t*>(record.payload.data());
   switch (record.dtype) {
     case kDtypeF16: {
       for (size_t i = 0; i < record.num_elements; ++i) {
@@ -324,8 +449,7 @@ void DecodeRecordInto(const std::vector<uint8_t>& buffer,
     case kDtypeI8: {
       const size_t rows = RecordRows(record.shape);
       const size_t cols = record.num_elements / rows;
-      std::vector<double> scales(rows);
-      std::memcpy(scales.data(), payload, sizeof(double) * rows);
+      const double* scales = record.payload.data();
       const auto* q =
           reinterpret_cast<const int8_t*>(payload + sizeof(double) * rows);
       for (size_t r = 0; r < rows; ++r) {
@@ -337,7 +461,10 @@ void DecodeRecordInto(const std::vector<uint8_t>& buffer,
       return;
     }
     default:
-      std::memcpy(dst, payload, sizeof(double) * record.num_elements);
+      // An entry that is its record's own storage is already decoded.
+      if (record.num_elements > 0 && dst != record.payload.data()) {
+        std::memcpy(dst, payload, sizeof(double) * record.num_elements);
+      }
       return;
   }
 }
@@ -345,9 +472,9 @@ void DecodeRecordInto(const std::vector<uint8_t>& buffer,
 // Index of the first element of `record` that decodes (as DecodeRecordInto
 // would) to NaN or an infinity, or SIZE_MAX. Reads the payload in place, so
 // validating a load needs no staging copy of the state.
-size_t FirstNonFinite(const std::vector<uint8_t>& buffer,
-                      const TensorRecord& record) {
-  const uint8_t* payload = buffer.data() + record.payload_offset;
+size_t FirstNonFinite(const TensorRecord& record) {
+  const auto* payload =
+      reinterpret_cast<const uint8_t*>(record.payload.data());
   switch (record.dtype) {
     case kDtypeF16: {
       for (size_t i = 0; i < record.num_elements; ++i) {
@@ -363,8 +490,7 @@ size_t FirstNonFinite(const std::vector<uint8_t>& buffer,
       const auto* q =
           reinterpret_cast<const int8_t*>(payload + sizeof(double) * rows);
       for (size_t r = 0; r < rows; ++r) {
-        double scale;
-        std::memcpy(&scale, payload + sizeof(double) * r, sizeof(scale));
+        const double scale = record.payload[r];
         for (size_t j = 0; j < cols; ++j) {
           if (!std::isfinite(static_cast<double>(q[r * cols + j]) * scale)) {
             return r * cols + j;
@@ -393,21 +519,17 @@ LoadStatus NonFiniteError(const std::string& tensor, size_t index) {
 
 }  // namespace
 
-std::vector<double> ReadRecordPayload(const std::vector<uint8_t>& buffer,
-                                      const TensorRecord& record) {
+std::vector<double> ReadRecordPayload(const TensorRecord& record) {
   std::vector<double> out(record.num_elements);
-  DecodeRecordInto(buffer, record, out.data());
+  DecodeRecordInto(record, out.data());
   return out;
 }
 
-std::vector<double> ReadRecordScales(const std::vector<uint8_t>& buffer,
-                                     const TensorRecord& record) {
+std::vector<double> ReadRecordScales(const TensorRecord& record) {
   if (record.dtype != kDtypeI8) return {};
-  const size_t rows = RecordRows(record.shape);
-  std::vector<double> scales(rows);
-  std::memcpy(scales.data(), buffer.data() + record.payload_offset,
-              sizeof(double) * rows);
-  return scales;
+  // The int8 payload opens with its f64 scales, double-aligned in storage.
+  const auto rows = static_cast<ptrdiff_t>(RecordRows(record.shape));
+  return {record.payload.begin(), record.payload.begin() + rows};
 }
 
 LoadStatus DeserializeStateDict(const std::vector<uint8_t>& buffer,
@@ -416,11 +538,10 @@ LoadStatus DeserializeStateDict(const std::vector<uint8_t>& buffer,
   if (LoadStatus status = IndexStateDict(buffer, &records); !status.ok()) {
     return status;
   }
-  return DeserializeStateDict(buffer, records, state);
+  return DeserializeStateDict(records, state);
 }
 
-LoadStatus DeserializeStateDict(const std::vector<uint8_t>& buffer,
-                                const std::vector<TensorRecord>& records,
+LoadStatus DeserializeStateDict(const std::vector<TensorRecord>& records,
                                 StateDict& state) {
   // Validate everything before writing anything: a failed load must not
   // leave the model half-restored.
@@ -464,13 +585,13 @@ LoadStatus DeserializeStateDict(const std::vector<uint8_t>& buffer,
   }
   for (size_t i = 0; i < entries.size(); ++i) {
     if (entries[i].values == StateDict::Values::kAny) continue;
-    if (const size_t bad = FirstNonFinite(buffer, *sources[i]);
+    if (const size_t bad = FirstNonFinite(*sources[i]);
         bad != SIZE_MAX) {
       return NonFiniteError(entries[i].name, bad);
     }
   }
   for (size_t i = 0; i < entries.size(); ++i) {
-    DecodeRecordInto(buffer, *sources[i], entries[i].data);
+    DecodeRecordInto(*sources[i], entries[i].data);
   }
   // Parameter storage changed in place: derived caches (the kSimd packed
   // weights) must rebuild.
@@ -484,22 +605,6 @@ LoadStatus CheckFinite(const StateDict& state) {
     for (size_t i = 0; i < e.size; ++i) {
       if (!std::isfinite(e.data[i])) return NonFiniteError(e.name, i);
     }
-  }
-  return LoadStatus::Ok();
-}
-
-LoadStatus ReadFileBytes(const std::string& path, std::vector<uint8_t>* out) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) {
-    return LoadStatus::Error(LoadErrorKind::kIoError, "cannot open " + path);
-  }
-  const auto size = static_cast<size_t>(in.tellg());
-  in.seekg(0);
-  out->resize(size);
-  in.read(reinterpret_cast<char*>(out->data()),
-          static_cast<std::streamsize>(size));
-  if (!in) {
-    return LoadStatus::Error(LoadErrorKind::kIoError, "cannot read " + path);
   }
   return LoadStatus::Ok();
 }
@@ -524,11 +629,11 @@ LoadStatus SaveStateDict(const std::string& path, const StateDict& state,
 }
 
 LoadStatus LoadStateDict(const std::string& path, StateDict& state) {
-  std::vector<uint8_t> buf;
-  if (LoadStatus status = ReadFileBytes(path, &buf); !status.ok()) {
+  std::vector<TensorRecord> records;
+  if (LoadStatus status = ReadStateDict(path, &records); !status.ok()) {
     return status;
   }
-  return DeserializeStateDict(buf, state);
+  return DeserializeStateDict(records, state);
 }
 
 }  // namespace deepod::nn

@@ -14,10 +14,13 @@ namespace deepod::nn {
 // (De)serialisation of model state in the tagged state-dict format (v2/v3),
 // the one on-disk contract. Self-describing: a magic/version header, one
 // record per tensor holding its *name*, dtype, shape and payload, and a
-// trailing checksum over the whole stream. Tensors are matched by name on
-// load, so file layout is decoupled from module traversal order, config
-// mismatches are detected (and reported) per tensor, and corruption is
-// caught before any value is written into a model. A file in the retired
+// trailing checksum over the whole stream. A load is one sequential pass
+// that frames the stream, checksums it and lands each payload in its record
+// (ReadStateDict / IndexStateDict), then a strict decode of that record
+// table (DeserializeStateDict). Tensors are matched by name on load, so
+// file layout is decoupled from module traversal order, config mismatches
+// are detected (and reported) per tensor, and corruption is caught before
+// any value is written into a model. A file in the retired
 // positional format (v1, magic 0xd33b0d01) is rejected as kBadMagic like
 // any other foreign stream. See DESIGN.md, "Model lifecycle".
 //
@@ -122,13 +125,17 @@ std::vector<uint8_t> SerializeStateDict(const StateDict& state,
 // Byte size the all-f64 SerializeStateDict(state) call would produce.
 size_t SerializedStateSize(const StateDict& state);
 
-// One record of a serialised state dict, without its payload.
+// One record of a serialised state dict. `payload` is storage the record
+// owns, filled by the pass that read and checksummed it: an f64 record's
+// values, or the raw on-disk bytes of an f16/int8 record (double-aligned,
+// the tail of the last double zero-padded).
 struct TensorRecord {
   std::string name;
   uint8_t dtype = 0;
   std::vector<size_t> shape;
   size_t num_elements = 0;
-  size_t payload_offset = 0;  // byte offset of the payload in the buffer
+  size_t payload_offset = 0;  // byte offset of the payload in the stream
+  std::vector<double> payload;
 };
 
 // Restores `state` in place from a v2/v3 buffer, dequantising f16/int8
@@ -138,21 +145,20 @@ struct TensorRecord {
 // with its tensor name and both shapes. Decoded values must pass
 // CheckFinite. No entry is modified unless the whole buffer validates
 // (checksum included), so a failed load never leaves a model half-written.
-// Bumps the parameter epoch on success. Indexes `buffer` (framing and
-// checksum) and then runs the pre-indexed overload below.
+// Bumps the parameter epoch on success. Runs IndexStateDict(buffer) and
+// then the record-table overload below.
 LoadStatus DeserializeStateDict(const std::vector<uint8_t>& buffer,
                                 StateDict& state);
 
-// The same restore over a record table the caller already built with
-// IndexStateDict(buffer, &records) and found Ok — framing and the
-// whole-file checksum verified — so a loader that reads the table itself
-// (io/model_artifact) checks each byte once. Runs the identical checks in
-// the identical order (by-name/shape matching, then the finite scan, then
-// the decode) and returns the identical status the two-argument form
-// returns for that buffer. Passing records indexed from another buffer, or
-// a table whose IndexStateDict failed, breaks the contract.
-LoadStatus DeserializeStateDict(const std::vector<uint8_t>& buffer,
-                                const std::vector<TensorRecord>& records,
+// The same restore from a record table that IndexStateDict or
+// ReadStateDict returned Ok — framing and checksum verified, every payload
+// in its record — so no byte is read or hashed twice. Checks in this order:
+// by-name/shape matching, then the finite scan; only then does it decode,
+// so nothing reaches `state` until every check has passed. An entry may
+// point at its own f64 record's payload: it is checked in place and its
+// decode is a no-op, which lets a loader move that storage into its final
+// owner afterwards (io/model_artifact does so with the speed arena).
+LoadStatus DeserializeStateDict(const std::vector<TensorRecord>& records,
                                 StateDict& state);
 
 // kNonFinite naming the first entry (not marked StateDict::Values::kAny)
@@ -162,40 +168,54 @@ LoadStatus DeserializeStateDict(const std::vector<uint8_t>& buffer,
 // (nn/kernels.h).
 LoadStatus CheckFinite(const StateDict& state);
 
-// Parses the record table of a v2/v3 buffer (used by DeserializeStateDict,
-// the artifact loaders and the inspector CLI). Validates framing and —
-// unless `verify_checksum` is false — the trailing checksum, in one pass
-// over the bytes. Every record's element count and payload size are
-// overflow-checked against the bytes that remain, so a table that indexes
-// Ok never describes more payload than the buffer holds. Quantised dtypes
-// are accepted only in version-3 buffers.
+// The framing parser: one sequential pass over a byte source that frames
+// every record, copies its payload into the record and folds each byte into
+// the FNV-1a checksum as it lands, so the checksum covers exactly the bytes
+// later decoded. Errors come in stream order: framing (kBadMagic,
+// kBadVersion, kTruncated, kBadDtype), then kTrailingBytes, then
+// kBadChecksum. Before a record's name, dims or payload is allocated, its
+// size is overflow-checked against the bytes the stream has left, so
+// allocation is bounded by the stream size. Quantised dtypes are accepted
+// only in version-3 streams.
+//
+// IndexStateDict parses an in-memory buffer (tests and the two-argument
+// DeserializeStateDict).
 LoadStatus IndexStateDict(const std::vector<uint8_t>& buffer,
-                          std::vector<TensorRecord>* out,
-                          bool verify_checksum = true);
+                          std::vector<TensorRecord>* out);
+
+// ReadStateDict parses the file at `path`, sized by fstat and read with
+// read(2) through a fixed kReadWindowBytes window. No whole-file buffer
+// exists: a payload at least as large as the window takes what the window
+// still holds and reads the rest straight into its record. A file that
+// shrinks or grows while it is read is kTruncated or kTrailingBytes, and a
+// same-size rewrite fails the checksum — never a torn record table. Open
+// and read failures are kIoError. `version`, when given, receives the
+// stream's format version. Every file loader (LoadStateDict, the artifact
+// loaders, deepod_inspect) reads through it.
+inline constexpr size_t kReadWindowBytes = size_t{64} << 10;
+LoadStatus ReadStateDict(const std::string& path,
+                         std::vector<TensorRecord>* out,
+                         uint32_t* version = nullptr);
 
 // On-disk payload size of a record, in bytes (dtype-dependent; the int8
 // payload carries dims[0] f64 scales before the quantised bytes).
 size_t RecordPayloadBytes(const TensorRecord& record);
 
-// Decodes a record's payload out of the buffer it was indexed from into
-// fp64 values (dequantising f16/int8 records).
-std::vector<double> ReadRecordPayload(const std::vector<uint8_t>& buffer,
-                                      const TensorRecord& record);
+// Decodes a record's payload into fp64 values (dequantising f16/int8
+// records).
+std::vector<double> ReadRecordPayload(const TensorRecord& record);
 
 // The per-row scales of an int8 record (dims[0] values); empty for any
 // other dtype.
-std::vector<double> ReadRecordScales(const std::vector<uint8_t>& buffer,
-                                     const TensorRecord& record);
+std::vector<double> ReadRecordScales(const TensorRecord& record);
 
 // File helpers (v2/v3). The QuantMode overload routes through the
 // quantising writer.
 LoadStatus SaveStateDict(const std::string& path, const StateDict& state);
 LoadStatus SaveStateDict(const std::string& path, const StateDict& state,
                          QuantMode quant);
+// ReadStateDict + DeserializeStateDict.
 LoadStatus LoadStateDict(const std::string& path, StateDict& state);
-
-// Reads a whole file into bytes.
-LoadStatus ReadFileBytes(const std::string& path, std::vector<uint8_t>* out);
 
 }  // namespace deepod::nn
 

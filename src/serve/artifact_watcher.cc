@@ -33,12 +33,16 @@ void ArtifactWatcher::Start() {
 }
 
 void ArtifactWatcher::Stop() {
+  StopPolling();
+  if (thread_.joinable()) thread_.join();
+}
+
+void ArtifactWatcher::StopPolling() {
   {
     std::lock_guard<std::mutex> lock(stop_mu_);
     stopping_ = true;
   }
   stop_cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
 }
 
 ArtifactWatcher::FileSig ArtifactWatcher::Stat(const std::string& path) {

@@ -53,6 +53,9 @@ class ArtifactWatcher {
   void Start();
   // Stops the poll thread (idempotent; the destructor calls it).
   void Stop();
+  // Ends the poll thread after its current round without joining it, so
+  // `load` may call it on the poll thread itself; Stop still joins.
+  void StopPolling();
 
   // Records the file now at paths[index] as attempted: the bytes the
   // caller already serves, which must not trigger a load.

@@ -312,6 +312,11 @@ bool FleetRouter::Load(size_t index) {
     service->SwapState(std::move(state));
   } else {
     Publish(shard, std::move(state));
+    // Activation is one-way: once every shard is warm, only hot swap
+    // would need another poll.
+    if (!options_.watch && WarmCount() == shards_.size()) {
+      watcher_.StopPolling();
+    }
   }
   if (options_.on_adopt) options_.on_adopt(shard, service != nullptr);
   return true;

@@ -197,6 +197,7 @@ class FleetShard {
 // "fleet/<name>/reload_failures" and the shard keeps serving its current
 // epoch. The watcher thread runs only while there is work for it: some
 // shard is cold, or `watch` is on ("fleet/polls" counts its rounds).
+// Without `watch`, it ends when the last cold shard activates.
 class FleetRouter {
  public:
   FleetRouter(std::vector<FleetEntry> entries,

@@ -14,6 +14,7 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -70,6 +71,17 @@ core::DeepOdModel& TrainedModel() {
 
 std::string TempPath(const std::string& name) {
   return testing::TempDir() + name;
+}
+
+std::vector<uint8_t> ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
 }
 
 std::vector<traj::OdInput> TestOds(size_t n) {
@@ -166,14 +178,9 @@ TEST(ModelStateTest, LoadWithWrongConfigNamesFirstMismatchingTensor) {
 TEST(ModelStateTest, TruncatedFileRejectedWithoutTouchingModel) {
   const std::string path = TempPath("artifact_test_trunc.bin");
   TrainedModel().Save(path);
-  std::vector<uint8_t> bytes;
-  ASSERT_TRUE(nn::ReadFileBytes(path, &bytes).ok());
+  std::vector<uint8_t> bytes = ReadBytes(path);
   bytes.resize(bytes.size() / 2);
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-  }
+  WriteBytes(path, bytes);
 
   core::DeepOdModel loaded(TinyConfig(), TinyDataset());
   loaded.SetTraining(false);
@@ -358,17 +365,6 @@ TEST(ArtifactTest, Fp16OverflowAtLoadIsRejected) {
 
 // --- Hostile and corrupt artifacts -------------------------------------------
 
-std::vector<uint8_t> ReadBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
-
-void WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
-  std::ofstream out(path, std::ios::binary);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-}
-
 // The format's trailing FNV-1a 64 checksum, recomputed independently of
 // nn/serialize so a patched file passes the integrity check and reaches
 // the value checks behind it.
@@ -410,11 +406,12 @@ std::vector<uint8_t> PatchScalar(std::vector<uint8_t> bytes,
 
 double ScalarAt(const std::vector<uint8_t>& bytes, const std::string& name,
                 size_t element) {
-  return nn::ReadRecordPayload(bytes, RecordNamed(Index(bytes), name))[element];
+  return nn::ReadRecordPayload(RecordNamed(Index(bytes), name))[element];
 }
 
 // A small model artifact carrying every block — config, model, a frozen
-// six-snapshot speed field, oracle and link-mean — plus the matching
+// 100-snapshot speed field (80 KB, so the file loaders read its payload
+// straight into the record, past the read window), oracle and link-mean — plus the matching
 // standalone oracle artifact, written once.
 struct SweepFiles {
   std::string model_path = TempPath("artifact_test_sweep.artifact");
@@ -440,7 +437,7 @@ const SweepFiles& Sweep() {
     const double begin = dataset.test.front().od.departure_time;
     const sim::SnapshotSpeedField frozen = sim::SnapshotSpeedField::Capture(
         *dataset.speed_matrices, begin,
-        begin + 5.0 * dataset.speed_matrices->snapshot_seconds());
+        begin + 99.0 * dataset.speed_matrices->snapshot_seconds());
     io::ArtifactOptions options;
     options.network_id = 7;
     options.oracle = &oracle;
@@ -633,6 +630,27 @@ TEST(ArtifactTest, RecordWhoseByteSizeWrapsIsTruncated) {
   }
 }
 
+TEST(ArtifactTest, HostileDimCountIsTruncatedBeforeAllocating) {
+  // A u32 ndim near 2^32 once reserved ~32 GB for the shape before a single
+  // dim was read, so std::bad_alloc escaped both loaders. The shape may
+  // only grow with dims the file really holds.
+  for (const auto* bytes : {&Sweep().model, &Sweep().oracle}) {
+    const nn::TensorRecord r = RecordNamed(Index(*bytes), "linkmean.means");
+    std::vector<uint8_t> patched = *bytes;
+    const uint32_t ndim = 0xfffffff0u;
+    std::memcpy(patched.data() + r.payload_offset -
+                    r.shape.size() * sizeof(uint64_t) - sizeof(ndim),
+                &ndim, sizeof(ndim));
+    std::vector<nn::TensorRecord> records;
+    EXPECT_EQ(nn::IndexStateDict(patched, &records).kind,
+              nn::LoadErrorKind::kTruncated);
+    const nn::LoadStatus status = bytes == &Sweep().model
+                                      ? LoadModelBytes(patched)
+                                      : LoadOracleBytes(patched);
+    EXPECT_EQ(status.kind, nn::LoadErrorKind::kTruncated) << status.message;
+  }
+}
+
 // Byte ranges [begin, end) of every record (header included) of `bytes`.
 std::vector<std::pair<size_t, size_t>> RecordSpans(
     const std::vector<nn::TensorRecord>& records) {
@@ -773,35 +791,123 @@ void ExpectSameStatus(const nn::LoadStatus& a, const nn::LoadStatus& b) {
   EXPECT_EQ(a.message, b.message);
 }
 
-TEST(ArtifactTest, PreIndexedDeserializeMatchesTwoArgumentForm) {
-  const std::pair<const std::vector<uint8_t>*,
-                  std::vector<std::vector<uint8_t>>>
-      sweeps[] = {{&Sweep().model, ModelSweepCases()},
-                  {&Sweep().oracle, OracleSweepCases()}};
-  size_t indexed = 0;
-  for (const auto& [intact, cases] : sweeps) {
-    ShapedDict shaped(*intact);
+// Every entry of `a` equals, bit for bit, the entry of `b` with its name;
+// returns how many entries were compared.
+size_t ExpectEntriesBitEqualByName(const nn::StateDict& a,
+                                   const nn::StateDict& b) {
+  size_t compared = 0;
+  for (const auto& ea : a.entries()) {
+    const nn::StateDict::Entry* eb = nullptr;
+    for (const auto& e : b.entries()) {
+      if (e.name == ea.name) eb = &e;
+    }
+    if (eb == nullptr) {
+      ADD_FAILURE() << "no entry " << ea.name;
+      continue;
+    }
+    EXPECT_EQ(ea.shape, eb->shape) << ea.name;
+    if (ea.size != eb->size) continue;
+    EXPECT_EQ(std::memcmp(ea.data, eb->data, ea.size * sizeof(double)), 0)
+        << "payload differs for " << ea.name;
+    ++compared;
+  }
+  return compared;
+}
+
+// Kinds only the framing parser reports (kBadVersion is left out: the
+// artifact.version check reports it too).
+bool IsFramingKind(nn::LoadErrorKind kind) {
+  using K = nn::LoadErrorKind;
+  return kind == K::kBadMagic || kind == K::kTruncated ||
+         kind == K::kBadDtype || kind == K::kTrailingBytes ||
+         kind == K::kBadChecksum;
+}
+
+// The file source against the in-memory one, over every sweep mutation plus
+// one trailing byte. nn::LoadStateDict on the written file returns exactly
+// the status DeserializeStateDict returns for the same bytes in memory, and
+// a clean load lands the same bits. Each artifact loader fails with the
+// in-memory index's kind whenever the bytes do not index, and with no
+// framing or checksum kind when they do.
+TEST(ArtifactTest, FileLoadersMatchTheInMemoryParse) {
+  const nn::TensorRecord speed =
+      RecordNamed(Index(Sweep().model), "speed.matrices");
+  ASSERT_GE(nn::RecordPayloadBytes(speed), nn::kReadWindowBytes);
+  const std::string path = TempPath("artifact_test_differential.artifact");
+  const std::tuple<const std::vector<uint8_t>*,
+                   std::vector<std::vector<uint8_t>>,
+                   nn::LoadStatus (*)(const std::vector<uint8_t>&)>
+      sweeps[] = {{&Sweep().model, ModelSweepCases(), &LoadModelBytes},
+                  {&Sweep().oracle, OracleSweepCases(), &LoadOracleBytes}};
+  size_t clean = 0, indexed = 0;
+  for (const auto& [intact, cases, load_artifact] : sweeps) {
+    ShapedDict memory(*intact), file(*intact);
     std::vector<std::vector<uint8_t>> inputs = cases;
-    for (auto bytes : cases) {  // and every re-checksummed flip
+    for (auto bytes : cases) {
       if (bytes.size() != intact->size()) continue;
       Rechecksum(bytes);
       inputs.push_back(std::move(bytes));
     }
     inputs.push_back(*intact);
-    for (const auto& bytes : inputs) {
-      const nn::LoadStatus two = nn::DeserializeStateDict(bytes, shaped.dict);
+    inputs.push_back(*intact);
+    inputs.back().push_back(0);
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      SCOPED_TRACE("input " + std::to_string(i));
+      const std::vector<uint8_t>& bytes = inputs[i];
+      WriteBytes(path, bytes);
+      const nn::LoadStatus from_memory =
+          nn::DeserializeStateDict(bytes, memory.dict);
+      ExpectSameStatus(from_memory, nn::LoadStateDict(path, file.dict));
+      if (from_memory.ok()) {
+        ++clean;
+        EXPECT_EQ(ExpectEntriesBitEqualByName(memory.dict, file.dict),
+                  memory.dict.size());
+      }
       std::vector<nn::TensorRecord> records;
       const nn::LoadStatus index = nn::IndexStateDict(bytes, &records);
+      const nn::LoadStatus artifact = load_artifact(bytes);
       if (!index.ok()) {
-        ExpectSameStatus(two, index);
-        continue;
+        EXPECT_EQ(artifact.kind, index.kind) << artifact.message;
+      } else {
+        ++indexed;
+        EXPECT_FALSE(IsFramingKind(artifact.kind)) << artifact.message;
       }
-      ++indexed;
-      ExpectSameStatus(
-          two, nn::DeserializeStateDict(bytes, records, shaped.dict));
     }
   }
+  EXPECT_GT(clean, 2u);
   EXPECT_GT(indexed, 100u);
+  std::remove(path.c_str());
+}
+
+// A clean load from the file holds the in-memory decode's bits in every
+// parameter, the speed arena and the fallback tables.
+TEST(ArtifactTest, FileLoadIsBitEqualToTheInMemoryDecode) {
+  const SweepFiles& files = Sweep();
+  ShapedDict memory(files.model);
+  ASSERT_TRUE(nn::DeserializeStateDict(files.model, memory.dict).ok());
+  io::ServingModel bundle =
+      io::LoadModelArtifact(files.model_path, TinyDataset().network);
+  ASSERT_NE(bundle.speed, nullptr);
+  ASSERT_NE(bundle.oracle, nullptr);
+  ASSERT_NE(bundle.link_mean, nullptr);
+  nn::StateDict loaded;
+  bundle.model->AppendState("model.", loaded);
+  bundle.oracle->AppendState("oracle.", loaded);
+  bundle.link_mean->AppendState("linkmean.", loaded);
+  const nn::TensorRecord speed =
+      RecordNamed(Index(files.model), "speed.matrices");
+  loaded.AddBuffer("speed.matrices", speed.shape,
+                   const_cast<double*>(bundle.speed->matrices().data()));
+  EXPECT_EQ(ExpectEntriesBitEqualByName(loaded, memory.dict), loaded.size());
+
+  ShapedDict oracle_memory(files.oracle);
+  ASSERT_TRUE(nn::DeserializeStateDict(files.oracle, oracle_memory.dict).ok());
+  io::OracleBundle oracle = io::LoadOracleArtifact(files.oracle_path);
+  nn::StateDict oracle_loaded;
+  oracle.oracle->AppendState("oracle.", oracle_loaded);
+  oracle.link_mean->AppendState("linkmean.", oracle_loaded);
+  EXPECT_EQ(ExpectEntriesBitEqualByName(oracle_loaded, oracle_memory.dict),
+            oracle_loaded.size());
 }
 
 TEST(ArtifactTest, WriteLoadWriteIsByteIdentical) {

@@ -28,6 +28,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/od_oracle.h"
@@ -344,6 +345,39 @@ TEST_F(FleetTest, ActivateNowBringsAColdShardWarmExactlyOnce) {
   const auto standalone = serve::EtaService::FromArtifact(
       city_a_->artifact_path, a->network(), serve::EtaServiceOptions{});
   EXPECT_EQ(a->service()->Estimate(od), standalone->Estimate(od));
+  router.Stop();
+}
+
+TEST_F(FleetTest, WatcherStopsPollingOnceTheLastColdShardIsWarm) {
+  const std::string pending = *root_ + "/pending_poll.model.artifact";
+  std::filesystem::remove(pending);
+  const std::string path = WriteManifest(
+      "manifest_pending_poll.csv",
+      {"1,a,a.network.csv,a.model.artifact,,model",
+       "2,b,b.network.csv,pending_poll.model.artifact,b.oracle.artifact,"
+       "oracle"});
+  serve::FleetRouterOptions options;  // no watch: activation only
+  options.poll_interval = std::chrono::milliseconds(5);
+  serve::FleetRouter router(serve::ReadFleetManifest(path), options);
+  ASSERT_EQ(router.WarmCount(), 1u);
+  // A cold shard keeps the watcher polling.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (CounterValue(router, "fleet/polls") < 2.0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_GE(CounterValue(router, "fleet/polls"), 2.0);
+
+  std::filesystem::copy_file(city_b_->artifact_path, pending);
+  ASSERT_EQ(router.ActivateNow(), 1u);
+  ASSERT_EQ(router.WarmCount(), 2u);
+  // Every shard warm and no hot swap: the poll loop ends (give it many
+  // intervals to notice), and the round count stays put.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const double settled = CounterValue(router, "fleet/polls");
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(CounterValue(router, "fleet/polls"), settled);
   router.Stop();
 }
 

@@ -884,7 +884,9 @@ TEST(UnifiedStats, MergesEverySourceNameSorted) {
   ASSERT_FALSE(records.empty());
   bool saw_requests = false, saw_mae = false;
   for (size_t i = 0; i < records.size(); ++i) {
-    if (i > 0) EXPECT_LE(records[i - 1].name, records[i].name);
+    if (i > 0) {
+      EXPECT_LE(records[i - 1].name, records[i].name);
+    }
     saw_requests |= records[i].name == "serve/requests";
     saw_mae |= records[i].name == "drift/rolling_mae";
   }

@@ -175,6 +175,24 @@ TEST(StateDictTest, TrailingGarbageReported) {
             LoadErrorKind::kTrailingBytes);
 }
 
+TEST(StateDictTest, RecordHeaderInsideTheChecksumIsTruncated) {
+  // One record more than the stream holds: the next name length is read
+  // from the checksum bytes. Zeroed there, it is a zero-length name that
+  // still ends past the records, so framing reports it before the dtype
+  // (read from the checksum too) can pass for a bad dtype.
+  DictFixture src;
+  std::vector<uint8_t> bytes = SerializeStateDict(src.Dict());
+  uint64_t count = 0;
+  std::memcpy(&count, bytes.data() + 8, sizeof(count));
+  ++count;
+  std::memcpy(bytes.data() + 8, &count, sizeof(count));
+  std::memset(bytes.data() + bytes.size() - 8, 0, 8);
+  std::vector<TensorRecord> records;
+  const LoadStatus status = IndexStateDict(bytes, &records);
+  EXPECT_EQ(status.kind, LoadErrorKind::kTruncated);
+  EXPECT_EQ(status.message, "state dict truncated in record name");
+}
+
 TEST(StateDictTest, ShapeMismatchNamesTheTensor) {
   DictFixture src;
   const std::vector<uint8_t> bytes = SerializeStateDict(src.Dict());
@@ -248,8 +266,8 @@ TEST(StateDictTest, FileHelpersAndIoError) {
   EXPECT_EQ(dst.scale, 42.0);
   std::remove(path.c_str());
 
-  std::vector<uint8_t> bytes;
-  EXPECT_EQ(ReadFileBytes(path + ".does-not-exist", &bytes).kind,
+  std::vector<TensorRecord> records;
+  EXPECT_EQ(ReadStateDict(path + ".does-not-exist", &records).kind,
             LoadErrorKind::kIoError);
   StateDict dict2 = dst.Dict();
   EXPECT_EQ(LoadStateDict(path + ".does-not-exist", dict2).kind,

@@ -9,6 +9,7 @@
 // embedded. Exit codes: 0 readable, 1 corrupt/unreadable, 2 usage.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -29,12 +30,11 @@ const char* PackedLayoutTag(const std::vector<size_t>& shape) {
 
 // First scalar of the named record, or `fallback` when the record is
 // absent/empty (optional artifact metadata).
-double ScalarRecord(const std::vector<uint8_t>& buffer,
-                    const std::vector<deepod::nn::TensorRecord>& records,
+double ScalarRecord(const std::vector<deepod::nn::TensorRecord>& records,
                     const std::string& name, double fallback) {
   for (const auto& r : records) {
     if (r.name != name) continue;
-    const std::vector<double> values = deepod::nn::ReadRecordPayload(buffer, r);
+    const std::vector<double> values = deepod::nn::ReadRecordPayload(r);
     return values.empty() ? fallback : values.front();
   }
   return fallback;
@@ -57,28 +57,22 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string path = argv[1];
-  std::vector<uint8_t> buffer;
-  const nn::LoadStatus read = nn::ReadFileBytes(path, &buffer);
-  if (!read.ok()) {
-    std::fprintf(stderr, "%s: [%s] %s\n", path.c_str(),
-                 nn::LoadErrorKindName(read.kind), read.message.c_str());
-    return 1;
-  }
   std::vector<nn::TensorRecord> records;
-  const nn::LoadStatus status = nn::IndexStateDict(buffer, &records);
+  uint32_t version = 0;
+  const nn::LoadStatus status = nn::ReadStateDict(path, &records, &version);
   if (!status.ok()) {
     std::fprintf(stderr, "%s: [%s] %s\n", path.c_str(),
                  nn::LoadErrorKindName(status.kind), status.message.c_str());
     return 1;
   }
-  // The format version lives in the u32 after the magic (nn/serialize.h
-  // byte layout); IndexStateDict has already validated it.
-  const uint32_t version = static_cast<uint32_t>(buffer[4]) |
-                           static_cast<uint32_t>(buffer[5]) << 8 |
-                           static_cast<uint32_t>(buffer[6]) << 16 |
-                           static_cast<uint32_t>(buffer[7]) << 24;
+  // Header, records back to back, then the u64 checksum (nn/serialize.h
+  // byte layout).
+  const size_t bytes =
+      (records.empty() ? 16 : records.back().payload_offset +
+                                  nn::RecordPayloadBytes(records.back())) +
+      sizeof(uint64_t);
   std::printf("%s: state dict (v%u), %zu bytes, %zu records, checksum OK\n",
-              path.c_str(), version, buffer.size(), records.size());
+              path.c_str(), version, bytes, records.size());
   size_t total_elements = 0;
   size_t total_payload = 0;
   size_t quantised = 0;
@@ -93,7 +87,7 @@ int main(int argc, char** argv) {
                 nn::RecordDtypeName(r.dtype), shape.c_str(), r.num_elements,
                 payload, PackedLayoutTag(r.shape));
     if (r.dtype == nn::kDtypeI8) {
-      const std::vector<double> scales = nn::ReadRecordScales(buffer, r);
+      const std::vector<double> scales = nn::ReadRecordScales(r);
       const auto [lo, hi] = std::minmax_element(scales.begin(), scales.end());
       std::printf("  scales[%zu] %.3e..%.3e", scales.size(), *lo, *hi);
     }
@@ -111,20 +105,20 @@ int main(int argc, char** argv) {
     // Serving-artifact metadata: what a fleet operator needs to know about
     // the file without loading it against a network.
     std::printf("artifact: version %.1f, network_id %u\n",
-                ScalarRecord(buffer, records, "artifact.version", 0.0),
+                ScalarRecord(records, "artifact.version", 0.0),
                 static_cast<unsigned>(
-                    ScalarRecord(buffer, records, "artifact.network_id", 0.0)));
+                    ScalarRecord(records, "artifact.network_id", 0.0)));
     if (HasRecord(records, "speed.rows")) {
       std::printf("  speed grid: %zux%zu cells, %.0f s snapshots\n",
                   static_cast<size_t>(
-                      ScalarRecord(buffer, records, "speed.rows", 0.0)),
+                      ScalarRecord(records, "speed.rows", 0.0)),
                   static_cast<size_t>(
-                      ScalarRecord(buffer, records, "speed.cols", 0.0)),
-                  ScalarRecord(buffer, records, "speed.snapshot_seconds", 0.0));
+                      ScalarRecord(records, "speed.cols", 0.0)),
+                  ScalarRecord(records, "speed.snapshot_seconds", 0.0));
     }
     if (HasRecord(records, "config.slot_seconds")) {
       const double slot_seconds =
-          ScalarRecord(buffer, records, "config.slot_seconds", 0.0);
+          ScalarRecord(records, "config.slot_seconds", 0.0);
       if (slot_seconds > 0.0) {
         std::printf("  time slots: %.0f s (%zu per day)\n", slot_seconds,
                     static_cast<size_t>(86400.0 / slot_seconds));
@@ -132,14 +126,14 @@ int main(int argc, char** argv) {
     }
     if (HasRecord(records, "oracle.grid_cells")) {
       const size_t grid_cells = static_cast<size_t>(
-          ScalarRecord(buffer, records, "oracle.grid_cells", 0.0));
+          ScalarRecord(records, "oracle.grid_cells", 0.0));
       std::printf(
           "  oracle: %zux%zu grid, %zu slots/day (%.0f s), "
           "%zu OD buckets over %zu pairs, global mean %.1f s\n",
           grid_cells, grid_cells,
           static_cast<size_t>(
-              ScalarRecord(buffer, records, "oracle.slots_per_day", 0.0)),
-          ScalarRecord(buffer, records, "oracle.slot_seconds", 0.0),
+              ScalarRecord(records, "oracle.slots_per_day", 0.0)),
+          ScalarRecord(records, "oracle.slot_seconds", 0.0),
           [&] {
             for (const auto& r : records) {
               if (r.name == "oracle.keys") return r.num_elements;
@@ -152,7 +146,7 @@ int main(int argc, char** argv) {
             }
             return size_t{0};
           }(),
-          ScalarRecord(buffer, records, "oracle.global_mean", 0.0));
+          ScalarRecord(records, "oracle.global_mean", 0.0));
     }
     if (HasRecord(records, "linkmean.means")) {
       std::printf("  linkmean: %s, fallback %.1f s\n",
@@ -165,7 +159,7 @@ int main(int argc, char** argv) {
                     return "0 segments";
                   }()
                       .c_str(),
-                  ScalarRecord(buffer, records, "linkmean.fallback", 0.0));
+                  ScalarRecord(records, "linkmean.fallback", 0.0));
     }
   }
   return 0;

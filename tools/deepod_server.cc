@@ -251,8 +251,14 @@ int main(int argc, char** argv) {
                   serve::FallbackPolicyName(shard->policy()));
     }
   } else {
-    auto network = std::make_shared<const road::RoadNetwork>(
-        io::ReadNetworkCsv(network_path));
+    std::shared_ptr<const road::RoadNetwork> network;
+    try {
+      network = std::make_shared<const road::RoadNetwork>(
+          io::ReadNetworkCsv(network_path));
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "network load failed: %s\n", e.what());
+      return 1;
+    }
     try {
       io::ArtifactOptions artifact_options;
       artifact_options.quant = service_options.quant;
