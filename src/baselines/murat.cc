@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "embed/graph_embedding.h"
 #include "nn/ops.h"
@@ -62,6 +63,10 @@ size_t MuratEstimator::CellOf(const road::Point& p) const {
 }
 
 void MuratEstimator::Train(const sim::Dataset& dataset) {
+  if (options_.step_callback && options_.eval_every == 0) {
+    throw std::invalid_argument(
+        "MuratEstimator: eval_every must be positive when a step callback is set");
+  }
   net_ = &dataset.network;
   util::Rng rng(options_.seed);
 

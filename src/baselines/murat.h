@@ -37,6 +37,7 @@ class MuratEstimator : public OdEstimator {
     uint64_t seed = 13;
     // Optional instrumentation: invoked every eval_every optimiser steps
     // with (step, validation MAE seconds). Drives Fig. 10 / Table 3.
+    // Train throws std::invalid_argument if it is set and eval_every is 0.
     std::function<void(size_t, double)> step_callback;
     size_t eval_every = 25;
   };

@@ -1,6 +1,7 @@
 #include "baselines/stnn.h"
 
 #include <cmath>
+#include <stdexcept>
 
 #include "nn/ops.h"
 #include "temporal/time_slot.h"
@@ -49,6 +50,10 @@ nn::Tensor StnnEstimator::ForwardTime(const traj::OdInput& od,
 }
 
 void StnnEstimator::Train(const sim::Dataset& dataset) {
+  if (options_.step_callback && options_.eval_every == 0) {
+    throw std::invalid_argument(
+        "StnnEstimator: eval_every must be positive when a step callback is set");
+  }
   net_ = &dataset.network;
   util::Rng rng(options_.seed);
   distance_net_ = std::make_unique<nn::Mlp2>(4, options_.hidden_dim, 1, rng);

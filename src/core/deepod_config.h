@@ -92,9 +92,9 @@ struct DeepOdConfig {
 
   // Worker threads for training and batched prediction. 0 = auto: the
   // DEEPOD_THREADS environment variable if set, otherwise the machine's
-  // hardware concurrency. 1 forces the legacy serial code path (whose
-  // results are bit-identical to the pre-threading implementation); any
-  // fixed value > 1 is deterministic across runs for that value.
+  // hardware concurrency. Training results are deterministic for a fixed
+  // value; at 1 they are bit-identical to per-sample backward on the
+  // caller's kernel tier, above 1 the workers run KernelMode::kVector.
   size_t num_threads = 0;
 
   // Uniformly divides every width by `factor` (minimum 4) — the bench

@@ -21,24 +21,23 @@ namespace deepod::core {
 // Offline training / online estimation driver implementing Algorithm 1's
 // ModelTrain and Estimation procedures for DeepOD.
 //
-// Threading: the worker count comes from config.num_threads (0 = auto via
-// DEEPOD_THREADS / hardware concurrency). With 1 thread the trainer runs
-// the legacy serial loops, bit-identical to the pre-threading
-// implementation. With T > 1 threads each mini-batch is split into T
-// contiguous chunks of samples; every chunk runs forward+backward into its
-// own detached gradient arena and records its BatchNorm running-statistic
-// updates, and the trainer merges arenas and replays the BN updates in
-// chunk order before the optimiser step — so results are deterministic for
-// a fixed thread count (see DESIGN.md, "Threading model").
+// Threading: the trainer owns a util::ThreadPool of config.num_threads
+// workers (0 = auto via DEEPOD_THREADS / hardware concurrency). Every
+// mini-batch is split into contiguous chunks of samples, one per worker;
+// each chunk runs forward+backward into its own detached gradient arena and
+// records its BatchNorm running-statistic updates, and the trainer merges
+// the arenas and replays the BN updates in chunk order before the optimiser
+// step. A one-worker pool runs the single chunk inline on the caller's
+// kernel tier, which is bit-identical to per-sample backward into the
+// parameter gradients; a multi-worker pool pins KernelMode::kVector and is
+// deterministic for a fixed thread count (see DESIGN.md, "Threading model").
 class DeepOdTrainer {
  public:
   // Invoked every `eval_every` optimisation steps with (step, validation
   // MAE in seconds). Drives the Fig. 10 convergence curves.
   using StepCallback = std::function<void(size_t step, double val_mae)>;
 
-  // Trains from dataset.train through an internally owned InMemoryTripFeed
-  // (the classic fully in-memory path, bit-identical to the pre-feed
-  // implementation at num_threads == 1).
+  // Trains from dataset.train through an internally owned InMemoryTripFeed.
   DeepOdTrainer(DeepOdModel& model, const sim::Dataset& dataset);
 
   // Trains from an external TripFeed (e.g. io::ShardedTripSource for
@@ -56,6 +55,7 @@ class DeepOdTrainer {
   // (parameters AND BatchNorm running statistics AND the time scale) is
   // snapshotted at every end-of-epoch validation and the best snapshot is
   // restored at the end (the paper tunes on the validation split, §6.1).
+  // Throws std::invalid_argument if `callback` is set and `eval_every` is 0.
   double Train(const StepCallback& callback = nullptr, size_t eval_every = 25,
                size_t max_val_samples = 200);
 
@@ -90,18 +90,33 @@ class DeepOdTrainer {
   std::vector<double> PredictAll(const std::vector<traj::TripRecord>& trips);
 
   size_t steps_taken() const { return step_; }
-  size_t num_threads() const { return num_threads_; }
+  size_t num_threads() const { return pool_.num_threads(); }
 
  private:
+  // The checkpoint's trainer.* values staged as doubles (a state dict holds
+  // doubles): counters, the shuffle RNG words bit-cast, the epoch order.
+  struct CheckpointFields {
+    double step = 0.0;
+    double epoch = 0.0;
+    std::vector<double> rng_bits;
+    std::vector<double> order;
+  };
+
   // Runs forward+backward for the feed's epoch positions [pos, pos+batch_n)
   // across the worker chunks, leaving the merged mean-of-batch gradient
   // (scaled by 1/bs) in the parameters and the BatchNorm running statistics
   // updated in sample order. The caller must have prefetched the range.
-  void AccumulateBatchParallel(size_t pos, size_t batch_n, size_t bs);
+  void AccumulateBatch(size_t pos, size_t batch_n, size_t bs);
 
-  // Sizes best_state_ to the model's state element count (zero-filled) if
-  // it has not been allocated yet.
-  void EnsureBestState();
+  // Kernel tier for training, validation and prediction. Pool workers do not
+  // inherit the caller's thread-local tier, so a multi-worker pool pins
+  // kVector; a one-worker pool runs inline on the caller's ambient tier.
+  nn::KernelMode KernelTier() const;
+
+  // The checkpoint schema, shared by SaveCheckpoint and LoadCheckpoint:
+  // "model.*", "optim.*", then the trainer.* entries, which point into
+  // `fields`, best_val_ and best_state_ (sized here on first use).
+  nn::StateDict CheckpointState(CheckpointFields& fields);
 
   DeepOdModel& model_;
   const sim::Dataset& dataset_;
@@ -122,10 +137,10 @@ class DeepOdTrainer {
   std::unique_ptr<TripFeed> owned_feed_;  // set when no external feed given
   TripFeed* feed_;
 
-  size_t num_threads_;
-  std::unique_ptr<util::ThreadPool> pool_;        // null when serial
-  std::vector<std::unique_ptr<nn::GradArena>> arenas_;  // one per worker
-  std::vector<nn::BnStatsLog> bn_logs_;                 // one per worker
+  // One per batch chunk: min(num_threads, batch_size) of each.
+  std::vector<std::unique_ptr<nn::GradArena>> arenas_;
+  std::vector<nn::BnStatsLog> bn_logs_;
+  util::ThreadPool pool_;  // last: its workers are joined before the above go
 };
 
 }  // namespace deepod::core

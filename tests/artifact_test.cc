@@ -931,48 +931,53 @@ TEST(ArtifactTest, WriteLoadWriteIsByteIdentical) {
   std::remove(path.c_str());
 }
 
+// Pinned thread counts, so the run does not follow the host's core count.
 TEST(CheckpointTest, ResumeMatchesUninterruptedRunBitExactly) {
-  core::DeepOdConfig config = TinyConfig();
-  config.epochs = 2;
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(testing::Message() << threads << " thread(s)");
+    core::DeepOdConfig config = TinyConfig();
+    config.epochs = 2;
+    config.num_threads = threads;
 
-  // Uninterrupted two-epoch run.
-  core::DeepOdModel straight(config, TinyDataset());
-  core::DeepOdTrainer straight_trainer(straight, TinyDataset());
-  const double straight_mae = straight_trainer.Train();
+    // Uninterrupted two-epoch run.
+    core::DeepOdModel straight(config, TinyDataset());
+    core::DeepOdTrainer straight_trainer(straight, TinyDataset());
+    const double straight_mae = straight_trainer.Train();
 
-  // Same run split in two processes' worth of work: one epoch, checkpoint,
-  // then a *fresh* model+trainer resumes and finishes.
-  const std::string path = TempPath("artifact_test_resume.ckpt");
-  {
-    core::DeepOdModel half(config, TinyDataset());
-    core::DeepOdTrainer half_trainer(half, TinyDataset());
-    half_trainer.TrainPrefix(1);
-    EXPECT_EQ(half_trainer.completed_epochs(), 1);
-    half_trainer.SaveCheckpoint(path);
-  }
-  core::DeepOdModel resumed(config, TinyDataset());
-  core::DeepOdTrainer resumed_trainer(resumed, TinyDataset());
-  resumed_trainer.LoadCheckpoint(path);
-  EXPECT_EQ(resumed_trainer.completed_epochs(), 1);
-  const double resumed_mae = resumed_trainer.Train();
+    // Same run split in two processes' worth of work: one epoch,
+    // checkpoint, then a *fresh* model+trainer resumes and finishes.
+    const std::string path = TempPath("artifact_test_resume.ckpt");
+    {
+      core::DeepOdModel half(config, TinyDataset());
+      core::DeepOdTrainer half_trainer(half, TinyDataset());
+      half_trainer.TrainPrefix(1);
+      EXPECT_EQ(half_trainer.completed_epochs(), 1);
+      half_trainer.SaveCheckpoint(path);
+    }
+    core::DeepOdModel resumed(config, TinyDataset());
+    core::DeepOdTrainer resumed_trainer(resumed, TinyDataset());
+    resumed_trainer.LoadCheckpoint(path);
+    EXPECT_EQ(resumed_trainer.completed_epochs(), 1);
+    const double resumed_mae = resumed_trainer.Train();
 
-  EXPECT_EQ(std::memcmp(&straight_mae, &resumed_mae, sizeof(double)), 0);
-  EXPECT_EQ(resumed_trainer.steps_taken(), straight_trainer.steps_taken());
-  EXPECT_EQ(resumed_trainer.completed_epochs(),
-            straight_trainer.completed_epochs());
-  EXPECT_EQ(resumed_trainer.best_validation_mae(),
-            straight_trainer.best_validation_mae());
-  {
-    const nn::StateDict a = straight.State();
-    const nn::StateDict b = resumed.State();
-    ExpectStateBitEqual(a, b);
+    EXPECT_EQ(std::memcmp(&straight_mae, &resumed_mae, sizeof(double)), 0);
+    EXPECT_EQ(resumed_trainer.steps_taken(), straight_trainer.steps_taken());
+    EXPECT_EQ(resumed_trainer.completed_epochs(),
+              straight_trainer.completed_epochs());
+    EXPECT_EQ(resumed_trainer.best_validation_mae(),
+              straight_trainer.best_validation_mae());
+    {
+      const nn::StateDict a = straight.State();
+      const nn::StateDict b = resumed.State();
+      ExpectStateBitEqual(a, b);
+    }
+    for (const auto& od : TestOds(4)) {
+      const double want = straight.Predict(od);
+      const double got = resumed.Predict(od);
+      EXPECT_EQ(std::memcmp(&want, &got, sizeof(double)), 0);
+    }
+    std::remove(path.c_str());
   }
-  for (const auto& od : TestOds(4)) {
-    const double want = straight.Predict(od);
-    const double got = resumed.Predict(od);
-    EXPECT_EQ(std::memcmp(&want, &got, sizeof(double)), 0);
-  }
-  std::remove(path.c_str());
 }
 
 }  // namespace

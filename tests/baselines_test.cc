@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "analysis/metrics.h"
 #include "baselines/baseline.h"
@@ -264,6 +265,22 @@ TEST(MuratTest, ModelSizeIncludesEmbeddings) {
   murat.Train(ds);
   // Cell + time embeddings alone exceed the trunk; size must reflect them.
   EXPECT_GT(murat.ModelSizeBytes(), 10000u);
+}
+
+TEST(StnnTest, CallbackWithZeroEvalEveryThrows) {
+  StnnEstimator::Options options;
+  options.step_callback = [](size_t, double) {};
+  options.eval_every = 0;
+  StnnEstimator stnn(options);
+  EXPECT_THROW(stnn.Train(SmallDataset()), std::invalid_argument);
+}
+
+TEST(MuratTest, CallbackWithZeroEvalEveryThrows) {
+  MuratEstimator::Options options;
+  options.step_callback = [](size_t, double) {};
+  options.eval_every = 0;
+  MuratEstimator murat(options);
+  EXPECT_THROW(murat.Train(SmallDataset()), std::invalid_argument);
 }
 
 TEST(UntrainedEstimatorsReturnZero, AllNeuralBaselines) {

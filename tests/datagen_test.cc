@@ -200,43 +200,51 @@ TEST_F(ShardedTrainingTest, StreamedInitMatchesInMemoryBitForBit) {
   }
 }
 
+// One training loop serves every thread count, so the out-of-core feed must
+// match its in-memory twin bit for bit at any pinned count; at more than one
+// worker, pool workers call the sharded feed's At() concurrently with its
+// background lookahead.
 TEST_F(ShardedTrainingTest, OutOfCoreTrainingMatchesInMemoryEpochForEpoch) {
-  core::DeepOdConfig config = core::DeepOdConfig().Scaled(16);
-  config.epochs = 2;
-  config.num_threads = 1;
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(testing::Message() << threads << " thread(s)");
+    core::DeepOdConfig config = core::DeepOdConfig().Scaled(16);
+    config.epochs = 2;
+    config.num_threads = threads;
 
-  core::DeepOdModel model_mem(config, *dataset_);
-  core::DeepOdModel model_ooc(config, *dataset_);
+    core::DeepOdModel model_mem(config, *dataset_);
+    core::DeepOdModel model_ooc(config, *dataset_);
 
-  io::ShardedTripSource::Options options;
-  options.window_size = 16;  // several windows per epoch, so prefetch cycles
-  io::ShardedTripSource sharded(*shard_paths_, options);
-  core::InMemoryTripFeed grouped(dataset_->train, sharded.shard_sizes());
+    io::ShardedTripSource::Options options;
+    options.window_size = 16;  // several windows per epoch, so prefetch cycles
+    io::ShardedTripSource sharded(*shard_paths_, options);
+    core::InMemoryTripFeed grouped(dataset_->train, sharded.shard_sizes());
 
-  core::DeepOdTrainer trainer_mem(model_mem, *dataset_, &grouped);
-  core::DeepOdTrainer trainer_ooc(model_ooc, *dataset_, &sharded);
+    core::DeepOdTrainer trainer_mem(model_mem, *dataset_, &grouped);
+    core::DeepOdTrainer trainer_ooc(model_ooc, *dataset_, &sharded);
 
-  for (int epoch = 1; epoch <= config.epochs; ++epoch) {
-    const double mae_mem = trainer_mem.TrainPrefix(epoch);
-    const double mae_ooc = trainer_ooc.TrainPrefix(epoch);
-    EXPECT_EQ(std::bit_cast<uint64_t>(mae_mem), std::bit_cast<uint64_t>(mae_ooc))
-        << "epoch " << epoch;
-  }
+    for (int epoch = 1; epoch <= config.epochs; ++epoch) {
+      const double mae_mem = trainer_mem.TrainPrefix(epoch);
+      const double mae_ooc = trainer_ooc.TrainPrefix(epoch);
+      EXPECT_EQ(std::bit_cast<uint64_t>(mae_mem),
+                std::bit_cast<uint64_t>(mae_ooc))
+          << "epoch " << epoch;
+    }
 
-  const nn::StateDict state_mem = model_mem.State();
-  const nn::StateDict state_ooc = model_ooc.State();
-  std::vector<double> flat_mem, flat_ooc;
-  for (const auto& e : state_mem.entries()) {
-    flat_mem.insert(flat_mem.end(), e.data, e.data + e.size);
-  }
-  for (const auto& e : state_ooc.entries()) {
-    flat_ooc.insert(flat_ooc.end(), e.data, e.data + e.size);
-  }
-  ASSERT_EQ(flat_mem.size(), flat_ooc.size());
-  for (size_t i = 0; i < flat_mem.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<uint64_t>(flat_mem[i]),
-              std::bit_cast<uint64_t>(flat_ooc[i]))
-        << "state element " << i;
+    const nn::StateDict state_mem = model_mem.State();
+    const nn::StateDict state_ooc = model_ooc.State();
+    std::vector<double> flat_mem, flat_ooc;
+    for (const auto& e : state_mem.entries()) {
+      flat_mem.insert(flat_mem.end(), e.data, e.data + e.size);
+    }
+    for (const auto& e : state_ooc.entries()) {
+      flat_ooc.insert(flat_ooc.end(), e.data, e.data + e.size);
+    }
+    ASSERT_EQ(flat_mem.size(), flat_ooc.size());
+    for (size_t i = 0; i < flat_mem.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(flat_mem[i]),
+                std::bit_cast<uint64_t>(flat_ooc[i]))
+          << "state element " << i;
+    }
   }
 }
 

@@ -284,5 +284,31 @@ TEST(ObsBitIdentityTest, MetricsModeDoesNotPerturbTraining) {
   EXPECT_EQ(params_off, params_metrics);
 }
 
+// The trainer holds one gradient arena per batch chunk, min(threads,
+// batch_size) of them (one at a single thread), and the gauge reports
+// exactly what it holds.
+TEST(ObsTrainerGaugeTest, GradArenaBytesReportsTheArenasHeld) {
+  ModeOverride metrics(obs::Mode::kMetrics);
+  ASSERT_EQ(TinyConfig().batch_size, 8u);
+  for (const size_t threads : {size_t{1}, size_t{4}, size_t{16}}) {
+    core::DeepOdConfig config = TinyConfig();
+    config.num_threads = threads;
+    config.road_init = core::RoadInit::kOneHot;  // no embedding pre-training
+    config.time_init = core::TimeInit::kOneHot;
+    core::DeepOdModel model(config, TinyDataset());
+    size_t param_bytes = 0;
+    for (const auto& p : model.Parameters()) {
+      param_bytes += p.size() * sizeof(double);
+    }
+    core::DeepOdTrainer trainer(model, TinyDataset());
+    EXPECT_EQ(trainer.num_threads(), threads);
+    EXPECT_EQ(obs::Registry::Global().gauge("trainer/threads").Value(),
+              static_cast<double>(threads));
+    EXPECT_EQ(obs::Registry::Global().gauge("trainer/grad_arena_bytes").Value(),
+              static_cast<double>(std::min<size_t>(threads, 8) * param_bytes))
+        << threads << " threads";
+  }
+}
+
 }  // namespace
 }  // namespace deepod

@@ -1,16 +1,21 @@
 // Determinism and correctness contract of the data-parallel trainer
 // (DESIGN.md "Threading model"):
-//  - a serial run must not depend on what the thread's buffer pool held
+//  - a one-worker run must not depend on what the thread's buffer pool held
 //    before it (AcquireBuffer callers overwrite every element);
 //  - a fixed num_threads > 1 must be deterministic run-to-run;
+//  - one worker must match the per-sample reference trainer bit for bit;
 //  - the blocked / vectorised kernel tiers must pass finite-difference
 //    gradient checks (odd sizes so the unrolled tails are exercised).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,6 +26,8 @@
 #include "nn/lstm.h"
 #include "nn/ops.h"
 #include "nn/serialize.h"
+#include "nn/simd.h"
+#include "reference_trainer.h"
 #include "sim/dataset.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -112,6 +119,86 @@ TEST(TrainerParallelTest, FourThreadsDeterministicAcrossRuns) {
   const TrainOutcome serial = TrainOnce(1);
   EXPECT_NEAR(first.final_val, serial.final_val,
               0.2 * serial.final_val + 1e-9);
+}
+
+// --- one worker is the per-sample reference trainer -------------------------
+
+// Trains two epochs with DeepOdTrainer at one worker and with the reference
+// loop of reference_trainer.h, both on the ambient tier `mode`, and requires
+// every state entry (parameters, BatchNorm running statistics, time scale),
+// every Adam moment and the validation MAE to be bit-equal.
+void ExpectOneWorkerMatchesReference(nn::KernelMode mode) {
+  const nn::KernelModeScope scope(mode);
+  core::DeepOdConfig config = TinyConfig(1);
+  config.epochs = 2;
+  config.lr_decay_epochs = 1;  // the second epoch runs at a decayed rate
+
+  core::DeepOdModel model(config, TinyDataset());
+  core::DeepOdTrainer trainer(model, TinyDataset());
+  const double val = trainer.TrainPrefix(2, nullptr, 25, 40);
+
+  core::DeepOdModel ref_model(config, TinyDataset());
+  core::reference::SerialTrainer reference(ref_model, TinyDataset());
+  const double ref_val = reference.TrainPrefix(2, 40);
+
+  EXPECT_EQ(std::memcmp(&val, &ref_val, sizeof(double)), 0)
+      << val << " vs " << ref_val;
+  const nn::StateDict state = model.State();
+  const nn::StateDict ref_state = ref_model.State();
+  ASSERT_EQ(state.size(), ref_state.size());
+  for (size_t i = 0; i < state.size(); ++i) {
+    const auto& a = state.entries()[i];
+    const auto& b = ref_state.entries()[i];
+    ASSERT_EQ(a.name, b.name);
+    ASSERT_EQ(a.size, b.size);
+    EXPECT_EQ(std::memcmp(a.data, b.data, a.size * sizeof(double)), 0)
+        << a.name;
+  }
+
+  // The trainer's Adam moments, read back from its checkpoint.
+  const std::string path =
+      testing::TempDir() + "trainer_parallel_test_reference.ckpt";
+  trainer.SaveCheckpoint(path);
+  std::vector<nn::TensorRecord> records;
+  const nn::LoadStatus status = nn::ReadStateDict(path, &records);
+  std::remove(path.c_str());
+  ASSERT_TRUE(status.ok()) << status.message;
+  nn::StateDict ref_optim;
+  reference.optimizer().AppendState("optim.", ref_optim);
+  ASSERT_GT(ref_optim.size(), 0u);
+  size_t optim_records = 0;
+  for (const auto& r : records) {
+    if (r.name.rfind("optim.", 0) == 0) ++optim_records;
+  }
+  EXPECT_EQ(optim_records, ref_optim.size());
+  for (const auto& e : ref_optim.entries()) {
+    const auto it = std::find_if(records.begin(), records.end(),
+                                 [&](const auto& r) { return r.name == e.name; });
+    ASSERT_NE(it, records.end()) << e.name;
+    ASSERT_EQ(it->num_elements, e.size) << e.name;
+    EXPECT_EQ(std::memcmp(it->payload.data(), e.data, e.size * sizeof(double)),
+              0)
+        << e.name;
+  }
+}
+
+TEST(TrainerParallelTest, OneWorkerMatchesReferenceOnBlockedTier) {
+  ExpectOneWorkerMatchesReference(nn::KernelMode::kBlocked);
+}
+
+TEST(TrainerParallelTest, OneWorkerMatchesReferenceOnSimdTier) {
+  if (!nn::Avx2Active()) GTEST_SKIP() << "AVX2 inactive";
+  ExpectOneWorkerMatchesReference(nn::KernelMode::kSimd);
+}
+
+TEST(TrainerParallelTest, CallbackWithZeroEvalEveryThrows) {
+  core::DeepOdConfig config = TinyConfig(1);
+  config.road_init = core::RoadInit::kOneHot;  // no embedding pre-training
+  config.time_init = core::TimeInit::kOneHot;
+  core::DeepOdModel model(config, TinyDataset());
+  core::DeepOdTrainer trainer(model, TinyDataset());
+  EXPECT_THROW(trainer.Train([](size_t, double) {}, 0), std::invalid_argument);
+  EXPECT_EQ(trainer.steps_taken(), 0u);
 }
 
 // --- gradient checks for the optimised kernel tiers -------------------------

@@ -23,7 +23,7 @@
 // fallback estimators stream from the mmap'd shards record by record, the
 // training split is never materialised in memory, and the resulting model
 // is bit-identical to the in-memory path. --parity-check trains the
-// sharded and the in-memory grouped-shuffle paths side by side at 1 thread
+// sharded and the in-memory grouped-shuffle paths side by side at --threads
 // and fails unless their validation curves and final states are
 // bit-identical.
 //
@@ -275,9 +275,8 @@ int main(int argc, char** argv) {
   if (args.parity_check) {
     // The out-of-core feed against its in-memory twin: both epoch orders
     // come from core::BuildShardEpochOrder over the same shard sizes, so at
-    // 1 thread every validation MAE and the final model state must agree
-    // bit-for-bit. Any divergence is a decode or feed-order bug.
-    config.num_threads = 1;
+    // any --threads every validation MAE and the final model state must
+    // agree bit-for-bit. Any divergence is a decode or feed-order bug.
     core::DeepOdModel model_mem(config, dataset);
     core::InMemoryTripFeed feed_mem(dataset.train, shard_sizes);
     core::DeepOdTrainer trainer_mem(model_mem, dataset, &feed_mem);
