@@ -18,15 +18,6 @@ namespace {
 using nn::LoadErrorKind;
 using nn::LoadStatus;
 
-uint64_t Fnv1a64(const uint8_t* data, size_t n) {
-  uint64_t hash = 0xcbf29ce484222325ull;
-  for (size_t i = 0; i < n; ++i) {
-    hash ^= data[i];
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
 size_t Align8(size_t offset) { return (offset + 7) & ~size_t{7}; }
 
 // Header: magic, version, num_trips, route_elems.
@@ -142,7 +133,8 @@ std::vector<uint8_t> SerializeTripStore(
   }
   u64(l.route_begin)[n] = arena_at;
 
-  const uint64_t checksum = Fnv1a64(base, l.checksum);
+  const uint64_t checksum =
+      nn::Fnv1a64(nn::kFnv1a64Offset, base, l.checksum);
   std::memcpy(base + l.checksum, &checksum, 8);
   return buffer;
 }
@@ -331,7 +323,8 @@ nn::LoadStatus TripStoreReader::Index(const std::string& path,
   if (verify_checksum) {
     uint64_t stored = 0;
     std::memcpy(&stored, base_ + l.checksum, 8);
-    const uint64_t computed = Fnv1a64(base_, l.checksum);
+    const uint64_t computed =
+        nn::Fnv1a64(nn::kFnv1a64Offset, base_, l.checksum);
     if (stored != computed) {
       return LoadStatus::Error(LoadErrorKind::kBadChecksum,
                                "trip_store: " + path + " checksum mismatch");

@@ -53,17 +53,6 @@ void AppendPod(std::vector<uint8_t>& buf, const T& value) {
   buf.insert(buf.end(), bytes, bytes + sizeof(T));
 }
 
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr uint64_t kFnvPrime = 0x100000001b3ull;
-
-uint64_t Fnv1a64(uint64_t h, const uint8_t* data, size_t size) {
-  for (size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
 LoadStatus Truncated(const std::string& where) {
   return LoadStatus::Error(LoadErrorKind::kTruncated,
                            "state dict truncated in " + where);
@@ -196,7 +185,7 @@ std::vector<uint8_t> SerializeStateDict(const StateDict& state,
       }
     }
   }
-  AppendPod(buf, Fnv1a64(kFnvOffset, buf.data(), buf.size()));
+  AppendPod(buf, Fnv1a64(kFnv1a64Offset, buf.data(), buf.size()));
   return buf;
 }
 
@@ -289,7 +278,7 @@ class ByteSource {
 
   size_t size_;
   size_t offset_ = 0;
-  uint64_t hash_ = kFnvOffset;
+  uint64_t hash_ = kFnv1a64Offset;
   int fd_ = -1;
   std::unique_ptr<uint8_t[]> owned_;
   const uint8_t* window_;

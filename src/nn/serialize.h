@@ -46,6 +46,18 @@ namespace deepod::nn {
 // carrying them is rejected as kBadDtype, and a v3 file is rejected by old
 // readers as kBadVersion rather than misread.
 
+// The FNV-1a 64 checksum that seals a state-dict stream (above) and a
+// columnar .trips file (io/trip_store.h). Folds `size` bytes into the
+// running hash `h`; start from kFnv1a64Offset.
+inline constexpr uint64_t kFnv1a64Offset = 0xcbf29ce484222325ull;
+inline uint64_t Fnv1a64(uint64_t h, const uint8_t* data, size_t size) {
+  for (size_t i = 0; i < size; ++i) {
+    h ^= data[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
 // --- Typed load errors -------------------------------------------------------
 
 enum class LoadErrorKind {

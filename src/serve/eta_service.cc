@@ -37,8 +37,7 @@ EtaService::EtaService(std::shared_ptr<ServingState> initial,
           registry_.counter(options.registry_prefix + "batched_requests")),
       swaps_(registry_.counter(options.registry_prefix + "swaps")),
       epoch_gauge_(registry_.gauge(options.registry_prefix + "epoch")),
-      latency_(registry_.histogram(options.registry_prefix + "latency")),
-      start_time_(std::chrono::steady_clock::now()) {
+      latency_(registry_.histogram(options.registry_prefix + "latency")) {
   if (!initial || initial->model == nullptr) {
     throw std::invalid_argument("EtaService: null serving state");
   }
@@ -117,27 +116,6 @@ std::vector<double> EtaService::EstimateBatch(
   batches_.Add();
   batched_requests_.Add(ods.size());
   return out;
-}
-
-EtaServiceStats EtaService::StatsSnapshot() const {
-  EtaServiceStats stats;
-  stats.requests = requests_.Value();
-  stats.batches = batches_.Value();
-  const uint64_t batched = batched_requests_.Value();
-  stats.avg_batch_size =
-      stats.batches == 0
-          ? 0.0
-          : static_cast<double>(batched) / static_cast<double>(stats.batches);
-  stats.swaps = swaps_.Value();
-  stats.epoch = state()->epoch;
-  stats.p50_ms = latency_.Percentile(0.50) * 1e3;
-  stats.p95_ms = latency_.Percentile(0.95) * 1e3;
-  stats.p99_ms = latency_.Percentile(0.99) * 1e3;
-  const double elapsed =
-      SecondsSince(start_time_, std::chrono::steady_clock::now());
-  stats.qps = elapsed > 0.0 ? static_cast<double>(stats.requests) / elapsed
-                            : 0.0;
-  return stats;
 }
 
 std::string EtaService::ExportJson() const {

@@ -36,7 +36,7 @@ struct EtaServiceOptions {
   // constructor, which serves the caller's model as-is. Quantised serving
   // answers match fp64 within an MAE budget — not bit-identically — so
   // golden replay against a quantised service needs a tolerance
-  // (deepod_serve --check --tolerance).
+  // (deepod_loadgen --golden --tolerance against deepod_server --quant).
   nn::QuantMode quant = nn::QuantMode::kNone;
 
   // Prefix of every metric name in the service's registry. A fleet gives
@@ -44,21 +44,6 @@ struct EtaServiceOptions {
   // export stays collision-free; the default is the single-city name a
   // fleet of one keeps.
   std::string registry_prefix = "serve/";
-};
-
-// Counter/latency snapshot, assembled from the service's metrics registry.
-// Latency percentiles are bucket estimates from a fixed-bucket histogram
-// (≤12.5% relative error; see obs::Histogram); counters are exact.
-struct EtaServiceStats {
-  uint64_t requests = 0;
-  uint64_t batches = 0;          // EstimateBatch calls
-  double avg_batch_size = 0.0;   // requests per EstimateBatch call
-  uint64_t swaps = 0;            // serving-state flips (SwapState)
-  uint64_t epoch = 0;            // current serving epoch
-  double p50_ms = 0.0;
-  double p95_ms = 0.0;
-  double p99_ms = 0.0;
-  double qps = 0.0;  // completed requests / seconds since construction
 };
 
 // The online estimation front-end (Algorithm 1, Estimation, as a service):
@@ -82,12 +67,12 @@ struct EtaServiceStats {
 // Observability: every stat lives in a private obs::Registry under the
 // "serve/" prefix — counters for requests/batches/swaps, a latency
 // histogram and an epoch gauge. The registry is per-instance (stats never
-// bleed between services) and always on. StatsSnapshot() is served from the
-// registry; ExportJson() emits the shared BENCH-json schema through
-// serve::ExportStatsJson (stats.h) — the same entry point the network
-// server's stats frame and --stats-json use — and ExportPrometheus() the
-// text exposition format. Thread-safe; the model must not be trained while
-// the service is running.
+// bleed between services) and always on, and it is the only copy: callers
+// read it through registry(). ExportJson() emits the shared BENCH-json
+// schema through serve::ExportStatsJson (stats.h) — the same entry point
+// the network server's stats frame and --stats-json use — and
+// ExportPrometheus() the text exposition format. Thread-safe; the model
+// must not be trained while the service is running.
 class EtaService {
  public:
   EtaService(core::DeepOdModel& model, const EtaServiceOptions& options);
@@ -153,7 +138,6 @@ class EtaService {
 
   // --- Stats --------------------------------------------------------------
 
-  EtaServiceStats StatsSnapshot() const;
   // {"hardware_concurrency": N, "records": [...]} over the serve/* metrics
   // (serve::ExportStatsJson with this service as the only source).
   std::string ExportJson() const;
@@ -182,8 +166,6 @@ class EtaService {
   obs::Counter& swaps_;
   obs::Gauge& epoch_gauge_;
   obs::Histogram& latency_;  // request completion latency (seconds)
-
-  std::chrono::steady_clock::time_point start_time_;
 };
 
 }  // namespace deepod::serve

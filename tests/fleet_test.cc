@@ -45,6 +45,7 @@
 #include "serve/server/server.h"
 #include "serve/serving_state.h"
 #include "sim/dataset.h"
+#include "registry_value.h"
 
 namespace deepod {
 namespace {
@@ -142,12 +143,7 @@ class FleetTest : public ::testing::Test {
 
   static double CounterValue(const serve::FleetRouter& router,
                              const std::string& name) {
-    for (const auto& record : router.registry().Export()) {
-      if (record.name != name) continue;
-      if (record.count.has_value()) return *record.count;
-      if (record.value.has_value()) return *record.value;
-    }
-    return -1.0;
+    return test::RegistryValue(router.registry(), name);
   }
 
   static std::string* root_;
@@ -604,10 +600,7 @@ TEST_F(FleetTest, ServerServesThreeCitiesFromOneProcess) {
   // answered in a batch, missed its deadline in the queue or met a cold
   // shard there.
   const auto count = [&server](const std::string& name) {
-    for (const obs::Record& record : server.registry().Export(name)) {
-      if (record.name == name) return record.count.value_or(0.0);
-    }
-    return -1.0;
+    return test::RegistryValue(server.registry(), name);
   };
   EXPECT_GE(count("server/completed_inline"), 1.0);
   EXPECT_EQ(count("server/completed"),

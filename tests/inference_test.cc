@@ -39,6 +39,7 @@
 #include "sim/snapshot_speed_field.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "registry_value.h"
 
 namespace deepod {
 namespace {
@@ -507,7 +508,8 @@ TEST(EtaServiceTest, EveryExactQueryGetsItsOwnPredictAnswer) {
     EXPECT_EQ(service.EstimateBatch(batch),
               (std::vector<double>{expect_b, expect_a, expect_b}));
   }
-  EXPECT_EQ(service.StatsSnapshot().requests, 10u);
+  EXPECT_EQ(test::RegistryValue(service.registry(), "serve/requests"),
+            10.0);
 }
 
 TEST(EtaServiceTest, ExportsRegistryBackedStats) {
@@ -533,10 +535,12 @@ TEST(EtaServiceTest, ExportsRegistryBackedStats) {
   // Stats are per-instance: a fresh service starts from zero even though
   // another service already answered queries in this process.
   serve::EtaService fresh(model, options);
-  EXPECT_EQ(fresh.StatsSnapshot().requests, 0u);
-  const auto stats = service.StatsSnapshot();
-  EXPECT_EQ(stats.requests, 2u);
-  EXPECT_GT(stats.p50_ms, 0.0);
+  EXPECT_EQ(test::RegistryValue(fresh.registry(), "serve/requests"), 0.0);
+  EXPECT_EQ(test::RegistryValue(service.registry(), "serve/requests"), 2.0);
+  const auto latency = service.registry().Export("serve/latency");
+  ASSERT_EQ(latency.size(), 1u);
+  EXPECT_EQ(latency[0].count.value_or(0.0), 2.0);
+  EXPECT_GT(latency[0].p50_ms.value_or(0.0), 0.0);
 }
 
 }  // namespace

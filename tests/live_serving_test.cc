@@ -54,6 +54,7 @@
 #include "sim/dataset.h"
 #include "sim/rolling_speed_field.h"
 #include "sim/snapshot_speed_field.h"
+#include "registry_value.h"
 
 namespace deepod {
 namespace {
@@ -147,17 +148,6 @@ std::unique_ptr<serve::FleetRouter> FleetOfOne(
       std::shared_ptr<const road::RoadNetwork>(
           std::shared_ptr<const road::RoadNetwork>(), &TinyDataset().network),
       options);
-}
-
-// A counter of the router's "fleet/" registry.
-uint64_t RouterCount(const serve::FleetRouter& router,
-                     const std::string& name) {
-  for (const obs::Record& record : router.registry().Export(name)) {
-    if (record.name == name) {
-      return static_cast<uint64_t>(record.count.value_or(0.0));
-    }
-  }
-  return 0;
 }
 
 // Copies `src` over `dst` with an atomic rename — the publish discipline
@@ -332,7 +322,7 @@ TEST(EtaServiceEpoch, RepeatedQueryAfterBumpEpochSeesNewSpeedField) {
   const double tensor =
       model.EstimateFromCode(model.EncodeOd(od)).item() * model.time_scale();
   EXPECT_EQ(std::memcmp(&after, &tensor, sizeof(double)), 0);
-  EXPECT_EQ(service.StatsSnapshot().epoch, 1u);
+  EXPECT_EQ(test::RegistryValue(service.registry(), "serve/epoch"), 1.0);
 }
 
 TEST(EtaServiceEpoch, SwapStateMatchesFreshProcessBitForBit) {
@@ -356,7 +346,7 @@ TEST(EtaServiceEpoch, SwapStateMatchesFreshProcessBitForBit) {
       serve::LoadServingState(ArtifactV2(), network, io::ArtifactOptions{}));
   EXPECT_EQ(epoch, 1u);
   EXPECT_EQ(service->state()->epoch, 1u);
-  EXPECT_EQ(service->StatsSnapshot().swaps, 1u);
+  EXPECT_EQ(test::RegistryValue(service->registry(), "serve/swaps"), 1.0);
 
   for (const auto& od : ods) {
     const double swapped = service->Estimate(od);
@@ -397,7 +387,9 @@ TEST(FleetOfOneHotSwap, SwapsOnChangeRollsBackOnCorruptionRecovers) {
       serve::LoadServingState(watched, network, io::ArtifactOptions{}),
       options);
   serve::EtaService& service = *router->shards().front()->service();
-  const auto swaps = [&service] { return service.StatsSnapshot().swaps; };
+  const auto swaps = [&service] {
+    return test::RegistryValue(service.registry(), "serve/swaps");
+  };
 
   // Construction marked the served file as attempted: nothing to do.
   EXPECT_EQ(router->ActivateNow(), 0u);
@@ -420,14 +412,16 @@ TEST(FleetOfOneHotSwap, SwapsOnChangeRollsBackOnCorruptionRecovers) {
     std::fclose(f);
   }
   EXPECT_EQ(router->ActivateNow(), 0u);
-  EXPECT_EQ(RouterCount(*router, "fleet/reload_failures"), 1u);
+  EXPECT_EQ(test::RegistryValue(router->registry(), "fleet/reload_failures"),
+            1.0);
   EXPECT_EQ(swaps(), 1u);
   for (const auto& od : ods) {
     EXPECT_EQ(service.Estimate(od), fresh_v2->Estimate(od));
   }
   // The corrupt bytes are remembered: no retry until the content changes.
   EXPECT_EQ(router->ActivateNow(), 0u);
-  EXPECT_EQ(RouterCount(*router, "fleet/reload_failures"), 1u);
+  EXPECT_EQ(test::RegistryValue(router->registry(), "fleet/reload_failures"),
+            1.0);
 
   // A good write recovers.
   PublishArtifact(ArtifactV1(), watched);
@@ -455,13 +449,16 @@ TEST(FleetOfOneHotSwap, WatcherPicksUpRenamedArtifact) {
   PublishArtifact(ArtifactV2(), watched);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (service.StatsSnapshot().swaps == 0 &&
+  const auto swaps = [&service] {
+    return test::RegistryValue(service.registry(), "serve/swaps");
+  };
+  while (swaps() == 0.0 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_EQ(service.StatsSnapshot().swaps, 1u);
+  EXPECT_EQ(swaps(), 1.0);
   EXPECT_EQ(service.state()->epoch, 1u);
-  EXPECT_GT(RouterCount(*router, "fleet/polls"), 0u);
+  EXPECT_GT(test::RegistryValue(router->registry(), "fleet/polls"), 0.0);
 }
 
 // --- Swap under sustained load ----------------------------------------------
@@ -553,7 +550,7 @@ TEST(FleetOfOneHotSwap, SwapUnderLoadDropsNothingAndStaysBitIdentical) {
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_EQ(torn_batches.load(), 0u);
   EXPECT_GT(answered.load(), 0u);
-  EXPECT_EQ(service->StatsSnapshot().swaps, static_cast<uint64_t>(kSwaps));
+  EXPECT_EQ(test::RegistryValue(service->registry(), "serve/swaps"), kSwaps);
 
   // Post-swap goldens: the long-lived, many-times-swapped service answers
   // exactly like a process freshly started on the final artifact (kSwaps

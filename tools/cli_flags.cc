@@ -2,6 +2,7 @@
 
 #include <sys/stat.h>
 
+#include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -37,7 +38,11 @@ bool FlagCursor::SizeValue(size_t* out) {
   char* end = nullptr;
   errno = 0;
   const unsigned long long parsed = std::strtoull(v, &end, 10);
-  if (errno != 0 || end == v || *end != '\0') {
+  // strtoull skips leading space and accepts a sign — negating "-1" to
+  // ULLONG_MAX without setting errno — so the first character must be a
+  // digit.
+  if (!std::isdigit(static_cast<unsigned char>(v[0])) || errno != 0 ||
+      *end != '\0') {
     std::fprintf(stderr, "%s expects an unsigned integer, got '%s'\n",
                  flag_.c_str(), v);
     return false;

@@ -10,8 +10,8 @@
 
 namespace deepod::tools::cli {
 
-// Shared flag parsing for the CLI tools (deepod_train / deepod_serve /
-// deepod_server / deepod_loadgen). Before this helper each tool hand-rolled
+// Shared flag parsing for the CLI tools (deepod_train / deepod_server /
+// deepod_loadgen). Before this helper each tool hand-rolled
 // the same argv walk — three private copies of --quant parsing, two of
 // --kernel, each with its own error text. FlagCursor owns the walk and the
 // typed value-takes, so a given flag parses and fails identically

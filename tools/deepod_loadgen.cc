@@ -31,11 +31,16 @@
 // value crosses the bound.
 //
 // --golden switches to replay mode: every query of a deepod_train --golden
-// file is sent over the wire and the answer compared against the recorded
-// prediction — bit-for-bit without --tolerance. This is the cross-process
-// twin of deepod_serve --check, and the post-hot-swap gate: replaying v2's
-// golden file against a server that swapped v1 -> v2 in place must match a
-// fresh v2 process exactly.
+// file is sent over the wire twice — the first pass fills the shard's
+// external-code table, the second reads it back — and both answers are
+// compared against the recorded prediction. Without --tolerance the
+// comparison is bit-for-bit: the gate for an fp64 artifact served on the
+// tier the goldens were recorded with, and the post-hot-swap gate
+// (replaying v2's golden file against a server that swapped v1 -> v2 in
+// place must match a fresh v2 process exactly). --tolerance X accepts
+// |got - expected| <= X * max(1, |expected|) instead, which a quantised
+// (deepod_server --quant int8/fp16) or kSimd-tier (--kernel simd) server
+// needs: both are value-tolerance contracts, not bit-identity ones.
 
 #include <cmath>
 #include <cstdio>
@@ -73,7 +78,8 @@ bool ParseNetworkIds(const std::string& value, std::vector<uint32_t>* out) {
   return !out->empty();
 }
 
-// Replays a golden file over one connection; returns the process exit code.
+// Replays a golden file over one connection, in two passes; returns the
+// process exit code.
 int RunGoldenReplay(const std::string& host, uint16_t port,
                     const std::string& golden_path, double tolerance,
                     uint32_t network_id) {
@@ -97,34 +103,40 @@ int RunGoldenReplay(const std::string& host, uint16_t port,
            tolerance * std::max(1.0, std::abs(expected));
   };
   size_t mismatches = 0, errors = 0;
-  for (size_t i = 0; i < golden.size(); ++i) {
-    serve::net::RequestFrame request;
-    request.request_id = i + 1;
-    request.network_id = network_id;
-    request.priority = 0;  // interactive: never shed by deadline estimation
-    request.od = golden[i].od;
-    serve::net::ResponseFrame response;
-    if (!client.Send(request) || !client.ReadResponse(&response)) {
-      std::fprintf(stderr, "connection lost at query %zu\n", i);
-      return 1;
-    }
-    if (response.status != serve::net::Status::kOk) {
-      if (++errors <= 5) {
-        std::fprintf(stderr, "query %zu: status %s\n", i,
-                     serve::net::StatusName(response.status));
+  uint64_t request_id = 0;
+  for (int pass = 1; pass <= 2; ++pass) {
+    for (size_t i = 0; i < golden.size(); ++i) {
+      serve::net::RequestFrame request;
+      request.request_id = ++request_id;
+      request.network_id = network_id;
+      request.priority = 0;  // interactive: never shed by deadline estimation
+      request.od = golden[i].od;
+      serve::net::ResponseFrame response;
+      if (!client.Send(request) || !client.ReadResponse(&response)) {
+        std::fprintf(stderr, "connection lost at query %zu (pass %d)\n", i,
+                     pass);
+        return 1;
       }
-    } else if (!matches(response.eta_seconds, golden[i].prediction)) {
-      if (++mismatches <= 5) {
-        std::fprintf(stderr, "mismatch: od %zu->%zu expected %a got %a\n",
-                     golden[i].od.origin_segment, golden[i].od.dest_segment,
-                     golden[i].prediction, response.eta_seconds);
+      if (response.status != serve::net::Status::kOk) {
+        if (++errors <= 5) {
+          std::fprintf(stderr, "query %zu (pass %d): status %s\n", i, pass,
+                       serve::net::StatusName(response.status));
+        }
+      } else if (!matches(response.eta_seconds, golden[i].prediction)) {
+        if (++mismatches <= 5) {
+          std::fprintf(stderr,
+                       "mismatch (pass %d): od %zu->%zu expected %a got %a\n",
+                       pass, golden[i].od.origin_segment,
+                       golden[i].od.dest_segment, golden[i].prediction,
+                       response.eta_seconds);
+        }
       }
     }
   }
   client.Close();
   const bool pass = mismatches == 0 && errors == 0 && !golden.empty();
   std::printf(
-      "golden replay: %zu queries, %zu mismatches, %zu errors "
+      "golden replay: %zu queries x 2 passes, %zu mismatches, %zu errors "
       "(tolerance %g) -> %s\n",
       golden.size(), mismatches, errors, tolerance, pass ? "PASS" : "FAIL");
   return pass ? 0 : 1;

@@ -1,8 +1,10 @@
-// deepod_server: the network front end. Loads a model artifact + road
-// network (predict-only, same loading path as deepod_serve) as a fleet of
-// one, or every city of a fleet manifest, and serves it over
-// length-prefixed TCP with admission control and continuous batching
-// (DESIGN.md "Network serving").
+// deepod_server: the one serving tool. Loads a model artifact + road
+// network (predict-only: no training dataset, traffic process or trajectory
+// store in memory) as a fleet of one, or every city of a fleet manifest,
+// and serves it over length-prefixed TCP with admission control and
+// continuous batching (DESIGN.md "Network serving"). An artifact that fails
+// to load exits 1 with its typed kind ("artifact load failed [KIND]"); a
+// golden replay runs over the wire through deepod_loadgen --golden.
 //
 //   deepod_server --artifact model.artifact --network network.csv
 //                 [--host H] [--port P] [--max-batch N] [--executors N]
@@ -38,12 +40,12 @@
 // rejected with --fleet.
 //
 // Prints "listening on HOST:PORT" once the socket is bound (port 0 binds
-// an ephemeral port; scripts parse the line to discover it). SIGTERM and
-// SIGINT trigger a graceful drain: stop accepting, answer every admitted
-// request, close connections, then exit 0 — the shutdown contract the CI
-// server-smoke job asserts. --stats-json writes the unified stats document
-// (serve::ExportStatsJson — identical to the wire stats frame) on the way
-// out.
+// an ephemeral port; tools/server_ctl.sh parses the line to discover it).
+// SIGTERM and SIGINT trigger a graceful drain: stop accepting, answer
+// every admitted request, close connections, then exit 0 — the shutdown
+// contract the CI server-smoke job asserts. --stats-json writes the
+// unified stats document (serve::ExportStatsJson — identical to the wire
+// stats frame) on the way out.
 //
 // Live serving (DESIGN.md "Live serving"):
 //   --watch        polls the artifact path and hot-swaps a rewritten

@@ -16,9 +16,8 @@ struct GoldenQuery {
   double prediction = 0.0;
 };
 
-// Parses a deepod_train --golden file (hex-float fields, header line).
-// Shared by deepod_serve --check (in-process replay) and deepod_loadgen
-// --golden (over-the-wire replay) so both gates read the same format.
+// Parses a deepod_train --golden file (hex-float fields, header line) for
+// deepod_loadgen --golden, the over-the-wire replay gate.
 inline bool ReadGoldenFile(const std::string& path,
                            std::vector<GoldenQuery>* out) {
   std::FILE* f = std::fopen(path.c_str(), "r");
