@@ -290,7 +290,7 @@ struct SpeedEntries {
 // and returns the storage of the n * cells matrix arena: the f64
 // speed.matrices record's own payload, which the strict pass checks in
 // place and does not copy, or — for a quantised record, which only a
-// hand-made v3 file holds — `decoded`, sized for the strict pass to
+// hand-made file holds — `decoded`, sized for the strict pass to
 // dequantise into.
 std::vector<double>& ReadSpeedGeometry(ArtifactRecords& in,
                                        SpeedEntries& entries,

@@ -15,7 +15,7 @@
 namespace deepod::io {
 
 // A model artifact is one self-describing, checksummed state-dict file (the
-// nn/serialize v2 format) holding everything serving needs besides the road
+// nn/serialize format) holding everything serving needs besides the road
 // network itself:
 //
 //   artifact.version     format generation of the entry layout (currently 2;
@@ -37,10 +37,9 @@ namespace deepod::io {
 
 // Options for the quantised predict-only path (nn/quant.h). On write,
 // `quant` selects the storage dtype of the weight records (f16 or per-row
-// int8; everything else stays f64 and all-f64 artifacts keep the v2 byte
-// layout). On load, `quant` requests fake-quantisation of an fp64 artifact's
-// weights at load time — useful for evaluating a quant tier without
-// rewriting the artifact. Quantisation is serving-only: a quantised model's
+// int8; everything else stays f64). On load, `quant` requests
+// fake-quantisation of an fp64 artifact's weights at load time — useful for
+// evaluating a quant tier without rewriting the artifact. Quantisation is serving-only: a quantised model's
 // predictions match the fp64 goldens within an MAE budget, never
 // bit-identically.
 struct ArtifactOptions {
@@ -106,7 +105,7 @@ void WriteModelArtifact(const std::string& path, core::DeepOdModel& model,
 // NaN/infinite value in any tensor (kNonFinite, checked again after
 // load-time quantisation); no other exception type escapes a corrupt file,
 // and a failed load never returns a half-written model.
-// Quantised (v3) artifacts dequantise into fp64 storage on load, so every
+// Quantised (f16/int8) artifacts dequantise into fp64 storage on load, so every
 // kernel tier serves them unchanged; options.quant additionally
 // fake-quantises fp64 weights at load time.
 ServingModel LoadModelArtifact(const std::string& path,

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "nn/checksum.h"
 #include "util/thread_pool.h"
 
 namespace deepod::io {
@@ -133,8 +134,7 @@ std::vector<uint8_t> SerializeTripStore(
   }
   u64(l.route_begin)[n] = arena_at;
 
-  const uint64_t checksum =
-      nn::Fnv1a64(nn::kFnv1a64Offset, base, l.checksum);
+  const uint64_t checksum = nn::Xxh64::Hash(base, l.checksum);
   std::memcpy(base + l.checksum, &checksum, 8);
   return buffer;
 }
@@ -294,7 +294,7 @@ nn::LoadStatus TripStoreReader::Index(const std::string& path,
     return LoadStatus::Error(LoadErrorKind::kBadMagic,
                              "trip_store: " + path + " is not a trip store");
   }
-  if (version != kTripStoreVersion) {
+  if (version != kTripStoreVersion && version != kTripStoreVersionFnv) {
     return LoadStatus::Error(
         LoadErrorKind::kBadVersion,
         "trip_store: " + path + " has unsupported version " +
@@ -324,7 +324,9 @@ nn::LoadStatus TripStoreReader::Index(const std::string& path,
     uint64_t stored = 0;
     std::memcpy(&stored, base_ + l.checksum, 8);
     const uint64_t computed =
-        nn::Fnv1a64(nn::kFnv1a64Offset, base_, l.checksum);
+        version == kTripStoreVersion
+            ? nn::Xxh64::Hash(base_, l.checksum)
+            : nn::Fnv1a64(nn::kFnv1a64Offset, base_, l.checksum);
     if (stored != computed) {
       return LoadStatus::Error(LoadErrorKind::kBadChecksum,
                                "trip_store: " + path + " checksum mismatch");

@@ -15,9 +15,13 @@
 namespace deepod::nn {
 namespace {
 
-constexpr uint32_t kMagic = 0xd33b0d02;        // "deepod" format v2+
-constexpr uint32_t kVersion = 2;       // all-f64 records
-constexpr uint32_t kVersionQuant = 3;  // may carry f16/int8 records
+constexpr uint32_t kMagic = 0xd33b0d02;  // "deepod" format v2+
+// The one version written: any dtype mix, sealed with XXH64.
+constexpr uint32_t kVersion = 4;
+// Legacy versions, still read: all-f64 records (v2) and records that may be
+// f16/int8 (v3), both sealed with FNV-1a 64.
+constexpr uint32_t kVersionF64 = 2;
+constexpr uint32_t kVersionQuant = 3;
 
 // Dtype a quantising write stores this entry as (f64 unless the quant mode
 // applies and the entry is weight-quantisation eligible).
@@ -45,12 +49,6 @@ bool PayloadFits(const TensorRecord& record, size_t available) {
     default:
       return record.num_elements <= available / sizeof(double);
   }
-}
-
-template <typename T>
-void AppendPod(std::vector<uint8_t>& buf, const T& value) {
-  const auto* bytes = reinterpret_cast<const uint8_t*>(&value);
-  buf.insert(buf.end(), bytes, bytes + sizeof(T));
 }
 
 LoadStatus Truncated(const std::string& where) {
@@ -98,7 +96,7 @@ const LoadStatus& ThrowIfError(const LoadStatus& status) {
   return status;
 }
 
-// --- Tagged state-dict format (v2) ------------------------------------------
+// --- Tagged state-dict format (v4) ------------------------------------------
 
 size_t SerializedStateSize(const StateDict& state) {
   size_t bytes = sizeof(uint32_t) * 2 + sizeof(uint64_t);  // header
@@ -135,57 +133,117 @@ const char* RecordDtypeName(uint8_t dtype) {
   }
 }
 
-std::vector<uint8_t> SerializeStateDict(const StateDict& state) {
-  return SerializeStateDict(state, QuantMode::kNone);
-}
+namespace {
 
-std::vector<uint8_t> SerializeStateDict(const StateDict& state,
-                                        QuantMode quant) {
-  bool any_quantised = false;
-  for (const auto& e : state.entries()) {
-    if (DtypeFor(e, quant) != kDtypeF64) any_quantised = true;
-  }
-  std::vector<uint8_t> buf;
-  buf.reserve(SerializedStateSize(state));  // upper bound for any dtype mix
-  AppendPod(buf, kMagic);
-  // All-f64 files stay version 2 so old readers keep working; the version
-  // only moves when a record an old reader would misparse is present.
-  AppendPod(buf, any_quantised ? kVersionQuant : kVersion);
-  AppendPod(buf, static_cast<uint64_t>(state.size()));
-  for (const auto& e : state.entries()) {
-    AppendPod(buf, static_cast<uint32_t>(e.name.size()));
-    buf.insert(buf.end(), e.name.begin(), e.name.end());
-    const uint8_t dtype = DtypeFor(e, quant);
-    AppendPod(buf, dtype);
-    AppendPod(buf, static_cast<uint32_t>(e.shape.size()));
-    for (size_t d : e.shape) AppendPod(buf, static_cast<uint64_t>(d));
-    switch (dtype) {
-      case kDtypeF64: {
-        const auto* payload = reinterpret_cast<const uint8_t*>(e.data);
-        buf.insert(buf.end(), payload, payload + sizeof(double) * e.size);
-        break;
+// A state-dict stream written front to back, the mirror of ByteSource
+// below: bytes are staged in a fixed kReadWindowBytes window and folded
+// into XXH64 as they leave it for the sink, an in-memory buffer or a file.
+// A write of at least a window's worth leaves directly, after what the
+// window already holds, so no sink ever sees a whole-file copy.
+class ByteSink {
+ public:
+  explicit ByteSink(std::vector<uint8_t>* buffer) : buffer_(buffer) {}
+  explicit ByteSink(std::ofstream* file) : file_(file) {}
+
+  void Write(const void* data, size_t n) {
+    const auto* p = static_cast<const uint8_t*>(data);
+    if (n > kReadWindowBytes - used_) {
+      Flush();
+      if (n >= kReadWindowBytes) {
+        Emit(p, n);
+        return;
       }
-      case kDtypeF16: {
+    }
+    std::memcpy(window_.get() + used_, p, n);
+    used_ += n;
+  }
+
+  template <typename T>
+  void WritePod(const T& value) {
+    Write(&value, sizeof(T));
+  }
+
+  // Ends the stream with the XXH64 digest of every byte written before it.
+  void Seal() {
+    Flush();
+    const uint64_t digest = hash_.Digest();
+    Output(reinterpret_cast<const uint8_t*>(&digest), sizeof(digest));
+  }
+
+ private:
+  void Flush() {
+    Emit(window_.get(), used_);
+    used_ = 0;
+  }
+  void Emit(const uint8_t* p, size_t n) {
+    hash_.Update(p, n);
+    Output(p, n);
+  }
+  void Output(const uint8_t* p, size_t n) {
+    if (buffer_ != nullptr) {
+      buffer_->insert(buffer_->end(), p, p + n);
+    } else {
+      file_->write(reinterpret_cast<const char*>(p),
+                   static_cast<std::streamsize>(n));
+    }
+  }
+
+  std::vector<uint8_t>* buffer_ = nullptr;
+  std::ofstream* file_ = nullptr;
+  std::unique_ptr<uint8_t[]> window_{new uint8_t[kReadWindowBytes]};
+  size_t used_ = 0;
+  Xxh64 hash_;
+};
+
+// The one state-dict encoder: header, then every entry as a record in its
+// stored dtype, then the digest.
+void EncodeStateDict(const StateDict& state, QuantMode quant, ByteSink& out) {
+  out.WritePod(kMagic);
+  out.WritePod(kVersion);
+  out.WritePod(static_cast<uint64_t>(state.size()));
+  for (const auto& e : state.entries()) {
+    out.WritePod(static_cast<uint32_t>(e.name.size()));
+    out.Write(e.name.data(), e.name.size());
+    const uint8_t dtype = DtypeFor(e, quant);
+    out.WritePod(dtype);
+    out.WritePod(static_cast<uint32_t>(e.shape.size()));
+    for (size_t d : e.shape) out.WritePod(static_cast<uint64_t>(d));
+    switch (dtype) {
+      case kDtypeF64:
+        out.Write(e.data, sizeof(double) * e.size);
+        break;
+      case kDtypeF16:
         for (size_t i = 0; i < e.size; ++i) {
-          AppendPod(buf, HalfFromDouble(e.data[i]));
+          out.WritePod(HalfFromDouble(e.data[i]));
         }
         break;
-      }
       case kDtypeI8: {
         const size_t rows = RecordRows(e.shape);
         const size_t cols = e.size / rows;
         std::vector<double> scales(rows);
         std::vector<int8_t> q(e.size);
         QuantizeInt8(e.data, rows, cols, scales.data(), q.data());
-        const auto* sbytes = reinterpret_cast<const uint8_t*>(scales.data());
-        buf.insert(buf.end(), sbytes, sbytes + sizeof(double) * rows);
-        const auto* qbytes = reinterpret_cast<const uint8_t*>(q.data());
-        buf.insert(buf.end(), qbytes, qbytes + e.size);
+        out.Write(scales.data(), sizeof(double) * rows);
+        out.Write(q.data(), e.size);
         break;
       }
     }
   }
-  AppendPod(buf, Fnv1a64(kFnv1a64Offset, buf.data(), buf.size()));
+  out.Seal();
+}
+
+}  // namespace
+
+std::vector<uint8_t> SerializeStateDict(const StateDict& state) {
+  return SerializeStateDict(state, QuantMode::kNone);
+}
+
+std::vector<uint8_t> SerializeStateDict(const StateDict& state,
+                                        QuantMode quant) {
+  std::vector<uint8_t> buf;
+  buf.reserve(SerializedStateSize(state));  // upper bound for any dtype mix
+  ByteSink sink(&buf);
+  EncodeStateDict(state, quant, sink);
   return buf;
 }
 
@@ -207,11 +265,12 @@ namespace {
 // with read(2) into an owned kReadWindowBytes window, except that a read of
 // at least a window's worth takes what the window still holds and lands
 // the rest straight in its destination. Each Read puts the bytes in the
-// caller's destination and only then folds them into the running FNV-1a
-// hash, so the checksum covers exactly the bytes handed out: a file
+// caller's destination and only then folds them into the stream's
+// checksum, so the checksum covers exactly the bytes handed out: a file
 // rewritten under a load fails the checksum (or the framing) instead of
-// passing a torn mix of old and new bytes to the decode. Reads never go
-// past size(), the stream size taken when the source was opened.
+// passing a torn mix of old and new bytes to the decode. The version picks
+// the checksum, so nothing is folded until StartChecksum names it. Reads
+// never go past size(), the stream size taken when the source was opened.
 class ByteSource {
  public:
   explicit ByteSource(const std::vector<uint8_t>& buffer)
@@ -226,8 +285,17 @@ class ByteSource {
 
   size_t size() const { return size_; }
   size_t offset() const { return offset_; }
-  uint64_t hash() const { return hash_; }
   bool io_error() const { return io_error_; }
+
+  // Chooses the checksum (XXH64, or the legacy FNV-1a 64) and folds the
+  // `header` bytes that were read before the version named it.
+  void StartChecksum(bool xxh64, const void* header, size_t n) {
+    checksum_ = xxh64 ? Checksum::kXxh64 : Checksum::kFnv1a64;
+    Fold(static_cast<const uint8_t*>(header), n);
+  }
+  uint64_t digest() const {
+    return checksum_ == Checksum::kXxh64 ? xxh64_.Digest() : fnv_;
+  }
 
   bool Read(void* dst, size_t n) {
     if (n > size_ - offset_) return false;
@@ -248,7 +316,7 @@ class ByteSource {
         if (window_end_ == 0) return false;
         continue;
       }
-      hash_ = Fnv1a64(hash_, d, got);
+      Fold(d, got);
       offset_ += got;
       d += got;
       n -= got;
@@ -264,6 +332,16 @@ class ByteSource {
   }
 
  private:
+  enum class Checksum { kPending, kFnv1a64, kXxh64 };
+
+  void Fold(const uint8_t* p, size_t n) {
+    if (checksum_ == Checksum::kXxh64) {
+      xxh64_.Update(p, n);
+    } else if (checksum_ == Checksum::kFnv1a64) {
+      fnv_ = Fnv1a64(fnv_, p, n);
+    }
+  }
+
   // One read(2), retried on EINTR; 0 at end of file, on an error and for
   // an in-memory buffer.
   size_t ReadSome(uint8_t* dst, size_t n) {
@@ -278,7 +356,9 @@ class ByteSource {
 
   size_t size_;
   size_t offset_ = 0;
-  uint64_t hash_ = kFnv1a64Offset;
+  Checksum checksum_ = Checksum::kPending;
+  Xxh64 xxh64_;
+  uint64_t fnv_ = kFnv1a64Offset;
   int fd_ = -1;
   std::unique_ptr<uint8_t[]> owned_;
   const uint8_t* window_;
@@ -304,14 +384,17 @@ LoadStatus ParseStateDict(ByteSource& in, std::vector<TensorRecord>* out,
   }
   uint32_t version = 0;
   if (!ReadPod(in, &version)) return Truncated("header");
-  if (version != kVersion && version != kVersionQuant) {
+  if (version != kVersion && version != kVersionQuant &&
+      version != kVersionF64) {
     return LoadStatus::Error(
         LoadErrorKind::kBadVersion,
         "unsupported state-dict version " + std::to_string(version) +
-            " (reader supports " + std::to_string(kVersion) + " and " +
-            std::to_string(kVersionQuant) + ")");
+            " (reader supports " + std::to_string(kVersionF64) + " to " +
+            std::to_string(kVersion) + ")");
   }
   if (version_out != nullptr) *version_out = version;
+  const uint32_t header[2] = {magic, version};
+  in.StartChecksum(version == kVersion, header, sizeof(header));
   uint64_t count = 0;
   if (!ReadPod(in, &count)) return Truncated("header");
   if (in.size() < in.offset() + sizeof(uint64_t)) return Truncated("checksum");
@@ -330,7 +413,7 @@ LoadStatus ParseStateDict(ByteSource& in, std::vector<TensorRecord>* out,
     // them — a v2 file carrying one was written by a broken producer.
     const bool dtype_ok =
         rec.dtype == kDtypeF64 ||
-        (version == kVersionQuant &&
+        (version != kVersionF64 &&
          (rec.dtype == kDtypeF16 || rec.dtype == kDtypeI8));
     if (!dtype_ok) {
       return LoadStatus::Error(
@@ -371,7 +454,7 @@ LoadStatus ParseStateDict(ByteSource& in, std::vector<TensorRecord>* out,
     return LoadStatus::Error(LoadErrorKind::kTrailingBytes,
                              "state dict holds bytes past the last record");
   }
-  const uint64_t computed = in.hash();
+  const uint64_t computed = in.digest();
   uint64_t stored = 0;
   if (!ReadPod(in, &stored)) return Truncated("checksum");
   if (!in.AtEnd()) {
@@ -604,13 +687,13 @@ LoadStatus SaveStateDict(const std::string& path, const StateDict& state) {
 
 LoadStatus SaveStateDict(const std::string& path, const StateDict& state,
                          QuantMode quant) {
-  const auto buf = SerializeStateDict(state, quant);
   std::ofstream out(path, std::ios::binary);
   if (!out) {
     return LoadStatus::Error(LoadErrorKind::kIoError, "cannot open " + path);
   }
-  out.write(reinterpret_cast<const char*>(buf.data()),
-            static_cast<std::streamsize>(buf.size()));
+  ByteSink sink(&out);
+  EncodeStateDict(state, quant, sink);
+  out.flush();
   if (!out) {
     return LoadStatus::Error(LoadErrorKind::kIoError, "cannot write " + path);
   }

@@ -6,27 +6,29 @@
 #include <string>
 #include <vector>
 
+#include "nn/checksum.h"
 #include "nn/module.h"
 #include "nn/quant.h"
 
 namespace deepod::nn {
 
-// (De)serialisation of model state in the tagged state-dict format (v2/v3),
-// the one on-disk contract. Self-describing: a magic/version header, one
-// record per tensor holding its *name*, dtype, shape and payload, and a
-// trailing checksum over the whole stream. A load is one sequential pass
-// that frames the stream, checksums it and lands each payload in its record
-// (ReadStateDict / IndexStateDict), then a strict decode of that record
-// table (DeserializeStateDict). Tensors are matched by name on load, so
+// (De)serialisation of model state in the tagged state-dict format (v4;
+// v2 and v3 are still read), the one on-disk contract. Self-describing: a
+// magic/version header, one record per tensor holding its *name*, dtype,
+// shape and payload, and a trailing checksum over the whole stream. A load
+// is one sequential pass that frames the stream, checksums it and lands
+// each payload in its record (ReadStateDict / IndexStateDict), then a
+// strict decode of that record table (DeserializeStateDict). Tensors are matched by name on load, so
 // file layout is decoupled from module traversal order, config mismatches
 // are detected (and reported) per tensor, and corruption is caught before
 // any value is written into a model. A file in the retired
 // positional format (v1, magic 0xd33b0d01) is rejected as kBadMagic like
 // any other foreign stream. See DESIGN.md, "Model lifecycle".
 //
-// Byte layout of v2/v3 (all integers little-endian):
+// Byte layout (all integers little-endian; v2, v3 and v4 differ only in
+// the version field, the dtypes allowed and the checksum):
 //   u32  magic      0xd33b0d02 ("deepod" format, generation 2)
-//   u32  version    2 or 3
+//   u32  version    4 (2 and 3 are legacy, still read)
 //   u64  entry count
 //   per entry:
 //     u32  name length, then that many name bytes (UTF-8, no NUL)
@@ -36,27 +38,19 @@ namespace deepod::nn {
 //       f64  — f64 data[product(dims)]
 //       f16  — u16 half-float data[product(dims)]
 //       int8 — f64 scales[dims[0]] then i8 quantised data[product(dims)]
-//   u64  FNV-1a 64 checksum of every preceding byte
+//   u64  checksum of every preceding byte: XXH64 (seed 0) in v4, FNV-1a 64
+//        in v2/v3 (nn/checksum.h)
 //
-// Version policy (CONTRIBUTING.md: keep every reader, bump the version when
-// a record can carry something an old reader would misparse): files whose
-// records are all-f64 are written as version 2, byte-identical to the
-// pre-quantisation writer, so every existing artifact and reader keeps
-// working. The f16/int8 dtypes are only legal in version-3 files; a v2 file
-// carrying them is rejected as kBadDtype, and a v3 file is rejected by old
-// readers as kBadVersion rather than misread.
-
-// The FNV-1a 64 checksum that seals a state-dict stream (above) and a
-// columnar .trips file (io/trip_store.h). Folds `size` bytes into the
-// running hash `h`; start from kFnv1a64Offset.
-inline constexpr uint64_t kFnv1a64Offset = 0xcbf29ce484222325ull;
-inline uint64_t Fnv1a64(uint64_t h, const uint8_t* data, size_t size) {
-  for (size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
+// Version policy (CONTRIBUTING.md: keep a reader for every version ever
+// written, bump the version when the framing changes): every file is
+// written as version 4, whatever its dtype mix. The reader dispatches on
+// the version: v4 may carry any dtype and is verified with XXH64; v3 (may
+// carry f16/int8) and v2 (all-f64; a quantised record there is kBadDtype)
+// are verified with FNV-1a 64, so files written before v4 keep loading.
+// Old readers reject a v4 file as kBadVersion rather than misread it, and
+// a v4 stream relabelled as v3 fails the FNV check (kBadChecksum). The
+// header bytes are folded into the checksum once the version has chosen
+// it, so the checksum still covers every byte before it.
 
 // --- Typed load errors -------------------------------------------------------
 
@@ -109,7 +103,7 @@ class SerializeError : public std::runtime_error {
 // Throws SerializeError if `status` is an error; returns it otherwise.
 const LoadStatus& ThrowIfError(const LoadStatus& status);
 
-// --- Tagged state-dict format (v2/v3) ---------------------------------------
+// --- Tagged state-dict format -----------------------------------------------
 
 // Record dtype tags (see the byte-layout comment above).
 inline constexpr uint8_t kDtypeF64 = 1;
@@ -122,15 +116,21 @@ const char* RecordDtypeName(uint8_t dtype);
 // "[2, 3]"-style rendering of a tensor shape, as load errors print it.
 std::string ShapeToString(const std::vector<size_t>& shape);
 
-// Serialises every entry of `state` (names, shapes, payloads, checksum).
-// All-f64, written as version 2 (byte-identical to the pre-quantisation
-// writer).
+// Serialises every entry of `state` (names, shapes, payloads, checksum)
+// as an all-f64 version-4 stream.
 std::vector<uint8_t> SerializeStateDict(const StateDict& state);
 
 // Quantising writer: entries eligible for weight quantisation (nn/quant.h)
 // are stored as f16 or int8 records, everything else stays f64. With
 // QuantMode::kNone — or when nothing is eligible — this is exactly the
-// overload above. Emits version 3 iff a quantised record is present.
+// overload above.
+//
+// Writing is one encoder with two sinks: this in-memory buffer, and the
+// file SaveStateDict writes. The encoder stages bytes in a fixed
+// kReadWindowBytes window and folds them into XXH64 as they leave it; a
+// payload of at least a window (an f64 record such as the speed field)
+// leaves straight from the entry's storage, so a file write holds no copy
+// of the stream.
 std::vector<uint8_t> SerializeStateDict(const StateDict& state,
                                         QuantMode quant);
 
@@ -150,7 +150,7 @@ struct TensorRecord {
   std::vector<double> payload;
 };
 
-// Restores `state` in place from a v2/v3 buffer, dequantising f16/int8
+// Restores `state` in place from a state-dict buffer, dequantising f16/int8
 // records into the fp64 entry storage. Strict by-name matching: every dict
 // entry must appear in the buffer with an identical shape and every buffer
 // record must be expected by the dict — the first violation is reported
@@ -181,14 +181,14 @@ LoadStatus DeserializeStateDict(const std::vector<TensorRecord>& records,
 LoadStatus CheckFinite(const StateDict& state);
 
 // The framing parser: one sequential pass over a byte source that frames
-// every record, copies its payload into the record and folds each byte into
-// the FNV-1a checksum as it lands, so the checksum covers exactly the bytes
-// later decoded. Errors come in stream order: framing (kBadMagic,
+// every record, copies its payload into the record and folds each chunk
+// into the checksum the version names (XXH64 for v4, FNV-1a 64 for v2/v3)
+// as it lands, so the checksum covers exactly the bytes later decoded. Errors come in stream order: framing (kBadMagic,
 // kBadVersion, kTruncated, kBadDtype), then kTrailingBytes, then
 // kBadChecksum. Before a record's name, dims or payload is allocated, its
 // size is overflow-checked against the bytes the stream has left, so
 // allocation is bounded by the stream size. Quantised dtypes are accepted
-// only in version-3 streams.
+// in version-3 and version-4 streams, never in version 2.
 //
 // IndexStateDict parses an in-memory buffer (tests and the two-argument
 // DeserializeStateDict).
@@ -221,8 +221,8 @@ std::vector<double> ReadRecordPayload(const TensorRecord& record);
 // other dtype.
 std::vector<double> ReadRecordScales(const TensorRecord& record);
 
-// File helpers (v2/v3). The QuantMode overload routes through the
-// quantising writer.
+// File helpers. SaveStateDict streams the encoder above into `path`
+// (version 4); the QuantMode overload routes through the quantising writer.
 LoadStatus SaveStateDict(const std::string& path, const StateDict& state);
 LoadStatus SaveStateDict(const std::string& path, const StateDict& state,
                          QuantMode quant);

@@ -365,15 +365,64 @@ TEST(ArtifactTest, Fp16OverflowAtLoadIsRejected) {
 
 // --- Hostile and corrupt artifacts -------------------------------------------
 
-// The format's trailing FNV-1a 64 checksum, recomputed independently of
-// nn/serialize so a patched file passes the integrity check and reaches
-// the value checks behind it.
+// One-shot XXH64 (seed 0) straight from the xxHash specification, written
+// apart from nn::Xxh64 so the re-sealing below does not trust the code it
+// tests.
+uint64_t PlainXxh64(const uint8_t* p, size_t size) {
+  constexpr uint64_t kP1 = 0x9E3779B185EBCA87ull, kP2 = 0xC2B2AE3D27D4EB4Full,
+                     kP3 = 0x165667B19E3779F9ull, kP4 = 0x85EBCA77C2B2AE63ull,
+                     kP5 = 0x27D4EB2F165667C5ull;
+  const auto rotl = [](uint64_t x, int r) { return (x << r) | (x >> (64 - r)); };
+  const auto u64 = [](const uint8_t* q) {
+    uint64_t v;
+    std::memcpy(&v, q, sizeof(v));
+    return v;
+  };
+  const auto round = [&](uint64_t acc, uint64_t lane) {
+    return rotl(acc + lane * kP2, 31) * kP1;
+  };
+  const uint8_t* end = p + size;
+  uint64_t acc = kP5;
+  if (size >= 32) {
+    uint64_t v[4] = {kP1 + kP2, kP2, 0, 0 - kP1};
+    for (; end - p >= 32; p += 32) {
+      for (int i = 0; i < 4; ++i) v[i] = round(v[i], u64(p + 8 * i));
+    }
+    acc = rotl(v[0], 1) + rotl(v[1], 7) + rotl(v[2], 12) + rotl(v[3], 18);
+    for (const uint64_t lane : v) acc = (acc ^ round(0, lane)) * kP1 + kP4;
+  }
+  acc += size;
+  for (; end - p >= 8; p += 8) {
+    acc = rotl(acc ^ round(0, u64(p)), 27) * kP1 + kP4;
+  }
+  if (end - p >= 4) {
+    uint32_t w;
+    std::memcpy(&w, p, sizeof(w));
+    acc = rotl(acc ^ (w * kP1), 23) * kP2 + kP3;
+    p += 4;
+  }
+  for (; p < end; ++p) acc = rotl(acc ^ (*p * kP5), 11) * kP1;
+  acc = (acc ^ (acc >> 33)) * kP2;
+  acc = (acc ^ (acc >> 29)) * kP3;
+  return acc ^ (acc >> 32);
+}
+
+// The format's trailing checksum, recomputed independently of nn/serialize
+// so a patched file passes the integrity check and reaches the value checks
+// behind it. The version field picks it, as the reader does: FNV-1a 64 for
+// the legacy versions 2 and 3, XXH64 otherwise.
 void Rechecksum(std::vector<uint8_t>& bytes) {
-  uint64_t h = 0xcbf29ce484222325ull;
   const size_t body = bytes.size() - sizeof(uint64_t);
-  for (size_t i = 0; i < body; ++i) {
-    h ^= bytes[i];
-    h *= 0x100000001b3ull;
+  uint32_t version = 0;
+  std::memcpy(&version, bytes.data() + 4, sizeof(version));
+  uint64_t h = 0xcbf29ce484222325ull;
+  if (version == 2 || version == 3) {
+    for (size_t i = 0; i < body; ++i) {
+      h ^= bytes[i];
+      h *= 0x100000001b3ull;
+    }
+  } else {
+    h = PlainXxh64(bytes.data(), body);
   }
   std::memcpy(bytes.data() + body, &h, sizeof(h));
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,35 @@ TEST(FlagCursorTest, SizeValueRejectsSignsSpacesAndGarbage) {
     size_t v = 42;
     EXPECT_FALSE(ParseSize(bad, &v)) << "'" << bad << "'";
     EXPECT_EQ(v, 42u) << "'" << bad << "' wrote the output";
+  }
+}
+
+// Runs one "--network-ids value" pair through NetworkIdsValue; false when
+// it rejects.
+bool ParseIds(const std::string& value, std::vector<uint32_t>* out) {
+  std::vector<std::string> args = {"tool", "--network-ids", value};
+  std::vector<char*> argv;
+  for (auto& a : args) argv.push_back(a.data());
+  FlagCursor flags(static_cast<int>(argv.size()), argv.data());
+  EXPECT_TRUE(flags.Next());
+  return flags.NetworkIdsValue(out);
+}
+
+TEST(FlagCursorTest, NetworkIdsAcceptsUnsigned32BitLists) {
+  std::vector<uint32_t> ids;
+  ASSERT_TRUE(ParseIds("4294967295", &ids));
+  EXPECT_EQ(ids, std::vector<uint32_t>{4294967295u});
+  ASSERT_TRUE(ParseIds("1,2,0", &ids));
+  EXPECT_EQ(ids, (std::vector<uint32_t>{1, 2, 0}));
+}
+
+TEST(FlagCursorTest, NetworkIdsRejectsSignsSpacesAndWrappingIds) {
+  // "-1" used to become 4294967295 and "4294967296" to wrap to 0.
+  for (const char* bad : {"-1", " 5", "+3", "4294967296", "", "1,", ",1",
+                          "1,,2", "1, 2", "1,-1", "7x"}) {
+    std::vector<uint32_t> ids = {42};
+    EXPECT_FALSE(ParseIds(bad, &ids)) << "'" << bad << "'";
+    EXPECT_EQ(ids, std::vector<uint32_t>{42}) << "'" << bad << "' wrote";
   }
 }
 

@@ -1,15 +1,21 @@
-// Tests for the tagged state-dict format (nn/serialize.h, v2) and the
+// Tests for the tagged state-dict format (nn/serialize.h, v4) and the
 // named-state plumbing it rides on: round-trip bit-identity, strict
 // validate-before-write semantics, typed errors naming the first offending
-// tensor, and rejection of the retired positional format (v1).
+// tensor, rejection of the retired positional format (v1), the XXH64
+// checksum that seals v4 (nn/checksum.h) and the legacy FNV-sealed v2/v3
+// streams that must keep loading.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "nn/checksum.h"
 #include "nn/module.h"
 #include "nn/conv.h"
 #include "nn/serialize.h"
@@ -34,6 +40,52 @@ struct DictFixture {
     return dict;
   }
 };
+
+// --- XXH64 ---------------------------------------------------------------------
+
+uint64_t HashOf(const std::string& text) {
+  return Xxh64::Hash(text.data(), text.size());
+}
+
+TEST(Xxh64Test, KnownAnswers) {
+  // The specification's answers for "" and "abc", plus published digests
+  // that reach the 32-byte stripes, the 8-byte tail lanes, the 4-byte word
+  // and the single-byte tail.
+  EXPECT_EQ(HashOf(""), 0xef46db3751d8e999ull);
+  EXPECT_EQ(HashOf("a"), 0xd24ec4f1a98c6e5bull);
+  EXPECT_EQ(HashOf("abc"), 0x44bc2cf5ad770999ull);
+  EXPECT_EQ(HashOf("Nobody inspects the spammish repetition"),
+            0xfbcea83c8a378bf1ull);
+  EXPECT_EQ(HashOf("The quick brown fox jumps over the lazy dog"),
+            0x0b242d361fda71bcull);
+}
+
+TEST(Xxh64Test, AnyChunkingGivesTheOneShotDigest) {
+  util::Rng rng(23);
+  std::vector<uint8_t> data(200003);
+  for (auto& b : data) b = static_cast<uint8_t>(rng.NextU64());
+  const uint64_t one_shot = Xxh64::Hash(data.data(), data.size());
+  for (int trial = 0; trial < 20; ++trial) {
+    // Chunks of 0 to 70000 bytes; odd trials stay under a stripe so the
+    // tail buffer fills across many calls.
+    const uint64_t max_chunk = trial % 2 == 0 ? 70000 : 40;
+    Xxh64 h;
+    size_t at = 0;
+    while (at < data.size()) {
+      const size_t n =
+          std::min<size_t>(rng.NextU64() % (max_chunk + 1), data.size() - at);
+      h.Update(data.data() + at, n);
+      at += n;
+    }
+    EXPECT_EQ(h.Digest(), one_shot) << "trial " << trial;
+  }
+  // Digest leaves the state as it is: hashing on after a Digest matches.
+  Xxh64 h;
+  h.Update(data.data(), 100);
+  (void)h.Digest();
+  h.Update(data.data() + 100, data.size() - 100);
+  EXPECT_EQ(h.Digest(), one_shot);
+}
 
 TEST(StateDictTest, RoundTripIsBitExact) {
   DictFixture src;
@@ -111,6 +163,181 @@ TEST(StateDictTest, HierarchicalNamesThroughModuleTree) {
   ASSERT_EQ(params.size(), named.size());
   for (size_t i = 0; i < params.size(); ++i) {
     EXPECT_EQ(named[i].data, params[i].data().data());
+  }
+}
+
+// A dict whose payload spans more than the kReadWindowBytes window, so a
+// write and a read both take the direct path for it.
+struct WideDictFixture : DictFixture {
+  std::vector<double> field = std::vector<double>(kReadWindowBytes / 8 + 513);
+  WideDictFixture() {
+    for (size_t i = 0; i < field.size(); ++i) field[i] = 0.25 * i - 7.0;
+  }
+  StateDict Dict() {
+    StateDict dict = DictFixture::Dict();
+    dict.AddBuffer("speed.field", {field.size()}, field.data());
+    return dict;
+  }
+};
+
+std::vector<uint8_t> FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(StateDictTest, WriteLoadWriteIsByteIdentical) {
+  WideDictFixture src;
+  const std::vector<uint8_t> first = SerializeStateDict(src.Dict());
+  uint32_t version = 0;
+  std::memcpy(&version, first.data() + 4, sizeof(version));
+  EXPECT_EQ(version, 4u);
+  // Sealed with XXH64 over every byte before the digest.
+  uint64_t stored = 0;
+  std::memcpy(&stored, first.data() + first.size() - 8, sizeof(stored));
+  EXPECT_EQ(stored, Xxh64::Hash(first.data(), first.size() - 8));
+
+  // The file sink writes the buffer sink's bytes.
+  const std::string path = testing::TempDir() + "serialize_test_wlw.bin";
+  ASSERT_TRUE(SaveStateDict(path, src.Dict()).ok());
+  EXPECT_EQ(FileBytes(path), first);
+
+  WideDictFixture dst;
+  dst.field.assign(dst.field.size(), 0.0);
+  dst.scale = 0.0;
+  StateDict dict = dst.Dict();
+  ASSERT_TRUE(LoadStateDict(path, dict).ok());
+  EXPECT_EQ(dst.field, src.field);
+  EXPECT_EQ(SerializeStateDict(dst.Dict()), first);
+  ASSERT_TRUE(SaveStateDict(path, dst.Dict()).ok());
+  EXPECT_EQ(FileBytes(path), first);
+  std::remove(path.c_str());
+}
+
+TEST(StateDictTest, EverySingleByteFlipIsATypedError) {
+  // Every offset of a small v4 stream, XORed with every non-zero byte:
+  // framing, version or checksum must catch each one.
+  DictFixture src;
+  const std::vector<uint8_t> intact = SerializeStateDict(src.Dict());
+  std::vector<uint8_t> bytes = intact;
+  std::vector<TensorRecord> records;
+  size_t accepted = 0;
+  for (size_t at = 0; at < bytes.size(); ++at) {
+    for (int x = 1; x < 256; ++x) {
+      bytes[at] = static_cast<uint8_t>(intact[at] ^ x);
+      const LoadStatus status = IndexStateDict(bytes, &records);
+      if (status.ok()) {
+        ADD_FAILURE() << "offset " << at << " xor " << x << " indexed Ok";
+        ++accepted;
+      }
+    }
+    bytes[at] = intact[at];
+    if (accepted > 10) break;
+  }
+  EXPECT_EQ(accepted, 0u);
+}
+
+TEST(StateDictTest, V4RelabelledAsV3FailsTheLegacyChecksum) {
+  // An old reader's view of a new file: labelled v3, the stream is checked
+  // with FNV-1a against an XXH64 digest.
+  DictFixture src;
+  std::vector<uint8_t> bytes = SerializeStateDict(src.Dict());
+  bytes[4] = 3;
+  std::vector<TensorRecord> records;
+  EXPECT_EQ(IndexStateDict(bytes, &records).kind, LoadErrorKind::kBadChecksum);
+}
+
+// A legacy (v2/v3) stream written by hand, as the writers before v4 did:
+// records in order, then FNV-1a 64 over every preceding byte.
+class LegacyWriter {
+ public:
+  LegacyWriter(uint32_t version, uint64_t count) {
+    Pod(uint32_t{0xd33b0d02});
+    Pod(version);
+    Pod(count);
+  }
+  template <typename T>
+  void Pod(T value) {
+    const auto* b = reinterpret_cast<const uint8_t*>(&value);
+    bytes_.insert(bytes_.end(), b, b + sizeof(T));
+  }
+  void Record(const std::string& name, uint8_t dtype,
+              const std::vector<uint64_t>& dims) {
+    Pod(static_cast<uint32_t>(name.size()));
+    bytes_.insert(bytes_.end(), name.begin(), name.end());
+    Pod(dtype);
+    Pod(static_cast<uint32_t>(dims.size()));
+    for (uint64_t d : dims) Pod(d);
+  }
+  std::vector<uint8_t> Seal() {
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (uint8_t b : bytes_) {
+      h ^= b;
+      h *= 0x100000001b3ull;
+    }
+    Pod(h);
+    return bytes_;
+  }
+
+ private:
+  std::vector<uint8_t> bytes_;
+};
+
+// DictFixture's values as a v2 (all-f64) or v3 (weight stored as f16)
+// stream.
+std::vector<uint8_t> LegacyFixtureStream(uint32_t version) {
+  LegacyWriter w(version, 3);
+  if (version == 2) {
+    w.Record("mlp.weight", kDtypeF64, {2, 3});
+    for (double v : {1.0, 2.0, 3.0, 4.0, 5.0, 6.0}) w.Pod(v);
+  } else {
+    w.Record("mlp.weight", kDtypeF16, {2, 3});
+    // 1.0 ... 6.0 as IEEE half floats.
+    for (uint16_t h : {0x3C00, 0x4000, 0x4200, 0x4400, 0x4500, 0x4600}) {
+      w.Pod(h);
+    }
+  }
+  w.Record("bn.running_mean", kDtypeF64, {2});
+  w.Pod(0.5);
+  w.Pod(-0.5);
+  w.Record("time_scale", kDtypeF64, {});
+  w.Pod(42.0);
+  return w.Seal();
+}
+
+TEST(StateDictTest, LegacyFnvStreamsStillLoad) {
+  DictFixture src;
+  for (const uint32_t version : {2u, 3u}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    std::vector<uint8_t> bytes = LegacyFixtureStream(version);
+    const std::string path = testing::TempDir() + "serialize_test_legacy.bin";
+    {
+      std::ofstream out(path, std::ios::binary);
+      out.write(reinterpret_cast<const char*>(bytes.data()),
+                static_cast<std::streamsize>(bytes.size()));
+    }
+    std::vector<TensorRecord> records;
+    uint32_t read_version = 0;
+    ASSERT_TRUE(ReadStateDict(path, &records, &read_version).ok());
+    EXPECT_EQ(read_version, version);
+
+    DictFixture dst;
+    dst.weight.data().assign(6, 0.0);
+    dst.running = {9.0, 9.0};
+    dst.scale = 0.0;
+    StateDict dict = dst.Dict();
+    ASSERT_TRUE(LoadStateDict(path, dict).ok());
+    EXPECT_EQ(dst.weight.data(), src.weight.data());
+    EXPECT_EQ(dst.running, src.running);
+    EXPECT_EQ(dst.scale, src.scale);
+    std::remove(path.c_str());
+
+    // Written back, the same state is a v4 stream.
+    EXPECT_EQ(SerializeStateDict(dst.Dict()), SerializeStateDict(src.Dict()));
+
+    ASSERT_TRUE(IndexStateDict(bytes, &records).ok());
+    bytes[records[0].payload_offset + 1] ^= 0x10;
+    EXPECT_EQ(IndexStateDict(bytes, &records).kind,
+              LoadErrorKind::kBadChecksum);
   }
 }
 

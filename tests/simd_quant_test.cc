@@ -418,20 +418,20 @@ uint32_t BufferVersion(const std::vector<uint8_t>& bytes) {
          static_cast<uint32_t>(bytes[7]) << 24;
 }
 
-TEST(SerializeQuantTest, AllF64DictStaysVersion2ByteIdentical) {
+TEST(SerializeQuantTest, NoneModeWritesTheAllF64Stream) {
   QuantDictFixture src;
   const std::vector<uint8_t> plain = nn::SerializeStateDict(src.Dict());
   const std::vector<uint8_t> none =
       nn::SerializeStateDict(src.Dict(), QuantMode::kNone);
   EXPECT_EQ(plain, none);
-  EXPECT_EQ(BufferVersion(plain), 2u);
+  EXPECT_EQ(BufferVersion(plain), 4u);
 }
 
 TEST(SerializeQuantTest, QuantRoundTripDequantisesExactly) {
   for (const QuantMode mode : {QuantMode::kFp16, QuantMode::kInt8}) {
     QuantDictFixture src;
     const std::vector<uint8_t> bytes = nn::SerializeStateDict(src.Dict(), mode);
-    EXPECT_EQ(BufferVersion(bytes), 3u);
+    EXPECT_EQ(BufferVersion(bytes), 4u);
 
     // The expected stored values are the fake-quantised weights; buffers
     // stay exact.
@@ -470,11 +470,12 @@ TEST(SerializeQuantTest, QuantDtypeRejectedInVersion2) {
   QuantDictFixture src;
   std::vector<uint8_t> bytes =
       nn::SerializeStateDict(src.Dict(), QuantMode::kFp16);
-  ASSERT_EQ(BufferVersion(bytes), 3u);
-  // Forge the version back to 2 and re-seal the checksum: a conforming v2
-  // reader must reject the f16 record as a bad dtype, not misparse it.
+  ASSERT_EQ(BufferVersion(bytes), 4u);
+  // Forge the version back to 2 and re-seal the checksum as v2 streams are
+  // sealed: a conforming v2 reader must reject the f16 record as a bad
+  // dtype, not misparse it.
   bytes[4] = 2;
-  uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a 64, as serialize.cc seals it
+  uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a 64
   for (size_t i = 0; i + 8 < bytes.size(); ++i) {
     h ^= bytes[i];
     h *= 0x100000001b3ull;

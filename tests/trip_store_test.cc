@@ -1,9 +1,13 @@
 // Columnar trip-store (io/trip_store.h) round-trip and typed-error tests,
 // mirroring the serialize_test.cc framing suite: every corruption mode must
 // be reported with the right LoadErrorKind before any record is handed out.
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -11,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "io/trip_store.h"
+#include "nn/checksum.h"
 #include "road/road_network.h"
 #include "traj/trajectory.h"
 
@@ -178,6 +183,82 @@ TEST(TripStoreTest, ShardsConcatenateToTheOriginalCorpus) {
   for (size_t i = 0; i < trips.size(); ++i) {
     ExpectTripsBitEqual(trips[i], loaded[i], i);
   }
+}
+
+TEST(TripStoreTest, SealedWithXxh64AndRewritesByteIdentical) {
+  const auto trips = SampleTrips();
+  const auto bytes = io::SerializeTripStore(trips);
+  uint32_t version = 0;
+  uint64_t stored = 0;
+  std::memcpy(&version, bytes.data() + 4, sizeof(version));
+  std::memcpy(&stored, bytes.data() + bytes.size() - 8, sizeof(stored));
+  EXPECT_EQ(version, 2u);
+  EXPECT_EQ(stored, nn::Xxh64::Hash(bytes.data(), bytes.size() - 8));
+
+  // Write -> Load -> Write.
+  const std::string path = TempPath("rewrite.trips");
+  ASSERT_TRUE(io::WriteTripStore(path, trips).ok());
+  const auto loaded = io::TripStoreReader::OpenOrThrow(path).ReadAll();
+  EXPECT_EQ(io::SerializeTripStore(loaded), bytes);
+}
+
+TEST(TripStoreTest, LegacyFnvStoreStillLoads) {
+  // A version-1 store has the version-2 layout and an FNV-1a 64 checksum:
+  // relabel a fresh store and re-seal it as the version-1 writer did.
+  const auto trips = SampleTrips();
+  auto bytes = io::SerializeTripStore(trips);
+  bytes[4] = 1;
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (size_t i = 0; i + 8 < bytes.size(); ++i) {
+    h ^= bytes[i];
+    h *= 0x100000001b3ull;
+  }
+  std::memcpy(bytes.data() + bytes.size() - 8, &h, sizeof(h));
+  const std::string path = TempPath("legacy_v1.trips");
+  WriteBytes(path, bytes);
+  io::TripStoreReader reader;
+  ASSERT_TRUE(reader.Open(path).ok());
+  const auto loaded = reader.ReadAll();
+  ASSERT_EQ(loaded.size(), trips.size());
+  for (size_t i = 0; i < trips.size(); ++i) {
+    ExpectTripsBitEqual(trips[i], loaded[i], i);
+  }
+
+  bytes[bytes.size() / 2] ^= 0x20;
+  WriteBytes(path, bytes);
+  EXPECT_EQ(reader.Open(path).kind, LoadErrorKind::kBadChecksum);
+}
+
+TEST(TripStoreTest, EverySingleByteFlipIsATypedError) {
+  // Every offset of a small store (a routed trip and an OD-only one), XORed
+  // with every non-zero byte, patched into one file in place: framing,
+  // version or checksum must catch each one.
+  std::vector<traj::TripRecord> trips = SampleTrips();
+  trips.resize(2);
+  const auto intact = io::SerializeTripStore(trips);
+  const std::string path = TempPath("flip_sweep.trips");
+  WriteBytes(path, intact);
+  const int fd = ::open(path.c_str(), O_WRONLY);
+  ASSERT_GE(fd, 0);
+  const auto patch = [fd](size_t at, uint8_t value) {
+    return ::pwrite(fd, &value, 1, static_cast<off_t>(at)) == 1;
+  };
+  size_t accepted = 0;
+  io::TripStoreReader reader;
+  for (size_t at = 0; at < intact.size() && accepted <= 10; ++at) {
+    for (int x = 1; x < 256; ++x) {
+      ASSERT_TRUE(patch(at, static_cast<uint8_t>(intact[at] ^ x)));
+      if (reader.Open(path).ok()) {
+        ADD_FAILURE() << "offset " << at << " xor " << x << " opened Ok";
+        ++accepted;
+      }
+    }
+    ASSERT_TRUE(patch(at, intact[at]));
+  }
+  ::close(fd);
+  EXPECT_EQ(accepted, 0u);
+  EXPECT_TRUE(reader.Open(path).ok());
+  std::remove(path.c_str());
 }
 
 TEST(TripStoreTest, OversizedSegmentIdThrows) {

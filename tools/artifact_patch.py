@@ -4,7 +4,8 @@
 Used to check that the loaders answer hostile and corrupt artifacts with a
 typed error (exit 1 and a LoadErrorKind name) instead of crashing. The file
 format is the tagged state dict of src/nn/serialize.h: a 16-byte header,
-one record per tensor, then an FNV-1a 64 checksum of every preceding byte.
+one record per tensor, then a checksum of every preceding byte: XXH64
+(seed 0) in version 4, FNV-1a 64 in the legacy versions 2 and 3.
 
   artifact_patch.py IN OUT --set NAME[I]=VALUE
       Sets element I (default 0) of f64 record NAME to VALUE ("nan", "inf"
@@ -26,13 +27,62 @@ import sys
 
 MAGIC = 0xD33B0D02
 DTYPE_BYTES = {1: 8, 2: 2}  # f64, f16; int8 (3) is handled below
+MASK = 0xFFFFFFFFFFFFFFFF
+P1, P2, P3, P4, P5 = (0x9E3779B185EBCA87, 0xC2B2AE3D27D4EB4F,
+                      0x165667B19E3779F9, 0x85EBCA77C2B2AE63,
+                      0x27D4EB2F165667C5)
 
 
 def fnv1a64(data):
     h = 0xCBF29CE484222325
     for b in data:
-        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+        h = ((h ^ b) * 0x100000001B3) & MASK
     return h
+
+
+def rotl(x, r):
+    return ((x << r) | (x >> (64 - r))) & MASK
+
+
+def xxh64_round(acc, lane):
+    return rotl((acc + lane * P2) & MASK, 31) * P1 & MASK
+
+
+def xxh64(data):
+    """XXH64 with seed 0, as the xxHash specification defines it."""
+    size, p = len(data), 0
+    if size >= 32:
+        v = [(P1 + P2) & MASK, P2, 0, (-P1) & MASK]
+        lanes = struct.unpack_from("<%dQ" % (size // 32 * 4), data, 0)
+        for i, lane in enumerate(lanes):
+            v[i % 4] = xxh64_round(v[i % 4], lane)
+        p = size // 32 * 32
+        acc = (rotl(v[0], 1) + rotl(v[1], 7) + rotl(v[2], 12) +
+               rotl(v[3], 18)) & MASK
+        for lane in v:
+            acc = ((acc ^ xxh64_round(0, lane)) * P1 + P4) & MASK
+    else:
+        acc = P5
+    acc = (acc + size) & MASK
+    while size - p >= 8:
+        (lane,) = struct.unpack_from("<Q", data, p)
+        acc = (rotl(acc ^ xxh64_round(0, lane), 27) * P1 + P4) & MASK
+        p += 8
+    if size - p >= 4:
+        (word,) = struct.unpack_from("<I", data, p)
+        acc = (rotl(acc ^ (word * P1 & MASK), 23) * P2 + P3) & MASK
+        p += 4
+    for b in data[p:]:
+        acc = rotl(acc ^ (b * P5 & MASK), 11) * P1 & MASK
+    acc = (acc ^ (acc >> 33)) * P2 & MASK
+    acc = (acc ^ (acc >> 29)) * P3 & MASK
+    return acc ^ (acc >> 32)
+
+
+def checksum(data):
+    """The checksum the stream's version field names."""
+    (version,) = struct.unpack_from("<I", data, 4)
+    return fnv1a64(data) if version in (2, 3) else xxh64(data)
 
 
 def index_records(data):
@@ -95,7 +145,7 @@ def main():
             if dtype != 1 or 8 * element >= payload:
                 raise ValueError("%s[%d] is not an f64 element" % (name, element))
             struct.pack_into("<d", data, offset + 8 * element, float(m.group(3)))
-            struct.pack_into("<Q", data, len(data) - 8, fnv1a64(data[:-8]))
+            struct.pack_into("<Q", data, len(data) - 8, checksum(data[:-8]))
         elif args.flip is not None:
             _, _, offset, payload = record(records, args.flip)
             if payload == 0:

@@ -2,6 +2,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
@@ -9,6 +10,24 @@
 #include <cstring>
 
 namespace deepod::tools::cli {
+namespace {
+
+// An unsigned decimal that fills all of `text`. strtoull skips leading space
+// and accepts a sign — negating "-1" to ULLONG_MAX without setting errno —
+// so the first character must be a digit.
+bool ParseUnsigned(const std::string& text, unsigned long long* out) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(text[0])) || errno != 0 ||
+      *end != '\0') {
+    return false;
+  }
+  *out = parsed;
+  return true;
+}
+
+}  // namespace
 
 bool FlagCursor::Next() {
   ++index_;
@@ -35,19 +54,36 @@ bool FlagCursor::StringValue(std::string* out) {
 bool FlagCursor::SizeValue(size_t* out) {
   const char* v = TakeRaw();
   if (v == nullptr) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  // strtoull skips leading space and accepts a sign — negating "-1" to
-  // ULLONG_MAX without setting errno — so the first character must be a
-  // digit.
-  if (!std::isdigit(static_cast<unsigned char>(v[0])) || errno != 0 ||
-      *end != '\0') {
+  unsigned long long parsed = 0;
+  if (!ParseUnsigned(v, &parsed)) {
     std::fprintf(stderr, "%s expects an unsigned integer, got '%s'\n",
                  flag_.c_str(), v);
     return false;
   }
   *out = static_cast<size_t>(parsed);
+  return true;
+}
+
+bool FlagCursor::NetworkIdsValue(std::vector<uint32_t>* out) {
+  const char* v = TakeRaw();
+  if (v == nullptr) return false;
+  const std::string list = v;
+  std::vector<uint32_t> ids;
+  for (size_t start = 0; start <= list.size();) {
+    const size_t comma = std::min(list.find(',', start), list.size());
+    unsigned long long id = 0;
+    if (!ParseUnsigned(list.substr(start, comma - start), &id) ||
+        id > UINT32_MAX) {
+      std::fprintf(stderr,
+                   "%s expects a comma-separated list of network ids in "
+                   "0..%u, got '%s'\n",
+                   flag_.c_str(), UINT32_MAX, v);
+      return false;
+    }
+    ids.push_back(static_cast<uint32_t>(id));
+    start = comma + 1;
+  }
+  *out = std::move(ids);
   return true;
 }
 

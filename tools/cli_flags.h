@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "nn/quant.h"
 #include "nn/tensor.h"
@@ -45,6 +46,9 @@ class FlagCursor {
   bool U64Value(uint64_t* out);
   bool DoubleValue(double* out);
   bool PortValue(uint16_t* out);  // 0..65535
+  // "1,2,3": wire network ids, each an unsigned decimal (SizeValue's
+  // rules) in 0..UINT32_MAX; an empty list or an empty item is rejected.
+  bool NetworkIdsValue(std::vector<uint32_t>* out);
 
   // Domain-typed takes shared across tools.
   // --quant none|fp16|int8 (nn::ParseQuantMode under the hood).

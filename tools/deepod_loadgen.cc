@@ -57,27 +57,6 @@
 
 namespace {
 
-// Parses "1,2,3" into network ids; false on a malformed list.
-bool ParseNetworkIds(const std::string& value, std::vector<uint32_t>* out) {
-  size_t start = 0;
-  while (start <= value.size()) {
-    size_t comma = value.find(',', start);
-    if (comma == std::string::npos) comma = value.size();
-    const std::string token = value.substr(start, comma - start);
-    if (token.empty()) return false;
-    try {
-      size_t used = 0;
-      const unsigned long id = std::stoul(token, &used);
-      if (used != token.size()) return false;
-      out->push_back(static_cast<uint32_t>(id));
-    } catch (const std::exception&) {
-      return false;
-    }
-    start = comma + 1;
-  }
-  return !out->empty();
-}
-
 // Replays a golden file over one connection, in two passes; returns the
 // process exit code.
 int RunGoldenReplay(const std::string& host, uint16_t port,
@@ -185,13 +164,7 @@ int main(int argc, char** argv) {
     } else if (flag == "--network") {
       if (!flags.StringValue(&network_path)) return 2;
     } else if (flag == "--network-ids") {
-      std::string ids;
-      if (!flags.StringValue(&ids)) return 2;
-      options.network_ids.clear();
-      if (!ParseNetworkIds(ids, &options.network_ids)) {
-        std::fprintf(stderr, "bad --network-ids '%s'\n", ids.c_str());
-        return 2;
-      }
+      if (!flags.NetworkIdsValue(&options.network_ids)) return 2;
     } else if (flag == "--qps") {
       if (!flags.DoubleValue(&options.qps)) return 2;
     } else if (flag == "--duration") {
