@@ -13,8 +13,9 @@
 //   - serving/plan/{tensor_path,plan}/qps: one graph-free query through the
 //     Tensor ops vs. Predict's packed serving plan (bit-identical answers,
 //     checked); `speedup` carries the ratio in samples_per_sec.
-//   - serving/quant/<mode>/{qps,mae}: EtaService::FromArtifact with fp64,
-//     fp16 and int8 weights on the kSimd tier; mae records carry the mean
+//   - serving/quant/<mode>/{qps,mae}: EtaService::FromArtifact over an
+//     artifact written with fp64, fp16 and int8 weight records, on the kSimd
+//     tier; mae records carry the mean
 //     absolute ETA error in seconds vs. the fp64 answers in wall_seconds
 //     (it is an error, not a time — bench_compare skips *mae* records).
 //     The fp64 service's obs stats go to BENCH_serving_stats.json.
@@ -239,8 +240,8 @@ int main(int argc, char** argv) {
   }
 
   // --- Quantised serving -----------------------------------------------------
-  // Round-trips the model through an artifact and stands one service up per
-  // weight tier (fp64 / fp16 / int8) on the kSimd kernel path, so qps
+  // Writes the model as one artifact per weight tier (fp64 / fp16 / int8)
+  // and stands a service up from each on the kSimd kernel path, so qps
   // measures the model forward and mae the quantisation error alone. The
   // fp64 service's answers are the golden values.
   {
@@ -248,7 +249,6 @@ int main(int argc, char** argv) {
     const sim::SnapshotSpeedField snap = sim::SnapshotSpeedField::Capture(
         *model.speed_provider(), window_begin, window_begin + 1800.0);
     const std::string artifact_path = "bench_serving_quant.artifact";
-    io::WriteModelArtifact(artifact_path, model, &snap);
 
     struct QuantTier {
       const char* name;
@@ -260,9 +260,11 @@ int main(int argc, char** argv) {
     std::vector<double> golden;
     std::printf("Quantised serving (kSimd):\n");
     for (const QuantTier& tier : tiers) {
+      io::ArtifactOptions artifact_options;
+      artifact_options.quant = tier.mode;
+      io::WriteModelArtifact(artifact_path, model, &snap, artifact_options);
       serve::EtaServiceOptions options;
       options.kernel_mode = nn::KernelMode::kSimd;
-      options.quant = tier.mode;
       const auto service =
           serve::EtaService::FromArtifact(artifact_path, dataset.network,
                                           options);

@@ -447,12 +447,6 @@ void WriteModelArtifact(const std::string& path, core::DeepOdModel& model,
 
 ServingModel LoadModelArtifact(const std::string& path,
                                const road::RoadNetwork& network) {
-  return LoadModelArtifact(path, network, ArtifactOptions{});
-}
-
-ServingModel LoadModelArtifact(const std::string& path,
-                               const road::RoadNetwork& network,
-                               const ArtifactOptions& options) {
   // One sequential pass frames and checksums the file and lands every
   // payload in its record; the strict pass below copies the model and
   // estimator tensors out, and the speed arena is the speed.matrices
@@ -497,21 +491,11 @@ ServingModel LoadModelArtifact(const std::string& path,
   nn::ThrowIfError(nn::DeserializeStateDict(in.records(), dict));
   CheckOracleKeys(out.oracle.get());
 
-  // Effective quantisation: a load-time request wins; otherwise whatever
-  // the records were stored as (the deserialise above already produced the
-  // dequantised — i.e. snapped — fp64 values for a quantised artifact, so
-  // no further pass is needed in that case).
-  nn::QuantMode stored = nn::QuantMode::kNone;
+  // The stored mode: the deserialise above already produced the
+  // dequantised (snapped) fp64 values of any f16/int8 record.
   for (const auto& r : in.records()) {
-    if (r.dtype == nn::kDtypeF16) stored = nn::QuantMode::kFp16;
-    if (r.dtype == nn::kDtypeI8) stored = nn::QuantMode::kInt8;
-  }
-  out.quant = options.quant != nn::QuantMode::kNone ? options.quant : stored;
-  if (options.quant != nn::QuantMode::kNone) {
-    nn::FakeQuantizeStateDict(dict, options.quant);
-    // fp16 overflows past 65504 to infinity: the snapped weights must
-    // still be servable.
-    nn::ThrowIfError(nn::CheckFinite(dict));
+    if (r.dtype == nn::kDtypeF16) out.quant = nn::QuantMode::kFp16;
+    if (r.dtype == nn::kDtypeI8) out.quant = nn::QuantMode::kInt8;
   }
 
   // The frozen speed field takes the arena as its storage, by move.

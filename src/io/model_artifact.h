@@ -35,17 +35,15 @@ namespace deepod::io {
 // or trajectory store in memory — and its predictions are bit-identical to
 // the model that was saved. See DESIGN.md, "Model lifecycle".
 
-// Options for the quantised predict-only path (nn/quant.h). On write,
-// `quant` selects the storage dtype of the weight records (f16 or per-row
-// int8; everything else stays f64). On load, `quant` requests
-// fake-quantisation of an fp64 artifact's weights at load time — useful for
-// evaluating a quant tier without rewriting the artifact. Quantisation is serving-only: a quantised model's
-// predictions match the fp64 goldens within an MAE budget, never
+// Write-side options. `quant` selects the storage dtype of the weight
+// records (f16 or per-row int8, nn/quant.h; everything else stays f64): the
+// quantised artifact is the smaller model, and the loader serves whatever
+// dtype its records carry. Quantisation is serving-only: a quantised
+// model's predictions match the fp64 goldens within an MAE budget, never
 // bit-identically.
 struct ArtifactOptions {
   nn::QuantMode quant = nn::QuantMode::kNone;
-  // Fleet routing id stamped into the artifact on write (ignored on load —
-  // the stored id is authoritative there).
+  // Fleet routing id stamped into the artifact.
   uint32_t network_id = 0;
   // Fallback estimators to embed on write (finalized; borrowed for the
   // duration of the call). Null skips the records, as with `speed`.
@@ -61,9 +59,8 @@ struct ServingModel {
   core::DeepOdConfig config;
   std::unique_ptr<sim::SnapshotSpeedField> speed;  // null if not captured
   std::unique_ptr<core::DeepOdModel> model;
-  // Effective weight quantisation of `model`: the mode requested at load
-  // time, or — when none was requested — the mode the artifact's records
-  // were stored in (kNone for a plain fp64 artifact).
+  // The mode the artifact's weight records were stored in (kNone for a
+  // plain fp64 artifact).
   nn::QuantMode quant = nn::QuantMode::kNone;
   // Fleet routing id the artifact was written for (0 for v1 artifacts).
   uint32_t network_id = 0;
@@ -102,17 +99,12 @@ void WriteModelArtifact(const std::string& path, core::DeepOdModel& model,
 // unsupported artifact version, a config or speed scalar outside its
 // stated bound (kBadValue, or kNonFinite for a NaN/infinity — checked
 // before the scalar sizes anything), a config/shape mismatch or a
-// NaN/infinite value in any tensor (kNonFinite, checked again after
-// load-time quantisation); no other exception type escapes a corrupt file,
-// and a failed load never returns a half-written model.
-// Quantised (f16/int8) artifacts dequantise into fp64 storage on load, so every
-// kernel tier serves them unchanged; options.quant additionally
-// fake-quantises fp64 weights at load time.
+// NaN/infinite value in any tensor (kNonFinite, decoded values included);
+// no other exception type escapes a corrupt file, and a failed load never
+// returns a half-written model. Quantised (f16/int8) artifacts dequantise
+// into fp64 storage on load, so every kernel tier serves them unchanged.
 ServingModel LoadModelArtifact(const std::string& path,
                                const road::RoadNetwork& network);
-ServingModel LoadModelArtifact(const std::string& path,
-                               const road::RoadNetwork& network,
-                               const ArtifactOptions& options);
 
 // Writes / reads a standalone oracle artifact (version + network_id +
 // oracle.* + linkmean.* records, no model). Either estimator may be null on

@@ -10,8 +10,7 @@ ShardedTripSource::ShardedTripSource(const std::vector<std::string>& shard_paths
 
 ShardedTripSource::ShardedTripSource(
     const std::vector<std::string>& shard_paths, Options options)
-    : window_size_(std::max<size_t>(1, options.window_size)),
-      pool_(options.pool) {
+    : window_size_(std::max<size_t>(1, options.window_size)) {
   if (shard_paths.empty()) {
     throw std::invalid_argument("ShardedTripSource: no shard paths");
   }
@@ -19,8 +18,7 @@ ShardedTripSource::ShardedTripSource(
   shard_sizes_.reserve(shard_paths.size());
   shard_offsets_.reserve(shard_paths.size());
   for (const std::string& path : shard_paths) {
-    readers_.push_back(
-        TripStoreReader::OpenOrThrow(path, options.verify_checksums));
+    readers_.push_back(TripStoreReader::OpenOrThrow(path));
     shard_offsets_.push_back(total_);
     shard_sizes_.push_back(readers_.back().size());
     total_ += readers_.back().size();
@@ -102,21 +100,8 @@ void ShardedTripSource::PrefetchWindow(size_t pos, size_t n) {
       }
     }
     if (!adopted) {
-      const size_t count = std::min(std::max(window_size_, n), total_ - pos);
-      if (pool_ != nullptr && count > 1) {
-        const size_t tasks = std::min(pool_->num_threads(), count);
-        window_.begin = pos;
-        window_.records.resize(count);
-        pool_->ParallelFor(tasks, [&](size_t w) {
-          const auto [begin, end] =
-              util::ThreadPool::ChunkRange(count, tasks, w);
-          for (size_t i = begin; i < end; ++i) {
-            DecodeGlobal(order_[pos + i], &window_.records[i]);
-          }
-        });
-      } else {
-        DecodeRange(pos, count, &window_);
-      }
+      DecodeRange(pos, std::min(std::max(window_size_, n), total_ - pos),
+                  &window_);
       window_valid_ = true;
     }
   }

@@ -7,7 +7,6 @@
 
 #include "core/trip_feed.h"
 #include "io/trip_store.h"
-#include "util/thread_pool.h"
 
 namespace deepod::io {
 
@@ -26,7 +25,7 @@ namespace deepod::io {
 // Prefetch: PrefetchWindow(pos, n) guarantees positions [pos, pos+n) are
 // decoded. It serves them from the current window when possible, adopts the
 // asynchronously prefetched next window when it lines up, or decodes
-// synchronously (fanning out over `pool` when one was given). After every
+// synchronously. After every
 // call it kicks off a background decode of the *following* window, so shard
 // decode overlaps with the trainer's compute on the current batch. At(pos)
 // is a const read of the resident window and is safe from concurrent pool
@@ -37,16 +36,11 @@ class ShardedTripSource : public core::TripFeed {
     // Decoded records kept resident (clamped up to the largest PrefetchWindow
     // request). ~1k trips of a few dozen route elements ≈ a few MB.
     size_t window_size = 1024;
-    // Skip per-shard checksum verification at open (benchmarks on trusted
-    // freshly written files).
-    bool verify_checksums = true;
-    // Optional pool for parallel synchronous window fills. Not owned; the
-    // background lookahead never touches it.
-    util::ThreadPool* pool = nullptr;
   };
 
-  // Opens every shard up front. Throws nn::SerializeError on any open
-  // failure (bad magic/checksum/truncation included).
+  // Opens every shard up front, verifying each one's checksum. Throws
+  // nn::SerializeError on any open failure (bad magic/checksum/truncation
+  // included).
   explicit ShardedTripSource(const std::vector<std::string>& shard_paths);
   ShardedTripSource(const std::vector<std::string>& shard_paths,
                     Options options);
@@ -73,7 +67,7 @@ class ShardedTripSource : public core::TripFeed {
     std::vector<traj::TripRecord> records;
   };
 
-  // Decodes epoch positions [begin, begin+count) into `out` (serially).
+  // Decodes epoch positions [begin, begin+count) into `out`.
   void DecodeRange(size_t begin, size_t count, Window* out) const;
   // Decodes one global sample index.
   void DecodeGlobal(size_t global_index, traj::TripRecord* out) const;
@@ -87,7 +81,6 @@ class ShardedTripSource : public core::TripFeed {
   std::vector<size_t> shard_offsets_;  // prefix sums; offsets_[k] = start of k
   size_t total_ = 0;
   size_t window_size_;
-  util::ThreadPool* pool_;
 
   std::vector<size_t> order_;
   Window window_;

@@ -233,8 +233,7 @@ void TripStoreReader::Reset() {
   route_elems_ = 0;
 }
 
-nn::LoadStatus TripStoreReader::Open(const std::string& path,
-                                     bool verify_checksum) {
+nn::LoadStatus TripStoreReader::Open(const std::string& path) {
   Reset();
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
@@ -272,13 +271,12 @@ nn::LoadStatus TripStoreReader::Open(const std::string& path,
     mapped_ = false;
   }
   ::close(fd);
-  LoadStatus status = Index(path, verify_checksum);
+  LoadStatus status = Index(path);
   if (!status.ok()) Reset();
   return status;
 }
 
-nn::LoadStatus TripStoreReader::Index(const std::string& path,
-                                      bool verify_checksum) {
+nn::LoadStatus TripStoreReader::Index(const std::string& path) {
   if (bytes_ < kHeaderBytes + 8) {
     return LoadStatus::Error(
         LoadErrorKind::kTruncated,
@@ -320,17 +318,15 @@ nn::LoadStatus TripStoreReader::Index(const std::string& path,
         "trip_store: " + path + " carries " +
             std::to_string(bytes_ - l.total) + " trailing byte(s)");
   }
-  if (verify_checksum) {
-    uint64_t stored = 0;
-    std::memcpy(&stored, base_ + l.checksum, 8);
-    const uint64_t computed =
-        version == kTripStoreVersion
-            ? nn::Xxh64::Hash(base_, l.checksum)
-            : nn::Fnv1a64(nn::kFnv1a64Offset, base_, l.checksum);
-    if (stored != computed) {
-      return LoadStatus::Error(LoadErrorKind::kBadChecksum,
-                               "trip_store: " + path + " checksum mismatch");
-    }
+  uint64_t stored = 0;
+  std::memcpy(&stored, base_ + l.checksum, 8);
+  const uint64_t computed =
+      version == kTripStoreVersion
+          ? nn::Xxh64::Hash(base_, l.checksum)
+          : nn::Fnv1a64(nn::kFnv1a64Offset, base_, l.checksum);
+  if (stored != computed) {
+    return LoadStatus::Error(LoadErrorKind::kBadChecksum,
+                             "trip_store: " + path + " checksum mismatch");
   }
   num_trips_ = n;
   route_elems_ = m;
@@ -374,10 +370,9 @@ nn::LoadStatus TripStoreReader::Index(const std::string& path,
   return LoadStatus::Ok();
 }
 
-TripStoreReader TripStoreReader::OpenOrThrow(const std::string& path,
-                                             bool verify_checksum) {
+TripStoreReader TripStoreReader::OpenOrThrow(const std::string& path) {
   TripStoreReader reader;
-  nn::ThrowIfError(reader.Open(path, verify_checksum));
+  nn::ThrowIfError(reader.Open(path));
   return reader;
 }
 

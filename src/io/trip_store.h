@@ -94,13 +94,11 @@ class TripStoreReader {
   TripStoreReader(const TripStoreReader&) = delete;
   TripStoreReader& operator=(const TripStoreReader&) = delete;
 
-  // Validates and indexes `path`. `verify_checksum = false` skips the
-  // full-file checksum pass (one sequential read of the map) for callers
-  // that already trust the file. Any error leaves the reader empty.
-  nn::LoadStatus Open(const std::string& path, bool verify_checksum = true);
+  // Validates and indexes `path`, checksum included (one sequential read
+  // of the map). Any error leaves the reader empty.
+  nn::LoadStatus Open(const std::string& path);
   // Open + throw nn::SerializeError on failure.
-  static TripStoreReader OpenOrThrow(const std::string& path,
-                                     bool verify_checksum = true);
+  static TripStoreReader OpenOrThrow(const std::string& path);
 
   bool is_open() const { return base_ != nullptr; }
   // True when the file is served by an actual memory map (vs heap fallback).
@@ -127,7 +125,7 @@ class TripStoreReader {
  private:
   void Reset();
   // Binds the typed column pointers into base_; validates framing.
-  nn::LoadStatus Index(const std::string& path, bool verify_checksum);
+  nn::LoadStatus Index(const std::string& path);
 
   const uint8_t* base_ = nullptr;
   size_t bytes_ = 0;

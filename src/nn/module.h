@@ -24,8 +24,8 @@ namespace deepod::nn {
 class StateDict {
  public:
   // What an entry may hold. Model state is kFinite: the loaders reject a
-  // NaN or infinity in it (see CheckFinite in serialize.h). kAny is for
-  // bookkeeping that stores sentinels or raw bit patterns in doubles.
+  // NaN or infinity in it (see DeserializeStateDict in serialize.h). kAny
+  // is for bookkeeping that stores sentinels or raw bit patterns in doubles.
   enum class Values { kFinite, kAny };
 
   struct Entry {

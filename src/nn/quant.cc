@@ -150,17 +150,4 @@ bool QuantEligible(const StateDict::Entry& entry) {
   return !entry.is_buffer && entry.shape.size() >= 2;
 }
 
-size_t FakeQuantizeStateDict(const StateDict& state, QuantMode mode) {
-  if (mode == QuantMode::kNone) return 0;
-  size_t touched = 0;
-  for (const auto& entry : state.entries()) {
-    if (!QuantEligible(entry)) continue;
-    const size_t rows = entry.shape[0] == 0 ? 1 : entry.shape[0];
-    FakeQuantizeValues(entry.data, rows, entry.size / rows, mode);
-    ++touched;
-  }
-  if (touched > 0) BumpParamEpoch();
-  return touched;
-}
-
 }  // namespace deepod::nn

@@ -23,8 +23,11 @@
 // gamma/beta, all buffers (running stats, config scalars, the speed field)
 // stay fp64; they are tiny and disproportionately accuracy-critical.
 //
-// Training never quantises: this runs at io::LoadModelArtifact time (or via
-// SaveStateDict's quantising overload) on predict-only model instances.
+// Training never quantises. The one place a mode is applied is the
+// state-dict writer (SaveStateDict/SerializeStateDict with a QuantMode,
+// reached through io::WriteModelArtifact and `deepod_train --quant`): the
+// f16/int8 records it writes are the quantised model, and the loader
+// dequantises them into the predict-only model's fp64 storage.
 
 namespace deepod::nn {
 
@@ -66,11 +69,6 @@ void FakeQuantizeValues(double* data, size_t rows, size_t cols,
 // Returns true when a state-dict entry is subject to weight quantisation
 // (trainable and ndim >= 2).
 bool QuantEligible(const StateDict::Entry& entry);
-
-// Fake-quantises every eligible entry of `state` in place and bumps the
-// parameter epoch (the packed-weights cache must repack snapped values).
-// kNone is a no-op (no epoch bump). Returns the number of entries touched.
-size_t FakeQuantizeStateDict(const StateDict& state, QuantMode mode);
 
 }  // namespace deepod::nn
 

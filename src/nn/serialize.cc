@@ -671,16 +671,6 @@ LoadStatus DeserializeStateDict(const std::vector<TensorRecord>& records,
   return LoadStatus::Ok();
 }
 
-LoadStatus CheckFinite(const StateDict& state) {
-  for (const auto& e : state.entries()) {
-    if (e.values == StateDict::Values::kAny) continue;
-    for (size_t i = 0; i < e.size; ++i) {
-      if (!std::isfinite(e.data[i])) return NonFiniteError(e.name, i);
-    }
-  }
-  return LoadStatus::Ok();
-}
-
 LoadStatus SaveStateDict(const std::string& path, const StateDict& state) {
   return SaveStateDict(path, state, QuantMode::kNone);
 }

@@ -154,9 +154,13 @@ struct TensorRecord {
 // records into the fp64 entry storage. Strict by-name matching: every dict
 // entry must appear in the buffer with an identical shape and every buffer
 // record must be expected by the dict — the first violation is reported
-// with its tensor name and both shapes. Decoded values must pass
-// CheckFinite. No entry is modified unless the whole buffer validates
-// (checksum included), so a failed load never leaves a model half-written.
+// with its tensor name and both shapes. Decoded values must be finite
+// (kNonFinite naming the entry otherwise; entries marked
+// StateDict::Values::kAny are exempt): a NaN weight serves NaN, and the
+// padded conv kernel of kBlocked is bit-identical to the naive loop only
+// for finite weights (nn/kernels.h). No entry is modified unless the whole
+// buffer validates (checksum included), so a failed load never leaves a
+// model half-written.
 // Bumps the parameter epoch on success. Runs IndexStateDict(buffer) and
 // then the record-table overload below.
 LoadStatus DeserializeStateDict(const std::vector<uint8_t>& buffer,
@@ -172,13 +176,6 @@ LoadStatus DeserializeStateDict(const std::vector<uint8_t>& buffer,
 // owner afterwards (io/model_artifact does so with the speed arena).
 LoadStatus DeserializeStateDict(const std::vector<TensorRecord>& records,
                                 StateDict& state);
-
-// kNonFinite naming the first entry (not marked StateDict::Values::kAny)
-// that holds a NaN or an infinity; Ok otherwise. Served weights must be
-// finite: a NaN weight serves NaN, and the padded conv kernel of kBlocked
-// is bit-identical to the naive loop only for finite weights
-// (nn/kernels.h).
-LoadStatus CheckFinite(const StateDict& state);
 
 // The framing parser: one sequential pass over a byte source that frames
 // every record, copies its payload into the record and folds each chunk

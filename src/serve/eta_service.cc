@@ -13,8 +13,7 @@ double SecondsSince(std::chrono::steady_clock::time_point start,
   return std::chrono::duration<double>(end - start).count();
 }
 
-// Runs `fn` in `mode` when set, else in the thread's ambient kernel mode
-// (PredictBatch pool workers inherit the caller's mode).
+// Runs `fn` in `mode` when set, else in the thread's ambient kernel mode.
 template <typename Fn>
 auto InMode(const std::optional<nn::KernelMode>& mode, Fn&& fn) {
   if (!mode.has_value()) return fn();
@@ -49,10 +48,8 @@ EtaService::EtaService(std::shared_ptr<ServingState> initial,
 std::unique_ptr<EtaService> EtaService::FromArtifact(
     const std::string& artifact_path, const road::RoadNetwork& network,
     const EtaServiceOptions& options) {
-  io::ArtifactOptions artifact_options;
-  artifact_options.quant = options.quant;
-  return std::make_unique<EtaService>(
-      LoadServingState(artifact_path, network, artifact_options), options);
+  return std::make_unique<EtaService>(LoadServingState(artifact_path, network),
+                                      options);
 }
 
 std::shared_ptr<const ServingState> EtaService::state() const {
@@ -101,14 +98,14 @@ double EtaService::Estimate(const traj::OdInput& od) {
 }
 
 std::vector<double> EtaService::EstimateBatch(
-    std::span<const traj::OdInput> ods, util::ThreadPool* pool) {
+    std::span<const traj::OdInput> ods) {
   if (ods.empty()) return {};
   const auto start = std::chrono::steady_clock::now();
   // One state snapshot answers the whole batch: a concurrent SwapState
   // never splits it across models.
   const std::shared_ptr<const ServingState> state = this->state();
   std::vector<double> out = InMode(options_.kernel_mode, [&] {
-    return state->model->PredictBatch(ods, pool);
+    return state->model->PredictBatch(ods);
   });
   // Per-request latency is the whole batch's wall time — that is what a
   // caller of the batch actually waited.

@@ -12,32 +12,21 @@
 
 #include "core/deepod_model.h"
 #include "io/model_artifact.h"
-#include "nn/quant.h"
 #include "nn/tensor.h"
 #include "obs/metrics.h"
 #include "serve/serving_state.h"
 #include "temporal/time_slot.h"
 #include "traj/trajectory.h"
-#include "util/thread_pool.h"
 
 namespace deepod::serve {
 
 struct EtaServiceOptions {
-  // Kernel tier used for inference (Estimate and EstimateBatch;
-  // PredictBatch workers inherit it). Unset = leave the thread's mode alone
-  // — the historical behaviour, which keeps the service bit-identical to
-  // direct DeepOdModel::Predict calls in the ambient mode. kSimd is always
-  // safe to request: without AVX2 it runs the kVector code path.
+  // Kernel tier used for inference (Estimate and EstimateBatch). Unset =
+  // leave the thread's mode alone — the historical behaviour, which keeps
+  // the service bit-identical to direct DeepOdModel::Predict calls in the
+  // ambient mode. kSimd is always safe to request: without AVX2 it runs the
+  // kVector code path.
   std::optional<nn::KernelMode> kernel_mode;
-
-  // Weight quantisation applied when the service is stood up FromArtifact
-  // (forwarded as io::ArtifactOptions::quant); a FleetRouter also loads
-  // every activation and hot swap with it. Ignored by the plain
-  // constructor, which serves the caller's model as-is. Quantised serving
-  // answers match fp64 within an MAE budget — not bit-identically — so
-  // golden replay against a quantised service needs a tolerance
-  // (deepod_loadgen --golden --tolerance against deepod_server --quant).
-  nn::QuantMode quant = nn::QuantMode::kNone;
 
   // Prefix of every metric name in the service's registry. A fleet gives
   // each city shard its own prefix ("serve/<city>/") so the merged stats
@@ -86,9 +75,10 @@ class EtaService {
   // Stands a service up from a model artifact + road network alone: loads
   // the artifact (io::LoadModelArtifact), reconstructs a predict-only model
   // against `network` and returns a service owning the bundle — no training
-  // dataset, traffic process or trajectory store in memory. `network` must
-  // outlive the service. Throws nn::SerializeError on a corrupt or
-  // mismatched artifact.
+  // dataset, traffic process or trajectory store in memory. A quantised
+  // artifact (deepod_train --quant) serves its stored f16/int8 weights.
+  // `network` must outlive the service. Throws nn::SerializeError on a
+  // corrupt or mismatched artifact.
   static std::unique_ptr<EtaService> FromArtifact(
       const std::string& artifact_path, const road::RoadNetwork& network,
       const EtaServiceOptions& options);
@@ -100,17 +90,13 @@ class EtaService {
   double Estimate(const traj::OdInput& od);
 
   // Synchronous batched estimate on the calling thread, through the same
-  // metrics as Estimate(): one PredictBatch over the batch (fanned over
-  // `pool` when given), one ETA per input, in order. This is the
-  // continuous-batching executor's entry point (serve/server): the caller
-  // owns batch assembly and scheduling; the service owns model + stats.
-  // Safe to call from several threads concurrently as long as each passes
-  // its own pool (or none) — util::ThreadPool does not support concurrent
-  // ParallelFor calls on one pool. The whole batch is answered from one
-  // acquired ServingState, so a concurrent swap never splits a batch
-  // across models.
-  std::vector<double> EstimateBatch(std::span<const traj::OdInput> ods,
-                                    util::ThreadPool* pool = nullptr);
+  // metrics as Estimate(): one PredictBatch over the batch, one ETA per
+  // input, in order. This is the continuous-batching executor's entry point
+  // (serve/server): the caller owns batch assembly and scheduling; the
+  // service owns model + stats. Safe to call from several threads
+  // concurrently. The whole batch is answered from one acquired
+  // ServingState, so a concurrent swap never splits a batch across models.
+  std::vector<double> EstimateBatch(std::span<const traj::OdInput> ods);
 
   // --- Live serving -------------------------------------------------------
 

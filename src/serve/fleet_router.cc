@@ -297,10 +297,8 @@ bool FleetRouter::Load(size_t index) {
   if (service != nullptr && !options_.watch) return false;
   std::shared_ptr<ServingState> state;
   try {
-    io::ArtifactOptions artifact_options;
-    artifact_options.quant = options_.service.quant;
     state = LoadServingState(shard.artifact_path(), shard.network(),
-                             artifact_options, shard.network_id());
+                             shard.network_id());
     if (options_.prepare) options_.prepare(*state);
   } catch (const std::exception&) {
     // Cold, the oracle keeps answering; warm, the current epoch does.

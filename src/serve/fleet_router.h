@@ -71,8 +71,7 @@ class FleetShard;
 struct FleetRouterOptions {
   // Per-shard EtaService options. registry_prefix is overridden per city
   // ("serve/<name>/"; "serve/" for a fleet of one) so the merged stats
-  // export stays collision-free. Its quant also applies to every activation
-  // and hot swap.
+  // export stays collision-free.
   EtaServiceOptions service;
   // Hot swap a warm shard whose artifact changes. Cold shards are watched
   // for activation either way.

@@ -92,8 +92,7 @@ AdmitDecision AdmissionQueue::Offer(AdmittedRequest&& request,
     return {Status::kShedQueueFull,
             ToRetryAfterMs(std::max(1e-3, EstimatedWaitSeconds(depth_)))};
   }
-  if (options_.deadline_shedding &&
-      request.deadline != std::chrono::steady_clock::time_point::max()) {
+  if (request.deadline != std::chrono::steady_clock::time_point::max()) {
     const double budget =
         std::chrono::duration<double>(request.deadline - now).count();
     const double estimated_wait = EstimatedWaitSeconds(depth_);

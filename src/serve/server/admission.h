@@ -57,12 +57,6 @@ struct AdmissionOptions {
   size_t num_tenants = 0;
   double tenant_rate = 1000.0;  // tokens (requests) per second
   double tenant_burst = 100.0;
-
-  // Deadline-aware shedding: a request whose remaining deadline is smaller
-  // than the estimated queue wait (depth ahead of it x the EWMA per-request
-  // service time reported by the executor) is shed on arrival with
-  // kShedDeadline instead of wasting a slot on a guaranteed miss.
-  bool deadline_shedding = true;
 };
 
 // The connection a request arrived on. Opaque to the queue: the server
@@ -94,7 +88,11 @@ struct AdmitDecision {
 // buckets and deadline-aware load shedding. Producers never block — a
 // request is either admitted or shed with a typed status and a
 // retry-after hint, so worst-case enqueue latency is one mutex
-// acquisition. Thread-safe.
+// acquisition. Thread-safe. Deadline-aware shedding: a request whose
+// remaining deadline is smaller than the estimated queue wait (depth ahead
+// of it x the EWMA per-request service time reported by the runners) is
+// shed on arrival with kShedDeadline instead of taking a slot for a
+// guaranteed miss.
 //
 // Runner slots. At most `runner_slots` batches run at once; the queue
 // counts the slots under its one mutex. A producer that admits with a

@@ -33,6 +33,10 @@ namespace {
 // hold a batch runner (and other clients' answers) for at most this long.
 constexpr int kSendTimeoutSeconds = 1;
 
+// listen() backlog: connections the kernel queues before the acceptor
+// takes them.
+constexpr int kAcceptBacklog = 64;
+
 double SecondsSince(std::chrono::steady_clock::time_point start,
                     std::chrono::steady_clock::time_point end) {
   return std::chrono::duration<double>(end - start).count();
@@ -152,7 +156,7 @@ void DeepOdServer::Start() {
     throw std::runtime_error(std::string("bind() failed: ") +
                              std::strerror(err));
   }
-  if (::listen(listen_fd_, options_.accept_backlog) < 0) {
+  if (::listen(listen_fd_, kAcceptBacklog) < 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
     throw std::runtime_error("listen() failed");
@@ -167,12 +171,6 @@ void DeepOdServer::Start() {
     throw std::runtime_error("pipe() failed");
   }
 
-  if (options_.batch_threads > 1) {
-    for (size_t i = 0; i < options_.executors; ++i) {
-      executor_pools_.push_back(
-          std::make_unique<util::ThreadPool>(options_.batch_threads));
-    }
-  }
   for (size_t i = 0; i < options_.executors; ++i) {
     executor_threads_.emplace_back([this] { ExecutorLoop(); });
   }
@@ -376,7 +374,7 @@ void DeepOdServer::ConnectionLoop(const std::shared_ptr<Connection>& conn) {
     if (slot) {
       // One batch per claim: under saturation this socket goes unread for
       // at most one batch; leftover work wakes an executor.
-      RunBatch(*slot, &scratch);
+      RunBatch(&scratch);
       admission_.ReleaseSlot(*slot);
       slot.reset();
     }
@@ -534,12 +532,12 @@ void DeepOdServer::HandleObserve(const ObserveFrame& frame, Outbox* out) {
 void DeepOdServer::ExecutorLoop() {
   BatchScratch scratch;
   while (const std::optional<size_t> slot = admission_.AwaitSlot()) {
-    RunBatch(*slot, &scratch);
+    RunBatch(&scratch);
     admission_.ReleaseSlot(*slot);
   }
 }
 
-void DeepOdServer::RunBatch(size_t slot, BatchScratch* s) {
+void DeepOdServer::RunBatch(BatchScratch* s) {
   s->batch.clear();
   if (!admission_.PopBatch(options_.max_batch, &s->batch)) return;
   queue_depth_.Set(static_cast<double>(admission_.Depth()));
@@ -563,10 +561,8 @@ void DeepOdServer::RunBatch(size_t slot, BatchScratch* s) {
   }
   if (!s->ods.empty()) {
     batch_fill_.Observe(static_cast<double>(s->ods.size()));
-    util::ThreadPool* pool =
-        executor_pools_.empty() ? nullptr : executor_pools_[slot].get();
     s->estimators.assign(s->ods.size(), Estimator::kModel);
-    EstimateByShard(s, pool);
+    EstimateByShard(s);
     const auto end = std::chrono::steady_clock::now();
     admission_.RecordServiceTime(SecondsSince(start, end) /
                                  static_cast<double>(s->ods.size()));
@@ -589,7 +585,7 @@ void DeepOdServer::RunBatch(size_t slot, BatchScratch* s) {
   s->batch.clear();  // drops the batch's connection references
 }
 
-void DeepOdServer::EstimateByShard(BatchScratch* s, util::ThreadPool* pool) {
+void DeepOdServer::EstimateByShard(BatchScratch* s) {
   // Each shard's group goes through its own EstimateBatch (one state
   // snapshot per shard per batch). A batch for one shard — every batch of
   // a fleet of one — stays in arrival order and is passed through whole.
@@ -613,13 +609,13 @@ void DeepOdServer::EstimateByShard(BatchScratch* s, util::ThreadPool* pool) {
   for (size_t begin = 0; begin < n;) {
     size_t end = begin + 1;
     while (end < n && s->routes[end].shard == s->routes[begin].shard) ++end;
-    EstimateGroup(s->routes[begin].shard, begin, end, s, pool);
+    EstimateGroup(s->routes[begin].shard, begin, end, s);
     begin = end;
   }
 }
 
 void DeepOdServer::EstimateGroup(FleetShard* shard, size_t begin, size_t end,
-                                 BatchScratch* s, util::ThreadPool* pool) {
+                                 BatchScratch* s) {
   // Only warm-shard requests are admitted and activation is one-way, so
   // the service is expected live; a defensive fallback answer covers the
   // unexpected.
@@ -634,7 +630,7 @@ void DeepOdServer::EstimateGroup(FleetShard* shard, size_t begin, size_t end,
       }
       ods = s->group_ods;
     }
-    const std::vector<double> etas = service->EstimateBatch(ods, pool);
+    const std::vector<double> etas = service->EstimateBatch(ods);
     for (size_t r = begin; r < end; ++r) {
       s->etas[s->routes[r].od] = etas[r - begin];
     }

@@ -17,7 +17,6 @@
 #include "serve/eta_service.h"
 #include "serve/server/admission.h"
 #include "serve/server/frame.h"
-#include "util/thread_pool.h"
 
 namespace deepod::serve {
 class DriftMonitor;
@@ -48,7 +47,6 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   // 0 binds an ephemeral port; port() reports the bound one after Start().
   uint16_t port = 0;
-  int accept_backlog = 64;
   // Accepted-connection cap: beyond it new connections are closed on
   // accept (the client sees EOF) instead of spawning unbounded readers.
   size_t max_connections = 256;
@@ -59,12 +57,10 @@ struct ServerOptions {
   // never waiting for a batch to fill — through its shards' EstimateBatch.
   // The connection thread that admits a request runs the batch itself
   // when a slot is free; `executors` backlog threads take the slots only
-  // while work is left over. `batch_threads` > 1 gives every slot its own
-  // ThreadPool for the PredictBatch fan-out (pools are per-slot because
-  // util::ThreadPool does not support concurrent ParallelFor).
+  // while work is left over. A batch runs its PredictBatch on the thread
+  // that holds the slot.
   size_t max_batch = 32;
   size_t executors = 1;
-  size_t batch_threads = 1;
 
   AdmissionOptions admission;
 
@@ -185,14 +181,14 @@ class DeepOdServer {
   void ExecutorLoop();
   // Pops one batch (if any is queued) and answers it: the one batch
   // routine behind both the inline and the executor path.
-  void RunBatch(size_t slot, BatchScratch* scratch);
+  void RunBatch(BatchScratch* scratch);
   // Fills scratch->etas, each shard's group through its own EstimateBatch.
-  void EstimateByShard(BatchScratch* scratch, util::ThreadPool* pool);
+  void EstimateByShard(BatchScratch* scratch);
   // Answers scratch->routes[begin, end), which all resolved to `shard`.
   // Requests no tier can answer get kShardCold in their outbox and are
   // marked SIZE_MAX in scratch->live.
   void EstimateGroup(FleetShard* shard, size_t begin, size_t end,
-                     BatchScratch* scratch, util::ThreadPool* pool);
+                     BatchScratch* scratch);
   // Writes and clears *out; a failed or timed-out write shuts the
   // connection down.
   void Send(Outbox* out);
@@ -216,7 +212,6 @@ class DeepOdServer {
   std::atomic<bool> stopping_{false};
   std::thread acceptor_;
   std::vector<std::thread> executor_threads_;
-  std::vector<std::unique_ptr<util::ThreadPool>> executor_pools_;
 
   std::mutex conns_mu_;
   std::condition_variable conns_done_;

@@ -6,9 +6,9 @@ namespace deepod::serve {
 
 std::shared_ptr<ServingState> LoadServingState(
     const std::string& artifact_path, const road::RoadNetwork& network,
-    const io::ArtifactOptions& options, uint32_t network_id) {
+    uint32_t network_id) {
   auto bundle = std::make_shared<io::ServingModel>(
-      io::LoadModelArtifact(artifact_path, network, options));
+      io::LoadModelArtifact(artifact_path, network));
   // An artifact trained for another city is a load failure, not a serving
   // state: the caller keeps what it serves (a fleet shard its oracle).
   if (network_id != 0 && bundle->network_id != 0 &&
@@ -22,7 +22,6 @@ std::shared_ptr<ServingState> LoadServingState(
   auto state = std::make_shared<ServingState>();
   state->source = artifact_path;
   state->model = bundle->model.get();
-  state->quant = bundle->quant;
   state->bundle = std::move(bundle);
   return state;
 }

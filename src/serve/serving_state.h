@@ -7,7 +7,6 @@
 
 #include "core/deepod_model.h"
 #include "io/model_artifact.h"
-#include "nn/quant.h"
 #include "temporal/time_slot.h"
 
 namespace deepod::serve {
@@ -54,9 +53,6 @@ struct ServingState {
   // thread-safe inference entry points are used) but the type stays
   // non-const because Predict touches internal memos.
   core::DeepOdModel* model = nullptr;
-
-  // Effective weight quantisation of `model` (stats/provenance only).
-  nn::QuantMode quant = nn::QuantMode::kNone;
 };
 
 // Loads `artifact_path` against `network` and wraps the bundle into an
@@ -67,10 +63,11 @@ struct ServingState {
 // turns into a rollback.
 // A non-zero `network_id` also refuses an artifact stamped for another
 // city (stamp non-zero and different: kBadValue on "artifact.network_id").
-// `options.quant` requests load-time quantisation.
+// A quantised artifact serves its stored f16/int8 weights
+// (bundle->quant names the mode).
 std::shared_ptr<ServingState> LoadServingState(
     const std::string& artifact_path, const road::RoadNetwork& network,
-    const io::ArtifactOptions& options, uint32_t network_id = 0);
+    uint32_t network_id = 0);
 
 // Wraps a caller-owned model (no bundle) into an un-adopted state.
 std::shared_ptr<ServingState> BorrowServingState(core::DeepOdModel& model);

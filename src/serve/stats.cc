@@ -41,15 +41,4 @@ std::string ExportStatsJson(const StatsSources& sources) {
   return obs::RenderRecordsJson(CollectStats(sources));
 }
 
-std::string ExportStatsPrometheus(const StatsSources& sources) {
-  std::string out;
-  if (sources.server) out += sources.server->ExportPrometheus("");
-  if (sources.service) out += sources.service->registry().ExportPrometheus("");
-  if (sources.drift) out += sources.drift->registry().ExportPrometheus("");
-  for (const obs::Registry* registry : sources.extra) {
-    if (registry != nullptr) out += registry->ExportPrometheus("");
-  }
-  return out;
-}
-
 }  // namespace deepod::serve

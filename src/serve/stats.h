@@ -40,9 +40,6 @@ std::vector<obs::Record> CollectStats(const StatsSources& sources);
 // validator covers it).
 std::string ExportStatsJson(const StatsSources& sources);
 
-// CollectStats rendered in the Prometheus text exposition format.
-std::string ExportStatsPrometheus(const StatsSources& sources);
-
 }  // namespace deepod::serve
 
 #endif  // DEEPOD_SERVE_STATS_H_

@@ -5,6 +5,14 @@
 #include <stdexcept>
 
 namespace deepod::sim {
+namespace {
+
+// Bound on a grid's cell count and on a snapshot index (2^53: every such
+// integer is exact in a double), checked in double before any cast to an
+// integer type.
+constexpr double kMaxExactIndex = 9007199254740992.0;
+
+}  // namespace
 
 RollingSpeedField::RollingSpeedField(const road::RoadNetwork& net,
                                      double grid_size_m,
@@ -16,8 +24,11 @@ RollingSpeedField::RollingSpeedField(const road::RoadNetwork& net,
       options_(options),
       grid_size_m_(grid_size_m),
       snapshot_seconds_(snapshot_seconds) {
-  if (grid_size_m <= 0.0 || snapshot_seconds <= 0.0) {
-    throw std::invalid_argument("RollingSpeedField: non-positive sizes");
+  if (!(std::isfinite(grid_size_m) && grid_size_m > 0.0 &&
+        std::isfinite(snapshot_seconds) && snapshot_seconds > 0.0)) {
+    throw std::invalid_argument(
+        "RollingSpeedField: grid size and snapshot length must be finite "
+        "and > 0");
   }
   if (options_.max_pending == 0) options_.max_pending = 1;
   // Geometry identical to SpeedMatrixBuilder: same bounding box, same grid
@@ -25,8 +36,20 @@ RollingSpeedField::RollingSpeedField(const road::RoadNetwork& net,
   // trained on builder matrices must read these in the same scale.
   road::Point lo, hi;
   net.BoundingBox(&lo, &hi);
-  cols_ = static_cast<size_t>(std::ceil((hi.x - lo.x) / grid_size_m_)) + 1;
-  rows_ = static_cast<size_t>(std::ceil((hi.y - lo.y) / grid_size_m_)) + 1;
+  const double cols = std::ceil((hi.x - lo.x) / grid_size_m_) + 1.0;
+  const double rows = std::ceil((hi.y - lo.y) / grid_size_m_) + 1.0;
+  if (!(cols * rows <= kMaxExactIndex)) {
+    throw std::invalid_argument(
+        "RollingSpeedField: the grid has more than 2^53 cells over the "
+        "network's extent");
+  }
+  cols_ = static_cast<size_t>(cols);
+  rows_ = static_cast<size_t>(rows);
+  // 0 keeps every snapshot; a span past any snapshot index keeps them too.
+  if (options_.window_seconds > 0.0) {
+    const double span = std::ceil(options_.window_seconds / snapshot_seconds_);
+    window_snapshots_ = static_cast<int64_t>(std::min(span, kMaxExactIndex));
+  }
   uint64_t max_id = 0;
   for (const auto& s : net.segments()) {
     max_id = std::max<uint64_t>(max_id, s.id);
@@ -56,8 +79,11 @@ size_t RollingSpeedField::Ingest(
     const bool known_segment =
         obs.segment_id < segment_cell_.size() &&
         segment_cell_[obs.segment_id] >= 0;
+    // A time is kept only while its snapshot index fits (NaN fails too).
+    const bool indexable =
+        std::abs(obs.time / snapshot_seconds_) < kMaxExactIndex;
     if (!known_segment || !(obs.speed_mps > 0.0) ||
-        !std::isfinite(obs.speed_mps) || !std::isfinite(obs.time)) {
+        !std::isfinite(obs.speed_mps) || !indexable) {
       ++rejected_;
       continue;
     }
@@ -97,11 +123,10 @@ size_t RollingSpeedField::Publish() {
   }
 
   // Roll the window: drop snapshots too far behind the newest observed one.
-  if (options_.window_seconds > 0.0 && !accum_.empty()) {
+  if (window_snapshots_ > 0 && !accum_.empty()) {
     const int64_t newest = accum_.rbegin()->first;
-    const int64_t span = static_cast<int64_t>(
-        std::ceil(options_.window_seconds / snapshot_seconds_));
-    accum_.erase(accum_.begin(), accum_.lower_bound(newest - span + 1));
+    accum_.erase(accum_.begin(),
+                 accum_.lower_bound(newest - window_snapshots_ + 1));
   }
 
   auto table = std::make_shared<Table>();

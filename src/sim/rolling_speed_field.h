@@ -71,16 +71,19 @@ class RollingSpeedField : public SpeedProvider {
   using Options = RollingSpeedFieldOptions;
 
   // Geometry from `net` (must outlive the field). `baseline` is optional
-  // and must outlive the field when given.
+  // and must outlive the field when given. Throws std::invalid_argument
+  // when `grid_size_m` or `snapshot_seconds` is NaN, infinite or <= 0, or
+  // when the grid over the network's extent has more than 2^53 cells.
   RollingSpeedField(const road::RoadNetwork& net, double grid_size_m,
                     double snapshot_seconds,
                     const SpeedProvider* baseline = nullptr,
                     const Options& options = Options());
 
   // Appends observations to the pending buffer. Observations for unknown
-  // segments or non-positive speeds are dropped (counted in the return
-  // value of Ingest as not-accepted). Does NOT change what MatrixAt serves
-  // — only Publish does.
+  // segments, non-positive or non-finite speeds, or a time whose snapshot
+  // index is 2^53 or more in magnitude (NaN and infinity included) are
+  // dropped (counted in the return value of Ingest as not-accepted). Does
+  // NOT change what MatrixAt serves — only Publish does.
   size_t Ingest(std::span<const TripObservation> observations);
   void Ingest(const TripObservation& observation) {
     Ingest(std::span<const TripObservation>(&observation, 1));
@@ -125,6 +128,7 @@ class RollingSpeedField : public SpeedProvider {
   Options options_;
   double grid_size_m_, snapshot_seconds_;
   size_t rows_ = 0, cols_ = 0;
+  int64_t window_snapshots_ = 0;  // options_.window_seconds; 0 = keep all
   double max_speed_ = 1.0;
   std::vector<int64_t> segment_cell_;  // segment id -> cell, -1 = unknown
   bool baseline_compatible_ = false;

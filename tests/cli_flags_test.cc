@@ -67,5 +67,44 @@ TEST(FlagCursorTest, NetworkIdsRejectsSignsSpacesAndWrappingIds) {
   }
 }
 
+// Runs one "--flag value" pair through PositiveValue (or NonNegativeValue);
+// false when it rejects.
+bool ParseDouble(const std::string& value, bool positive, double* out) {
+  std::vector<std::string> args = {"tool", "--speed-grid-m", value};
+  std::vector<char*> argv;
+  for (auto& a : args) argv.push_back(a.data());
+  FlagCursor flags(static_cast<int>(argv.size()), argv.data());
+  EXPECT_TRUE(flags.Next());
+  return positive ? flags.PositiveValue(out) : flags.NonNegativeValue(out);
+}
+
+TEST(FlagCursorTest, PositiveValueRejectsNanInfinityAndNonPositive) {
+  double v = 42.0;
+  ASSERT_TRUE(ParseDouble("200", true, &v));
+  EXPECT_EQ(v, 200.0);
+  ASSERT_TRUE(ParseDouble("1e-300", true, &v));
+  EXPECT_EQ(v, 1e-300);
+  for (const char* bad : {"nan", "NaN", "-nan", "inf", "-inf", "infinity",
+                          "1e999", "0", "-0", "-1", "", "5x"}) {
+    v = 42.0;
+    EXPECT_FALSE(ParseDouble(bad, true, &v)) << "'" << bad << "'";
+    EXPECT_EQ(v, 42.0) << "'" << bad << "' wrote the output";
+  }
+}
+
+TEST(FlagCursorTest, NonNegativeValueRejectsNanInfinityAndNegative) {
+  double v = 42.0;
+  ASSERT_TRUE(ParseDouble("0", false, &v));
+  EXPECT_EQ(v, 0.0);
+  ASSERT_TRUE(ParseDouble("1000.5", false, &v));
+  EXPECT_EQ(v, 1000.5);
+  for (const char* bad :
+       {"nan", "-nan", "inf", "-inf", "1e999", "-1", "-1e-300", "", "x"}) {
+    v = 42.0;
+    EXPECT_FALSE(ParseDouble(bad, false, &v)) << "'" << bad << "'";
+    EXPECT_EQ(v, 42.0) << "'" << bad << "' wrote the output";
+  }
+}
+
 }  // namespace
 }  // namespace deepod::tools::cli

@@ -464,7 +464,7 @@ TEST_F(FleetTest, FleetOfOneRefusesAHotSwapStampedForAnotherCity) {
   auto network = std::make_shared<const road::RoadNetwork>(
       io::ReadNetworkCsv(city_a_->network_path));
   std::shared_ptr<serve::ServingState> state =
-      serve::LoadServingState(watched, *network, io::ArtifactOptions{});
+      serve::LoadServingState(watched, *network);
   serve::FleetRouterOptions options = QuietOptions();
   options.watch = true;
   std::vector<uint64_t> adopted_epochs;

@@ -163,12 +163,18 @@ TEST(ServingPlanTest, MatchesTensorForwardAcrossModesQuantAndAblations) {
     // initial values, so the plan's precomputed inverse std is exercised.
     for (size_t i = 0; i < 4; ++i) model.SampleLoss(TinyDataset().train[i]);
     model.SetTraining(false);
-    const std::vector<uint8_t> trained = nn::SerializeStateDict(model.State());
-    for (const nn::QuantMode quant :
-         {nn::QuantMode::kNone, nn::QuantMode::kFp16, nn::QuantMode::kInt8}) {
+    // The trained weights as each quant tier stores them; loading one back
+    // is how a quantised model's weights reach serving.
+    const std::vector<nn::QuantMode> quants = {
+        nn::QuantMode::kNone, nn::QuantMode::kFp16, nn::QuantMode::kInt8};
+    std::vector<std::vector<uint8_t>> stored;
+    for (const nn::QuantMode quant : quants) {
+      stored.push_back(nn::SerializeStateDict(model.State(), quant));
+    }
+    for (size_t q = 0; q < quants.size(); ++q) {
+      const nn::QuantMode quant = quants[q];
       nn::StateDict state = model.State();
-      ASSERT_TRUE(nn::DeserializeStateDict(trained, state).ok());
-      nn::FakeQuantizeStateDict(state, quant);
+      ASSERT_TRUE(nn::DeserializeStateDict(stored[q], state).ok());
       model.ClearOcodeMemo();
       for (const nn::KernelMode mode :
            {nn::KernelMode::kBlocked, nn::KernelMode::kVector,

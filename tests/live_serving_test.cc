@@ -199,6 +199,36 @@ TEST(RollingSpeedField, ReplicatesBuilderGeometry) {
   EXPECT_EQ(rolling.snapshot_seconds(), 300.0);
 }
 
+TEST(RollingSpeedField, RejectsHostileSizes) {
+  // NaN passed a `<= 0` check and reached a size_t cast of ceil(NaN); a
+  // 1e-300 m grid overflowed the same cast.
+  const auto& net = TinyDataset().network;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double grid : {std::nan(""), inf, -inf, 0.0, -1.0, 1e-300}) {
+    EXPECT_THROW(sim::RollingSpeedField(net, grid, 300.0),
+                 std::invalid_argument)
+        << "grid " << grid;
+  }
+  for (const double snapshot : {std::nan(""), inf, 0.0, -300.0}) {
+    EXPECT_THROW(sim::RollingSpeedField(net, 200.0, snapshot),
+                 std::invalid_argument)
+        << "snapshot " << snapshot;
+  }
+  // An infinite window keeps every snapshot, like 0.
+  sim::RollingSpeedFieldOptions options;
+  options.window_seconds = inf;
+  sim::RollingSpeedField rolling(net, 200.0, 300.0, nullptr, options);
+  const uint64_t segment = net.segments().front().id;
+  rolling.Ingest(sim::TripObservation{segment, 100.0, 5.0});
+  rolling.Ingest(sim::TripObservation{segment, 100.0 + 3e6, 5.0});
+  // A finite time whose snapshot index does not fit an int64 is junk.
+  rolling.Ingest(sim::TripObservation{segment, 1e300, 5.0});
+  rolling.Ingest(sim::TripObservation{segment, -1e300, 5.0});
+  EXPECT_EQ(rolling.rejected(), 2u);
+  rolling.Publish();
+  EXPECT_EQ(rolling.published_snapshots(), 2u);
+}
+
 TEST(RollingSpeedField, FallsThroughToBaselineWhenUnpublished) {
   const auto& dataset = TinyDataset();
   const auto& baseline = FrozenField();
@@ -343,7 +373,7 @@ TEST(EtaServiceEpoch, SwapStateMatchesFreshProcessBitForBit) {
   // usable state afterwards (RCU: the old bundle lives until released).
   const std::shared_ptr<const serve::ServingState> held = service->state();
   const uint64_t epoch = service->SwapState(
-      serve::LoadServingState(ArtifactV2(), network, io::ArtifactOptions{}));
+      serve::LoadServingState(ArtifactV2(), network));
   EXPECT_EQ(epoch, 1u);
   EXPECT_EQ(service->state()->epoch, 1u);
   EXPECT_EQ(test::RegistryValue(service->registry(), "serve/swaps"), 1.0);
@@ -384,7 +414,7 @@ TEST(FleetOfOneHotSwap, SwapsOnChangeRollsBackOnCorruptionRecovers) {
   int prepared = 0;
   options.prepare = [&prepared](serve::ServingState&) { ++prepared; };
   auto router = FleetOfOne(
-      serve::LoadServingState(watched, network, io::ArtifactOptions{}),
+      serve::LoadServingState(watched, network),
       options);
   serve::EtaService& service = *router->shards().front()->service();
   const auto swaps = [&service] {
@@ -442,7 +472,7 @@ TEST(FleetOfOneHotSwap, WatcherPicksUpRenamedArtifact) {
   options.watch = true;
   options.poll_interval = std::chrono::milliseconds(20);
   auto router = FleetOfOne(
-      serve::LoadServingState(watched, network, io::ArtifactOptions{}),
+      serve::LoadServingState(watched, network),
       options);
   serve::EtaService& service = *router->shards().front()->service();
 
@@ -469,7 +499,7 @@ TEST(FleetOfOneHotSwap, SwapUnderLoadDropsNothingAndStaysBitIdentical) {
   PublishArtifact(ArtifactV1(), watched);
   serve::EtaServiceOptions service_options;
   auto router = FleetOfOne(
-      serve::LoadServingState(watched, network, io::ArtifactOptions{}),
+      serve::LoadServingState(watched, network),
       WatchOnDemand());
   const std::shared_ptr<serve::EtaService> service =
       router->shards().front()->service();

@@ -1,5 +1,5 @@
 // Tests for the kSimd kernel tier (nn/simd.h) and the int8/fp16 quantised
-// predict-only path (nn/quant.h, serialize v3, artifact options):
+// predict-only path (nn/quant.h, quantised state-dict records, artifacts):
 //
 //  - packed-GEMV layout and tail lanes: every (N, I, O) shape class,
 //    including N = 1 and dimensions not divisible by 4/8;
@@ -9,11 +9,11 @@
 //  - packed-weights cache invalidation on parameter mutation;
 //  - the f16 codec (round-to-nearest-even, denormals, overflow) and the
 //    per-row absmax int8 codec;
-//  - serialize v3 round trips, the v2-byte-identity guarantee and the
-//    "quant dtypes only in v3" negative case;
-//  - end-to-end artifact MAE budgets: int8/fp16 serving predictions vs the
-//    fp64 goldens across batch sizes and thread counts, and the
-//    EtaService quant/kernel_mode options.
+//  - quantised state-dict round trips, the all-f64 kNone stream and the
+//    "no quant dtypes in v2" negative case;
+//  - end-to-end artifact MAE budgets: predictions from fp16/int8 artifacts
+//    vs the fp64 goldens across batch sizes and thread counts, and an
+//    EtaService serving an int8 artifact on the kSimd tier.
 
 #include <gtest/gtest.h>
 
@@ -367,28 +367,47 @@ TEST(QuantCodecTest, Int8PerRowAbsmaxScales) {
   for (size_t j = 4; j < 8; ++j) EXPECT_EQ(q[j], 0);
 }
 
-TEST(QuantCodecTest, FakeQuantizeStateDictTouchesOnlyEligibleEntries) {
-  Tensor weight = Tensor::FromData({2, 3}, {1.0001, -2.3, 0.7, 4.4, -5.5, 6.6});
-  Tensor bias = Tensor::FromData({3}, {0.123456789, -1.0, 2.0});
-  std::vector<double> running = {0.333333333, 0.666666666};
-  nn::StateDict dict;
-  dict.AddParameter("w", weight);
-  dict.AddParameter("b", bias);  // 1-D: not eligible
-  dict.AddBuffer("bn.mean", {2}, running.data());
+TEST(QuantCodecTest, QuantisedWriteTouchesOnlyEligibleEntries) {
+  struct Entries {
+    Tensor weight =
+        Tensor::FromData({2, 3}, {1.0001, -2.3, 0.7, 4.4, -5.5, 6.6});
+    Tensor bias = Tensor::FromData({3}, {0.123456789, -1.0, 2.0});
+    std::vector<double> running = {0.333333333, 0.666666666};
+    nn::StateDict Dict() {
+      nn::StateDict dict;
+      dict.AddParameter("w", weight);
+      dict.AddParameter("b", bias);  // 1-D: not eligible
+      dict.AddBuffer("bn.mean", {2}, running.data());
+      return dict;
+    }
+  };
+  Entries src;
+  const nn::StateDict dict = src.Dict();
+  EXPECT_TRUE(nn::QuantEligible(dict.entries()[0]));
+  EXPECT_FALSE(nn::QuantEligible(dict.entries()[1]));
+  EXPECT_FALSE(nn::QuantEligible(dict.entries()[2]));
 
-  const std::vector<double> bias_before = bias.data();
-  const std::vector<double> running_before = running;
+  const std::vector<uint8_t> bytes =
+      nn::SerializeStateDict(dict, QuantMode::kInt8);
+  std::vector<nn::TensorRecord> records;
+  ASSERT_TRUE(nn::IndexStateDict(bytes, &records).ok());
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].dtype, nn::kDtypeI8);
+  EXPECT_EQ(records[1].dtype, nn::kDtypeF64);
+  EXPECT_EQ(records[2].dtype, nn::kDtypeF64);
+
+  Entries dst;
+  dst.weight.data().assign(6, 0.0);
+  dst.bias.data().assign(3, 0.0);
+  dst.running = {9.0, 9.0};
+  nn::StateDict loaded = dst.Dict();
   const uint64_t epoch_before = nn::ParamEpoch();
-  EXPECT_EQ(nn::FakeQuantizeStateDict(dict, QuantMode::kInt8), 1u);
+  ASSERT_TRUE(nn::DeserializeStateDict(bytes, loaded).ok());
   EXPECT_GT(nn::ParamEpoch(), epoch_before);
-  EXPECT_EQ(bias.data(), bias_before);
-  EXPECT_EQ(running, running_before);
+  EXPECT_EQ(dst.bias.data(), src.bias.data());
+  EXPECT_EQ(dst.running, src.running);
   // The weight actually snapped (1.0001 is not on the int8 grid).
-  EXPECT_NE(weight.data()[0], 1.0001);
-  // kNone is a free no-op.
-  const uint64_t epoch_mid = nn::ParamEpoch();
-  EXPECT_EQ(nn::FakeQuantizeStateDict(dict, QuantMode::kNone), 0u);
-  EXPECT_EQ(nn::ParamEpoch(), epoch_mid);
+  EXPECT_NE(dst.weight.data()[0], 1.0001);
 }
 
 // --- Serialize v3 ------------------------------------------------------------
@@ -526,9 +545,10 @@ std::vector<traj::OdInput> QuantOds(size_t n) {
   return ods;
 }
 
-std::string QuantArtifactPath() {
-  static const std::string* path = [] {
-    auto* p = new std::string(testing::TempDir() + "simd_quant_model.artifact");
+// QuantModel written as an artifact with `mode` weight records (fp64 by
+// default), once per mode.
+std::string QuantArtifactPath(QuantMode mode = QuantMode::kNone) {
+  static const std::array<std::string, 3>* paths = [] {
     const auto& dataset = QuantDataset();
     double begin = dataset.test.front().od.departure_time, end = begin;
     for (const auto& trip : dataset.test) {
@@ -537,10 +557,19 @@ std::string QuantArtifactPath() {
     }
     const sim::SnapshotSpeedField speed = sim::SnapshotSpeedField::Capture(
         *dataset.speed_matrices, begin, end);
-    io::WriteModelArtifact(*p, QuantModel(), &speed);
+    auto* p = new std::array<std::string, 3>;
+    for (const QuantMode m :
+         {QuantMode::kNone, QuantMode::kFp16, QuantMode::kInt8}) {
+      std::string& path = (*p)[static_cast<size_t>(m)];
+      path = testing::TempDir() + "simd_quant_model." + nn::QuantModeName(m) +
+             ".artifact";
+      io::ArtifactOptions options;
+      options.quant = m;
+      io::WriteModelArtifact(path, QuantModel(), &speed, options);
+    }
     return p;
   }();
-  return *path;
+  return (*paths)[static_cast<size_t>(mode)];
 }
 
 // Explicit MAE budgets of the quantised predict path, in seconds of ETA,
@@ -562,10 +591,8 @@ TEST(QuantArtifactTest, QuantisedPredictionsMeetMaeBudget) {
   for (const auto& [mode, budget] :
        {std::pair<QuantMode, double>{QuantMode::kFp16, kFp16MaeBudget},
         {QuantMode::kInt8, kInt8MaeBudget}}) {
-    io::ArtifactOptions options;
-    options.quant = mode;
-    const io::ServingModel quant = io::LoadModelArtifact(
-        QuantArtifactPath(), QuantDataset().network, options);
+    const io::ServingModel quant =
+        io::LoadModelArtifact(QuantArtifactPath(mode), QuantDataset().network);
     EXPECT_EQ(quant.quant, mode);
     // Across batch sizes and thread counts: the quantised model must stay
     // deterministic (same snapped weights => same answers regardless of
@@ -604,31 +631,15 @@ TEST(QuantArtifactTest, QuantisedPredictionsMeetMaeBudget) {
 }
 
 TEST(QuantArtifactTest, StoredQuantArtifactRoundTrips) {
-  // Write the artifact with int8 storage (serialize v3), load it plainly:
-  // the loader reports the stored mode and the values are already snapped,
-  // so a second load-time quantisation request is a no-op.
-  const std::string path = testing::TempDir() + "simd_quant_stored.artifact";
-  io::ArtifactOptions write_options;
-  write_options.quant = QuantMode::kInt8;
-  io::WriteModelArtifact(path, QuantModel(), nullptr, write_options);
-
-  const io::ServingModel stored =
-      io::LoadModelArtifact(path, QuantDataset().network);
-  EXPECT_EQ(stored.quant, QuantMode::kInt8);
-
-  io::ArtifactOptions load_options;
-  load_options.quant = QuantMode::kInt8;
-  const io::ServingModel again =
-      io::LoadModelArtifact(path, QuantDataset().network, load_options);
-  const auto ods = QuantOds(8);
-  const std::vector<double> a = stored.model->PredictBatch(ods);
-  const std::vector<double> b = again.model->PredictBatch(ods);
-  EXPECT_EQ(a, b);
-
-  // And the quantised file is genuinely smaller than its fp64 sibling.
-  EXPECT_LT(std::filesystem::file_size(path),
-            std::filesystem::file_size(QuantArtifactPath()));
-  std::remove(path.c_str());
+  // The loader reports the stored mode, and the quantised file is genuinely
+  // smaller than its fp64 sibling.
+  for (const QuantMode mode : {QuantMode::kFp16, QuantMode::kInt8}) {
+    const io::ServingModel stored =
+        io::LoadModelArtifact(QuantArtifactPath(mode), QuantDataset().network);
+    EXPECT_EQ(stored.quant, mode);
+    EXPECT_LT(std::filesystem::file_size(QuantArtifactPath(mode)),
+              std::filesystem::file_size(QuantArtifactPath()));
+  }
 }
 
 TEST(QuantArtifactTest, EtaServiceServesQuantisedOnSimdTier) {
@@ -637,10 +648,9 @@ TEST(QuantArtifactTest, EtaServiceServesQuantisedOnSimdTier) {
       QuantArtifactPath(), QuantDataset().network, serve::EtaServiceOptions{});
 
   serve::EtaServiceOptions options;
-  options.quant = QuantMode::kInt8;
   options.kernel_mode = KernelMode::kSimd;
   const auto service = serve::EtaService::FromArtifact(
-      QuantArtifactPath(), QuantDataset().network, options);
+      QuantArtifactPath(QuantMode::kInt8), QuantDataset().network, options);
   double mae = 0.0;
   for (const auto& od : ods) {
     const double got = service->Estimate(od);

@@ -317,18 +317,6 @@ TEST(TripStoreTest, CorruptPayloadFailsChecksum) {
   EXPECT_EQ(reader.Open(path).kind, LoadErrorKind::kBadChecksum);
 }
 
-TEST(TripStoreTest, ChecksumVerificationCanBeSkipped) {
-  // Same corrupted payload as above: with verification off the framing
-  // still indexes, which is the bench/trusted-reader fast path.
-  auto bytes = io::SerializeTripStore(SampleTrips());
-  bytes[bytes.size() / 2] ^= 0x20;
-  const std::string path = TempPath("corrupt_unverified.trips");
-  WriteBytes(path, bytes);
-  io::TripStoreReader reader;
-  EXPECT_TRUE(reader.Open(path, /*verify_checksum=*/false).ok());
-  EXPECT_EQ(reader.size(), 4u);
-}
-
 TEST(TripStoreTest, TrailingGarbageReported) {
   auto bytes = io::SerializeTripStore(SampleTrips());
   bytes.push_back(0xAB);

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -123,6 +124,30 @@ bool FlagCursor::DoubleValue(double* out) {
   return true;
 }
 
+bool FlagCursor::PositiveValue(double* out) {
+  double v = 0.0;
+  if (!DoubleValue(&v)) return false;
+  if (!std::isfinite(v) || v <= 0.0) {
+    std::fprintf(stderr, "%s expects a finite number > 0, got %g\n",
+                 flag_.c_str(), v);
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+bool FlagCursor::NonNegativeValue(double* out) {
+  double v = 0.0;
+  if (!DoubleValue(&v)) return false;
+  if (!std::isfinite(v) || v < 0.0) {
+    std::fprintf(stderr, "%s expects a finite number >= 0, got %g\n",
+                 flag_.c_str(), v);
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
 bool FlagCursor::PortValue(uint16_t* out) {
   size_t parsed = 0;
   if (!SizeValue(&parsed)) return false;
@@ -193,8 +218,6 @@ bool FlagCursor::DataDirValue(std::string* out) {
   }
   return true;
 }
-
-const char* FlagCursor::QuantHelp() { return "--quant none|fp16|int8"; }
 
 const char* FlagCursor::KernelHelp() {
   return "--kernel blocked|vector|simd";

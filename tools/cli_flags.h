@@ -45,6 +45,10 @@ class FlagCursor {
   bool IntValue(int* out);        // signed decimal
   bool U64Value(uint64_t* out);
   bool DoubleValue(double* out);
+  // DoubleValue narrowed to a finite number > 0 (sizes, durations) or a
+  // finite number >= 0 (rates, budgets); NaN and infinity are rejected.
+  bool PositiveValue(double* out);
+  bool NonNegativeValue(double* out);
   bool PortValue(uint16_t* out);  // 0..65535
   // "1,2,3": wire network ids, each an unsigned decimal (SizeValue's
   // rules) in 0..UINT32_MAX; an empty list or an empty item is rejected.
@@ -64,7 +68,6 @@ class FlagCursor {
 
   // Canonical usage fragments, so every tool's --help names the shared
   // flags the same way.
-  static const char* QuantHelp();      // "--quant none|fp16|int8"
   static const char* KernelHelp();     // "--kernel blocked|vector|simd"
   static const char* ToleranceHelp();  // "--tolerance X"
 

@@ -4,14 +4,15 @@
 // and serves it over length-prefixed TCP with admission control and
 // continuous batching (DESIGN.md "Network serving"). An artifact that fails
 // to load exits 1 with its typed kind ("artifact load failed [KIND]"); a
-// golden replay runs over the wire through deepod_loadgen --golden.
+// golden replay runs over the wire through deepod_loadgen --golden. A
+// quantised artifact (deepod_train --quant) serves the f16/int8 weights it
+// stores, on whichever --kernel tier is chosen.
 //
 //   deepod_server --artifact model.artifact --network network.csv
 //                 [--host H] [--port P] [--max-batch N] [--executors N]
-//                 [--batch-threads N] [--queue-capacity N]
+//                 [--queue-capacity N]
 //                 [--tenants N] [--tenant-rate R] [--tenant-burst B]
-//                 [--no-deadline-shed] [--quant MODE] [--kernel MODE]
-//                 [--stats-json PATH]
+//                 [--kernel MODE] [--stats-json PATH]
 //                 [--watch] [--poll-ms N]
 //                 [--live-speed] [--publish-ms N] [--speed-grid-m X]
 //                 [--speed-window-s X]
@@ -66,6 +67,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -74,7 +76,6 @@
 #include "cli_flags.h"
 #include "io/model_artifact.h"
 #include "io/trip_io.h"
-#include "nn/quant.h"
 #include "nn/serialize.h"
 #include "serve/drift_monitor.h"
 #include "serve/eta_service.h"
@@ -108,16 +109,14 @@ int main(int argc, char** argv) {
         stderr,
         "usage: %s (--artifact PATH --network PATH | --fleet PATH)\n"
         "  [--host H] [--port P]\n"
-        "  [--max-batch N] [--executors N] [--batch-threads N]\n"
+        "  [--max-batch N] [--executors N]\n"
         "  [--queue-capacity N] [--tenants N] [--tenant-rate R]\n"
-        "  [--tenant-burst B] [--no-deadline-shed]\n"
-        "  [%s] [%s]\n"
-        "  [--stats-json PATH]\n"
+        "  [--tenant-burst B]\n"
+        "  [%s] [--stats-json PATH]\n"
         "  [--watch] [--poll-ms N]\n"
         "  [--live-speed] [--publish-ms N] [--speed-grid-m X]\n"
         "  [--speed-window-s X] [--drift-window N] [--drift-trigger X]\n",
-        argv[0], tools::cli::FlagCursor::QuantHelp(),
-        tools::cli::FlagCursor::KernelHelp());
+        argv[0], tools::cli::FlagCursor::KernelHelp());
     return 2;
   };
   tools::cli::FlagCursor flags(argc, argv);
@@ -137,20 +136,18 @@ int main(int argc, char** argv) {
       if (!flags.SizeValue(&server_options.max_batch)) return 2;
     } else if (flag == "--executors") {
       if (!flags.SizeValue(&server_options.executors)) return 2;
-    } else if (flag == "--batch-threads") {
-      if (!flags.SizeValue(&server_options.batch_threads)) return 2;
     } else if (flag == "--queue-capacity") {
       if (!flags.SizeValue(&server_options.admission.queue_capacity)) return 2;
     } else if (flag == "--tenants") {
       if (!flags.SizeValue(&server_options.admission.num_tenants)) return 2;
     } else if (flag == "--tenant-rate") {
-      if (!flags.DoubleValue(&server_options.admission.tenant_rate)) return 2;
+      if (!flags.NonNegativeValue(&server_options.admission.tenant_rate)) {
+        return 2;
+      }
     } else if (flag == "--tenant-burst") {
-      if (!flags.DoubleValue(&server_options.admission.tenant_burst)) return 2;
-    } else if (flag == "--no-deadline-shed") {
-      server_options.admission.deadline_shedding = false;
-    } else if (flag == "--quant") {
-      if (!flags.QuantValue(&service_options.quant)) return 2;
+      if (!flags.NonNegativeValue(&server_options.admission.tenant_burst)) {
+        return 2;
+      }
     } else if (flag == "--kernel") {
       if (!flags.KernelValue(&service_options.kernel_mode)) return 2;
     } else if (flag == "--stats-json") {
@@ -164,9 +161,9 @@ int main(int argc, char** argv) {
     } else if (flag == "--publish-ms") {
       if (!flags.SizeValue(&publish_ms)) return 2;
     } else if (flag == "--speed-grid-m") {
-      if (!flags.DoubleValue(&speed_grid_m)) return 2;
+      if (!flags.PositiveValue(&speed_grid_m)) return 2;
     } else if (flag == "--speed-window-s") {
-      if (!flags.DoubleValue(&speed_window_s)) return 2;
+      if (!flags.PositiveValue(&speed_window_s)) return 2;
     } else if (flag == "--drift-window") {
       if (!flags.SizeValue(&drift_window)) return 2;
     } else if (flag == "--drift-trigger") {
@@ -262,10 +259,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     try {
-      io::ArtifactOptions artifact_options;
-      artifact_options.quant = service_options.quant;
-      state = serve::LoadServingState(artifact_path, *network,
-                                      artifact_options);
+      state = serve::LoadServingState(artifact_path, *network);
     } catch (const nn::SerializeError& e) {
       std::fprintf(stderr, "artifact load failed [%s]: %s\n",
                    nn::LoadErrorKindName(e.status().kind), e.what());
@@ -278,9 +272,15 @@ int main(int argc, char** argv) {
                               : state->bundle->config.slot_seconds;
       sim::RollingSpeedField::Options rolling_options;
       rolling_options.window_seconds = speed_window_s;
-      rolling = std::make_unique<sim::RollingSpeedField>(
-          *network, speed_grid_m, snapshot_seconds, baseline,
-          rolling_options);
+      try {
+        rolling = std::make_unique<sim::RollingSpeedField>(
+            *network, speed_grid_m, snapshot_seconds, baseline,
+            rolling_options);
+      } catch (const std::invalid_argument& e) {
+        // A --speed-grid-m too fine for the network's extent.
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
+      }
       // Point the serving model at the live field before it serves (its
       // empty table falls back to the artifact's frozen matrices, so
       // behaviour is unchanged until the first publish), and every
