@@ -36,42 +36,6 @@ nn::KernelMode ModeArg(const benchmark::State& state, int index) {
   }
 }
 
-void BM_MatMul(benchmark::State& state) {
-  nn::KernelModeScope mode(ModeArg(state, 1));
-  const size_t n = static_cast<size_t>(state.range(0));
-  util::Rng rng(1);
-  nn::Tensor a = nn::Tensor::Randn({n, n}, rng, 1.0);
-  nn::Tensor b = nn::Tensor::Randn({n, n}, rng, 1.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(nn::MatMul(a, b));
-  }
-}
-BENCHMARK(BM_MatMul)
-    ->Args({16, 1})
-    ->Args({16, 2})
-    ->Args({16, 3})
-    ->Args({64, 1})
-    ->Args({64, 2})
-    ->Args({64, 3});
-
-void BM_AffineRows(benchmark::State& state) {
-  nn::KernelModeScope mode(ModeArg(state, 1));
-  const size_t n = static_cast<size_t>(state.range(0));
-  util::Rng rng(8);
-  nn::Tensor x = nn::Tensor::Randn({n, 64}, rng, 1.0);
-  nn::Tensor w = nn::Tensor::Randn({64, 64}, rng, 1.0);
-  nn::Tensor b = nn::Tensor::Randn({64}, rng, 1.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(nn::AffineRows(x, w, b));
-  }
-}
-// The serving batch shape (PredictBatch's MLP): per-row GEMV over a packed
-// 64x64 weight in kSimd.
-BENCHMARK(BM_AffineRows)
-    ->Args({32, 1})
-    ->Args({32, 2})
-    ->Args({32, 3});
-
 void BM_LstmForward(benchmark::State& state) {
   nn::KernelModeScope mode(ModeArg(state, 1));
   const size_t seq_len = static_cast<size_t>(state.range(0));

@@ -1,18 +1,14 @@
-// Serving-path bench: drives DeepOdModel's graph-free query engine and the
+// Serving-path bench: drives DeepOdModel's serving plan and the
 // EtaService front-end with a synthetic query stream from the simulator and
 // writes BENCH_serving.json:
 //   - serving/single_query/{before,after}: per-query latency of the
-//     training-mode forward (autograd graph built, the pre-inference-mode
-//     Predict) vs. the graph-free Predict. `speedup` carries the ratio in
-//     samples_per_sec.
+//     training-mode Tensor forward (autograd graph built) vs. Predict, which
+//     runs the serving plan. `speedup` carries the ratio in samples_per_sec.
 //   - serving/batch_qps/batch=B[/threads=T]: PredictBatch throughput vs.
 //     micro-batch size, single-threaded and fanned over the pool.
 //   - serving/kernel/<tier>/qps: PredictBatch throughput per kernel tier
 //     (blocked, vector, simd — simd falls back to the vector path on hosts
 //     without AVX2, see nn/simd.h).
-//   - serving/plan/{tensor_path,plan}/qps: one graph-free query through the
-//     Tensor ops vs. Predict's packed serving plan (bit-identical answers,
-//     checked); `speedup` carries the ratio in samples_per_sec.
 //   - serving/quant/<mode>/{qps,mae}: EtaService::FromArtifact over an
 //     artifact written with fp64, fp16 and int8 weight records, on the kSimd
 //     tier; mae records carry the mean
@@ -24,7 +20,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -79,7 +74,7 @@ std::vector<traj::OdInput> MakeQueryStream(const sim::Dataset& dataset,
 int main(int argc, char** argv) {
   const size_t num_queries =
       argc > 1 ? static_cast<size_t>(std::atoll(argv[1])) : 2000;
-  bench::PrintBanner("Serving path — graph-free inference, plan, batching");
+  bench::PrintBanner("Serving path — serving plan, batching, quantisation");
 
   const sim::Dataset dataset =
       sim::BuildDataset(bench::MiniConfig(bench::City::kXian));
@@ -95,11 +90,11 @@ int main(int argc, char** argv) {
   std::vector<bench::BenchJsonRecord> records;
   const size_t auto_threads = util::ThreadPool::ResolveThreadCount(0);
 
-  // --- Single-query latency: training-mode forward vs. graph-free ----------
-  // "Before" reproduces the pre-inference-mode Predict: EncodeOd +
+  // --- Single-query latency: training-mode forward vs. the plan -----------
+  // "Before" is the Tensor forward training runs: EncodeOd +
   // EstimateFromCode outside any InferenceGuard builds the full autograd
-  // graph per query. "After" is the shipped Predict (graph-free + ocode
-  // memo). Values are bit-identical; only bookkeeping differs.
+  // graph per query. "After" is the shipped Predict (serving plan + ocode
+  // memo). Values are bit-identical (ServingPlanTest checks it).
   double sink = 0.0;
   util::Stopwatch sw;
   for (const auto& od : stream) {
@@ -114,7 +109,7 @@ int main(int argc, char** argv) {
   std::printf(
       "Single query (%zu queries):\n"
       "  before (training-mode forward): %.3f ms/query\n"
-      "  after  (graph-free Predict):    %.3f ms/query\n"
+      "  after  (Predict, serving plan): %.3f ms/query\n"
       "  speedup: %.2fx\n",
       stream.size(), 1000.0 * before_secs / n, 1000.0 * after_secs / n,
       speedup);
@@ -187,56 +182,6 @@ int main(int argc, char** argv) {
       records.push_back({std::string("serving/kernel/") + tier.name + "/qps",
                          secs, 1, n / secs});
     }
-  }
-
-  // --- Serving plan vs. the Tensor forward ----------------------------------
-  // One graph-free query two ways: the Tensor ops (EncodeOd +
-  // EstimateFromCode under an InferenceGuard) and Predict, which runs the
-  // packed serving plan. Both read
-  // the same warm external-code table, so this times the dense M_O/M_E path
-  // and the Tensor scaffolding the plan removes. The answers must match bit
-  // for bit; the bench fails otherwise.
-  {
-    std::vector<double> tensor_answers, plan_answers;
-    tensor_answers.reserve(stream.size());
-    plan_answers.reserve(stream.size());
-    sw.Reset();
-    {
-      const nn::InferenceGuard guard;
-      for (const auto& od : stream) {
-        tensor_answers.push_back(
-            model.EstimateFromCode(model.EncodeOd(od)).item() *
-            model.time_scale());
-      }
-    }
-    const double tensor_secs = sw.ElapsedSeconds();
-    sw.Reset();
-    for (const auto& od : stream) plan_answers.push_back(model.Predict(od));
-    const double plan_secs = sw.ElapsedSeconds();
-    size_t mismatches = 0;
-    for (size_t i = 0; i < stream.size(); ++i) {
-      if (std::memcmp(&tensor_answers[i], &plan_answers[i],
-                      sizeof(double)) != 0) {
-        ++mismatches;
-      }
-    }
-    const double plan_speedup =
-        plan_secs > 0.0 ? tensor_secs / plan_secs : 0.0;
-    std::printf(
-        "Serving plan vs. Tensor forward (%zu queries):\n"
-        "  tensor path: %.3f us/query\n"
-        "  plan:        %.3f us/query\n"
-        "  speedup: %.2fx, %zu mismatches\n",
-        stream.size(), 1e6 * tensor_secs / n, 1e6 * plan_secs / n,
-        plan_speedup, mismatches);
-    if (mismatches != 0) {
-      std::fprintf(stderr, "serving plan diverged from the Tensor forward\n");
-      return 1;
-    }
-    records.push_back(
-        {"serving/plan/tensor_path/qps", tensor_secs, 1, n / tensor_secs});
-    records.push_back({"serving/plan/plan/qps", plan_secs, 1, n / plan_secs});
-    records.push_back({"serving/plan/speedup", 0.0, 1, plan_speedup});
   }
 
   // --- Quantised serving -----------------------------------------------------

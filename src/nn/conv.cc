@@ -11,8 +11,7 @@ using Impl = Tensor::Impl;
 // Fused per-channel normalisation with exact backward.
 //   y[c,i] = gamma[c] * (x[c,i] - mu[c]) / sqrt(var[c] + eps) + beta[c]
 // where mu/var are the statistics used (instance stats in training mode,
-// running stats in inference mode; in inference mode the stats carry no
-// gradient).
+// running stats in eval mode, where the stats carry no gradient).
 Tensor NormalizePerChannel(const Tensor& input, const Tensor& gamma,
                            const Tensor& beta, const std::vector<double>& mu,
                            const std::vector<double>& var, double eps,
@@ -23,17 +22,6 @@ Tensor NormalizePerChannel(const Tensor& input, const Tensor& gamma,
   const auto& b = beta.data();
   std::vector<double> inv_std(c);
   for (size_t ch = 0; ch < c; ++ch) inv_std[ch] = 1.0 / std::sqrt(var[ch] + eps);
-  if (!GradEnabled()) {
-    // Graph-free: no xhat copy is kept for backward.
-    auto out = AcquireBuffer(x.size());
-    for (size_t ch = 0; ch < c; ++ch) {
-      for (size_t i = 0; i < hw; ++i) {
-        const size_t idx = ch * hw + i;
-        out[idx] = g[ch] * ((x[idx] - mu[ch]) * inv_std[ch]) + b[ch];
-      }
-    }
-    return Tensor::FromData(input.shape(), std::move(out));
-  }
   std::vector<double> xhat(x.size());
   auto out = AcquireBuffer(x.size());
   for (size_t ch = 0; ch < c; ++ch) {

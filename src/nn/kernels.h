@@ -24,8 +24,9 @@ bool SimdActive();
 double DotUnrolled(const double* a, const double* b, size_t n);
 
 // y[i] = b[i] + W[i,:] x for a row-major W [out, in] — the one kernel Affine
-// and every row of AffineRows run: bias-first ascending sums in kBlocked,
-// b[i] + DotUnrolled in kVector, the packed AVX2 GEMV when SimdActive().
+// and the serving plan's dense layers run: bias-first ascending sums in
+// kBlocked, b[i] + DotUnrolled in kVector, the packed AVX2 GEMV when
+// SimdActive().
 // `packed` (W packed by PackGemv/PackGemvInto) is read only when
 // SimdActive() and must then be non-null.
 void AffineForward(const double* w, const PackedGemvView* packed,

@@ -94,45 +94,7 @@ Linear::Linear(size_t in_dim, size_t out_dim, util::Rng& rng)
   b_.set_requires_grad(true);
 }
 
-Tensor Linear::Forward(const Tensor& x) const {
-  if (x.ndim() == 1) return Affine(w_, x, b_);
-  if (x.ndim() == 2) {
-    // [N, in] x [in, out] + b — batched path.
-    // MatMul expects [N,in] x [in,out]; transpose via explicit op-free path:
-    // we materialise W^T once per call. For our scale this is fine and keeps
-    // the op set small.
-    auto wt_data = AcquireBuffer(in_dim_ * out_dim_);
-    const auto& wd = w_.data();
-    for (size_t o = 0; o < out_dim_; ++o) {
-      for (size_t i = 0; i < in_dim_; ++i) {
-        wt_data[i * out_dim_ + o] = wd[o * in_dim_ + i];
-      }
-    }
-    if (!GradEnabled()) {
-      Tensor wt = Tensor::FromData({in_dim_, out_dim_}, std::move(wt_data));
-      return AddRow(MatMul(x, wt), b_);
-    }
-    // Build a view tensor that back-propagates into w_.
-    auto pw = w_.impl();
-    const size_t in_dim = in_dim_, out_dim = out_dim_;
-    Tensor w_transposed = Tensor::MakeOpResult(
-        {in_dim_, out_dim_}, std::move(wt_data), {pw},
-        [pw, in_dim, out_dim](Tensor::Impl& self) {
-          double* gw = pw->grad_sink();
-          for (size_t i = 0; i < in_dim; ++i) {
-            for (size_t o = 0; o < out_dim; ++o) {
-              gw[o * in_dim + i] += self.grad[i * out_dim + o];
-            }
-          }
-        });
-    return AddRow(MatMul(x, w_transposed), b_);
-  }
-  throw std::invalid_argument("Linear::Forward: input must be 1-D or 2-D");
-}
-
-Tensor Linear::ForwardBatch(const Tensor& x) const {
-  return AffineRows(x, w_, b_);
-}
+Tensor Linear::Forward(const Tensor& x) const { return Affine(w_, x, b_); }
 
 std::vector<Tensor> Linear::Parameters() { return {w_, b_}; }
 
@@ -146,10 +108,6 @@ Mlp2::Mlp2(size_t in_dim, size_t hidden_dim, size_t out_dim, util::Rng& rng)
 
 Tensor Mlp2::Forward(const Tensor& x) const {
   return layer2_.Forward(Relu(layer1_.Forward(x)));
-}
-
-Tensor Mlp2::ForwardBatch(const Tensor& x) const {
-  return layer2_.ForwardBatch(Relu(layer1_.ForwardBatch(x)));
 }
 
 std::vector<Tensor> Mlp2::Parameters() {

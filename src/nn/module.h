@@ -111,12 +111,9 @@ class Linear : public Module {
  public:
   Linear(size_t in_dim, size_t out_dim, util::Rng& rng);
 
+  // Affine(W, x, b) for a 1-D x [in] -> [out]; Affine throws
+  // std::invalid_argument for any other rank.
   Tensor Forward(const Tensor& x) const;
-
-  // Batched form over an [N, in] matrix -> [N, out]; row i is bit-identical
-  // to Forward(x[i]) in every kernel mode (AffineRows preserves Affine's
-  // per-row floating-point order, unlike the MatMul+AddRow 2-D Forward).
-  Tensor ForwardBatch(const Tensor& x) const;
 
   std::vector<Tensor> Parameters() override;
   void AppendState(const std::string& prefix, StateDict& out) override;
@@ -139,9 +136,6 @@ class Mlp2 : public Module {
   Mlp2(size_t in_dim, size_t hidden_dim, size_t out_dim, util::Rng& rng);
 
   Tensor Forward(const Tensor& x) const;
-
-  // Batched form over [N, in] rows; row i is bit-identical to Forward(x[i]).
-  Tensor ForwardBatch(const Tensor& x) const;
 
   std::vector<Tensor> Parameters() override;
   void AppendState(const std::string& prefix, StateDict& out) override;

@@ -34,11 +34,6 @@ void CheckSameShape(const Tensor& a, const Tensor& b, const char* op) {
   }
 }
 
-// Every op takes this exit when gradients are disabled (InferenceGuard):
-// the forward value is identical, but no parent list or backward closure is
-// ever constructed, so the query path builds no graph to destruct.
-bool Inference() { return !GradEnabled(); }
-
 // Elementwise unary op helper: forward f(x), backward df(x, y) where y is
 // the forward output value.
 template <typename F, typename DF>
@@ -46,7 +41,6 @@ Tensor UnaryOp(const Tensor& a, F f, DF df) {
   const auto& x = a.data();
   auto out = AcquireBuffer(x.size());
   for (size_t i = 0; i < x.size(); ++i) out[i] = f(x[i]);
-  if (Inference()) return Tensor::FromData(a.shape(), std::move(out));
   auto pa = a.impl();
   return Tensor::MakeOpResult(
       a.shape(), std::move(out), {pa}, [pa, df](Impl& self) {
@@ -55,46 +49,6 @@ Tensor UnaryOp(const Tensor& a, F f, DF df) {
           ga[i] += self.grad[i] * df(pa->data[i], self.data[i]);
         }
       });
-}
-
-// --- MatMul kernels ---------------------------------------------------------
-//
-// The blocked kernel accumulates each output entry over k in ascending
-// order, so the packed/B-transposed kernel is bit-identical to the naive
-// triple loop (the test oracle in tests/reference_kernels.h); it only
-// changes memory access patterns, never the floating-point summation
-// order. The j-block size keeps a B^T tile plus an A row resident in L1
-// while streaming over rows of A. The vector kernel additionally
-// reassociates the dots.
-constexpr size_t kMatMulJBlock = 48;
-
-// Packs B^T (bt[j*k+p] = b[p*m+j]) into `bt`, which must hold k*m doubles.
-void PackBTransposed(const double* xb, double* bt, size_t k, size_t m) {
-  for (size_t p = 0; p < k; ++p) {
-    const double* brow = &xb[p * m];
-    for (size_t j = 0; j < m; ++j) bt[j * k + p] = brow[j];
-  }
-}
-
-void MatMulForwardBlocked(const double* xa, const double* bt, double* out,
-                          size_t n, size_t k, size_t m, bool reassociate) {
-  for (size_t jb = 0; jb < m; jb += kMatMulJBlock) {
-    const size_t je = std::min(m, jb + kMatMulJBlock);
-    for (size_t i = 0; i < n; ++i) {
-      const double* arow = &xa[i * k];
-      double* orow = &out[i * m];
-      for (size_t j = jb; j < je; ++j) {
-        const double* btrow = &bt[j * k];
-        if (reassociate) {
-          orow[j] = DotUnrolled(arow, btrow, k);
-        } else {
-          double s = 0.0;
-          for (size_t p = 0; p < k; ++p) s += arow[p] * btrow[p];
-          orow[j] = s;
-        }
-      }
-    }
-  }
 }
 
 // --- Conv2d backward kernels ------------------------------------------------
@@ -187,7 +141,6 @@ Tensor Add(const Tensor& a, const Tensor& b) {
   const auto& xb = b.data();
   auto out = AcquireBuffer(xa.size());
   for (size_t i = 0; i < xa.size(); ++i) out[i] = xa[i] + xb[i];
-  if (Inference()) return Tensor::FromData(a.shape(), std::move(out));
   auto pa = a.impl(), pb = b.impl();
   return Tensor::MakeOpResult(a.shape(), std::move(out), {pa, pb},
                               [pa, pb](Impl& self) {
@@ -206,7 +159,6 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
   const auto& xb = b.data();
   auto out = AcquireBuffer(xa.size());
   for (size_t i = 0; i < xa.size(); ++i) out[i] = xa[i] - xb[i];
-  if (Inference()) return Tensor::FromData(a.shape(), std::move(out));
   auto pa = a.impl(), pb = b.impl();
   return Tensor::MakeOpResult(a.shape(), std::move(out), {pa, pb},
                               [pa, pb](Impl& self) {
@@ -225,7 +177,6 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
   const auto& xb = b.data();
   auto out = AcquireBuffer(xa.size());
   for (size_t i = 0; i < xa.size(); ++i) out[i] = xa[i] * xb[i];
-  if (Inference()) return Tensor::FromData(a.shape(), std::move(out));
   auto pa = a.impl(), pb = b.impl();
   return Tensor::MakeOpResult(a.shape(), std::move(out), {pa, pb},
                               [pa, pb](Impl& self) {
@@ -242,11 +193,6 @@ Tensor Scale(const Tensor& a, double c) {
   return UnaryOp(
       a, [c](double x) { return c * x; },
       [c](double, double) { return c; });
-}
-
-Tensor AddScalar(const Tensor& a, double c) {
-  return UnaryOp(
-      a, [c](double x) { return x + c; }, [](double, double) { return 1.0; });
 }
 
 Tensor Relu(const Tensor& a) {
@@ -285,90 +231,6 @@ Tensor Sqrt(const Tensor& a, double eps) {
       [](double, double y) { return 0.5 / y; });
 }
 
-Tensor MatMul(const Tensor& a, const Tensor& b) {
-  if (a.ndim() != 2 || b.ndim() != 2 || a.dim(1) != b.dim(0)) {
-    throw std::invalid_argument("MatMul: incompatible shapes " +
-                                a.ShapeString() + " x " + b.ShapeString());
-  }
-  DEEPOD_COUNT_KERNEL("matmul");
-  const size_t n = a.dim(0), k = a.dim(1), m = b.dim(1);
-  const auto& xa = a.data();
-  const auto& xb = b.data();
-  auto out = AcquireBuffer(n * m);
-  const KernelMode mode = GetKernelMode();
-  if (SimdActive()) {
-    // B here is typically materialised per call (Linear's 2-D path builds
-    // W^T fresh), so MatMul skips the pack cache and uses the broadcast-A
-    // AVX2 kernel directly over row-major B.
-    MatMulAvx2(xa.data(), xb.data(), out.data(), n, k, m);
-  } else {
-    auto bt = AcquireBuffer(k * m);
-    PackBTransposed(xb.data(), bt.data(), k, m);
-    MatMulForwardBlocked(xa.data(), bt.data(), out.data(), n, k, m,
-                         mode != KernelMode::kBlocked);
-  }
-  if (Inference()) return Tensor::FromData({n, m}, std::move(out));
-  auto pa = a.impl(), pb = b.impl();
-  return Tensor::MakeOpResult(
-      {n, m}, std::move(out), {pa, pb}, [pa, pb, n, k, m](Impl& self) {
-        // dA = dY * B^T ; dB = A^T * dY. Both accumulation orders match the
-        // naive triple loop (j ascending for dA, i ascending for dB).
-        double* ga = pa->grad_sink();
-        double* gb = pb->grad_sink();
-        auto bt = AcquireBuffer(k * m);
-        PackBTransposed(pb->data.data(), bt.data(), k, m);
-        for (size_t i = 0; i < n; ++i) {
-          const double* grow = &self.grad[i * m];
-          double* garow = ga + i * k;
-          for (size_t j = 0; j < m; ++j) {
-            const double g = grow[j];
-            if (g == 0.0) continue;
-            const double* btrow = &bt[j * k];
-            for (size_t p = 0; p < k; ++p) garow[p] += g * btrow[p];
-          }
-        }
-        for (size_t i = 0; i < n; ++i) {
-          const double* arow = &pa->data[i * k];
-          const double* grow = &self.grad[i * m];
-          for (size_t p = 0; p < k; ++p) {
-            const double av = arow[p];
-            if (av == 0.0) continue;
-            double* gbrow = gb + p * m;
-            for (size_t j = 0; j < m; ++j) gbrow[j] += av * grow[j];
-          }
-        }
-      });
-}
-
-Tensor AddRow(const Tensor& a, const Tensor& row) {
-  if (a.ndim() == 1) return Add(a, row);
-  if (a.ndim() != 2 || row.ndim() != 1 || a.dim(1) != row.dim(0)) {
-    throw std::invalid_argument("AddRow: incompatible shapes " +
-                                a.ShapeString() + " + " + row.ShapeString());
-  }
-  const size_t n = a.dim(0), d = a.dim(1);
-  const auto& xa = a.data();
-  const auto& xr = row.data();
-  auto out = AcquireBuffer(n * d);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < d; ++j) out[i * d + j] = xa[i * d + j] + xr[j];
-  }
-  if (Inference()) return Tensor::FromData({n, d}, std::move(out));
-  auto pa = a.impl(), pr = row.impl();
-  return Tensor::MakeOpResult({n, d}, std::move(out), {pa, pr},
-                              [pa, pr, n, d](Impl& self) {
-                                double* ga = pa->grad_sink();
-                                double* gr = pr->grad_sink();
-                                for (size_t i = 0; i < n; ++i) {
-                                  for (size_t j = 0; j < d; ++j) {
-                                    const double g = self.grad[i * d + j];
-                                    ga[i * d + j] += g;
-                                    gr[j] += g;
-                                  }
-                                }
-                              });
-}
-
 Tensor Affine(const Tensor& w, const Tensor& x, const Tensor& b) {
   if (w.ndim() != 2 || x.ndim() != 1 || b.ndim() != 1 || w.dim(1) != x.dim(0) ||
       w.dim(0) != b.dim(0)) {
@@ -382,13 +244,12 @@ Tensor Affine(const Tensor& w, const Tensor& x, const Tensor& b) {
   const auto& xx = x.data();
   const auto& xb = b.data();
   auto out = AcquireBuffer(o);
-  // Same kernel AffineRows runs per row, so Predict stays bit-identical to
-  // PredictBatch in every tier (kSimd included: one packed GEMV).
+  // The kernel the serving plan runs for each dense layer, so the plan stays
+  // bit-identical to this op in every tier (kSimd included: one packed GEMV).
   std::shared_ptr<const PackedGemv> packed;
   if (SimdActive()) packed = PackedFor(w.impl());
   const PackedGemvView view = packed ? packed->view() : PackedGemvView{};
   AffineForward(xw.data(), &view, xx.data(), xb.data(), out.data(), o, in);
-  if (Inference()) return Tensor::FromData({o}, std::move(out));
   auto pw = w.impl(), px = x.impl(), pb = b.impl();
   return Tensor::MakeOpResult(
       {o}, std::move(out), {pw, px, pb}, [pw, px, pb, o, in](Impl& self) {
@@ -405,55 +266,6 @@ Tensor Affine(const Tensor& w, const Tensor& x, const Tensor& b) {
           const double* wrow = wd + i * in;
           for (size_t j = 0; j < in; ++j) gwrow[j] += g * xd[j];
           for (size_t j = 0; j < in; ++j) gx[j] += g * wrow[j];
-        }
-      });
-}
-
-Tensor AffineRows(const Tensor& x, const Tensor& w, const Tensor& b) {
-  if (x.ndim() != 2 || w.ndim() != 2 || b.ndim() != 1 ||
-      w.dim(1) != x.dim(1) || w.dim(0) != b.dim(0)) {
-    throw std::invalid_argument("AffineRows: incompatible shapes " +
-                                x.ShapeString() + " x " + w.ShapeString() +
-                                " + " + b.ShapeString());
-  }
-  DEEPOD_COUNT_KERNEL("affine_rows");
-  const size_t n = x.dim(0), in = x.dim(1), o = w.dim(0);
-  const auto& xx = x.data();
-  const auto& xw = w.data();
-  const auto& xb = b.data();
-  auto out = AcquireBuffer(n * o);
-  // Row r is computed exactly like Affine(w, x[r], b) — the same
-  // AffineForward kernel — which keeps PredictBatch bit-identical to a
-  // per-query Predict loop in every mode.
-  std::shared_ptr<const PackedGemv> packed;
-  if (SimdActive()) packed = PackedFor(w.impl());
-  const PackedGemvView view = packed ? packed->view() : PackedGemvView{};
-  for (size_t r = 0; r < n; ++r) {
-    AffineForward(xw.data(), &view, &xx[r * in], xb.data(), &out[r * o], o,
-                  in);
-  }
-  if (Inference()) return Tensor::FromData({n, o}, std::move(out));
-  auto px = x.impl(), pw = w.impl(), pb = b.impl();
-  return Tensor::MakeOpResult(
-      {n, o}, std::move(out), {px, pw, pb}, [px, pw, pb, n, in, o](Impl& self) {
-        double* gx = px->grad_sink();
-        double* gw = pw->grad_sink();
-        double* gb = pb->grad_sink();
-        const double* xd = px->data.data();
-        const double* wd = pw->data.data();
-        for (size_t r = 0; r < n; ++r) {
-          const double* grow = &self.grad[r * o];
-          const double* xrow = xd + r * in;
-          double* gxrow = gx + r * in;
-          for (size_t i = 0; i < o; ++i) {
-            const double g = grow[i];
-            if (g == 0.0) continue;
-            gb[i] += g;
-            double* gwrow = gw + i * in;
-            const double* wrow = wd + i * in;
-            for (size_t j = 0; j < in; ++j) gwrow[j] += g * xrow[j];
-            for (size_t j = 0; j < in; ++j) gxrow[j] += g * wrow[j];
-          }
         }
       });
 }
@@ -475,7 +287,6 @@ Tensor ConcatVec(const std::vector<Tensor>& parts) {
     std::copy(d.begin(), d.end(), out.begin() + offset);
     offset += d.size();
   }
-  if (Inference()) return Tensor::FromData({total}, std::move(out));
   std::vector<std::shared_ptr<Impl>> parents;
   parents.reserve(parts.size());
   for (const auto& p : parts) parents.push_back(p.impl());
@@ -492,35 +303,6 @@ Tensor ConcatVec(const std::vector<Tensor>& parts) {
                               });
 }
 
-Tensor StackRows(const std::vector<Tensor>& rows) {
-  if (rows.empty()) throw std::invalid_argument("StackRows: no inputs");
-  const size_t d = rows[0].dim(0);
-  auto out = AcquireBuffer(rows.size() * d);
-  size_t offset = 0;
-  for (const auto& r : rows) {
-    if (r.ndim() != 1 || r.dim(0) != d) {
-      throw std::invalid_argument("StackRows: inconsistent row shapes");
-    }
-    const auto& x = r.data();
-    std::copy(x.begin(), x.end(), out.begin() + offset);
-    offset += d;
-  }
-  const size_t n = rows.size();
-  if (Inference()) return Tensor::FromData({n, d}, std::move(out));
-  std::vector<std::shared_ptr<Impl>> parents;
-  parents.reserve(rows.size());
-  for (const auto& r : rows) parents.push_back(r.impl());
-  return Tensor::MakeOpResult({n, d}, std::move(out), parents,
-                              [parents, d](Impl& self) {
-                                for (size_t i = 0; i < parents.size(); ++i) {
-                                  double* gp = parents[i]->grad_sink();
-                                  for (size_t j = 0; j < d; ++j) {
-                                    gp[j] += self.grad[i * d + j];
-                                  }
-                                }
-                              });
-}
-
 Tensor Row(const Tensor& matrix, size_t i) {
   if (matrix.ndim() != 2) throw std::invalid_argument("Row: input not 2-D");
   const size_t n = matrix.dim(0), d = matrix.dim(1);
@@ -528,7 +310,6 @@ Tensor Row(const Tensor& matrix, size_t i) {
   const auto& x = matrix.data();
   auto out = AcquireBuffer(d);
   std::copy(x.begin() + i * d, x.begin() + (i + 1) * d, out.begin());
-  if (Inference()) return Tensor::FromData({d}, std::move(out));
   auto pm = matrix.impl();
   return Tensor::MakeOpResult({d}, std::move(out), {pm},
                               [pm, i, d](Impl& self) {
@@ -551,7 +332,6 @@ Tensor GatherRows(const Tensor& matrix, const std::vector<size_t>& indices) {
               out.begin() + offset);
     offset += d;
   }
-  if (Inference()) return Tensor::FromData({indices.size(), d}, std::move(out));
   auto pm = matrix.impl();
   auto idx_copy = indices;
   return Tensor::MakeOpResult(
@@ -570,7 +350,6 @@ Tensor Reshape(const Tensor& a, std::vector<size_t> new_shape) {
   if (NumElements(new_shape) != a.size()) {
     throw std::invalid_argument("Reshape: element count mismatch");
   }
-  if (Inference()) return Tensor::FromData(std::move(new_shape), a.data());
   auto pa = a.impl();
   return Tensor::MakeOpResult(std::move(new_shape), a.data(), {pa},
                               [pa](Impl& self) {
@@ -584,7 +363,6 @@ Tensor Reshape(const Tensor& a, std::vector<size_t> new_shape) {
 Tensor Sum(const Tensor& a) {
   double s = 0.0;
   for (double x : a.data()) s += x;
-  if (Inference()) return Tensor::FromData({1}, {s});
   auto pa = a.impl();
   return Tensor::MakeOpResult({1}, {s}, {pa}, [pa](Impl& self) {
     const double g = self.grad[0];
@@ -608,7 +386,6 @@ Tensor MeanRows(const Tensor& a) {
   }
   const double inv = 1.0 / static_cast<double>(n);
   for (double& v : out) v *= inv;
-  if (Inference()) return Tensor::FromData({d}, std::move(out));
   auto pa = a.impl();
   return Tensor::MakeOpResult({d}, std::move(out), {pa},
                               [pa, n, d, inv](Impl& self) {
@@ -645,7 +422,6 @@ Tensor Conv2d(const Tensor& input, const Tensor& kernel, size_t pad_h,
     scratch.resize(ConvScratchSize(geom));
   }
   ConvForward(geom, xin.data(), xk.data(), out.data(), scratch.data());
-  if (Inference()) return Tensor::FromData({cout, oh, ow}, std::move(out));
   auto pin = input.impl(), pk = kernel.impl();
   return Tensor::MakeOpResult(
       {cout, oh, ow}, std::move(out), {pin, pk}, [pin, pk, geom](Impl& self) {
@@ -678,7 +454,6 @@ Tensor AddChannelBias(const Tensor& input, const Tensor& bias) {
   for (size_t ch = 0; ch < c; ++ch) {
     for (size_t i = 0; i < hw; ++i) out[ch * hw + i] = xin[ch * hw + i] + xb[ch];
   }
-  if (Inference()) return Tensor::FromData(input.shape(), std::move(out));
   auto pin = input.impl(), pb = bias.impl();
   return Tensor::MakeOpResult(input.shape(), std::move(out), {pin, pb},
                               [pin, pb, c, hw](Impl& self) {
@@ -705,7 +480,6 @@ Tensor GlobalAvgPool(const Tensor& input) {
     for (size_t i = 0; i < hw; ++i) s += xin[ch * hw + i];
     out[ch] = s * inv;
   }
-  if (Inference()) return Tensor::FromData({c}, std::move(out));
   auto pin = input.impl();
   return Tensor::MakeOpResult({c}, std::move(out), {pin},
                               [pin, c, hw, inv](Impl& self) {
@@ -790,7 +564,6 @@ Tensor LstmCellFused(const Tensor& x, const Tensor& h_prev,
       out[hd + j] = cn;
     }
   }
-  if (Inference()) return Tensor::FromData({2 * hd}, std::move(out));
   // The backward reads parents through self.parents (fixed order below) so
   // the closure stays small enough for SmallFn's inline buffer.
   return Tensor::MakeOpResult(
@@ -859,7 +632,6 @@ Tensor SliceVec(const Tensor& a, size_t begin, size_t end) {
   const size_t n = end - begin;
   auto out = AcquireBuffer(n);
   std::copy(a.data().begin() + begin, a.data().begin() + end, out.begin());
-  if (Inference()) return Tensor::FromData({n}, std::move(out));
   auto pa = a.impl();
   return Tensor::MakeOpResult({n}, std::move(out), {pa},
                               [pa, begin, n](Impl& self) {

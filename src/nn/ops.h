@@ -7,10 +7,13 @@
 
 namespace deepod::nn {
 
-// Differentiable operations over Tensor. Every op validates shapes, computes
-// the forward value eagerly and records a backward closure; gradients are
-// exact (verified by the finite-difference property tests in
-// tests/nn/gradcheck_test.cc).
+// Differentiable operations over Tensor: the training graph. Every op
+// validates shapes, computes the forward value eagerly and hands it with a
+// backward closure to Tensor::MakeOpResult, which alone decides whether the
+// graph is recorded. Gradients are exact (verified by the finite-difference
+// property tests in tests/gradcheck_test.cc). Predict and PredictBatch do
+// not run these ops: they run core::ServingPlan over the raw kernels in
+// nn/kernels.h.
 
 // --- Elementwise -----------------------------------------------------------
 
@@ -18,7 +21,6 @@ Tensor Add(const Tensor& a, const Tensor& b);   // same shape
 Tensor Sub(const Tensor& a, const Tensor& b);   // same shape
 Tensor Mul(const Tensor& a, const Tensor& b);   // same shape (Hadamard)
 Tensor Scale(const Tensor& a, double c);        // c * a
-Tensor AddScalar(const Tensor& a, double c);    // a + c
 Tensor Relu(const Tensor& a);
 Tensor Sigmoid(const Tensor& a);
 Tensor Tanh(const Tensor& a);
@@ -30,27 +32,14 @@ Tensor Sqrt(const Tensor& a, double eps = 1e-12);
 
 // --- Linear algebra --------------------------------------------------------
 
-// [N,K] x [K,M] -> [N,M]
-Tensor MatMul(const Tensor& a, const Tensor& b);
-// Matrix [N,M] + row vector [M] broadcast over rows -> [N,M]. Also accepts
-// a == [M] (vector + vector degenerates to Add).
-Tensor AddRow(const Tensor& a, const Tensor& row);
 // W x + b for vector x: W [O,I], x [I], b [O] -> [O]. This is the exact
 // form the paper's MLP equations (Eq. 11, 17-20) are written in.
 Tensor Affine(const Tensor& w, const Tensor& x, const Tensor& b);
-// Batched Affine over rows: X [N,I], W [O,I], b [O] -> [N,O], row i being
-// W X[i] + b. Each output row is accumulated bias-first in ascending input
-// index — exactly Affine's floating-point order in every kernel tier — so
-// the batched serving path (DeepOdModel::PredictBatch) is bit-identical to
-// a per-query Affine loop.
-Tensor AffineRows(const Tensor& x, const Tensor& w, const Tensor& b);
 
 // --- Shape ops -------------------------------------------------------------
 
 // Concatenation of 1-D vectors into one 1-D vector.
 Tensor ConcatVec(const std::vector<Tensor>& parts);
-// Stack N vectors of size D into an [N,D] matrix.
-Tensor StackRows(const std::vector<Tensor>& rows);
 // Row `i` of a 2-D matrix as a 1-D vector (gradient scatters into that row).
 Tensor Row(const Tensor& matrix, size_t i);
 // Rows `indices` of a 2-D matrix as an [N,D] matrix — the embedding lookup

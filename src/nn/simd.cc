@@ -137,11 +137,6 @@ size_t PackedCacheSize() {
   return cache.entries.size();
 }
 
-void MatMulAvx2(const double* a, const double* b, double* out, size_t m,
-                size_t k, size_t n) {
-  avx2::MatMul(a, b, out, m, k, n);
-}
-
 void AxpyAvx2(double a, const double* x, double* y, size_t n) {
   avx2::Axpy(a, x, y, n);
 }

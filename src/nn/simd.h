@@ -8,7 +8,7 @@
 
 #include "nn/tensor.h"
 
-// KernelMode::kSimd backend: explicit AVX2+FMA GEMV/GEMM kernels over
+// KernelMode::kSimd backend: explicit AVX2+FMA GEMV kernels over
 // panel-major packed weights, plus the runtime dispatch that decides whether
 // they may run at all.
 //
@@ -21,9 +21,9 @@
 // the kVector code path directly, so selecting kSimd is always safe and the
 // fallback is bit-identical to kVector by construction.
 //
-// Floating-point contract of the active AVX2 kernels: GEMV-shaped ops
-// (MatMul / Affine / AffineRows / the fused LSTM cell) accumulate 4 output
-// rows at a time with fused multiply-adds over the packed layout —
+// Floating-point contract of the active AVX2 kernels: the GEMV-shaped ops
+// (Affine, the serving plan's dense layers, the fused LSTM cell) accumulate
+// 4 output rows at a time with fused multiply-adds over the packed layout —
 // deterministic, but a different summation order than kVector's DotUnrolled,
 // so they carry their own tolerance-tested contract (tests/simd_quant_test).
 // The fused LSTM cell additionally computes its gate activations with the
@@ -113,12 +113,6 @@ std::shared_ptr<const PackedGemv> PackedFor(
 size_t PackedCacheSize();
 
 // --- Non-packed AVX2 helpers -------------------------------------------------
-
-// out[M,N] = A[M,K] * B[K,N], broadcast-A form with one fused accumulator
-// per output column (B's row-major rows are already contiguous in the
-// vectorised dimension, so no repacking is needed). Requires Avx2Active().
-void MatMulAvx2(const double* a, const double* b, double* out, size_t m,
-                size_t k, size_t n);
 
 // y[i] = fma(a, x[i], y[i]), vectorised. Same element order as the scalar
 // `y[i] += a * x[i]` loop kVector's Conv2d uses, but fused (one rounding

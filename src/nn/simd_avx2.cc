@@ -79,115 +79,6 @@ void GemvBiasPacked2(const PackedGemv& packed, const double* x1, size_t n1,
   }
 }
 
-void MatMul(const double* a, const double* b, double* out, size_t m, size_t k,
-            size_t n) {
-  // Broadcast-A form: out[i][j] = sum_t a[i][t] * b[t][j], accumulated in
-  // ascending t with one fused accumulator per output column. B's rows are
-  // contiguous in j, so no repacking is needed.
-  //
-  // Register blocking: 2 rows x 4 column panels = 8 independent
-  // accumulator chains per t step. A single accumulator per panel is
-  // latency-bound on the loop-carried FMA (one FMA per ~4 cycles); eight
-  // chains keep the FMA units fed. Blocking only changes which columns are
-  // in flight together — each column still accumulates its own sum in
-  // ascending t — so every blocking path below produces identical bits.
-  const size_t full = n / kGemvPanel * kGemvPanel;
-  const size_t wide = n / (4 * kGemvPanel) * (4 * kGemvPanel);
-  size_t i = 0;
-  for (; i + 1 < m; i += 2) {
-    const double* a0 = a + i * k;
-    const double* a1 = a0 + k;
-    double* o0 = out + i * n;
-    double* o1 = o0 + n;
-    size_t j = 0;
-    for (; j < wide; j += 4 * kGemvPanel) {
-      __m256d c00 = _mm256_setzero_pd(), c01 = _mm256_setzero_pd();
-      __m256d c02 = _mm256_setzero_pd(), c03 = _mm256_setzero_pd();
-      __m256d c10 = _mm256_setzero_pd(), c11 = _mm256_setzero_pd();
-      __m256d c12 = _mm256_setzero_pd(), c13 = _mm256_setzero_pd();
-      for (size_t t = 0; t < k; ++t) {
-        const double* bt = b + t * n + j;
-        const __m256d b0 = _mm256_loadu_pd(bt);
-        const __m256d b1 = _mm256_loadu_pd(bt + 4);
-        const __m256d b2 = _mm256_loadu_pd(bt + 8);
-        const __m256d b3 = _mm256_loadu_pd(bt + 12);
-        const __m256d av0 = _mm256_set1_pd(a0[t]);
-        const __m256d av1 = _mm256_set1_pd(a1[t]);
-        c00 = _mm256_fmadd_pd(av0, b0, c00);
-        c01 = _mm256_fmadd_pd(av0, b1, c01);
-        c02 = _mm256_fmadd_pd(av0, b2, c02);
-        c03 = _mm256_fmadd_pd(av0, b3, c03);
-        c10 = _mm256_fmadd_pd(av1, b0, c10);
-        c11 = _mm256_fmadd_pd(av1, b1, c11);
-        c12 = _mm256_fmadd_pd(av1, b2, c12);
-        c13 = _mm256_fmadd_pd(av1, b3, c13);
-      }
-      _mm256_storeu_pd(o0 + j, c00);
-      _mm256_storeu_pd(o0 + j + 4, c01);
-      _mm256_storeu_pd(o0 + j + 8, c02);
-      _mm256_storeu_pd(o0 + j + 12, c03);
-      _mm256_storeu_pd(o1 + j, c10);
-      _mm256_storeu_pd(o1 + j + 4, c11);
-      _mm256_storeu_pd(o1 + j + 8, c12);
-      _mm256_storeu_pd(o1 + j + 12, c13);
-    }
-    for (; j < full; j += kGemvPanel) {
-      __m256d c0 = _mm256_setzero_pd(), c1 = _mm256_setzero_pd();
-      for (size_t t = 0; t < k; ++t) {
-        const __m256d bv = _mm256_loadu_pd(b + t * n + j);
-        c0 = _mm256_fmadd_pd(_mm256_set1_pd(a0[t]), bv, c0);
-        c1 = _mm256_fmadd_pd(_mm256_set1_pd(a1[t]), bv, c1);
-      }
-      _mm256_storeu_pd(o0 + j, c0);
-      _mm256_storeu_pd(o1 + j, c1);
-    }
-    for (; j < n; ++j) {
-      double s0 = 0.0, s1 = 0.0;
-      for (size_t t = 0; t < k; ++t) {
-        const double bv = b[t * n + j];
-        s0 = std::fma(a0[t], bv, s0);
-        s1 = std::fma(a1[t], bv, s1);
-      }
-      o0[j] = s0;
-      o1[j] = s1;
-    }
-  }
-  for (; i < m; ++i) {
-    const double* ai = a + i * k;
-    double* oi = out + i * n;
-    size_t j = 0;
-    for (; j < wide; j += 4 * kGemvPanel) {
-      __m256d c0 = _mm256_setzero_pd(), c1 = _mm256_setzero_pd();
-      __m256d c2 = _mm256_setzero_pd(), c3 = _mm256_setzero_pd();
-      for (size_t t = 0; t < k; ++t) {
-        const double* bt = b + t * n + j;
-        const __m256d av = _mm256_set1_pd(ai[t]);
-        c0 = _mm256_fmadd_pd(av, _mm256_loadu_pd(bt), c0);
-        c1 = _mm256_fmadd_pd(av, _mm256_loadu_pd(bt + 4), c1);
-        c2 = _mm256_fmadd_pd(av, _mm256_loadu_pd(bt + 8), c2);
-        c3 = _mm256_fmadd_pd(av, _mm256_loadu_pd(bt + 12), c3);
-      }
-      _mm256_storeu_pd(oi + j, c0);
-      _mm256_storeu_pd(oi + j + 4, c1);
-      _mm256_storeu_pd(oi + j + 8, c2);
-      _mm256_storeu_pd(oi + j + 12, c3);
-    }
-    for (; j < full; j += kGemvPanel) {
-      __m256d acc = _mm256_setzero_pd();
-      for (size_t t = 0; t < k; ++t) {
-        acc = _mm256_fmadd_pd(_mm256_set1_pd(ai[t]),
-                              _mm256_loadu_pd(b + t * n + j), acc);
-      }
-      _mm256_storeu_pd(oi + j, acc);
-    }
-    for (; j < n; ++j) {
-      double acc = 0.0;
-      for (size_t t = 0; t < k; ++t) acc = std::fma(ai[t], b[t * n + j], acc);
-      oi[j] = acc;
-    }
-  }
-}
-
 void Axpy(double a, const double* x, double* y, size_t n) {
   // Explicit fmadd, scalar fma tail: a single rounding per element. Writing
   // mul+add intrinsics would not buy bit-identity with kVector's scalar
@@ -297,9 +188,6 @@ void GemvBiasPacked(const PackedGemvView&, const double*, const double*,
 }
 void GemvBiasPacked2(const PackedGemv&, const double*, size_t, const double*,
                      const double*, double*) {
-  Unreachable();
-}
-void MatMul(const double*, const double*, double*, size_t, size_t, size_t) {
   Unreachable();
 }
 void Axpy(double, const double*, double*, size_t) { Unreachable(); }

@@ -21,8 +21,6 @@ void GemvBiasPacked(const PackedGemvView& packed, const double* x,
                     const double* bias, double* y);
 void GemvBiasPacked2(const PackedGemv& packed, const double* x1, size_t n1,
                      const double* x2, const double* bias, double* y);
-void MatMul(const double* a, const double* b, double* out, size_t m, size_t k,
-            size_t n);
 void Axpy(double a, const double* x, double* y, size_t n);
 void SigmoidN(const double* x, double* y, size_t n);
 void TanhN(const double* x, double* y, size_t n);

@@ -370,11 +370,11 @@ Tensor Tensor::MakeOpResult(std::vector<size_t> shape, std::vector<double> data,
   auto impl = std::make_shared<Impl>();
   impl->shape = std::move(shape);
   impl->data = std::move(data);
-  // The result needs grad tracking if any parent does. Ops may still attach
-  // a backward_fn unconditionally; the topological sweep is harmless for
-  // grad-free subgraphs but we prune for speed. With gradients disabled
-  // (InferenceGuard) the graph is never built at all — ops that missed
-  // their own early return still produce plain leaf tensors here.
+  // The one place that decides whether an op records a graph: the result
+  // keeps its parents and backward closure only when gradients are enabled
+  // and some parent needs a gradient. Otherwise (InferenceGuard, or inputs
+  // that are all constants) it is a plain leaf, and the closure the op built
+  // is dropped here.
   bool any_grad = false;
   if (tls_grad_enabled) {
     for (const auto& p : parents) {

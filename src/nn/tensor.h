@@ -183,14 +183,14 @@ class GradArenaScope {
 
 // --- Inference mode ---------------------------------------------------------
 
-// Per-thread autograd switch. While gradients are disabled the ops in ops.h
-// compute forward values exactly as usual (same kernels, same floating-point
-// order, so results stay bit-identical to the training-mode forward) but
-// skip every piece of graph bookkeeping: no parent lists, no backward
-// closures, no requires_grad propagation. Combined with the thread-local
-// buffer pool this makes a forward pass allocation-light and leaves nothing
-// behind to destruct as a graph chain — the serving hot path (Algorithm 1,
-// Estimation) runs on this.
+// Per-thread autograd switch. While gradients are disabled,
+// Tensor::MakeOpResult records no graph: every op computes its forward value
+// exactly as usual (same kernels, same floating-point order) but returns a
+// plain leaf with no parents, no backward closure and no requires_grad.
+// Predict and PredictBatch do not rely on it; they run core::ServingPlan.
+// What it still decides: DeepOdModel's EncodeExternal and WriteExternalCode
+// pick the plan over the Tensor M_E forward while gradients are off, and
+// PredictForRoute runs M_T and M_D through the ops graph-free.
 bool GradEnabled();
 
 // RAII gradient-disable for the current thread (nests safely; restores the
@@ -208,13 +208,13 @@ class InferenceGuard {
 
 // --- Runtime kernel/allocator mode -----------------------------------------
 
-// Per-thread selection of the compute kernels used by the hot ops
-// (MatMul / Affine / Conv2d):
-//  - kBlocked: cache-blocked, B-transposed kernels, a padded conv and the
-//    thread-local buffer pool. Same floating-point summation order as the
-//    naive per-element loops (kept as test oracles in
-//    tests/reference_kernels.h), so results are bit-identical to them (the
-//    conv for finite weights, see nn/kernels.h) — this is the default.
+// Per-thread selection of the compute kernels used by the hot ops (Affine,
+// Conv2d, the fused LSTM cell) and by the serving plan:
+//  - kBlocked: bias-first ascending dots and a padded conv whose forward
+//    and backward keep the summation order of the naive per-element loops
+//    (kept as test oracles in tests/reference_kernels.h), so they are
+//    bit-identical to them for finite weights (see nn/kernels.h) — this is
+//    the default.
 //  - kVector:  reassociated (multi-accumulator / planar-axpy) kernels that
 //    the compiler can vectorise. Fastest scalar tier, but the changed
 //    summation order perturbs last-bit rounding, so results are
@@ -224,13 +224,13 @@ class InferenceGuard {
 //  - kSimd:    explicit AVX2+FMA kernels over panel-major packed weights
 //    (see nn/simd.h), dispatched at runtime: when the binary carries the
 //    AVX2 translation unit, the CPU supports AVX2+FMA and DEEPOD_SIMD is
-//    not "off", the GEMV-shaped ops (MatMul / Affine / AffineRows / the
-//    fused LSTM cell) run 4-wide FMA kernels — deterministic, but with
-//    their own reassociated+fused summation order (a tolerance-tested
-//    contract, not bit-identity with kVector). Conv2d's kSimd kernel keeps
-//    kVector's per-element multiply-then-add order and stays bit-identical
-//    to kVector. When AVX2 is unavailable every kSimd op falls back to the
-//    kVector code path exactly, so kSimd is always safe to select.
+//    not "off", the GEMV-shaped ops (Affine / the fused LSTM cell) run
+//    4-wide FMA kernels — deterministic, but with their own
+//    reassociated+fused summation order (a tolerance-tested contract, not
+//    bit-identity with kVector). Conv2d's kSimd kernel keeps kVector's
+//    per-element multiply-then-add order and fuses each tap into one FMA
+//    (see nn/simd.h). When AVX2 is unavailable every kSimd op falls back to
+//    the kVector code path exactly, so kSimd is always safe to select.
 enum class KernelMode { kBlocked, kVector, kSimd };
 
 void SetKernelMode(KernelMode mode);

@@ -33,6 +33,25 @@ double PercentileOfSorted(const std::vector<double>& sorted, double q) {
   return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
 }
 
+// Rejects a rate or duration the send loop cannot turn into clock ticks:
+// NaN, infinite or <= 0, or a duration whose start + duration would
+// overflow Clock (steady_clock counts from boot, so half its range is a
+// safe ceiling).
+void ValidateRateAndDuration(const LoadgenOptions& options) {
+  if (!std::isfinite(options.qps) || options.qps <= 0.0) {
+    throw std::invalid_argument("loadgen: qps must be finite and > 0");
+  }
+  const double max_seconds =
+      std::chrono::duration<double>(Clock::duration::max()).count() / 2.0;
+  if (!std::isfinite(options.duration_seconds) ||
+      options.duration_seconds <= 0.0 ||
+      options.duration_seconds >= max_seconds) {
+    throw std::invalid_argument(
+        "loadgen: duration_seconds must be finite, > 0 and below the "
+        "clock's range");
+  }
+}
+
 }  // namespace
 
 Client::~Client() { Close(); }
@@ -135,6 +154,7 @@ LoadgenReport RunLoadgen(const LoadgenOptions& options) {
   if (options.num_segments == 0) {
     throw std::runtime_error("loadgen: num_segments must be set");
   }
+  ValidateRateAndDuration(options);
   const size_t num_conns = std::max<size_t>(1, options.connections);
 
   // One shared hot set so the skew concentrates on the same keys across

@@ -120,7 +120,9 @@ struct LoadgenReport {
   std::string server_stats_json;  // empty when not fetched
 };
 
-// Drives a live deepod_server. Throws std::runtime_error when no
+// Drives a live deepod_server. Throws std::invalid_argument, before
+// connecting, when qps or duration_seconds is NaN, infinite or <= 0 or the
+// duration is too long for the clock, and std::runtime_error when no
 // connection can be established.
 LoadgenReport RunLoadgen(const LoadgenOptions& options);
 

@@ -84,6 +84,10 @@ TEST(FlagCursorTest, PositiveValueRejectsNanInfinityAndNonPositive) {
   EXPECT_EQ(v, 200.0);
   ASSERT_TRUE(ParseDouble("1e-300", true, &v));
   EXPECT_EQ(v, 1e-300);
+  // Finite, so the flag takes it; RunLoadgen refuses it as a duration
+  // (see server_test).
+  ASSERT_TRUE(ParseDouble("1e300", true, &v));
+  EXPECT_EQ(v, 1e300);
   for (const char* bad : {"nan", "NaN", "-nan", "inf", "-inf", "infinity",
                           "1e999", "0", "-0", "-1", "", "5x"}) {
     v = 42.0;
@@ -98,6 +102,8 @@ TEST(FlagCursorTest, NonNegativeValueRejectsNanInfinityAndNegative) {
   EXPECT_EQ(v, 0.0);
   ASSERT_TRUE(ParseDouble("1000.5", false, &v));
   EXPECT_EQ(v, 1000.5);
+  ASSERT_TRUE(ParseDouble("0.8", false, &v));  // a deepod_loadgen fraction
+  EXPECT_EQ(v, 0.8);
   for (const char* bad :
        {"nan", "-nan", "inf", "-inf", "1e999", "-1", "-1e-300", "", "x"}) {
     v = 42.0;

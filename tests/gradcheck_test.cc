@@ -54,7 +54,6 @@ INSTANTIATE_TEST_SUITE_P(
         UnaryCase{"abs", [](const Tensor& x) { return Abs(x); }},
         UnaryCase{"square", [](const Tensor& x) { return Square(x); }},
         UnaryCase{"scale", [](const Tensor& x) { return Scale(x, -2.5); }},
-        UnaryCase{"add_scalar", [](const Tensor& x) { return AddScalar(x, 3.0); }},
         UnaryCase{"sqrt_sq",
                   [](const Tensor& x) { return Sqrt(Square(x), 1e-9); }}),
     [](const ::testing::TestParamInfo<UnaryCase>& info) {
@@ -71,23 +70,6 @@ TEST(GradCheckTest, AddSubMul) {
   EXPECT_TRUE(CheckGradients(loss, {a, b}).ok);
 }
 
-TEST(GradCheckTest, MatMul) {
-  util::Rng rng(8);
-  Tensor a = MakeParam({3, 4}, rng);
-  Tensor b = MakeParam({4, 2}, rng);
-  auto loss = [&] { return Sum(MatMul(a, b)); };
-  EXPECT_TRUE(CheckGradients(loss, {a, b}).ok);
-}
-
-TEST(GradCheckTest, MatMulNonUniformUpstream) {
-  util::Rng rng(9);
-  Tensor a = MakeParam({2, 3}, rng);
-  Tensor b = MakeParam({3, 3}, rng);
-  Tensor mask = Tensor::FromData({2, 3}, {1, -2, 3, -4, 5, -6});
-  auto loss = [&] { return Sum(Mul(MatMul(a, b), mask)); };
-  EXPECT_TRUE(CheckGradients(loss, {a, b}).ok);
-}
-
 TEST(GradCheckTest, Affine) {
   util::Rng rng(10);
   Tensor w = MakeParam({3, 4}, rng);
@@ -97,23 +79,16 @@ TEST(GradCheckTest, Affine) {
   EXPECT_TRUE(CheckGradients(loss, {w, x, b}).ok);
 }
 
-TEST(GradCheckTest, AddRow) {
-  util::Rng rng(11);
-  Tensor m = MakeParam({3, 2}, rng);
-  Tensor r = MakeParam({2}, rng);
-  auto loss = [&] { return Sum(Square(AddRow(m, r))); };
-  EXPECT_TRUE(CheckGradients(loss, {m, r}).ok);
-}
-
-TEST(GradCheckTest, ConcatStackRowGather) {
+TEST(GradCheckTest, ConcatAndRow) {
   util::Rng rng(12);
   Tensor a = MakeParam({3}, rng);
   Tensor b = MakeParam({2}, rng);
   Tensor m = MakeParam({4, 3}, rng);
   auto loss = [&] {
     Tensor cat = ConcatVec({a, b, Row(m, 1)});
-    Tensor stacked = StackRows({a, Row(m, 2), Row(m, 2)});
-    return Add(Sum(Square(cat)), Sum(Tanh(stacked)));
+    // Row 2 twice: its gradient accumulates.
+    Tensor repeated = ConcatVec({a, Row(m, 2), Row(m, 2)});
+    return Add(Sum(Square(cat)), Sum(Tanh(repeated)));
   };
   EXPECT_TRUE(CheckGradients(loss, {a, b, m}).ok);
 }
@@ -162,20 +137,14 @@ TEST(GradCheckTest, Losses) {
 
 // --- Modules ----------------------------------------------------------------
 
-TEST(GradCheckTest, LinearVectorAndBatch) {
+TEST(GradCheckTest, Linear) {
   util::Rng rng(18);
   Linear layer(4, 3, rng);
   Tensor x = MakeParam({4}, rng);
-  auto loss_vec = [&] { return Sum(Tanh(layer.Forward(x))); };
+  auto loss = [&] { return Sum(Tanh(layer.Forward(x))); };
   auto params = layer.Parameters();
   params.push_back(x);
-  EXPECT_TRUE(CheckGradients(loss_vec, params).ok);
-
-  Tensor xb = MakeParam({3, 4}, rng);
-  auto loss_batch = [&] { return Sum(Tanh(layer.Forward(xb))); };
-  auto params2 = layer.Parameters();
-  params2.push_back(xb);
-  EXPECT_TRUE(CheckGradients(loss_batch, params2).ok);
+  EXPECT_TRUE(CheckGradients(loss, params).ok);
 }
 
 TEST(GradCheckTest, Mlp2) {

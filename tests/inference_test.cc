@@ -12,8 +12,6 @@
 //    fill equals the grad-enabled Tensor forward bit for bit in every
 //    kernel tier, weight quantisation and ablation, and rebuilds after an
 //    optimizer step;
-//  - AffineRows (the batched-MLP building block) matches per-row Affine
-//    bit-for-bit and passes gradient checks;
 //  - EtaService answers every exact query with Predict's number through
 //    Estimate and EstimateBatch.
 #include <gtest/gtest.h>
@@ -27,7 +25,6 @@
 #include <vector>
 
 #include "core/deepod_model.h"
-#include "nn/gradcheck.h"
 #include "nn/ops.h"
 #include "nn/optimizer.h"
 #include "nn/quant.h"
@@ -457,37 +454,6 @@ TEST(OcodeTableTest, FillRacingAGenerationChangeIsDropped) {
   EXPECT_EQ(counting.reads(), 2u);
   EXPECT_EQ(model.EncodeExternal(od).data(), fresh);
   EXPECT_EQ(counting.reads(), 2u);
-}
-
-// --- AffineRows: the batched-MLP building block ------------------------------
-
-TEST(AffineRowsTest, MatchesPerRowAffineInEveryKernelMode) {
-  util::Rng rng(31);
-  const nn::Tensor x = nn::Tensor::Randn({5, 7}, rng);
-  const nn::Tensor w = nn::Tensor::Randn({3, 7}, rng);
-  const nn::Tensor b = nn::Tensor::Randn({3}, rng);
-  for (const nn::KernelMode mode :
-       {nn::KernelMode::kBlocked, nn::KernelMode::kVector}) {
-    nn::KernelModeScope scope(mode);
-    const nn::Tensor batched = nn::AffineRows(x, w, b);
-    for (size_t i = 0; i < 5; ++i) {
-      const nn::Tensor row = nn::Affine(w, nn::Row(x, i), b);
-      for (size_t j = 0; j < 3; ++j) {
-        EXPECT_EQ(batched.at(i, j), row.at(j));
-      }
-    }
-  }
-}
-
-TEST(AffineRowsTest, PassesGradCheck) {
-  util::Rng rng(32);
-  nn::Tensor x = nn::Tensor::Randn({4, 5}, rng, 0.5);
-  nn::Tensor w = nn::Tensor::Randn({3, 5}, rng, 0.5);
-  nn::Tensor b = nn::Tensor::Randn({3}, rng, 0.5);
-  for (auto* t : {&x, &w, &b}) t->set_requires_grad(true);
-  auto loss = [&] { return nn::Sum(nn::Square(nn::AffineRows(x, w, b))); };
-  const auto r = nn::CheckGradients(loss, {x, w, b});
-  EXPECT_TRUE(r.ok) << "AffineRows max_abs_err=" << r.max_abs_error;
 }
 
 // --- EtaService --------------------------------------------------------------

@@ -221,15 +221,16 @@ TEST(ObsExportTest, OptionalFieldsOmittedWhenUnset) {
 // --- Kernel op counters ------------------------------------------------------
 
 #if defined(DEEPOD_OBS_KERNEL_COUNTS)
-TEST(ObsKernelCountsTest, MatMulBumpsPerModeCounter) {
+TEST(ObsKernelCountsTest, AffineBumpsPerModeCounter) {
   util::Rng rng(3);
-  nn::Tensor a = nn::Tensor::Randn({4, 4}, rng, 1.0);
-  nn::Tensor b = nn::Tensor::Randn({4, 4}, rng, 1.0);
-  auto& counter = obs::Registry::Global().counter("nn/matmul/blocked");
+  nn::Tensor w = nn::Tensor::Randn({4, 4}, rng, 1.0);
+  nn::Tensor x = nn::Tensor::Randn({4}, rng, 1.0);
+  nn::Tensor b = nn::Tensor::Randn({4}, rng, 1.0);
+  auto& counter = obs::Registry::Global().counter("nn/affine/blocked");
   const uint64_t before = counter.Value();
   {
     nn::KernelModeScope mode(nn::KernelMode::kBlocked);
-    nn::MatMul(a, b);
+    nn::Affine(w, x, b);
   }
   EXPECT_EQ(counter.Value(), before + 1);
 }

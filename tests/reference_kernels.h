@@ -6,44 +6,13 @@
 
 #include "nn/kernels.h"
 
-// Naive per-element MatMul and Conv2d loops: the test oracles that the
-// KernelMode::kBlocked kernels must match bit for bit (for finite values).
-// Each output or gradient entry accumulates in the plain loop order that the
-// blocked kernels preserve; skipping a zero multiplier only drops ±0.0
-// addends from a sum that is never -0.0.
+// Naive per-element Conv2d loops: the test oracles that the
+// KernelMode::kBlocked conv kernels must match bit for bit (for finite
+// values). Each output or gradient entry accumulates in the plain loop order
+// that the blocked kernels preserve; skipping a zero multiplier only drops
+// ±0.0 addends from a sum that is never -0.0.
 
 namespace deepod::nn::reference {
-
-// out [n, m] = a [n, k] * b [k, m].
-inline void MatMulForwardNaive(const double* xa, const double* xb, double* out,
-                               size_t n, size_t k, size_t m) {
-  std::fill(out, out + n * m, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t p = 0; p < k; ++p) {
-      const double av = xa[i * k + p];
-      if (av == 0.0) continue;
-      const double* brow = &xb[p * m];
-      double* orow = &out[i * m];
-      for (size_t j = 0; j < m; ++j) orow[j] += av * brow[j];
-    }
-  }
-}
-
-// ga += dY * B^T and gb += A^T * dY for dY = `grad` [n, m].
-inline void MatMulBackwardNaive(const double* grad, const double* xa,
-                                const double* xb, double* ga, double* gb,
-                                size_t n, size_t k, size_t m) {
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < m; ++j) {
-      const double g = grad[i * m + j];
-      if (g == 0.0) continue;
-      for (size_t p = 0; p < k; ++p) {
-        ga[i * k + p] += g * xb[p * m + j];
-        gb[p * m + j] += g * xa[i * k + p];
-      }
-    }
-  }
-}
 
 // out [cout, oh, ow] = conv(in, kernel), skipping out-of-range taps.
 inline void ConvForwardNaive(const ConvGeom& g, const double* xin,

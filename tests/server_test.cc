@@ -29,6 +29,7 @@
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -742,6 +743,31 @@ TEST_F(ServerTest, LoadgenDrivesTheServerWithoutLosses) {
   EXPECT_NE(report.server_stats_json.find("server/completed"),
             std::string::npos);
   ExpectAdmittedReconciles();
+}
+
+TEST(LoadgenOptionsTest, UnusableRateOrDurationIsRejectedBeforeConnecting) {
+  // Nothing listens on port 0, so options that pass validation fail to
+  // connect with std::runtime_error; std::invalid_argument means the run
+  // was refused first. A duration of 1e300 s or infinity used to overflow
+  // the double-to-ticks cast of the send deadline.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  LoadgenOptions load;
+  load.port = 0;
+  load.num_segments = 4;
+  for (const double duration : {inf, -inf, nan, 1e300, 1e10, 0.0, -1.0}) {
+    load.duration_seconds = duration;
+    EXPECT_THROW(RunLoadgen(load), std::invalid_argument)
+        << "duration " << duration;
+  }
+  load.duration_seconds = 1.0;
+  for (const double qps : {inf, nan, 0.0, -5.0}) {
+    load.qps = qps;
+    EXPECT_THROW(RunLoadgen(load), std::invalid_argument) << "qps " << qps;
+  }
+  load.qps = 1e300;
+  load.duration_seconds = 1e9;  // ~31 years: fits the clock
+  EXPECT_THROW(RunLoadgen(load), std::runtime_error);
 }
 
 TEST_F(ServerTest, PipelinedBurstIsAnsweredAsOneBatch) {

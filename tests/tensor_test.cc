@@ -107,7 +107,7 @@ TEST(TensorTest, DeepChainBackwardNoStackOverflow) {
   Tensor x = Tensor::Scalar(1.0);
   x.set_requires_grad(true);
   Tensor y = x;
-  for (int i = 0; i < 10000; ++i) y = AddScalar(y, 0.001);
+  for (int i = 0; i < 10000; ++i) y = Scale(y, 1.0);
   y.Backward();
   EXPECT_DOUBLE_EQ(x.grad()[0], 1.0);
 }

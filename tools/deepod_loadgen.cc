@@ -46,6 +46,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -166,9 +167,9 @@ int main(int argc, char** argv) {
     } else if (flag == "--network-ids") {
       if (!flags.NetworkIdsValue(&options.network_ids)) return 2;
     } else if (flag == "--qps") {
-      if (!flags.DoubleValue(&options.qps)) return 2;
+      if (!flags.PositiveValue(&options.qps)) return 2;
     } else if (flag == "--duration") {
-      if (!flags.DoubleValue(&options.duration_seconds)) return 2;
+      if (!flags.PositiveValue(&options.duration_seconds)) return 2;
     } else if (flag == "--connections") {
       if (!flags.SizeValue(&options.connections)) return 2;
     } else if (flag == "--seed") {
@@ -178,15 +179,15 @@ int main(int argc, char** argv) {
       if (!flags.IntValue(&deadline)) return 2;
       options.deadline_ms = deadline;
     } else if (flag == "--high-fraction") {
-      if (!flags.DoubleValue(&options.high_fraction)) return 2;
+      if (!flags.NonNegativeValue(&options.high_fraction)) return 2;
     } else if (flag == "--low-fraction") {
-      if (!flags.DoubleValue(&options.low_fraction)) return 2;
+      if (!flags.NonNegativeValue(&options.low_fraction)) return 2;
     } else if (flag == "--tenants") {
       if (!flags.SizeValue(&options.num_tenants)) return 2;
     } else if (flag == "--slo-ms") {
-      if (!flags.DoubleValue(&options.slo_ms)) return 2;
+      if (!flags.PositiveValue(&options.slo_ms)) return 2;
     } else if (flag == "--hot-fraction") {
-      if (!flags.DoubleValue(&options.hot_fraction)) return 2;
+      if (!flags.NonNegativeValue(&options.hot_fraction)) return 2;
     } else if (flag == "--json") {
       if (!flags.StringValue(&json_path)) return 2;
     } else if (flag == "--golden") {
@@ -241,6 +242,9 @@ int main(int argc, char** argv) {
   serve::net::LoadgenReport report;
   try {
     report = serve::net::RunLoadgen(options);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "loadgen failed: %s\n", e.what());
     return 1;
