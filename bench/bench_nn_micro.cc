@@ -20,24 +20,7 @@ namespace {
 
 using namespace deepod;
 
-// The kernel tier is passed as the last benchmark argument so each op is
-// measured in the blocked (1, default), vector (2, parallel-trainer) and
-// simd (3, AVX2 serving) tiers. Mode 3 silently measures the kVector
-// fallback on hosts without AVX2 — compare tiers on an AVX2 host (see
-// SimdBackendName in nn/simd.h).
-nn::KernelMode ModeArg(const benchmark::State& state, int index) {
-  switch (state.range(index)) {
-    case 2:
-      return nn::KernelMode::kVector;
-    case 3:
-      return nn::KernelMode::kSimd;
-    default:
-      return nn::KernelMode::kBlocked;
-  }
-}
-
 void BM_LstmForward(benchmark::State& state) {
-  nn::KernelModeScope mode(ModeArg(state, 1));
   const size_t seq_len = static_cast<size_t>(state.range(0));
   util::Rng rng(2);
   nn::Lstm lstm(24, 16, rng);
@@ -49,18 +32,9 @@ void BM_LstmForward(benchmark::State& state) {
     benchmark::DoNotOptimize(lstm.Forward(inputs));
   }
 }
-// Modes 2 and 3 run the fused single-node cell (DotUnrolled vs packed
-// AVX2 GEMV); mode 1 is the composed-graph baseline.
-BENCHMARK(BM_LstmForward)
-    ->Args({10, 1})
-    ->Args({10, 2})
-    ->Args({10, 3})
-    ->Args({40, 1})
-    ->Args({40, 2})
-    ->Args({40, 3});
+BENCHMARK(BM_LstmForward)->Arg(10)->Arg(40);
 
 void BM_LstmForwardBackward(benchmark::State& state) {
-  nn::KernelModeScope mode(ModeArg(state, 0));
   util::Rng rng(3);
   nn::Lstm lstm(24, 16, rng);
   std::vector<nn::Tensor> inputs;
@@ -73,9 +47,7 @@ void BM_LstmForwardBackward(benchmark::State& state) {
     for (auto& p : lstm.Parameters()) p.ZeroGrad();
   }
 }
-// Modes 2 and 3 exercise the fused single-node LSTM cell (mode 3 packs
-// weights once per optimizer step, so this also measures repack overhead).
-BENCHMARK(BM_LstmForwardBackward)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_LstmForwardBackward);
 
 void BM_ResNetTimeBlock(benchmark::State& state) {
   const size_t delta_d = static_cast<size_t>(state.range(0));

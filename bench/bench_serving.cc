@@ -6,13 +6,9 @@
 //     runs the serving plan. `speedup` carries the ratio in samples_per_sec.
 //   - serving/batch_qps/batch=B[/threads=T]: PredictBatch throughput vs.
 //     micro-batch size, single-threaded and fanned over the pool.
-//   - serving/kernel/<tier>/qps: PredictBatch throughput per kernel tier
-//     (blocked, vector, simd — simd falls back to the vector path on hosts
-//     without AVX2, see nn/simd.h).
 //   - serving/quant/<mode>/{qps,mae}: EtaService::FromArtifact over an
-//     artifact written with fp64, fp16 and int8 weight records, on the kSimd
-//     tier; mae records carry the mean
-//     absolute ETA error in seconds vs. the fp64 answers in wall_seconds
+//     artifact written with fp64, fp16 and int8 weight records; mae records
+//     carry the mean absolute ETA error in seconds vs. the fp64 answers in wall_seconds
 //     (it is an error, not a time — bench_compare skips *mae* records).
 //     The fp64 service's obs stats go to BENCH_serving_stats.json.
 // Usage: bench_serving [num_queries]  (default 2000; CI smoke passes 200).
@@ -28,7 +24,6 @@
 #include "core/deepod_model.h"
 #include "io/model_artifact.h"
 #include "nn/quant.h"
-#include "nn/simd.h"
 #include "nn/tensor.h"
 #include "obs/trace.h"
 #include "serve/eta_service.h"
@@ -151,43 +146,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Kernel-tier sweep -----------------------------------------------------
-  // PredictBatch at the server's default batch size (--max-batch 32) under
-  // each predict-side kernel tier. kSimd runs the packed AVX2 GEMV kernels
-  // when the host supports them (backend printed below) and the kVector
-  // path otherwise, so the record exists on every host. Each tier keeps its
-  // own external codes, so an untimed pass fills them first: the records
-  // time the steady state, as the earlier sections do for kBlocked.
-  {
-    struct Tier {
-      const char* name;
-      nn::KernelMode mode;
-    };
-    const Tier tiers[] = {{"blocked", nn::KernelMode::kBlocked},
-                          {"vector", nn::KernelMode::kVector},
-                          {"simd", nn::KernelMode::kSimd}};
-    std::printf("Kernel tiers (batch=32, simd backend: %s):\n",
-                nn::SimdBackendName());
-    for (const Tier& tier : tiers) {
-      const nn::KernelModeScope scope(tier.mode);
-      sink += model.PredictBatch(stream)[0];
-      sw.Reset();
-      for (size_t pos = 0; pos < stream.size(); pos += 32) {
-        const size_t m = std::min(size_t{32}, stream.size() - pos);
-        const auto etas = model.PredictBatch({&stream[pos], m});
-        sink += etas[0];
-      }
-      const double secs = sw.ElapsedSeconds();
-      std::printf("  %-8s %8.0f queries/s\n", tier.name, n / secs);
-      records.push_back({std::string("serving/kernel/") + tier.name + "/qps",
-                         secs, 1, n / secs});
-    }
-  }
-
   // --- Quantised serving -----------------------------------------------------
   // Writes the model as one artifact per weight tier (fp64 / fp16 / int8)
-  // and stands a service up from each on the kSimd kernel path, so qps
-  // measures the model forward and mae the quantisation error alone. The
+  // and stands a service up from each, so qps measures the model forward and mae the quantisation error alone. The
   // fp64 service's answers are the golden values.
   {
     const double window_begin = 10.0 * 86400.0 + 8.0 * 3600.0;
@@ -203,16 +164,13 @@ int main(int argc, char** argv) {
                                {"fp16", nn::QuantMode::kFp16},
                                {"int8", nn::QuantMode::kInt8}};
     std::vector<double> golden;
-    std::printf("Quantised serving (kSimd):\n");
+    std::printf("Quantised serving:\n");
     for (const QuantTier& tier : tiers) {
       io::ArtifactOptions artifact_options;
       artifact_options.quant = tier.mode;
       io::WriteModelArtifact(artifact_path, model, &snap, artifact_options);
-      serve::EtaServiceOptions options;
-      options.kernel_mode = nn::KernelMode::kSimd;
-      const auto service =
-          serve::EtaService::FromArtifact(artifact_path, dataset.network,
-                                          options);
+      const auto service = serve::EtaService::FromArtifact(
+          artifact_path, dataset.network, serve::EtaServiceOptions{});
       std::vector<double> answers;
       answers.reserve(stream.size());
       sw.Reset();

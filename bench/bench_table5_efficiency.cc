@@ -53,9 +53,7 @@ int main() {
       "than LR/GBM.\n");
 
   // --- Training throughput of the shipped configuration ---------------------
-  // Auto thread count and the kVector tier (the parallel trainer's workers
-  // opt into it themselves; with one hardware thread it is the serial
-  // trainer on the vectorised kernels).
+  // Auto thread count (with one hardware thread it is the serial trainer).
   const sim::Dataset mini =
       sim::BuildDataset(bench::MiniConfig(bench::City::kChengdu));
   core::DeepOdConfig config = bench::BenchModelConfig();
@@ -63,7 +61,6 @@ int main() {
   config.num_threads = 0;
   double secs = 0.0;
   {
-    nn::KernelModeScope mode(nn::KernelMode::kVector);
     core::DeepOdModel model(config, mini);
     core::DeepOdTrainer trainer(model, mini);
     util::Stopwatch sw;

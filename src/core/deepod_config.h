@@ -93,8 +93,7 @@ struct DeepOdConfig {
   // Worker threads for training and batched prediction. 0 = auto: the
   // DEEPOD_THREADS environment variable if set, otherwise the machine's
   // hardware concurrency. Training results are deterministic for a fixed
-  // value; at 1 they are bit-identical to per-sample backward on the
-  // caller's kernel tier, above 1 the workers run KernelMode::kVector.
+  // value, and at 1 bit-identical to per-sample backward.
   size_t num_threads = 0;
 
   // Uniformly divides every width by `factor` (minimum 4) — the bench

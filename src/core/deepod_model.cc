@@ -52,17 +52,14 @@ double TrainTimeScale(const sim::Dataset& dataset) {
   return sum / static_cast<double>(dataset.train.size());
 }
 
-// External-code table key of `od` in the calling thread's kernel tier: the
-// weather type in the low 4 bits, the KernelMode in the next 2 (tiers round
-// differently, so each keeps its own codes), the speed-matrix snapshot index
-// above them. nullopt when the pair does not fit — a weather type the CNN
-// rejects anyway, or a snapshot index beyond ±2^56 from a provider with
-// unclamped snapshot times — in which case the code is computed and not
-// stored.
+// External-code table key of `od`: the weather type in the low 4 bits, the
+// speed-matrix snapshot index above them. nullopt when the pair does not
+// fit — a weather type the CNN rejects anyway, or a snapshot index beyond
+// ±2^56 from a provider with unclamped snapshot times — in which case the
+// code is computed and not stored.
 std::optional<uint64_t> OcodeKey(const sim::SpeedProvider& speed,
                                  const traj::OdInput& od) {
   static_assert(ExternalFeaturesEncoder::kNumWeatherTypes <= 16);
-  static_assert(static_cast<int>(nn::KernelMode::kSimd) < 4);
   const double snapshot =
       std::round(speed.SnapshotTime(od.departure_time) /
                  speed.snapshot_seconds());
@@ -72,8 +69,7 @@ std::optional<uint64_t> OcodeKey(const sim::SpeedProvider& speed,
       !(std::abs(snapshot) < 0x1p56)) {
     return std::nullopt;
   }
-  return static_cast<uint64_t>(static_cast<int64_t>(snapshot)) << 6 |
-         static_cast<uint64_t>(nn::GetKernelMode()) << 4 |
+  return static_cast<uint64_t>(static_cast<int64_t>(snapshot)) << 4 |
          static_cast<uint64_t>(od.weather_type);
 }
 
@@ -353,11 +349,8 @@ std::vector<double> DeepOdModel::PredictBatch(
     PredictInto(plan, ods, out.data());
     return out;
   }
-  // Workers inherit the caller's kernel mode; rows are independent, so the
-  // chunk boundaries cannot change any result.
-  const nn::KernelMode mode = nn::GetKernelMode();
+  // Rows are independent, so the chunk boundaries cannot change any result.
   pool->ParallelFor(tasks, [&](size_t w) {
-    const nn::KernelModeScope mode_scope(mode);
     const auto [begin, end] = util::ThreadPool::ChunkRange(n, tasks, w);
     PredictInto(plan, ods.subspan(begin, end - begin), out.data() + begin);
   });

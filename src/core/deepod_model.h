@@ -76,7 +76,7 @@ class DeepOdModel : public nn::Module {
   // External-features encoding (§4.5): ocode for the OD's departure time and
   // weather. In serving conditions (inference mode, training off) the result
   // is kept in the external-code table, keyed by (weather, speed-matrix
-  // snapshot index, kernel tier) — the CNN is deterministic given those, so
+  // snapshot index) — the CNN is deterministic given those, so
   // a hit returns bit-identical values while skipping the dominant
   // per-query compute.
   // Entries fill lazily on a key's first miss, through the serving plan's
@@ -86,7 +86,7 @@ class DeepOdModel : public nn::Module {
   // Online estimation (Algorithm 1, Estimation): seconds for an OD input.
   // Runs through the serving plan (see serving_plan.h): the same values as
   // the Tensor forward EstimateFromCode(EncodeOd(od)) with gradients off,
-  // bit for bit in every kernel mode, without building a Tensor.
+  // bit for bit, without building a Tensor.
   double Predict(const traj::OdInput& od);
 
   // Batched estimation: one travel time per OD input, each bit-identical to
@@ -107,8 +107,8 @@ class DeepOdModel : public nn::Module {
 
   // Hard cap on the codes one generation of the external-code table stores.
   // A frozen speed field bounds the key space itself (16 weather types ×
-  // stored snapshots × kernel tiers in use, since it clamps every
-  // departure to a stored snapshot); the cap only stops a provider with
+  // stored snapshots, since it clamps every departure to a stored
+  // snapshot); the cap only stops a provider with
   // unclamped snapshot times from growing a generation without end. Past
   // it, a miss computes its code without storing it. Not configurable.
   static constexpr size_t kOcodeTableMaxEntries = size_t{1} << 16;
@@ -150,7 +150,7 @@ class DeepOdModel : public nn::Module {
   double time_scale() const { return time_scale_; }
   void set_time_scale(double scale) { time_scale_ = scale; }
 
-  // Checkpointing. Save writes the tagged state-dict format (v2): every
+  // Checkpointing. Save writes the tagged state-dict format (v4): every
   // parameter, every BatchNorm running-statistic buffer and the time scale,
   // each under its hierarchical name. Load restores by name (strict —
   // throws nn::SerializeError naming the first mismatching tensor on
@@ -213,8 +213,8 @@ class DeepOdModel : public nn::Module {
   temporal::TimeSlotter slotter_;
   double time_scale_ = 1.0;
 
-  // External-code table (see EncodeExternal): packed (weather, kernel tier,
-  // snapshot index) key -> ocode, for the current generation.
+  // External-code table (see EncodeExternal): packed (weather, snapshot
+  // index) key -> ocode, for the current generation.
   // ClearOcodeMemo bumps the generation; a fill stores its code only if the
   // generation it read before its MatrixAt is still current. The CNN runs
   // outside the mutex.

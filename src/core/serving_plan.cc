@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "nn/kernels.h"
-#include "nn/simd.h"
 
 namespace deepod::core {
 namespace {
@@ -34,7 +33,7 @@ double Relu(double x) { return x > 0.0 ? x : 0.0; }  // nn::Relu's forward
 
 ServingPlan::ServingPlan(const nn::Mlp2& mlp1, const nn::Mlp2& mlp2,
                          const ExternalFeaturesEncoder& external)
-    : packed_(nn::Avx2Active()), max_dim_(external.max_dim()) {
+    : max_dim_(external.max_dim()) {
   mlp1_[0] = AppendDense(mlp1.layer1());
   mlp1_[1] = AppendDense(mlp1.layer2());
   mlp2_[0] = AppendDense(mlp2.layer1());
@@ -80,27 +79,13 @@ ServingPlan::Dense ServingPlan::AppendDense(const nn::Linear& layer) {
   dense.in = layer.in_dim();
   dense.w = Append(layer.weight().data().data(), dense.out * dense.in);
   dense.b = Append(layer.bias().data().data(), dense.out);
-  if (packed_) {
-    dense.packed = arena_.size();
-    arena_.resize(arena_.size() + dense.out * dense.in);
-    nn::PackGemvInto(&arena_[dense.w], dense.out, dense.in,
-                     &arena_[dense.packed]);
-  }
   return dense;
 }
 
 void ServingPlan::DenseForward(const Dense& layer, const double* x,
                                double* y) const {
   const double* base = arena_.data();
-  nn::PackedGemvView view;
-  if (packed_) {
-    const size_t full_panels = layer.out / nn::kGemvPanel;
-    const double* panels = base + layer.packed;
-    view = {layer.out, layer.in, full_panels, panels,
-            panels + full_panels * nn::kGemvPanel * layer.in};
-  }
-  nn::AffineForward(base + layer.w, &view, x, base + layer.b, y, layer.out,
-                    layer.in);
+  nn::AffineForward(base + layer.w, x, base + layer.b, y, layer.out, layer.in);
 }
 
 void ServingPlan::MlpForward(const Dense* layers, const double* x,
@@ -211,7 +196,7 @@ void ServingPlan::ExternalCode(int weather_type,
 }
 
 bool ServingPlan::SameWeights(const ServingPlan& other) const {
-  return packed_ == other.packed_ && arena_.size() == other.arena_.size() &&
+  return arena_.size() == other.arena_.size() &&
          std::memcmp(arena_.data(), other.arena_.data(),
                      arena_.size() * sizeof(double)) == 0;
 }

@@ -14,15 +14,14 @@ namespace deepod::core {
 // stack of §4.5 — three conv+bias layers, BatchNorm over its running
 // statistics (inverse std precomputed), ReLU, global average pooling, the
 // projection and the encoder MLP. Every weight lives in one contiguous
-// arena, with the AVX2 panel packing of each dense layer when that tier can
-// run; a forward uses thread-local scratch and builds no Tensor, takes no
+// arena; a forward uses thread-local scratch and builds no Tensor, takes no
 // lock and allocates nothing once the scratch has grown.
 //
-// Each layer calls the raw kernels the Tensor ops use (nn/kernels.h) in the
-// calling thread's KernelMode, and the elementwise stages repeat the ops'
-// expressions, so the plan's answers are bit-identical to the Tensor
-// forward in every tier. The plan is a snapshot: DeepOdModel rebuilds it
-// whenever the parameter epoch moves or its training mode flips.
+// Each layer calls the raw kernels the Tensor ops use (nn/kernels.h), and
+// the elementwise stages repeat the ops' expressions, so the plan's answers
+// are bit-identical to the Tensor forward. The plan is a snapshot:
+// DeepOdModel rebuilds it whenever the parameter epoch moves or its training
+// mode flips.
 class ServingPlan {
  public:
   ServingPlan() = default;
@@ -51,10 +50,9 @@ class ServingPlan {
   bool SameWeights(const ServingPlan& other) const;
 
  private:
-  // One dense layer: offsets of W [out, in], b [out] and — when packed_ —
-  // the PackGemvInto layout of W inside the arena.
+  // One dense layer: offsets of W [out, in] and b [out] inside the arena.
   struct Dense {
-    size_t w = 0, b = 0, packed = 0, out = 0, in = 0;
+    size_t w = 0, b = 0, out = 0, in = 0;
   };
   // Conv2dLayer + BatchNorm2d (running statistics) of one CNN block.
   struct ConvBlock {
@@ -70,7 +68,6 @@ class ServingPlan {
                   double* y) const;
 
   std::vector<double> arena_;
-  bool packed_ = false;
   Dense mlp1_[2], mlp2_[2], external_mlp_[2], proj_;
   ConvBlock blocks_[nn::TrafficCnn::kBlocks];
   size_t max_dim_ = 0;

@@ -78,10 +78,6 @@ DeepOdTrainer::DeepOdTrainer(DeepOdModel& model, const sim::Dataset& dataset,
   }
 }
 
-nn::KernelMode DeepOdTrainer::KernelTier() const {
-  return num_threads() > 1 ? nn::KernelMode::kVector : nn::GetKernelMode();
-}
-
 double DeepOdTrainer::ValidationMae(size_t max_samples) {
   OBS_SPAN("trainer/validation");
   model_.SetTraining(false);
@@ -93,7 +89,6 @@ double DeepOdTrainer::ValidationMae(size_t max_samples) {
   // Graph-free batched evaluation.
   std::vector<traj::OdInput> ods(n);
   for (size_t i = 0; i < n; ++i) ods[i] = dataset_.validation[i].od;
-  const nn::KernelModeScope mode_scope(KernelTier());
   const std::vector<double> preds = model_.PredictBatch(ods, &pool_);
   // Sum each worker chunk, then merge in chunk order, so the result is fixed
   // for a given thread count (one chunk is the plain serial sum).
@@ -118,12 +113,10 @@ void DeepOdTrainer::AccumulateBatch(size_t pos, size_t batch_n, size_t bs) {
     queue_depth = &obs::Registry::Global().gauge("trainer/pool/queue_depth");
     queue_depth->Set(static_cast<double>(tasks));
   }
-  const nn::KernelMode mode = KernelTier();
   pool_.ParallelFor(tasks, [&](size_t w) {
     const auto [begin, end] = util::ThreadPool::ChunkRange(batch_n, tasks, w);
     // All shared-parameter gradient writes of this chunk land in arena `w`;
     // BatchNorm running-statistic updates are logged instead of applied.
-    nn::KernelModeScope mode_scope(mode);
     nn::GradArenaScope arena_scope(arenas_[w].get());
     nn::BnCaptureScope bn_scope(&bn_logs_[w]);
     for (size_t i = begin; i < end; ++i) {
@@ -284,7 +277,6 @@ std::vector<double> DeepOdTrainer::PredictAll(
   if (trips.empty()) return {};
   std::vector<traj::OdInput> ods(trips.size());
   for (size_t i = 0; i < trips.size(); ++i) ods[i] = trips[i].od;
-  nn::KernelModeScope mode_scope(KernelTier());
   return model_.PredictBatch(ods, &pool_);
 }
 

@@ -27,10 +27,10 @@ namespace deepod::core {
 // each chunk runs forward+backward into its own detached gradient arena and
 // records its BatchNorm running-statistic updates, and the trainer merges
 // the arenas and replays the BN updates in chunk order before the optimiser
-// step. A one-worker pool runs the single chunk inline on the caller's
-// kernel tier, which is bit-identical to per-sample backward into the
-// parameter gradients; a multi-worker pool pins KernelMode::kVector and is
-// deterministic for a fixed thread count (see DESIGN.md, "Threading model").
+// step. A one-worker pool runs the single chunk inline, which is
+// bit-identical to per-sample backward into the parameter gradients; a
+// multi-worker pool is deterministic for a fixed thread count (see
+// DESIGN.md, "Threading model").
 class DeepOdTrainer {
  public:
   // Invoked every `eval_every` optimisation steps with (step, validation
@@ -107,11 +107,6 @@ class DeepOdTrainer {
   // (scaled by 1/bs) in the parameters and the BatchNorm running statistics
   // updated in sample order. The caller must have prefetched the range.
   void AccumulateBatch(size_t pos, size_t batch_n, size_t bs);
-
-  // Kernel tier for training, validation and prediction. Pool workers do not
-  // inherit the caller's thread-local tier, so a multi-worker pool pins
-  // kVector; a one-worker pool runs inline on the caller's ambient tier.
-  nn::KernelMode KernelTier() const;
 
   // The checkpoint schema, shared by SaveCheckpoint and LoadCheckpoint:
   // "model.*", "optim.*", then the trainer.* entries, which point into

@@ -37,31 +37,17 @@ std::vector<Tensor> Lstm::ForwardAll(const std::vector<Tensor>& inputs) const {
   Tensor c = Tensor::Zeros({hidden_dim_});
   std::vector<Tensor> hidden_states;
   hidden_states.reserve(inputs.size());
-  const KernelMode mode = GetKernelMode();
-  const bool fused =
-      mode == KernelMode::kVector || mode == KernelMode::kSimd;
   for (const Tensor& x : inputs) {
     if (x.ndim() != 1 || x.dim(0) != input_dim_) {
       throw std::invalid_argument("Lstm::Forward: bad input shape " +
                                   x.ShapeString());
     }
-    if (fused) {
-      // kVector fast path: the whole cell is one graph node (the composed
-      // form below builds ~14), sliced back into h and c views.
-      const Tensor hc =
-          LstmCellFused(x, h, c, wf_, wi_, wo_, wc_, bf_, bi_, bo_, bc_);
-      h = SliceVec(hc, 0, hidden_dim_);
-      c = SliceVec(hc, hidden_dim_, 2 * hidden_dim_);
-      hidden_states.push_back(h);
-      continue;
-    }
-    const Tensor xh = ConcatVec({x, h});
-    const Tensor f = Sigmoid(Affine(wf_, xh, bf_));   // Eq. 12
-    const Tensor i = Sigmoid(Affine(wi_, xh, bi_));   // Eq. 13
-    const Tensor o = Sigmoid(Affine(wo_, xh, bo_));   // Eq. 14
-    const Tensor g = Tanh(Affine(wc_, xh, bc_));
-    c = Add(Mul(f, c), Mul(i, g));                    // Eq. 15
-    h = Mul(o, Tanh(c));                              // Eq. 16
+    // The whole cell (Eq. 12-16) is one graph node, sliced back into h and
+    // c views.
+    const Tensor hc =
+        LstmCellFused(x, h, c, wf_, wi_, wo_, wc_, bf_, bi_, bo_, bc_);
+    h = SliceVec(hc, 0, hidden_dim_);
+    c = SliceVec(hc, hidden_dim_, 2 * hidden_dim_);
     hidden_states.push_back(h);
   }
   return hidden_states;

@@ -149,7 +149,7 @@ void Embedding::LoadPretrained(const std::vector<std::vector<double>>& init) {
     }
     for (size_t j = 0; j < dim_; ++j) data[i * dim_ + j] = init[i][j];
   }
-  BumpParamEpoch();  // invalidates the kSimd packed-weights cache
+  BumpParamEpoch();  // invalidates the serving plan
 }
 
 std::vector<Tensor> Embedding::Parameters() { return {table_}; }

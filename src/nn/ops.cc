@@ -5,18 +5,17 @@
 #include <stdexcept>
 
 #include "nn/kernels.h"
-#include "nn/simd.h"
 #include "obs/metrics.h"
 
-// Per-KernelMode invocation counters for the hot kernels, compiled in only
-// when the DEEPOD_OBS_KERNEL_COUNTS CMake option is ON (the default build
-// carries no code for this, not even a branch).
+// Invocation counters ("nn/<op>" in the global registry) for the hot
+// kernels, compiled in only when the DEEPOD_OBS_KERNEL_COUNTS CMake option
+// is ON (the default build carries no code for this, not even a branch).
 #if defined(DEEPOD_OBS_KERNEL_COUNTS)
-#define DEEPOD_COUNT_KERNEL(op)                                      \
-  do {                                                               \
-    static ::deepod::obs::KernelOpCounters deepod_kernel_counts(op); \
-    deepod_kernel_counts.Bump(                                       \
-        static_cast<size_t>(::deepod::nn::GetKernelMode()));         \
+#define DEEPOD_COUNT_KERNEL(op)                                \
+  do {                                                         \
+    static ::deepod::obs::Counter& deepod_kernel_count =       \
+        ::deepod::obs::Registry::Global().counter("nn/" op);   \
+    deepod_kernel_count.Add();                                 \
   } while (0)
 #else
 #define DEEPOD_COUNT_KERNEL(op) ((void)0)
@@ -51,17 +50,17 @@ Tensor UnaryOp(const Tensor& a, F f, DF df) {
       });
 }
 
-// --- Conv2d backward kernels ------------------------------------------------
+// --- Conv2d backward --------------------------------------------------------
 //
-// The blocked backward hoists the zero-padding bounds out of the inner loops
-// (the naive reference kernel in tests/reference_kernels.h re-checks them
-// per multiply) and walks kx over contiguous input/kernel runs; each
-// gradient entry accumulates in the naive kernel's order, so results are
-// bit-identical to it.
+// Per (oc, ic, ky, kx) tap over the valid output rows: a contiguous axpy of
+// the upstream gradient into the input gradient, and a DotUnrolled of the
+// upstream gradient with the input for the kernel gradient. It reassociates
+// the naive loop's sums (tests/reference_kernels.h), so it matches that
+// oracle within rounding, not bit for bit.
 
-void ConvBackwardVector(const ConvGeom& g, const double* grad_out,
-                        const double* xin, const double* xk, double* gin,
-                        double* gk) {
+void ConvBackward(const ConvGeom& g, const double* grad_out,
+                  const double* xin, const double* xk, double* gin,
+                  double* gk) {
   for (size_t oc = 0; oc < g.cout; ++oc) {
     const double* koc = xk + oc * g.cin * g.kh * g.kw;
     double* gkoc = gk + oc * g.cin * g.kh * g.kw;
@@ -70,11 +69,15 @@ void ConvBackwardVector(const ConvGeom& g, const double* grad_out,
       const double* in_plane = xin + ic * g.h * g.w;
       double* gin_plane = gin + ic * g.h * g.w;
       for (size_t ky = 0; ky < g.kh; ++ky) {
+        // Output rows oy whose input row oy + ky - pad_h lies in [0, h);
+        // none when the tap sits below the map (h + pad_h <= ky).
         const size_t oy_lo = g.pad_h > ky ? g.pad_h - ky : 0;
-        const size_t oy_hi = std::min(g.oh, g.h + g.pad_h - ky);
+        const size_t oy_hi =
+            g.h + g.pad_h > ky ? std::min(g.oh, g.h + g.pad_h - ky) : 0;
         for (size_t kx = 0; kx < g.kw; ++kx) {
           const size_t ox_lo = g.pad_w > kx ? g.pad_w - kx : 0;
-          const size_t ox_hi = std::min(g.ow, g.w + g.pad_w - kx);
+          const size_t ox_hi =
+              g.w + g.pad_w > kx ? std::min(g.ow, g.w + g.pad_w - kx) : 0;
           if (ox_hi <= ox_lo) continue;
           const size_t len = ox_hi - ox_lo;
           const size_t ix_lo = ox_lo + kx - g.pad_w;
@@ -90,43 +93,6 @@ void ConvBackwardVector(const ConvGeom& g, const double* grad_out,
             acc += DotUnrolled(go_row, in_row, len);
           }
           gkoc[k_idx] += acc;
-        }
-      }
-    }
-  }
-}
-
-void ConvBackwardBlocked(const ConvGeom& g, const double* grad_out,
-                         const double* xin, const double* xk, double* gin,
-                         double* gk) {
-  for (size_t oc = 0; oc < g.cout; ++oc) {
-    const double* koc = xk + oc * g.cin * g.kh * g.kw;
-    double* gkoc = gk + oc * g.cin * g.kh * g.kw;
-    for (size_t oy = 0; oy < g.oh; ++oy) {
-      const size_t ky_lo = g.pad_h > oy ? g.pad_h - oy : 0;
-      const size_t ky_hi = std::min(g.kh, g.h + g.pad_h - oy);
-      for (size_t ox = 0; ox < g.ow; ++ox) {
-        const double go = grad_out[(oc * g.oh + oy) * g.ow + ox];
-        if (go == 0.0) continue;
-        const size_t kx_lo = g.pad_w > ox ? g.pad_w - ox : 0;
-        const size_t kx_hi = std::min(g.kw, g.w + g.pad_w - ox);
-        const long xoff = static_cast<long>(ox) - static_cast<long>(g.pad_w);
-        for (size_t ic = 0; ic < g.cin; ++ic) {
-          for (size_t ky = ky_lo; ky < ky_hi; ++ky) {
-            const size_t iy = oy + ky - g.pad_h;
-            const size_t in_base = (ic * g.h + iy) * g.w;
-            const double* in_row = xin + in_base;
-            double* gin_row = gin + in_base;
-            const size_t k_base = (ic * g.kh + ky) * g.kw;
-            const double* k_row = koc + k_base;
-            double* gk_row = gkoc + k_base;
-            for (size_t kx = kx_lo; kx < kx_hi; ++kx) {
-              gin_row[xoff + static_cast<long>(kx)] += go * k_row[kx];
-            }
-            for (size_t kx = kx_lo; kx < kx_hi; ++kx) {
-              gk_row[kx] += go * in_row[xoff + static_cast<long>(kx)];
-            }
-          }
         }
       }
     }
@@ -245,11 +211,8 @@ Tensor Affine(const Tensor& w, const Tensor& x, const Tensor& b) {
   const auto& xb = b.data();
   auto out = AcquireBuffer(o);
   // The kernel the serving plan runs for each dense layer, so the plan stays
-  // bit-identical to this op in every tier (kSimd included: one packed GEMV).
-  std::shared_ptr<const PackedGemv> packed;
-  if (SimdActive()) packed = PackedFor(w.impl());
-  const PackedGemvView view = packed ? packed->view() : PackedGemvView{};
-  AffineForward(xw.data(), &view, xx.data(), xb.data(), out.data(), o, in);
+  // bit-identical to this op.
+  AffineForward(xw.data(), xx.data(), xb.data(), out.data(), o, in);
   auto pw = w.impl(), px = x.impl(), pb = b.impl();
   return Tensor::MakeOpResult(
       {o}, std::move(out), {pw, px, pb}, [pw, px, pb, o, in](Impl& self) {
@@ -427,19 +390,8 @@ Tensor Conv2d(const Tensor& input, const Tensor& kernel, size_t pad_h,
       {cout, oh, ow}, std::move(out), {pin, pk}, [pin, pk, geom](Impl& self) {
         double* gin = pin->grad_sink();
         double* gk = pk->grad_sink();
-        switch (GetKernelMode()) {
-          case KernelMode::kBlocked:
-            ConvBackwardBlocked(geom, self.grad.data(), pin->data.data(),
-                                pk->data.data(), gin, gk);
-            break;
-          case KernelMode::kVector:
-          case KernelMode::kSimd:
-            // Backward is a training-only path; kSimd reuses the kVector
-            // backward kernel (no AVX2 variant, bit-identical to kVector).
-            ConvBackwardVector(geom, self.grad.data(), pin->data.data(),
-                               pk->data.data(), gin, gk);
-            break;
-        }
+        ConvBackward(geom, self.grad.data(), pin->data.data(),
+                     pk->data.data(), gin, gk);
       });
 }
 
@@ -515,54 +467,27 @@ Tensor LstmCellFused(const Tensor& x, const Tensor& h_prev,
   // Saved activations for backward: [f ; i ; o ; g], each hd long.
   std::vector<double> gates(4 * hd);
   auto out = AcquireBuffer(2 * hd);
-  if (SimdActive()) {
-    // Gate pre-activations via the packed GEMV over [W_x | W_h] without
-    // materialising [x; h] (the two-source variant), then a scalar
-    // activation loop. The gates are saved exactly as the scalar path does,
-    // so a backward through this result uses the same bookkeeping.
-    auto acts = AcquireBuffer(4 * hd);
-    const Tensor* ws[4] = {&wf, &wi, &wo, &wc};
-    const Tensor* bs[4] = {&bf, &bi, &bo, &bc};
-    for (int gate = 0; gate < 4; ++gate) {
-      const auto packed = PackedFor(ws[gate]->impl());
-      GemvBiasPacked2(*packed, xd, in, hp, bs[gate]->data().data(),
-                      acts.data() + gate * hd);
-    }
-    // Activations 4-wide as well: f/i/o are contiguous in acts, so one
-    // sigmoid sweep covers all three, then tanh for g. The final tanh(cn)
-    // reuses acts as scratch. These libm-free activations are what lifts
-    // the fused cell past the GEMV-only speedup (Amdahl: ~100 scalar
-    // transcendentals per cell otherwise dominate).
-    SigmoidAvx2(acts.data(), gates.data(), 3 * hd);
-    TanhAvx2(acts.data() + 3 * hd, gates.data() + 3 * hd, hd);
-    for (size_t j = 0; j < hd; ++j) {
-      out[hd + j] = gates[j] * cp[j] + gates[hd + j] * gates[3 * hd + j];
-    }
-    TanhAvx2(out.data() + hd, acts.data(), hd);
-    for (size_t j = 0; j < hd; ++j) out[j] = gates[2 * hd + j] * acts[j];
-  } else {
-    for (size_t j = 0; j < hd; ++j) {
-      const size_t r = j * cd;
-      const double af = bf.data()[j] + DotUnrolled(wfd + r, xd, in) +
-                        DotUnrolled(wfd + r + in, hp, hd);
-      const double ai = bi.data()[j] + DotUnrolled(wid + r, xd, in) +
-                        DotUnrolled(wid + r + in, hp, hd);
-      const double ao = bo.data()[j] + DotUnrolled(wod + r, xd, in) +
-                        DotUnrolled(wod + r + in, hp, hd);
-      const double ac = bc.data()[j] + DotUnrolled(wcd + r, xd, in) +
-                        DotUnrolled(wcd + r + in, hp, hd);
-      const double f = 1.0 / (1.0 + std::exp(-af));
-      const double i = 1.0 / (1.0 + std::exp(-ai));
-      const double o = 1.0 / (1.0 + std::exp(-ao));
-      const double g = std::tanh(ac);
-      const double cn = f * cp[j] + i * g;
-      gates[j] = f;
-      gates[hd + j] = i;
-      gates[2 * hd + j] = o;
-      gates[3 * hd + j] = g;
-      out[j] = o * std::tanh(cn);
-      out[hd + j] = cn;
-    }
+  for (size_t j = 0; j < hd; ++j) {
+    const size_t r = j * cd;
+    const double af = bf.data()[j] + DotUnrolled(wfd + r, xd, in) +
+                      DotUnrolled(wfd + r + in, hp, hd);
+    const double ai = bi.data()[j] + DotUnrolled(wid + r, xd, in) +
+                      DotUnrolled(wid + r + in, hp, hd);
+    const double ao = bo.data()[j] + DotUnrolled(wod + r, xd, in) +
+                      DotUnrolled(wod + r + in, hp, hd);
+    const double ac = bc.data()[j] + DotUnrolled(wcd + r, xd, in) +
+                      DotUnrolled(wcd + r + in, hp, hd);
+    const double f = 1.0 / (1.0 + std::exp(-af));
+    const double i = 1.0 / (1.0 + std::exp(-ai));
+    const double o = 1.0 / (1.0 + std::exp(-ao));
+    const double g = std::tanh(ac);
+    const double cn = f * cp[j] + i * g;
+    gates[j] = f;
+    gates[hd + j] = i;
+    gates[2 * hd + j] = o;
+    gates[3 * hd + j] = g;
+    out[j] = o * std::tanh(cn);
+    out[hd + j] = cn;
   }
   // The backward reads parents through self.parents (fixed order below) so
   // the closure stays small enough for SmallFn's inline buffer.

@@ -73,9 +73,10 @@ Tensor GlobalAvgPool(const Tensor& input);
 // candidate are computed from x [I] and h_prev [H] with weights [H, I+H]
 // (layout [W_x | W_h], identical to the composed Affine-over-concat form) and
 // biases [H]. Returns a [2H] vector holding [h_new ; c_new]; slice the halves
-// apart with SliceVec. Mathematically identical to the composed-op
-// formulation but with a different floating-point association, so it is only
-// used on the kVector fast path (Lstm::ForwardAll).
+// apart with SliceVec. Each gate sums b + DotUnrolled(W_x, x) +
+// DotUnrolled(W_h, h_prev): mathematically the composed Affine-over-concat
+// form (kept in tests/reference_kernels.h as its reference), with a
+// different floating-point association. Lstm::ForwardAll runs it per step.
 Tensor LstmCellFused(const Tensor& x, const Tensor& h_prev,
                      const Tensor& c_prev, const Tensor& wf, const Tensor& wi,
                      const Tensor& wo, const Tensor& wc, const Tensor& bf,

@@ -54,7 +54,7 @@ void Sgd::Step() {
       data[j] -= lr_ * vel[j];
     }
   }
-  BumpParamEpoch();  // invalidates the kSimd packed-weights cache
+  BumpParamEpoch();  // invalidates the serving plan
 }
 
 Adam::Adam(std::vector<Tensor> params, double lr, double beta1, double beta2,
@@ -96,7 +96,7 @@ void Adam::Step() {
       data[j] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
     }
   }
-  BumpParamEpoch();  // invalidates the kSimd packed-weights cache
+  BumpParamEpoch();  // invalidates the serving plan
 }
 
 double StepDecaySchedule::LearningRateForEpoch(int epoch) const {

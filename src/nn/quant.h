@@ -12,11 +12,11 @@
 //
 // The quantised tiers are *fake-quant*: weights are rounded to the target
 // dtype's representable values and immediately dequantised back into the
-// regular fp64 parameter storage. Every kernel tier (kBlocked … kSimd) then
-// runs unchanged on the snapped values, so quantisation composes with any
-// kernel mode and needs no int8/f16 compute kernels. The accuracy contract
-// is a value tolerance against the fp64 goldens (an explicit MAE budget,
-// tests/simd_quant_test.cc), never bit-identity.
+// regular fp64 parameter storage. The one set of fp64 kernels then runs
+// unchanged on the snapped values, so quantisation needs no int8/f16
+// compute kernels. The accuracy contract is a value tolerance against the
+// fp64 goldens (an explicit MAE budget, tests/quant_test.cc), never
+// bit-identity.
 //
 // Eligibility: only trainable tensors with ndim >= 2 are quantised —
 // embedding tables, linear / LSTM / conv weights. Biases, BatchNorm

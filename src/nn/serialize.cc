@@ -665,8 +665,8 @@ LoadStatus DeserializeStateDict(const std::vector<TensorRecord>& records,
   for (size_t i = 0; i < entries.size(); ++i) {
     DecodeRecordInto(*sources[i], entries[i].data);
   }
-  // Parameter storage changed in place: derived caches (the kSimd packed
-  // weights) must rebuild.
+  // Parameter storage changed in place: a serving plan built from it must
+  // rebuild.
   BumpParamEpoch();
   return LoadStatus::Ok();
 }

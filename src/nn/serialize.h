@@ -157,8 +157,8 @@ struct TensorRecord {
 // with its tensor name and both shapes. Decoded values must be finite
 // (kNonFinite naming the entry otherwise; entries marked
 // StateDict::Values::kAny are exempt): a NaN weight serves NaN, and the
-// padded conv kernel of kBlocked is bit-identical to the naive loop only
-// for finite weights (nn/kernels.h). No entry is modified unless the whole
+// padded conv forward is bit-identical to the naive loop only for finite
+// weights (nn/kernels.h). No entry is modified unless the whole
 // buffer validates (checksum included), so a failed load never leaves a
 // model half-written.
 // Bumps the parameter epoch on success. Runs IndexStateDict(buffer) and

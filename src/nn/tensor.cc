@@ -48,7 +48,6 @@ BufferPool* GetPool() {
 constexpr size_t kMaxPooledBuffers = 4096;
 constexpr size_t kMaxPooledDoubles = 1u << 17;  // 1 MiB per thread
 
-thread_local KernelMode tls_kernel_mode = KernelMode::kBlocked;
 thread_local bool tls_grad_enabled = true;
 
 void RecycleBuffer(std::vector<double>&& v) {
@@ -92,16 +91,6 @@ InferenceGuard::InferenceGuard() : prev_(tls_grad_enabled) {
 }
 
 InferenceGuard::~InferenceGuard() { tls_grad_enabled = prev_; }
-
-void SetKernelMode(KernelMode mode) { tls_kernel_mode = mode; }
-
-KernelMode GetKernelMode() { return tls_kernel_mode; }
-
-KernelModeScope::KernelModeScope(KernelMode mode) : prev_(tls_kernel_mode) {
-  tls_kernel_mode = mode;
-}
-
-KernelModeScope::~KernelModeScope() { tls_kernel_mode = prev_; }
 
 std::vector<double> AcquireBuffer(size_t size) {
   if (BufferPool* pool = GetPool(); pool && !pool->buffers.empty()) {

@@ -206,58 +206,13 @@ class InferenceGuard {
   bool prev_;
 };
 
-// --- Runtime kernel/allocator mode -----------------------------------------
-
-// Per-thread selection of the compute kernels used by the hot ops (Affine,
-// Conv2d, the fused LSTM cell) and by the serving plan:
-//  - kBlocked: bias-first ascending dots and a padded conv whose forward
-//    and backward keep the summation order of the naive per-element loops
-//    (kept as test oracles in tests/reference_kernels.h), so they are
-//    bit-identical to them for finite weights (see nn/kernels.h) — this is
-//    the default.
-//  - kVector:  reassociated (multi-accumulator / planar-axpy) kernels that
-//    the compiler can vectorise. Fastest scalar tier, but the changed
-//    summation order perturbs last-bit rounding, so results are
-//    deterministic yet not bit-identical to kBlocked. It is the
-//    data-parallel trainer's tier (num_threads > 1), so it fixes the bits
-//    of every threaded training run, and kSimd's scalar fallback.
-//  - kSimd:    explicit AVX2+FMA kernels over panel-major packed weights
-//    (see nn/simd.h), dispatched at runtime: when the binary carries the
-//    AVX2 translation unit, the CPU supports AVX2+FMA and DEEPOD_SIMD is
-//    not "off", the GEMV-shaped ops (Affine / the fused LSTM cell) run
-//    4-wide FMA kernels — deterministic, but with their own
-//    reassociated+fused summation order (a tolerance-tested contract, not
-//    bit-identity with kVector). Conv2d's kSimd kernel keeps kVector's
-//    per-element multiply-then-add order and fuses each tap into one FMA
-//    (see nn/simd.h). When AVX2 is unavailable every kSimd op falls back to
-//    the kVector code path exactly, so kSimd is always safe to select.
-enum class KernelMode { kBlocked, kVector, kSimd };
-
-void SetKernelMode(KernelMode mode);
-KernelMode GetKernelMode();
-
-// RAII kernel-mode override for the current thread.
-class KernelModeScope {
- public:
-  explicit KernelModeScope(KernelMode mode);
-  ~KernelModeScope();
-  KernelModeScope(const KernelModeScope&) = delete;
-  KernelModeScope& operator=(const KernelModeScope&) = delete;
-
- private:
-  KernelMode prev_;
-};
-
 // --- Parameter epoch --------------------------------------------------------
 
 // Process-wide generation counter over *parameter values*. Every code path
 // that mutates parameter storage in place (optimizer Step, state-dict
-// deserialisation, Embedding::LoadPretrained, weight quantisation)
-// bumps it; derived per-parameter caches (the packed-weights cache behind
-// KernelMode::kSimd, see nn/simd.h) record the epoch they were built at and
-// rebuild on mismatch. Serving never steps an optimizer, so packs amortise
-// across the whole serving lifetime there, while training pays one repack
-// per step only if it actually runs kSimd kernels.
+// deserialisation, Embedding::LoadPretrained, the trainer's best-state
+// restore) bumps it; DeepOdModel's serving plan (core/serving_plan.h)
+// records the epoch it was built at and rebuilds on mismatch.
 uint64_t ParamEpoch();
 void BumpParamEpoch();
 

@@ -342,14 +342,4 @@ void Registry::ResetForTest() {
   histograms_.clear();
 }
 
-// --- KernelOpCounters --------------------------------------------------------
-
-KernelOpCounters::KernelOpCounters(const char* op) {
-  static const char* kModeNames[kNumModes] = {"blocked", "vector", "simd"};
-  for (size_t m = 0; m < kNumModes; ++m) {
-    by_mode_[m] = &Registry::Global().counter(std::string("nn/") + op + "/" +
-                                              kModeNames[m]);
-  }
-}
-
 }  // namespace deepod::obs

@@ -198,25 +198,6 @@ class Registry {
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
-// --- Kernel op counters ------------------------------------------------------
-
-// Per-KernelMode invocation counters for one nn op, resolved once per call
-// site ("nn/<op>/{blocked,vector,simd}" in the global registry).
-// Only compiled into the kernels when the DEEPOD_OBS_KERNEL_COUNTS CMake
-// option is ON — the default build carries zero cost, not even a branch.
-class KernelOpCounters {
- public:
-  static constexpr size_t kNumModes = 3;
-
-  explicit KernelOpCounters(const char* op);
-  void Bump(size_t mode_index) {
-    by_mode_[mode_index < kNumModes ? mode_index : 0]->Add();
-  }
-
- private:
-  Counter* by_mode_[kNumModes];
-};
-
 }  // namespace deepod::obs
 
 #endif  // DEEPOD_OBS_METRICS_H_

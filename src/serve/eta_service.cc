@@ -13,14 +13,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start,
   return std::chrono::duration<double>(end - start).count();
 }
 
-// Runs `fn` in `mode` when set, else in the thread's ambient kernel mode.
-template <typename Fn>
-auto InMode(const std::optional<nn::KernelMode>& mode, Fn&& fn) {
-  if (!mode.has_value()) return fn();
-  const nn::KernelModeScope scope(*mode);
-  return fn();
-}
-
 }  // namespace
 
 EtaService::EtaService(core::DeepOdModel& model,
@@ -91,8 +83,7 @@ void EtaService::RecordCompletion(
 double EtaService::Estimate(const traj::OdInput& od) {
   const auto start = std::chrono::steady_clock::now();
   const std::shared_ptr<const ServingState> state = this->state();
-  const double eta =
-      InMode(options_.kernel_mode, [&] { return state->model->Predict(od); });
+  const double eta = state->model->Predict(od);
   RecordCompletion(start);
   return eta;
 }
@@ -104,9 +95,7 @@ std::vector<double> EtaService::EstimateBatch(
   // One state snapshot answers the whole batch: a concurrent SwapState
   // never splits it across models.
   const std::shared_ptr<const ServingState> state = this->state();
-  std::vector<double> out = InMode(options_.kernel_mode, [&] {
-    return state->model->PredictBatch(ods);
-  });
+  std::vector<double> out = state->model->PredictBatch(ods);
   // Per-request latency is the whole batch's wall time — that is what a
   // caller of the batch actually waited.
   for (size_t i = 0; i < ods.size(); ++i) RecordCompletion(start);

@@ -5,14 +5,12 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "core/deepod_model.h"
 #include "io/model_artifact.h"
-#include "nn/tensor.h"
 #include "obs/metrics.h"
 #include "serve/serving_state.h"
 #include "temporal/time_slot.h"
@@ -21,13 +19,6 @@
 namespace deepod::serve {
 
 struct EtaServiceOptions {
-  // Kernel tier used for inference (Estimate and EstimateBatch). Unset =
-  // leave the thread's mode alone — the historical behaviour, which keeps
-  // the service bit-identical to direct DeepOdModel::Predict calls in the
-  // ambient mode. kSimd is always safe to request: without AVX2 it runs the
-  // kVector code path.
-  std::optional<nn::KernelMode> kernel_mode;
-
   // Prefix of every metric name in the service's registry. A fleet gives
   // each city shard its own prefix ("serve/<city>/") so the merged stats
   // export stays collision-free; the default is the single-city name a

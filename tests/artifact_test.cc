@@ -197,7 +197,7 @@ TEST(ModelStateTest, TruncatedFileRejectedWithoutTouchingModel) {
   std::remove(path.c_str());
 }
 
-TEST(ArtifactTest, RoundTripBitIdenticalAcrossKernelModesAndThreads) {
+TEST(ArtifactTest, RoundTripBitIdenticalAcrossThreads) {
   core::DeepOdModel& trained = TrainedModel();
   const auto& dataset = TinyDataset();
 
@@ -221,30 +221,25 @@ TEST(ArtifactTest, RoundTripBitIdenticalAcrossKernelModesAndThreads) {
   EXPECT_EQ(bundle.config.ds, trained.config().ds);
 
   // Point the training-side model at the same frozen field so both sides
-  // see identical inputs, then demand bit-identity on every tier the
-  // kernels ship and on both serial and pooled batch paths.
+  // see identical inputs, then demand bit-identity on both serial and
+  // pooled batch paths.
   trained.SetSpeedProvider(&frozen);
   const auto ods = TestOds(8);
   util::ThreadPool pool(4);
-  for (const nn::KernelMode mode :
-       {nn::KernelMode::kBlocked, nn::KernelMode::kVector}) {
-    nn::KernelModeScope scope(mode);
-    for (const auto& od : ods) {
-      const double want = trained.Predict(od);
-      const double got = bundle.model->Predict(od);
-      EXPECT_EQ(std::memcmp(&want, &got, sizeof(double)), 0)
-          << "mode " << static_cast<int>(mode);
-    }
-    const std::vector<double> serial_want = trained.PredictBatch(ods);
-    const std::vector<double> serial_got = bundle.model->PredictBatch(ods);
-    const std::vector<double> pooled_want = trained.PredictBatch(ods, &pool);
-    const std::vector<double> pooled_got = bundle.model->PredictBatch(ods, &pool);
-    ASSERT_EQ(serial_want.size(), ods.size());
-    EXPECT_EQ(std::memcmp(serial_want.data(), serial_got.data(),
-                          ods.size() * sizeof(double)), 0);
-    EXPECT_EQ(std::memcmp(pooled_want.data(), pooled_got.data(),
-                          ods.size() * sizeof(double)), 0);
+  for (const auto& od : ods) {
+    const double want = trained.Predict(od);
+    const double got = bundle.model->Predict(od);
+    EXPECT_EQ(std::memcmp(&want, &got, sizeof(double)), 0);
   }
+  const std::vector<double> serial_want = trained.PredictBatch(ods);
+  const std::vector<double> serial_got = bundle.model->PredictBatch(ods);
+  const std::vector<double> pooled_want = trained.PredictBatch(ods, &pool);
+  const std::vector<double> pooled_got = bundle.model->PredictBatch(ods, &pool);
+  ASSERT_EQ(serial_want.size(), ods.size());
+  EXPECT_EQ(std::memcmp(serial_want.data(), serial_got.data(),
+                        ods.size() * sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(pooled_want.data(), pooled_got.data(),
+                        ods.size() * sizeof(double)), 0);
   trained.SetSpeedProvider(dataset.speed_matrices.get());
   trained.ClearOcodeMemo();
   std::remove(path.c_str());

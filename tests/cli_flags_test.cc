@@ -38,6 +38,39 @@ TEST(FlagCursorTest, SizeValueRejectsSignsSpacesAndGarbage) {
   }
 }
 
+// Runs one "--flag value" pair through IntValue; false when it rejects.
+bool ParseInt(const std::string& value, int* out) {
+  std::vector<std::string> args = {"tool", "--epochs", value};
+  std::vector<char*> argv;
+  for (auto& a : args) argv.push_back(a.data());
+  FlagCursor flags(static_cast<int>(argv.size()), argv.data());
+  EXPECT_TRUE(flags.Next());
+  return flags.IntValue(out);
+}
+
+TEST(FlagCursorTest, IntValueAcceptsTheIntRange) {
+  int v = 99;
+  ASSERT_TRUE(ParseInt("0", &v));
+  EXPECT_EQ(v, 0);
+  ASSERT_TRUE(ParseInt("-5", &v));
+  EXPECT_EQ(v, -5);
+  ASSERT_TRUE(ParseInt("2147483647", &v));
+  EXPECT_EQ(v, 2147483647);
+  ASSERT_TRUE(ParseInt("-2147483648", &v));
+  EXPECT_EQ(v, -2147483647 - 1);
+}
+
+TEST(FlagCursorTest, IntValueRejectsValuesOutsideTheIntRange) {
+  // "4294967297" used to become 1 (--epochs trained one epoch) and
+  // "2147483648" to become negative (--assert-max-errors turned off).
+  for (const char* bad : {"2147483648", "-2147483649", "4294967297",
+                          "99999999999999999999", "", "x", "5x"}) {
+    int v = 42;
+    EXPECT_FALSE(ParseInt(bad, &v)) << "'" << bad << "'";
+    EXPECT_EQ(v, 42) << "'" << bad << "' wrote the output";
+  }
+}
+
 // Runs one "--network-ids value" pair through NetworkIdsValue; false when
 // it rejects.
 bool ParseIds(const std::string& value, std::vector<uint32_t>* out) {

@@ -1,7 +1,7 @@
 // Serving-path contracts (DESIGN.md "Serving path"):
 //  - inference mode (nn::InferenceGuard) changes no forward value: Predict,
 //    PredictBatch and PredictForRoute are bit-identical to the training-mode
-//    forward in every kernel tier, and PredictBatch equals a per-query
+//    forward, and PredictBatch equals a per-query
 //    Predict loop regardless of batching or thread fan-out;
 //  - inference-mode op results are graph-free leaves;
 //  - the external-code table serves every (weather, snapshot) key
@@ -10,13 +10,14 @@
 //    providers), and drops a fill that straddles a generation change;
 //  - the serving plan behind Predict, PredictBatch and the external-code
 //    fill equals the grad-enabled Tensor forward bit for bit in every
-//    kernel tier, weight quantisation and ablation, and rebuilds after an
-//    optimizer step;
+//    weight quantisation and ablation, and rebuilds after an optimizer
+//    step;
 //  - EtaService answers every exact query with Predict's number through
 //    Estimate and EstimateBatch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -25,6 +26,8 @@
 #include <vector>
 
 #include "core/deepod_model.h"
+#include "core/encoders.h"
+#include "core/serving_plan.h"
 #include "nn/ops.h"
 #include "nn/optimizer.h"
 #include "nn/quant.h"
@@ -36,6 +39,7 @@
 #include "sim/snapshot_speed_field.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "reference_kernels.h"
 #include "registry_value.h"
 
 namespace deepod {
@@ -75,14 +79,9 @@ double TrainingModePredict(core::DeepOdModel& model, const traj::OdInput& od) {
 TEST(InferenceModeTest, PredictMatchesTrainingForwardBitForBit) {
   core::DeepOdModel model(TinyConfig(), TinyDataset());
   model.SetTraining(false);
-  for (const nn::KernelMode mode :
-       {nn::KernelMode::kBlocked, nn::KernelMode::kVector}) {
-    nn::KernelModeScope scope(mode);
-    for (size_t i = 0; i < std::min<size_t>(10, TinyDataset().test.size());
-         ++i) {
-      const auto& od = TinyDataset().test[i].od;
-      EXPECT_EQ(model.Predict(od), TrainingModePredict(model, od));
-    }
+  for (size_t i = 0; i < std::min<size_t>(10, TinyDataset().test.size()); ++i) {
+    const auto& od = TinyDataset().test[i].od;
+    EXPECT_EQ(model.Predict(od), TrainingModePredict(model, od));
   }
 }
 
@@ -94,18 +93,14 @@ TEST(InferenceModeTest, PredictBatchEqualsPerQueryLoop) {
     ods.push_back(TinyDataset().test[i].od);
   }
   util::ThreadPool pool(4);
-  for (const nn::KernelMode mode :
-       {nn::KernelMode::kBlocked, nn::KernelMode::kVector}) {
-    nn::KernelModeScope scope(mode);
-    std::vector<double> loop;
-    for (const auto& od : ods) loop.push_back(model.Predict(od));
-    // Serial batch, odd split sizes, and the thread fan-out must all
-    // reproduce the per-query numbers exactly.
-    EXPECT_EQ(model.PredictBatch(ods), loop);
-    const auto head = model.PredictBatch({ods.data(), 5});
-    EXPECT_TRUE(std::equal(head.begin(), head.end(), loop.begin()));
-    EXPECT_EQ(model.PredictBatch(ods, &pool), loop);
-  }
+  std::vector<double> loop;
+  for (const auto& od : ods) loop.push_back(model.Predict(od));
+  // Serial batch, odd split sizes, and the thread fan-out must all
+  // reproduce the per-query numbers exactly.
+  EXPECT_EQ(model.PredictBatch(ods), loop);
+  const auto head = model.PredictBatch({ods.data(), 5});
+  EXPECT_TRUE(std::equal(head.begin(), head.end(), loop.begin()));
+  EXPECT_EQ(model.PredictBatch(ods, &pool), loop);
 }
 
 // --- Serving plan ------------------------------------------------------------
@@ -121,7 +116,7 @@ bool SameBits(const nn::Tensor& a, const nn::Tensor& b) {
 }
 
 // Every serving entry point against the grad-enabled Tensor forward (no
-// plan, no external-code table), query by query, in the current mode.
+// plan, no external-code table), query by query.
 void ExpectPlanMatchesTensorForward(core::DeepOdModel& model,
                                     const std::vector<traj::OdInput>& ods,
                                     util::ThreadPool& pool,
@@ -144,7 +139,7 @@ void ExpectPlanMatchesTensorForward(core::DeepOdModel& model,
   }
 }
 
-TEST(ServingPlanTest, MatchesTensorForwardAcrossModesQuantAndAblations) {
+TEST(ServingPlanTest, MatchesTensorForwardAcrossQuantAndAblations) {
   std::vector<traj::OdInput> ods;
   for (size_t i = 0; i < std::min<size_t>(8, TinyDataset().test.size()); ++i) {
     ods.push_back(TinyDataset().test[i].od);
@@ -173,16 +168,10 @@ TEST(ServingPlanTest, MatchesTensorForwardAcrossModesQuantAndAblations) {
       nn::StateDict state = model.State();
       ASSERT_TRUE(nn::DeserializeStateDict(stored[q], state).ok());
       model.ClearOcodeMemo();
-      for (const nn::KernelMode mode :
-           {nn::KernelMode::kBlocked, nn::KernelMode::kVector,
-            nn::KernelMode::kSimd}) {
-        const nn::KernelModeScope scope(mode);
-        ExpectPlanMatchesTensorForward(
-            model, ods, pool,
-            "ablation " + std::to_string(static_cast<int>(ablation)) +
-                " quant " + nn::QuantModeName(quant) + " mode " +
-                std::to_string(static_cast<int>(mode)));
-      }
+      ExpectPlanMatchesTensorForward(
+          model, ods, pool,
+          "ablation " + std::to_string(static_cast<int>(ablation)) +
+              " quant " + nn::QuantModeName(quant));
     }
     // One optimizer step in serving mode changes the weights in place: the
     // plan must rebuild (the external-code table is cleared by the caller,
@@ -194,6 +183,42 @@ TEST(ServingPlanTest, MatchesTensorForwardAcrossModesQuantAndAblations) {
     model.ClearOcodeMemo();
     EXPECT_FALSE(SameBits(model.Predict(ods[0]), before));
     ExpectPlanMatchesTensorForward(model, ods, pool, "after Adam::Step");
+  }
+}
+
+// MLP2(x) = layer2(ReLU(layer1(x))) through the reference dense kernel.
+std::vector<double> ReferenceMlp(const nn::Mlp2& mlp, std::vector<double> x) {
+  for (const nn::Linear* layer : {&mlp.layer1(), &mlp.layer2()}) {
+    std::vector<double> y(layer->out_dim());
+    nn::reference::AffineNaive(layer->weight().data().data(), x.data(),
+                               layer->bias().data().data(), y.data(),
+                               layer->out_dim(), layer->in_dim());
+    if (layer == &mlp.layer1()) {
+      for (double& v : y) v = v > 0.0 ? v : 0.0;
+    }
+    x = std::move(y);
+  }
+  return x;
+}
+
+// The plan's dense layers sum in the reference lane order, bit for bit:
+// odd widths leave every tail length of the four lanes somewhere.
+TEST(ServingPlanTest, DenseLayersMatchLaneOrderReferenceBitForBit) {
+  util::Rng rng(31);
+  const core::DeepOdConfig config = TinyConfig();
+  const core::ExternalFeaturesEncoder external(config, rng);
+  for (const auto& [in, hidden, code] :
+       {std::array<size_t, 3>{13, 7, 5}, {6, 9, 3}, {3, 2, 1}, {21, 11, 6}}) {
+    const nn::Mlp2 mlp1(in, hidden, code, rng);
+    const nn::Mlp2 mlp2(code, hidden + 1, 1, rng);
+    const core::ServingPlan plan(mlp1, mlp2, external);
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<double> z9(in);
+      for (double& v : z9) v = rng.Normal() * 3.0;
+      const double want = ReferenceMlp(mlp2, ReferenceMlp(mlp1, z9))[0];
+      EXPECT_TRUE(SameBits(plan.Estimate(z9.data()), want))
+          << in << "->" << hidden << "->" << code;
+    }
   }
 }
 

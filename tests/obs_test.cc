@@ -221,17 +221,14 @@ TEST(ObsExportTest, OptionalFieldsOmittedWhenUnset) {
 // --- Kernel op counters ------------------------------------------------------
 
 #if defined(DEEPOD_OBS_KERNEL_COUNTS)
-TEST(ObsKernelCountsTest, AffineBumpsPerModeCounter) {
+TEST(ObsKernelCountsTest, AffineBumpsItsCounter) {
   util::Rng rng(3);
   nn::Tensor w = nn::Tensor::Randn({4, 4}, rng, 1.0);
   nn::Tensor x = nn::Tensor::Randn({4}, rng, 1.0);
   nn::Tensor b = nn::Tensor::Randn({4}, rng, 1.0);
-  auto& counter = obs::Registry::Global().counter("nn/affine/blocked");
+  auto& counter = obs::Registry::Global().counter("nn/affine");
   const uint64_t before = counter.Value();
-  {
-    nn::KernelModeScope mode(nn::KernelMode::kBlocked);
-    nn::Affine(w, x, b);
-  }
+  nn::Affine(w, x, b);
   EXPECT_EQ(counter.Value(), before + 1);
 }
 #endif

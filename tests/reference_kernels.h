@@ -3,14 +3,23 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <vector>
 
 #include "nn/kernels.h"
+#include "nn/lstm.h"
+#include "nn/ops.h"
 
-// Naive per-element Conv2d loops: the test oracles that the
-// KernelMode::kBlocked conv kernels must match bit for bit (for finite
-// values). Each output or gradient entry accumulates in the plain loop order
-// that the blocked kernels preserve; skipping a zero multiplier only drops
-// ±0.0 addends from a sum that is never -0.0.
+// Test oracles for the kernels in nn/kernels.h and nn/ops.cc:
+//  - naive per-element Conv2d loops. The padded conv forward must match
+//    the forward loop bit for bit (for finite values): each output
+//    accumulates in the plain loop order, and skipping a zero multiplier
+//    only drops ±0.0 addends from a sum that is never -0.0. The conv
+//    backward reassociates the gradient sums, so it matches the backward
+//    loop within rounding;
+//  - a dense layer summed lane by lane, which Affine and the serving
+//    plan's dense layers must match bit for bit;
+//  - the LSTM recurrence composed from Tensor ops, which the fused cell
+//    must match within rounding.
 
 namespace deepod::nn::reference {
 
@@ -66,6 +75,42 @@ inline void ConvBackwardNaive(const ConvGeom& g, const double* grad_out,
       }
     }
   }
+}
+
+// y[i] = b[i] + W[i,:] x for a row-major W [out, in], in the lane order of
+// AffineForward: product j goes to lane j % 4 while a whole group of four
+// is left, the lanes combine as (0 + 1) + (2 + 3), the last in % 4
+// products follow in ascending order, and the bias comes last.
+inline void AffineNaive(const double* w, const double* x, const double* b,
+                        double* y, size_t out, size_t in) {
+  const size_t grouped = in - in % 4;
+  for (size_t i = 0; i < out; ++i) {
+    const double* row = w + i * in;
+    double lane[4] = {0.0, 0.0, 0.0, 0.0};
+    for (size_t j = 0; j < grouped; ++j) lane[j % 4] += row[j] * x[j];
+    double s = (lane[0] + lane[1]) + (lane[2] + lane[3]);
+    for (size_t j = grouped; j < in; ++j) s += row[j] * x[j];
+    y[i] = b[i] + s;
+  }
+}
+
+// h_n of `lstm` over `inputs`, Eq. 12-16 composed from Tensor ops: each
+// gate is one Affine over the concatenation [x ; h_prev].
+inline Tensor ComposedLstmForward(Lstm& lstm,
+                                  const std::vector<Tensor>& inputs) {
+  const std::vector<Tensor> p = lstm.Parameters();  // wf wi wo wc bf bi bo bc
+  Tensor h = Tensor::Zeros({lstm.hidden_dim()});
+  Tensor c = Tensor::Zeros({lstm.hidden_dim()});
+  for (const Tensor& x : inputs) {
+    const Tensor xh = ConcatVec({x, h});
+    const Tensor f = Sigmoid(Affine(p[0], xh, p[4]));  // Eq. 12
+    const Tensor i = Sigmoid(Affine(p[1], xh, p[5]));  // Eq. 13
+    const Tensor o = Sigmoid(Affine(p[2], xh, p[6]));  // Eq. 14
+    const Tensor g = Tanh(Affine(p[3], xh, p[7]));
+    c = Add(Mul(f, c), Mul(i, g));                     // Eq. 15
+    h = Mul(o, Tanh(c));                               // Eq. 16
+  }
+  return h;
 }
 
 }  // namespace deepod::nn::reference

@@ -18,8 +18,7 @@
 // scaled loss runs Backward straight into the parameter gradients and
 // updates the BatchNorm running statistics inline, with no gradient arena,
 // no deferred BatchNorm replay and no thread pool; every batch then clips
-// the gradient norm and takes one Adam step. It runs on the caller's
-// kernel tier.
+// the gradient norm and takes one Adam step.
 
 namespace deepod::core::reference {
 

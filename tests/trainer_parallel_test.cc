@@ -4,8 +4,9 @@
 //    before it (AcquireBuffer callers overwrite every element);
 //  - a fixed num_threads > 1 must be deterministic run-to-run;
 //  - one worker must match the per-sample reference trainer bit for bit;
-//  - the blocked / vectorised kernel tiers must pass finite-difference
-//    gradient checks (odd sizes so the unrolled tails are exercised).
+//  - the Affine, Conv2d and fused LSTM kernels must pass finite-difference
+//    gradient checks (odd sizes so the unrolled tails are exercised), and
+//    the fused LSTM cell must match the composed-op recurrence.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,7 +27,7 @@
 #include "nn/lstm.h"
 #include "nn/ops.h"
 #include "nn/serialize.h"
-#include "nn/simd.h"
+#include "reference_kernels.h"
 #include "reference_trainer.h"
 #include "sim/dataset.h"
 #include "util/rng.h"
@@ -124,11 +125,10 @@ TEST(TrainerParallelTest, FourThreadsDeterministicAcrossRuns) {
 // --- one worker is the per-sample reference trainer -------------------------
 
 // Trains two epochs with DeepOdTrainer at one worker and with the reference
-// loop of reference_trainer.h, both on the ambient tier `mode`, and requires
-// every state entry (parameters, BatchNorm running statistics, time scale),
-// every Adam moment and the validation MAE to be bit-equal.
-void ExpectOneWorkerMatchesReference(nn::KernelMode mode) {
-  const nn::KernelModeScope scope(mode);
+// loop of reference_trainer.h, and requires every state entry (parameters,
+// BatchNorm running statistics, time scale), every Adam moment and the
+// validation MAE to be bit-equal.
+TEST(TrainerParallelTest, OneWorkerMatchesReference) {
   core::DeepOdConfig config = TinyConfig(1);
   config.epochs = 2;
   config.lr_decay_epochs = 1;  // the second epoch runs at a decayed rate
@@ -182,15 +182,6 @@ void ExpectOneWorkerMatchesReference(nn::KernelMode mode) {
   }
 }
 
-TEST(TrainerParallelTest, OneWorkerMatchesReferenceOnBlockedTier) {
-  ExpectOneWorkerMatchesReference(nn::KernelMode::kBlocked);
-}
-
-TEST(TrainerParallelTest, OneWorkerMatchesReferenceOnSimdTier) {
-  if (!nn::Avx2Active()) GTEST_SKIP() << "AVX2 inactive";
-  ExpectOneWorkerMatchesReference(nn::KernelMode::kSimd);
-}
-
 TEST(TrainerParallelTest, CallbackWithZeroEvalEveryThrows) {
   core::DeepOdConfig config = TinyConfig(1);
   config.road_init = core::RoadInit::kOneHot;  // no embedding pre-training
@@ -201,7 +192,7 @@ TEST(TrainerParallelTest, CallbackWithZeroEvalEveryThrows) {
   EXPECT_EQ(trainer.steps_taken(), 0u);
 }
 
-// --- gradient checks for the optimised kernel tiers -------------------------
+// --- gradient checks for the optimised kernels -------------------------------
 
 nn::Tensor MakeParam(std::vector<size_t> shape, util::Rng& rng) {
   nn::Tensor t = nn::Tensor::Randn(std::move(shape), rng, 0.5);
@@ -209,12 +200,10 @@ nn::Tensor MakeParam(std::vector<size_t> shape, util::Rng& rng) {
   return t;
 }
 
-void CheckKernelGradients(nn::KernelMode mode) {
-  nn::KernelModeScope scope(mode);
+TEST(TrainerParallelTest, KernelsPassGradCheck) {
   util::Rng rng(911);
   {
-    // Odd inner/outer sizes exercise the unrolled-dot tails and the packed
-    // GEMV's tail rows.
+    // Odd inner/outer sizes exercise the unrolled-dot tails.
     nn::Tensor w = MakeParam({5, 7}, rng);
     nn::Tensor x = MakeParam({7}, rng);
     nn::Tensor b = MakeParam({5}, rng);
@@ -231,18 +220,9 @@ void CheckKernelGradients(nn::KernelMode mode) {
   }
 }
 
-TEST(TrainerParallelTest, BlockedKernelsPassGradCheck) {
-  CheckKernelGradients(nn::KernelMode::kBlocked);
-}
-
-TEST(TrainerParallelTest, VectorKernelsPassGradCheck) {
-  CheckKernelGradients(nn::KernelMode::kVector);
-}
-
 TEST(TrainerParallelTest, FusedLstmCellPassesGradCheck) {
-  nn::KernelModeScope scope(nn::KernelMode::kVector);
   util::Rng rng(912);
-  nn::Lstm lstm(5, 4, rng);  // kVector routes through LstmCellFused
+  nn::Lstm lstm(5, 4, rng);  // every step runs LstmCellFused
   std::vector<nn::Tensor> inputs = {nn::Tensor::Randn({5}, rng, 0.5),
                                     nn::Tensor::Randn({5}, rng, 0.5),
                                     nn::Tensor::Randn({5}, rng, 0.5)};
@@ -258,8 +238,7 @@ TEST(TrainerParallelTest, FusedLstmMatchesComposedForward) {
   for (int i = 0; i < 4; ++i) {
     inputs.push_back(nn::Tensor::Randn({6}, rng, 0.8));
   }
-  const nn::Tensor composed = lstm.Forward(inputs);
-  nn::KernelModeScope scope(nn::KernelMode::kVector);
+  const nn::Tensor composed = nn::reference::ComposedLstmForward(lstm, inputs);
   const nn::Tensor fused = lstm.Forward(inputs);
   ASSERT_EQ(fused.size(), composed.size());
   for (size_t i = 0; i < fused.size(); ++i) {

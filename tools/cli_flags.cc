@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -94,9 +95,10 @@ bool FlagCursor::IntValue(int* out) {
   char* end = nullptr;
   errno = 0;
   const long parsed = std::strtol(v, &end, 10);
-  if (errno != 0 || end == v || *end != '\0') {
-    std::fprintf(stderr, "%s expects an integer, got '%s'\n", flag_.c_str(),
-                 v);
+  if (errno != 0 || end == v || *end != '\0' || parsed < INT_MIN ||
+      parsed > INT_MAX) {
+    std::fprintf(stderr, "%s expects an integer in %d..%d, got '%s'\n",
+                 flag_.c_str(), INT_MIN, INT_MAX, v);
     return false;
   }
   *out = static_cast<int>(parsed);
@@ -171,32 +173,6 @@ bool FlagCursor::QuantValue(nn::QuantMode* out) {
   return true;
 }
 
-bool FlagCursor::KernelValue(nn::KernelMode* out) {
-  const char* v = TakeRaw();
-  if (v == nullptr) return false;
-  const std::string name = v;
-  if (name == "blocked") {
-    *out = nn::KernelMode::kBlocked;
-  } else if (name == "vector") {
-    *out = nn::KernelMode::kVector;
-  } else if (name == "simd") {
-    *out = nn::KernelMode::kSimd;
-  } else {
-    std::fprintf(stderr,
-                 "unknown %s mode '%s' (expected blocked|vector|simd)\n",
-                 flag_.c_str(), v);
-    return false;
-  }
-  return true;
-}
-
-bool FlagCursor::KernelValue(std::optional<nn::KernelMode>* out) {
-  nn::KernelMode mode;
-  if (!KernelValue(&mode)) return false;
-  *out = mode;
-  return true;
-}
-
 bool FlagCursor::ToleranceValue(double* out) {
   if (!DoubleValue(out)) return false;
   if (!(*out >= 0.0)) {
@@ -217,10 +193,6 @@ bool FlagCursor::DataDirValue(std::string* out) {
     return false;
   }
   return true;
-}
-
-const char* FlagCursor::KernelHelp() {
-  return "--kernel blocked|vector|simd";
 }
 
 const char* FlagCursor::ToleranceHelp() { return "--tolerance X"; }

@@ -2,19 +2,17 @@
 #define DEEPOD_TOOLS_CLI_FLAGS_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "nn/quant.h"
-#include "nn/tensor.h"
 
 namespace deepod::tools::cli {
 
 // Shared flag parsing for the CLI tools (deepod_train / deepod_server /
 // deepod_loadgen). Before this helper each tool hand-rolled
-// the same argv walk — three private copies of --quant parsing, two of
-// --kernel, each with its own error text. FlagCursor owns the walk and the
+// the same argv walk — three private copies of --quant parsing, each with
+// its own error text. FlagCursor owns the walk and the
 // typed value-takes, so a given flag parses and fails identically
 // everywhere:
 //
@@ -42,7 +40,7 @@ class FlagCursor {
   // Typed value-takes for the flag just returned by Next().
   bool StringValue(std::string* out);
   bool SizeValue(size_t* out);    // unsigned decimal
-  bool IntValue(int* out);        // signed decimal
+  bool IntValue(int* out);        // signed decimal in the int range
   bool U64Value(uint64_t* out);
   bool DoubleValue(double* out);
   // DoubleValue narrowed to a finite number > 0 (sizes, durations) or a
@@ -57,9 +55,6 @@ class FlagCursor {
   // Domain-typed takes shared across tools.
   // --quant none|fp16|int8 (nn::ParseQuantMode under the hood).
   bool QuantValue(nn::QuantMode* out);
-  // --kernel blocked|vector|simd.
-  bool KernelValue(nn::KernelMode* out);
-  bool KernelValue(std::optional<nn::KernelMode>* out);
   // --tolerance X with the X >= 0 contract every replay gate shares.
   bool ToleranceValue(double* out);
   // --data DIR: a deepod_datagen directory; fails with a consistent
@@ -68,7 +63,6 @@ class FlagCursor {
 
   // Canonical usage fragments, so every tool's --help names the shared
   // flags the same way.
-  static const char* KernelHelp();     // "--kernel blocked|vector|simd"
   static const char* ToleranceHelp();  // "--tolerance X"
 
  private:

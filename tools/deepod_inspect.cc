@@ -1,12 +1,12 @@
 // deepod_inspect: prints the record table of a tagged state-dict file (a
 // model artifact, a DeepOdModel::Save checkpoint or a trainer checkpoint):
-// per-tensor name, storage dtype, shape, element count, on-disk payload
-// size and the kSimd packed-layout tag, plus the per-row scale range of
-// int8 records — after verifying framing and the trailing checksum. For
-// serving artifacts (records under "artifact.") a metadata block follows
-// the table: artifact version, network id, the frozen speed grid's shape,
-// and the OD-oracle fallback tier's grid/slot/bucket geometry when
-// embedded. Exit codes: 0 readable, 1 corrupt/unreadable, 2 usage.
+// per-tensor name, storage dtype, shape, element count and on-disk payload
+// size, plus the per-row scale range of int8 records — after verifying
+// framing and the trailing checksum. For serving artifacts (records under
+// "artifact.") a metadata block follows the table: artifact version,
+// network id, the frozen speed grid's shape, and the OD-oracle fallback
+// tier's grid/slot/bucket geometry when embedded. Exit codes: 0 readable,
+// 1 corrupt/unreadable, 2 usage.
 
 #include <algorithm>
 #include <cstdint>
@@ -17,16 +17,6 @@
 #include "nn/serialize.h"
 
 namespace {
-
-// How the kSimd tier consumes the tensor at predict time: 2-D weights are
-// repacked into 4-row GEMV panels (nn/simd.h), Conv2d's 4-D kernels are
-// walked planar by the vectorised axpy, and everything else (biases,
-// scalars, buffers) has no packed form.
-const char* PackedLayoutTag(const std::vector<size_t>& shape) {
-  if (shape.size() == 2) return "panel4";
-  if (shape.size() == 4) return "planar";
-  return "-";
-}
 
 // First scalar of the named record, or `fallback` when the record is
 // absent/empty (optional artifact metadata).
@@ -83,9 +73,9 @@ int main(int argc, char** argv) {
     }
     shape += "]";
     const size_t payload = nn::RecordPayloadBytes(r);
-    std::printf("  %-56s %-4s %-14s %8zu %10zu B  %-6s", r.name.c_str(),
+    std::printf("  %-56s %-4s %-14s %8zu %10zu B", r.name.c_str(),
                 nn::RecordDtypeName(r.dtype), shape.c_str(), r.num_elements,
-                payload, PackedLayoutTag(r.shape));
+                payload);
     if (r.dtype == nn::kDtypeI8) {
       const std::vector<double> scales = nn::ReadRecordScales(r);
       const auto [lo, hi] = std::minmax_element(scales.begin(), scales.end());

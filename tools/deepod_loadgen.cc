@@ -28,7 +28,9 @@
 // over the wire with --server-stats. --json writes the report as
 // BENCH-json records (validate with tools/validate_bench_json.py). The
 // --assert-* flags turn the run into a CI gate: exit 1 when the measured
-// value crosses the bound.
+// value crosses the bound. Each bound must be a finite number >= 0 (a
+// count for --assert-max-errors); any other value exits 2, so a typo never
+// switches a gate off.
 //
 // --golden switches to replay mode: every query of a deepod_train --golden
 // file is sent over the wire twice — the first pass fills the shard's
@@ -39,13 +41,15 @@
 // (replaying v2's golden file against a server that swapped v1 -> v2 in
 // place must match a fresh v2 process exactly). --tolerance X accepts
 // |got - expected| <= X * max(1, |expected|) instead, which a quantised
-// (deepod_server --quant int8/fp16) or kSimd-tier (--kernel simd) server
-// needs: both are value-tolerance contracts, not bit-identity ones.
+// artifact (deepod_train --quant int8/fp16) needs: its contract is a value
+// tolerance, not bit identity.
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -130,11 +134,13 @@ int main(int argc, char** argv) {
   options.fetch_server_stats = false;
   std::string network_path, json_path, golden_path;
   double tolerance = 0.0;  // 0 = bit-for-bit (golden mode)
+  // Gates stay off (-1, or no value) until their flag sets a bound; the
+  // flags only take bounds >= 0, so a given bound always gates.
   double assert_max_shed_rate = -1.0;
   double assert_min_shed_rate = -1.0;
   double assert_max_p99_ms = -1.0;
   double assert_min_goodput = -1.0;
-  int assert_max_errors = -1;
+  std::optional<uint64_t> assert_max_errors;
   double assert_min_oracle_frac = -1.0;
   double assert_min_model_frac = -1.0;
   bool print_server_stats = false;
@@ -198,19 +204,21 @@ int main(int argc, char** argv) {
       options.fetch_server_stats = true;
       print_server_stats = true;
     } else if (flag == "--assert-max-shed-rate") {
-      if (!flags.DoubleValue(&assert_max_shed_rate)) return 2;
+      if (!flags.NonNegativeValue(&assert_max_shed_rate)) return 2;
     } else if (flag == "--assert-min-shed-rate") {
-      if (!flags.DoubleValue(&assert_min_shed_rate)) return 2;
+      if (!flags.NonNegativeValue(&assert_min_shed_rate)) return 2;
     } else if (flag == "--assert-max-p99-ms") {
-      if (!flags.DoubleValue(&assert_max_p99_ms)) return 2;
+      if (!flags.NonNegativeValue(&assert_max_p99_ms)) return 2;
     } else if (flag == "--assert-min-goodput") {
-      if (!flags.DoubleValue(&assert_min_goodput)) return 2;
+      if (!flags.NonNegativeValue(&assert_min_goodput)) return 2;
     } else if (flag == "--assert-max-errors") {
-      if (!flags.IntValue(&assert_max_errors)) return 2;
+      uint64_t max_errors = 0;
+      if (!flags.U64Value(&max_errors)) return 2;
+      assert_max_errors = max_errors;
     } else if (flag == "--assert-min-oracle-frac") {
-      if (!flags.DoubleValue(&assert_min_oracle_frac)) return 2;
+      if (!flags.NonNegativeValue(&assert_min_oracle_frac)) return 2;
     } else if (flag == "--assert-min-model-frac") {
-      if (!flags.DoubleValue(&assert_min_model_frac)) return 2;
+      if (!flags.NonNegativeValue(&assert_min_model_frac)) return 2;
     } else {
       return usage();
     }
@@ -350,11 +358,10 @@ int main(int argc, char** argv) {
                  report.goodput_qps, assert_min_goodput);
     exit_code = 1;
   }
-  if (assert_max_errors >= 0 &&
-      report.errors > static_cast<uint64_t>(assert_max_errors)) {
-    std::fprintf(stderr, "ASSERT FAIL: %llu errors > %d\n",
+  if (assert_max_errors.has_value() && report.errors > *assert_max_errors) {
+    std::fprintf(stderr, "ASSERT FAIL: %llu errors > %llu\n",
                  static_cast<unsigned long long>(report.errors),
-                 assert_max_errors);
+                 static_cast<unsigned long long>(*assert_max_errors));
     exit_code = 1;
   }
   const double ok_total = static_cast<double>(report.ok);

@@ -6,13 +6,13 @@
 // to load exits 1 with its typed kind ("artifact load failed [KIND]"); a
 // golden replay runs over the wire through deepod_loadgen --golden. A
 // quantised artifact (deepod_train --quant) serves the f16/int8 weights it
-// stores, on whichever --kernel tier is chosen.
+// stores.
 //
 //   deepod_server --artifact model.artifact --network network.csv
 //                 [--host H] [--port P] [--max-batch N] [--executors N]
 //                 [--queue-capacity N]
 //                 [--tenants N] [--tenant-rate R] [--tenant-burst B]
-//                 [--kernel MODE] [--stats-json PATH]
+//                 [--stats-json PATH]
 //                 [--watch] [--poll-ms N]
 //                 [--live-speed] [--publish-ms N] [--speed-grid-m X]
 //                 [--speed-window-s X]
@@ -94,7 +94,6 @@ void HandleStop(int) { g_stop = 1; }
 int main(int argc, char** argv) {
   using namespace deepod;
   std::string artifact_path, network_path, fleet_path, stats_json_path;
-  serve::EtaServiceOptions service_options;
   serve::net::ServerOptions server_options;
   bool watch = false;
   size_t poll_ms = 200;
@@ -112,11 +111,11 @@ int main(int argc, char** argv) {
         "  [--max-batch N] [--executors N]\n"
         "  [--queue-capacity N] [--tenants N] [--tenant-rate R]\n"
         "  [--tenant-burst B]\n"
-        "  [%s] [--stats-json PATH]\n"
+        "  [--stats-json PATH]\n"
         "  [--watch] [--poll-ms N]\n"
         "  [--live-speed] [--publish-ms N] [--speed-grid-m X]\n"
         "  [--speed-window-s X] [--drift-window N] [--drift-trigger X]\n",
-        argv[0], tools::cli::FlagCursor::KernelHelp());
+        argv[0]);
     return 2;
   };
   tools::cli::FlagCursor flags(argc, argv);
@@ -148,8 +147,6 @@ int main(int argc, char** argv) {
       if (!flags.NonNegativeValue(&server_options.admission.tenant_burst)) {
         return 2;
       }
-    } else if (flag == "--kernel") {
-      if (!flags.KernelValue(&service_options.kernel_mode)) return 2;
     } else if (flag == "--stats-json") {
       if (!flags.StringValue(&stats_json_path)) return 2;
     } else if (flag == "--watch") {
@@ -203,7 +200,6 @@ int main(int argc, char** argv) {
   sigaction(SIGINT, &sa, nullptr);
 
   serve::FleetRouterOptions fleet_options;
-  fleet_options.service = service_options;
   fleet_options.watch = watch;
   fleet_options.poll_interval = std::chrono::milliseconds(poll_ms);
   fleet_options.on_adopt = [](const serve::FleetShard& shard, bool hot_swap) {
