@@ -1,8 +1,8 @@
 // Million-trip data plane bench: trip-synthesis throughput across thread
 // counts, columnar trip-store write/ingest rates (mmap vs. CSV), and the
 // out-of-core training overhead of io::ShardedTripSource against the
-// in-memory feed. Records merge into BENCH_table5.json under the datagen/
-// prefix so the existing regression gate covers the data plane.
+// in-memory feed. Writes BENCH_datagen.json, which CI compares against the
+// committed baseline.
 //
 // Scale knobs (record names embed the trip count, so runs at different
 // scales never falsely compare against each other):
@@ -219,6 +219,6 @@ int main() {
   }
 
   std::filesystem::remove_all(scratch);
-  bench::MergeBenchJson("BENCH_table5.json", {"datagen/"}, records);
+  bench::WriteBenchJson("BENCH_datagen.json", records);
   return 0;
 }

@@ -77,9 +77,6 @@ int main() {
 
   records.push_back(
       {"deepod_train/after_parallel_fast", secs, auto_threads, sps});
-  // Merge rather than overwrite: bench_datagen owns the datagen/* records
-  // of this file and a baseline refresh must not clobber them.
-  bench::MergeBenchJson("BENCH_table5.json", {"table5/", "deepod_train/"},
-                        records);
+  bench::WriteBenchJson("BENCH_table5.json", records);
   return 0;
 }

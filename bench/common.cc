@@ -297,66 +297,6 @@ void WriteBenchJson(const std::string& path,
                records.size());
 }
 
-namespace {
-
-// Pulls `"key": <number>` out of one record line; `fallback` when absent.
-double JsonNumberField(const std::string& line, const std::string& key,
-                       double fallback) {
-  const std::string needle = "\"" + key + "\":";
-  const size_t at = line.find(needle);
-  if (at == std::string::npos) return fallback;
-  return std::strtod(line.c_str() + at + needle.size(), nullptr);
-}
-
-}  // namespace
-
-std::vector<BenchJsonRecord> ReadBenchJsonRecords(const std::string& path) {
-  // The emitters write one record object per line (obs::RenderRecordsJson),
-  // and record names in this repo never contain quotes or escapes, so a
-  // line-oriented field scan round-trips everything we emit without pulling
-  // in a JSON parser.
-  std::vector<BenchJsonRecord> records;
-  std::ifstream in(path);
-  if (!in) return records;
-  std::string line;
-  while (std::getline(in, line)) {
-    const size_t name_at = line.find("\"name\": \"");
-    if (name_at == std::string::npos) continue;
-    const size_t begin = name_at + 9;
-    const size_t end = line.find('"', begin);
-    if (end == std::string::npos) continue;
-    BenchJsonRecord r;
-    r.name = line.substr(begin, end - begin);
-    r.wall_seconds = JsonNumberField(line, "wall_seconds", 0.0);
-    r.threads = static_cast<size_t>(
-        std::max(1.0, JsonNumberField(line, "threads", 1.0)));
-    r.samples_per_sec = JsonNumberField(line, "samples_per_sec", 0.0);
-    r.value = JsonNumberField(line, "value",
-                              std::numeric_limits<double>::quiet_NaN());
-    records.push_back(std::move(r));
-  }
-  return records;
-}
-
-void MergeBenchJson(const std::string& path,
-                    const std::vector<std::string>& replace_prefixes,
-                    const std::vector<BenchJsonRecord>& records) {
-  std::vector<BenchJsonRecord> merged = ReadBenchJsonRecords(path);
-  std::erase_if(merged, [&](const BenchJsonRecord& r) {
-    for (const std::string& prefix : replace_prefixes) {
-      if (r.name.compare(0, prefix.size(), prefix) == 0) return true;
-    }
-    return false;
-  });
-  const size_t kept = merged.size();
-  merged.insert(merged.end(), records.begin(), records.end());
-  WriteBenchJson(path, merged);
-  if (kept > 0) {
-    std::fprintf(stderr, "[bench] merged into %s (%zu records kept)\n",
-                 path.c_str(), kept);
-  }
-}
-
 void PrintBanner(const std::string& experiment) {
   std::printf("================================================================\n");
   std::printf("%s\n", experiment.c_str());

@@ -90,22 +90,6 @@ struct BenchJsonRecord {
 void WriteBenchJson(const std::string& path,
                     const std::vector<BenchJsonRecord>& records);
 
-// Reads records back from a BENCH-json file previously written by
-// WriteBenchJson / obs::WriteRecordsJson (the one-record-per-line shape
-// those emitters produce). Optional fields other than samples_per_sec and
-// value are dropped. Returns empty when the file does not exist.
-std::vector<BenchJsonRecord> ReadBenchJsonRecords(const std::string& path);
-
-// Read-modify-write merge so several bench binaries can share one
-// BENCH_*.json: drops every existing record at `path` whose name starts
-// with one of `replace_prefixes`, appends `records` after the survivors,
-// and writes the result back. (bench_table5_efficiency owns the table5/*
-// and deepod_train/* records of BENCH_table5.json; bench_datagen owns
-// datagen/*.)
-void MergeBenchJson(const std::string& path,
-                    const std::vector<std::string>& replace_prefixes,
-                    const std::vector<BenchJsonRecord>& records);
-
 }  // namespace deepod::bench
 
 #endif  // DEEPOD_BENCH_COMMON_H_

@@ -1,5 +1,6 @@
 #include "serve/fleet_router.h"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -47,6 +48,27 @@ std::vector<std::string> SplitCsvLine(const std::string& line) {
   return fields;
 }
 
+// A network_id is a plain decimal that fits uint32_t: no sign, space or
+// suffix, so no typo wraps into another id (0 would switch the artifact's
+// city-stamp check off).
+bool ParseNetworkId(const std::string& text, uint32_t* id) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *id);
+  return ec == std::errc{} && ptr == end;
+}
+
+// City names become registry names ("fleet/<name>/...") that the stats
+// JSON writes unescaped, so they keep to [A-Za-z0-9._-].
+bool ValidCityName(const std::string& name) {
+  if (name.empty()) return false;
+  for (const char c : name) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
+    if (!ok) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 const char* FallbackPolicyName(FallbackPolicy p) {
@@ -91,17 +113,16 @@ std::vector<FleetEntry> ReadFleetManifest(const std::string& path) {
                                " fields (want 4-6)");
     }
     FleetEntry entry;
-    try {
-      entry.network_id = static_cast<uint32_t>(std::stoul(f[0]));
-    } catch (const std::exception&) {
+    if (!ParseNetworkId(f[0], &entry.network_id)) {
       throw std::runtime_error("fleet manifest: line " +
                                std::to_string(line_no) +
                                ": bad network_id '" + f[0] + "'");
     }
     entry.name = f[1];
-    if (entry.name.empty()) {
+    if (!ValidCityName(entry.name)) {
       throw std::runtime_error("fleet manifest: line " +
-                               std::to_string(line_no) + ": empty name");
+                               std::to_string(line_no) + ": bad name '" +
+                               entry.name + "' (want [A-Za-z0-9._-]+)");
     }
     entry.network_path = ResolvePath(base_dir, f[2]);
     entry.artifact_path = ResolvePath(base_dir, f[3]);

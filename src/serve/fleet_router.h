@@ -63,7 +63,8 @@ struct FleetEntry {
 };
 
 // Parses a fleet manifest. Throws std::runtime_error on a malformed file,
-// a duplicate network_id or a duplicate name.
+// a network_id that is not a plain uint32_t decimal, a name outside
+// [A-Za-z0-9._-], a duplicate network_id or a duplicate name.
 std::vector<FleetEntry> ReadFleetManifest(const std::string& path);
 
 class FleetShard;

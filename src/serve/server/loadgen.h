@@ -60,7 +60,7 @@ struct LoadgenOptions {
 
   // Workload shape: uniform OD pairs over [0, num_segments) with
   // `hot_fraction` of queries drawn from a shared `hot_set_size`-entry hot
-  // set (skewed towards repeated keys, mirroring bench_serving's stream).
+  // set (skewed towards repeated keys, as popular OD pairs are).
   size_t num_segments = 0;  // required
   double hot_fraction = 0.8;
   size_t hot_set_size = 64;

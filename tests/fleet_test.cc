@@ -9,7 +9,8 @@
 //    answering from the OD-oracle tier while the healthy cities serve
 //    unchanged;
 //  - ActivateNow() brings a cold shard warm the moment a loadable artifact
-//    appears, exactly once, firing on_adopt;
+//    appears, exactly once, firing on_adopt; until then a cold shard under
+//    policy model answers kShardCold, never from its oracle;
 //  - a warm shard's hot swap goes through the activation's load check: an
 //    artifact stamped with another city's network_id is refused, counted
 //    in fleet/<name>/reload_failures, and the shard keeps answering
@@ -211,6 +212,31 @@ TEST_F(FleetTest, ManifestRejectsMalformedFiles) {
       {"1,a,a.network.csv,a.model.artifact,,sometimes"})));
   EXPECT_THROW(serve::ReadFleetManifest(WriteManifest("manifest_empty.csv", {})),
                std::runtime_error);
+
+  // Ids are plain uint32_t decimals: nothing wraps (4294967296 is not id 0,
+  // -1 is not 4294967295) and nothing trails. Names keep to [A-Za-z0-9._-],
+  // since they are written into the stats JSON unescaped.
+  for (const std::string id : {"4294967296", "-1", "7x", "+3", " 5", ""}) {
+    EXPECT_THROW(serve::ReadFleetManifest(WriteManifest(
+                     "manifest_bad_id.csv",
+                     {id + ",a,a.network.csv,a.model.artifact,,"})),
+                 std::runtime_error)
+        << "id '" << id << "'";
+  }
+  for (const std::string name : {"a\"b", "a\\b", "a/b", "a b", ""}) {
+    EXPECT_THROW(serve::ReadFleetManifest(WriteManifest(
+                     "manifest_bad_name.csv",
+                     {"1," + name + ",a.network.csv,a.model.artifact,,"})),
+                 std::runtime_error)
+        << "name '" << name << "'";
+  }
+  const std::vector<serve::FleetEntry> widest =
+      serve::ReadFleetManifest(WriteManifest(
+          "manifest_widest.csv",
+          {"4294967295,Xian-2.b_c,a.network.csv,a.model.artifact,,"}));
+  ASSERT_EQ(widest.size(), 1u);
+  EXPECT_EQ(widest[0].network_id, 4294967295u);
+  EXPECT_EQ(widest[0].name, "Xian-2.b_c");
 }
 
 TEST_F(FleetTest, FallbackPolicyNamesRoundTrip) {
@@ -375,6 +401,40 @@ TEST_F(FleetTest, WatcherStopsPollingOnceTheLastColdShardIsWarm) {
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   EXPECT_EQ(CounterValue(router, "fleet/polls"), settled);
   router.Stop();
+}
+
+TEST_F(FleetTest, ColdShardUnderModelPolicyAnswersShardCold) {
+  // City c has an oracle artifact but no model. Under policy model the
+  // oracle tier must not answer for the missing model: the request gets the
+  // typed kShardCold, fleet/c/rejected counts it, and no answer is counted.
+  const std::string path = WriteManifest(
+      "manifest_cold_model.csv",
+      {"3,c,c.network.csv,c.model.artifact,c.oracle.artifact,model"});
+  serve::FleetRouter router(serve::ReadFleetManifest(path), QuietOptions());
+  ASSERT_EQ(router.WarmCount(), 0u);
+  const traj::OdInput od = SampleOd(*city_c_);
+  ASSERT_TRUE(router.Resolve(3)->FallbackEstimate(od).has_value());
+
+  DeepOdServer server(router, ServerOptions{});
+  server.Start();
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
+  RequestFrame request;
+  request.request_id = 7;
+  request.network_id = 3;
+  request.od = od;
+  ASSERT_TRUE(client.Send(request));
+  ResponseFrame response;
+  ASSERT_TRUE(client.ReadResponse(&response));
+  EXPECT_EQ(response.request_id, 7u);
+  EXPECT_EQ(response.status, Status::kShardCold);
+  client.Close();
+  server.Shutdown();
+  router.Stop();
+
+  EXPECT_EQ(CounterValue(router, "fleet/c/rejected"), 1.0);
+  EXPECT_EQ(CounterValue(router, "fleet/c/oracle_answers"), 0.0);
+  EXPECT_EQ(CounterValue(router, "fleet/c/model_answers"), 0.0);
 }
 
 // --- Hot swap ----------------------------------------------------------------

@@ -1,48 +1,33 @@
 #!/usr/bin/env python3
 """Compare a fresh BENCH-json run against a committed baseline.
 
-The CI bench-regression job runs the short bench_serving / bench_nn_micro
-streams on every PR and feeds the resulting JSON through this script
-against the baselines committed at the repo root. Policy (documented in
-CONTRIBUTING.md):
+The CI bench-regression job runs the short bench_nn_micro and
+bench_datagen streams on every PR and feeds the resulting JSON through
+this script against the baselines committed at the repo root. Serving
+performance is gated by perfbench (BENCHMARK.json), not here. Policy
+(documented in CONTRIBUTING.md):
 
   - Records are matched by name. A matched record FAILS when it regresses
     by more than --threshold (default 0.25, i.e. 25%): throughput
     ('samples_per_sec', preferred because it is stream-length independent)
     dropping below baseline/(1+t), or, when only wall time is available,
     'wall_seconds' exceeding baseline*(1+t).
+  - A record with neither measurement on both sides is SKIP. That covers
+    the value records (bench_datagen's *_speedup ratios write
+    wall_seconds 0 and carry their number in 'value').
   - Records present only in the baseline (removed/renamed) or only in the
     current run (new) WARN but do not fail — refresh the baseline in the
     same PR instead.
-  - Records matching an --ignore glob are skipped. The defaults cover the
-    value-carrying records that reuse the wall_seconds field for something
-    that is not a time: '*speedup*' and '*hit_rate*' (ratios) and '*mae*'
-    (the quantised-serving error in seconds, bench_serving's
-    serving/quant/<mode>/mae) — comparing those as throughput would flag
-    an accuracy change as a perf regression or, worse, pass a real one.
 
 Exit status: 1 if any matched record regressed, else 0.
 
 Usage:
-    bench_compare.py BASELINE.json CURRENT.json
-        [--threshold 0.25] [--ignore GLOB ...]
+    bench_compare.py BASELINE.json CURRENT.json [--threshold 0.25]
 """
 
 import argparse
-import fnmatch
 import json
 import sys
-
-# speedup/hit_rate/mae are ratio/error values and availability is a
-# fallback-policy outcome (how much of a cold shard's load the oracle tier
-# answered) — none of them are machine-performance numbers a regression
-# gate should compare. server/policy/* as a whole is the estimator
-# comparison table (model vs oracle vs link-mean): its latency loops finish
-# in microseconds (the oracle tier answers 400 queries in ~150us), so
-# wall-clock ratios there are timer noise; perfbench's serve_* workloads
-# gate serving performance.
-DEFAULT_IGNORES = ["*speedup*", "*hit_rate*", "*mae*", "*availability*",
-                   "server/policy/*"]
 
 
 def load_records(path):
@@ -82,9 +67,6 @@ def main():
     parser.add_argument("--threshold", type=float, default=0.25,
                         help="fail when slower by more than this fraction "
                              "(default 0.25)")
-    parser.add_argument("--ignore", nargs="*", default=DEFAULT_IGNORES,
-                        metavar="GLOB",
-                        help=f"name globs to skip (default {DEFAULT_IGNORES})")
     args = parser.parse_args()
 
     baseline = load_records(args.baseline)
@@ -95,8 +77,6 @@ def main():
     print(f"comparing {args.current} against baseline {args.baseline} "
           f"(threshold {args.threshold:.0%})")
     for name in sorted(baseline):
-        if any(fnmatch.fnmatch(name, g) for g in args.ignore):
-            continue
         if name not in current:
             warnings.append(f"missing from current run: {name}")
             continue
@@ -106,8 +86,6 @@ def main():
         if status == "SLOW":
             regressions.append(name)
     for name in sorted(set(current) - set(baseline)):
-        if any(fnmatch.fnmatch(name, g) for g in args.ignore):
-            continue
         warnings.append(f"new record (not in baseline): {name}")
 
     for warning in warnings:

@@ -11,6 +11,9 @@
 //                         eligible weights stored quantised (fp16 or int8,
 //                         serialize-v3); replay it with deepod_loadgen
 //                         --golden --tolerance, not bit-for-bit
+//   <out>/deepod_trace.json  (DEEPOD_OBS=trace) the trainer's epoch,
+//                         forward/backward, optimizer and validation spans
+//                         as a Chrome trace (chrome://tracing, Perfetto)
 //
 // The defaults mirror the test suite's tiny dataset so a full
 // train->save->serve round trip finishes in CI time.
@@ -59,6 +62,7 @@
 #include "io/trip_store.h"
 #include "nn/quant.h"
 #include "io/trip_io.h"
+#include "obs/trace.h"
 #include "road/edge_graph.h"
 #include "sim/dataset.h"
 #include "sim/snapshot_speed_field.h"
@@ -338,6 +342,15 @@ int main(int argc, char** argv) {
   const double best_mae = trainer.Train();
   std::printf("trained %d epoch(s), %zu steps, validation MAE %.3f s\n",
               config.epochs, trainer.steps_taken(), best_mae);
+  if (obs::TraceEnabled()) {
+    const std::string trace_path = args.out + "/deepod_trace.json";
+    if (!obs::WriteTraceJson(trace_path)) {
+      std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
+      return 1;
+    }
+    std::printf("trace:    %s (%zu events)\n", trace_path.c_str(),
+                obs::TraceEventCount());
+  }
 
   if (!args.checkpoint.empty()) {
     trainer.SaveCheckpoint(args.checkpoint);

@@ -3,13 +3,12 @@
 
 Every machine-readable measurement file in this repo uses one schema,
 emitted either by bench::WriteBenchJson / the bench_nn_micro collector or
-by obs::Registry::ExportJson (e.g. the EtaService stats export). Current
-emitters: BENCH_table5.json (bench_table5_efficiency, plus the datagen/*
-data-plane records merged in by bench_datagen), BENCH_table6.json
-(bench_table6_scalability: per-(method, fraction) records with
-wall_seconds = training time and value = test MAPE), BENCH_serving.json /
-BENCH_serving_stats.json (bench_serving) and BENCH_nn_micro.json
-(bench_nn_micro):
+by obs::Registry export (deepod_server --stats-json and its stats frame,
+deepod_loadgen --json). Bench emitters: BENCH_table5.json
+(bench_table5_efficiency), BENCH_datagen.json (bench_datagen's data-plane
+records), BENCH_table6.json (bench_table6_scalability: per-(method,
+fraction) records with wall_seconds = training time and value = test
+MAPE) and BENCH_nn_micro.json (bench_nn_micro):
 
     {
       "hardware_concurrency": <int>,
@@ -30,7 +29,7 @@ Usage:
         [--identity 'A=B+C' ...]      # count(A) == count(B) + count(C)
 
 Exits non-zero with a message naming the offending file/record on the
-first violation. Shared by the serving-smoke and bench-regression CI jobs.
+first violation. Shared by the CI smoke jobs and the bench-regression job.
 """
 
 import argparse
