@@ -22,6 +22,7 @@
 #include "io/sharded_trip_source.h"
 #include "io/trip_io.h"
 #include "io/trip_store.h"
+#include "obs/metrics.h"
 #include "sim/dataset.h"
 #include "sim/trip_gen.h"
 #include "sim/trip_simulator.h"
@@ -53,6 +54,25 @@ sim::DatasetConfig CityConfig(size_t trips) {
 
 std::string Trips(size_t n) { return "/trips=" + std::to_string(n); }
 
+// A timed stage: `items` trips processed in `secs` on `threads` threads.
+obs::Record Timed(std::string name, double secs, size_t threads,
+                  size_t items) {
+  obs::Record r;
+  r.name = std::move(name);
+  r.wall_seconds = secs;
+  r.threads = threads;
+  r.samples_per_sec = static_cast<double>(items) / secs;
+  return r;
+}
+
+// A dimensionless ratio of two timed stages.
+obs::Record Ratio(std::string name, double value) {
+  obs::Record r;
+  r.name = std::move(name);
+  r.value = value;
+  return r;
+}
+
 // One epoch of DeepOD training over `feed`; returns wall seconds.
 double TimeEpoch(const sim::Dataset& dataset, core::TripFeed* feed) {
   core::DeepOdConfig config = bench::BenchModelConfig();
@@ -77,7 +97,7 @@ int main() {
   const size_t auto_threads = util::ThreadPool::ResolveThreadCount(0);
   const std::string scratch = "bench_datagen_scratch";
   std::filesystem::create_directories(scratch);
-  std::vector<bench::BenchJsonRecord> records;
+  std::vector<obs::Record> records;
 
   // --- Generate-throughput thread sweep -----------------------------------
   // Per-trip RNG streams make the generated set identical at every thread
@@ -97,9 +117,9 @@ int main() {
       const double sps = static_cast<double>(generated.size()) / secs;
       std::printf("generate %8zu trips, %zu thread(s): %6.2f s  (%.0f trips/s)\n",
                   generated.size(), threads, secs, sps);
-      records.push_back({"datagen/generate/threads=" + std::to_string(threads) +
-                             Trips(n),
-                         secs, threads, sps});
+      records.push_back(Timed("datagen/generate/threads=" +
+                                  std::to_string(threads) + Trips(n),
+                              secs, threads, generated.size()));
     }
   }
 
@@ -119,8 +139,8 @@ int main() {
     const double sps = static_cast<double>(corpus.size()) / secs;
     std::printf("generate %8zu trips, full scale:   %6.2f s  (%.0f trips/s)\n",
                 corpus.size(), secs, sps);
-    records.push_back(
-        {"datagen/generate/full" + Trips(n), secs, auto_threads, sps});
+    records.push_back(Timed("datagen/generate/full" + Trips(n), secs,
+                            auto_threads, corpus.size()));
 
     double write_secs = 0.0;
     {
@@ -130,8 +150,7 @@ int main() {
     }
     std::printf("store write (%zu shards):            %6.2f s  (%.0f trips/s)\n",
                 shards, write_secs, static_cast<double>(n) / write_secs);
-    records.push_back({"datagen/store_write" + Trips(n), write_secs, 1,
-                       static_cast<double>(n) / write_secs});
+    records.push_back(Timed("datagen/store_write" + Trips(n), write_secs, 1, n));
   }
 
   // Ingest: mmap'd columnar shards vs. the CSV path, both ending in the
@@ -155,8 +174,7 @@ int main() {
       return 1;
     }
   }
-  records.push_back({"datagen/ingest/mmap" + Trips(n), mmap_secs, 1,
-                     static_cast<double>(n) / mmap_secs});
+  records.push_back(Timed("datagen/ingest/mmap" + Trips(n), mmap_secs, 1, n));
 
   double csv_secs = 0.0;
   {
@@ -174,11 +192,10 @@ int main() {
       return 1;
     }
   }
-  records.push_back({"datagen/ingest/csv" + Trips(n), csv_secs, 1,
-                     static_cast<double>(n) / csv_secs});
+  records.push_back(Timed("datagen/ingest/csv" + Trips(n), csv_secs, 1, n));
   const double ingest_speedup = csv_secs / mmap_secs;
-  records.push_back({"datagen/ingest/mmap_vs_csv_speedup", 0.0, 1, 0.0,
-                     ingest_speedup});
+  records.push_back(
+      Ratio("datagen/ingest/mmap_vs_csv_speedup", ingest_speedup));
   std::printf(
       "ingest %zu trips: mmap %0.2f s, csv %0.2f s  (%.1fx)\n", n, mmap_secs,
       csv_secs, ingest_speedup);
@@ -210,15 +227,14 @@ int main() {
         "train 1 epoch (%zu trips): in-memory %0.2f s, out-of-core %0.2f s\n"
         "  overhead %.3fx  (lookahead window hits: %zu)\n",
         m, mem_secs, ooc_secs, overhead, sharded.prefetch_hits());
-    records.push_back({"datagen/train_epoch/in_memory" + Trips(m), mem_secs, 1,
-                       static_cast<double>(m) / mem_secs});
-    records.push_back({"datagen/train_epoch/out_of_core" + Trips(m), ooc_secs,
-                       1, static_cast<double>(m) / ooc_secs});
     records.push_back(
-        {"datagen/train_epoch/ooc_vs_mem_speedup", 0.0, 1, 0.0, overhead});
+        Timed("datagen/train_epoch/in_memory" + Trips(m), mem_secs, 1, m));
+    records.push_back(
+        Timed("datagen/train_epoch/out_of_core" + Trips(m), ooc_secs, 1, m));
+    records.push_back(Ratio("datagen/train_epoch/ooc_vs_mem_speedup", overhead));
   }
 
   std::filesystem::remove_all(scratch);
-  bench::WriteBenchJson("BENCH_datagen.json", records);
+  obs::WriteRecordsJson("BENCH_datagen.json", records);
   return 0;
 }

@@ -9,6 +9,7 @@
 #include "core/deepod_model.h"
 #include "core/trainer.h"
 #include "nn/tensor.h"
+#include "obs/metrics.h"
 #include "sim/dataset.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
@@ -20,7 +21,7 @@ int main() {
   bench::PrintBanner("Table 5 — model size / training time / estimation time");
   const std::vector<std::string> methods = {"TEMP", "LR",    "GBM",
                                             "STNN", "MURAT", "DeepOD"};
-  std::vector<bench::BenchJsonRecord> records;
+  std::vector<obs::Record> records;
   const size_t auto_threads = util::ThreadPool::ResolveThreadCount(0);
 
   bench::PrewarmStandardRuns();
@@ -32,17 +33,21 @@ int main() {
       table.AddRow({name, run.city, util::FmtBytes(m.model_bytes),
                     util::Fmt(m.train_seconds, 2),
                     util::Fmt(m.estimate_seconds_per_k, 3)});
-      const size_t threads = name == "DeepOD" ? auto_threads : 1;
       // Train records carry no throughput (the per-method sample x epoch
-      // counts are not recorded here); WriteBenchJson omits the field.
-      records.push_back({"table5/" + run.city + "/" + name + "/train",
-                         m.train_seconds, threads, 0.0});
+      // counts are not recorded here).
+      obs::Record train;
+      train.name = "table5/" + run.city + "/" + name + "/train";
+      train.wall_seconds = m.train_seconds;
+      train.threads = name == "DeepOD" ? auto_threads : 1;
+      obs::Record estimate = train;
+      estimate.name = "table5/" + run.city + "/" + name + "/estimate";
+      estimate.wall_seconds = m.estimate_seconds_per_k;
       // Estimation latency is per 1,000 queries, so queries/sec follows.
-      records.push_back({"table5/" + run.city + "/" + name + "/estimate",
-                         m.estimate_seconds_per_k, threads,
-                         m.estimate_seconds_per_k > 0.0
-                             ? 1000.0 / m.estimate_seconds_per_k
-                             : 0.0});
+      if (m.estimate_seconds_per_k > 0.0) {
+        estimate.samples_per_sec = 1000.0 / m.estimate_seconds_per_k;
+      }
+      records.push_back(std::move(train));
+      records.push_back(std::move(estimate));
     }
   }
   table.Print();
@@ -75,8 +80,12 @@ int main() {
       "chengdu-sim", mini.train.size(), auto_threads,
       auto_threads == 1 ? "" : "s", secs, sps);
 
-  records.push_back(
-      {"deepod_train/after_parallel_fast", secs, auto_threads, sps});
-  bench::WriteBenchJson("BENCH_table5.json", records);
+  obs::Record throughput;
+  throughput.name = "deepod_train/after_parallel_fast";
+  throughput.wall_seconds = secs;
+  throughput.threads = auto_threads;
+  throughput.samples_per_sec = sps;
+  records.push_back(std::move(throughput));
+  obs::WriteRecordsJson("BENCH_table5.json", records);
   return 0;
 }

@@ -12,6 +12,7 @@
 #include "baselines/stnn.h"
 #include "baselines/temp.h"
 #include "bench/common.h"
+#include "obs/metrics.h"
 #include "util/stopwatch.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -20,23 +21,31 @@ using namespace deepod;
 
 namespace {
 
+// One (method, fraction) cell: wall_seconds is the training time, value the
+// test MAPE.
+obs::Record CellRecord(const std::string& method, double fraction,
+                       double train_secs, size_t threads, double mape) {
+  obs::Record r;
+  r.name = "table6/" + method + "/frac=" + util::Fmt(fraction * 100.0, 0);
+  r.wall_seconds = train_secs;
+  r.threads = threads;
+  r.value = mape;
+  return r;
+}
+
 // Trains `estimator` on ds, scores it on the fixed test split, and appends
 // both the table cell and the JSON record.
 template <typename Estimator>
 void RunMethod(Estimator& estimator, const sim::Dataset& ds,
                const std::vector<double>& truth, const std::string& name,
                double fraction, std::vector<std::string>* row,
-               std::vector<bench::BenchJsonRecord>* records) {
+               std::vector<obs::Record>* records) {
   util::Stopwatch sw;
   estimator.Train(ds);
   const double train_secs = sw.ElapsedSeconds();
   const double mape = analysis::Mape(truth, estimator.PredictAll(ds.test));
   row->push_back(util::Fmt(mape, 2));
-  bench::BenchJsonRecord record{
-      "table6/" + name + "/frac=" + util::Fmt(fraction * 100.0, 0), train_secs,
-      1};
-  record.value = mape;
-  records->push_back(std::move(record));
+  records->push_back(CellRecord(name, fraction, train_secs, 1, mape));
 }
 
 }  // namespace
@@ -45,7 +54,7 @@ int main() {
   bench::PrintBanner(
       "Table 6 — scalability: test MAPE vs training fraction (beijing-sim)");
   util::Table table({"scale", "TEMP", "LR", "GBM", "STNN", "MURAT", "DeepOD"});
-  std::vector<bench::BenchJsonRecord> records;
+  std::vector<obs::Record> records;
   const size_t auto_threads = util::ThreadPool::ResolveThreadCount(0);
   for (double fraction : {0.2, 0.4, 0.6, 0.8, 1.0}) {
     // Keep the chronologically-first fraction of the training trips;
@@ -76,11 +85,8 @@ int main() {
     const auto deepod = bench::RunDeepOdVariant(ds, config, "DeepOD");
     const double mape = analysis::Mape(truth, deepod.predictions);
     row.push_back(util::Fmt(mape, 2));
-    bench::BenchJsonRecord record{
-        "table6/DeepOD/frac=" + util::Fmt(fraction * 100.0, 0),
-        deepod.train_seconds, auto_threads};
-    record.value = mape;
-    records.push_back(std::move(record));
+    records.push_back(CellRecord("DeepOD", fraction, deepod.train_seconds,
+                                 auto_threads, mape));
 
     table.AddRow(row);
     std::fprintf(stderr, "[bench] fraction %.0f%% done\n", fraction * 100);
@@ -89,6 +95,6 @@ int main() {
   std::printf(
       "\nPaper shape check: every method improves with more data; DeepOD is\n"
       "the most accurate at every fraction and degrades the least at 20%%.\n");
-  bench::WriteBenchJson("BENCH_table6.json", records);
+  obs::WriteRecordsJson("BENCH_table6.json", records);
   return 0;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -20,7 +19,6 @@
 #include "core/deepod_model.h"
 #include "core/trainer.h"
 #include "nn/serialize.h"
-#include "obs/metrics.h"
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
@@ -272,29 +270,6 @@ void PrewarmStandardRuns() {
       std::min(cities.size(), util::ThreadPool::ResolveThreadCount(0)));
   pool.ParallelFor(cities.size(),
                    [&](size_t i) { GetStandardRun(cities[i]); });
-}
-
-void WriteBenchJson(const std::string& path,
-                    const std::vector<BenchJsonRecord>& records) {
-  // All BENCH_*.json emitters funnel through the obs record schema so the
-  // bench files and Registry::ExportJson stay validatable/compare-able by
-  // the same tools (tools/validate_bench_json.py, tools/bench_compare.py).
-  std::vector<obs::Record> out;
-  out.reserve(records.size());
-  for (const auto& r : records) {
-    obs::Record rec;
-    rec.name = r.name;
-    rec.wall_seconds = r.wall_seconds;
-    rec.threads = r.threads;
-    // <= 0 means "not measured": the field is omitted rather than written
-    // as a misleading 0.
-    if (r.samples_per_sec > 0.0) rec.samples_per_sec = r.samples_per_sec;
-    if (!std::isnan(r.value)) rec.value = r.value;
-    out.push_back(std::move(rec));
-  }
-  obs::WriteRecordsJson(path, out);
-  std::fprintf(stderr, "[bench] wrote %s (%zu records)\n", path.c_str(),
-               records.size());
 }
 
 void PrintBanner(const std::string& experiment) {

@@ -1,7 +1,6 @@
 #ifndef DEEPOD_BENCH_COMMON_H_
 #define DEEPOD_BENCH_COMMON_H_
 
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -70,25 +69,6 @@ MethodResult RunDeepOdVariant(const sim::Dataset& dataset,
 
 // Prints the standard bench banner (profile + substitution note).
 void PrintBanner(const std::string& experiment);
-
-// --- Machine-readable bench output ----------------------------------------
-
-// One timed measurement for the BENCH_*.json files consumed by tooling.
-// `samples_per_sec <= 0` means "not measured" and the field is omitted from
-// the JSON rather than written as a misleading 0.
-struct BenchJsonRecord {
-  std::string name;
-  double wall_seconds = 0.0;
-  size_t threads = 1;
-  double samples_per_sec = 0.0;
-  // Dimensionless measurement (a MAPE, a ratio); NaN means "not measured"
-  // and the field is omitted from the JSON.
-  double value = std::numeric_limits<double>::quiet_NaN();
-};
-
-// Writes `records` to `path` as {"hardware_concurrency": N, "records": [...]}.
-void WriteBenchJson(const std::string& path,
-                    const std::vector<BenchJsonRecord>& records);
 
 }  // namespace deepod::bench
 

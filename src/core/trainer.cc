@@ -90,17 +90,12 @@ double DeepOdTrainer::ValidationMae(size_t max_samples) {
   std::vector<traj::OdInput> ods(n);
   for (size_t i = 0; i < n; ++i) ods[i] = dataset_.validation[i].od;
   const std::vector<double> preds = model_.PredictBatch(ods, &pool_);
-  // Sum each worker chunk, then merge in chunk order, so the result is fixed
-  // for a given thread count (one chunk is the plain serial sum).
-  const size_t tasks = std::min(num_threads(), n);
+  // PredictBatch's answers do not depend on its chunking, and the errors
+  // are summed in index order into one accumulator, so the MAE is a
+  // function of the weights alone, whatever the thread count.
   double sum = 0.0;
-  for (size_t w = 0; w < tasks; ++w) {
-    const auto [begin, end] = util::ThreadPool::ChunkRange(n, tasks, w);
-    double s = 0.0;
-    for (size_t i = begin; i < end; ++i) {
-      s += std::fabs(preds[i] - dataset_.validation[i].travel_time);
-    }
-    sum += s;
+  for (size_t i = 0; i < n; ++i) {
+    sum += std::fabs(preds[i] - dataset_.validation[i].travel_time);
   }
   model_.SetTraining(true);
   return sum / static_cast<double>(n);

@@ -58,24 +58,6 @@ StateDict Module::State(const std::string& prefix) {
   return dict;
 }
 
-std::vector<StateDict::Entry> Module::NamedParameters() {
-  const StateDict dict = State();
-  std::vector<StateDict::Entry> out;
-  for (const auto& e : dict.entries()) {
-    if (!e.is_buffer) out.push_back(e);
-  }
-  return out;
-}
-
-std::vector<StateDict::Entry> Module::NamedBuffers() {
-  const StateDict dict = State();
-  std::vector<StateDict::Entry> out;
-  for (const auto& e : dict.entries()) {
-    if (e.is_buffer) out.push_back(e);
-  }
-  return out;
-}
-
 size_t Module::NumParameters() {
   size_t n = 0;
   for (auto& p : Parameters()) n += p.size();

@@ -87,11 +87,6 @@ class Module {
   // The full named state of this module tree (parameters and buffers).
   StateDict State(const std::string& prefix = "");
 
-  // Named trainable parameters, in Parameters() order.
-  std::vector<StateDict::Entry> NamedParameters();
-  // Named non-trainable buffers (BatchNorm running statistics etc.).
-  std::vector<StateDict::Entry> NamedBuffers();
-
   // Total number of scalar parameters (model-size accounting, Table 5).
   size_t NumParameters();
 

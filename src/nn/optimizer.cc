@@ -4,7 +4,7 @@
 
 namespace deepod::nn {
 
-double Optimizer::ClipGradNorm(double max_norm) {
+double Adam::ClipGradNorm(double max_norm) {
   double sq = 0.0;
   for (auto& p : params_) {
     for (double g : p.grad()) sq += g * g;
@@ -19,13 +19,6 @@ double Optimizer::ClipGradNorm(double max_norm) {
   return norm;
 }
 
-Sgd::Sgd(std::vector<Tensor> params, double lr, double momentum)
-    : Optimizer(std::move(params)), momentum_(momentum) {
-  lr_ = lr;
-  velocity_.reserve(params_.size());
-  for (auto& p : params_) velocity_.emplace_back(p.size(), 0.0);
-}
-
 namespace {
 
 // Zero-padded parameter index ("007") so names sort in construction order.
@@ -37,30 +30,13 @@ std::string IndexName(size_t i) {
 
 }  // namespace
 
-void Sgd::AppendState(const std::string& prefix, StateDict& out) {
-  for (size_t i = 0; i < velocity_.size(); ++i) {
-    out.AddBuffer(JoinName(prefix, "velocity." + IndexName(i)),
-                  {velocity_[i].size()}, velocity_[i].data());
-  }
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    auto& data = params_[i].data();
-    const auto& grad = params_[i].grad();
-    auto& vel = velocity_[i];
-    for (size_t j = 0; j < data.size(); ++j) {
-      vel[j] = momentum_ * vel[j] + grad[j];
-      data[j] -= lr_ * vel[j];
-    }
-  }
-  BumpParamEpoch();  // invalidates the serving plan
-}
-
 Adam::Adam(std::vector<Tensor> params, double lr, double beta1, double beta2,
            double eps)
-    : Optimizer(std::move(params)), beta1_(beta1), beta2_(beta2), eps_(eps) {
-  lr_ = lr;
+    : params_(std::move(params)),
+      lr_(lr),
+      beta1_(beta1),
+      beta2_(beta2),
+      eps_(eps) {
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (auto& p : params_) {
@@ -97,11 +73,6 @@ void Adam::Step() {
     }
   }
   BumpParamEpoch();  // invalidates the serving plan
-}
-
-double StepDecaySchedule::LearningRateForEpoch(int epoch) const {
-  const int steps = epoch / decay_epochs_;
-  return initial_lr_ * std::pow(factor_, static_cast<double>(steps));
 }
 
 }  // namespace deepod::nn

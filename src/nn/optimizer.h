@@ -8,22 +8,22 @@
 
 namespace deepod::nn {
 
-// Optimiser interface over a fixed parameter list. Gradients are read from
-// each parameter's grad buffer (accumulated by Backward calls) and cleared
-// by ZeroGrad().
-class Optimizer {
+// Adam (Kingma & Ba 2014) — the paper's optimiser (§5, Algorithm 1 line 13)
+// over a fixed parameter list. Gradients are read from each parameter's grad
+// buffer (accumulated by Backward calls) and cleared by ZeroGrad().
+class Adam {
  public:
-  explicit Optimizer(std::vector<Tensor> params) : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
+  Adam(std::vector<Tensor> params, double lr = 0.01, double beta1 = 0.9,
+       double beta2 = 0.999, double eps = 1e-8);
 
-  virtual void Step() = 0;
+  void Step();
 
-  // Registers the optimiser's own state (momentum / moment buffers, step
-  // counters) in a state dict under `prefix`, so a training run can be
-  // checkpointed and resumed bit-identically. Buffers are named by the
-  // position of their parameter in the construction list ("m.12"), which is
-  // stable because Parameters() order is part of the module contract.
-  virtual void AppendState(const std::string& prefix, StateDict& out) = 0;
+  // Registers the optimiser's own state (moment buffers, step counter) in a
+  // state dict under `prefix`, so a training run can be checkpointed and
+  // resumed bit-identically. Buffers are named by the position of their
+  // parameter in the construction list ("m.012"), which is stable because
+  // Parameters() order is part of the module contract.
+  void AppendState(const std::string& prefix, StateDict& out);
 
   void ZeroGrad() {
     for (auto& p : params_) p.ZeroGrad();
@@ -36,55 +36,15 @@ class Optimizer {
   // norm). Guards against the occasional exploding LSTM gradient.
   double ClipGradNorm(double max_norm);
 
- protected:
+ private:
   std::vector<Tensor> params_;
-  double lr_ = 0.01;
-};
-
-// Stochastic gradient descent with optional momentum.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Tensor> params, double lr, double momentum = 0.0);
-
-  void Step() override;
-  void AppendState(const std::string& prefix, StateDict& out) override;
-
- private:
-  double momentum_;
-  std::vector<std::vector<double>> velocity_;
-};
-
-// Adam (Kingma & Ba 2014) — the paper's optimiser (§5, Algorithm 1 line 13).
-class Adam : public Optimizer {
- public:
-  Adam(std::vector<Tensor> params, double lr = 0.01, double beta1 = 0.9,
-       double beta2 = 0.999, double eps = 1e-8);
-
-  void Step() override;
-  void AppendState(const std::string& prefix, StateDict& out) override;
-
- private:
+  double lr_;
   double beta1_, beta2_, eps_;
   // Step count; held as a double (exact for any realistic count) so the
   // checkpoint state dict can reference it in place.
   double t_ = 0.0;
   std::vector<std::vector<double>> m_;
   std::vector<std::vector<double>> v_;
-};
-
-// The paper's learning-rate schedule (§6.1): initial rate 0.01, multiplied
-// by 1/5 every `decay_epochs` epochs.
-class StepDecaySchedule {
- public:
-  StepDecaySchedule(double initial_lr = 0.01, double factor = 0.2,
-                    int decay_epochs = 2)
-      : initial_lr_(initial_lr), factor_(factor), decay_epochs_(decay_epochs) {}
-
-  double LearningRateForEpoch(int epoch) const;
-
- private:
-  double initial_lr_, factor_;
-  int decay_epochs_;
 };
 
 }  // namespace deepod::nn

@@ -336,11 +336,6 @@ void Tensor::Backward() {
   }
 }
 
-Tensor Tensor::Detach() const {
-  if (!impl_) return Tensor();
-  return FromData(impl_->shape, impl_->data);
-}
-
 std::string Tensor::ShapeString() const {
   std::ostringstream out;
   out << "[";

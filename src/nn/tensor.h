@@ -80,10 +80,6 @@ class Tensor {
   // Reverse-mode sweep from this tensor; requires size() == 1.
   void Backward();
 
-  // Returns a graph-detached copy sharing no autograd history (fresh leaf
-  // with copied data).
-  Tensor Detach() const;
-
   // Stable identity for graph bookkeeping / debugging.
   const void* id() const { return impl_.get(); }
 

@@ -40,14 +40,6 @@ std::string FormatNumber(double v) {
   return out.str();
 }
 
-std::string SanitizePrometheusName(const std::string& name) {
-  std::string out = "deepod_";
-  for (char c : name) {
-    out.push_back(std::isalnum(static_cast<unsigned char>(c)) ? c : '_');
-  }
-  return out;
-}
-
 }  // namespace
 
 Mode mode() { return ModeRef().load(std::memory_order_relaxed); }
@@ -231,10 +223,12 @@ std::string RenderRecordsJson(const std::vector<Record>& records) {
   return out.str();
 }
 
-void WriteRecordsJson(const std::string& path,
+bool WriteRecordsJson(const std::string& path,
                       const std::vector<Record>& records) {
   std::ofstream out(path);
+  if (!out) return false;
   out << RenderRecordsJson(records);
+  return static_cast<bool>(out);
 }
 
 // --- Registry ----------------------------------------------------------------
@@ -299,47 +293,6 @@ std::vector<Record> Registry::Export(const std::string& prefix) const {
   std::sort(records.begin(), records.end(),
             [](const Record& a, const Record& b) { return a.name < b.name; });
   return records;
-}
-
-std::string Registry::ExportJson(const std::string& prefix) const {
-  return RenderRecordsJson(Export(prefix));
-}
-
-std::string Registry::ExportPrometheus(const std::string& prefix) const {
-  const auto matches = [&prefix](const std::string& name) {
-    return prefix.empty() || name.rfind(prefix, 0) == 0;
-  };
-  std::ostringstream out;
-  out.precision(12);
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, c] : counters_) {
-    if (!matches(name)) continue;
-    const std::string id = SanitizePrometheusName(name);
-    out << "# TYPE " << id << " counter\n" << id << " " << c->Value() << "\n";
-  }
-  for (const auto& [name, g] : gauges_) {
-    if (!matches(name)) continue;
-    const std::string id = SanitizePrometheusName(name);
-    out << "# TYPE " << id << " gauge\n" << id << " " << g->Value() << "\n";
-  }
-  for (const auto& [name, h] : histograms_) {
-    if (!matches(name)) continue;
-    const std::string id = SanitizePrometheusName(name);
-    out << "# TYPE " << id << " summary\n";
-    for (const double q : {0.5, 0.95, 0.99}) {
-      out << id << "{quantile=\"" << q << "\"} " << h->Percentile(q) << "\n";
-    }
-    out << id << "_sum " << h->Sum() << "\n";
-    out << id << "_count " << h->Count() << "\n";
-  }
-  return out.str();
-}
-
-void Registry::ResetForTest() {
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
 }
 
 }  // namespace deepod::obs

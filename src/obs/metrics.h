@@ -137,7 +137,8 @@ class Histogram {
 // --- Shared record schema ----------------------------------------------------
 
 // One record of the machine-readable JSON shared by every BENCH_*.json
-// emitter and by Registry::ExportJson, so one validator / comparison tool
+// emitter and by the serving stats export (serve/stats.h), so one
+// validator / comparison tool
 // (tools/validate_bench_json.py, tools/bench_compare.py) covers bench
 // output and exported serving stats alike. Optional fields are omitted
 // from the JSON when unset.
@@ -155,7 +156,9 @@ struct Record {
 
 // Renders {"hardware_concurrency": N, "records": [...]}.
 std::string RenderRecordsJson(const std::vector<Record>& records);
-void WriteRecordsJson(const std::string& path,
+// Writes RenderRecordsJson(records) to `path`; returns false if the file
+// could not be written.
+bool WriteRecordsJson(const std::string& path,
                       const std::vector<Record>& records);
 
 // --- Registry ----------------------------------------------------------------
@@ -182,14 +185,6 @@ class Registry {
   // all), name-sorted: counters as count, gauges as value, histograms as
   // wall_seconds = sum, count and p50/p95/p99 in ms.
   std::vector<Record> Export(const std::string& prefix = "") const;
-  // Export() rendered through the shared BENCH-json schema.
-  std::string ExportJson(const std::string& prefix = "") const;
-  // Prometheus text exposition (counters, gauges, and summaries with
-  // quantile lines). Metric names are sanitised to [a-zA-Z0-9_].
-  std::string ExportPrometheus(const std::string& prefix = "") const;
-
-  // Drops every instrument (invalidates outstanding references; tests only).
-  void ResetForTest();
 
  private:
   mutable std::mutex mu_;

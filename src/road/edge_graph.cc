@@ -11,22 +11,6 @@ uint64_t PairKey(size_t a, size_t b) {
 
 }  // namespace
 
-util::WeightedDigraph BuildStructuralEdgeGraph(const RoadNetwork& net) {
-  if (!net.finalized()) {
-    throw std::logic_error("BuildStructuralEdgeGraph: network not finalized");
-  }
-  util::WeightedDigraph graph(net.num_segments());
-  for (const auto& s : net.segments()) {
-    for (size_t next : net.OutSegments(s.to)) {
-      // Skip the immediate U-turn back onto the reverse carriageway; taxis
-      // essentially never do this mid-route and it pollutes the walks.
-      if (net.segment(next).to == s.from) continue;
-      graph.AddArc(s.id, next, 1.0);
-    }
-  }
-  return graph;
-}
-
 void EdgeGraphAccumulator::AddSequence(const RoadNetwork& net,
                                        std::span<const size_t> sequence) {
   for (size_t i = 0; i + 1 < sequence.size(); ++i) {
@@ -46,6 +30,8 @@ util::WeightedDigraph EdgeGraphAccumulator::Build(const RoadNetwork& net,
   util::WeightedDigraph graph(net.num_segments());
   for (const auto& s : net.segments()) {
     for (size_t next : net.OutSegments(s.to)) {
+      // Skip the immediate U-turn back onto the reverse carriageway; taxis
+      // essentially never do this mid-route and it pollutes the walks.
       if (net.segment(next).to == s.from) continue;
       const auto it = counts_.find(PairKey(s.id, next));
       const double co = it == counts_.end() ? 0.0 : it->second;

@@ -44,10 +44,6 @@ util::WeightedDigraph BuildEdgeGraph(
     const std::vector<std::vector<size_t>>& segment_sequences,
     double base_weight = 0.05);
 
-// Structural line graph only (all legal turns, unit weights) — used before
-// any trajectories exist.
-util::WeightedDigraph BuildStructuralEdgeGraph(const RoadNetwork& net);
-
 }  // namespace deepod::road
 
 #endif  // DEEPOD_ROAD_EDGE_GRAPH_H_

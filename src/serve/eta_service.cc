@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "serve/stats.h"
-
 namespace deepod::serve {
 namespace {
 
@@ -102,16 +100,6 @@ std::vector<double> EtaService::EstimateBatch(
   batches_.Add();
   batched_requests_.Add(ods.size());
   return out;
-}
-
-std::string EtaService::ExportJson() const {
-  StatsSources sources;
-  sources.service = this;
-  return ExportStatsJson(sources);
-}
-
-std::string EtaService::ExportPrometheus() const {
-  return registry_.ExportPrometheus(options_.registry_prefix);
 }
 
 }  // namespace deepod::serve

@@ -48,11 +48,9 @@ struct EtaServiceOptions {
 // "serve/" prefix — counters for requests/batches/swaps, a latency
 // histogram and an epoch gauge. The registry is per-instance (stats never
 // bleed between services) and always on, and it is the only copy: callers
-// read it through registry(). ExportJson() emits the shared BENCH-json
-// schema through serve::ExportStatsJson (stats.h) — the same entry point
-// the network server's stats frame and --stats-json use — and
-// ExportPrometheus() the text exposition format. Thread-safe; the model
-// must not be trained while the service is running.
+// read it through registry(), and a server exports it through
+// serve::CollectStats (stats.h). Thread-safe; the model must not be trained
+// while the service is running.
 class EtaService {
  public:
   EtaService(core::DeepOdModel& model, const EtaServiceOptions& options);
@@ -115,11 +113,6 @@ class EtaService {
 
   // --- Stats --------------------------------------------------------------
 
-  // {"hardware_concurrency": N, "records": [...]} over the serve/* metrics
-  // (serve::ExportStatsJson with this service as the only source).
-  std::string ExportJson() const;
-  // Prometheus text exposition of the serve/* metrics.
-  std::string ExportPrometheus() const;
   const obs::Registry& registry() const { return registry_; }
   const EtaServiceOptions& options() const { return options_; }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "serve/drift_monitor.h"
-#include "serve/eta_service.h"
 
 namespace deepod::serve {
 namespace {
@@ -21,8 +20,6 @@ void AppendRegistry(const obs::Registry* registry,
 std::vector<obs::Record> CollectStats(const StatsSources& sources) {
   std::vector<obs::Record> out;
   AppendRegistry(sources.server, out);
-  AppendRegistry(sources.service ? &sources.service->registry() : nullptr,
-                 out);
   AppendRegistry(sources.drift ? &sources.drift->registry() : nullptr, out);
   for (const obs::Registry* registry : sources.extra) {
     AppendRegistry(registry, out);

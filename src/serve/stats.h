@@ -9,18 +9,16 @@
 namespace deepod::serve {
 
 class DriftMonitor;
-class EtaService;
 
 // The serving stack's stat sources, each optional. One serving process has
 // the server front end's registry ("server/*" instruments), the fleet
 // router's ("fleet/*"), one EtaService registry per warm shard ("serve/*"
 // for a fleet of one, "serve/<city>/*" per manifest city) and the
 // DriftMonitor's ("drift/*"). Before this entry point existed each surface
-// concatenated its own subset, so `--stats-json`, the wire stats frame and
-// EtaService::ExportJson could disagree on schema and coverage.
+// concatenated its own subset, so `--stats-json` and the wire stats frame
+// could disagree on schema and coverage.
 struct StatsSources {
   const obs::Registry* server = nullptr;
-  const EtaService* service = nullptr;
   const DriftMonitor* drift = nullptr;
   // Additional registries merged into the same export — the fleet router
   // appends its own registry plus every warm shard's service registry
@@ -30,9 +28,9 @@ struct StatsSources {
 
 // Snapshot of every instrument across the non-null sources, merged and
 // name-sorted into the shared BENCH-json Record schema. This is THE stats
-// surface: the server's stats frame, `deepod_server --stats-json`, and
-// EtaService::ExportJson all render this one collection, so every consumer
-// sees the same records under the same names.
+// surface: the server's stats frame and `deepod_server --stats-json` both
+// render this one collection, so every consumer sees the same records under
+// the same names.
 std::vector<obs::Record> CollectStats(const StatsSources& sources);
 
 // CollectStats rendered as {"hardware_concurrency": N, "records": [...]}

@@ -88,33 +88,6 @@ void SplitTripsChronological(std::vector<traj::TripRecord> all,
   }
 }
 
-DatasetConfig ChengduDatasetConfig() {
-  DatasetConfig c;
-  c.city = road::ChengduSimConfig();
-  c.trips_per_day = 90;
-  c.num_days = 61;
-  c.seed = 1001;
-  return c;
-}
-
-DatasetConfig XianDatasetConfig() {
-  DatasetConfig c;
-  c.city = road::XianSimConfig();
-  c.trips_per_day = 55;
-  c.num_days = 61;
-  c.seed = 2002;
-  return c;
-}
-
-DatasetConfig BeijingDatasetConfig() {
-  DatasetConfig c;
-  c.city = road::BeijingSimConfig();
-  c.trips_per_day = 140;
-  c.num_days = 61;
-  c.seed = 3003;
-  return c;
-}
-
 DatasetStats ComputeStats(const Dataset& dataset) {
   DatasetStats stats;
   double time_sum = 0.0, seg_sum = 0.0, len_sum = 0.0;

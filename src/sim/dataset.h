@@ -75,12 +75,6 @@ void InitDatasetEnvironment(const DatasetConfig& config, Dataset* ds);
 void SplitTripsChronological(std::vector<traj::TripRecord> all,
                              size_t num_days, Dataset* ds);
 
-// The three benchmark datasets at laptop scale (relative sizes follow
-// Table 2: Chengdu > Xi'an; Beijing largest with the biggest network).
-DatasetConfig ChengduDatasetConfig();
-DatasetConfig XianDatasetConfig();
-DatasetConfig BeijingDatasetConfig();
-
 // Summary statistics used by the Table 2 bench.
 struct DatasetStats {
   size_t num_orders = 0;

@@ -905,8 +905,8 @@ TEST(UnifiedStats, MergesEverySourceNameSorted) {
   drift.Observe(10.0, 12.0);
 
   serve::StatsSources sources;
-  sources.service = &service;
   sources.drift = &drift;
+  sources.extra.push_back(&service.registry());
   const std::vector<obs::Record> records = serve::CollectStats(sources);
   ASSERT_FALSE(records.empty());
   bool saw_requests = false, saw_mae = false;
@@ -920,8 +920,7 @@ TEST(UnifiedStats, MergesEverySourceNameSorted) {
   EXPECT_TRUE(saw_requests);
   EXPECT_TRUE(saw_mae);
 
-  // Both renderings come from the same collection: the JSON document names
-  // every record the Prometheus exposition names.
+  // The JSON rendering names the records of the same collection.
   const std::string json = serve::ExportStatsJson(sources);
   EXPECT_NE(json.find("\"records\""), std::string::npos);
   EXPECT_NE(json.find("drift/rolling_mae"), std::string::npos);

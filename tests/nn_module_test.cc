@@ -165,20 +165,6 @@ TEST(TrafficCnnTest, OutputDim) {
   EXPECT_THROW(cnn.Forward(Tensor::Zeros({2, 3, 3})), std::invalid_argument);
 }
 
-TEST(OptimizerTest, SgdConvergesOnQuadratic) {
-  Tensor x = Tensor::FromData({2}, {5.0, -3.0});
-  x.set_requires_grad(true);
-  Sgd sgd({x}, 0.1);
-  for (int i = 0; i < 200; ++i) {
-    sgd.ZeroGrad();
-    Tensor loss = Sum(Square(x));
-    loss.Backward();
-    sgd.Step();
-  }
-  EXPECT_NEAR(x.data()[0], 0.0, 1e-6);
-  EXPECT_NEAR(x.data()[1], 0.0, 1e-6);
-}
-
 TEST(OptimizerTest, AdamConvergesOnIllConditionedQuadratic) {
   Tensor x = Tensor::FromData({2}, {5.0, -3.0});
   x.set_requires_grad(true);
@@ -198,22 +184,14 @@ TEST(OptimizerTest, ClipGradNorm) {
   Tensor x = Tensor::FromData({2}, {0.0, 0.0});
   x.set_requires_grad(true);
   x.mutable_grad() = {3.0, 4.0};  // norm 5
-  Sgd sgd({x}, 1.0);
-  const double pre = sgd.ClipGradNorm(2.5);
+  Adam adam({x}, 1.0);
+  const double pre = adam.ClipGradNorm(2.5);
   EXPECT_DOUBLE_EQ(pre, 5.0);
   EXPECT_NEAR(x.grad()[0], 1.5, 1e-12);
   EXPECT_NEAR(x.grad()[1], 2.0, 1e-12);
   // Below the threshold: untouched.
-  EXPECT_NEAR(sgd.ClipGradNorm(10.0), 2.5, 1e-12);
+  EXPECT_NEAR(adam.ClipGradNorm(10.0), 2.5, 1e-12);
   EXPECT_NEAR(x.grad()[0], 1.5, 1e-12);
-}
-
-TEST(OptimizerTest, StepDecaySchedule) {
-  StepDecaySchedule schedule(0.01, 0.2, 2);
-  EXPECT_DOUBLE_EQ(schedule.LearningRateForEpoch(0), 0.01);
-  EXPECT_DOUBLE_EQ(schedule.LearningRateForEpoch(1), 0.01);
-  EXPECT_DOUBLE_EQ(schedule.LearningRateForEpoch(2), 0.002);
-  EXPECT_NEAR(schedule.LearningRateForEpoch(4), 0.0004, 1e-12);
 }
 
 }  // namespace

@@ -151,29 +151,14 @@ TEST(OptimizerPropertyTest, AdamStepMagnitudeBounded) {
   }
 }
 
-TEST(OptimizerPropertyTest, ZeroGradZeroStepForSgd) {
+TEST(OptimizerPropertyTest, ZeroGradZeroStep) {
   Tensor p = Tensor::FromData({3}, {1.0, 2.0, 3.0});
   p.set_requires_grad(true);
-  Sgd sgd({p}, 0.5);
-  sgd.ZeroGrad();
-  sgd.Step();
+  p.mutable_grad() = {1.0, -2.0, 0.5};
+  Adam adam({p}, 0.5);
+  adam.ZeroGrad();
+  adam.Step();
   EXPECT_EQ(p.data(), (std::vector<double>{1.0, 2.0, 3.0}));
-}
-
-TEST(OptimizerPropertyTest, MomentumAcceleratesDescent) {
-  auto run = [](double momentum) {
-    Tensor x = Tensor::Scalar(10.0);
-    x.set_requires_grad(true);
-    Sgd sgd({x}, 0.01, momentum);
-    for (int i = 0; i < 50; ++i) {
-      sgd.ZeroGrad();
-      Tensor loss = Square(x);
-      loss.Backward();
-      sgd.Step();
-    }
-    return std::fabs(x.item());
-  };
-  EXPECT_LT(run(0.9), run(0.0));
 }
 
 // --- Determinism -------------------------------------------------------------

@@ -264,7 +264,7 @@ TEST(SpatialIndexTest, NearestAgreesWithBruteForce) {
 
 TEST(EdgeGraphTest, StructuralLineGraph) {
   const RoadNetwork net = TinyNetwork();
-  const auto graph = BuildStructuralEdgeGraph(net);
+  const auto graph = BuildEdgeGraph(net, {});
   EXPECT_EQ(graph.num_nodes(), net.num_segments());
   EXPECT_TRUE(graph.HasArc(0, 1));   // e0 ends where e1 starts
   EXPECT_FALSE(graph.HasArc(1, 0));  // not in reverse
@@ -277,7 +277,7 @@ TEST(EdgeGraphTest, UTurnArcsExcluded) {
   const size_t fwd = net.AddSegment(0, 1, 5.0, RoadClass::kLocal);
   const size_t rev = net.AddSegment(1, 0, 5.0, RoadClass::kLocal);
   net.Finalize();
-  const auto graph = BuildStructuralEdgeGraph(net);
+  const auto graph = BuildEdgeGraph(net, {});
   EXPECT_FALSE(graph.HasArc(fwd, rev));
 }
 

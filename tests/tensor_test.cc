@@ -93,15 +93,6 @@ TEST(TensorTest, DiamondGraphGradient) {
   EXPECT_DOUBLE_EQ(x.grad()[0], 5.0);
 }
 
-TEST(TensorTest, DetachCutsGraph) {
-  Tensor x = Tensor::Scalar(2.0);
-  x.set_requires_grad(true);
-  Tensor mid = Mul(x, x).Detach();
-  Tensor y = Scale(mid, 3.0);
-  y.Backward();
-  EXPECT_DOUBLE_EQ(x.grad()[0], 0.0);  // no gradient flows through detach
-}
-
 TEST(TensorTest, DeepChainBackwardNoStackOverflow) {
   // 10k-op chain exercises the iterative topological sort.
   Tensor x = Tensor::Scalar(1.0);

@@ -4,6 +4,8 @@
 //    before it (AcquireBuffer callers overwrite every element);
 //  - a fixed num_threads > 1 must be deterministic run-to-run;
 //  - one worker must match the per-sample reference trainer bit for bit;
+//  - one model state must score the same validation MAE at every thread
+//    count;
 //  - the Affine, Conv2d and fused LSTM kernels must pass finite-difference
 //    gradient checks (odd sizes so the unrolled tails are exercised), and
 //    the fused LSTM cell must match the composed-op recurrence.
@@ -179,6 +181,36 @@ TEST(TrainerParallelTest, OneWorkerMatchesReference) {
     EXPECT_EQ(std::memcmp(it->payload.data(), e.data, e.size * sizeof(double)),
               0)
         << e.name;
+  }
+}
+
+// --- validation depends on the weights alone --------------------------------
+
+// One model state, scored by trainers at 1, 2, 3 and 4 threads: PredictBatch
+// answers the same for any chunking and ValidationMae sums the errors in
+// index order, so every thread count reads the same MAE bit for bit.
+TEST(TrainerParallelTest, ValidationMaeIsThreadInvariant) {
+  std::vector<uint8_t> state;
+  std::vector<double> maes;
+  for (size_t threads = 1; threads <= 4; ++threads) {
+    core::DeepOdConfig config = TinyConfig(threads);
+    config.road_init = core::RoadInit::kOneHot;  // no embedding pre-training
+    config.time_init = core::TimeInit::kOneHot;
+    core::DeepOdModel model(config, TinyDataset());
+    nn::StateDict dict = model.State();
+    if (state.empty()) {
+      state = nn::SerializeStateDict(dict);
+    } else {
+      ASSERT_TRUE(nn::DeserializeStateDict(state, dict).ok());
+    }
+    core::DeepOdTrainer trainer(model, TinyDataset());
+    ASSERT_EQ(trainer.num_threads(), threads);
+    maes.push_back(trainer.ValidationMae(TinyDataset().validation.size()));
+  }
+  ASSERT_GT(maes[0], 0.0);
+  for (size_t i = 1; i < maes.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&maes[0], &maes[i], sizeof(double)), 0)
+        << (i + 1) << " threads: " << maes[i] << " vs " << maes[0];
   }
 }
 

@@ -9,8 +9,12 @@
 //                         compared bit-for-bit (deepod_loadgen --golden)
 //   <out>/model.<mode>.artifact  (--quant MODE) the same artifact with its
 //                         eligible weights stored quantised (fp16 or int8,
-//                         serialize-v3); replay it with deepod_loadgen
+//                         state-dict v4); replay it with deepod_loadgen
 //                         --golden --tolerance, not bit-for-bit
+//   <out>/deepod_metrics.json  (DEEPOD_OBS=metrics or trace) the global
+//                         registry in the BENCH-json record schema: the
+//                         trainer's span histograms and its thread-count
+//                         and gradient-arena gauges
 //   <out>/deepod_trace.json  (DEEPOD_OBS=trace) the trainer's epoch,
 //                         forward/backward, optimizer and validation spans
 //                         as a Chrome trace (chrome://tracing, Perfetto)
@@ -342,14 +346,25 @@ int main(int argc, char** argv) {
   const double best_mae = trainer.Train();
   std::printf("trained %d epoch(s), %zu steps, validation MAE %.3f s\n",
               config.epochs, trainer.steps_taken(), best_mae);
+  if (obs::MetricsEnabled()) {
+    const std::string metrics_path = args.out + "/deepod_metrics.json";
+    const std::vector<obs::Record> records = obs::Registry::Global().Export();
+    if (!obs::WriteRecordsJson(metrics_path, records)) {
+      std::fprintf(stderr, "cannot write %s\n", metrics_path.c_str());
+      return 1;
+    }
+    std::printf("metrics:  %s (%zu records)\n", metrics_path.c_str(),
+                records.size());
+  }
   if (obs::TraceEnabled()) {
     const std::string trace_path = args.out + "/deepod_trace.json";
     if (!obs::WriteTraceJson(trace_path)) {
       std::fprintf(stderr, "cannot write %s\n", trace_path.c_str());
       return 1;
     }
-    std::printf("trace:    %s (%zu events)\n", trace_path.c_str(),
-                obs::TraceEventCount());
+    std::printf("trace:    %s (%zu events, %" PRIu64 " dropped)\n",
+                trace_path.c_str(), obs::TraceEventCount(),
+                obs::TraceDroppedCount());
   }
 
   if (!args.checkpoint.empty()) {

@@ -2,9 +2,10 @@
 """Validate the shared BENCH-json record schema.
 
 Every machine-readable measurement file in this repo uses one schema,
-emitted either by bench::WriteBenchJson / the bench_nn_micro collector or
-by obs::Registry export (deepod_server --stats-json and its stats frame,
-deepod_loadgen --json). Bench emitters: BENCH_table5.json
+obs::Record rendered by obs::RenderRecordsJson: the bench emitters, and
+obs::Registry exports (deepod_server --stats-json and its stats frame,
+deepod_loadgen --json, deepod_train's deepod_metrics.json under
+DEEPOD_OBS=metrics or trace). Bench emitters: BENCH_table5.json
 (bench_table5_efficiency), BENCH_datagen.json (bench_datagen's data-plane
 records), BENCH_table6.json (bench_table6_scalability: per-(method,
 fraction) records with wall_seconds = training time and value = test
