@@ -103,11 +103,6 @@ double DeepOdTrainer::ValidationMae(size_t max_samples) {
 
 void DeepOdTrainer::AccumulateBatch(size_t pos, size_t batch_n, size_t bs) {
   const size_t tasks = std::min(num_threads(), batch_n);
-  obs::Gauge* queue_depth = nullptr;
-  if (obs::MetricsEnabled()) {
-    queue_depth = &obs::Registry::Global().gauge("trainer/pool/queue_depth");
-    queue_depth->Set(static_cast<double>(tasks));
-  }
   pool_.ParallelFor(tasks, [&](size_t w) {
     const auto [begin, end] = util::ThreadPool::ChunkRange(batch_n, tasks, w);
     // All shared-parameter gradient writes of this chunk land in arena `w`;
@@ -130,7 +125,6 @@ void DeepOdTrainer::AccumulateBatch(size_t pos, size_t batch_n, size_t bs) {
     for (const auto& rec : bn_logs_[w]) rec.bn->ApplyMomentumUpdate(rec.mu, rec.var);
     bn_logs_[w].clear();
   }
-  if (queue_depth != nullptr) queue_depth->Set(0.0);
 }
 
 double DeepOdTrainer::TrainPrefix(int end_epoch, const StepCallback& callback,

@@ -15,12 +15,11 @@
 namespace deepod::io {
 namespace {
 
-// v1: version + config.* + model.* + optional speed.*.
-// v2: adds artifact.network_id and the optional oracle.* / linkmean.*
-// fallback-estimator blocks. v1 artifacts still load (network_id 0, no
-// fallback estimators); new artifacts are always written as v2.
+// The one entry layout written and read: artifact.network_id, then
+// config.* + model.* + optional speed.* (model artifacts) and the optional
+// oracle.* / linkmean.* fallback-estimator blocks. Version 1 (no
+// network_id, no fallback blocks) is retired and reads as kBadVersion.
 constexpr double kArtifactVersion = 2.0;
-constexpr double kMinArtifactVersion = 1.0;
 
 // The config snapshot as (field name, value) pairs. Enum fields are stored
 // as their integer values; the seed is stored as a double (exact below
@@ -164,17 +163,15 @@ class ArtifactRecords {
   std::vector<nn::TensorRecord> records_;
 };
 
-// Checks artifact.version against [min_version, kArtifactVersion] and
-// returns artifact.network_id (0 when absent).
-uint32_t ReadHeader(const ArtifactRecords& in, double min_version) {
+// Checks that artifact.version is kArtifactVersion and returns the
+// required artifact.network_id.
+uint32_t ReadHeader(const ArtifactRecords& in) {
   const double version = in.Raw("artifact.version");
-  if (!(version >= min_version && version <= kArtifactVersion) ||
-      version != std::floor(version)) {
+  if (version != kArtifactVersion) {
     throw nn::SerializeError(nn::LoadStatus::Error(
         nn::LoadErrorKind::kBadVersion,
         "unsupported artifact version " + Num(version), "artifact.version"));
   }
-  if (in.Find("artifact.network_id") == nullptr) return 0;
   return static_cast<uint32_t>(
       in.Integer("artifact.network_id", 0.0, 4294967295.0));
 }
@@ -456,7 +453,7 @@ ServingModel LoadModelArtifact(const std::string& path,
   // Every scalar that sizes an allocation or reaches a constructor is
   // validated here, before the model, the arena or an estimator exists.
   ServingModel out;
-  out.network_id = ReadHeader(in, kMinArtifactVersion);
+  out.network_id = ReadHeader(in);
   out.config = ReadConfig(in, network);
   const bool has_speed = in.Find("speed.rows") != nullptr;
   SpeedEntries speed_entries;
@@ -477,9 +474,7 @@ ServingModel LoadModelArtifact(const std::string& path,
   double version_staging = 0.0;
   dict.AddScalarBuffer("artifact.version", &version_staging);
   double network_id_staging = 0.0;
-  if (in.Find("artifact.network_id") != nullptr) {
-    dict.AddScalarBuffer("artifact.network_id", &network_id_staging);
-  }
+  dict.AddScalarBuffer("artifact.network_id", &network_id_staging);
   auto config_fields = ConfigFields(out.config);
   for (auto& [name, value] : config_fields) {
     dict.AddScalarBuffer(std::string("config.") + name, &value);
@@ -529,7 +524,7 @@ OracleBundle LoadOracleArtifact(const std::string& path) {
   const ArtifactRecords in(path);
 
   OracleBundle out;
-  out.network_id = ReadHeader(in, 2.0);
+  out.network_id = ReadHeader(in);
   PrepareFallbacks(in, out.oracle, out.link_mean);
 
   nn::StateDict dict;

@@ -18,17 +18,17 @@ namespace deepod::io {
 // nn/serialize format) holding everything serving needs besides the road
 // network itself:
 //
-//   artifact.version     format generation of the entry layout (currently 2;
-//                        version-1 artifacts still load — they simply lack
-//                        the entries below this line)
+//   artifact.version     format generation of the entry layout: 2, the one
+//                        version written and read (a version-1 artifact,
+//                        which lacks network_id, reads as kBadVersion)
 //   artifact.network_id  fleet routing id of the network the model was
-//                        trained on (v2; absent in v1 = id 0)
+//                        trained on
 //   config.*             one scalar per DeepOdConfig field
 //   model.*              every parameter, BatchNorm buffer and the time scale
 //   speed.*              the frozen speed field (optional: rows/cols/
 //                        snapshot_seconds scalars, snapshot indices, matrices)
-//   oracle.*             the OD-histogram fallback oracle (optional, v2)
-//   linkmean.*           the link-mean PathTTE fallback (optional, v2)
+//   oracle.*             the OD-histogram fallback oracle (optional)
+//   linkmean.*           the link-mean PathTTE fallback (optional)
 //
 // LoadModelArtifact reconstructs a predict-only DeepOdModel from the
 // artifact plus a road network alone — no training dataset, traffic process
@@ -62,10 +62,10 @@ struct ServingModel {
   // The mode the artifact's weight records were stored in (kNone for a
   // plain fp64 artifact).
   nn::QuantMode quant = nn::QuantMode::kNone;
-  // Fleet routing id the artifact was written for (0 for v1 artifacts).
+  // Fleet routing id the artifact was written for.
   uint32_t network_id = 0;
-  // Fallback estimators, when the artifact carries them (v2; null
-  // otherwise). Independent of `model` — safe to move out.
+  // Fallback estimators, when the artifact carries them (null otherwise).
+  // Independent of `model` — safe to move out.
   std::unique_ptr<baselines::OdOracle> oracle;
   std::unique_ptr<baselines::LinkMeanEstimator> link_mean;
 };

@@ -292,7 +292,7 @@ nn::LoadStatus TripStoreReader::Index(const std::string& path) {
     return LoadStatus::Error(LoadErrorKind::kBadMagic,
                              "trip_store: " + path + " is not a trip store");
   }
-  if (version != kTripStoreVersion && version != kTripStoreVersionFnv) {
+  if (version != kTripStoreVersion) {
     return LoadStatus::Error(
         LoadErrorKind::kBadVersion,
         "trip_store: " + path + " has unsupported version " +
@@ -320,11 +320,7 @@ nn::LoadStatus TripStoreReader::Index(const std::string& path) {
   }
   uint64_t stored = 0;
   std::memcpy(&stored, base_ + l.checksum, 8);
-  const uint64_t computed =
-      version == kTripStoreVersion
-          ? nn::Xxh64::Hash(base_, l.checksum)
-          : nn::Fnv1a64(nn::kFnv1a64Offset, base_, l.checksum);
-  if (stored != computed) {
+  if (stored != nn::Xxh64::Hash(base_, l.checksum)) {
     return LoadStatus::Error(LoadErrorKind::kBadChecksum,
                              "trip_store: " + path + " checksum mismatch");
   }

@@ -21,7 +21,7 @@ namespace deepod::io {
 // aligned; `n` trips, `m` total route elements):
 //
 //   u32  magic       0xd33b7301 ("deepod trip store, generation 1")
-//   u32  version     2 (1 is legacy, still read)
+//   u32  version     2
 //   u64  n           number of trips
 //   u64  m           total path elements across all trips
 //   fixed-width column blocks, in this order:
@@ -37,14 +37,12 @@ namespace deepod::io {
 //     u32  seg[m]                 (padded to 8 bytes)
 //     f64  enter[m]
 //     f64  exit[m]
-//   u64  checksum of every preceding byte: XXH64 (seed 0) in version 2,
-//        FNV-1a 64 in version 1 (nn/checksum.h)
+//   u64  checksum of every preceding byte: XXH64, seed 0 (nn/checksum.h)
 //
 // Version policy (as for state dicts, nn/serialize.h): every store is
-// written as version 2; version 1 differs only in its checksum and keeps
-// loading, so corpora written before version 2 need no rebuild. The reader
-// picks the checksum from the version field and hashes the mapped bytes in
-// one pass.
+// written and read as version 2, and the reader hashes the mapped bytes in
+// one pass. The retired version 1 (the same layout sealed with FNV-1a 64)
+// reads as kBadVersion; such a corpus is regenerated.
 //
 // The format reuses the nn/serialize typed-error vocabulary (LoadStatus /
 // LoadErrorKind / SerializeError): bad magic, bad version, truncation,
@@ -55,8 +53,6 @@ namespace deepod::io {
 
 inline constexpr uint32_t kTripStoreMagic = 0xd33b7301u;
 inline constexpr uint32_t kTripStoreVersion = 2;
-// The legacy FNV-1a-sealed version, still read.
-inline constexpr uint32_t kTripStoreVersionFnv = 1;
 // u32 encoding of road::kInvalidId segment ids.
 inline constexpr uint32_t kTripStoreInvalidSeg = 0xFFFFFFFFu;
 

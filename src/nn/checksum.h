@@ -6,16 +6,14 @@
 
 namespace deepod::nn {
 
-// The checksums that seal the repo's binary formats: a state-dict stream
-// (nn/serialize.h) and a columnar .trips file (io/trip_store.h). Each
-// format's version field picks one.
+// The checksum that seals the repo's binary formats: a state-dict stream
+// (nn/serialize.h) and a columnar .trips file (io/trip_store.h).
 
 // XXH64 with seed 0, exactly as the xxHash specification defines it
 // (https://github.com/Cyan4973/xxHash/blob/dev/doc/xxhash_spec.md): four
 // independent 64-bit lanes consume 32-byte stripes with a rotate-multiply
 // round, and a short tail buffer holds what does not fill a stripe yet, so
-// any chunking of a stream gives the same digest. Seals state-dict v4 and
-// .trips v2.
+// any chunking of a stream gives the same digest.
 class Xxh64 {
  public:
   // Folds `size` bytes into the running state.
@@ -39,19 +37,6 @@ class Xxh64 {
   uint8_t tail_[32] = {};
   size_t tail_size_ = 0;
 };
-
-// FNV-1a 64: one xor and one multiply per byte, a serial dependency chain
-// (~1.8 ms/MB on a 4-vCPU x86 host, 13x XXH64's cost). Seals the legacy
-// state-dict v2/v3 and .trips v1 files, which stay readable. Folds `size`
-// bytes into the running hash `h`; start from kFnv1a64Offset.
-inline constexpr uint64_t kFnv1a64Offset = 0xcbf29ce484222325ull;
-inline uint64_t Fnv1a64(uint64_t h, const uint8_t* data, size_t size) {
-  for (size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 }  // namespace deepod::nn
 

@@ -16,12 +16,6 @@ namespace deepod::nn {
 namespace {
 
 constexpr uint32_t kMagic = 0xd33b0d02;  // "deepod" format v2+
-// The one version written: any dtype mix, sealed with XXH64.
-constexpr uint32_t kVersion = 4;
-// Legacy versions, still read: all-f64 records (v2) and records that may be
-// f16/int8 (v3), both sealed with FNV-1a 64.
-constexpr uint32_t kVersionF64 = 2;
-constexpr uint32_t kVersionQuant = 3;
 
 // Dtype a quantising write stores this entry as (f64 unless the quant mode
 // applies and the entry is weight-quantisation eligible).
@@ -199,7 +193,7 @@ class ByteSink {
 // stored dtype, then the digest.
 void EncodeStateDict(const StateDict& state, QuantMode quant, ByteSink& out) {
   out.WritePod(kMagic);
-  out.WritePod(kVersion);
+  out.WritePod(kStateDictVersion);
   out.WritePod(static_cast<uint64_t>(state.size()));
   for (const auto& e : state.entries()) {
     out.WritePod(static_cast<uint32_t>(e.name.size()));
@@ -268,9 +262,9 @@ namespace {
 // caller's destination and only then folds them into the stream's
 // checksum, so the checksum covers exactly the bytes handed out: a file
 // rewritten under a load fails the checksum (or the framing) instead of
-// passing a torn mix of old and new bytes to the decode. The version picks
-// the checksum, so nothing is folded until StartChecksum names it. Reads
-// never go past size(), the stream size taken when the source was opened.
+// passing a torn mix of old and new bytes to the decode. Every byte from
+// the first is folded into XXH64. Reads never go past size(), the stream
+// size taken when the source was opened.
 class ByteSource {
  public:
   explicit ByteSource(const std::vector<uint8_t>& buffer)
@@ -287,15 +281,7 @@ class ByteSource {
   size_t offset() const { return offset_; }
   bool io_error() const { return io_error_; }
 
-  // Chooses the checksum (XXH64, or the legacy FNV-1a 64) and folds the
-  // `header` bytes that were read before the version named it.
-  void StartChecksum(bool xxh64, const void* header, size_t n) {
-    checksum_ = xxh64 ? Checksum::kXxh64 : Checksum::kFnv1a64;
-    Fold(static_cast<const uint8_t*>(header), n);
-  }
-  uint64_t digest() const {
-    return checksum_ == Checksum::kXxh64 ? xxh64_.Digest() : fnv_;
-  }
+  uint64_t digest() const { return hash_.Digest(); }
 
   bool Read(void* dst, size_t n) {
     if (n > size_ - offset_) return false;
@@ -316,7 +302,7 @@ class ByteSource {
         if (window_end_ == 0) return false;
         continue;
       }
-      Fold(d, got);
+      hash_.Update(d, got);
       offset_ += got;
       d += got;
       n -= got;
@@ -332,16 +318,6 @@ class ByteSource {
   }
 
  private:
-  enum class Checksum { kPending, kFnv1a64, kXxh64 };
-
-  void Fold(const uint8_t* p, size_t n) {
-    if (checksum_ == Checksum::kXxh64) {
-      xxh64_.Update(p, n);
-    } else if (checksum_ == Checksum::kFnv1a64) {
-      fnv_ = Fnv1a64(fnv_, p, n);
-    }
-  }
-
   // One read(2), retried on EINTR; 0 at end of file, on an error and for
   // an in-memory buffer.
   size_t ReadSome(uint8_t* dst, size_t n) {
@@ -356,9 +332,7 @@ class ByteSource {
 
   size_t size_;
   size_t offset_ = 0;
-  Checksum checksum_ = Checksum::kPending;
-  Xxh64 xxh64_;
-  uint64_t fnv_ = kFnv1a64Offset;
+  Xxh64 hash_;
   int fd_ = -1;
   std::unique_ptr<uint8_t[]> owned_;
   const uint8_t* window_;
@@ -373,8 +347,7 @@ bool ReadPod(ByteSource& in, T* value) {
 }
 
 // The framing parser (see IndexStateDict).
-LoadStatus ParseStateDict(ByteSource& in, std::vector<TensorRecord>* out,
-                          uint32_t* version_out) {
+LoadStatus ParseStateDict(ByteSource& in, std::vector<TensorRecord>* out) {
   out->clear();
   uint32_t magic = 0;
   if (!ReadPod(in, &magic)) return Truncated("header");
@@ -384,17 +357,12 @@ LoadStatus ParseStateDict(ByteSource& in, std::vector<TensorRecord>* out,
   }
   uint32_t version = 0;
   if (!ReadPod(in, &version)) return Truncated("header");
-  if (version != kVersion && version != kVersionQuant &&
-      version != kVersionF64) {
+  if (version != kStateDictVersion) {
     return LoadStatus::Error(
         LoadErrorKind::kBadVersion,
         "unsupported state-dict version " + std::to_string(version) +
-            " (reader supports " + std::to_string(kVersionF64) + " to " +
-            std::to_string(kVersion) + ")");
+            " (reader supports " + std::to_string(kStateDictVersion) + ")");
   }
-  if (version_out != nullptr) *version_out = version;
-  const uint32_t header[2] = {magic, version};
-  in.StartChecksum(version == kVersion, header, sizeof(header));
   uint64_t count = 0;
   if (!ReadPod(in, &count)) return Truncated("header");
   if (in.size() < in.offset() + sizeof(uint64_t)) return Truncated("checksum");
@@ -409,18 +377,12 @@ LoadStatus ParseStateDict(ByteSource& in, std::vector<TensorRecord>* out,
     rec.name.resize(name_len);
     if (!in.Read(rec.name.data(), name_len)) return Truncated("record name");
     if (!ReadPod(in, &rec.dtype)) return Truncated("record " + rec.name);
-    // Quantised dtypes are only legal past the version bump that introduced
-    // them — a v2 file carrying one was written by a broken producer.
-    const bool dtype_ok =
-        rec.dtype == kDtypeF64 ||
-        (version != kVersionF64 &&
-         (rec.dtype == kDtypeF16 || rec.dtype == kDtypeI8));
-    if (!dtype_ok) {
+    if (rec.dtype != kDtypeF64 && rec.dtype != kDtypeF16 &&
+        rec.dtype != kDtypeI8) {
       return LoadStatus::Error(
           LoadErrorKind::kBadDtype,
           "tensor '" + rec.name + "' has unknown dtype tag " +
-              std::to_string(static_cast<int>(rec.dtype)) + " for version " +
-              std::to_string(version),
+              std::to_string(static_cast<int>(rec.dtype)),
           rec.name);
     }
     uint32_t ndim = 0;
@@ -473,11 +435,11 @@ LoadStatus ParseStateDict(ByteSource& in, std::vector<TensorRecord>* out,
 LoadStatus IndexStateDict(const std::vector<uint8_t>& buffer,
                           std::vector<TensorRecord>* out) {
   ByteSource in(buffer);
-  return ParseStateDict(in, out, nullptr);
+  return ParseStateDict(in, out);
 }
 
 LoadStatus ReadStateDict(const std::string& path,
-                         std::vector<TensorRecord>* out, uint32_t* version) {
+                         std::vector<TensorRecord>* out) {
   // Closes the file on every return path.
   struct File {
     explicit File(int fd) : fd(fd) {}
@@ -493,7 +455,7 @@ LoadStatus ReadStateDict(const std::string& path,
     return LoadStatus::Error(LoadErrorKind::kIoError, "cannot open " + path);
   }
   ByteSource in(file.fd, static_cast<size_t>(st.st_size));
-  const LoadStatus status = ParseStateDict(in, out, version);
+  const LoadStatus status = ParseStateDict(in, out);
   if (in.io_error()) {
     return LoadStatus::Error(LoadErrorKind::kIoError, "cannot read " + path);
   }

@@ -12,8 +12,8 @@
 
 namespace deepod::nn {
 
-// (De)serialisation of model state in the tagged state-dict format (v4;
-// v2 and v3 are still read), the one on-disk contract. Self-describing: a
+// (De)serialisation of model state in the tagged state-dict format (v4),
+// the one on-disk contract. Self-describing: a
 // magic/version header, one record per tensor holding its *name*, dtype,
 // shape and payload, and a trailing checksum over the whole stream. A load
 // is one sequential pass that frames the stream, checksums it and lands
@@ -25,10 +25,9 @@ namespace deepod::nn {
 // positional format (v1, magic 0xd33b0d01) is rejected as kBadMagic like
 // any other foreign stream. See DESIGN.md, "Model lifecycle".
 //
-// Byte layout (all integers little-endian; v2, v3 and v4 differ only in
-// the version field, the dtypes allowed and the checksum):
+// Byte layout (all integers little-endian):
 //   u32  magic      0xd33b0d02 ("deepod" format, generation 2)
-//   u32  version    4 (2 and 3 are legacy, still read)
+//   u32  version    4
 //   u64  entry count
 //   per entry:
 //     u32  name length, then that many name bytes (UTF-8, no NUL)
@@ -38,19 +37,13 @@ namespace deepod::nn {
 //       f64  — f64 data[product(dims)]
 //       f16  — u16 half-float data[product(dims)]
 //       int8 — f64 scales[dims[0]] then i8 quantised data[product(dims)]
-//   u64  checksum of every preceding byte: XXH64 (seed 0) in v4, FNV-1a 64
-//        in v2/v3 (nn/checksum.h)
+//   u64  checksum of every preceding byte: XXH64, seed 0 (nn/checksum.h)
 //
-// Version policy (CONTRIBUTING.md: keep a reader for every version ever
-// written, bump the version when the framing changes): every file is
-// written as version 4, whatever its dtype mix. The reader dispatches on
-// the version: v4 may carry any dtype and is verified with XXH64; v3 (may
-// carry f16/int8) and v2 (all-f64; a quantised record there is kBadDtype)
-// are verified with FNV-1a 64, so files written before v4 keep loading.
-// Old readers reject a v4 file as kBadVersion rather than misread it, and
-// a v4 stream relabelled as v3 fails the FNV check (kBadChecksum). The
-// header bytes are folded into the checksum once the version has chosen
-// it, so the checksum still covers every byte before it.
+// Version policy (CONTRIBUTING.md): every file is written as version 4,
+// whatever its dtype mix, and version 4 is the only one read. A change to
+// the framing bumps the version and retires the old reader; files in the
+// retired versions (the FNV-1a-sealed v2 and v3) read as kBadVersion and
+// are rebuilt from their source.
 
 // --- Typed load errors -------------------------------------------------------
 
@@ -104,6 +97,10 @@ class SerializeError : public std::runtime_error {
 const LoadStatus& ThrowIfError(const LoadStatus& status);
 
 // --- Tagged state-dict format -----------------------------------------------
+
+// The one format version written and read (see the byte-layout comment
+// above).
+inline constexpr uint32_t kStateDictVersion = 4;
 
 // Record dtype tags (see the byte-layout comment above).
 inline constexpr uint8_t kDtypeF64 = 1;
@@ -179,13 +176,12 @@ LoadStatus DeserializeStateDict(const std::vector<TensorRecord>& records,
 
 // The framing parser: one sequential pass over a byte source that frames
 // every record, copies its payload into the record and folds each chunk
-// into the checksum the version names (XXH64 for v4, FNV-1a 64 for v2/v3)
-// as it lands, so the checksum covers exactly the bytes later decoded. Errors come in stream order: framing (kBadMagic,
+// into XXH64 as it lands, so the checksum covers exactly the bytes later
+// decoded. Errors come in stream order: framing (kBadMagic,
 // kBadVersion, kTruncated, kBadDtype), then kTrailingBytes, then
 // kBadChecksum. Before a record's name, dims or payload is allocated, its
 // size is overflow-checked against the bytes the stream has left, so
-// allocation is bounded by the stream size. Quantised dtypes are accepted
-// in version-3 and version-4 streams, never in version 2.
+// allocation is bounded by the stream size.
 //
 // IndexStateDict parses an in-memory buffer (tests and the two-argument
 // DeserializeStateDict).
@@ -198,13 +194,11 @@ LoadStatus IndexStateDict(const std::vector<uint8_t>& buffer,
 // still holds and reads the rest straight into its record. A file that
 // shrinks or grows while it is read is kTruncated or kTrailingBytes, and a
 // same-size rewrite fails the checksum — never a torn record table. Open
-// and read failures are kIoError. `version`, when given, receives the
-// stream's format version. Every file loader (LoadStateDict, the artifact
-// loaders, deepod_inspect) reads through it.
+// and read failures are kIoError. Every file loader (LoadStateDict, the
+// artifact loaders, deepod_inspect) reads through it.
 inline constexpr size_t kReadWindowBytes = size_t{64} << 10;
 LoadStatus ReadStateDict(const std::string& path,
-                         std::vector<TensorRecord>* out,
-                         uint32_t* version = nullptr);
+                         std::vector<TensorRecord>* out);
 
 // On-disk payload size of a record, in bytes (dtype-dependent; the int8
 // payload carries dims[0] f64 scales before the quantised bytes).

@@ -403,23 +403,12 @@ uint64_t PlainXxh64(const uint8_t* p, size_t size) {
   return acc ^ (acc >> 32);
 }
 
-// The format's trailing checksum, recomputed independently of nn/serialize
-// so a patched file passes the integrity check and reaches the value checks
-// behind it. The version field picks it, as the reader does: FNV-1a 64 for
-// the legacy versions 2 and 3, XXH64 otherwise.
+// The format's trailing XXH64 checksum, recomputed independently of
+// nn/serialize so a patched file passes the integrity check and reaches the
+// value checks behind it.
 void Rechecksum(std::vector<uint8_t>& bytes) {
   const size_t body = bytes.size() - sizeof(uint64_t);
-  uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + 4, sizeof(version));
-  uint64_t h = 0xcbf29ce484222325ull;
-  if (version == 2 || version == 3) {
-    for (size_t i = 0; i < body; ++i) {
-      h ^= bytes[i];
-      h *= 0x100000001b3ull;
-    }
-  } else {
-    h = PlainXxh64(bytes.data(), body);
-  }
+  const uint64_t h = PlainXxh64(bytes.data(), body);
   std::memcpy(bytes.data() + body, &h, sizeof(h));
 }
 
@@ -578,6 +567,7 @@ TEST(ArtifactTest, HostileScalarsAreTypedErrorsNamingTheField) {
       {"artifact.version", 0, std::nan(""), K::kBadVersion,
        "artifact.version"},
       {"artifact.version", 0, 1.5, K::kBadVersion, "artifact.version"},
+      {"artifact.version", 0, 1.0, K::kBadVersion, "artifact.version"},
       {"artifact.network_id", 0, -1.0, K::kBadValue, "artifact.network_id"},
   };
   for (const Case& c : cases) {

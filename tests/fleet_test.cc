@@ -499,7 +499,7 @@ TEST_F(FleetTest, HotSwapRefusesAnArtifactStampedForAnotherCity) {
 
 TEST_F(FleetTest, FleetOfOneRefusesAHotSwapStampedForAnotherCity) {
   // A single-city deployment of city a: its startup artifact carries
-  // network_id 1, so a later artifact must carry 1 (or none) as well.
+  // network_id 1, so a later artifact must carry 1 (or 0, unstamped) as well.
   const std::string watched = *root_ + "/one.model.artifact";
   const auto publish = [&watched](const std::string& src) {
     const std::string tmp = watched + ".tmp";

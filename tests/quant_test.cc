@@ -3,8 +3,8 @@
 //
 //  - the f16 codec (round-to-nearest-even, denormals, overflow) and the
 //    per-row absmax int8 codec;
-//  - quantised state-dict round trips, the all-f64 kNone stream and the
-//    "no quant dtypes in v2" negative case;
+//  - quantised state-dict round trips, the all-f64 kNone stream and an
+//    unknown dtype tag rejected as bad_dtype;
 //  - end-to-end artifact MAE budgets: predictions from fp16/int8 artifacts
 //    vs the fp64 goldens across batch sizes and thread counts, and an
 //    EtaService serving an int8 artifact.
@@ -221,22 +221,23 @@ TEST(SerializeQuantTest, QuantRoundTripDequantisesExactly) {
   }
 }
 
-TEST(SerializeQuantTest, QuantDtypeRejectedInVersion2) {
+TEST(SerializeQuantTest, UnknownDtypeTagRejected) {
   QuantDictFixture src;
   std::vector<uint8_t> bytes =
       nn::SerializeStateDict(src.Dict(), QuantMode::kFp16);
-  ASSERT_EQ(BufferVersion(bytes), 4u);
-  // Forge the version back to 2 and re-seal the checksum as v2 streams are
-  // sealed: a conforming v2 reader must reject the f16 record as a bad
-  // dtype, not misparse it.
-  bytes[4] = 2;
-  uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a 64
-  for (size_t i = 0; i + 8 < bytes.size(); ++i) {
-    h ^= bytes[i];
-    h *= 0x100000001b3ull;
-  }
-  std::memcpy(bytes.data() + bytes.size() - 8, &h, 8);
   std::vector<nn::TensorRecord> records;
+  ASSERT_TRUE(nn::IndexStateDict(bytes, &records).ok());
+  const nn::TensorRecord* wrec = nullptr;
+  for (const auto& r : records) {
+    if (r.dtype == nn::kDtypeF16) wrec = &r;
+  }
+  ASSERT_NE(wrec, nullptr);
+  // The dtype byte precedes the u32 ndim and the u64 dims. Tag 4 names no
+  // dtype; re-sealed, the stream reaches the framing check, which must
+  // reject the record as a bad dtype, not misparse it.
+  bytes[wrec->payload_offset - 8 * wrec->shape.size() - 4 - 1] = 4;
+  const uint64_t h = nn::Xxh64::Hash(bytes.data(), bytes.size() - 8);
+  std::memcpy(bytes.data() + bytes.size() - 8, &h, 8);
   const nn::LoadStatus status = nn::IndexStateDict(bytes, &records);
   EXPECT_EQ(status.kind, nn::LoadErrorKind::kBadDtype);
 }

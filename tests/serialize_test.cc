@@ -1,9 +1,9 @@
 // Tests for the tagged state-dict format (nn/serialize.h, v4) and the
 // named-state plumbing it rides on: round-trip bit-identity, strict
 // validate-before-write semantics, typed errors naming the first offending
-// tensor, rejection of the retired positional format (v1), the XXH64
-// checksum that seals v4 (nn/checksum.h) and the legacy FNV-sealed v2/v3
-// streams that must keep loading.
+// tensor, rejection of the retired formats (the positional v1 by its magic,
+// the FNV-sealed v2/v3 by their version) and the XXH64 checksum that seals
+// v4 (nn/checksum.h).
 
 #include <gtest/gtest.h>
 
@@ -234,111 +234,6 @@ TEST(StateDictTest, EverySingleByteFlipIsATypedError) {
   EXPECT_EQ(accepted, 0u);
 }
 
-TEST(StateDictTest, V4RelabelledAsV3FailsTheLegacyChecksum) {
-  // An old reader's view of a new file: labelled v3, the stream is checked
-  // with FNV-1a against an XXH64 digest.
-  DictFixture src;
-  std::vector<uint8_t> bytes = SerializeStateDict(src.Dict());
-  bytes[4] = 3;
-  std::vector<TensorRecord> records;
-  EXPECT_EQ(IndexStateDict(bytes, &records).kind, LoadErrorKind::kBadChecksum);
-}
-
-// A legacy (v2/v3) stream written by hand, as the writers before v4 did:
-// records in order, then FNV-1a 64 over every preceding byte.
-class LegacyWriter {
- public:
-  LegacyWriter(uint32_t version, uint64_t count) {
-    Pod(uint32_t{0xd33b0d02});
-    Pod(version);
-    Pod(count);
-  }
-  template <typename T>
-  void Pod(T value) {
-    const auto* b = reinterpret_cast<const uint8_t*>(&value);
-    bytes_.insert(bytes_.end(), b, b + sizeof(T));
-  }
-  void Record(const std::string& name, uint8_t dtype,
-              const std::vector<uint64_t>& dims) {
-    Pod(static_cast<uint32_t>(name.size()));
-    bytes_.insert(bytes_.end(), name.begin(), name.end());
-    Pod(dtype);
-    Pod(static_cast<uint32_t>(dims.size()));
-    for (uint64_t d : dims) Pod(d);
-  }
-  std::vector<uint8_t> Seal() {
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (uint8_t b : bytes_) {
-      h ^= b;
-      h *= 0x100000001b3ull;
-    }
-    Pod(h);
-    return bytes_;
-  }
-
- private:
-  std::vector<uint8_t> bytes_;
-};
-
-// DictFixture's values as a v2 (all-f64) or v3 (weight stored as f16)
-// stream.
-std::vector<uint8_t> LegacyFixtureStream(uint32_t version) {
-  LegacyWriter w(version, 3);
-  if (version == 2) {
-    w.Record("mlp.weight", kDtypeF64, {2, 3});
-    for (double v : {1.0, 2.0, 3.0, 4.0, 5.0, 6.0}) w.Pod(v);
-  } else {
-    w.Record("mlp.weight", kDtypeF16, {2, 3});
-    // 1.0 ... 6.0 as IEEE half floats.
-    for (uint16_t h : {0x3C00, 0x4000, 0x4200, 0x4400, 0x4500, 0x4600}) {
-      w.Pod(h);
-    }
-  }
-  w.Record("bn.running_mean", kDtypeF64, {2});
-  w.Pod(0.5);
-  w.Pod(-0.5);
-  w.Record("time_scale", kDtypeF64, {});
-  w.Pod(42.0);
-  return w.Seal();
-}
-
-TEST(StateDictTest, LegacyFnvStreamsStillLoad) {
-  DictFixture src;
-  for (const uint32_t version : {2u, 3u}) {
-    SCOPED_TRACE("version " + std::to_string(version));
-    std::vector<uint8_t> bytes = LegacyFixtureStream(version);
-    const std::string path = testing::TempDir() + "serialize_test_legacy.bin";
-    {
-      std::ofstream out(path, std::ios::binary);
-      out.write(reinterpret_cast<const char*>(bytes.data()),
-                static_cast<std::streamsize>(bytes.size()));
-    }
-    std::vector<TensorRecord> records;
-    uint32_t read_version = 0;
-    ASSERT_TRUE(ReadStateDict(path, &records, &read_version).ok());
-    EXPECT_EQ(read_version, version);
-
-    DictFixture dst;
-    dst.weight.data().assign(6, 0.0);
-    dst.running = {9.0, 9.0};
-    dst.scale = 0.0;
-    StateDict dict = dst.Dict();
-    ASSERT_TRUE(LoadStateDict(path, dict).ok());
-    EXPECT_EQ(dst.weight.data(), src.weight.data());
-    EXPECT_EQ(dst.running, src.running);
-    EXPECT_EQ(dst.scale, src.scale);
-    std::remove(path.c_str());
-
-    // Written back, the same state is a v4 stream.
-    EXPECT_EQ(SerializeStateDict(dst.Dict()), SerializeStateDict(src.Dict()));
-
-    ASSERT_TRUE(IndexStateDict(bytes, &records).ok());
-    bytes[records[0].payload_offset + 1] ^= 0x10;
-    EXPECT_EQ(IndexStateDict(bytes, &records).kind,
-              LoadErrorKind::kBadChecksum);
-  }
-}
-
 // --- Negative paths ---------------------------------------------------------
 
 TEST(StateDictTest, TruncationReportedBeforeAnyWrite) {
@@ -372,11 +267,17 @@ TEST(StateDictTest, V1MagicReportedAsBadMagic) {
 }
 
 TEST(StateDictTest, BadVersionReported) {
+  // The retired FNV-sealed versions 2 and 3 are refused by their version
+  // word before any checksum is computed, as is an unknown one.
   DictFixture src;
-  std::vector<uint8_t> bytes = SerializeStateDict(src.Dict());
-  bytes[4] = 99;  // version field follows the u32 magic
-  std::vector<TensorRecord> records;
-  EXPECT_EQ(IndexStateDict(bytes, &records).kind, LoadErrorKind::kBadVersion);
+  for (const uint8_t version : {2, 3, 99}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    std::vector<uint8_t> bytes = SerializeStateDict(src.Dict());
+    bytes[4] = version;  // version field follows the u32 magic
+    std::vector<TensorRecord> records;
+    EXPECT_EQ(IndexStateDict(bytes, &records).kind,
+              LoadErrorKind::kBadVersion);
+  }
 }
 
 TEST(StateDictTest, CorruptPayloadFailsChecksum) {

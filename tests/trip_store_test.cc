@@ -202,33 +202,6 @@ TEST(TripStoreTest, SealedWithXxh64AndRewritesByteIdentical) {
   EXPECT_EQ(io::SerializeTripStore(loaded), bytes);
 }
 
-TEST(TripStoreTest, LegacyFnvStoreStillLoads) {
-  // A version-1 store has the version-2 layout and an FNV-1a 64 checksum:
-  // relabel a fresh store and re-seal it as the version-1 writer did.
-  const auto trips = SampleTrips();
-  auto bytes = io::SerializeTripStore(trips);
-  bytes[4] = 1;
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (size_t i = 0; i + 8 < bytes.size(); ++i) {
-    h ^= bytes[i];
-    h *= 0x100000001b3ull;
-  }
-  std::memcpy(bytes.data() + bytes.size() - 8, &h, sizeof(h));
-  const std::string path = TempPath("legacy_v1.trips");
-  WriteBytes(path, bytes);
-  io::TripStoreReader reader;
-  ASSERT_TRUE(reader.Open(path).ok());
-  const auto loaded = reader.ReadAll();
-  ASSERT_EQ(loaded.size(), trips.size());
-  for (size_t i = 0; i < trips.size(); ++i) {
-    ExpectTripsBitEqual(trips[i], loaded[i], i);
-  }
-
-  bytes[bytes.size() / 2] ^= 0x20;
-  WriteBytes(path, bytes);
-  EXPECT_EQ(reader.Open(path).kind, LoadErrorKind::kBadChecksum);
-}
-
 TEST(TripStoreTest, EverySingleByteFlipIsATypedError) {
   // Every offset of a small store (a routed trip and an OD-only one), XORed
   // with every non-zero byte, patched into one file in place: framing,
@@ -300,12 +273,17 @@ TEST(TripStoreTest, BadMagicReported) {
 }
 
 TEST(TripStoreTest, BadVersionReported) {
-  auto bytes = io::SerializeTripStore(SampleTrips());
-  bytes[4] = 0x7F;  // version word follows the magic
-  const std::string path = TempPath("badversion.trips");
-  WriteBytes(path, bytes);
-  io::TripStoreReader reader;
-  EXPECT_EQ(reader.Open(path).kind, LoadErrorKind::kBadVersion);
+  // The retired FNV-sealed version 1 is refused by its version word before
+  // any checksum is computed, as is an unknown one.
+  for (const uint8_t version : {0x01, 0x7F}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    auto bytes = io::SerializeTripStore(SampleTrips());
+    bytes[4] = version;  // version word follows the magic
+    const std::string path = TempPath("badversion.trips");
+    WriteBytes(path, bytes);
+    io::TripStoreReader reader;
+    EXPECT_EQ(reader.Open(path).kind, LoadErrorKind::kBadVersion);
+  }
 }
 
 TEST(TripStoreTest, CorruptPayloadFailsChecksum) {

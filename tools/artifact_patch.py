@@ -4,8 +4,7 @@
 Used to check that the loaders answer hostile and corrupt artifacts with a
 typed error (exit 1 and a LoadErrorKind name) instead of crashing. The file
 format is the tagged state dict of src/nn/serialize.h: a 16-byte header,
-one record per tensor, then a checksum of every preceding byte: XXH64
-(seed 0) in version 4, FNV-1a 64 in the legacy versions 2 and 3.
+one record per tensor, then the XXH64 (seed 0) of every preceding byte.
 
   artifact_patch.py IN OUT --set NAME[I]=VALUE
       Sets element I (default 0) of f64 record NAME to VALUE ("nan", "inf"
@@ -31,13 +30,6 @@ MASK = 0xFFFFFFFFFFFFFFFF
 P1, P2, P3, P4, P5 = (0x9E3779B185EBCA87, 0xC2B2AE3D27D4EB4F,
                       0x165667B19E3779F9, 0x85EBCA77C2B2AE63,
                       0x27D4EB2F165667C5)
-
-
-def fnv1a64(data):
-    h = 0xCBF29CE484222325
-    for b in data:
-        h = ((h ^ b) * 0x100000001B3) & MASK
-    return h
 
 
 def rotl(x, r):
@@ -77,12 +69,6 @@ def xxh64(data):
     acc = (acc ^ (acc >> 33)) * P2 & MASK
     acc = (acc ^ (acc >> 29)) * P3 & MASK
     return acc ^ (acc >> 32)
-
-
-def checksum(data):
-    """The checksum the stream's version field names."""
-    (version,) = struct.unpack_from("<I", data, 4)
-    return fnv1a64(data) if version in (2, 3) else xxh64(data)
 
 
 def index_records(data):
@@ -145,7 +131,7 @@ def main():
             if dtype != 1 or 8 * element >= payload:
                 raise ValueError("%s[%d] is not an f64 element" % (name, element))
             struct.pack_into("<d", data, offset + 8 * element, float(m.group(3)))
-            struct.pack_into("<Q", data, len(data) - 8, checksum(data[:-8]))
+            struct.pack_into("<Q", data, len(data) - 8, xxh64(data[:-8]))
         elif args.flip is not None:
             _, _, offset, payload = record(records, args.flip)
             if payload == 0:

@@ -1,9 +1,11 @@
 // deepod_inspect: prints the record table of a tagged state-dict file (a
 // model artifact, a DeepOdModel::Save checkpoint or a trainer checkpoint):
 // per-tensor name, storage dtype, shape, element count and on-disk payload
-// size, plus the per-row scale range of int8 records — after verifying
-// framing and the trailing checksum. For serving artifacts (records under
-// "artifact.") a metadata block follows the table: artifact version,
+// size, plus the per-row scale range of int8 records and the value of each
+// scalar (0-d) record, so two checkpoints that differ in one scalar print
+// differently — after verifying framing and the trailing checksum. For
+// serving artifacts (records under "artifact.") a metadata block follows
+// the table: artifact version,
 // network id, the frozen speed grid's shape, and the OD-oracle fallback
 // tier's grid/slot/bucket geometry when embedded. Exit codes: 0 readable,
 // 1 corrupt/unreadable, 2 usage.
@@ -48,8 +50,7 @@ int main(int argc, char** argv) {
   }
   const std::string path = argv[1];
   std::vector<nn::TensorRecord> records;
-  uint32_t version = 0;
-  const nn::LoadStatus status = nn::ReadStateDict(path, &records, &version);
+  const nn::LoadStatus status = nn::ReadStateDict(path, &records);
   if (!status.ok()) {
     std::fprintf(stderr, "%s: [%s] %s\n", path.c_str(),
                  nn::LoadErrorKindName(status.kind), status.message.c_str());
@@ -62,7 +63,7 @@ int main(int argc, char** argv) {
                                   nn::RecordPayloadBytes(records.back())) +
       sizeof(uint64_t);
   std::printf("%s: state dict (v%u), %zu bytes, %zu records, checksum OK\n",
-              path.c_str(), version, bytes, records.size());
+              path.c_str(), nn::kStateDictVersion, bytes, records.size());
   size_t total_elements = 0;
   size_t total_payload = 0;
   size_t quantised = 0;
@@ -80,6 +81,9 @@ int main(int argc, char** argv) {
       const std::vector<double> scales = nn::ReadRecordScales(r);
       const auto [lo, hi] = std::minmax_element(scales.begin(), scales.end());
       std::printf("  scales[%zu] %.3e..%.3e", scales.size(), *lo, *hi);
+    }
+    if (r.shape.empty()) {
+      std::printf("  %.17g", nn::ReadRecordPayload(r).front());
     }
     std::printf("\n");
     total_elements += r.num_elements;
