@@ -214,12 +214,20 @@ void PoolMatrixInto(const double* matrix, size_t rows, size_t cols,
   }
   std::fill(out, out + pr * pc, 0.0);
   std::fill(counts, counts + pr * pc, 0.0);
+  // Cell (r, c) lands in block (r * pr / rows, c * pc / cols), summed in
+  // row-major order. pc <= cols, so the column block steps by at most one
+  // per cell: it is tracked without a division per cell.
   for (size_t r = 0; r < rows; ++r) {
-    const size_t tr = r * pr / rows;
+    double* block_row = out + r * pr / rows * pc;
+    double* count_row = counts + r * pr / rows * pc;
+    size_t tc = 0, next = cols;  // next = (tc + 1) * cols
     for (size_t c = 0; c < cols; ++c) {
-      const size_t tc = c * pc / cols;
-      out[tr * pc + tc] += matrix[r * cols + c];
-      counts[tr * pc + tc] += 1.0;
+      if (c * pc >= next) {
+        ++tc;
+        next += cols;
+      }
+      block_row[tc] += matrix[r * cols + c];
+      count_row[tc] += 1.0;
     }
   }
   for (size_t i = 0; i < pr * pc; ++i) {

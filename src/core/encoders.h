@@ -97,8 +97,11 @@ class ExternalFeaturesEncoder : public nn::Module {
   nn::Mlp2 mlp_;
 };
 
-// Average-pools a rows x cols matrix down so neither side exceeds max_dim.
-// Exposed for testing.
+// Average-pools a rows x cols matrix down so neither side exceeds max_dim:
+// pooled cell (i, j) is the mean of the cells (r, c) with r * pr / rows == i
+// and c * pc / cols == j (pr, pc the pooled sides), summed in row-major
+// order. A matrix already within max_dim is copied, so pooling a pooled
+// matrix returns it bit for bit (io/model_artifact relies on this).
 std::vector<double> PoolMatrix(const std::vector<double>& matrix, size_t rows,
                                size_t cols, size_t max_dim, size_t* out_rows,
                                size_t* out_cols);

@@ -6,9 +6,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <optional>
 #include <utility>
 #include <vector>
 
+#include "core/encoders.h"
 #include "nn/serialize.h"
 #include "temporal/time_slot.h"
 
@@ -100,16 +103,14 @@ std::string Num(double value) {
   return buf;
 }
 
-// The records of one artifact file, read, framed and checksummed in one
-// pass (nn::ReadStateDict), with validating reads of its scalars. Every
-// failed read throws a typed nn::SerializeError naming the record.
-class ArtifactRecords {
+// Validating reads over the records of one artifact file, as
+// nn::ReadStateDict framed and checksummed them (or over the records framed
+// so far, for a PayloadConsumer). Every failed read throws a typed
+// nn::SerializeError naming the record.
+class RecordTable {
  public:
-  explicit ArtifactRecords(const std::string& path) {
-    nn::ThrowIfError(nn::ReadStateDict(path, &records_));
-  }
-
-  const std::vector<nn::TensorRecord>& records() const { return records_; }
+  explicit RecordTable(const std::vector<nn::TensorRecord>& records)
+      : records_(records) {}
 
   const nn::TensorRecord* Find(const std::string& name) const {
     for (const auto& r : records_) {
@@ -122,10 +123,6 @@ class ArtifactRecords {
     const nn::TensorRecord* r = Find(name);
     if (r == nullptr) ThrowMissing(name);
     return *r;
-  }
-  // For a record whose payload storage the caller adopts.
-  nn::TensorRecord& Require(const std::string& name) {
-    return const_cast<nn::TensorRecord&>(std::as_const(*this).Require(name));
   }
 
   // The value of a one-element record, unchecked.
@@ -160,12 +157,12 @@ class ArtifactRecords {
   }
 
  private:
-  std::vector<nn::TensorRecord> records_;
+  const std::vector<nn::TensorRecord>& records_;
 };
 
 // Checks that artifact.version is kArtifactVersion and returns the
 // required artifact.network_id.
-uint32_t ReadHeader(const ArtifactRecords& in) {
+uint32_t ReadHeader(const RecordTable& in) {
   const double version = in.Raw("artifact.version");
   if (version != kArtifactVersion) {
     throw nn::SerializeError(nn::LoadStatus::Error(
@@ -181,7 +178,7 @@ uint32_t ReadHeader(const ArtifactRecords& in) {
 // cross-checked against their records — the road table must be
 // [network segments, ds] and the time-slot table [slots, dt] — so neither
 // is sized past what the file holds.
-core::DeepOdConfig ReadConfig(const ArtifactRecords& in,
+core::DeepOdConfig ReadConfig(const RecordTable& in,
                               const road::RoadNetwork& network) {
   const auto field = [](const char* name) {
     return std::string("config.") + name;
@@ -264,7 +261,8 @@ core::DeepOdConfig ReadConfig(const ArtifactRecords& in,
 // The speed.* entries of one artifact dict over caller-owned storage: the
 // geometry scalars, the snapshot indices (doubles, as stored on disk) and
 // the matrix arena [indices.size(), cells]. The dict borrows all of it, so
-// it must outlive the (de)serialisation call.
+// it must outlive the (de)serialisation call. A null `matrices` leaves the
+// arena out (the model-input load pools it while the file is read).
 struct SpeedEntries {
   double rows = 0.0, cols = 0.0, snapshot_seconds = 0.0;
   std::vector<double> indices;
@@ -276,27 +274,25 @@ struct SpeedEntries {
     dict.AddScalarBuffer("speed.cols", &cols);
     dict.AddScalarBuffer("speed.snapshot_seconds", &snapshot_seconds);
     dict.AddBuffer("speed.indices", {indices.size()}, indices.data());
-    dict.AddBuffer("speed.matrices", {indices.size(), cells}, matrices);
+    if (matrices != nullptr) {
+      dict.AddBuffer("speed.matrices", {indices.size(), cells}, matrices);
+    }
   }
 };
 
-// Validates the speed.* geometry: integral rows and cols whose product
-// (overflow-checked) is the row length of a non-empty [n, cells]
-// speed.matrices record, a [n] speed.indices record and a bounded snapshot
-// period. Sizes `entries` from the record shapes, never from the scalars,
-// and returns the storage of the n * cells matrix arena: the f64
-// speed.matrices record's own payload, which the strict pass checks in
-// place and does not copy, or — for a quantised record, which only a
-// hand-made file holds — `decoded`, sized for the strict pass to
-// dequantise into.
-std::vector<double>& ReadSpeedGeometry(ArtifactRecords& in,
-                                       SpeedEntries& entries,
-                                       std::vector<double>& decoded) {
+// Validates the speed.* geometry against the framed `matrices` record:
+// integral rows and cols whose product (overflow-checked) is the row length
+// of a non-empty [n, cells] f64 speed.matrices record (a quantised one,
+// which only a hand-made file holds, is kBadDtype), a [n] speed.indices
+// record and a bounded snapshot period. Sizes `entries` from the record
+// shapes, never from the scalars; leaves `entries.matrices` null.
+void ReadSpeedGeometry(const RecordTable& in,
+                       const nn::TensorRecord& matrices,
+                       SpeedEntries& entries) {
   entries.rows = in.Integer("speed.rows", 1.0, 0x1p53);
   entries.cols = in.Integer("speed.cols", 1.0, 0x1p53);
   entries.snapshot_seconds = in.Real(
       "speed.snapshot_seconds", kMinSnapshotSeconds, kMaxSnapshotSeconds);
-  nn::TensorRecord& matrices = in.Require("speed.matrices");
   const nn::TensorRecord& indices = in.Require("speed.indices");
   size_t cells = 0;
   if (__builtin_mul_overflow(static_cast<size_t>(entries.rows),
@@ -307,19 +303,132 @@ std::vector<double>& ReadSpeedGeometry(ArtifactRecords& in,
                              Num(entries.rows) + " x " + Num(entries.cols) +
                              "]");
   }
+  if (matrices.dtype != nn::kDtypeF64) {
+    throw nn::SerializeError(nn::LoadStatus::Error(
+        nn::LoadErrorKind::kBadDtype,
+        "tensor 'speed.matrices' is stored as " +
+            std::string(nn::RecordDtypeName(matrices.dtype)) +
+            "; the speed field is read as f64 only",
+        matrices.name));
+  }
   const size_t n = matrices.shape[0];
   if (indices.shape != std::vector<size_t>{n}) {
     ThrowShape(indices, nn::ShapeToString({n}));
   }
   entries.cells = cells;
   entries.indices.resize(n);
-  std::vector<double>& arena = matrices.dtype == nn::kDtypeF64
-                                   ? matrices.payload
-                                   : decoded;
-  arena.resize(matrices.num_elements);
-  entries.matrices = arena.data();
-  return arena;
 }
+
+// The model-input load's consumer of speed.matrices (nn::PayloadConsumer):
+// takes the record one stored snapshot at a time as the file is read,
+// checks every value is finite and pools the snapshot with
+// core::PoolMatrixInto into an arena of n x min(rows, d) x min(cols, d),
+// d = config.max_speed_matrix_dim. Its working memory is one stored
+// snapshot and that arena. The config and speed geometry must be framed
+// before speed.matrices (the writer's order); a file that frames it first,
+// or twice, is a typed error, and its payload is read and hashed but not
+// kept. A failure is held in status() for the loader to raise once the
+// read has verified the checksum.
+class SpeedPooler : public nn::PayloadConsumer {
+ public:
+  SpeedPooler() : PayloadConsumer("speed.matrices") {}
+
+  bool Begin(const nn::TensorRecord& record,
+             const std::vector<nn::TensorRecord>& earlier) override {
+    if (header_.has_value()) {
+      Fail(nn::LoadStatus::Error(
+          nn::LoadErrorKind::kUnexpectedTensor,
+          "artifact holds a second 'speed.matrices' record", name()));
+      return false;
+    }
+    header_ = record;
+    try {
+      const RecordTable in(earlier);
+      for (const char* needed :
+           {"config.max_speed_matrix_dim", "speed.rows", "speed.cols",
+            "speed.snapshot_seconds", "speed.indices"}) {
+        if (in.Find(needed) == nullptr) {
+          throw nn::SerializeError(nn::LoadStatus::Error(
+              nn::LoadErrorKind::kUnexpectedTensor,
+              "artifact frames 'speed.matrices' before '" +
+                  std::string(needed) +
+                  "' (the config and speed geometry come first)",
+              name()));
+        }
+      }
+      SpeedEntries geometry;
+      ReadSpeedGeometry(in, record, geometry);
+      max_dim_ = static_cast<size_t>(in.Integer("config.max_speed_matrix_dim",
+                                                1.0, kMaxSpeedMatrixDim));
+      rows_ = static_cast<size_t>(geometry.rows);
+      cols_ = static_cast<size_t>(geometry.cols);
+    } catch (const nn::SerializeError& e) {
+      Fail(e.status());
+      return false;
+    }
+    pooled_rows_ = std::min(rows_, max_dim_);
+    pooled_cols_ = std::min(cols_, max_dim_);
+    snapshot_.resize(rows_ * cols_);
+    counts_.resize(pooled_rows_ * pooled_cols_);
+    arena_.resize(record.shape[0] * counts_.size());
+    return true;
+  }
+
+  bool Consume(const uint8_t* bytes, size_t n) override {
+    auto* snapshot = reinterpret_cast<uint8_t*>(snapshot_.data());
+    const size_t snapshot_bytes = sizeof(double) * snapshot_.size();
+    while (n > 0) {
+      const size_t take = std::min(n, snapshot_bytes - filled_);
+      std::memcpy(snapshot + filled_, bytes, take);
+      filled_ += take;
+      bytes += take;
+      n -= take;
+      if (filled_ < snapshot_bytes) break;
+      filled_ = 0;
+      for (size_t i = 0; i < snapshot_.size(); ++i) {
+        if (!std::isfinite(snapshot_[i])) {
+          Fail(nn::LoadStatus::Error(
+              nn::LoadErrorKind::kNonFinite,
+              "tensor 'speed.matrices' holds a NaN or an infinity at "
+              "element " + std::to_string(pooled_ * snapshot_.size() + i),
+              name()));
+          return false;
+        }
+      }
+      size_t r = 0, c = 0;
+      core::PoolMatrixInto(snapshot_.data(), rows_, cols_, max_dim_,
+                           arena_.data() + pooled_ * counts_.size(),
+                           counts_.data(), &r, &c);
+      ++pooled_;
+    }
+    return true;
+  }
+
+  // The framed speed.matrices header (payload empty), or null if the file
+  // holds none.
+  const nn::TensorRecord* header() const {
+    return header_.has_value() ? &*header_ : nullptr;
+  }
+  const nn::LoadStatus& status() const { return status_; }
+  size_t pooled_rows() const { return pooled_rows_; }
+  size_t pooled_cols() const { return pooled_cols_; }
+  std::vector<double> TakeArena() { return std::move(arena_); }
+
+ private:
+  void Fail(nn::LoadStatus status) {
+    if (status_.ok()) status_ = std::move(status);
+  }
+
+  std::optional<nn::TensorRecord> header_;
+  nn::LoadStatus status_;
+  size_t rows_ = 0, cols_ = 0, max_dim_ = 0;
+  size_t pooled_rows_ = 0, pooled_cols_ = 0;
+  std::vector<double> snapshot_;  // one stored snapshot, filling
+  size_t filled_ = 0;             // bytes of snapshot_ filled
+  size_t pooled_ = 0;             // snapshots pooled into arena_
+  std::vector<double> counts_;    // PoolMatrixInto scratch
+  std::vector<double> arena_;
+};
 
 // The decoded snapshot indices as int64: each integral, strictly ascending,
 // and a timestamp within ±temporal::kMaxTimestamp.
@@ -345,7 +454,7 @@ std::vector<int64_t> SnapshotIndices(const SpeedEntries& entries) {
 // (0, 1 day], the slot count it derives from that slot, and an integral
 // grid of at least one cell per axis. Outside these bounds Locate and
 // CellOf clamp with hi < lo.
-void CheckOracleGeometry(const ArtifactRecords& in) {
+void CheckOracleGeometry(const RecordTable& in) {
   const double slot_seconds =
       in.Real("oracle.slot_seconds", 0.0, temporal::kSecondsPerDay);
   if (slot_seconds == 0.0) {
@@ -382,7 +491,7 @@ void CheckOracleKeys(const baselines::OdOracle* oracle) {
 // the indexed record shapes so the strict pass deserialises straight into
 // them.
 void PrepareFallbacks(
-    const ArtifactRecords& in, std::unique_ptr<baselines::OdOracle>& oracle,
+    const RecordTable& in, std::unique_ptr<baselines::OdOracle>& oracle,
     std::unique_ptr<baselines::LinkMeanEstimator>& link_mean) {
   if (const nn::TensorRecord* keys = in.Find("oracle.keys")) {
     CheckOracleGeometry(in);
@@ -443,12 +552,20 @@ void WriteModelArtifact(const std::string& path, core::DeepOdModel& model,
 }
 
 ServingModel LoadModelArtifact(const std::string& path,
-                               const road::RoadNetwork& network) {
+                               const road::RoadNetwork& network,
+                               SpeedFieldSize speed_size) {
   // One sequential pass frames and checksums the file and lands every
-  // payload in its record; the strict pass below copies the model and
-  // estimator tensors out, and the speed arena is the speed.matrices
-  // record's storage, moved into the field without a copy.
-  ArtifactRecords in(path);
+  // payload in its record, except speed.matrices at the model-input size:
+  // the pooler takes that one snapshot by snapshot as it is read. The
+  // strict pass below copies the model and estimator tensors out; at the
+  // stored size the speed arena is the speed.matrices record's storage,
+  // moved into the field without a copy.
+  const bool pooled = speed_size == SpeedFieldSize::kModelInput;
+  SpeedPooler pooler;
+  std::vector<nn::TensorRecord> records;
+  nn::ThrowIfError(
+      nn::ReadStateDict(path, &records, pooled ? &pooler : nullptr));
+  const RecordTable in(records);
 
   // Every scalar that sizes an allocation or reaches a constructor is
   // validated here, before the model, the arena or an estimator exists.
@@ -457,9 +574,19 @@ ServingModel LoadModelArtifact(const std::string& path,
   out.config = ReadConfig(in, network);
   const bool has_speed = in.Find("speed.rows") != nullptr;
   SpeedEntries speed_entries;
-  std::vector<double> decoded;
-  std::vector<double>* arena =
-      has_speed ? &ReadSpeedGeometry(in, speed_entries, decoded) : nullptr;
+  // At the stored size: the speed.matrices record, whose f64 payload the
+  // strict pass checks in place.
+  const auto stored = std::find_if(
+      records.begin(), records.end(),
+      [](const nn::TensorRecord& r) { return r.name == "speed.matrices"; });
+  if (has_speed) {
+    const nn::TensorRecord* matrices =
+        pooled ? pooler.header()
+               : (stored == records.end() ? nullptr : &*stored);
+    if (matrices == nullptr) ThrowMissing("speed.matrices");
+    ReadSpeedGeometry(in, *matrices, speed_entries);
+    if (!pooled) speed_entries.matrices = stored->payload.data();
+  }
   out.model =
       std::make_unique<core::DeepOdModel>(out.config, network, nullptr);
   PrepareFallbacks(in, out.oracle, out.link_mean);
@@ -469,7 +596,9 @@ ServingModel LoadModelArtifact(const std::string& path,
   // name and shape, then every value must be finite. This is what actually
   // writes the model parameters and the estimators — and catches unexpected
   // tensors and table-size mismatches (e.g. an artifact from a different
-  // road network) with a typed error before any value lands.
+  // road network) with a typed error before any value lands. The pooler's
+  // own failure (a non-finite speed value, speed.matrices out of order or
+  // twice) comes after it.
   nn::StateDict dict;
   double version_staging = 0.0;
   dict.AddScalarBuffer("artifact.version", &version_staging);
@@ -483,23 +612,24 @@ ServingModel LoadModelArtifact(const std::string& path,
   if (has_speed) speed_entries.AppendTo(dict);
   if (out.oracle != nullptr) out.oracle->AppendState("oracle.", dict);
   if (out.link_mean != nullptr) out.link_mean->AppendState("linkmean.", dict);
-  nn::ThrowIfError(nn::DeserializeStateDict(in.records(), dict));
+  nn::ThrowIfError(nn::DeserializeStateDict(records, dict));
+  nn::ThrowIfError(pooler.status());
   CheckOracleKeys(out.oracle.get());
 
   // The stored mode: the deserialise above already produced the
   // dequantised (snapped) fp64 values of any f16/int8 record.
-  for (const auto& r : in.records()) {
+  for (const auto& r : records) {
     if (r.dtype == nn::kDtypeF16) out.quant = nn::QuantMode::kFp16;
     if (r.dtype == nn::kDtypeI8) out.quant = nn::QuantMode::kInt8;
   }
 
-  // The frozen speed field takes the arena as its storage, by move.
+  // The frozen speed field takes the pooled or stored arena, by move.
   if (has_speed) {
     out.speed = std::make_unique<sim::SnapshotSpeedField>(
-        static_cast<size_t>(speed_entries.rows),
-        static_cast<size_t>(speed_entries.cols),
+        pooled ? pooler.pooled_rows() : static_cast<size_t>(speed_entries.rows),
+        pooled ? pooler.pooled_cols() : static_cast<size_t>(speed_entries.cols),
         speed_entries.snapshot_seconds, SnapshotIndices(speed_entries),
-        std::move(*arena));
+        pooled ? pooler.TakeArena() : std::move(stored->payload));
     out.model->SetSpeedProvider(out.speed.get());
   }
   out.model->ClearOcodeMemo();
@@ -521,7 +651,9 @@ void WriteOracleArtifact(const std::string& path, uint32_t network_id,
 }
 
 OracleBundle LoadOracleArtifact(const std::string& path) {
-  const ArtifactRecords in(path);
+  std::vector<nn::TensorRecord> records;
+  nn::ThrowIfError(nn::ReadStateDict(path, &records));
+  const RecordTable in(records);
 
   OracleBundle out;
   out.network_id = ReadHeader(in);
@@ -534,7 +666,7 @@ OracleBundle LoadOracleArtifact(const std::string& path) {
   dict.AddScalarBuffer("artifact.network_id", &network_id_staging);
   if (out.oracle != nullptr) out.oracle->AppendState("oracle.", dict);
   if (out.link_mean != nullptr) out.link_mean->AppendState("linkmean.", dict);
-  nn::ThrowIfError(nn::DeserializeStateDict(in.records(), dict));
+  nn::ThrowIfError(nn::DeserializeStateDict(records, dict));
   CheckOracleKeys(out.oracle.get());
   return out;
 }

@@ -57,7 +57,8 @@ struct ArtifactOptions {
 // the model is destroyed before the speed field it points at.
 struct ServingModel {
   core::DeepOdConfig config;
-  std::unique_ptr<sim::SnapshotSpeedField> speed;  // null if not captured
+  // Null if not captured; else at the SpeedFieldSize the load asked for.
+  std::unique_ptr<sim::SnapshotSpeedField> speed;
   std::unique_ptr<core::DeepOdModel> model;
   // The mode the artifact's weight records were stored in (kNone for a
   // plain fp64 artifact).
@@ -88,12 +89,31 @@ void WriteModelArtifact(const std::string& path, core::DeepOdModel& model,
                         const sim::SnapshotSpeedField* speed,
                         const ArtifactOptions& options);
 
+// The size LoadModelArtifact gives the loaded speed field.
+//  - kModelInput (the default): each snapshot pooled, as it is read, to at
+//    most config.max_speed_matrix_dim cells per side with
+//    core::PoolMatrixInto — the matrix the M_E CNN reads (§4.5). Serving
+//    pools it again through PoolMatrixInto's copy branch, so every
+//    prediction is bit-identical to a stored-size load, and the field
+//    holds n x min(rows, d) x min(cols, d) values instead of n x rows x cols
+//    (64 of a 21x21 grid's 441 cells per snapshot at d = 8). No
+//    n x rows x cols array is ever allocated.
+//  - kStored: the stored grid, cell for cell. deepod_server's --live-speed
+//    mode needs it: its RollingSpeedField fills unobserved cells from the
+//    artifact's matrices at the live grid, and pooling a mixed matrix is
+//    not mixing pooled ones. Writing a loaded model back out reproduces
+//    the file byte for byte only at this size.
+enum class SpeedFieldSize { kModelInput, kStored };
+
 // Reads an artifact and stands up a predict-only model against `network`
 // (which must be the network the model was trained on — the embedding table
 // size is validated against it). One sequential pass over the file
 // (nn::ReadStateDict) frames and checksums it and lands every payload in
-// its record, with no whole-file buffer; the strict pass then copies the
-// model and estimator tensors out, and the speed.matrices record's storage
+// its record, with no whole-file buffer, except that at kModelInput
+// speed.matrices goes, one stored snapshot at a time, from the read window
+// to the pooled arena (its working memory is that window, one stored
+// snapshot and the arena). The strict pass then copies the model and
+// estimator tensors out; at kStored the speed.matrices record's storage
 // becomes the speed field's contiguous matrix arena by move. Throws
 // nn::SerializeError with a typed status on a truncated/corrupt file, an
 // unsupported artifact version, a config or speed scalar outside its
@@ -101,10 +121,15 @@ void WriteModelArtifact(const std::string& path, core::DeepOdModel& model,
 // before the scalar sizes anything), a config/shape mismatch or a
 // NaN/infinite value in any tensor (kNonFinite, decoded values included);
 // no other exception type escapes a corrupt file, and a failed load never
-// returns a half-written model. Quantised (f16/int8) artifacts dequantise
-// into fp64 storage on load, so every kernel tier serves them unchanged.
-ServingModel LoadModelArtifact(const std::string& path,
-                               const road::RoadNetwork& network);
+// returns a half-written model. At either size, speed.matrices must be an
+// f64 record (kBadDtype otherwise); at kModelInput it must also come after
+// the config.* and speed geometry records, as the writer orders them
+// (kUnexpectedTensor otherwise). Quantised (f16/int8) weight records
+// dequantise into fp64 storage on load, so the kernels serve them
+// unchanged.
+ServingModel LoadModelArtifact(
+    const std::string& path, const road::RoadNetwork& network,
+    SpeedFieldSize speed_size = SpeedFieldSize::kModelInput);
 
 // Writes / reads a standalone oracle artifact (version + network_id +
 // oracle.* + linkmean.* records, no model). Either estimator may be null on

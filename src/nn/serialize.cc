@@ -310,6 +310,29 @@ class ByteSource {
     return true;
   }
 
+  // Hands the next n bytes to `sink(bytes, size)` in chunks straight from
+  // the window, folding each into the checksum after the sink saw it; no
+  // byte is copied out. False if the stream ends first.
+  template <typename Sink>
+  bool Stream(size_t n, Sink&& sink) {
+    if (n > size_ - offset_) return false;
+    while (n > 0) {
+      if (window_pos_ == window_end_) {
+        window_pos_ = 0;
+        window_end_ = ReadSome(owned_.get(), kReadWindowBytes);
+        if (window_end_ == 0) return false;  // the file shrank under the read
+      }
+      const size_t got = std::min(n, window_end_ - window_pos_);
+      const uint8_t* chunk = window_ + window_pos_;
+      sink(chunk, got);
+      hash_.Update(chunk, got);
+      window_pos_ += got;
+      offset_ += got;
+      n -= got;
+    }
+    return true;
+  }
+
   // True when nothing follows the bytes read so far — not even bytes a
   // file gained after it was sized.
   bool AtEnd() {
@@ -346,8 +369,9 @@ bool ReadPod(ByteSource& in, T* value) {
   return in.Read(value, sizeof(T));
 }
 
-// The framing parser (see IndexStateDict).
-LoadStatus ParseStateDict(ByteSource& in, std::vector<TensorRecord>* out) {
+// The framing parser (see IndexStateDict and ReadStateDict).
+LoadStatus ParseStateDict(ByteSource& in, std::vector<TensorRecord>* out,
+                          PayloadConsumer* consumer) {
   out->clear();
   uint32_t magic = 0;
   if (!ReadPod(in, &magic)) return Truncated("header");
@@ -406,6 +430,15 @@ LoadStatus ParseStateDict(ByteSource& in, std::vector<TensorRecord>* out) {
       return Truncated("payload of " + rec.name);
     }
     const size_t bytes = RecordPayloadBytes(rec);
+    if (consumer != nullptr && rec.name == consumer->name()) {
+      bool taking = consumer->Begin(rec, *out);
+      if (!in.Stream(bytes, [&](const uint8_t* chunk, size_t n) {
+            taking = taking && consumer->Consume(chunk, n);
+          })) {
+        return Truncated("payload of " + rec.name);
+      }
+      continue;
+    }
     rec.payload.resize((bytes + sizeof(double) - 1) / sizeof(double));
     if (!in.Read(rec.payload.data(), bytes)) {
       return Truncated("payload of " + rec.name);
@@ -435,11 +468,12 @@ LoadStatus ParseStateDict(ByteSource& in, std::vector<TensorRecord>* out) {
 LoadStatus IndexStateDict(const std::vector<uint8_t>& buffer,
                           std::vector<TensorRecord>* out) {
   ByteSource in(buffer);
-  return ParseStateDict(in, out);
+  return ParseStateDict(in, out, nullptr);
 }
 
 LoadStatus ReadStateDict(const std::string& path,
-                         std::vector<TensorRecord>* out) {
+                         std::vector<TensorRecord>* out,
+                         PayloadConsumer* consumer) {
   // Closes the file on every return path.
   struct File {
     explicit File(int fd) : fd(fd) {}
@@ -455,7 +489,7 @@ LoadStatus ReadStateDict(const std::string& path,
     return LoadStatus::Error(LoadErrorKind::kIoError, "cannot open " + path);
   }
   ByteSource in(file.fd, static_cast<size_t>(st.st_size));
-  const LoadStatus status = ParseStateDict(in, out);
+  const LoadStatus status = ParseStateDict(in, out, consumer);
   if (in.io_error()) {
     return LoadStatus::Error(LoadErrorKind::kIoError, "cannot read " + path);
   }

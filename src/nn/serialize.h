@@ -54,7 +54,9 @@ enum class LoadErrorKind {
   kBadVersion,        // recognised magic, unsupported format version
   kTruncated,         // stream ends inside a record
   kBadChecksum,       // payload bytes do not match the trailing checksum
-  kBadDtype,          // unknown dtype tag in a record
+  kBadDtype,          // unknown dtype tag in a record, or a dtype its
+                      // loader does not read (io/model_artifact: a
+                      // quantised speed.matrices)
   kMissingTensor,     // the model expects a tensor the file does not hold
   kUnexpectedTensor,  // the file holds a tensor the model does not expect
   kShapeMismatch,     // name matched but shapes differ (config mismatch)
@@ -188,6 +190,31 @@ LoadStatus DeserializeStateDict(const std::vector<TensorRecord>& records,
 LoadStatus IndexStateDict(const std::vector<uint8_t>& buffer,
                           std::vector<TensorRecord>* out);
 
+// Takes the payload of every record named name() while ReadStateDict reads
+// it, in place of the record table holding it, so a loader that keeps only
+// a reduced form of a large record (io/model_artifact pools the speed
+// field) never holds its stored payload whole. Such records are left out of
+// the table.
+class PayloadConsumer {
+ public:
+  explicit PayloadConsumer(std::string name) : name_(std::move(name)) {}
+  virtual ~PayloadConsumer() = default;
+  const std::string& name() const { return name_; }
+
+  // Called once the record's header is framed and its payload size checked
+  // against the stream, before any payload byte is read. `earlier` holds
+  // every record framed before it, payloads landed but not yet checksummed.
+  // Returns whether to take the payload.
+  virtual bool Begin(const TensorRecord& record,
+                     const std::vector<TensorRecord>& earlier) = 0;
+  // The taken payload in stream order, in chunks of any size as they leave
+  // the read window. Returns false to take no more of it.
+  virtual bool Consume(const uint8_t* bytes, size_t n) = 0;
+
+ private:
+  std::string name_;
+};
+
 // ReadStateDict parses the file at `path`, sized by fstat and read with
 // read(2) through a fixed kReadWindowBytes window. No whole-file buffer
 // exists: a payload at least as large as the window takes what the window
@@ -196,9 +223,16 @@ LoadStatus IndexStateDict(const std::vector<uint8_t>& buffer,
 // same-size rewrite fails the checksum — never a torn record table. Open
 // and read failures are kIoError. Every file loader (LoadStateDict, the
 // artifact loaders, deepod_inspect) reads through it.
+//
+// With a `consumer`, the payload of each record it names is handed to it
+// from the window instead (nothing else changes: every byte is still
+// framed, bounded and hashed, whether or not the consumer takes it). The
+// consumer sees bytes before the checksum is verified, so its result means
+// nothing unless this call returns Ok.
 inline constexpr size_t kReadWindowBytes = size_t{64} << 10;
 LoadStatus ReadStateDict(const std::string& path,
-                         std::vector<TensorRecord>* out);
+                         std::vector<TensorRecord>* out,
+                         PayloadConsumer* consumer = nullptr);
 
 // On-disk payload size of a record, in bytes (dtype-dependent; the int8
 // payload carries dims[0] f64 scales before the quantised bytes).

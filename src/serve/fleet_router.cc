@@ -153,6 +153,8 @@ FleetShard::FleetShard(FleetEntry entry,
                        obs::Registry& fleet_registry)
     : entry_(std::move(entry)),
       network_(std::move(network)),
+      requests_(
+          fleet_registry.counter(StatsName("fleet/", entry_.name, "requests"))),
       model_answers_(fleet_registry.counter(
           StatsName("fleet/", entry_.name, "model_answers"))),
       oracle_answers_(fleet_registry.counter(

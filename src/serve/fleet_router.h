@@ -131,7 +131,14 @@ class FleetShard {
   // False only when an oracle exists and has never seen the OD's cell pair.
   bool InDistribution(const traj::OdInput& od) const;
 
-  // Per-city response accounting (names "fleet/<name>/...").
+  // Per-city response accounting (names "fleet/<name>/..."). "requests"
+  // counts every request frame that resolves to this city. Each is answered
+  // by the model ("model_answers"), by the fallback tier ("oracle_answers")
+  // or rejected by the OOD policy or a cold shard ("rejected"), or else ends
+  // in an outcome none of these count: an invalid OD, a deadline expired on
+  // arrival or missed in the queue, an admission shed without a fallback,
+  // a shard cold at batch time or a drain's kShuttingDown.
+  void CountRequest() { requests_.Add(); }
   void CountModelAnswers(uint64_t n) { model_answers_.Add(n); }
   void CountFallbackAnswer() { oracle_answers_.Add(); }
   void CountShedToOracle() { shed_to_oracle_.Add(); }
@@ -159,6 +166,7 @@ class FleetShard {
   std::shared_ptr<const baselines::OdOracle> oracle_;
   std::shared_ptr<const baselines::LinkMeanEstimator> link_mean_;
 
+  obs::Counter& requests_;
   obs::Counter& model_answers_;
   obs::Counter& oracle_answers_;
   obs::Counter& shed_to_oracle_;

@@ -418,6 +418,7 @@ void DeepOdServer::HandleFrame(const std::shared_ptr<Connection>& conn,
     RespondError(out, request.request_id, Status::kUnknownNetwork, 0);
     return;
   }
+  shard->CountRequest();
   const traj::OdInput& od = request.od;
   if (!ServableOd(od, shard->num_segments())) {
     RespondError(out, request.request_id, Status::kInvalidRequest, 0);

@@ -6,9 +6,9 @@ namespace deepod::serve {
 
 std::shared_ptr<ServingState> LoadServingState(
     const std::string& artifact_path, const road::RoadNetwork& network,
-    uint32_t network_id) {
+    uint32_t network_id, io::SpeedFieldSize speed_size) {
   auto bundle = std::make_shared<io::ServingModel>(
-      io::LoadModelArtifact(artifact_path, network));
+      io::LoadModelArtifact(artifact_path, network, speed_size));
   // An artifact trained for another city is a load failure, not a serving
   // state: the caller keeps what it serves (a fleet shard its oracle).
   if (network_id != 0 && bundle->network_id != 0 &&

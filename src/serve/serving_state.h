@@ -64,10 +64,14 @@ struct ServingState {
 // A non-zero `network_id` also refuses an artifact stamped for another
 // city (stamp non-zero and different: kBadValue on "artifact.network_id").
 // A quantised artifact serves its stored f16/int8 weights
-// (bundle->quant names the mode).
+// (bundle->quant names the mode). `speed_size` is forwarded to
+// io::LoadModelArtifact: the speed field at the size the model reads it
+// (the default), or the stored grid a live RollingSpeedField's baseline
+// needs.
 std::shared_ptr<ServingState> LoadServingState(
     const std::string& artifact_path, const road::RoadNetwork& network,
-    uint32_t network_id = 0);
+    uint32_t network_id = 0,
+    io::SpeedFieldSize speed_size = io::SpeedFieldSize::kModelInput);
 
 // Wraps a caller-owned model (no bundle) into an un-adopted state.
 std::shared_ptr<ServingState> BorrowServingState(core::DeepOdModel& model);

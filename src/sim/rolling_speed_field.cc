@@ -170,7 +170,7 @@ std::shared_ptr<const RollingSpeedField::Table> RollingSpeedField::table()
 std::vector<double> RollingSpeedField::MatrixAt(temporal::Timestamp t) const {
   const std::shared_ptr<const Table> table = this->table();
   if (!table || table->indices.empty()) {
-    if (baseline_ != nullptr) return baseline_->MatrixAt(t);
+    if (baseline_compatible_) return baseline_->MatrixAt(t);
     return std::vector<double>(rows_ * cols_, 0.5);
   }
   const int64_t want =
@@ -189,7 +189,7 @@ temporal::Timestamp RollingSpeedField::SnapshotTime(
     temporal::Timestamp t) const {
   const std::shared_ptr<const Table> table = this->table();
   if (!table || table->indices.empty()) {
-    if (baseline_ != nullptr) return baseline_->SnapshotTime(t);
+    if (baseline_compatible_) return baseline_->SnapshotTime(t);
     return std::floor(t / snapshot_seconds_) * snapshot_seconds_;
   }
   const int64_t want =

@@ -48,7 +48,8 @@ struct TripObservation {
 //    snapshot has no observations at all);
 //  - a query with no published snapshot at or before it clamps to the
 //    earliest published one; with nothing published at all the whole query
-//    falls through to the baseline (or a flat 0.5 matrix without one).
+//    falls through to the baseline (or a flat 0.5 matrix without a
+//    compatible one).
 //
 // IMPORTANT for serving integration: Publish() changes the matrices served
 // for snapshot times that may already be stored inside a model (the
@@ -101,6 +102,11 @@ class RollingSpeedField : public SpeedProvider {
   double snapshot_seconds() const override { return snapshot_seconds_; }
   std::vector<double> MatrixAt(temporal::Timestamp t) const override;
   temporal::Timestamp SnapshotTime(temporal::Timestamp t) const override;
+
+  // Whether the baseline fills unobserved cells: one is given and its rows,
+  // cols and snapshot length equal this field's. An incompatible baseline
+  // is never read.
+  bool baseline_attached() const { return baseline_compatible_; }
 
   // Introspection (tests, stats).
   size_t pending() const;

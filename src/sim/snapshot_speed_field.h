@@ -22,6 +22,14 @@ namespace deepod::sim {
 // snapshot_seconds) and one contiguous arena holding every matrix back to
 // back, row-major, in index order — the layout of the artifact's
 // speed.matrices record, so the artifact loader decodes straight into it.
+//
+// A field loaded from an artifact has one of two sizes
+// (io::SpeedFieldSize). By default each snapshot is pooled to the matrix
+// the model's CNN reads (at most config.max_speed_matrix_dim per side), so
+// rows() x cols() is that pooled size and predictions are bit-identical to
+// the stored grid's. deepod_server --live-speed loads the stored grid
+// instead: a RollingSpeedField baseline fills unobserved cells at the live
+// grid, and pooling a mixed matrix is not mixing pooled ones.
 class SnapshotSpeedField : public SpeedProvider {
  public:
   // `indices` must be strictly ascending and non-empty, and `matrices` must

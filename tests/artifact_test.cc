@@ -13,6 +13,7 @@
 #include <iterator>
 #include <memory>
 #include <random>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -23,8 +24,10 @@
 
 #include "core/deepod_config.h"
 #include "core/deepod_model.h"
+#include "core/encoders.h"
 #include "core/trainer.h"
 #include "io/model_artifact.h"
+#include "nn/quant.h"
 #include "nn/serialize.h"
 #include "nn/tensor.h"
 #include "serve/eta_service.h"
@@ -213,7 +216,10 @@ TEST(ArtifactTest, RoundTripBitIdenticalAcrossThreads) {
 
   const std::string path = TempPath("artifact_test_full.artifact");
   io::WriteModelArtifact(path, trained, &frozen);
-  io::ServingModel bundle = io::LoadModelArtifact(path, dataset.network);
+  // The stored size, so the loaded cells can be compared with the frozen
+  // ones (PooledLoadServesTheStoredLoadsBits covers the default size).
+  io::ServingModel bundle = io::LoadModelArtifact(
+      path, dataset.network, io::SpeedFieldSize::kStored);
   ASSERT_NE(bundle.model, nullptr);
   ASSERT_NE(bundle.speed, nullptr);
   EXPECT_EQ(bundle.speed->indices(), frozen.indices());
@@ -506,10 +512,20 @@ nn::LoadStatus LoadStatusOf(
   return nn::LoadStatus::Error(nn::LoadErrorKind::kIoError, "untyped");
 }
 
-nn::LoadStatus LoadModelBytes(const std::vector<uint8_t>& bytes) {
-  return LoadStatusOf(bytes, [](const std::string& path) {
-    io::LoadModelArtifact(path, TinyDataset().network);
+nn::LoadStatus LoadModelBytesAt(const std::vector<uint8_t>& bytes,
+                                io::SpeedFieldSize size) {
+  return LoadStatusOf(bytes, [size](const std::string& path) {
+    io::LoadModelArtifact(path, TinyDataset().network, size);
   });
+}
+
+// The default load: the speed field pooled to the model's input size.
+nn::LoadStatus LoadModelBytes(const std::vector<uint8_t>& bytes) {
+  return LoadModelBytesAt(bytes, io::SpeedFieldSize::kModelInput);
+}
+
+nn::LoadStatus LoadStoredModelBytes(const std::vector<uint8_t>& bytes) {
+  return LoadModelBytesAt(bytes, io::SpeedFieldSize::kStored);
 }
 
 nn::LoadStatus LoadOracleBytes(const std::vector<uint8_t>& bytes) {
@@ -636,13 +652,15 @@ TEST(ArtifactTest, HostileOracleScalarsAreTypedErrorsNamingTheField) {
   }
 }
 
-// `bytes` with the last dimension of record `name` set to `dim` and the
-// checksum recomputed.
-std::vector<uint8_t> PatchLastDim(std::vector<uint8_t> bytes,
-                                  const std::string& name, uint64_t dim) {
+// `bytes` with the dims of record `name` set to `dims` (as many as it has)
+// and the checksum recomputed.
+std::vector<uint8_t> PatchDims(std::vector<uint8_t> bytes,
+                               const std::string& name,
+                               const std::vector<uint64_t>& dims) {
   const nn::TensorRecord r = RecordNamed(Index(bytes), name);
-  std::memcpy(bytes.data() + r.payload_offset - sizeof(dim), &dim,
-              sizeof(dim));
+  EXPECT_EQ(dims.size(), r.shape.size());
+  std::memcpy(bytes.data() + r.payload_offset - dims.size() * sizeof(uint64_t),
+              dims.data(), dims.size() * sizeof(uint64_t));
   Rechecksum(bytes);
   return bytes;
 }
@@ -653,8 +671,8 @@ TEST(ArtifactTest, RecordWhoseByteSizeWrapsIsTruncated) {
   // and the loader sizes the link-mean table from 2^61 + n.
   for (const auto* bytes : {&Sweep().model, &Sweep().oracle}) {
     const size_t n = RecordNamed(Index(*bytes), "linkmean.means").num_elements;
-    const std::vector<uint8_t> wrapped = PatchLastDim(
-        *bytes, "linkmean.means", (uint64_t{1} << 61) + n);
+    const std::vector<uint8_t> wrapped =
+        PatchDims(*bytes, "linkmean.means", {(uint64_t{1} << 61) + n});
     std::vector<nn::TensorRecord> records;
     EXPECT_EQ(nn::IndexStateDict(wrapped, &records).kind,
               nn::LoadErrorKind::kTruncated);
@@ -782,9 +800,18 @@ TEST(ArtifactTest, CorruptionSweepOnlyEverThrowsSerializeError) {
   const auto oracle_cases = OracleSweepCases();
   EXPECT_GE(model_cases.size(), 200u + 3u * Index(Sweep().model).size());
   EXPECT_GE(oracle_cases.size(), 200u);
+  // The model loads at both speed-field sizes fail alike on every case:
+  // pooling speed.matrices while it is read changes no verdict.
+  const auto load_model = [](const std::vector<uint8_t>& bytes) {
+    const nn::LoadStatus pooled = LoadModelBytes(bytes);
+    const nn::LoadStatus stored = LoadStoredModelBytes(bytes);
+    EXPECT_EQ(pooled.kind, stored.kind) << pooled.message;
+    EXPECT_EQ(pooled.tensor, stored.tensor) << pooled.message;
+    return pooled;
+  };
   // Stale checksum or cut framing: every case must fail, typed.
   for (size_t i = 0; i < model_cases.size(); ++i) {
-    EXPECT_FALSE(LoadModelBytes(model_cases[i]).ok()) << "model case " << i;
+    EXPECT_FALSE(load_model(model_cases[i]).ok()) << "model case " << i;
   }
   for (size_t i = 0; i < oracle_cases.size(); ++i) {
     EXPECT_FALSE(LoadOracleBytes(oracle_cases[i]).ok()) << "oracle case " << i;
@@ -795,7 +822,7 @@ TEST(ArtifactTest, CorruptionSweepOnlyEverThrowsSerializeError) {
   for (auto bytes : model_cases) {
     if (bytes.size() != Sweep().model.size()) continue;
     Rechecksum(bytes);
-    (LoadModelBytes(bytes).ok() ? loaded : rejected)++;
+    (load_model(bytes).ok() ? loaded : rejected)++;
   }
   for (auto bytes : oracle_cases) {
     if (bytes.size() != Sweep().oracle.size()) continue;
@@ -920,8 +947,8 @@ TEST(ArtifactTest, FileLoadIsBitEqualToTheInMemoryDecode) {
   const SweepFiles& files = Sweep();
   ShapedDict memory(files.model);
   ASSERT_TRUE(nn::DeserializeStateDict(files.model, memory.dict).ok());
-  io::ServingModel bundle =
-      io::LoadModelArtifact(files.model_path, TinyDataset().network);
+  io::ServingModel bundle = io::LoadModelArtifact(
+      files.model_path, TinyDataset().network, io::SpeedFieldSize::kStored);
   ASSERT_NE(bundle.speed, nullptr);
   ASSERT_NE(bundle.oracle, nullptr);
   ASSERT_NE(bundle.link_mean, nullptr);
@@ -945,10 +972,11 @@ TEST(ArtifactTest, FileLoadIsBitEqualToTheInMemoryDecode) {
             oracle_loaded.size());
 }
 
+// At the stored size: a pooled field writes a smaller (and valid) artifact.
 TEST(ArtifactTest, WriteLoadWriteIsByteIdentical) {
   const SweepFiles& files = Sweep();
-  io::ServingModel bundle =
-      io::LoadModelArtifact(files.model_path, TinyDataset().network);
+  io::ServingModel bundle = io::LoadModelArtifact(
+      files.model_path, TinyDataset().network, io::SpeedFieldSize::kStored);
   ASSERT_NE(bundle.speed, nullptr);
   ASSERT_EQ(bundle.model->speed_provider(), bundle.speed.get());
   io::ArtifactOptions options;
@@ -964,6 +992,273 @@ TEST(ArtifactTest, WriteLoadWriteIsByteIdentical) {
                           oracle.link_mean.get());
   EXPECT_TRUE(ReadBytes(path) == files.oracle) << "oracle artifact changed";
   std::remove(path.c_str());
+}
+
+// --- The speed field at the model's input size --------------------------------
+
+// A synthetic frozen field: `n` snapshots of rows x cols seeded values in
+// [0.05, 1), at 300 s snapshots with gaps between the stored indices.
+sim::SnapshotSpeedField SyntheticField(size_t rows, size_t cols, size_t n,
+                                       uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> speed(0.05, 1.0);
+  std::vector<int64_t> indices;
+  for (size_t i = 0; i < n; ++i) indices.push_back(40 + 3 * static_cast<int64_t>(i));
+  std::vector<double> matrices(n * rows * cols);
+  for (double& v : matrices) v = speed(rng);
+  return sim::SnapshotSpeedField(rows, cols, 300.0, std::move(indices),
+                                 std::move(matrices));
+}
+
+// The block means of one stored matrix, summed in row-major order, written
+// apart from core::PoolMatrixInto: a pooled snapshot must hold exactly
+// these bits.
+std::vector<double> ReferencePool(std::span<const double> matrix, size_t rows,
+                                  size_t cols, size_t max_dim) {
+  const size_t pr = std::min(rows, max_dim), pc = std::min(cols, max_dim);
+  std::vector<double> sum(pr * pc, 0.0), count(pr * pc, 0.0);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      const size_t block = (r * pr / rows) * pc + c * pc / cols;
+      sum[block] += matrix[r * cols + c];
+      count[block] += 1.0;
+    }
+  }
+  for (size_t i = 0; i < sum.size(); ++i) sum[i] /= count[i];
+  return sum;
+}
+
+// One OD per stored snapshot of `field` and weather type, departing
+// mid-snapshot.
+std::vector<traj::OdInput> EverySnapshotAndWeather(
+    const sim::SnapshotSpeedField& field) {
+  const traj::OdInput base = TestOds(1)[0];
+  std::vector<traj::OdInput> ods;
+  for (const int64_t index : field.indices()) {
+    for (size_t w = 0; w < core::ExternalFeaturesEncoder::kNumWeatherTypes;
+         ++w) {
+      traj::OdInput od = base;
+      od.departure_time =
+          (static_cast<double>(index) + 0.5) * field.snapshot_seconds();
+      od.weather_type = static_cast<int>(w);
+      ods.push_back(od);
+    }
+  }
+  return ods;
+}
+
+// The default load pools each stored snapshot to the model's input size;
+// every prediction stays bit-identical to the stored-size load, over every
+// snapshot and weather type, for fields reduced in even and uneven blocks
+// (14x14, 21x21, 13x9) and one within the bound (6x6, the copy branch),
+// from fp64, f16 and int8 artifacts and the N-other ablation.
+TEST(ArtifactTest, PooledLoadServesTheStoredLoadsBits) {
+  const sim::Dataset& dataset = TinyDataset();
+  core::DeepOdModel full(RandomInitConfig(), dataset);
+  core::DeepOdConfig no_other_config = RandomInitConfig();
+  no_other_config.ablation = core::Ablation::kNoOther;
+  core::DeepOdModel no_other(no_other_config, dataset);
+  full.SetTraining(false);
+  no_other.SetTraining(false);
+  struct Variant {
+    const char* name;
+    core::DeepOdModel* model;
+    nn::QuantMode quant;
+  };
+  const Variant variants[] = {{"fp64", &full, nn::QuantMode::kNone},
+                              {"f16", &full, nn::QuantMode::kFp16},
+                              {"int8", &full, nn::QuantMode::kInt8},
+                              {"no_other", &no_other, nn::QuantMode::kNone}};
+  const std::string path = TempPath("artifact_test_pooled.artifact");
+  for (const auto& [rows, cols] : {std::pair<size_t, size_t>{14, 14},
+                                   {21, 21},
+                                   {13, 9},
+                                   {6, 6}}) {
+    const sim::SnapshotSpeedField field =
+        SyntheticField(rows, cols, 12, 100 * rows + cols);
+    const std::vector<traj::OdInput> ods = EverySnapshotAndWeather(field);
+    for (const Variant& v : variants) {
+      SCOPED_TRACE(testing::Message()
+                   << rows << "x" << cols << " field, " << v.name);
+      io::ArtifactOptions options;
+      options.quant = v.quant;
+      io::WriteModelArtifact(path, *v.model, &field, options);
+      const io::ServingModel pooled =
+          io::LoadModelArtifact(path, dataset.network);
+      const io::ServingModel stored = io::LoadModelArtifact(
+          path, dataset.network, io::SpeedFieldSize::kStored);
+      ASSERT_NE(pooled.speed, nullptr);
+      ASSERT_NE(stored.speed, nullptr);
+      EXPECT_EQ(pooled.quant, v.quant);
+      EXPECT_EQ(stored.speed->matrices(), field.matrices());
+
+      const size_t d = pooled.config.max_speed_matrix_dim;
+      ASSERT_EQ(pooled.speed->rows(), std::min(rows, d));
+      ASSERT_EQ(pooled.speed->cols(), std::min(cols, d));
+      EXPECT_EQ(pooled.speed->indices(), field.indices());
+      EXPECT_EQ(pooled.speed->snapshot_seconds(), field.snapshot_seconds());
+      ASSERT_EQ(pooled.speed->matrices().size(),
+                field.size() * pooled.speed->rows() * pooled.speed->cols());
+      for (size_t i = 0; i < field.size(); ++i) {
+        const std::span<const double> cells = field.matrix(i);
+        size_t pr = 0, pc = 0;
+        const std::vector<double> want = core::PoolMatrix(
+            {cells.begin(), cells.end()}, rows, cols, d, &pr, &pc);
+        const std::vector<double> reference =
+            ReferencePool(cells, rows, cols, d);
+        const std::span<const double> got = pooled.speed->matrix(i);
+        ASSERT_EQ(got.size(), want.size());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              want.size() * sizeof(double)), 0)
+            << "snapshot " << i;
+        EXPECT_EQ(std::memcmp(got.data(), reference.data(),
+                              reference.size() * sizeof(double)), 0)
+            << "snapshot " << i << " is not the row-major block mean";
+      }
+
+      const std::vector<double> from_pooled = pooled.model->PredictBatch(ods);
+      const std::vector<double> from_stored = stored.model->PredictBatch(ods);
+      ASSERT_EQ(from_pooled.size(), ods.size());
+      EXPECT_EQ(std::memcmp(from_pooled.data(), from_stored.data(),
+                            ods.size() * sizeof(double)), 0);
+      if (v.quant == nn::QuantMode::kNone) {
+        // And both serve the in-process model's bits.
+        v.model->SetSpeedProvider(&field);
+        const std::vector<double> in_process = v.model->PredictBatch(ods);
+        v.model->SetSpeedProvider(dataset.speed_matrices.get());
+        EXPECT_EQ(std::memcmp(from_pooled.data(), in_process.data(),
+                              ods.size() * sizeof(double)), 0);
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// `bytes` with record `name` moved to just before record `before`, and the
+// checksum recomputed.
+std::vector<uint8_t> MoveRecordBefore(const std::vector<uint8_t>& bytes,
+                                      const std::string& name,
+                                      const std::string& before) {
+  const auto records = Index(bytes);
+  const auto spans = RecordSpans(records);
+  const auto span_of = [&](const std::string& record) {
+    for (size_t i = 0; i < records.size(); ++i) {
+      if (records[i].name == record) return spans[i];
+    }
+    throw std::invalid_argument("no record " + record);
+  };
+  const auto [moved_begin, moved_end] = span_of(name);
+  std::vector<uint8_t> out(bytes.begin(), bytes.begin() + 16);
+  for (const auto& [begin, end] : spans) {
+    if (begin == moved_begin) continue;
+    if (begin == span_of(before).first) {
+      out.insert(out.end(), bytes.begin() + moved_begin,
+                 bytes.begin() + moved_end);
+    }
+    out.insert(out.end(), bytes.begin() + begin, bytes.begin() + end);
+  }
+  out.insert(out.end(), bytes.end() - sizeof(uint64_t), bytes.end());
+  Rechecksum(out);
+  return out;
+}
+
+// `bytes` with a second copy of record `name` right after it, the entry
+// count bumped and the checksum recomputed.
+std::vector<uint8_t> DuplicateRecord(const std::vector<uint8_t>& bytes,
+                                     const std::string& name) {
+  const auto records = Index(bytes);
+  const auto spans = RecordSpans(records);
+  std::vector<uint8_t> out = bytes;
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (records[i].name != name) continue;
+    const auto [begin, end] = spans[i];
+    out.insert(out.begin() + static_cast<ptrdiff_t>(end),
+               bytes.begin() + begin, bytes.begin() + end);
+    break;
+  }
+  uint64_t count = 0;
+  std::memcpy(&count, out.data() + 8, sizeof(count));
+  ++count;
+  std::memcpy(out.data() + 8, &count, sizeof(count));
+  Rechecksum(out);
+  return out;
+}
+
+// `bytes` with the f64 speed.matrices record stored as f16, a record only
+// a hand-made file holds, and the checksum recomputed.
+std::vector<uint8_t> HalfSpeedMatrices(const std::vector<uint8_t>& bytes) {
+  const nn::TensorRecord r = RecordNamed(Index(bytes), "speed.matrices");
+  std::vector<uint8_t> out(bytes.begin(),
+                           bytes.begin() + static_cast<ptrdiff_t>(r.payload_offset));
+  // The dtype byte sits before the u32 ndim and the dims.
+  out[r.payload_offset - r.shape.size() * sizeof(uint64_t) -
+      sizeof(uint32_t) - 1] = nn::kDtypeF16;
+  for (const double v : nn::ReadRecordPayload(r)) {
+    const uint16_t half = nn::HalfFromDouble(v);
+    const auto* p = reinterpret_cast<const uint8_t*>(&half);
+    out.insert(out.end(), p, p + sizeof(half));
+  }
+  out.insert(out.end(),
+             bytes.begin() + static_cast<ptrdiff_t>(r.payload_offset +
+                                                    nn::RecordPayloadBytes(r)),
+             bytes.end());
+  Rechecksum(out);
+  return out;
+}
+
+// Re-sealed files whose speed.matrices record the pooling load must refuse
+// with a typed error naming it, and what the stored-size load says of each.
+// Only the record order is the pooling load's own rule: it takes the record
+// while it is read, so the config and speed geometry must come first.
+TEST(ArtifactTest, HostileSpeedMatricesAreTypedErrorsAtBothSizes) {
+  const std::vector<uint8_t>& intact = Sweep().model;
+  const nn::TensorRecord speed = RecordNamed(Index(intact), "speed.matrices");
+  const size_t n = speed.shape[0], cells = speed.shape[1];
+  ASSERT_GE(n, 2u);
+  using K = nn::LoadErrorKind;
+  struct Case {
+    std::string what;
+    std::vector<uint8_t> bytes;
+    K pooled, stored;
+  };
+  const Case cases[] = {
+      {"framed before speed.rows",
+       MoveRecordBefore(intact, "speed.matrices", "speed.rows"),
+       K::kUnexpectedTensor, K::kNone},
+      {"framed before config.max_speed_matrix_dim",
+       MoveRecordBefore(intact, "speed.matrices",
+                        "config.max_speed_matrix_dim"),
+       K::kUnexpectedTensor, K::kNone},
+      {"NaN in the last snapshot",
+       PatchScalar(intact, "speed.matrices", n * cells - 1, std::nan("")),
+       K::kNonFinite, K::kNonFinite},
+      {"infinity in the last snapshot",
+       PatchScalar(intact, "speed.matrices", (n - 1) * cells, -HUGE_VAL),
+       K::kNonFinite, K::kNonFinite},
+      {"row length not rows x cols",
+       PatchDims(intact, "speed.matrices", {2 * n, cells / 2}),
+       K::kShapeMismatch, K::kShapeMismatch},
+      {"stored as f16", HalfSpeedMatrices(intact), K::kBadDtype,
+       K::kBadDtype},
+      {"framed twice", DuplicateRecord(intact, "speed.matrices"),
+       K::kUnexpectedTensor, K::kUnexpectedTensor},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    const nn::LoadStatus pooled = LoadModelBytes(c.bytes);
+    const nn::LoadStatus stored = LoadStoredModelBytes(c.bytes);
+    EXPECT_EQ(pooled.kind, c.pooled) << pooled.message;
+    EXPECT_EQ(stored.kind, c.stored) << stored.message;
+    for (const nn::LoadStatus* status : {&pooled, &stored}) {
+      if (!status->ok()) {
+        EXPECT_EQ(status->tensor, "speed.matrices");
+      }
+    }
+    if (c.pooled == K::kNonFinite) {
+      // Both name the same element.
+      EXPECT_EQ(pooled.message, stored.message);
+    }
+  }
 }
 
 // Pinned thread counts, so the run does not follow the host's core count.

@@ -432,6 +432,7 @@ TEST_F(FleetTest, ColdShardUnderModelPolicyAnswersShardCold) {
   server.Shutdown();
   router.Stop();
 
+  EXPECT_EQ(CounterValue(router, "fleet/c/requests"), 1.0);
   EXPECT_EQ(CounterValue(router, "fleet/c/rejected"), 1.0);
   EXPECT_EQ(CounterValue(router, "fleet/c/oracle_answers"), 0.0);
   EXPECT_EQ(CounterValue(router, "fleet/c/model_answers"), 0.0);
@@ -675,6 +676,20 @@ TEST_F(FleetTest, ServerServesThreeCitiesFromOneProcess) {
                 CounterValue(router, "fleet/a/oracle_answers"),
             2.0);
   EXPECT_GE(CounterValue(router, "fleet/c/oracle_answers"), 1.0);
+  // Each request that resolved to a city is counted there once; city b's
+  // out-of-range OD is counted but answered by none of its estimators, and
+  // the unknown id (request 4) reaches no city.
+  const auto answers = [&router](const std::string& city) {
+    return CounterValue(router, "fleet/" + city + "/model_answers") +
+           CounterValue(router, "fleet/" + city + "/oracle_answers") +
+           CounterValue(router, "fleet/" + city + "/rejected");
+  };
+  EXPECT_EQ(CounterValue(router, "fleet/a/requests"), 2.0);
+  EXPECT_EQ(CounterValue(router, "fleet/b/requests"), 2.0);
+  EXPECT_EQ(CounterValue(router, "fleet/c/requests"), 1.0);
+  EXPECT_EQ(answers("a"), 2.0);
+  EXPECT_EQ(answers("b"), 1.0);
+  EXPECT_EQ(answers("c"), 1.0);
 }
 
 }  // namespace

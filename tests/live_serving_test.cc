@@ -1,7 +1,8 @@
 // Live-traffic serving tests (DESIGN.md "Live serving"):
 //  - obs::RollingMean windows correctly (the drift gauge's primitive);
 //  - RollingSpeedField replicates SpeedMatrixBuilder geometry, serves
-//    ingested means with baseline fall-through, rejects junk observations
+//    ingested means with baseline fall-through (never through a baseline of
+//    another grid), rejects junk observations
 //    and rolls its window;
 //  - the serving epoch: after BumpEpoch a repeated query answers from the
 //    new speed field, and SwapState answers new requests from the new model
@@ -235,13 +236,25 @@ TEST(RollingSpeedField, FallsThroughToBaselineWhenUnpublished) {
   sim::RollingSpeedField rolling(dataset.network, 200.0,
                                  baseline.snapshot_seconds(), &baseline);
   const double t = TestOds(1)[0].departure_time;
+  EXPECT_TRUE(rolling.baseline_attached());
   EXPECT_EQ(rolling.MatrixAt(t), baseline.MatrixAt(t));
   EXPECT_EQ(rolling.SnapshotTime(t), baseline.SnapshotTime(t));
 
+  // Without a baseline, or with one of another grid (a speed field pooled
+  // to the model's input size, say), the flat matrix at the live grid.
+  const sim::SnapshotSpeedField other_grid(1, 2, baseline.snapshot_seconds(),
+                                           {0}, {0.25, 0.75});
   sim::RollingSpeedField bare(dataset.network, 200.0, 300.0);
-  const std::vector<double> flat = bare.MatrixAt(t);
-  ASSERT_EQ(flat.size(), bare.rows() * bare.cols());
-  for (double v : flat) EXPECT_EQ(v, 0.5);
+  sim::RollingSpeedField mismatched(dataset.network, 200.0,
+                                    baseline.snapshot_seconds(), &other_grid);
+  EXPECT_FALSE(bare.baseline_attached());
+  EXPECT_FALSE(mismatched.baseline_attached());
+  for (const sim::RollingSpeedField* field : {&bare, &mismatched}) {
+    const std::vector<double> flat = field->MatrixAt(t);
+    ASSERT_EQ(flat.size(), field->rows() * field->cols());
+    for (double v : flat) EXPECT_EQ(v, 0.5);
+    EXPECT_EQ(field->SnapshotTime(t), std::floor(t / 300.0) * 300.0);
+  }
 }
 
 TEST(RollingSpeedField, ServesIngestedMeansWithBaselineFill) {

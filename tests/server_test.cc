@@ -12,7 +12,8 @@
 //    every protocol error with a typed frame while keeping the connection
 //    usable, sheds over the wire with retry-after hints, serves its obs
 //    registry (under the single-city stats names) through a stats frame,
-//    and answers every in-flight request across a graceful shutdown;
+//    and answers every in-flight request across a graceful shutdown (also
+//    one that lands mid-frame, which then closes the connection);
 //    departure times the serving clock cannot slot are invalid requests,
 //    not a crash;
 //  - a pipelined burst is one batch, concurrent pipelining clients each
@@ -689,6 +690,46 @@ TEST_F(ServerTest, GracefulShutdownAnswersEveryPipelinedRequest) {
   }
   shutdown.join();
   EXPECT_EQ(answered, 8u);
+}
+
+// A shutdown that lands while the server holds half a frame: the 8 whole
+// requests pipelined before it are answered (served or kShuttingDown), the
+// partial ninth is not, and the client then reads EOF.
+TEST_F(ServerTest, ShutdownMidFrameAnswersTheWholeFramesThenCloses) {
+  StartServer();
+  timeval patience{10, 0};  // a lost answer or EOF fails the test, not hangs it
+  ASSERT_EQ(::setsockopt(client_.fd(), SOL_SOCKET, SO_RCVTIMEO, &patience,
+                         sizeof(patience)),
+            0);
+  const auto ods = SampleOds(9);
+  std::vector<uint8_t> stream;
+  for (uint64_t id = 0; id < 9; ++id) {
+    RequestFrame request;
+    request.request_id = id + 1;
+    request.od = ods[id];
+    std::vector<uint8_t> wire = EncodeRequestFrame(request);
+    if (id == 8) wire.resize(wire.size() / 2);
+    stream.insert(stream.end(), wire.begin(), wire.end());
+  }
+  SendRaw(stream);
+  server_->Shutdown();
+  std::vector<bool> answered(8, false);
+  size_t answers = 0;
+  ResponseFrame response;
+  while (client_.ReadResponse(&response)) {
+    ASSERT_GE(response.request_id, 1u);
+    ASSERT_LE(response.request_id, 8u);
+    EXPECT_FALSE(answered[response.request_id - 1]);
+    answered[response.request_id - 1] = true;
+    EXPECT_TRUE(response.status == Status::kOk ||
+                response.status == Status::kShuttingDown)
+        << StatusName(response.status);
+    ++answers;
+  }
+  EXPECT_EQ(answers, 8u);
+  // The read loop ended at EOF, not at the receive timeout.
+  uint8_t byte = 0;
+  EXPECT_EQ(::recv(client_.fd(), &byte, 1, 0), 0) << std::strerror(errno);
 }
 
 TEST_F(ServerTest, StatsFrameServesTheObsRegistry) {

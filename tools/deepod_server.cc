@@ -57,6 +57,10 @@
 //   --live-speed   stands up a RollingSpeedField fed by ObserveTrip frames;
 //                  a publish ticker folds ingested observations into served
 //                  matrices every --publish-ms and bumps the service epoch.
+//                  The artifact's speed field then loads at its stored grid
+//                  (not pooled to the model's input size), so it can fill
+//                  the live field's unobserved cells; the startup line says
+//                  whether that baseline is attached.
 //   --drift-trigger X  prints a retrain-trigger line when the rolling MAE
 //                  of predictions vs observed actuals crosses X seconds.
 
@@ -255,7 +259,10 @@ int main(int argc, char** argv) {
       return 1;
     }
     try {
-      state = serve::LoadServingState(artifact_path, *network);
+      state = serve::LoadServingState(
+          artifact_path, *network, 0,
+          live_speed ? io::SpeedFieldSize::kStored
+                     : io::SpeedFieldSize::kModelInput);
     } catch (const nn::SerializeError& e) {
       std::fprintf(stderr, "artifact load failed [%s]: %s\n",
                    nn::LoadErrorKindName(e.status().kind), e.what());
@@ -286,10 +293,22 @@ int main(int argc, char** argv) {
       fleet_options.prepare = [field = rolling.get()](serve::ServingState& s) {
         s.model->SetSpeedProvider(field);
       };
+      // The baseline the live field falls back to, or why it has none.
+      char attached[128] = "none (no artifact speed field)";
+      if (rolling->baseline_attached()) {
+        std::snprintf(attached, sizeof(attached), "%zux%zu", baseline->rows(),
+                      baseline->cols());
+      } else if (baseline != nullptr) {
+        std::snprintf(attached, sizeof(attached),
+                      "none (artifact %zux%zu at %.0fs, live %zux%zu at %.0fs)",
+                      baseline->rows(), baseline->cols(),
+                      baseline->snapshot_seconds(), rolling->rows(),
+                      rolling->cols(), snapshot_seconds);
+      }
       std::printf("live speed field: %zux%zu grid, %.0fs snapshots, %.0fs "
-                  "window\n",
+                  "window, baseline %s\n",
                   rolling->rows(), rolling->cols(), snapshot_seconds,
-                  speed_window_s);
+                  speed_window_s, attached);
     }
     fleet = std::make_unique<serve::FleetRouter>(state, std::move(network),
                                                  fleet_options);
