@@ -38,6 +38,61 @@ TEST(FlagCursorTest, SizeValueRejectsSignsSpacesAndGarbage) {
   }
 }
 
+// Runs one "--flag value" pair through SizeInRange(lo, hi); false when it
+// rejects.
+bool ParseSizeInRange(const char* flag, const std::string& value, size_t lo,
+                      size_t hi, size_t* out) {
+  std::vector<std::string> args = {"tool", flag, value};
+  std::vector<char*> argv;
+  for (auto& a : args) argv.push_back(a.data());
+  FlagCursor flags(static_cast<int>(argv.size()), argv.data());
+  EXPECT_TRUE(flags.Next());
+  return flags.SizeInRange(lo, hi, out);
+}
+
+TEST(FlagCursorTest, SizeInRangeRejectsPeriodsThatSpin) {
+  // wait_for(0 ms) returns at once, so --publish-ms 0 spun the publisher
+  // (and --poll-ms 0 the watcher); --poll-ms 9223372036854775 overflowed
+  // the watcher's wait to a negative one and spun the idle watcher.
+  size_t v = 42;
+  for (const std::string& bad :
+       {std::string("0"), std::string("-1"), std::to_string(kMaxPeriodMs + 1),
+        std::string("9223372036854775")}) {
+    EXPECT_FALSE(ParseSizeInRange("--publish-ms", bad, 1, kMaxPeriodMs, &v))
+        << bad;
+    EXPECT_FALSE(ParseSizeInRange("--poll-ms", bad, 1, kMaxPeriodMs, &v))
+        << bad;
+  }
+  EXPECT_EQ(v, 42u);
+  ASSERT_TRUE(ParseSizeInRange("--publish-ms", "1", 1, kMaxPeriodMs, &v));
+  EXPECT_EQ(v, 1u);
+}
+
+TEST(FlagCursorTest, SizeInRangeRejectsCountsAboveTheServerCeilings) {
+  // Each count sizes threads or allocations at start-up (SIZE_MAX as a
+  // --drift-window aborted the server with an uncaught std::length_error);
+  // only the refusal is tested, never the start.
+  struct Ceiling {
+    const char* flag;
+    size_t hi;
+  };
+  for (const Ceiling& c : {Ceiling{"--executors", kMaxExecutors},
+                           Ceiling{"--tenants", kMaxTenants},
+                           Ceiling{"--drift-window", kMaxDriftWindow}}) {
+    for (const std::string& bad :
+         {std::to_string(c.hi + 1), std::string("18446744073709551615")}) {
+      size_t v = 42;
+      EXPECT_FALSE(ParseSizeInRange(c.flag, bad, 0, c.hi, &v))
+          << c.flag << " " << bad;
+      EXPECT_EQ(v, 42u) << c.flag << " " << bad << " wrote the output";
+    }
+    size_t v = 42;
+    ASSERT_TRUE(ParseSizeInRange(c.flag, std::to_string(c.hi), 0, c.hi, &v))
+        << c.flag;
+    EXPECT_EQ(v, c.hi);
+  }
+}
+
 // Runs one "--flag value" pair through IntValue; false when it rejects.
 bool ParseInt(const std::string& value, int* out) {
   std::vector<std::string> args = {"tool", "--epochs", value};

@@ -66,6 +66,19 @@ bool FlagCursor::SizeValue(size_t* out) {
   return true;
 }
 
+bool FlagCursor::SizeInRange(size_t lo, size_t hi, size_t* out) {
+  size_t parsed = 0;
+  if (!SizeValue(&parsed)) return false;
+  if (parsed < lo || parsed > hi) {
+    std::fprintf(stderr,
+                 "%s expects an unsigned integer in %zu..%zu, got %zu\n",
+                 flag_.c_str(), lo, hi, parsed);
+    return false;
+  }
+  *out = parsed;
+  return true;
+}
+
 bool FlagCursor::NetworkIdsValue(std::vector<uint32_t>* out) {
   const char* v = TakeRaw();
   if (v == nullptr) return false;

@@ -9,6 +9,16 @@
 
 namespace deepod::tools::cli {
 
+// deepod_server's stated ceilings, refused (exit 2) before any thread
+// starts: --executors starts that many threads, --tenants reserves that
+// many token buckets and --drift-window that many doubles. A --publish-ms
+// or --poll-ms period of 0 never waits and one above a day wraps to a
+// negative wait, so either would spin its thread.
+inline constexpr size_t kMaxExecutors = 256;  // the max_connections default
+inline constexpr size_t kMaxTenants = 65536;
+inline constexpr size_t kMaxDriftWindow = size_t{1} << 20;
+inline constexpr size_t kMaxPeriodMs = 86400000;  // one day
+
 // Shared flag parsing for the CLI tools (deepod_train / deepod_server /
 // deepod_loadgen). Before this helper each tool hand-rolled
 // the same argv walk — three private copies of --quant parsing, each with
@@ -40,6 +50,9 @@ class FlagCursor {
   // Typed value-takes for the flag just returned by Next().
   bool StringValue(std::string* out);
   bool SizeValue(size_t* out);    // unsigned decimal
+  // SizeValue narrowed to lo..hi: a period that must not be 0, or a count
+  // that sizes threads or allocations at start-up.
+  bool SizeInRange(size_t lo, size_t hi, size_t* out);
   bool IntValue(int* out);        // signed decimal in the int range
   bool U64Value(uint64_t* out);
   bool DoubleValue(double* out);

@@ -9,14 +9,14 @@
 // stores.
 //
 //   deepod_server --artifact model.artifact --network network.csv
-//                 [--host H] [--port P] [--max-batch N] [--executors N]
+//                 [--host H] [--port P] [--max-batch N] [--executors N<=256]
 //                 [--queue-capacity N]
-//                 [--tenants N] [--tenant-rate R] [--tenant-burst B]
+//                 [--tenants N<=65536] [--tenant-rate R] [--tenant-burst B]
 //                 [--stats-json PATH]
-//                 [--watch] [--poll-ms N]
-//                 [--live-speed] [--publish-ms N] [--speed-grid-m X]
+//                 [--watch] [--poll-ms N>=1]
+//                 [--live-speed] [--publish-ms N>=1] [--speed-grid-m X]
 //                 [--speed-window-s X]
-//                 [--drift-window N] [--drift-trigger X]
+//                 [--drift-window N<=1048576] [--drift-trigger X]
 //   deepod_server --fleet fleet.csv [shared flags as above]
 //
 // Batching: --executors N caps how many batches run at once (default 1)
@@ -112,14 +112,16 @@ int main(int argc, char** argv) {
         stderr,
         "usage: %s (--artifact PATH --network PATH | --fleet PATH)\n"
         "  [--host H] [--port P]\n"
-        "  [--max-batch N] [--executors N]\n"
-        "  [--queue-capacity N] [--tenants N] [--tenant-rate R]\n"
+        "  [--max-batch N] [--executors N<=%zu]\n"
+        "  [--queue-capacity N] [--tenants N<=%zu] [--tenant-rate R]\n"
         "  [--tenant-burst B]\n"
         "  [--stats-json PATH]\n"
-        "  [--watch] [--poll-ms N]\n"
-        "  [--live-speed] [--publish-ms N] [--speed-grid-m X]\n"
-        "  [--speed-window-s X] [--drift-window N] [--drift-trigger X]\n",
-        argv[0]);
+        "  [--watch] [--poll-ms N>=1]\n"
+        "  [--live-speed] [--publish-ms N>=1] [--speed-grid-m X]\n"
+        "  [--speed-window-s X] [--drift-window N<=%zu]\n"
+        "  [--drift-trigger X]\n",
+        argv[0], tools::cli::kMaxExecutors, tools::cli::kMaxTenants,
+        tools::cli::kMaxDriftWindow);
     return 2;
   };
   tools::cli::FlagCursor flags(argc, argv);
@@ -138,11 +140,17 @@ int main(int argc, char** argv) {
     } else if (flag == "--max-batch") {
       if (!flags.SizeValue(&server_options.max_batch)) return 2;
     } else if (flag == "--executors") {
-      if (!flags.SizeValue(&server_options.executors)) return 2;
+      if (!flags.SizeInRange(0, tools::cli::kMaxExecutors,
+                             &server_options.executors)) {
+        return 2;
+      }
     } else if (flag == "--queue-capacity") {
       if (!flags.SizeValue(&server_options.admission.queue_capacity)) return 2;
     } else if (flag == "--tenants") {
-      if (!flags.SizeValue(&server_options.admission.num_tenants)) return 2;
+      if (!flags.SizeInRange(0, tools::cli::kMaxTenants,
+                             &server_options.admission.num_tenants)) {
+        return 2;
+      }
     } else if (flag == "--tenant-rate") {
       if (!flags.NonNegativeValue(&server_options.admission.tenant_rate)) {
         return 2;
@@ -156,17 +164,21 @@ int main(int argc, char** argv) {
     } else if (flag == "--watch") {
       watch = true;
     } else if (flag == "--poll-ms") {
-      if (!flags.SizeValue(&poll_ms)) return 2;
+      if (!flags.SizeInRange(1, tools::cli::kMaxPeriodMs, &poll_ms)) return 2;
     } else if (flag == "--live-speed") {
       live_speed = true;
     } else if (flag == "--publish-ms") {
-      if (!flags.SizeValue(&publish_ms)) return 2;
+      if (!flags.SizeInRange(1, tools::cli::kMaxPeriodMs, &publish_ms)) {
+        return 2;
+      }
     } else if (flag == "--speed-grid-m") {
       if (!flags.PositiveValue(&speed_grid_m)) return 2;
     } else if (flag == "--speed-window-s") {
       if (!flags.PositiveValue(&speed_window_s)) return 2;
     } else if (flag == "--drift-window") {
-      if (!flags.SizeValue(&drift_window)) return 2;
+      if (!flags.SizeInRange(0, tools::cli::kMaxDriftWindow, &drift_window)) {
+        return 2;
+      }
     } else if (flag == "--drift-trigger") {
       if (!flags.DoubleValue(&drift_trigger)) return 2;
     } else {
@@ -320,9 +332,9 @@ int main(int argc, char** argv) {
     server_options.live.drift = &drift;
   }
 
-  auto server =
-      std::make_unique<serve::net::DeepOdServer>(*fleet, server_options);
+  std::unique_ptr<serve::net::DeepOdServer> server;
   try {
+    server = std::make_unique<serve::net::DeepOdServer>(*fleet, server_options);
     server->Start();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "server start failed: %s\n", e.what());
